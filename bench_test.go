@@ -289,15 +289,14 @@ func serveStream1MConfig(be workload.BackendMode) workload.ClusterConfig {
 // backends actually differ in: replica construction and simulation.
 func benchServe1M(b *testing.B, be workload.BackendMode) {
 	cfg := serveStream1MConfig(be)
+	stream := workload.Arrivals(cfg.ServeConfig)
 	b.ResetTimer()
 	var digestBytes, p99 float64
 	for i := 0; i < b.N; i++ {
-		// The stream is consumed by the run (replicas write outcomes into
-		// it), so each iteration draws a fresh copy off the clock; the GC
-		// debt of the ~100 MB draw is flushed off the clock too, so the
-		// timed region carries only the backend's own allocation behaviour.
+		// The run only reads the stream, so one draw serves every
+		// iteration; GC debt is flushed off the clock, so the timed region
+		// carries only the backend's own allocation behaviour.
 		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
 		runtime.GC()
 		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)
@@ -368,10 +367,10 @@ func BenchmarkServeModel100M(b *testing.B) {
 func BenchmarkServeFaultFree(b *testing.B) {
 	cfg := serveStream1MConfig(workload.BackendModel)
 	cfg.Faults = &faults.Plan{}
+	stream := workload.Arrivals(cfg.ServeConfig)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
 		runtime.GC()
 		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)
@@ -399,10 +398,10 @@ func BenchmarkServeRecovery(b *testing.B) {
 		Seed: 1, WedgeProb: 0.002, MaxRetries: 2,
 		RepairDelay: 500 * sim.US,
 	}
+	stream := workload.Arrivals(cfg.ServeConfig)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
 		runtime.GC()
 		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)

@@ -157,6 +157,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
 		os.Exit(2)
 	}
+	if err := checkPoolFlags(*efpgas, *shards, *softCPUs); err != nil {
+		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
+		os.Exit(2)
+	}
 	// -json promises one parseable document on stdout, so it pairs with
 	// exactly one sweep command; the text-only commands and multi-command
 	// runs would interleave tables or concatenate documents.
@@ -395,6 +399,21 @@ func printProgress(p *cluster.Progress, total int) {
 	}
 	fmt.Fprintf(os.Stderr, "progress: %d jobs%s, sim %v, heap %d MB\n",
 		jobs, pct, p.SimAt(), ms.HeapAlloc>>20)
+}
+
+// checkPoolFlags rejects worker-pool sizes the commands would otherwise
+// replace with a default behind the user's back: -efpgas and -shards
+// must be positive, -softcpus non-negative.
+func checkPoolFlags(efpgas, shards, softCPUs int) error {
+	switch {
+	case efpgas <= 0:
+		return fmt.Errorf("-efpgas must be positive, got %d", efpgas)
+	case shards <= 0:
+		return fmt.Errorf("-shards must be positive, got %d", shards)
+	case softCPUs < 0:
+		return fmt.Errorf("-softcpus must be non-negative, got %d", softCPUs)
+	}
+	return nil
 }
 
 // samePath reports whether two paths name the same file: equal after
@@ -645,8 +664,8 @@ func fig12(quick bool) {
 		}
 		fmt.Fprintf(w, "%s\t%.2fx\t%.2fx\t%.2f\t%.2f\t%v\t%s\n",
 			r.Name, r.SpeedupDuet, r.SpeedupFPSoC, r.ADPDuet, r.ADPFPSoC, r.CPURuntime, status)
-		w.Flush()
 	}
+	w.Flush() // once: every flush restarts the column widths
 	sd, sf, ad, af := apps.Geomeans(rows)
 	fmt.Printf("\nGeomean: Duet %.2fx, FPSoC %.2fx; ADP Duet %.2f, FPSoC %.2f\n", sd, sf, ad, af)
 	fmt.Println("Paper geomeans: Duet 4.53x, FPSoC 2.14x; ADP Duet 0.61, FPSoC 1.23.")
@@ -752,9 +771,6 @@ func toClusterRow(r workload.ClusterResult) clusterRow {
 }
 
 func clusterCmd(parallel int, seed int64, jobs, efpgas, shards int, mode sched.StatsMode, beMode workload.BackendMode, softCPUs, windows int, progress bool, lookahead int, jsonOut bool) error {
-	if shards <= 0 {
-		shards = 1
-	}
 	// The front-end x policy table: one independent cluster per cell,
 	// fanned out on the study pool (each cell spawns its own per-shard
 	// goroutines inside its slot).

@@ -43,3 +43,18 @@ func TestSamePath(t *testing.T) {
 		t.Fatal("nonexistent output matched existing input")
 	}
 }
+
+// TestCheckPoolFlags covers the pool-size guard: values the commands
+// used to replace silently with a default are refused up front.
+func TestCheckPoolFlags(t *testing.T) {
+	for _, ok := range [][3]int{{2, 4, 0}, {1, 1, 0}, {1, 1, 3}} {
+		if err := checkPoolFlags(ok[0], ok[1], ok[2]); err != nil {
+			t.Fatalf("efpgas/shards/softcpus %v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range [][3]int{{0, 4, 0}, {-1, 4, 0}, {2, 0, 0}, {2, -3, 0}, {2, 4, -1}} {
+		if err := checkPoolFlags(bad[0], bad[1], bad[2]); err == nil {
+			t.Fatalf("efpgas/shards/softcpus %v accepted", bad)
+		}
+	}
+}

@@ -132,3 +132,23 @@ func TestFig12Shape(t *testing.T) {
 		t.Errorf("bfs Duet did not scale from 4 to 8 cores (%v -> %v)", d4.Runtime, d8.Runtime)
 	}
 }
+
+// TestMultiCoreDeterministic: a multi-core run is a pure function of its
+// configuration. Two bfs/4 runs in one process must produce identical
+// Fig. 12 rows; invalidation order once followed Go map iteration over
+// a line's directory sharers and made the CPU runtime vary run to run.
+func TestMultiCoreDeterministic(t *testing.T) {
+	var bfs4 Benchmark
+	for _, b := range All() {
+		if b.Name == "bfs/4" {
+			bfs4 = b
+		}
+	}
+	if bfs4.Run == nil {
+		t.Fatal("bfs/4 missing from the Fig. 12 set")
+	}
+	first, second := RunOne(bfs4), RunOne(bfs4)
+	if first != second {
+		t.Fatalf("bfs/4 diverged between runs:\n%+v\n%+v", first, second)
+	}
+}

@@ -15,10 +15,9 @@
 //  1. The arrival stream is a pure function of the seed, and the front
 //     end's routing decisions are a pure function of the stream, the
 //     shard count, and each shard's catalog model (Predict/Workers) —
-//     routing never observes live shard state. Run realizes this as a
-//     sequential pre-pass over a materialized stream; RunSource
-//     (stream.go) realizes the identical decision sequence online, off
-//     an O(1)-memory generator, without ever building the stream.
+//     routing never observes live shard state. RunSource (stream.go)
+//     makes the decisions online, in stream order, off an O(1)-memory
+//     source, without ever building the stream.
 //  2. Each shard's simulation is a deterministic run over state nothing
 //     else touches; per-shard seeds are derived from the cluster seed
 //     (ShardSeed) for any replica-local draws.
@@ -30,7 +29,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -38,10 +36,10 @@ import (
 )
 
 // Replica is one shard: an isolated simulated serve instance. The front
-// end routes by the replica's catalog model (Predict, Workers); Play
-// runs the shard to completion over its share of the arrival stream.
-// Implementations: EngineReplica (cycle-level Dolly system) and
-// internal/model's analytic fast-path replica.
+// end routes by the replica's catalog model (Predict, Workers);
+// PlayStream runs the shard to completion over its share of the arrival
+// stream. Implementations: EngineReplica (cycle-level Dolly system) and
+// internal/model's analytic fast-path replica; both play through Drive.
 type Replica interface {
 	// Predict is the shard catalog's analytic occupancy estimate for one
 	// job — what deterministic front ends route by. ok is false for
@@ -50,15 +48,9 @@ type Replica interface {
 	// Workers reports the shard's worker count (the front end's view of
 	// its service parallelism).
 	Workers() int
-	// Play runs the shard over its share of the stream — the entries at
-	// indices mine (ascending), or the whole stream when mine is nil —
-	// and returns the harvested results. The stream is shared across
-	// shards: a replica may mutate only its own assigned entries.
-	Play(stream []Arrival, mine []int32) (ShardResult, error)
-	// PlayStream is Play's pull-based variant: the shard consumes its
-	// assigned arrivals from the feed as they are produced, keeping
-	// memory independent of the job count. Results are identical to
-	// Play over the same per-shard arrival sequence.
+	// PlayStream consumes the shard's assigned arrivals from the feed as
+	// they are produced, keeping memory independent of the job count,
+	// and returns the harvested results.
 	PlayStream(feed ArrivalFeed) (ShardResult, error)
 }
 
@@ -77,10 +69,10 @@ type EngineReplica struct {
 	// Merge pools the raw samples for exact quantiles.
 	DiscardSamples bool
 
-	// Rec, when set, is the shard's windowed flight recorder: Play
+	// Rec, when set, is the shard's windowed flight recorder: PlayStream
 	// attaches it to the scheduler before any submission and hands it
 	// back in ShardResult.Windows. Window widths must agree across
-	// shards for the cluster-level merge (Run enforces it).
+	// shards for the cluster-level merge (RunSource enforces it).
 	Rec *telemetry.Recorder
 }
 
@@ -92,86 +84,44 @@ func (r *EngineReplica) Predict(app string, inputSize int) (sim.Time, bool) {
 // Workers reports the shard's worker count.
 func (r *EngineReplica) Workers() int { return r.Sch.Workers() }
 
-// Play schedules the shard's assigned arrivals as engine events, drains
-// the engine, and harvests the results. In exact mode per-job results
-// are harvested through the scheduler's OnResult drain hook; a
-// streaming-stats scheduler already folds every job into its own
-// fixed-memory digest and exact sums, so the shard reads those
-// aggregates back after the run instead of accumulating a parallel copy
-// per job — shard stats memory stays flat however many jobs the stream
-// offers.
-func (r *EngineReplica) Play(stream []Arrival, mine []int32) (ShardResult, error) {
-	var sr ShardResult
-	r.beginHarvest(&sr)
-	submit := func(a any) { r.Sch.Submit(a.(*sched.Job)) }
-	schedule := func(a *Arrival) {
-		job := a.Job
-		r.Eng.AtArg(a.At, submit, &job)
-	}
-	if mine == nil {
-		for i := range stream {
-			schedule(&stream[i])
-		}
-	} else {
-		for _, i := range mine {
-			schedule(&stream[i])
-		}
-	}
-	err := r.Run()
-	r.endHarvest(&sr)
-	return sr, err
-}
-
-// PlayStream fuses arrival generation into the engine run: for each
-// pulled arrival the engine executes every event strictly before the
-// arrival instant (RunBefore), then the job is submitted directly — so
-// the calendar holds only in-flight completion chains, never the
-// O(jobs) pre-scheduled arrival events Play builds. Same-instant
-// ordering is preserved exactly: a submission at t still precedes every
-// queued completion at t, as a pre-scheduled arrival event would by
-// bucket insertion order. In streaming-stats mode retired job records
-// are recycled through a freelist (the scheduler keeps no reference
-// after OnResult), so the whole run allocates O(in-flight) jobs.
+// PlayStream drives the engine through Drive: before each arrival the
+// engine executes every event strictly before the arrival instant
+// (RunBefore), so the calendar holds only in-flight completion chains,
+// never O(jobs) pre-scheduled arrival events.
 func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
-	var sr ShardResult
-	r.beginHarvest(&sr)
-	streaming := r.Sch.Config().Stats == sched.StatsStreaming
-	var free []*sched.Job
-	if streaming {
-		r.Sch.OnResult = func(j *sched.Job) { free = append(free, j) }
-	}
-	var a Arrival
-	for feed.Next(&a) {
-		r.Eng.RunBefore(a.At)
-		var j *sched.Job
-		if n := len(free); n > 0 {
-			j, free = free[n-1], free[:n-1]
-		} else {
-			j = new(sched.Job)
-		}
-		*j = a.Job
-		if !r.Sch.Submit(j) && streaming && j.Err == nil {
-			// Queue-full bounce: the job was never admitted and never
-			// retired (no OnResult), so the scheduler holds no reference —
-			// recycle the record directly. Submissions refused with an
-			// error were retired and already recycled via OnResult.
-			free = append(free, j)
-		}
-	}
-	err := r.Run()
-	r.endHarvest(&sr)
-	return sr, err
+	advance := func(t sim.Time) { r.Eng.RunBefore(t) }
+	return Drive(feed, r.Sch, r.Rec, r.DiscardSamples, advance, r.Run)
 }
 
-// beginHarvest wires the flight recorder and, in exact mode, the
-// per-job OnResult drain hook into sr before any submission.
-func (r *EngineReplica) beginHarvest(sr *ShardResult) {
-	if r.Rec != nil {
-		r.Sch.SetObserver(r.Rec)
-		sr.Windows = r.Rec
+// Drive is the one replica play loop: it submits the feed's arrivals to
+// sch in order and harvests the shard's results. advance(t) must run
+// every pending event strictly before t, so a submission at t still
+// precedes every completion queued at t; drain runs the remaining
+// events once the feed is exhausted and reports any model-level error.
+// rec, when non-nil, becomes the scheduler's observer before the first
+// submission and is handed back in ShardResult.Windows.
+//
+// In exact mode per-job results are harvested through the scheduler's
+// OnResult drain hook (skipped when discard is set). A streaming-stats
+// scheduler already folds every job into its own fixed-memory digest and
+// exact sums, so the shard reads those back after the run instead, and
+// retired job records are recycled through a freelist (the scheduler
+// keeps no reference after OnResult) — the run allocates O(in-flight)
+// jobs however many the feed offers.
+func Drive(feed ArrivalFeed, sch *sched.Scheduler, rec *telemetry.Recorder, discard bool,
+	advance func(sim.Time), drain func() error) (ShardResult, error) {
+	var sr ShardResult
+	if rec != nil {
+		sch.SetObserver(rec)
+		sr.Windows = rec
 	}
-	if !r.DiscardSamples && r.Sch.Config().Stats != sched.StatsStreaming {
-		r.Sch.OnResult = func(j *sched.Job) {
+	streaming := sch.Config().Stats == sched.StatsStreaming
+	var free []*sched.Job
+	switch {
+	case streaming:
+		sch.OnResult = func(j *sched.Job) { free = append(free, j) }
+	case !discard:
+		sch.OnResult = func(j *sched.Job) {
 			if j.Err != nil {
 				return
 			}
@@ -180,18 +130,34 @@ func (r *EngineReplica) beginHarvest(sr *ShardResult) {
 			sr.ServiceSum += j.Service()
 		}
 	}
-}
-
-// endHarvest reads the scheduler's aggregates back after the run.
-func (r *EngineReplica) endHarvest(sr *ShardResult) {
-	sr.Stats = r.Sch.Stats()
-	if d, waits, services, ok := r.Sch.SojournDigest(); ok {
+	var a Arrival
+	for feed.Next(&a) {
+		advance(a.At)
+		var j *sched.Job
+		if n := len(free); n > 0 {
+			j, free = free[n-1], free[:n-1]
+		} else {
+			j = new(sched.Job)
+		}
+		*j = a.Job
+		if !sch.Submit(j) && streaming && j.Err == nil {
+			// Queue-full bounce: the job was never admitted and never
+			// retired (no OnResult), so the scheduler holds no reference —
+			// recycle the record directly. Submissions refused with an
+			// error were retired and already recycled via OnResult.
+			free = append(free, j)
+		}
+	}
+	err := drain()
+	sr.Stats = sch.Stats()
+	if d, waits, services, ok := sch.SojournDigest(); ok {
 		// The digest is the scheduler's own table, adopted by the shard
 		// result; the replica is discarded after this run, so nothing
 		// else writes to it.
 		sr.Digest = d
 		sr.WaitSum, sr.ServiceSum = waits, services
 	}
+	return sr, err
 }
 
 // Arrival is one job offered to the cluster front end at absolute
@@ -219,17 +185,17 @@ type Config struct {
 
 	// Faults, when set, is the front end's view of the run's fault plan:
 	// shard outage schedules for dead-shard reroute, and the hedging
-	// horizon for duplicate re-dispatch ahead of an imminent crash. The
-	// fault pass runs sequentially after routing, so it preserves the
-	// determinism contract verbatim. Nil (or an inactive spec) changes
-	// nothing.
+	// horizon for duplicate re-dispatch ahead of an imminent crash. Each
+	// reroute or hedge decision depends only on the routed arrival and
+	// this static schedule, so the fault pass preserves the determinism
+	// contract verbatim. Nil (or an inactive spec) changes nothing.
 	Faults *FaultSpec
 
 	// Handoff bounds RunSource's per-shard hand-off buffer for the
 	// stateful front ends (LeastOutstanding, HealthWeighted): how many
 	// routed arrivals the producer may run ahead of a shard's
 	// consumption. <= 0 selects DefaultHandoff. The bound affects only
-	// memory and producer/consumer overlap, never results; Run and the
+	// memory and producer/consumer overlap, never results; the
 	// index-free front ends ignore it.
 	Handoff int
 
@@ -250,8 +216,8 @@ type FaultSpec struct {
 	ShardDown [][]sched.Downtime
 	// Hedge, when positive, duplicates every arrival whose shard will
 	// crash within Hedge of the arrival instant onto a healthy backup
-	// shard — the duplicate rides the stream immediately after its
-	// source arrival, keeping per-shard arrival order intact.
+	// shard — the duplicate takes its source's place in stream order,
+	// so every shard still sees its arrivals in ascending order.
 	Hedge sim.Time
 	// RecoverHold is the health-weighted front end's hysteresis: a shard
 	// whose outage window closed less than RecoverHold ago ranks as
@@ -334,46 +300,6 @@ func (f *FaultSpec) nextHealthy(shards, s int, at sim.Time) (int, bool) {
 	return s, false
 }
 
-// applyFaults is the front end's sequential fault pass: reroute arrivals
-// aimed at a down shard, then (under a positive hedge horizon) duplicate
-// arrivals whose shard is about to crash onto a healthy backup. The
-// returned stream keeps ascending arrival order — hedge duplicates ride
-// directly behind their source — so both replica kinds play it
-// identically.
-func applyFaults(f *FaultSpec, shards int, stream []Arrival, assign []int32) ([]Arrival, []int32, int, int) {
-	rerouted := 0
-	for i := range stream {
-		s := int(assign[i])
-		if f.downAt(s, stream[i].At) {
-			if alt, ok := f.nextHealthy(shards, s, stream[i].At); ok {
-				assign[i] = int32(alt)
-				rerouted++
-			}
-		}
-	}
-	if f.Hedge <= 0 {
-		return stream, assign, rerouted, 0
-	}
-	hedged := 0
-	out := make([]Arrival, 0, len(stream))
-	outAssign := make([]int32, 0, len(assign))
-	for i := range stream {
-		out = append(out, stream[i])
-		outAssign = append(outAssign, assign[i])
-		s := int(assign[i])
-		if f.crashesWithin(s, stream[i].At) {
-			if alt, ok := f.nextHealthy(shards, s, stream[i].At); ok {
-				// The Arrival holds its Job by value, so the duplicate is
-				// an independent job record.
-				out = append(out, stream[i])
-				outAssign = append(outAssign, int32(alt))
-				hedged++
-			}
-		}
-	}
-	return out, outAssign, rerouted, hedged
-}
-
 // ShardSeed derives shard i's seed from the cluster seed with a
 // splitmix64 finalizer, so adjacent shards draw unrelated streams.
 func ShardSeed(seed int64, shard int) int64 {
@@ -407,7 +333,7 @@ type ShardResult struct {
 	// Windows is the shard's windowed flight recorder, populated when
 	// the replica was built with one (EngineReplica.Rec, or the model
 	// replica's SetRecorder). Per-shard window series are keyed by the
-	// shared simulated timeline, so Run merges them exactly into
+	// shared simulated timeline, so RunSource merges them exactly into
 	// Result.Windows. Nil when telemetry was off.
 	Windows *telemetry.Recorder
 }
@@ -433,64 +359,8 @@ type Result struct {
 	Windows *telemetry.Recorder
 }
 
-// Run plays the arrival stream through a sharded serve farm: it builds
-// Shards replicas, assigns the stream with the configured front end, runs
-// every shard concurrently to completion, and merges the results.
-func Run(cfg Config, stream []Arrival) (Result, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	reps, seeds, err := buildReplicas(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	// The front end's sequential pre-pass: one shard index per arrival,
-	// regrouped into per-shard index lists. Shards then read their own
-	// entries out of the shared stream, so no per-shard copy of the
-	// (potentially huge) stream is ever built.
-	assign := route(cfg.Shards, cfg.FrontEnd, reps, stream, cfg.Faults)
-	var rerouted, hedged int
-	if cfg.Faults.active() {
-		stream, assign, rerouted, hedged = applyFaults(cfg.Faults, cfg.Shards, stream, assign)
-	}
-	counts := make([]int, cfg.Shards)
-	for _, s := range assign {
-		counts[s]++
-	}
-	indices := make([][]int32, cfg.Shards)
-	for i := range indices {
-		indices[i] = make([]int32, 0, counts[i])
-	}
-	for i, s := range assign {
-		indices[s] = append(indices[s], int32(i))
-	}
-
-	// One replica per goroutine; errgroup-style join (every shard runs to
-	// completion, the lowest-indexed error is reported). Each goroutine
-	// touches only its own shard's state, its own result slot, and its
-	// own assigned stream entries, so the merge after Wait observes a
-	// deterministic state.
-	results := make([]ShardResult, cfg.Shards)
-	errs := make([]error, cfg.Shards)
-	var wg sync.WaitGroup
-	for i := range reps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = reps[i].Play(stream, indices[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: shard %d: %w", i, err)
-		}
-	}
-	return finish(cfg, seeds, results, counts, len(stream), rerouted, hedged)
-}
-
 // buildReplicas validates cfg and constructs every shard sequentially,
-// in shard order, with its derived seed — shared by Run and RunSource.
+// in shard order, with its derived seed.
 func buildReplicas(cfg Config) ([]Replica, []int64, error) {
 	if cfg.FrontEnd < 0 || cfg.FrontEnd >= NumFrontEnds {
 		return nil, nil, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
@@ -518,7 +388,7 @@ func buildReplicas(cfg Config) ([]Replica, []int64, error) {
 }
 
 // finish stamps per-shard identity onto the results and performs the
-// deterministic shard-order merge — shared by Run and RunSource.
+// deterministic shard-order merge.
 func finish(cfg Config, seeds []int64, results []ShardResult, counts []int, offered, rerouted, hedged int) (Result, error) {
 	for i := range results {
 		results[i].Shard = i

@@ -75,6 +75,11 @@ func stream(n int) []cluster.Arrival {
 	return arr
 }
 
+// runSlice plays a materialized stream through RunSource.
+func runSlice(cfg cluster.Config, arr []cluster.Arrival) (cluster.Result, error) {
+	return cluster.RunSource(cfg, cluster.NewSliceSource(arr))
+}
+
 // TestRunDeterministic: per (seed, shards, front end) the whole result —
 // merged stats, per-shard stats, and raw sojourn samples — must be
 // byte-identical across runs despite one-goroutine-per-shard execution.
@@ -82,8 +87,8 @@ func TestRunDeterministic(t *testing.T) {
 	for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
 		t.Run(fe.String(), func(t *testing.T) {
 			cfg := cluster.Config{Shards: 3, FrontEnd: fe, Seed: 9, NewReplica: newReplica(sched.Affinity, -1)}
-			r1, err1 := cluster.Run(cfg, stream(120))
-			r2, err2 := cluster.Run(cfg, stream(120))
+			r1, err1 := runSlice(cfg, stream(120))
+			r2, err2 := runSlice(cfg, stream(120))
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -110,7 +115,7 @@ func TestRunDeterministic(t *testing.T) {
 // TestFrontEndRouting checks each policy's characteristic split shape.
 func TestFrontEndRouting(t *testing.T) {
 	run := func(fe cluster.FrontEnd, shards int) *cluster.Result {
-		r, err := cluster.Run(cluster.Config{
+		r, err := runSlice(cluster.Config{
 			Shards: shards, FrontEnd: fe, Seed: 4, NewReplica: newReplica(sched.FIFO, -1),
 		}, stream(90))
 		if err != nil {
@@ -166,7 +171,7 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 			App: testApps[i%len(testApps)].name, InputSize: 64,
 		}}
 	}
-	r, err := cluster.Run(cluster.Config{
+	r, err := runSlice(cluster.Config{
 		Shards: 3, FrontEnd: cluster.LeastOutstanding, Seed: 1,
 		NewReplica: newReplica(sched.FIFO, -1),
 	}, arr)
@@ -191,7 +196,7 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 func TestHeterogeneousShardRouting(t *testing.T) {
 	mk := newReplicaN(sched.FIFO, -1, 1)
 	big := newReplicaN(sched.FIFO, -1, 4)
-	r, err := cluster.Run(cluster.Config{
+	r, err := runSlice(cluster.Config{
 		Shards: 2, FrontEnd: cluster.LeastOutstanding, Seed: 1,
 		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
 			if shard == 1 {
@@ -274,10 +279,10 @@ func TestMergeMixedModeQuantiles(t *testing.T) {
 // TestRunErrors: configuration and replica failures surface with their
 // shard attribution; all goroutines are still joined.
 func TestRunErrors(t *testing.T) {
-	if _, err := cluster.Run(cluster.Config{Shards: 2}, stream(4)); err == nil {
+	if _, err := runSlice(cluster.Config{Shards: 2}, stream(4)); err == nil {
 		t.Fatal("missing NewReplica not rejected")
 	}
-	if _, err := cluster.Run(cluster.Config{
+	if _, err := runSlice(cluster.Config{
 		Shards: 2, FrontEnd: cluster.NumFrontEnds, NewReplica: newReplica(sched.FIFO, -1),
 	}, stream(4)); err == nil {
 		t.Fatal("bogus front end not rejected")
@@ -285,10 +290,10 @@ func TestRunErrors(t *testing.T) {
 	factoryErr := func(shard int, seed int64) (cluster.Replica, error) {
 		return nil, errors.New("no fabric")
 	}
-	if _, err := cluster.Run(cluster.Config{Shards: 2, NewReplica: factoryErr}, stream(4)); err == nil {
+	if _, err := runSlice(cluster.Config{Shards: 2, NewReplica: factoryErr}, stream(4)); err == nil {
 		t.Fatal("factory error not propagated")
 	}
-	_, err := cluster.Run(cluster.Config{
+	_, err := runSlice(cluster.Config{
 		Shards: 3, FrontEnd: cluster.RoundRobin, Seed: 1, NewReplica: newReplica(sched.FIFO, 1),
 	}, stream(30))
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {

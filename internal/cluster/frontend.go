@@ -9,10 +9,10 @@ import (
 )
 
 // FrontEnd selects how the cluster front end routes arriving jobs to
-// shards. Every policy is a deterministic, sequential pre-pass over the
-// arrival stream — routing decisions depend only on the stream, the
-// shard count, and each shard's catalog model (Predict/Workers), never
-// on live shard state, which is what keeps multi-shard runs
+// shards. Every policy decides in stream order — routing decisions
+// depend only on the stream, the shard count, and each shard's catalog
+// model (Predict/Workers), never on live shard state, which is what
+// keeps multi-shard runs
 // byte-identical regardless of goroutine interleaving. Routing by
 // per-shard models is also what makes heterogeneous clusters work: a
 // shard with more fabrics (or a different execution backend) advertises
@@ -42,7 +42,7 @@ const (
 	// ties. With a nil or inactive fault spec every shard is healthy and
 	// the policy IS LeastOutstanding, decision for decision. The health
 	// class comes from the same outage schedule the daemon's /healthz
-	// degrades on, and the ranking is part of the sequential pre-pass, so
+	// degrades on, and the ranking never reads live shard state, so
 	// routing stays byte-identical at every width and on both backends.
 	HealthWeighted
 	NumFrontEnds
@@ -68,36 +68,6 @@ func FrontEndByName(name string) (FrontEnd, error) {
 		}
 	}
 	return 0, fmt.Errorf("cluster: unknown front end %q", name)
-}
-
-// route assigns each arrival to a shard under the chosen policy; the
-// result maps stream index to shard index. reps supplies every shard's
-// catalog model, so heterogeneous shards are routed by their own
-// capacity, not shard 0's. faults feeds the health-weighted policy's
-// shard ranking (every other policy ignores it; nil means all-healthy).
-func route(shards int, fe FrontEnd, reps []Replica, stream []Arrival, faults *FaultSpec) []int32 {
-	assign := make([]int32, len(stream))
-	switch fe {
-	case RoundRobin:
-		for i := range stream {
-			assign[i] = int32(i % shards)
-		}
-	case LeastOutstanding:
-		lo := newLoadModel(reps)
-		for i := range stream {
-			assign[i] = int32(lo.route(&stream[i], nil))
-		}
-	case HealthWeighted:
-		lo := newLoadModel(reps)
-		for i := range stream {
-			assign[i] = int32(lo.route(&stream[i], faults))
-		}
-	default: // HashApp
-		for i := range stream {
-			assign[i] = int32(hashApp(stream[i].Job.App) % uint32(shards))
-		}
-	}
-	return assign
 }
 
 func hashApp(app string) uint32 {

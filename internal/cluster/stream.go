@@ -8,32 +8,30 @@ import (
 	"duet/internal/sim"
 )
 
-// This file is the streaming arrival pipeline: RunSource plays a cluster
-// study straight off an O(1)-memory arrival generator, so the run never
-// materializes the O(jobs) []Arrival stream that Run splits in a
-// sequential pre-pass. The front end, the fault pass (dead-shard reroute
-// and hedge duplicates), and each shard's simulation all become a single
-// pass over the source:
+// This file is the cluster's arrival pipeline: RunSource plays a study
+// straight off an O(1)-memory arrival source, so the run never
+// materializes an O(jobs) stream. The front end, the fault pass
+// (dead-shard reroute and hedge duplicates), and each shard's simulation
+// form a single pass over the source:
 //
 //   - Index-free front ends (HashApp, RoundRobin) need no shared routing
 //     state, so every shard clones the source and filters it down to its
 //     own assignment in parallel — generation itself is parallelized and
 //     no hand-off buffer exists at all.
 //   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
-//     single producer goroutine — the same sequential decision order as
-//     Run's pre-pass — which feeds each shard through a bounded hand-off
-//     channel (Config.Handoff caps how far the producer runs ahead), so
-//     peak memory is O(shards x Handoff) instead of O(jobs).
+//     single producer goroutine, in stream order, which feeds each shard
+//     through a bounded hand-off channel (Config.Handoff caps how far the
+//     producer runs ahead), so peak memory is O(shards x Handoff)
+//     instead of O(jobs).
 //
-// Per (seed, shards, front end, per-shard configs) the merged result is
-// byte-identical to Run over the materialized stream of the same source;
-// the equivalence is pinned by property tests in internal/workload.
+// Both branches deliver, per shard, exactly the arrival sequence of the
+// sequential route-then-fault-pass reference kept in oracle_test.go,
+// which pins the equivalence arrival for arrival.
 
 // Source is a restartable O(1)-memory arrival generator: a pure function
 // of its construction parameters that yields the stream in ascending
 // arrival order. Clone must restart the identical stream from the first
-// arrival — the streaming pipeline's replacement for sharing one
-// materialized slice across shards.
+// arrival: the index-free front ends give every shard its own clone.
 type Source interface {
 	// Next writes the next arrival into *a and reports whether one was
 	// produced; false means the stream is exhausted.
@@ -45,7 +43,8 @@ type Source interface {
 }
 
 // SliceSource adapts a materialized stream to the Source interface —
-// tests and small studies can feed RunSource without a generator.
+// tests and benchmarks that draw the stream up front feed RunSource
+// through it.
 type SliceSource struct {
 	stream []Arrival
 	i      int
@@ -170,13 +169,11 @@ func (f *SourceFeed) Next(a *Arrival) bool {
 // the static fault spec, so every shard recomputes them independently —
 // that is what lets generation run in parallel with zero hand-off state.
 //
-// Equivalence with Run's applyFaults: reroute rewrites each arrival's
-// single destination (counted at the destination shard, so the per-shard
-// counts sum to the global total), and a hedge duplicate targets
-// nextHealthy(effective) which is never the effective shard itself, so
-// each arrival contributes at most one entry per shard and the duplicate
-// keeps its position directly behind the source arrival in that shard's
-// subsequence — the same per-shard order applyFaults produces.
+// Reroute rewrites each arrival's single destination (counted at the
+// destination shard, so the per-shard counts sum to the global total),
+// and a hedge duplicate targets nextHealthy(effective), which is never
+// the effective shard itself, so each arrival contributes at most one
+// entry per shard, in stream order — the producer's per-shard order.
 type filterFeed struct {
 	src    Source
 	shard  int
@@ -216,7 +213,7 @@ func (f *filterFeed) Next(a *Arrival) bool {
 		if f.spec != nil && f.spec.Hedge > 0 && f.spec.crashesWithin(eff, a.At) {
 			if alt, ok := f.spec.nextHealthy(f.shards, eff, a.At); ok && alt == f.shard {
 				// The Arrival travels by value, so the duplicate is an
-				// independent job record — same as applyFaults' copy.
+				// independent job record.
 				f.assigned++
 				f.hedged++
 				f.tap.bump(a.At)
@@ -271,9 +268,9 @@ func (f *chanFeed) drainRest() {
 	})
 }
 
-// producer routes the whole source on one goroutine — the identical
-// sequential decision order as Run's route() pre-pass plus applyFaults,
-// interleaved per arrival — and feeds each shard's channel in batches.
+// producer routes the whole source on one goroutine — routing, then
+// reroute and hedge, per arrival in stream order — and feeds each
+// shard's channel in batches.
 type producer struct {
 	chans            []chan []Arrival
 	batches          [][]Arrival
@@ -302,8 +299,7 @@ func (p *producer) close() {
 // run consumes the source to exhaustion. reps supplies each shard's
 // catalog model for the load-model ranking; routeSpec feeds the
 // health-weighted ranking (nil for plain least-outstanding) and
-// faultSpec the reroute/hedge pass (nil when inactive) — mirroring
-// route() and applyFaults' activation rules exactly.
+// faultSpec the reroute/hedge pass (nil when inactive).
 func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSpec) {
 	lo := newLoadModel(reps)
 	shards := len(p.chans)
@@ -330,9 +326,9 @@ func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSp
 
 // RunSource plays an arrival source through a sharded serve farm without
 // ever materializing the stream: shards consume their assignment as it
-// is produced, so peak memory is independent of the job count. The
-// merged result is byte-identical to Run over the same source's
-// materialized stream.
+// is produced, so peak memory is independent of the job count. Per
+// (seed, shards, front end, per-shard configs) the merged result is
+// byte-identical at every hand-off bound and goroutine interleaving.
 func RunSource(cfg Config, src Source) (Result, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -411,7 +407,7 @@ func RunSource(cfg Config, src Source) (Result, error) {
 		}
 		var routeSpec *FaultSpec
 		if cfg.FrontEnd == HealthWeighted {
-			routeSpec = cfg.Faults // ranking input even when inactive, like route()
+			routeSpec = cfg.Faults // ranking input even when inactive
 		}
 		p.run(src, reps, routeSpec, faultSpec)
 		wg.Wait()

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/cache"
 	"duet/internal/mem"
@@ -30,10 +31,20 @@ func (d *dirEntry) copies() []int {
 	if d.owner >= 0 {
 		return []int{d.owner}
 	}
+	return d.sharersExcept(-1)
+}
+
+// sharersExcept lists the S-state holders other than skip in cache-ID
+// order. Invalidations go out in this order, so it must not depend on
+// map iteration: runs stay byte-identical per seed.
+func (d *dirEntry) sharersExcept(skip int) []int {
 	out := make([]int, 0, len(d.sharers))
 	for id := range d.sharers {
-		out = append(out, id)
+		if id != skip {
+			out = append(out, id)
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -326,11 +337,7 @@ func (h *Home) processStore(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 	if d.owner >= 0 {
 		targets = []int{d.owner}
 	} else {
-		for id := range d.sharers {
-			if id != req.CacheID {
-				targets = append(targets, id)
-			}
-		}
+		targets = d.sharersExcept(req.CacheID)
 	}
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
@@ -417,11 +424,7 @@ func (h *Home) processWT(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 	if d.owner >= 0 && d.owner != req.CacheID {
 		targets = []int{d.owner}
 	} else {
-		for id := range d.sharers {
-			if id != req.CacheID {
-				targets = append(targets, id)
-			}
-		}
+		targets = d.sharersExcept(req.CacheID)
 	}
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
@@ -494,9 +497,7 @@ func (h *Home) SnapshotLine(line uint64) (data mem.Line, owner int, sharers []in
 	}
 	if d, ok := h.dir[line]; ok {
 		owner = d.owner
-		for id := range d.sharers {
-			sharers = append(sharers, id)
-		}
+		sharers = d.sharersExcept(-1)
 	}
 	return data, owner, sharers
 }

@@ -145,10 +145,10 @@ type Config struct {
 	// DefaultCPUSlowdown).
 	CPUSlowdown float64
 
-	// DiscardSamples skips Play's exact-mode per-job harvest (Sojourns
-	// and the wait/service sums) — for single-replica callers that read
-	// Stats only. Cluster shards must leave it false: Merge pools the
-	// raw samples for exact quantiles.
+	// DiscardSamples skips PlayStream's exact-mode per-job harvest
+	// (Sojourns and the wait/service sums) — for single-replica callers
+	// that read Stats only. Cluster shards must leave it false: Merge
+	// pools the raw samples for exact quantiles.
 	DiscardSamples bool
 
 	// Wrap, when set, decorates each backend before the scheduler sees
@@ -218,15 +218,15 @@ func NewReplica(cfg Config) *Replica {
 // direct submission, stats).
 func (r *Replica) Scheduler() *sched.Scheduler { return r.sch }
 
-// SetRecorder attaches a windowed flight recorder: Play installs it as
-// the scheduler's observer before any submission and hands it back in
-// ShardResult.Windows — the same wiring as cluster.EngineReplica.Rec,
+// SetRecorder attaches a windowed flight recorder: PlayStream installs
+// it as the scheduler's observer before any submission and hands it back
+// in ShardResult.Windows — the same wiring as cluster.EngineReplica.Rec,
 // so the cycle and model paths instrument identically.
 func (r *Replica) SetRecorder(rec *telemetry.Recorder) { r.rec = rec }
 
 // Events exposes the replica's analytic timeline, for live feeders (the
 // daemon's clock bridge) that advance simulated time incrementally
-// instead of playing a pre-materialized stream.
+// instead of playing a feed.
 func (r *Replica) Events() *Events { return r.ev }
 
 // RegisterApp adds an application to the replica's catalog.
@@ -240,92 +240,10 @@ func (r *Replica) Predict(app string, inputSize int) (sim.Time, bool) {
 // Workers reports the replica's worker count.
 func (r *Replica) Workers() int { return r.sch.Workers() }
 
-// Play runs the shard over its assigned arrivals (the stream indices in
-// mine; nil plays the whole stream). Unlike an engine replica it never
-// materializes arrival events: the timeline advances to each assigned
-// arrival, running due completions on the way, and submits the stream's
-// own Job record in place — no per-job allocation at all.
-func (r *Replica) Play(stream []cluster.Arrival, mine []int32) (cluster.ShardResult, error) {
-	var sr cluster.ShardResult
-	r.beginHarvest(&sr)
-	play := func(a *cluster.Arrival) {
-		r.ev.RunUntil(a.At)
-		r.sch.Submit(&a.Job)
-	}
-	if mine == nil {
-		for i := range stream {
-			play(&stream[i])
-		}
-	} else {
-		for _, i := range mine {
-			play(&stream[i])
-		}
-	}
-	r.ev.Drain()
-	r.endHarvest(&sr)
-	return sr, nil
-}
-
-// PlayStream is Play's pull-based variant: the shard consumes its
-// assigned arrivals from the feed as they are produced — same RunUntil
-// fusion, same results — with no materialized stream behind it. In
-// streaming-stats mode retired job records are recycled through a
-// freelist (the scheduler keeps no reference after OnResult fires), so
-// a billion-job run allocates O(in-flight) job records, not O(jobs).
+// PlayStream runs the shard over its feed through cluster.Drive: the
+// analytic timeline advances to each arrival (RunUntil), running due
+// completions on the way, and drains once the feed is exhausted.
 func (r *Replica) PlayStream(feed cluster.ArrivalFeed) (cluster.ShardResult, error) {
-	var sr cluster.ShardResult
-	r.beginHarvest(&sr)
-	streaming := r.sch.Config().Stats == sched.StatsStreaming
-	var free []*sched.Job
-	if streaming {
-		r.sch.OnResult = func(j *sched.Job) { free = append(free, j) }
-	}
-	var a cluster.Arrival
-	for feed.Next(&a) {
-		r.ev.RunUntil(a.At)
-		var j *sched.Job
-		if n := len(free); n > 0 {
-			j, free = free[n-1], free[:n-1]
-		} else {
-			j = new(sched.Job)
-		}
-		*j = a.Job
-		if !r.sch.Submit(j) && streaming && j.Err == nil {
-			// Queue-full bounce: never admitted, never retired, no
-			// reference kept — recycle directly. Refusals with an error
-			// were retired and already recycled via OnResult.
-			free = append(free, j)
-		}
-	}
-	r.ev.Drain()
-	r.endHarvest(&sr)
-	return sr, nil
-}
-
-// beginHarvest wires the flight recorder and, in exact mode, the
-// per-job OnResult drain hook into sr before any submission.
-func (r *Replica) beginHarvest(sr *cluster.ShardResult) {
-	if r.rec != nil {
-		r.sch.SetObserver(r.rec)
-		sr.Windows = r.rec
-	}
-	if !r.discard && r.sch.Config().Stats != sched.StatsStreaming {
-		r.sch.OnResult = func(j *sched.Job) {
-			if j.Err != nil {
-				return
-			}
-			sr.Sojourns = append(sr.Sojourns, j.Sojourn())
-			sr.WaitSum += j.Wait()
-			sr.ServiceSum += j.Service()
-		}
-	}
-}
-
-// endHarvest reads the scheduler's aggregates back after the run.
-func (r *Replica) endHarvest(sr *cluster.ShardResult) {
-	sr.Stats = r.sch.Stats()
-	if d, waits, services, ok := r.sch.SojournDigest(); ok {
-		sr.Digest = d
-		sr.WaitSum, sr.ServiceSum = waits, services
-	}
+	drain := func() error { r.ev.Drain(); return nil }
+	return cluster.Drive(feed, r.sch, r.rec, r.discard, r.ev.RunUntil, drain)
 }

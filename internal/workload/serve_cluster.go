@@ -103,8 +103,8 @@ func (cfg ClusterConfig) shardConfig(shard int) ServeConfig {
 // serve farm and reports the merged statistics. The arrival stream is
 // consumed straight from the generator through cluster.RunSource —
 // never materialized — so a billion-job study runs at the same peak
-// memory as a million-job one. Results are byte-identical to the
-// materialized path (ServeClusterOver over Arrivals), which property
+// memory as a million-job one. Results are byte-identical to
+// ServeClusterOver over the same materialized Arrivals, which property
 // tests pin.
 func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 	var err error
@@ -126,11 +126,10 @@ func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 }
 
 // ServeClusterOver is ServeCluster over a caller-provided materialized
-// arrival stream (see Arrivals) — benchmarks use it to keep stream
-// generation outside their timed region, and the equivalence tests use
-// it as the reference the streaming path must reproduce byte for byte.
-// The stream is consumed by the run: replicas write job outcomes into
-// it, so callers must generate a fresh stream per run.
+// arrival stream (see Arrivals), played through cluster.NewSliceSource —
+// benchmarks use it to keep stream generation outside their timed
+// region. Replicas copy each arrival's job, so the stream is left
+// untouched and may be replayed.
 func ServeClusterOver(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResult, error) {
 	var err error
 	if cfg, err = cfg.normalized(); err != nil {
@@ -138,7 +137,8 @@ func ServeClusterOver(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResul
 	}
 	// One width for every shard, derived from the shared stream, so the
 	// per-shard window series align index for index in the merge.
-	res, err := cluster.Run(cfg.clusterConfig(windowWidth(stream, cfg.Windows)), stream)
+	width := windowWidth(stream, cfg.Windows)
+	res, err := cluster.RunSource(cfg.clusterConfig(width), cluster.NewSliceSource(stream))
 	if err != nil {
 		return ClusterResult{}, err
 	}

@@ -114,13 +114,12 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestServeClusterStreamingMatchesMaterialized pins the tentpole's
-// equivalence claim end to end: ServeCluster (streaming pipeline, no
-// materialized stream) must reproduce ServeClusterOver (the sequential
-// pre-pass over a materialized stream) exactly — full ClusterResult
-// DeepEqual, including per-shard samples, fault-pass counts and
-// telemetry — across front ends, stats modes, backends, fault plans
-// and hand-off bounds.
+// TestServeClusterStreamingMatchesMaterialized pins generator-fed runs
+// to slice-fed ones end to end: ServeCluster (arrivals drawn online)
+// must reproduce ServeClusterOver over the materialized Arrivals exactly
+// — full ClusterResult DeepEqual, including per-shard samples,
+// fault-pass counts and telemetry — across front ends, stats modes,
+// backends, fault plans and hand-off bounds.
 func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 	crash := &faults.Plan{
 		Seed:      11,
