@@ -29,22 +29,8 @@ func Merge(shards []ShardResult) sched.Stats {
 	var digest *sched.Digest
 	var waits, services sim.Time
 	for _, s := range shards {
-		m.Completed += s.Stats.Completed
-		m.Failed += s.Stats.Failed
-		m.Rejected += s.Stats.Rejected
-		m.Reconfigs += s.Stats.Reconfigs
-		m.DeadlineMisses += s.Stats.DeadlineMisses
-		m.TimedOut += s.Stats.TimedOut
-		m.Unavailable += s.Stats.Unavailable
-		m.Wedges += s.Stats.Wedges
-		m.Retries += s.Stats.Retries
-		m.Quarantined += s.Stats.Quarantined
-		m.Repairs += s.Stats.Repairs
-		m.ProbationFails += s.Stats.ProbationFails
-		m.QuarantineTime += s.Stats.QuarantineTime
-		if s.Stats.Makespan > m.Makespan {
-			m.Makespan = s.Stats.Makespan
-		}
+		m.Counters.Add(&s.Stats.Counters)
+		m.Makespan = max(m.Makespan, s.Stats.Makespan)
 		sojourns = append(sojourns, s.Sojourns...)
 		if s.Digest != nil {
 			if digest == nil {

@@ -537,25 +537,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	}
 	ns := s.cfg.Namespace
 	gauges := []struct {
-		name, help string
-		value      int64
+		name, typ, help string
+		value           int64
 	}{
-		{"admitted_total", "Jobs admitted past the daemon's ingress checks.", int64(s.admitted)},
-		{"outstanding_jobs", "Admitted jobs not yet retired.", int64(s.outstanding)},
-		{"queue_len", "Current admission-queue depth.", int64(s.sch.QueueLen())},
-		{"draining", "1 while the server is draining for shutdown.", b2i(s.draining)},
-		{"healthy_workers", "Workers still accepting placements.", int64(s.sch.HealthyWorkers())},
-		{"wedged_fabrics", "Fabrics quarantined by wedged reprograms.", int64(s.sch.QuarantinedWorkers())},
-		{"shard_down", "1 while the pool is inside a scheduled outage window.", b2i(s.sch.DownAt(s.tl.Now()))},
+		{"admitted_total", "counter", "Jobs admitted past the daemon's ingress checks.", int64(s.admitted)},
+		{"outstanding_jobs", "gauge", "Admitted jobs not yet retired.", int64(s.outstanding)},
+		{"queue_len", "gauge", "Current admission-queue depth.", int64(s.sch.QueueLen())},
+		{"draining", "gauge", "1 while the server is draining for shutdown.", b2i(s.draining)},
+		{"healthy_workers", "gauge", "Workers still accepting placements.", int64(s.sch.HealthyWorkers())},
+		{"wedged_fabrics", "gauge", "Fabrics quarantined by wedged reprograms.", int64(s.sch.QuarantinedWorkers())},
+		{"shard_down", "gauge", "1 while the pool is inside a scheduled outage window.", b2i(s.sch.DownAt(s.tl.Now()))},
 	}
 	for _, g := range gauges {
-		typ := "gauge"
-		if g.name == "admitted_total" {
-			typ = "counter"
-		}
 		name := ns + "_" + g.name
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			name, g.help, name, typ, name, g.value); err != nil {
+			name, g.help, name, g.typ, name, g.value); err != nil {
 			return err
 		}
 	}

@@ -33,11 +33,12 @@ import (
 //     them with an error wrapping ErrTimedOut — a distinct timed-out
 //     outcome instead of a late completion.
 //
-// Every transition fires an Observer hook (wedge/retry/timeout/
-// quarantine) and a dedicated Stats counter, and all decisions happen in
-// this shared scheduler code at backend-reported instants, so a
-// cycle-backed and a model-backed run under one fault plan make
-// identical fault decisions at identical simulated times.
+// Every transition fires an Observer event (wedge/retry/timeout/
+// quarantine/repair/probation-fail) and bumps a dedicated Counters
+// field, and all decisions happen in this shared scheduler code at
+// backend-reported instants, so a cycle-backed and a model-backed run
+// under one fault plan make identical fault decisions at identical
+// simulated times.
 
 // Error sentinels for the modeled fault outcomes. Backends and injectors
 // wrap them (errors.Is distinguishes); Stats counts them per class.
@@ -152,7 +153,7 @@ func (s *Scheduler) purgeExpired(now sim.Time) {
 		if j.Deadline > 0 && j.Deadline <= now {
 			j.Finish = now
 			j.Err = fmt.Errorf("sched: %w (deadline %v, now %v)", ErrTimedOut, j.Deadline, now)
-			s.observeTimeout(now)
+			s.observe(Event{Kind: EventTimeout, At: now})
 			s.retire(j)
 			continue
 		}
@@ -173,8 +174,8 @@ func (s *Scheduler) quarantine(w *worker, now sim.Time) {
 	w.quarantined = true
 	w.wedgeCount++
 	w.quarantinedAt = now
-	s.nQuarantined++
-	s.observeQuarantine(now, w.id)
+	s.ctr.Quarantined++
+	s.observe(Event{Kind: EventQuarantine, At: now, Worker: w.id})
 	if rf := s.cfg.Faults.Repair; rf != nil {
 		if d := rf(w.id, w.wedgeCount); d > 0 {
 			w.repairPending = true
@@ -209,13 +210,13 @@ func (s *Scheduler) repair(w *worker) {
 	w.quarantined = false
 	w.repairPending = false
 	w.probation = true
-	s.nQuarantined--
-	s.repairs++
-	s.quarantineTime += now - w.quarantinedAt
+	s.ctr.Quarantined--
+	s.ctr.Repairs++
+	s.ctr.QuarantineTime += now - w.quarantinedAt
 	if sc, ok := w.be.(Scrubber); ok {
 		sc.Scrub()
 	}
-	s.observeRepair(now, w.id, now-w.quarantinedAt)
+	s.observe(Event{Kind: EventRepair, At: now, Worker: w.id, Span: now - w.quarantinedAt})
 	s.dispatch(now)
 }
 
@@ -251,25 +252,25 @@ func (s *Scheduler) placeable(j *Job) bool {
 // with the wedge error). Returns after releasing the worker's busy
 // interval — the wedge-detection occupancy the injector charged.
 func (s *Scheduler) completeWedged(w *worker, j *Job, err error, now sim.Time) {
-	s.wedges++
-	s.observeWedge(now, w.id)
+	s.ctr.Wedges++
+	s.observe(Event{Kind: EventWedge, At: now, Worker: w.id})
 	if w.probation {
 		// The probationary re-reprogram itself wedged: a flapping fabric.
 		// The re-quarantine below restarts the backoff ladder from the
 		// worker's (now larger) lifetime wedge count.
 		w.probation = false
-		s.probationFails++
-		s.observeProbationFail(now, w.id)
+		s.ctr.ProbationFails++
+		s.observe(Event{Kind: EventProbationFail, At: now, Worker: w.id})
 	}
 	s.quarantine(w, now)
 	if j.Retries < s.cfg.Faults.MaxRetries && s.placeableEventually(j) {
 		j.Retries++
-		s.retries++
+		s.ctr.Retries++
 		// The wedged attempt's outcome fields are stale, not final:
 		// reset them so the retry's dispatch re-settles Reprogrammed.
 		j.Reprogrammed = false
 		j.Err = nil
-		s.observeRetry(now)
+		s.observe(Event{Kind: EventRetry, At: now})
 		s.queue = append(s.queue, j)
 		s.release(w, now)
 		return
@@ -282,7 +283,7 @@ func (s *Scheduler) completeWedged(w *worker, j *Job, err error, now sim.Time) {
 
 // QuarantinedWorkers reports how many workers are currently quarantined
 // by wedged reprograms (repairs return workers to the healthy count).
-func (s *Scheduler) QuarantinedWorkers() int { return s.nQuarantined }
+func (s *Scheduler) QuarantinedWorkers() int { return s.ctr.Quarantined }
 
 // HealthyWorkers reports the workers still accepting placements.
-func (s *Scheduler) HealthyWorkers() int { return len(s.workers) - s.nQuarantined }
+func (s *Scheduler) HealthyWorkers() int { return len(s.workers) - s.ctr.Quarantined }

@@ -3,61 +3,79 @@ package sched
 import "duet/internal/sim"
 
 // Observer receives the scheduler's lifecycle events — the seam the
-// windowed flight recorder (internal/telemetry) hangs off. The hooks
-// fire from the shared Scheduler code paths, below the Backend seam, so
+// windowed flight recorder (internal/telemetry) hangs off. Events fire
+// from the shared Scheduler code paths, below the Backend seam, so
 // every execution backend (cycle-level adapter, analytic model, CPU soft
 // path) is instrumented identically: a cycle-backed and a model-backed
-// run of the same stream produce the same observation sequence.
+// run of the same stream produce the same event sequence.
 //
-// All hooks fire synchronously at the scheduler's current simulated
+// Observe fires synchronously at the scheduler's current simulated
 // instant; an unset observer costs one nil check per event. Observers
 // are scoped to one scheduler and are never called concurrently (a
 // scheduler runs on one timeline).
 type Observer interface {
-	// ObserveArrival fires once per Submit offer — admitted, rejected,
-	// or failed at submit — before any dispatch the offer triggers.
-	// queueDepth is the admission-queue depth including the offered job
-	// when it was admitted: the queue's high-water point.
-	ObserveArrival(at sim.Time, queueDepth int)
-	// ObserveReject fires when an offer bounced off the full admission
-	// queue (after its ObserveArrival).
-	ObserveReject(at sim.Time)
-	// ObserveDispatch fires at each job's dispatch instant. kind is the
-	// chosen worker's backend class (a BackendCPU placement is a
-	// soft-path spill); reprogrammed reports whether the placement
-	// triggered a reconfiguration, which backends flag synchronously
-	// during Dispatch (see CycleBackend.Dispatch).
-	ObserveDispatch(at sim.Time, worker int, kind BackendKind, reprogrammed bool)
-	// ObserveRetire fires at each job's finish instant, once per
-	// completed or failed job (j.Err distinguishes; jobs bounced by the
+	Observe(Event)
+}
+
+// EventKind names one scheduler lifecycle transition.
+type EventKind uint8
+
+// Event kinds, with the Event fields each one sets beyond Kind and At.
+const (
+	// EventArrival fires once per Submit offer — admitted, rejected, or
+	// failed at submit — before any dispatch the offer triggers. Depth
+	// is the admission-queue depth including the offered job when it was
+	// admitted: the queue's high-water point.
+	EventArrival EventKind = iota
+	// EventReject fires when an offer bounced off the full admission
+	// queue (after its EventArrival).
+	EventReject
+	// EventDispatch fires at each job's dispatch instant with Worker and
+	// Job. Job.Reprogrammed reports whether the placement triggered a
+	// reconfiguration, which backends flag synchronously during Dispatch
+	// (see CycleBackend.Dispatch).
+	EventDispatch
+	// EventRetire fires at each job's finish instant with Job, once per
+	// completed or failed job (Job.Err distinguishes; jobs bounced by the
 	// admission queue never started and are not retired).
-	ObserveRetire(j *Job)
-	// ObserveBusy reports one worker occupancy interval [from, to),
-	// fired at the release instant to. Zero-length intervals (a job
+	EventRetire
+	// EventBusy reports one occupancy interval of Worker: Span long,
+	// ending at the release instant At. Zero-length intervals (a job
 	// failing at its dispatch instant) are not reported.
-	ObserveBusy(worker int, from, to sim.Time)
-	// ObserveWedge fires when a reprogram wedges (the ProgWedged-class
-	// fault outcome), at the detection instant, before the victim's
-	// retry or retirement.
-	ObserveWedge(at sim.Time, worker int)
-	// ObserveRetry fires when a wedge victim is re-queued within its
-	// retry budget (after its ObserveWedge; the job is not retired).
-	ObserveRetry(at sim.Time)
-	// ObserveTimeout fires when a queued job is dropped past its
-	// deadline under FaultConfig.EnforceDeadlines (before its
-	// ObserveRetire, whose job carries an ErrTimedOut error).
-	ObserveTimeout(at sim.Time)
-	// ObserveQuarantine fires once per worker removed from service by a
-	// wedged reprogram (after the wedge's ObserveWedge).
-	ObserveQuarantine(at sim.Time, worker int)
-	// ObserveRepair fires when a scheduled repair returns a quarantined
-	// worker to service on probation; quarantined is the time the worker
-	// spent out of service.
-	ObserveRepair(at sim.Time, worker int, quarantined sim.Time)
-	// ObserveProbationFail fires when a repaired worker's probationary
+	EventBusy
+	// EventWedge fires when a reprogram on Worker wedges (the
+	// ProgWedged-class fault outcome), at the detection instant, before
+	// the victim's retry or retirement.
+	EventWedge
+	// EventRetry fires when a wedge victim is re-queued within its retry
+	// budget (after its EventWedge; the job is not retired).
+	EventRetry
+	// EventTimeout fires when a queued job is dropped past its deadline
+	// under FaultConfig.EnforceDeadlines (before its EventRetire, whose
+	// job carries an ErrTimedOut error).
+	EventTimeout
+	// EventQuarantine fires once per Worker removed from service by a
+	// wedged reprogram (after the wedge's EventWedge).
+	EventQuarantine
+	// EventRepair fires when a scheduled repair returns a quarantined
+	// Worker to service on probation; Span is the time it spent out of
+	// service.
+	EventRepair
+	// EventProbationFail fires when a repaired Worker's probationary
 	// re-reprogram wedges again (before the re-quarantine's
-	// ObserveQuarantine).
-	ObserveProbationFail(at sim.Time, worker int)
+	// EventQuarantine).
+	EventProbationFail
+)
+
+// Event is one scheduler lifecycle event. Fields a kind does not use
+// are zero.
+type Event struct {
+	Kind   EventKind
+	At     sim.Time
+	Worker int
+	Job    *Job     // EventDispatch, EventRetire
+	Span   sim.Time // EventBusy: busy interval; EventRepair: time quarantined
+	Depth  int      // EventArrival: admission-queue depth
 }
 
 // SetObserver attaches an observer to the scheduler (nil detaches). Set
@@ -76,58 +94,10 @@ func (s *Scheduler) WorkerKinds() []BackendKind {
 	return ks
 }
 
-// observeArrival, observeReject and observeBusy keep the hot paths to
-// one branch when no observer is attached.
-func (s *Scheduler) observeArrival(at sim.Time, depth int) {
+// observe keeps every event site to one branch when no observer is
+// attached.
+func (s *Scheduler) observe(e Event) {
 	if s.obs != nil {
-		s.obs.ObserveArrival(at, depth)
-	}
-}
-
-func (s *Scheduler) observeReject(at sim.Time) {
-	if s.obs != nil {
-		s.obs.ObserveReject(at)
-	}
-}
-
-func (s *Scheduler) observeBusy(w *worker, now sim.Time) {
-	if s.obs != nil && now > w.busyAt {
-		s.obs.ObserveBusy(w.id, w.busyAt, now)
-	}
-}
-
-func (s *Scheduler) observeWedge(at sim.Time, worker int) {
-	if s.obs != nil {
-		s.obs.ObserveWedge(at, worker)
-	}
-}
-
-func (s *Scheduler) observeRetry(at sim.Time) {
-	if s.obs != nil {
-		s.obs.ObserveRetry(at)
-	}
-}
-
-func (s *Scheduler) observeTimeout(at sim.Time) {
-	if s.obs != nil {
-		s.obs.ObserveTimeout(at)
-	}
-}
-
-func (s *Scheduler) observeQuarantine(at sim.Time, worker int) {
-	if s.obs != nil {
-		s.obs.ObserveQuarantine(at, worker)
-	}
-}
-
-func (s *Scheduler) observeRepair(at sim.Time, worker int, quarantined sim.Time) {
-	if s.obs != nil {
-		s.obs.ObserveRepair(at, worker, quarantined)
-	}
-}
-
-func (s *Scheduler) observeProbationFail(at sim.Time, worker int) {
-	if s.obs != nil {
-		s.obs.ObserveProbationFail(at, worker)
+		s.obs.Observe(e)
 	}
 }

@@ -176,15 +176,8 @@ type Scheduler struct {
 	downIdx int
 	down    bool
 
-	// Fault counters (see faults.go and Stats).
-	wedges         int
-	retries        int
-	timedOut       int
-	unavailable    int
-	nQuarantined   int
-	repairs        int
-	probationFails int
-	quarantineTime sim.Time
+	// ctr holds the run's event counts, bumped at each event site.
+	ctr Counters
 
 	// repairFn is the pre-built repair-event callback (one allocation per
 	// scheduler, not per quarantine); AfterArg carries the worker as arg.
@@ -204,13 +197,11 @@ type Scheduler struct {
 	// folds outcomes into agg instead).
 	Completed []*Job
 	Failed    []*Job // unknown app, over-capacity bitstream, programming error
-	Rejected  int    // bounced by the full admission queue
 
 	// agg holds the streaming-mode running aggregates; nil in exact mode.
 	agg *aggregate
 
-	// obs, when set, receives lifecycle events (arrival, reject,
-	// dispatch, retire, worker-busy intervals) — the windowed-telemetry
+	// obs, when set, receives lifecycle events — the windowed-telemetry
 	// seam; see observe.go.
 	obs Observer
 
@@ -327,7 +318,7 @@ func (s *Scheduler) Submit(j *Job) bool {
 	j.Submit = now
 	s.syncFaults(now)
 	if s.down {
-		s.observeArrival(now, len(s.queue))
+		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 		j.Err = fmt.Errorf("sched: submission refused, shard down: %w", ErrUnavailable)
 		j.Finish = now // dies at submit: zero-length lifetime
 		s.retire(j)
@@ -335,7 +326,7 @@ func (s *Scheduler) Submit(j *Job) bool {
 	}
 	app, ok := s.apps[j.App]
 	if !ok {
-		s.observeArrival(now, len(s.queue))
+		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 		j.Err = fmt.Errorf("sched: unknown app %q", j.App)
 		j.Finish = now // dies at submit: zero-length lifetime
 		s.retire(j)
@@ -358,7 +349,7 @@ func (s *Scheduler) Submit(j *Job) bool {
 		}
 	}
 	if !fits {
-		s.observeArrival(now, len(s.queue))
+		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 		if fitsQuarantined {
 			j.Err = fmt.Errorf("sched: every fitting worker quarantined: %w", ErrUnavailable)
 		} else {
@@ -369,13 +360,13 @@ func (s *Scheduler) Submit(j *Job) bool {
 		return false
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
-		s.observeArrival(now, len(s.queue))
-		s.observeReject(now)
-		s.Rejected++
+		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
+		s.observe(Event{Kind: EventReject, At: now})
+		s.ctr.Rejected++
 		return false
 	}
 	s.queue = append(s.queue, j)
-	s.observeArrival(now, len(s.queue))
+	s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 	s.dispatch(now)
 	return true
 }
@@ -412,11 +403,9 @@ func (s *Scheduler) place(w *worker, j *Job, now sim.Time) {
 	w.estFree = now + w.be.ReconfigCost(app) + w.be.ServiceTime(app, j.InputSize)
 	w.be.Dispatch(j, app)
 	// Backends flag a triggered reconfiguration synchronously during
-	// Dispatch, so j.Reprogrammed is settled here even though the
-	// reprogram flow itself has only just been scheduled.
-	if s.obs != nil {
-		s.obs.ObserveDispatch(now, w.id, w.be.Kind(), j.Reprogrammed)
-	}
+	// Dispatch, so j.Reprogrammed is settled for the observer even though
+	// the reprogram flow itself has only just been scheduled.
+	s.observe(Event{Kind: EventDispatch, At: now, Worker: w.id, Job: j})
 }
 
 // complete retires a dispatched job at its finish instant (the bound
@@ -436,6 +425,7 @@ func (s *Scheduler) complete(j *Job, err error) {
 		w.jobs++
 		if j.Reprogrammed {
 			w.reconfigs++
+			s.ctr.Reconfigs++
 		}
 		// A clean completion ends a repaired worker's probation: it has
 		// re-proved itself (the next wedge restarts the backoff ladder
@@ -450,9 +440,7 @@ func (s *Scheduler) complete(j *Job, err error) {
 // configured aggregation mode and notifies OnResult. Streaming mode
 // keeps no reference to the job: after OnResult returns it is garbage.
 func (s *Scheduler) retire(j *Job) {
-	if s.obs != nil {
-		s.obs.ObserveRetire(j)
-	}
+	s.observe(Event{Kind: EventRetire, At: j.Finish, Job: j})
 	if s.agg != nil {
 		s.agg.finish(j)
 	} else if j.Err != nil {
@@ -460,15 +448,21 @@ func (s *Scheduler) retire(j *Job) {
 	} else {
 		s.Completed = append(s.Completed, j)
 	}
-	// Failure sub-class counters (Failed stays the total): a distinct
-	// timed-out outcome, and the unavailable class covering shard-outage
-	// and full-quarantine kills.
-	if j.Err != nil {
+	if j.Err == nil {
+		s.ctr.Completed++
+		if j.MissedDeadline() {
+			s.ctr.DeadlineMisses++
+		}
+	} else {
+		// Failure sub-class counters (Failed stays the total): a
+		// distinct timed-out outcome, and the unavailable class covering
+		// shard-outage and full-quarantine kills.
+		s.ctr.Failed++
 		switch {
 		case errors.Is(j.Err, ErrTimedOut):
-			s.timedOut++
+			s.ctr.TimedOut++
 		case errors.Is(j.Err, ErrUnavailable):
-			s.unavailable++
+			s.ctr.Unavailable++
 		}
 	}
 	if s.OnResult != nil {
@@ -478,7 +472,9 @@ func (s *Scheduler) retire(j *Job) {
 
 // release returns a worker to the idle pool and re-runs dispatch.
 func (s *Scheduler) release(w *worker, now sim.Time) {
-	s.observeBusy(w, now)
+	if now > w.busyAt {
+		s.observe(Event{Kind: EventBusy, At: now, Worker: w.id, Span: now - w.busyAt})
+	}
 	w.busyTotal += now - w.busyAt
 	w.busy = false
 	s.dispatch(now)

@@ -150,8 +150,8 @@ func TestBoundedQueueRejects(t *testing.T) {
 	}
 	// One job dispatches immediately, two wait in the bounded queue, the
 	// remaining two bounce.
-	if admitted != 3 || sch.Rejected != 2 {
-		t.Fatalf("admitted=%d rejected=%d, want 3/2", admitted, sch.Rejected)
+	if rej := sch.Stats().Rejected; admitted != 3 || rej != 2 {
+		t.Fatalf("admitted=%d rejected=%d, want 3/2", admitted, rej)
 	}
 	sys.Run()
 	if st := sch.Stats(); st.Completed != 3 {
@@ -312,8 +312,8 @@ func TestOnResultDrain(t *testing.T) {
 	if len(drained) != 3 {
 		t.Fatalf("hook fired %d times, want 3 (2 completed + 1 failed, rejection silent)", len(drained))
 	}
-	if sch.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", sch.Rejected)
+	if rej := sch.Stats().Rejected; rej != 1 {
+		t.Fatalf("rejected = %d, want 1", rej)
 	}
 	for i, j := range drained {
 		if j.Finish != finishes[i] {

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 
 	"duet/internal/sim"
@@ -47,14 +48,13 @@ func StatsModeByName(name string) (StatsMode, error) {
 }
 
 // aggregate is the streaming-mode replacement for the per-job ledgers:
-// everything Stats needs, folded in at finish time in O(1) space.
+// the sums and sojourn digest Stats needs, folded in at finish time in
+// O(1) space (the counts live in the scheduler's Counters).
 type aggregate struct {
-	completed, failed int
-	deadlineMisses    int
-	makespan          sim.Time
-	waitSum           sim.Time
-	serviceSum        sim.Time
-	sojourns          Digest
+	makespan   sim.Time
+	waitSum    sim.Time
+	serviceSum sim.Time
+	sojourns   Digest
 }
 
 func (g *aggregate) finish(j *Job) {
@@ -62,15 +62,10 @@ func (g *aggregate) finish(j *Job) {
 		g.makespan = j.Finish
 	}
 	if j.Err != nil {
-		g.failed++
 		return
 	}
-	g.completed++
 	g.waitSum += j.Wait()
 	g.serviceSum += j.Service()
-	if j.MissedDeadline() {
-		g.deadlineMisses++
-	}
 	g.sojourns.Add(j.Sojourn())
 }
 
@@ -83,8 +78,11 @@ type FabricStats struct {
 	Utilization float64 // Busy / Makespan
 }
 
-// Stats summarizes a scheduler run.
-type Stats struct {
+// Counters are a run's event counts: the part of Stats that sums across
+// shards and must match exactly between backends. The scheduler bumps
+// one Counters value at each event site, in both stats modes. Add and
+// == see every field, so a new counter is one new field here.
+type Counters struct {
 	Completed, Failed, Rejected int
 	Reconfigs                   int
 	DeadlineMisses              int
@@ -106,6 +104,19 @@ type Stats struct {
 	Repairs        int
 	ProbationFails int
 	QuarantineTime sim.Time
+}
+
+// Add sums o into c, field by field (every field is an integer count).
+func (c *Counters) Add(o *Counters) {
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(dst.Field(i).Int() + src.Field(i).Int())
+	}
+}
+
+// Stats summarizes a scheduler run.
+type Stats struct {
+	Counters
 
 	Makespan        sim.Time // latest completion instant
 	ThroughputPerMS float64  // completed jobs per simulated millisecond
@@ -132,80 +143,40 @@ func (s *Scheduler) SojournDigest() (d *Digest, waitSum, serviceSum sim.Time, ok
 
 // Stats computes the run summary at the current instant.
 func (s *Scheduler) Stats() Stats {
-	var st Stats
-	if s.agg != nil {
-		// Streaming mode: everything was folded in at finish time.
-		g := s.agg
-		st = Stats{
-			Completed:      g.completed,
-			Failed:         g.failed,
-			Rejected:       s.Rejected,
-			DeadlineMisses: g.deadlineMisses,
-			Makespan:       g.makespan,
-			P50:            g.sojourns.Quantile(50),
-			P99:            g.sojourns.Quantile(99),
-		}
-		if g.completed > 0 {
-			st.MeanWait = g.waitSum / sim.Time(g.completed)
-			st.MeanService = g.serviceSum / sim.Time(g.completed)
-			if st.Makespan > 0 {
-				st.ThroughputPerMS = float64(g.completed) / (float64(st.Makespan) / float64(sim.MS))
-			}
-		}
-		return s.fabricStats(st)
-	}
-	st = Stats{
-		Completed: len(s.Completed),
-		Failed:    len(s.Failed),
-		Rejected:  s.Rejected,
-	}
-	sojourns := make([]sim.Time, 0, len(s.Completed))
+	st := Stats{Counters: s.ctr}
 	var waits, services sim.Time
-	for _, j := range s.Completed {
-		sojourns = append(sojourns, j.Sojourn())
-		waits += j.Wait()
-		services += j.Service()
-		if j.Finish > st.Makespan {
-			st.Makespan = j.Finish
+	if g := s.agg; g != nil {
+		// Streaming mode: everything was folded in at finish time.
+		st.Makespan, waits, services = g.makespan, g.waitSum, g.serviceSum
+		st.P50 = g.sojourns.Quantile(50)
+		st.P99 = g.sojourns.Quantile(99)
+	} else {
+		sojourns := make([]sim.Time, 0, len(s.Completed))
+		for _, j := range s.Completed {
+			sojourns = append(sojourns, j.Sojourn())
+			waits += j.Wait()
+			services += j.Service()
+			st.Makespan = max(st.Makespan, j.Finish)
 		}
-		if j.MissedDeadline() {
-			st.DeadlineMisses++
+		// Failed jobs occupy their fabric too (quiesce + failed stream), so
+		// the makespan — the utilization and throughput denominator — must
+		// cover their finish instants as well.
+		for _, j := range s.Failed {
+			st.Makespan = max(st.Makespan, j.Finish)
 		}
+		// Sort the population once and take both ranks from it, instead of
+		// copying + sorting per Percentile call.
+		slices.Sort(sojourns)
+		st.P50 = PercentileSorted(sojourns, 50)
+		st.P99 = PercentileSorted(sojourns, 99)
 	}
-	// Failed jobs occupy their fabric too (quiesce + failed stream), so
-	// the makespan — the utilization and throughput denominator — must
-	// cover their finish instants as well.
-	for _, j := range s.Failed {
-		if j.Finish > st.Makespan {
-			st.Makespan = j.Finish
-		}
-	}
-	if n := len(s.Completed); n > 0 {
+	if n := st.Completed; n > 0 {
 		st.MeanWait = waits / sim.Time(n)
 		st.MeanService = services / sim.Time(n)
 		if st.Makespan > 0 {
 			st.ThroughputPerMS = float64(n) / (float64(st.Makespan) / float64(sim.MS))
 		}
 	}
-	// Sort the population once and take both ranks from it, instead of
-	// copying + sorting per Percentile call.
-	slices.Sort(sojourns)
-	st.P50 = PercentileSorted(sojourns, 50)
-	st.P99 = PercentileSorted(sojourns, 99)
-	return s.fabricStats(st)
-}
-
-// fabricStats fills the per-worker tail of a run summary, plus the
-// scheduler-resident fault counters (shared by both aggregation modes).
-func (s *Scheduler) fabricStats(st Stats) Stats {
-	st.TimedOut = s.timedOut
-	st.Unavailable = s.unavailable
-	st.Wedges = s.wedges
-	st.Retries = s.retries
-	st.Quarantined = s.nQuarantined
-	st.Repairs = s.repairs
-	st.ProbationFails = s.probationFails
-	st.QuarantineTime = s.quarantineTime
 	for _, w := range s.workers {
 		fs := FabricStats{
 			Name: w.be.Name(), Jobs: w.jobs, Reconfigs: w.reconfigs, Busy: w.busyTotal,
@@ -213,7 +184,6 @@ func (s *Scheduler) fabricStats(st Stats) Stats {
 		if st.Makespan > 0 {
 			fs.Utilization = float64(w.busyTotal) / float64(st.Makespan)
 		}
-		st.Reconfigs += w.reconfigs
 		st.Fabrics = append(st.Fabrics, fs)
 	}
 	return st

@@ -12,15 +12,15 @@ import (
 // recorder-side determinism this asserts.
 func TestWritePromGolden(t *testing.T) {
 	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
-	r.ObserveArrival(10, 1)
-	r.ObserveArrival(20, 2)
-	r.ObserveDispatch(20, 1, sched.BackendCPU, false)
-	r.ObserveDispatch(30, 0, sched.BackendCycle, true)
-	r.ObserveBusy(0, 30, 180)
-	r.ObserveBusy(1, 20, 120)
-	r.ObserveRetire(&sched.Job{Submit: 20, Finish: 120})
-	r.ObserveRetire(&sched.Job{Submit: 10, Finish: 180})
-	r.ObserveReject(150)
+	arrive(r, 10, 1)
+	arrive(r, 20, 2)
+	dispatch(r, 20, 1, false)
+	dispatch(r, 30, 0, true)
+	occupy(r, 0, 30, 180)
+	occupy(r, 1, 20, 120)
+	retire(r, &sched.Job{Submit: 20, Finish: 120})
+	retire(r, &sched.Job{Submit: 10, Finish: 180})
+	observe(r, sched.EventReject, 150)
 
 	var b strings.Builder
 	if err := WriteProm(&b, "duetsim", r); err != nil {
@@ -108,5 +108,37 @@ func TestWritePromNil(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatalf("nil recorder wrote %q", b.String())
+	}
+}
+
+// TestWritePromFaultCounters: every run-wide counter sample must carry
+// its own count. The golden run above leaves the fault counters at zero,
+// so it cannot tell two of them apart; everyCount makes each distinct.
+func TestWritePromFaultCounters(t *testing.T) {
+	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
+	everyCount(r)
+	var b strings.Builder
+	if err := WriteProm(&b, "duetsim", r); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"duetsim_arrivals_total 14",
+		"duetsim_completions_total 13",
+		"duetsim_failures_total 3",
+		"duetsim_rejects_total 4",
+		"duetsim_reprograms_total 5",
+		"duetsim_spills_total 6",
+		"duetsim_wedges_total 7",
+		"duetsim_retries_total 8",
+		"duetsim_timeouts_total 9",
+		"duetsim_quarantines_total 10",
+		"duetsim_repairs_total 11",
+		"duetsim_probation_failures_total 12",
+		"duetsim_goodput_total 11",
+		"duetsim_quarantine_seconds_total 2.75e-10",
+	} {
+		if !strings.Contains(b.String(), "\n"+line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }

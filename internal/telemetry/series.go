@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,38 +19,20 @@ import (
 // (and JSON key) order is part of the determinism contract: the CI
 // windows-determinism job diffs these bytes across study-pool widths.
 type WindowRow struct {
-	Window      int      `json:"window"`
-	Start       sim.Time `json:"start"`
-	End         sim.Time `json:"end"`
-	Arrivals    int      `json:"arrivals"`
-	Completions int      `json:"completions"`
-	Failures    int      `json:"failures"`
-	Rejects     int      `json:"rejects"`
-	Reprograms  int      `json:"reprograms"`
-	Spills      int      `json:"spills"`
-	// Fault-path counters (see sched/faults.go) and the goodput split:
-	// Goodput is the completions that met their deadline, DeadlineMisses
-	// the ones that did not. All omit when zero, so a fault-free run's
-	// series keeps its pre-fault shape.
-	Wedges      int `json:"wedges,omitempty"`
-	Retries     int `json:"retries,omitempty"`
-	Timeouts    int `json:"timeouts,omitempty"`
-	Quarantines int `json:"quarantines,omitempty"`
-	// Recovery counters: repairs landing in the window, probationary
-	// re-reprograms that wedged again, and the quarantine time the
-	// window's repairs repaid (booked at the repair instant).
-	Repairs        int        `json:"repairs,omitempty"`
-	ProbationFails int        `json:"probation_fails,omitempty"`
-	QuarantineTime sim.Time   `json:"quarantine_time,omitempty"`
-	DeadlineMisses int        `json:"deadline_misses,omitempty"`
-	Goodput        int        `json:"goodput,omitempty"`
-	QueueMax       int        `json:"queue_max"`
-	Busy           []sim.Time `json:"busy_per_worker"`
-	BusyCPU        sim.Time   `json:"busy_cpu"`
-	BusyTotal      sim.Time   `json:"busy_total"`
-	Utilization    float64    `json:"utilization"`
-	P50            sim.Time   `json:"p50"`
-	P99            sim.Time   `json:"p99"`
+	Window int      `json:"window"`
+	Start  sim.Time `json:"start"`
+	End    sim.Time `json:"end"`
+	Counts
+	// Goodput is the completions that met their deadline (omitted when
+	// zero, like the fault-path counters).
+	Goodput     int        `json:"goodput,omitempty"`
+	QueueMax    int        `json:"queue_max"`
+	Busy        []sim.Time `json:"busy_per_worker"`
+	BusyCPU     sim.Time   `json:"busy_cpu"`
+	BusyTotal   sim.Time   `json:"busy_total"`
+	Utilization float64    `json:"utilization"`
+	P50         sim.Time   `json:"p50"`
+	P99         sim.Time   `json:"p99"`
 }
 
 // Series snapshots the recorder as one row per window, in window order
@@ -77,28 +61,15 @@ func (r *Recorder) Series() []WindowRow {
 			}
 		}
 		row := WindowRow{
-			Window:         i,
-			Start:          sim.Time(i) * r.width,
-			End:            end,
-			Arrivals:       w.arrivals,
-			Completions:    w.completions,
-			Failures:       w.failures,
-			Rejects:        w.rejects,
-			Reprograms:     w.reprograms,
-			Spills:         w.spills,
-			Wedges:         w.wedges,
-			Retries:        w.retries,
-			Timeouts:       w.timeouts,
-			Quarantines:    w.quarantines,
-			Repairs:        w.repairs,
-			ProbationFails: w.probFails,
-			QuarantineTime: w.quarTime,
-			DeadlineMisses: w.misses,
-			Goodput:        w.completions - w.misses,
-			QueueMax:       w.queueMax,
-			Busy:           make([]sim.Time, len(r.kinds)),
-			P50:            w.sojourns.Quantile(50),
-			P99:            w.sojourns.Quantile(99),
+			Window:   i,
+			Start:    sim.Time(i) * r.width,
+			End:      end,
+			Counts:   w.Counts,
+			Goodput:  w.Completions - w.DeadlineMisses,
+			QueueMax: w.queueMax,
+			Busy:     make([]sim.Time, len(r.kinds)),
+			P50:      w.sojourns.Quantile(50),
+			P99:      w.sojourns.Quantile(99),
 		}
 		copy(row.Busy, w.busy)
 		for k, b := range row.Busy {
@@ -123,12 +94,9 @@ type Summary struct {
 	Windows int
 	Width   sim.Time
 
-	Arrivals, Completions, Failures, Rejects, Reprograms, Spills int
-	Wedges, Retries, Timeouts, Quarantines                       int
-	Repairs, ProbationFails                                      int
-	QuarantineTime                                               sim.Time
-	DeadlineMisses, Goodput                                      int
-	QueueMax                                                     int
+	Counts
+	Goodput  int
+	QueueMax int
 
 	// Availability is the served fraction of offered work — completions
 	// over arrivals (1 when nothing was offered); Goodput above narrows
@@ -156,24 +124,9 @@ func Summarize(rows []WindowRow) Summary {
 	s.Windows = len(rows)
 	s.Width = rows[0].End - rows[0].Start
 	for _, r := range rows {
-		s.Arrivals += r.Arrivals
-		s.Completions += r.Completions
-		s.Failures += r.Failures
-		s.Rejects += r.Rejects
-		s.Reprograms += r.Reprograms
-		s.Spills += r.Spills
-		s.Wedges += r.Wedges
-		s.Retries += r.Retries
-		s.Timeouts += r.Timeouts
-		s.Quarantines += r.Quarantines
-		s.Repairs += r.Repairs
-		s.ProbationFails += r.ProbationFails
-		s.QuarantineTime += r.QuarantineTime
-		s.DeadlineMisses += r.DeadlineMisses
+		s.Counts.Add(&r.Counts)
 		s.Goodput += r.Goodput
-		if r.QueueMax > s.QueueMax {
-			s.QueueMax = r.QueueMax
-		}
+		s.QueueMax = max(s.QueueMax, r.QueueMax)
 		s.MeanUtilization += r.Utilization
 		if r.Utilization > s.PeakUtilization {
 			s.PeakUtilization = r.Utilization
@@ -196,9 +149,36 @@ func Summarize(rows []WindowRow) Summary {
 	return s
 }
 
-// CSVHeader is the column order of the CSV series form. The per-worker
-// busy vector is JSON-only; CSV carries the totals.
-const CSVHeader = "window,start,end,arrivals,completions,failures,rejects,reprograms,spills,wedges,retries,timeouts,quarantines,repairs,probation_fails,quarantine_time,deadline_misses,goodput,queue_max,busy_cpu,busy_total,utilization,p50,p99"
+// eachColumn calls fn with the JSON key and settable value of every CSV
+// column of row v, in order: each field of WindowRow, Counts flattened,
+// except the per-worker busy vector, which is JSON-only (CSV carries the
+// totals).
+func eachColumn(v reflect.Value, fn func(name string, c reflect.Value)) {
+	for i := range v.NumField() {
+		switch c := v.Field(i); c.Kind() {
+		case reflect.Struct:
+			eachColumn(c, fn)
+		case reflect.Slice:
+		default:
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			fn(name, c)
+		}
+	}
+}
+
+// csvColumns lists row r's CSV columns in CSVHeader order.
+func csvColumns(r *WindowRow) []reflect.Value {
+	var cols []reflect.Value
+	eachColumn(reflect.ValueOf(r).Elem(), func(_ string, c reflect.Value) { cols = append(cols, c) })
+	return cols
+}
+
+// CSVHeader is the column order of the CSV series form.
+var CSVHeader = func() string {
+	var names []string
+	eachColumn(reflect.ValueOf(&WindowRow{}).Elem(), func(name string, _ reflect.Value) { names = append(names, name) })
+	return strings.Join(names, ",")
+}()
 
 // formatFloat renders a float shortest-round-trip — byte-stable for
 // equal values, the same contract encoding/json gives the JSON form.
@@ -209,14 +189,20 @@ func WriteCSV(w io.Writer, rows []WindowRow) error {
 	if _, err := fmt.Fprintln(w, CSVHeader); err != nil {
 		return err
 	}
-	for _, r := range rows {
-		_, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d\n",
-			r.Window, int64(r.Start), int64(r.End), r.Arrivals, r.Completions, r.Failures,
-			r.Rejects, r.Reprograms, r.Spills, r.Wedges, r.Retries, r.Timeouts, r.Quarantines,
-			r.Repairs, r.ProbationFails, int64(r.QuarantineTime),
-			r.DeadlineMisses, r.Goodput, r.QueueMax, int64(r.BusyCPU), int64(r.BusyTotal),
-			formatFloat(r.Utilization), int64(r.P50), int64(r.P99))
-		if err != nil {
+	var line []byte
+	for i := range rows {
+		line = line[:0]
+		for k, c := range csvColumns(&rows[i]) {
+			if k > 0 {
+				line = append(line, ',')
+			}
+			if c.Kind() == reflect.Float64 {
+				line = append(line, formatFloat(c.Float())...)
+			} else {
+				line = strconv.AppendInt(line, c.Int(), 10)
+			}
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -235,48 +221,36 @@ func ParseCSV(data string) ([]WindowRow, error) {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		f := strings.Split(line, ",")
-		if len(f) != 24 {
-			return nil, fmt.Errorf("telemetry: CSV line %d has %d fields, want 24", ln+2, len(f))
-		}
 		var r WindowRow
-		var err error
-		ints := []struct {
-			dst *int
-			src string
-		}{
-			{&r.Window, f[0]}, {&r.Arrivals, f[3]}, {&r.Completions, f[4]},
-			{&r.Failures, f[5]}, {&r.Rejects, f[6]}, {&r.Reprograms, f[7]},
-			{&r.Spills, f[8]}, {&r.Wedges, f[9]}, {&r.Retries, f[10]},
-			{&r.Timeouts, f[11]}, {&r.Quarantines, f[12]}, {&r.Repairs, f[13]},
-			{&r.ProbationFails, f[14]}, {&r.DeadlineMisses, f[16]},
-			{&r.Goodput, f[17]}, {&r.QueueMax, f[18]},
+		cols := csvColumns(&r)
+		f := strings.Split(line, ",")
+		if len(f) != len(cols) {
+			return nil, fmt.Errorf("telemetry: CSV line %d has %d fields, want %d", ln+2, len(f), len(cols))
 		}
-		for _, c := range ints {
-			if *c.dst, err = strconv.Atoi(c.src); err != nil {
+		for k, c := range cols {
+			if err := parseColumn(c, f[k]); err != nil {
 				return nil, fmt.Errorf("telemetry: CSV line %d: %w", ln+2, err)
 			}
-		}
-		times := []struct {
-			dst *sim.Time
-			src string
-		}{
-			{&r.Start, f[1]}, {&r.End, f[2]}, {&r.QuarantineTime, f[15]},
-			{&r.BusyCPU, f[19]}, {&r.BusyTotal, f[20]}, {&r.P50, f[22]}, {&r.P99, f[23]},
-		}
-		for _, c := range times {
-			v, err := strconv.ParseInt(c.src, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: CSV line %d: %w", ln+2, err)
-			}
-			*c.dst = sim.Time(v)
-		}
-		if r.Utilization, err = strconv.ParseFloat(f[21], 64); err != nil {
-			return nil, fmt.Errorf("telemetry: CSV line %d: %w", ln+2, err)
 		}
 		rows = append(rows, r)
 	}
 	return rows, nil
+}
+
+// parseColumn parses one CSV field into its column. Utilization must be
+// finite: the JSON form cannot carry NaN or infinities.
+func parseColumn(c reflect.Value, src string) error {
+	if c.Kind() == reflect.Float64 {
+		v, err := strconv.ParseFloat(src, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("non-finite value %q", src)
+		}
+		c.SetFloat(v)
+		return err
+	}
+	v, err := strconv.ParseInt(src, 10, c.Type().Bits())
+	c.SetInt(v)
+	return err
 }
 
 // FoundSeries is one window series located inside a loaded document,

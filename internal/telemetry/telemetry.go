@@ -4,17 +4,20 @@
 // series a production control loop (an SLO autoscaler, a capacity
 // planner) can reason over.
 //
-// A Recorder implements sched.Observer, so it hangs off the shared
-// sched.Scheduler code paths below the Backend seam — the cycle-level
-// adapter path and the analytic model path feed it identically, which
-// is what lets `duetsim xval`-style cross-validation extend to
-// per-window quantiles. Every observation is bucketed by simulated
+// A Recorder implements sched.Observer's single Observe(sched.Event)
+// hook, so it hangs off the shared sched.Scheduler code paths below the
+// Backend seam — the cycle-level adapter path and the analytic model
+// path feed it identically, which is what lets `duetsim xval`-style
+// cross-validation extend to per-window quantiles. Every observation is bucketed by simulated
 // time into fixed-width windows: window i covers
 // [i*Width, (i+1)*Width). Per window the recorder keeps
 //
-//   - counters: arrivals, completions, failures, queue rejects,
+//   - Counts: arrivals, completions, failures, queue rejects,
 //     reprograms and soft-path spills (both counted at the dispatch
-//     instant), and the admission queue's depth high-water mark;
+//     instant), the fault-path and recovery counters, and deadline
+//     misses — one struct that the JSON rows, the CSV columns, Merge
+//     and Summarize all read — plus the admission queue's depth
+//     high-water mark;
 //   - per-worker busy time, with occupancy intervals split exactly
 //     across the window boundaries they span;
 //   - a sched.Digest over the sojourns of jobs *finishing* in the
@@ -35,6 +38,7 @@ package telemetry
 
 import (
 	"fmt"
+	"reflect"
 
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -63,25 +67,48 @@ type Recorder struct {
 	horizon sim.Time
 }
 
+// Counts are a window's event counters. Each field is one series
+// column: its json tag names it in the JSON rows and the CSV header, and
+// Add sums it, so a new counter is one new field here (plus a WriteProm
+// line to scrape it).
+type Counts struct {
+	Arrivals    int `json:"arrivals"`
+	Completions int `json:"completions"`
+	Failures    int `json:"failures"`
+	Rejects     int `json:"rejects"`
+	Reprograms  int `json:"reprograms"`
+	Spills      int `json:"spills"`
+	// Fault-path counters (see sched/faults.go) and deadline misses
+	// (completions past their deadline; goodput is completions minus
+	// misses). All omit when zero, so a fault-free run's series keeps
+	// its pre-fault shape.
+	Wedges      int `json:"wedges,omitempty"`
+	Retries     int `json:"retries,omitempty"`
+	Timeouts    int `json:"timeouts,omitempty"`
+	Quarantines int `json:"quarantines,omitempty"`
+	// Recovery counters: repairs landing in the window, probationary
+	// re-reprograms that wedged again, and the quarantine time the
+	// window's repairs repaid (booked at the repair instant).
+	Repairs        int      `json:"repairs,omitempty"`
+	ProbationFails int      `json:"probation_fails,omitempty"`
+	QuarantineTime sim.Time `json:"quarantine_time,omitempty"`
+	DeadlineMisses int      `json:"deadline_misses,omitempty"`
+}
+
+// Add sums o into c, field by field (every field is an integer count).
+func (c *Counts) Add(o *Counts) {
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(dst.Field(i).Int() + src.Field(i).Int())
+	}
+}
+
 // window is one simulated-time bucket of the recorder.
 type window struct {
-	arrivals    int
-	completions int
-	failures    int
-	rejects     int
-	reprograms  int
-	spills      int
-	wedges      int
-	retries     int
-	timeouts    int
-	quarantines int
-	repairs     int
-	probFails   int
-	quarTime    sim.Time // quarantine time repaid by repairs landing in this window
-	misses      int      // completions past their deadline (goodput = completions - misses)
-	queueMax    int
-	busy        []sim.Time // per worker, indexed like kinds
-	sojourns    sched.Digest
+	Counts
+	queueMax int
+	busy     []sim.Time // per worker, indexed like kinds
+	sojourns sched.Digest
 }
 
 // NewRecorder builds a recorder over windows of the given width (must
@@ -160,67 +187,79 @@ func (r *Recorder) win(at sim.Time) *window {
 
 var _ sched.Observer = (*Recorder)(nil)
 
-// ObserveArrival counts the offer in its submit window and advances the
-// window's queue-depth high-water mark.
-func (r *Recorder) ObserveArrival(at sim.Time, queueDepth int) {
-	w := r.win(at)
-	r.note(at)
-	w.arrivals++
-	if queueDepth > w.queueMax {
-		w.queueMax = queueDepth
-	}
-}
-
-// ObserveReject counts a queue bounce in its submit window.
-func (r *Recorder) ObserveReject(at sim.Time) {
-	r.win(at).rejects++
-	r.note(at)
-}
-
-// ObserveDispatch counts reprograms and soft-path spills in the
-// dispatch instant's window (the reprogram flow the dispatch schedules
-// extends past the instant; it is attributed to the window it started
-// in). A BackendCPU dispatch counts as a spill only when the observed
-// scheduler has fabric-class workers: on a pure soft-path pool there is
-// no fabric to spill from, so CPU placements are ordinary service.
-func (r *Recorder) ObserveDispatch(at sim.Time, worker int, kind sched.BackendKind, reprogrammed bool) {
-	w := r.win(at)
-	r.note(at)
-	if reprogrammed {
-		w.reprograms++
-	}
-	if kind == sched.BackendCPU && r.hasFabric {
-		w.spills++
-	}
-}
-
-// ObserveRetire counts the job in its finish window and folds its
-// sojourn into that window's digest (failures are counted but
-// contribute no sojourn sample, matching sched.Stats). Completions past
-// their deadline are additionally counted as misses, so the series
-// carries per-window goodput — the availability signal under faults.
-func (r *Recorder) ObserveRetire(j *sched.Job) {
-	w := r.win(j.Finish)
-	r.note(j.Finish)
-	if j.Err != nil {
-		w.failures++
+// Observe books one scheduler event in the window of its instant:
+//
+//   - an arrival counts in its submit window and advances the window's
+//     queue-depth high-water mark;
+//   - a dispatch counts a reprogram and/or a soft-path spill in the
+//     dispatch window (the reprogram flow it schedules is attributed to
+//     the window it started in). A BackendCPU placement is a spill only
+//     when the recorder has fabric-class workers: on a pure soft-path
+//     pool there is no fabric to spill from;
+//   - a retire counts the job in its finish window and folds its
+//     sojourn into that window's digest (failures contribute no sojourn,
+//     matching sched.Stats); late completions also count as misses, so
+//     the series carries per-window goodput;
+//   - a busy interval is split exactly across the windows it spans, so
+//     per-window utilization is an integral, not a sample;
+//   - a repair books the whole quarantine stretch it ends in the repair
+//     window (time-in-quarantine is booked at repayment, like a latency
+//     sample);
+//   - rejects, wedges, retries, timeouts, quarantines and probation
+//     failures each count in their window.
+func (r *Recorder) Observe(e sched.Event) {
+	r.note(e.At)
+	if e.Kind == sched.EventBusy {
+		r.busy(e.Worker, e.At-e.Span, e.At)
 		return
 	}
-	w.completions++
-	if j.MissedDeadline() {
-		w.misses++
+	w := r.win(e.At)
+	switch e.Kind {
+	case sched.EventArrival:
+		w.Arrivals++
+		w.queueMax = max(w.queueMax, e.Depth)
+	case sched.EventReject:
+		w.Rejects++
+	case sched.EventDispatch:
+		if e.Job.Reprogrammed {
+			w.Reprograms++
+		}
+		if r.hasFabric && r.kinds[e.Worker] == sched.BackendCPU {
+			w.Spills++
+		}
+	case sched.EventRetire:
+		j := e.Job
+		if j.Err != nil {
+			w.Failures++
+			return
+		}
+		w.Completions++
+		if j.MissedDeadline() {
+			w.DeadlineMisses++
+		}
+		w.sojourns.Add(j.Sojourn())
+	case sched.EventWedge:
+		w.Wedges++
+	case sched.EventRetry:
+		w.Retries++
+	case sched.EventTimeout:
+		w.Timeouts++
+	case sched.EventQuarantine:
+		w.Quarantines++
+	case sched.EventRepair:
+		w.Repairs++
+		w.QuarantineTime += e.Span
+	case sched.EventProbationFail:
+		w.ProbationFails++
 	}
-	w.sojourns.Add(j.Sojourn())
 }
 
-// ObserveBusy splits the occupancy interval [from, to) exactly across
-// the windows it spans, so per-window utilization is an integral, not a
-// sample.
-func (r *Recorder) ObserveBusy(worker int, from, to sim.Time) {
+// busy splits the occupancy interval [from, to) of one worker across
+// the windows it spans.
+func (r *Recorder) busy(worker int, from, to sim.Time) {
 	if from < 0 {
 		from = 0
 	}
-	r.note(to)
 	for from < to {
 		w := r.win(from)
 		end := (from/r.width + 1) * r.width
@@ -230,48 +269,6 @@ func (r *Recorder) ObserveBusy(worker int, from, to sim.Time) {
 		w.busy[worker] += end - from
 		from = end
 	}
-}
-
-// ObserveWedge counts a wedged reprogram in its detection window.
-func (r *Recorder) ObserveWedge(at sim.Time, worker int) {
-	r.win(at).wedges++
-	r.note(at)
-}
-
-// ObserveRetry counts a wedge-victim re-queue in its window.
-func (r *Recorder) ObserveRetry(at sim.Time) {
-	r.win(at).retries++
-	r.note(at)
-}
-
-// ObserveTimeout counts a deadline-dropped queued job in its window.
-func (r *Recorder) ObserveTimeout(at sim.Time) {
-	r.win(at).timeouts++
-	r.note(at)
-}
-
-// ObserveQuarantine counts a worker lost to a wedged reprogram in the
-// window it was quarantined in.
-func (r *Recorder) ObserveQuarantine(at sim.Time, worker int) {
-	r.win(at).quarantines++
-	r.note(at)
-}
-
-// ObserveRepair counts a repaired worker in the window its repair landed
-// in, and attributes the whole quarantine stretch it ends to that window
-// (time-in-quarantine is booked at repayment, like a latency sample).
-func (r *Recorder) ObserveRepair(at sim.Time, worker int, quarantined sim.Time) {
-	w := r.win(at)
-	r.note(at)
-	w.repairs++
-	w.quarTime += quarantined
-}
-
-// ObserveProbationFail counts a repaired worker's probationary
-// re-reprogram wedging again, in its detection window.
-func (r *Recorder) ObserveProbationFail(at sim.Time, worker int) {
-	r.win(at).probFails++
-	r.note(at)
 }
 
 // Merge combines per-shard recorders into one fresh cluster-wide
@@ -317,23 +314,8 @@ func Merge(rs ...*Recorder) (*Recorder, error) {
 		}
 		for i := range r.wins {
 			src, dst := &r.wins[i], &m.wins[i]
-			dst.arrivals += src.arrivals
-			dst.completions += src.completions
-			dst.failures += src.failures
-			dst.rejects += src.rejects
-			dst.reprograms += src.reprograms
-			dst.spills += src.spills
-			dst.wedges += src.wedges
-			dst.retries += src.retries
-			dst.timeouts += src.timeouts
-			dst.quarantines += src.quarantines
-			dst.repairs += src.repairs
-			dst.probFails += src.probFails
-			dst.quarTime += src.quarTime
-			dst.misses += src.misses
-			if src.queueMax > dst.queueMax {
-				dst.queueMax = src.queueMax
-			}
+			dst.Counts.Add(&src.Counts)
+			dst.queueMax = max(dst.queueMax, src.queueMax)
 			if src.busy != nil {
 				if dst.busy == nil {
 					dst.busy = make([]sim.Time, len(kinds))

@@ -12,6 +12,27 @@ import (
 
 func kinds(ks ...sched.BackendKind) []sched.BackendKind { return ks }
 
+// Event shorthands: the scheduler's side of the Observe seam.
+func observe(r *Recorder, kind sched.EventKind, at sim.Time) {
+	r.Observe(sched.Event{Kind: kind, At: at})
+}
+
+func arrive(r *Recorder, at sim.Time, depth int) {
+	r.Observe(sched.Event{Kind: sched.EventArrival, At: at, Depth: depth})
+}
+
+func dispatch(r *Recorder, at sim.Time, worker int, reprogrammed bool) {
+	r.Observe(sched.Event{Kind: sched.EventDispatch, At: at, Worker: worker, Job: &sched.Job{Reprogrammed: reprogrammed}})
+}
+
+func retire(r *Recorder, j *sched.Job) {
+	r.Observe(sched.Event{Kind: sched.EventRetire, At: j.Finish, Job: j})
+}
+
+func occupy(r *Recorder, worker int, from, to sim.Time) {
+	r.Observe(sched.Event{Kind: sched.EventBusy, At: to, Worker: worker, Span: to - from})
+}
+
 func TestNewRecorderRejectsBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -25,14 +46,14 @@ func TestNewRecorderRejectsBadWidth(t *testing.T) {
 // their simulated instant, and the dense table must cover every window
 // up to the latest touched one.
 func TestRecorderWindowing(t *testing.T) {
-	r := NewRecorder(100, kinds(sched.BackendCycle))
-	r.ObserveArrival(0, 3)
-	r.ObserveArrival(99, 5)  // same window, deeper queue
-	r.ObserveArrival(100, 1) // next window starts exactly at the edge
-	r.ObserveReject(250)
-	r.ObserveDispatch(310, 0, sched.BackendCycle, true)
-	r.ObserveDispatch(310, 0, sched.BackendCPU, false)
-	r.ObserveRetire(&sched.Job{Submit: 330, Finish: 450}) // sojourn 120: inside the digest's exact region
+	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
+	arrive(r, 0, 3)
+	arrive(r, 99, 5)  // same window, deeper queue
+	arrive(r, 100, 1) // next window starts exactly at the edge
+	observe(r, sched.EventReject, 250)
+	dispatch(r, 310, 0, true)
+	dispatch(r, 310, 1, false)
+	retire(r, &sched.Job{Submit: 330, Finish: 450}) // sojourn 120: inside the digest's exact region
 	if got := r.Windows(); got != 5 {
 		t.Fatalf("Windows() = %d, want 5", got)
 	}
@@ -70,8 +91,8 @@ func TestSeriesHorizonClamp(t *testing.T) {
 	r := NewRecorder(100, kinds(sched.BackendModel))
 	// One worker busy for the whole run, which ends at 250: windows 0 and
 	// 1 are fully covered, window 2 only to its midpoint.
-	r.ObserveBusy(0, 0, 250)
-	r.ObserveRetire(&sched.Job{Submit: 0, Finish: 250})
+	occupy(r, 0, 0, 250)
+	retire(r, &sched.Job{Submit: 0, Finish: 250})
 	if got := r.Horizon(); got != 250 {
 		t.Fatalf("Horizon() = %v, want 250", got)
 	}
@@ -100,8 +121,8 @@ func TestSeriesHorizonClamp(t *testing.T) {
 func TestMergeHorizon(t *testing.T) {
 	a := NewRecorder(100, kinds(sched.BackendModel))
 	b := NewRecorder(100, kinds(sched.BackendModel))
-	a.ObserveRetire(&sched.Job{Submit: 0, Finish: 120})
-	b.ObserveRetire(&sched.Job{Submit: 0, Finish: 180})
+	retire(a, &sched.Job{Submit: 0, Finish: 120})
+	retire(b, &sched.Job{Submit: 0, Finish: 180})
 	m, err := Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +141,7 @@ func TestMergeHorizon(t *testing.T) {
 // the clamp, without recording any event.
 func TestExtendHorizon(t *testing.T) {
 	r := NewRecorder(100, kinds(sched.BackendModel))
-	r.ObserveArrival(10, 1)
+	arrive(r, 10, 1)
 	r.ExtendHorizon(350)
 	if got := r.Horizon(); got != 350 {
 		t.Fatalf("Horizon() = %v, want 350", got)
@@ -149,13 +170,13 @@ func TestExtendHorizon(t *testing.T) {
 // fabric-class workers; a pure soft-path pool has nothing to spill from.
 func TestSpillRequiresFabric(t *testing.T) {
 	pure := NewRecorder(100, kinds(sched.BackendCPU, sched.BackendCPU))
-	pure.ObserveDispatch(10, 0, sched.BackendCPU, false)
+	dispatch(pure, 10, 0, false)
 	if got := pure.Series()[0].Spills; got != 0 {
 		t.Fatalf("pure-CPU pool recorded %d spills, want 0", got)
 	}
 	mixed := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
-	mixed.ObserveDispatch(10, 1, sched.BackendCPU, false)
-	mixed.ObserveDispatch(10, 0, sched.BackendCycle, false)
+	dispatch(mixed, 10, 1, false)
+	dispatch(mixed, 10, 0, false)
 	if got := mixed.Series()[0].Spills; got != 1 {
 		t.Fatalf("mixed pool recorded %d spills, want 1", got)
 	}
@@ -166,8 +187,8 @@ func TestSpillRequiresFabric(t *testing.T) {
 // and no window's share exceeds its width.
 func TestRecorderBusySplit(t *testing.T) {
 	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
-	r.ObserveBusy(0, 50, 320) // 50 in w0, 100 in w1, 100 in w2, 20 in w3
-	r.ObserveBusy(1, 0, 100)  // exactly w0
+	occupy(r, 0, 50, 320) // 50 in w0, 100 in w1, 100 in w2, 20 in w3
+	occupy(r, 1, 0, 100)  // exactly w0
 	rows := r.Series()
 	want := [][]sim.Time{{50, 100}, {100, 0}, {100, 0}, {20, 0}}
 	for i, w := range want {
@@ -197,12 +218,12 @@ func TestRecorderBusySplit(t *testing.T) {
 func TestRecorderMerge(t *testing.T) {
 	a := NewRecorder(100, kinds(sched.BackendCycle))
 	b := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
-	a.ObserveArrival(10, 4)
-	a.ObserveBusy(0, 0, 60)
-	a.ObserveRetire(&sched.Job{Submit: 0, Finish: 80})
-	b.ObserveArrival(20, 2)
-	b.ObserveBusy(1, 50, 150)
-	b.ObserveRetire(&sched.Job{Submit: 20, Finish: 180})
+	arrive(a, 10, 4)
+	occupy(a, 0, 0, 60)
+	retire(a, &sched.Job{Submit: 0, Finish: 80})
+	arrive(b, 20, 2)
+	occupy(b, 1, 50, 150)
+	retire(b, &sched.Job{Submit: 20, Finish: 180})
 	aRows, bRows := a.Series(), b.Series()
 
 	m, err := Merge(a, nil, b)
@@ -247,13 +268,13 @@ func TestMergeEqualsUnshardedRecorder(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		at := sim.Time(i * 37 % 10000)
 		s := shards[i%2]
-		whole.ObserveArrival(at, i%7)
-		s.ObserveArrival(at, i%7)
-		whole.ObserveBusy(i%2, at, at+29)
-		s.ObserveBusy(0, at, at+29)
+		arrive(whole, at, i%7)
+		arrive(s, at, i%7)
+		occupy(whole, i%2, at, at+29)
+		occupy(s, 0, at, at+29)
 		j := &sched.Job{Submit: at, Finish: at + sim.Time(100+i)}
-		whole.ObserveRetire(j)
-		s.ObserveRetire(j)
+		retire(whole, j)
+		retire(s, j)
 	}
 	m, err := Merge(s0, s1)
 	if err != nil {
@@ -279,9 +300,9 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("empty summary = %+v", s)
 	}
 	rows := []WindowRow{
-		{Window: 0, Start: 0, End: 100, Arrivals: 5, Rejects: 1, QueueMax: 3, Utilization: 0.5, P99: 40, Reprograms: 2},
-		{Window: 1, Start: 100, End: 200, Arrivals: 3, Completions: 6, QueueMax: 9, Utilization: 0.9, P99: 70, Reprograms: 2},
-		{Window: 2, Start: 200, End: 300, Spills: 4, Utilization: 0.1, P99: 70},
+		{Window: 0, Start: 0, End: 100, Counts: Counts{Arrivals: 5, Rejects: 1, Reprograms: 2}, QueueMax: 3, Utilization: 0.5, P99: 40},
+		{Window: 1, Start: 100, End: 200, Counts: Counts{Arrivals: 3, Completions: 6, Reprograms: 2}, QueueMax: 9, Utilization: 0.9, P99: 70},
+		{Window: 2, Start: 200, End: 300, Counts: Counts{Spills: 4}, Utilization: 0.1, P99: 70},
 	}
 	s := Summarize(rows)
 	if s.Windows != 3 || s.Width != 100 || s.Arrivals != 8 || s.Completions != 6 ||
@@ -302,11 +323,15 @@ func TestSummarize(t *testing.T) {
 // TestCSVRoundTrip: WriteCSV then ParseCSV must reproduce the rows
 // (minus the JSON-only per-worker busy vector).
 func TestCSVRoundTrip(t *testing.T) {
+	const header = "window,start,end,arrivals,completions,failures,rejects,reprograms,spills,wedges,retries,timeouts,quarantines,repairs,probation_fails,quarantine_time,deadline_misses,goodput,queue_max,busy_cpu,busy_total,utilization,p50,p99"
+	if CSVHeader != header {
+		t.Fatalf("CSVHeader = %q, want %q", CSVHeader, header)
+	}
 	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
-	r.ObserveArrival(10, 2)
-	r.ObserveBusy(0, 0, 150)
-	r.ObserveBusy(1, 40, 90)
-	r.ObserveRetire(&sched.Job{Submit: 10, Finish: 130})
+	arrive(r, 10, 2)
+	occupy(r, 0, 0, 150)
+	occupy(r, 1, 40, 90)
+	retire(r, &sched.Job{Submit: 10, Finish: 130})
 	rows := r.Series()
 	var sb strings.Builder
 	if err := WriteCSV(&sb, rows); err != nil {
@@ -325,13 +350,22 @@ func TestCSVRoundTrip(t *testing.T) {
 	if _, err := ParseCSV("not,a,series\n"); err == nil {
 		t.Fatal("bogus CSV parsed")
 	}
+	// A NaN utilization would parse but could not round-trip (or be
+	// re-emitted as JSON), so it is rejected.
+	zeros := CSVHeader + "\n" + strings.Repeat("0,", 21) // up to utilization
+	if _, err := ParseCSV(zeros + "0.5,0,0\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseCSV(zeros + "NaN,0,0\n"); err == nil {
+		t.Fatal("NaN utilization parsed")
+	}
 }
 
 // TestLoadSeries: the loader must sniff all three on-disk forms and pull
 // every windows array out of a nested -json document in sorted-path
 // order, under both key spellings.
 func TestLoadSeries(t *testing.T) {
-	rows := []WindowRow{{Window: 0, End: 100, Arrivals: 2, Busy: []sim.Time{30}}}
+	rows := []WindowRow{{Window: 0, End: 100, Counts: Counts{Arrivals: 2}, Busy: []sim.Time{30}}}
 	asJSON, err := json.Marshal(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -376,5 +410,82 @@ func TestLoadSeries(t *testing.T) {
 	}
 	if _, err := LoadSeries([]byte(`!garbage`)); err == nil {
 		t.Fatal("garbage loaded")
+	}
+}
+
+// everyCount feeds r every event kind, all inside window 0, and returns
+// the counts it must record: each counter distinct and non-zero, so a
+// dropped or swapped column cannot pass. Worker 0 is fabric, worker 1
+// the CPU soft path.
+func everyCount(r *Recorder) Counts {
+	want := Counts{
+		Arrivals: 14, Completions: 13, Failures: 3, Rejects: 4, Reprograms: 5,
+		Spills: 6, Wedges: 7, Retries: 8, Timeouts: 9, Quarantines: 10,
+		Repairs: 11, ProbationFails: 12, QuarantineTime: 11 * 25, DeadlineMisses: 2,
+	}
+	repeat := func(n int, f func()) {
+		for range n {
+			f()
+		}
+	}
+	repeat(want.Arrivals, func() { arrive(r, 10, 1) })
+	repeat(want.Rejects, func() { observe(r, sched.EventReject, 20) })
+	repeat(want.Reprograms, func() { dispatch(r, 30, 0, true) })
+	repeat(want.Spills, func() { dispatch(r, 30, 1, false) })
+	repeat(want.Completions-want.DeadlineMisses, func() { retire(r, &sched.Job{Submit: 10, Finish: 40}) })
+	repeat(want.DeadlineMisses, func() { retire(r, &sched.Job{Submit: 10, Deadline: 30, Finish: 40}) })
+	repeat(want.Failures, func() { retire(r, &sched.Job{Finish: 40, Err: sched.ErrUnavailable}) })
+	repeat(want.Wedges, func() { observe(r, sched.EventWedge, 50) })
+	repeat(want.Retries, func() { observe(r, sched.EventRetry, 50) })
+	repeat(want.Timeouts, func() { observe(r, sched.EventTimeout, 60) })
+	repeat(want.Quarantines, func() { observe(r, sched.EventQuarantine, 50) })
+	repeat(want.Repairs, func() { r.Observe(sched.Event{Kind: sched.EventRepair, At: 70, Span: 25}) })
+	repeat(want.ProbationFails, func() { observe(r, sched.EventProbationFail, 80) })
+	return want
+}
+
+// TestEveryWindowCounter carries every Counts field through Series,
+// Summarize, the CSV round trip and Merge.
+func TestEveryWindowCounter(t *testing.T) {
+	r := NewRecorder(100, kinds(sched.BackendCycle, sched.BackendCPU))
+	want := everyCount(r)
+	wv := reflect.ValueOf(want)
+	seen := map[int64]bool{}
+	for i := range wv.NumField() {
+		if v := wv.Field(i).Int(); v == 0 || seen[v] {
+			t.Fatalf("everyCount: %s = %d, want distinct and non-zero", wv.Type().Field(i).Name, v)
+		}
+		seen[wv.Field(i).Int()] = true
+	}
+
+	rows := r.Series()
+	if len(rows) != 1 || rows[0].Counts != want {
+		t.Fatalf("Series counts = %+v, want %+v", rows[0].Counts, want)
+	}
+	if s := Summarize(rows); s.Counts != want || s.Goodput != want.Completions-want.DeadlineMisses {
+		t.Fatalf("Summarize = %+v, want counts %+v", s, want)
+	}
+
+	var sb strings.Builder
+	if err := WriteCSV(&sb, rows); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseCSV(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || back[0].Counts != want {
+		t.Fatalf("CSV round trip counts = %+v, want %+v", back, want)
+	}
+
+	m, err := Merge(r, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := reflect.ValueOf(m.Series()[0].Counts)
+	for i := range mv.NumField() {
+		if got := mv.Field(i).Int(); got != 2*wv.Field(i).Int() {
+			t.Errorf("Merge: %s = %d, want %d", mv.Type().Field(i).Name, got, 2*wv.Field(i).Int())
+		}
 	}
 }

@@ -35,12 +35,14 @@ type XValRow struct {
 	// cycle value is 0).
 	P50RelErr float64
 	P99RelErr float64
-	// CountersMatch reports whether the job-accounting counters —
-	// completed, failed, rejected, reconfigs, deadline misses, makespan,
-	// and the fault-path counters (wedges, retries, quarantines,
-	// timeouts, unavailable, repairs, probation failures, quarantine
-	// time) — agree exactly.
+	// CountersMatch reports whether every sched.Counters field and the
+	// makespan agree exactly.
 	CountersMatch bool
+}
+
+// countersMatch is XValRow.CountersMatch for one cycle/model pair.
+func countersMatch(cy, md sched.Stats) bool {
+	return cy.Counters == md.Counters && cy.Makespan == md.Makespan
 }
 
 // relErr is |a-b| / |b|, 0 when b is 0.
@@ -75,25 +77,12 @@ func CrossValidate(parallel int, cfgs []ServeConfig) []XValRow {
 	for i := range cfgs {
 		cy, md := results[2*i], results[2*i+1]
 		rows[i] = XValRow{
-			Policy:    cfgs[i].Policy,
-			Cycle:     cy,
-			Model:     md,
-			P50RelErr: relErr(md.P50, cy.P50),
-			P99RelErr: relErr(md.P99, cy.P99),
-			CountersMatch: cy.Completed == md.Completed &&
-				cy.Failed == md.Failed &&
-				cy.Rejected == md.Rejected &&
-				cy.Reconfigs == md.Reconfigs &&
-				cy.DeadlineMisses == md.DeadlineMisses &&
-				cy.Makespan == md.Makespan &&
-				cy.TimedOut == md.TimedOut &&
-				cy.Unavailable == md.Unavailable &&
-				cy.Wedges == md.Wedges &&
-				cy.Retries == md.Retries &&
-				cy.Quarantined == md.Quarantined &&
-				cy.Repairs == md.Repairs &&
-				cy.ProbationFails == md.ProbationFails &&
-				cy.QuarantineTime == md.QuarantineTime,
+			Policy:        cfgs[i].Policy,
+			Cycle:         cy,
+			Model:         md,
+			P50RelErr:     relErr(md.P50, cy.P50),
+			P99RelErr:     relErr(md.P99, cy.P99),
+			CountersMatch: countersMatch(cy.Stats, md.Stats),
 		}
 	}
 	return rows

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
+	"duet/internal/cluster"
 	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -132,5 +134,41 @@ func TestCrossValidateUnderFaults(t *testing.T) {
 			}
 			tc.wants(t, row.Model.Stats)
 		})
+	}
+}
+
+// TestCountersEveryField pins that a new sched.Counters field needs no
+// edit in cluster.Merge or the xval comparison: Merge must sum every
+// field, and the match flag must trip on a difference in any one field.
+func TestCountersEveryField(t *testing.T) {
+	var a, b sched.Stats
+	av, bv := reflect.ValueOf(&a.Counters).Elem(), reflect.ValueOf(&b.Counters).Elem()
+	for i := range av.NumField() {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	m := cluster.Merge([]cluster.ShardResult{{Stats: a}, {Stats: b}})
+	mv := reflect.ValueOf(m.Counters)
+	for i := range mv.NumField() {
+		if got, want := mv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Merge: %s = %d, want %d", mv.Type().Field(i).Name, got, want)
+		}
+	}
+
+	if !countersMatch(a, a) {
+		t.Fatal("identical stats do not match")
+	}
+	for i := range av.NumField() {
+		c := a
+		f := reflect.ValueOf(&c.Counters).Elem().Field(i)
+		f.SetInt(f.Int() + 1)
+		if countersMatch(a, c) {
+			t.Errorf("counters match despite differing %s", av.Type().Field(i).Name)
+		}
+	}
+	c := a
+	c.Makespan++
+	if countersMatch(a, c) {
+		t.Error("counters match despite differing makespan")
 	}
 }
