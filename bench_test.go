@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the full evaluation. Absolute numbers come from the
-// cycle-level models; EXPERIMENTS.md discusses paper-vs-measured.
+// cycle-level models; README.md and PERF.md discuss paper-vs-measured.
 package duet_test
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,71 +16,56 @@ import (
 	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
-	"duet/internal/workload"
 )
 
-// daemonOpts carries the daemon command's flag values.
-type daemonOpts struct {
-	listen      string
-	backend     workload.BackendMode
-	efpgas      int
-	softCPUs    int
-	policy      string
-	queueCap    int
-	maxInflight int
-	timescale   float64
-	windowMS    float64
-	// Fault-injection knobs (see internal/faults): a nonzero wedge
-	// probability installs a seeded fault plan below the backend seam,
-	// so a live daemon can rehearse degraded operation — /healthz flips
-	// to degraded/down and /metrics carries the fault counters. A
-	// repair delay (simulated µs) makes quarantine transient, and a
-	// domain spec (faults.ParseDomains syntax) adds correlated
-	// rack/power outages.
-	wedgeProb     float64
-	retries       int
-	faultSeed     int64
-	repairDelayUS int64
-	domains       string
+// daemonFlags holds the daemon command's own flags. It also reads
+// -backend, -efpgas and -softcpus from the serve base and -repairdelay
+// and -domains from faultFlags.
+type daemonFlags struct {
+	listen   string
+	cfg      daemon.Config // -policy -queuecap -maxinflight -timescale
+	windowMS float64
+	// A nonzero wedge probability installs this seeded fault plan below
+	// the backend seam (see internal/faults), so a live daemon can
+	// rehearse degraded operation: /healthz flips to degraded/down and
+	// /metrics carries the fault counters. A repair delay makes
+	// quarantine transient, and domains add correlated rack/power
+	// outages.
+	plan faults.Plan // -wedgeprob -retries -faultseed
+}
+
+func (d *daemonFlags) bind(fs *flag.FlagSet) {
+	fs.StringVar(&d.listen, "listen", ":8080", "daemon: HTTP listen address")
+	fs.TextVar(&d.cfg.Policy, "policy", sched.FIFO, "daemon: scheduling policy, `fifo|sjf|affinity|hybrid`")
+	fs.IntVar(&d.cfg.QueueCap, "queuecap", 0, "daemon: admission-queue bound (0 = default 64)")
+	fs.IntVar(&d.cfg.MaxOutstanding, "maxinflight", 0, "daemon: outstanding-job bound, 503 past it (0 = 4x queuecap)")
+	fs.Float64Var(&d.cfg.Timescale, "timescale", 1, "daemon: simulated seconds advanced per wall-clock second")
+	fs.Float64Var(&d.windowMS, "windowms", 250, "daemon: telemetry window width in simulated milliseconds")
+	fs.Float64Var(&d.plan.WedgeProb, "wedgeprob", 0, "daemon: per-reprogram wedge probability (0 = no fault plan)")
+	fs.IntVar(&d.plan.MaxRetries, "retries", 2, "daemon: retry budget for wedge victims (with -wedgeprob)")
+	fs.Int64Var(&d.plan.Seed, "faultseed", 1, "daemon: fault-plan seed (with -wedgeprob)")
 }
 
 // daemonCmd boots the HTTP ingest server and blocks until SIGINT/SIGTERM
 // (graceful drain: stop admitting, finish every in-flight job, flush a
 // final stats line) or a listener error.
-func daemonCmd(o daemonOpts) error {
-	pol, err := sched.PolicyByName(o.policy)
+func daemonCmd(o *options) error {
+	cfg := o.daemon.cfg
+	cfg.Backend, cfg.EFPGAs, cfg.SoftCPUs = o.serve.Backend, o.serve.EFPGAs, o.serve.SoftCPUs
+	cfg.WindowWidth = sim.Time(o.daemon.windowMS * float64(sim.MS))
+	if plan := o.daemon.plan; plan.WedgeProb > 0 || o.faults.repairDelay > 0 || strings.TrimSpace(o.faults.domains) != "" {
+		doms, err := faults.ParseDomains(o.faults.domains)
+		if err != nil {
+			return err
+		}
+		plan.RepairDelay, plan.Domains = o.faults.repairDelay, doms
+		cfg.Faults = &plan
+	}
+	srv, err := daemon.NewServer(cfg)
 	if err != nil {
 		return err
 	}
-	var plan *faults.Plan
-	if o.wedgeProb > 0 || o.repairDelayUS > 0 || strings.TrimSpace(o.domains) != "" {
-		plan = &faults.Plan{
-			Seed: o.faultSeed, WedgeProb: o.wedgeProb, MaxRetries: o.retries,
-			RepairDelay: sim.Time(o.repairDelayUS) * sim.US,
-		}
-		if strings.TrimSpace(o.domains) != "" {
-			doms, err := faults.ParseDomains(o.domains)
-			if err != nil {
-				return err
-			}
-			plan.Domains = doms
-		}
-	}
-	srv, err := daemon.NewServer(daemon.Config{
-		Backend:        o.backend,
-		EFPGAs:         o.efpgas,
-		SoftCPUs:       o.softCPUs,
-		Policy:         pol,
-		QueueCap:       o.queueCap,
-		MaxOutstanding: o.maxInflight,
-		Timescale:      o.timescale,
-		WindowWidth:    sim.Time(o.windowMS * float64(sim.MS)),
-		Faults:         plan,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", o.listen)
+	ln, err := net.Listen("tcp", o.daemon.listen)
 	if err != nil {
 		return err
 	}
@@ -90,7 +76,7 @@ func daemonCmd(o daemonOpts) error {
 	go func() { errc <- httpSrv.Serve(ln) }()
 
 	fmt.Fprintf(os.Stderr, "duetsim daemon: listening on %s (%s backend, %d eFPGAs, policy %s, timescale %g)\n",
-		ln.Addr(), o.backend, o.efpgas, pol, o.timescale)
+		ln.Addr(), cfg.Backend, cfg.EFPGAs, cfg.Policy, cfg.Timescale)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -118,53 +104,46 @@ func daemonCmd(o daemonOpts) error {
 	return nil
 }
 
-// loadgenOpts carries the loadgen command's flag values.
-type loadgenOpts struct {
-	target      string
-	mode        string
-	concurrency int
-	rateHz      float64
-	duration    time.Duration
-	requests    int
-	apps        string
-	tenants     string
-	seed        int64
-	timeout     time.Duration
-	jsonOut     bool
+// loadgenFlags holds the loadgen command's own flags; it also reads
+// -seed from the serve base.
+type loadgenFlags struct {
+	cfg           daemon.LoadgenConfig
+	apps, tenants string
+}
+
+func (l *loadgenFlags) bind(fs *flag.FlagSet) {
+	fs.StringVar(&l.cfg.Target, "target", "http://localhost:8080", "loadgen: daemon base URL")
+	fs.StringVar(&l.cfg.Mode, "mode", "closed", "loadgen: closed (lockstep workers) or open (paced arrivals)")
+	fs.IntVar(&l.cfg.Concurrency, "concurrency", 8, "loadgen: closed-loop workers / open-loop in-flight cap")
+	fs.Float64Var(&l.cfg.RateHz, "rate", 200, "loadgen: open-loop arrival rate in requests/s")
+	fs.DurationVar(&l.cfg.Duration, "duration", 5*time.Second, "loadgen: run length")
+	fs.IntVar(&l.cfg.Jobs, "requests", 0, "loadgen: total request cap (0 = duration-bound)")
+	fs.StringVar(&l.apps, "apps", "", "loadgen: comma-separated app mix (default: the daemon's catalog)")
+	fs.StringVar(&l.tenants, "tenants", "", "loadgen: weighted tenant mix, e.g. alpha:3,beta:1")
+	fs.DurationVar(&l.cfg.Timeout, "timeout", 30*time.Second, "loadgen: per-request timeout")
 }
 
 // loadgenCmd drives a running daemon and prints the final report.
-func loadgenCmd(o loadgenOpts) error {
-	tenants, err := daemon.ParseTenants(o.tenants)
+func loadgenCmd(o *options) error {
+	cfg := o.loadgen.cfg
+	cfg.Seed = o.serve.Seed
+	var err error
+	if cfg.Tenants, err = daemon.ParseTenants(o.loadgen.tenants); err != nil {
+		return err
+	}
+	if strings.TrimSpace(o.loadgen.apps) != "" {
+		cfg.Apps = strings.Split(o.loadgen.apps, ",")
+	}
+	rep, err := daemon.RunLoadgen(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
-	var apps []string
-	if strings.TrimSpace(o.apps) != "" {
-		apps = strings.Split(o.apps, ",")
-	}
-	rep, err := daemon.RunLoadgen(context.Background(), daemon.LoadgenConfig{
-		Target:      o.target,
-		Mode:        o.mode,
-		Concurrency: o.concurrency,
-		RateHz:      o.rateHz,
-		Duration:    o.duration,
-		Jobs:        o.requests,
-		Apps:        apps,
-		Tenants:     tenants,
-		Seed:        o.seed,
-		Timeout:     o.timeout,
-	})
-	if err != nil {
-		return err
-	}
-	if o.jsonOut {
-		emitJSON(struct {
+	if o.json {
+		return emitJSON(struct {
 			Loadgen daemon.LoadgenReport `json:"loadgen"`
 		}{rep})
-		return nil
 	}
-	header(fmt.Sprintf("Loadgen: %s loop against %s (%v)", rep.Mode, o.target, rep.Elapsed.Round(time.Millisecond)))
+	header(fmt.Sprintf("Loadgen: %s loop against %s (%v)", rep.Mode, cfg.Target, rep.Elapsed.Round(time.Millisecond)))
 	fmt.Printf("  sent %d: %d completed, %d failed, %d queue-rejected (429), %d unavailable (503), %d errors, %d retried\n",
 		rep.Sent, rep.Completed, rep.Failed, rep.Rejected429, rep.Unavailable503, rep.OtherErrors, rep.Retried)
 	fmt.Printf("  throughput %.1f jobs/s\n", rep.ThroughputHz)

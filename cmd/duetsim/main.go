@@ -1,23 +1,7 @@
 // Command duetsim regenerates the tables and figures of "Duet: Creating
 // Harmony between Processors and Embedded FPGAs" (HPCA 2023) from live
-// simulation:
-//
-//	duetsim table1          # area/frequency of Dolly hard components
-//	duetsim table2          # soft accelerator synthesis results
-//	duetsim fig9            # CPU-eFPGA communication latency breakdown
-//	duetsim fig10           # single-processor bandwidth vs eFPGA clock
-//	duetsim fig11           # per-processor bandwidth vs contention
-//	duetsim fig12           # application speedups and ADP
-//	duetsim ablate          # hub-window / CDC-depth / speculation ablations
-//	duetsim serve           # multi-tenant accelerator-as-a-service study
-//	duetsim cluster         # sharded serve farm across N serve replicas
-//	duetsim xval            # model-vs-cycle backend cross-validation gate
-//	duetsim chaos           # deterministic fault-injection scenarios
-//	duetsim study           # fig9+fig10+fig11+ablations in one sweep
-//	duetsim report          # summarize a saved -windows series (-in FILE)
-//	duetsim daemon          # live HTTP ingest server over the scheduler
-//	duetsim loadgen         # drive a running daemon with open/closed load
-//	duetsim all             # the paper's tables and figures above
+// simulation, and runs the serving studies built on them. `duetsim -h`
+// prints the command table and every flag.
 //
 // Every sweep (fig9, fig10, fig11, ablate, study, serve, cluster, xval,
 // chaos) runs its grid of independent simulation points on the internal/study
@@ -45,8 +29,8 @@
 // and flags.
 //
 // Absolute numbers come from this repository's cycle-level models; the
-// paper's own numbers are printed alongside where published. See
-// EXPERIMENTS.md for the paper-vs-measured discussion.
+// paper's own numbers are printed alongside where published. README.md
+// and PERF.md discuss paper-vs-measured.
 package main
 
 import (
@@ -78,236 +62,274 @@ import (
 	"duet/internal/workload"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "smaller workloads (faster, less stable numbers)")
-	seed := flag.Int64("seed", 1, "serve/cluster: arrival-process seed")
-	jobsFlag := flag.String("jobs", "240", "serve/cluster/xval: offered jobs; suffixes and scientific notation accepted (250M, 1e9, 2.5k)")
-	efpgas := flag.Int("efpgas", 2, "serve/cluster: number of eFPGAs (per shard)")
-	shards := flag.Int("shards", 4, "cluster: number of Duet replicas")
-	parallel := flag.Int("parallel", 0, "study-pool width for sweep commands; 0 = GOMAXPROCS, output identical at every width")
-	jsonOut := flag.Bool("json", false, "machine-readable output (stable field order) for sweep commands")
-	statsMode := flag.String("stats", "exact", "serve/cluster latency stats: exact (per-job ledgers) or stream (fixed-memory digest)")
-	backend := flag.String("backend", "cycle", "serve/cluster execution backend: cycle (Dolly instance), model (analytic fast path), hybrid (cycle + CPU soft-path spill)")
-	softCPUs := flag.Int("softcpus", 0, "serve/cluster: CPU soft-path workers per replica (hybrid backend defaults to 1)")
-	windows := flag.Int("windows", 0, "serve/cluster: record a flight-recorder series over N simulated-time windows (0 = off)")
-	progress := flag.Bool("progress", false, "serve/cluster: print progress lines (jobs done, sim time, live heap) to stderr every 2s")
-	lookahead := flag.Int("lookahead", 0, "cluster: streaming hand-off lookahead per shard for the stateful front ends — arrivals the router may run ahead of a shard (0 = default 4096; results identical at any bound)")
-	scenario := flag.String("scenario", "all", "chaos: named fault scenario (see chaos -list) or all")
-	chaosList := flag.Bool("list", false, "chaos: print the named scenarios and exit")
-	outPath := flag.String("out", "", "redirect stdout to `file` (report reads such files back with -in)")
-	inPath := flag.String("in", "", "report: load the series from `file` (default stdin)")
-	csvOut := flag.Bool("csv", false, "report: re-emit the loaded series as CSV instead of tables")
-	tolerance := flag.Float64("tolerance", workload.XValTolerance, "xval: maximum model-vs-cycle p50/p99 relative error before failing")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the executed commands to `file`")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the commands to `file`")
-	listen := flag.String("listen", ":8080", "daemon: HTTP listen address")
-	policy := flag.String("policy", "fifo", "daemon: scheduling policy (fifo|sjf|affinity|hybrid)")
-	queueCap := flag.Int("queuecap", 0, "daemon: admission-queue bound (0 = default 64)")
-	maxInflight := flag.Int("maxinflight", 0, "daemon: outstanding-job bound, 503 past it (0 = 4x queuecap)")
-	timescale := flag.Float64("timescale", 1, "daemon: simulated seconds advanced per wall-clock second")
-	windowMS := flag.Float64("windowms", 250, "daemon: telemetry window width in simulated milliseconds")
-	wedgeProb := flag.Float64("wedgeprob", 0, "daemon: per-reprogram wedge probability (0 = no fault plan)")
-	retries := flag.Int("retries", 2, "daemon: retry budget for wedge victims (with -wedgeprob)")
-	faultSeed := flag.Int64("faultseed", 1, "daemon: fault-plan seed (with -wedgeprob)")
-	repairDelay := flag.Int64("repairdelay", 0, "chaos/daemon: repair wedged fabrics after ~N simulated microseconds, with backoff (0 = quarantine is permanent)")
-	domainsSpec := flag.String("domains", "", "chaos/daemon: correlated failure domains, e.g. 'rack0=0+1@4000-9000;feedA=2@1000-2000~0.8'")
-	target := flag.String("target", "http://localhost:8080", "loadgen: daemon base URL")
-	lgMode := flag.String("mode", "closed", "loadgen: closed (lockstep workers) or open (paced arrivals)")
-	concurrency := flag.Int("concurrency", 8, "loadgen: closed-loop workers / open-loop in-flight cap")
-	rate := flag.Float64("rate", 200, "loadgen: open-loop arrival rate in requests/s")
-	duration := flag.Duration("duration", 5*time.Second, "loadgen: run length")
-	requests := flag.Int("requests", 0, "loadgen: total request cap (0 = duration-bound)")
-	appsSpec := flag.String("apps", "", "loadgen: comma-separated app mix (default: the daemon's catalog)")
-	tenantsSpec := flag.String("tenants", "", "loadgen: weighted tenant mix, e.g. alpha:3,beta:1")
-	lgTimeout := flag.Duration("timeout", 30*time.Second, "loadgen: per-request timeout")
-	flag.Parse()
-	// Accept flags after command words too (`duetsim cluster -shards 4`):
-	// re-parse whenever a flag-like token follows a command. Flags apply
-	// globally, wherever they appear.
-	var cmds []string
-	for args := flag.Args(); len(args) > 0; {
-		// A lone "-" is not a flag (Parse would leave it unconsumed and
-		// loop forever); let it fall through as an unknown command.
-		if strings.HasPrefix(args[0], "-") && args[0] != "-" {
-			if err := flag.CommandLine.Parse(args); err != nil {
-				os.Exit(2)
-			}
-			args = flag.Args()
-			continue
+func main() { os.Exit(run(os.Args[1:])) }
+
+// command is one entry of the command table.
+type command struct {
+	name    string
+	summary string
+	sweep   bool // accepts -json: prints one machine-readable document
+	run     func(*options) error
+}
+
+// commands is the command table: dispatch, usage, the -json check and
+// `all` read it. It is filled in init because `all` dispatches through
+// it, which a package-level initializer would make a cycle.
+var commands []command
+
+// allCommands are the paper's tables and figures, which `all` runs.
+var allCommands = []string{"table1", "table2", "fig9", "fig10", "fig11", "fig12"}
+
+func init() {
+	commands = []command{
+		{"table1", "area/frequency of Dolly hard components (Table I)", false, table1},
+		{"table2", "soft accelerator synthesis results (Table II)", false, table2},
+		{"fig9", "CPU-eFPGA communication latency breakdown", true, fig9},
+		{"fig10", "single-processor bandwidth vs eFPGA clock", true, fig10},
+		{"fig11", "per-processor bandwidth vs contention", true, fig11},
+		{"fig12", "application speedups and ADP", false, fig12},
+		{"ablate", "hub-window / CDC-depth / speculation ablations", true, ablations},
+		{"ablations", "same as ablate", true, ablations},
+		{"study", "fig9+fig10+fig11+ablations in one sweep", true, studyCmd},
+		{"serve", "multi-tenant accelerator-as-a-service study", true, serve},
+		{"cluster", "sharded serve farm across -shards serve replicas", true, clusterCmd},
+		{"xval", "model-vs-cycle backend cross-validation gate", true, xval},
+		{"chaos", "deterministic fault-injection scenarios", true, chaosCmd},
+		{"report", "summarize a saved -windows series (-in FILE)", false, reportCmd},
+		{"daemon", "live HTTP ingest server over the scheduler", false, daemonCmd},
+		{"loadgen", "drive a running daemon with open/closed load", true, loadgenCmd},
+		{"all", "the paper's tables and figures: " + strings.Join(allCommands, " "), false, runAll},
+	}
+}
+
+// lookup returns the named command, or nil.
+func lookup(name string) *command {
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	if i < 0 {
+		return nil
+	}
+	return &commands[i]
+}
+
+// commandNames lists the table's command names, the sweep commands only
+// when sweepOnly is set.
+func commandNames(sweepOnly bool) string {
+	var names []string
+	for _, c := range commands {
+		if c.sweep || !sweepOnly {
+			names = append(names, c.name)
 		}
-		cmds = append(cmds, args[0])
-		args = args[1:]
 	}
-	if len(cmds) == 0 {
-		usage()
-		os.Exit(2)
+	return strings.Join(names, "|")
+}
+
+func runAll(o *options) error {
+	for _, name := range allCommands {
+		if err := lookup(name).run(o); err != nil {
+			return err
+		}
 	}
-	mode, err := sched.StatsModeByName(*statsMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
-		os.Exit(2)
+	return nil
+}
+
+// options holds every flag's value; each flag binds into exactly one
+// field. Commands copy the serve base and set only what differs.
+type options struct {
+	studyFlags
+	serve     workload.ServeConfig // -seed -jobs -efpgas -stats -backend -softcpus -windows
+	shards    int
+	lookahead int
+	progress  bool
+	faults    faultFlags
+	daemon    daemonFlags
+	loadgen   loadgenFlags
+
+	scenario, in, out      string
+	list, csv              bool
+	tolerance              float64
+	cpuprofile, memprofile string
+}
+
+// studyFlags are the switches every sweep command shares.
+type studyFlags struct {
+	parallel int
+	json     bool
+	quick    bool
+}
+
+// faultFlags override a fault plan; chaos and daemon share them.
+type faultFlags struct {
+	repairDelay sim.Time // -repairdelay, given in simulated microseconds
+	domains     string   // -domains, in faults.ParseDomains syntax
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{serve: workload.ServeConfig{Jobs: 240}}
+	s := &o.serve
+	fs.BoolVar(&o.quick, "quick", false, "smaller workloads (faster, less stable numbers)")
+	fs.IntVar(&o.parallel, "parallel", 0, "study-pool width for sweep commands; 0 = GOMAXPROCS, output identical at every width")
+	fs.BoolVar(&o.json, "json", false, "machine-readable output (stable field order) for sweep commands")
+
+	fs.Int64Var(&s.Seed, "seed", 1, "serve/cluster: arrival-process seed (loadgen: app/tenant/gap seed)")
+	fs.Func("jobs", fmt.Sprintf("serve/cluster/xval: `N` offered jobs; suffixes and scientific notation accepted (250M, 1e9, 2.5k) (default %d)", s.Jobs),
+		func(v string) (err error) {
+			s.Jobs, err = parseJobs(v)
+			return err
+		})
+	fs.IntVar(&s.EFPGAs, "efpgas", 2, "serve/cluster: number of eFPGAs (per shard)")
+	fs.TextVar(&s.Stats, "stats", sched.StatsExact, "serve/cluster latency stats, `exact|stream`: exact (per-job ledgers) or stream (fixed-memory digest)")
+	fs.TextVar(&s.Backend, "backend", workload.BackendCycle, "serve/cluster execution backend, `cycle|model|hybrid`: cycle (Dolly instance), model (analytic fast path), hybrid (cycle + CPU soft-path spill)")
+	fs.IntVar(&s.SoftCPUs, "softcpus", 0, "serve/cluster: CPU soft-path workers per replica (hybrid backend defaults to 1)")
+	fs.IntVar(&s.Windows, "windows", 0, "serve/cluster: record a flight-recorder series over N simulated-time windows (0 = off)")
+
+	fs.IntVar(&o.shards, "shards", 4, "cluster: number of Duet replicas")
+	fs.IntVar(&o.lookahead, "lookahead", 0, "cluster: streaming hand-off lookahead per shard for the stateful front ends — arrivals the router may run ahead of a shard (0 = default 4096; results identical at any bound)")
+	fs.BoolVar(&o.progress, "progress", false, "serve/cluster: print progress lines (jobs done, sim time, live heap) to stderr every 2s")
+
+	fs.StringVar(&o.scenario, "scenario", "all", "chaos: named fault scenario (see chaos -list) or all")
+	fs.BoolVar(&o.list, "list", false, "chaos: print the named scenarios and exit")
+	fs.Func("repairdelay", "chaos/daemon: repair wedged fabrics after ~`N` simulated microseconds, with backoff (0 = quarantine is permanent)",
+		func(v string) (err error) {
+			o.faults.repairDelay, err = parseRepairDelay(v)
+			return err
+		})
+	fs.StringVar(&o.faults.domains, "domains", "", "chaos/daemon: correlated failure domains, e.g. 'rack0=0+1@4000-9000;feedA=2@1000-2000~0.8'")
+
+	fs.StringVar(&o.out, "out", "", "redirect stdout to `file` (report reads such files back with -in)")
+	fs.StringVar(&o.in, "in", "", "report: load the series from `file` (default stdin)")
+	fs.BoolVar(&o.csv, "csv", false, "report: re-emit the loaded series as CSV instead of tables")
+	fs.Float64Var(&o.tolerance, "tolerance", workload.XValTolerance, "xval: maximum model-vs-cycle p50/p99 relative error before failing")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the executed commands to `file`")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken after the commands to `file`")
+
+	o.daemon.bind(fs)
+	o.loadgen.bind(fs)
+	return o
+}
+
+// usageError is a mistake on the command line; it exits 2, not 1.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// run executes one command line and returns its exit code: 0 on
+// success, 2 for a usage error, 1 for any other failure. Flags apply
+// globally, wherever they appear: before, between or after the command
+// words (`duetsim cluster -shards 4`).
+func run(args []string) int {
+	fs := flag.NewFlagSet("duetsim", flag.ContinueOnError)
+	o := newOptions(fs)
+	fs.Usage = func() { usage(fs) }
+	var words []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return 0
+			}
+			return 2 // the flag package has printed the error and usage
+		}
+		// A lone "-" is a word, not a flag: Parse leaves it unconsumed.
+		for args = fs.Args(); len(args) > 0 && (args[0] == "-" || !strings.HasPrefix(args[0], "-")); args = args[1:] {
+			words = append(words, args[0])
+		}
+		if len(args) == 0 {
+			break
+		}
 	}
-	jobs, err := parseJobs(*jobsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: -jobs: %v\n", err)
-		os.Exit(2)
+	if len(words) == 0 {
+		fs.Usage()
+		return 2
 	}
-	beMode, err := workload.BackendModeByName(*backend)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
-		os.Exit(2)
+	err := o.execute(words)
+	if err == nil {
+		return 0
 	}
-	if err := checkPoolFlags(*efpgas, *shards, *softCPUs); err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
-		os.Exit(2)
+	fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// execute checks the flag combination, then runs the command words in
+// order through the command table, stopping at the first failure.
+func (o *options) execute(words []string) (err error) {
+	if err := checkPoolFlags(o.serve.EFPGAs, o.shards, o.serve.SoftCPUs); err != nil {
+		return usageError{err}
 	}
 	// -json promises one parseable document on stdout, so it pairs with
 	// exactly one sweep command; the text-only commands and multi-command
 	// runs would interleave tables or concatenate documents.
-	if *jsonOut {
-		if len(cmds) != 1 {
-			fmt.Fprintln(os.Stderr, "duetsim: -json takes exactly one command")
-			os.Exit(2)
+	if o.json {
+		if len(words) != 1 {
+			return usagef("-json takes exactly one command")
 		}
-		switch cmds[0] {
-		case "fig9", "fig10", "fig11", "ablate", "ablations", "study", "serve", "cluster", "xval", "chaos", "loadgen":
-		default:
-			fmt.Fprintf(os.Stderr, "duetsim: -json is not supported with %q; use a sweep command (fig9|fig10|fig11|ablate|study|serve|cluster|xval|chaos|loadgen)\n", cmds[0])
-			os.Exit(2)
+		if c := lookup(words[0]); c == nil || !c.sweep {
+			return usagef("-json is not supported with %q; use a sweep command (%s)", words[0], commandNames(true))
 		}
 	}
 	// -out redirects everything the commands print — tables, -json
 	// documents, CSV — while diagnostics stay on stderr. Reassigning
-	// os.Stdout covers every print path below without threading a writer
+	// os.Stdout covers every print path without threading a writer
 	// through each command.
-	closeOut := func() error { return nil }
-	if *outPath != "" {
+	if o.out != "" {
 		// os.Create truncates -out before any command runs, so `-out F
 		// report -in F` would destroy the very file report is about to
 		// read. Refuse the overlap instead of silently emptying the input.
-		if *inPath != "" && samePath(*outPath, *inPath) {
-			fmt.Fprintf(os.Stderr, "duetsim: -out %q would truncate -in %q before report reads it; use a different output path\n", *outPath, *inPath)
-			os.Exit(2)
+		if o.in != "" && samePath(o.out, o.in) {
+			return usagef("-out %q would truncate -in %q before report reads it; use a different output path", o.out, o.in)
 		}
-		f, err := os.Create(*outPath)
+		f, err := os.Create(o.out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "duetsim: -out: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-out: %w", err)
 		}
+		stdout := os.Stdout
 		os.Stdout = f
-		closeOut = f.Close
+		defer func() {
+			os.Stdout = stdout
+			if cerr := f.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("-out: %w", cerr))
+			}
+		}()
 	}
 	// Profiling wraps only the command runs (flag parsing and usage errors
 	// are excluded), so kernel regressions can be profiled straight from
 	// the CLI: duetsim -cpuprofile cpu.out cluster; go tool pprof cpu.out
 	// Profiles are flushed on every exit path, including command errors.
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(o.cpuprofile, o.memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	code := 0
-loop:
-	for _, cmd := range cmds {
-		switch cmd {
-		case "table1":
-			table1()
-		case "table2":
-			table2()
-		case "fig9":
-			fig9(*parallel, *jsonOut)
-		case "fig10":
-			fig10(*parallel, *jsonOut)
-		case "fig11":
-			fig11(*parallel, *jsonOut)
-		case "fig12":
-			fig12(*quick)
-		case "ablate", "ablations":
-			ablations(*parallel, *jsonOut)
-		case "study":
-			studyCmd(*parallel, *quick, *jsonOut)
-		case "serve":
-			serve(*parallel, *seed, jobs, *efpgas, mode, beMode, *softCPUs, *windows, *progress, *jsonOut)
-		case "cluster":
-			if err := clusterCmd(*parallel, *seed, jobs, *efpgas, *shards, mode, beMode, *softCPUs, *windows, *progress, *lookahead, *jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "cluster: %v\n", err)
-				code = 1
-				break loop
-			}
-		case "report":
-			if err := reportCmd(*inPath, *csvOut); err != nil {
-				fmt.Fprintf(os.Stderr, "report: %v\n", err)
-				code = 1
-				break loop
-			}
-		case "daemon":
-			if err := daemonCmd(daemonOpts{
-				listen: *listen, backend: beMode, efpgas: *efpgas, softCPUs: *softCPUs,
-				policy: *policy, queueCap: *queueCap, maxInflight: *maxInflight,
-				timescale: *timescale, windowMS: *windowMS,
-				wedgeProb: *wedgeProb, retries: *retries, faultSeed: *faultSeed,
-				repairDelayUS: *repairDelay, domains: *domainsSpec,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "daemon: %v\n", err)
-				code = 1
-				break loop
-			}
-		case "loadgen":
-			if err := loadgenCmd(loadgenOpts{
-				target: *target, mode: *lgMode, concurrency: *concurrency, rateHz: *rate,
-				duration: *duration, requests: *requests, apps: *appsSpec,
-				tenants: *tenantsSpec, seed: *seed, timeout: *lgTimeout, jsonOut: *jsonOut,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-				code = 1
-				break loop
-			}
-		case "xval":
-			if !xval(*parallel, *seed, jobs, *efpgas, mode, *tolerance, *jsonOut) {
-				code = 1
-				break loop
-			}
-		case "chaos":
-			if err := chaosCmd(*parallel, *scenario, *chaosList, *repairDelay, *domainsSpec, beMode, *jsonOut); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				code = 1
-				if errors.Is(err, errUnknownScenario) {
-					code = 2
-				}
-				break loop
-			}
-		case "all":
-			table1()
-			table2()
-			fig9(*parallel, false)
-			fig10(*parallel, false)
-			fig11(*parallel, false)
-			fig12(*quick)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown command %q\n", cmd)
-			usage()
-			code = 2
-			break loop
+	defer func() {
+		if perr := stopProfiles(); perr != nil {
+			err = errors.Join(err, perr)
+		}
+	}()
+	for _, w := range words {
+		c := lookup(w)
+		if c == nil {
+			return usagef("unknown command %q (have %s)", w, commandNames(false))
+		}
+		if err := c.run(o); err != nil {
+			return fmt.Errorf("%s: %w", w, err)
 		}
 	}
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
+	return nil
+}
+
+// usage prints the command table and every flag.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintln(w, "usage: duetsim [flags] command...")
+	fmt.Fprintln(w, "\nCommands:")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	for _, c := range commands {
+		fmt.Fprintf(tw, "  %s\t%s\n", c.name, c.summary)
 	}
-	if err := closeOut(); err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: -out: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	if jsonFailed && code == 0 {
-		code = 1
-	}
-	if code != 0 {
-		os.Exit(code)
-	}
+	tw.Flush()
+	fmt.Fprintf(w, "\n-json takes exactly one sweep command: %s\n", commandNames(true))
+	fmt.Fprintln(w, "\nFlags (global: before, between or after the command words):")
+	fs.PrintDefaults()
 }
 
 // parseJobs parses the -jobs count: a plain integer, an integer or
@@ -416,6 +438,20 @@ func checkPoolFlags(efpgas, shards, softCPUs int) error {
 	return nil
 }
 
+// parseRepairDelay converts -repairdelay from simulated microseconds. A
+// negative delay would be ignored and one past sim.Forever would wrap
+// negative, so both are refused.
+func parseRepairDelay(s string) (sim.Time, error) {
+	us, err := strconv.ParseInt(s, 0, 64)
+	if err != nil {
+		return 0, fmt.Errorf("cannot parse %q as microseconds", s)
+	}
+	if maxUS := int64(sim.Forever / sim.US); us < 0 || us > maxUS {
+		return 0, fmt.Errorf("repair delay %dus is outside [0, %d]", us, maxUS)
+	}
+	return sim.Time(us) * sim.US, nil
+}
+
 // samePath reports whether two paths name the same file: equal after
 // cleaning, or resolving (via Stat) to the same inode — so "./x" vs "x"
 // and symlinked spellings are both caught. Stat failures (e.g. the
@@ -465,37 +501,24 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: duetsim [-quick] [-seed N] [-jobs N|250M|1e9] [-efpgas N] [-shards N] [-parallel N] [-json] [-stats exact|stream] [-backend cycle|model|hybrid] [-softcpus N] [-windows N] [-progress] [-lookahead N] [-scenario S] [-out F] [-in F] [-csv] [-tolerance F] [-cpuprofile F] [-memprofile F] {table1|table2|fig9|fig10|fig11|fig12|ablate|study|serve|cluster|xval|chaos|report|daemon|loadgen|all}...")
-	fmt.Fprintln(os.Stderr, "  daemon flags: [-listen A] [-policy P] [-queuecap N] [-maxinflight N] [-timescale F] [-windowms F] [-backend ...] [-efpgas N] [-softcpus N] [-wedgeprob F] [-retries N] [-faultseed N] [-repairdelay N] [-domains S]")
-	fmt.Fprintln(os.Stderr, "  chaos flags: [-scenario S|all] [-list] [-repairdelay N] [-domains S] [-parallel N] [-backend cycle|model] [-json]")
-	fmt.Fprintln(os.Stderr, "  loadgen flags: [-target URL] [-mode closed|open] [-concurrency N] [-rate F] [-duration D] [-requests N] [-apps A,B] [-tenants a:3,b:1] [-timeout D] [-seed N] [-json]")
-}
-
 func header(title string) {
 	fmt.Printf("\n=== %s ===\n\n", title)
 }
-
-// jsonFailed records a marshal failure so main can exit nonzero after
-// the profile flush (no os.Exit here: profiles are flushed on every
-// exit path, including command errors).
-var jsonFailed bool
 
 // emitJSON prints one machine-readable document for a command. Field
 // order tracks struct declaration order and enums marshal as their
 // String names, so the bytes are stable per (flags, seed) — the contract
 // the CI determinism job diffs across -parallel widths.
-func emitJSON(v any) {
+func emitJSON(v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "duetsim: -json: %v\n", err)
-		jsonFailed = true
-		return
+		return fmt.Errorf("-json: %w", err)
 	}
-	os.Stdout.Write(append(b, '\n'))
+	_, err = os.Stdout.Write(append(b, '\n'))
+	return err
 }
 
-func table1() {
+func table1(*options) error {
 	header("Table I: Area and Typical Frequency of Dolly Components (published data + linear scaling model)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Component\tTechnology\tArea (mm2)\tFreq (MHz)\tScaled Area*\tScaled Freq*")
@@ -505,9 +528,10 @@ func table1() {
 	}
 	w.Flush()
 	fmt.Println("* scaled to 45 nm with a linear MOSFET scaling model")
+	return nil
 }
 
-func table2() {
+func table2(*options) error {
 	header("Table II: Clock Frequency and Area of Soft Accelerators (synthesis cost model vs paper)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tFmax model\tFmax paper\tNormArea model\tNormArea paper\tCLB model\tCLB paper\tBRAM model\tBRAM paper")
@@ -519,19 +543,20 @@ func table2() {
 	}
 	w.Flush()
 	fmt.Println("(Yosys/VTR/Catapult replaced by the calibrated cost model in internal/efpga/synth.go)")
+	return nil
 }
 
 var fig9Freqs = []float64{100, 200, 500}
 
-func fig9(parallel int, jsonOut bool) {
-	rows := workload.Fig9P(parallel, fig9Freqs)
-	if jsonOut {
-		emitJSON(struct {
+func fig9(o *options) error {
+	rows := workload.Fig9P(o.parallel, fig9Freqs)
+	if o.json {
+		return emitJSON(struct {
 			Fig9 []workload.Fig9Row `json:"fig9"`
 		}{rows})
-		return
 	}
 	printFig9(rows)
+	return nil
 }
 
 func printFig9(rows []workload.Fig9Row) {
@@ -550,15 +575,15 @@ func printFig9(rows []workload.Fig9Row) {
 
 var fig10Freqs = []float64{20, 50, 100, 200, 500}
 
-func fig10(parallel int, jsonOut bool) {
-	rows := workload.Fig10P(parallel, fig10Freqs)
-	if jsonOut {
-		emitJSON(struct {
+func fig10(o *options) error {
+	rows := workload.Fig10P(o.parallel, fig10Freqs)
+	if o.json {
+		return emitJSON(struct {
 			Fig10 []workload.Fig10Row `json:"fig10"`
 		}{rows})
-		return
 	}
 	printFig10(rows, fig10Freqs)
+	return nil
 }
 
 func printFig10(rows []workload.Fig10Row, freqs []float64) {
@@ -583,15 +608,15 @@ func printFig10(rows []workload.Fig10Row, freqs []float64) {
 
 var fig11Counts = []int{1, 2, 4, 8, 16}
 
-func fig11(parallel int, jsonOut bool) {
-	rows := workload.Fig11P(parallel, fig11Counts)
-	if jsonOut {
-		emitJSON(struct {
+func fig11(o *options) error {
+	rows := workload.Fig11P(o.parallel, fig11Counts)
+	if o.json {
+		return emitJSON(struct {
 			Fig11 []workload.Fig11Row `json:"fig11"`
 		}{rows})
-		return
 	}
 	printFig11(rows, fig11Counts)
+	return nil
 }
 
 func printFig11(rows []workload.Fig11Row, counts []int) {
@@ -616,11 +641,11 @@ func printFig11(rows []workload.Fig11Row, counts []int) {
 // studyCmd sweeps every figure and ablation grid through one study pool
 // and reports the combined results — the machine-readable regeneration
 // target the CI determinism job diffs across -parallel widths.
-func studyCmd(parallel int, quick, jsonOut bool) {
+func studyCmd(o *options) error {
 	fig9F, fig10F := []float64{100, 500}, []float64{50, 200}
 	counts := []int{1, 4, 8}
 	windows, stages := []int{1, 2, 4, 8}, []int{2, 3, 4}
-	if quick {
+	if o.quick {
 		fig9F, fig10F = []float64{100}, []float64{100}
 		counts = []int{1, 8}
 		windows, stages = []int{1, 8}, []int{2, 4}
@@ -631,25 +656,25 @@ func studyCmd(parallel int, quick, jsonOut bool) {
 		Fig11    []workload.Fig11Row     `json:"fig11"`
 		Ablation workload.AblationResult `json:"ablation"`
 	}{
-		Fig9:     workload.Fig9P(parallel, fig9F),
-		Fig10:    workload.Fig10P(parallel, fig10F),
-		Fig11:    workload.Fig11P(parallel, counts),
-		Ablation: workload.Ablation(parallel, windows, stages, 100),
+		Fig9:     workload.Fig9P(o.parallel, fig9F),
+		Fig10:    workload.Fig10P(o.parallel, fig10F),
+		Fig11:    workload.Fig11P(o.parallel, counts),
+		Ablation: workload.Ablation(o.parallel, windows, stages, 100),
 	}
-	if jsonOut {
-		emitJSON(doc)
-		return
+	if o.json {
+		return emitJSON(doc)
 	}
 	printFig9(doc.Fig9)
 	printFig10(doc.Fig10, fig10F)
 	printFig11(doc.Fig11, counts)
 	printAblation(doc.Ablation)
+	return nil
 }
 
-func fig12(quick bool) {
+func fig12(o *options) error {
 	header("Fig. 12: Application Benchmark Speedup and ADP (normalized to processor-only)")
 	benches := apps.All()
-	if quick {
+	if o.quick {
 		benches = benches[:7] // single-and-4-core benchmarks only
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -669,6 +694,7 @@ func fig12(quick bool) {
 	sd, sf, ad, af := apps.Geomeans(rows)
 	fmt.Printf("\nGeomean: Duet %.2fx, FPSoC %.2fx; ADP Duet %.2f, FPSoC %.2f\n", sd, sf, ad, af)
 	fmt.Println("Paper geomeans: Duet 4.53x, FPSoC 2.14x; ADP Duet 0.61, FPSoC 1.23.")
+	return nil
 }
 
 // servePolicies is the study's policy axis: the three classic policies,
@@ -682,28 +708,26 @@ func servePolicies(beMode workload.BackendMode) []sched.Policy {
 	return ps
 }
 
-func serve(parallel int, seed int64, jobs, efpgas int, mode sched.StatsMode, beMode workload.BackendMode, softCPUs, windows int, progress, jsonOut bool) {
-	policies := servePolicies(beMode)
-	prog, stopProgress := startProgress(progress, jobs*len(policies))
+func serve(o *options) error {
+	s := o.serve
+	policies := servePolicies(s.Backend)
+	prog, stopProgress := startProgress(o.progress, s.Jobs*len(policies))
 	defer stopProgress()
 	var cfgs []workload.ServeConfig
 	for _, p := range policies {
-		cfgs = append(cfgs, workload.ServeConfig{
-			Policy: p, Seed: seed, Jobs: jobs, EFPGAs: efpgas, Stats: mode,
-			Backend: beMode, SoftCPUs: softCPUs, Windows: windows,
-			Progress: prog,
-		})
+		cfg := s
+		cfg.Policy, cfg.Progress = p, prog
+		cfgs = append(cfgs, cfg)
 	}
-	results := workload.ServeStudy(parallel, cfgs)
+	results := workload.ServeStudy(o.parallel, cfgs)
 	stopProgress()
-	if jsonOut {
-		emitJSON(struct {
+	if o.json {
+		return emitJSON(struct {
 			Serve []workload.ServeResult `json:"serve"`
 		}{results})
-		return
 	}
 	header(fmt.Sprintf("Serve: multi-tenant accelerator-as-a-service (%d jobs, %d eFPGAs, seed %d, %s stats, %s backend)",
-		jobs, efpgas, seed, mode, beMode))
+		s.Jobs, s.EFPGAs, s.Seed, s.Stats, s.Backend))
 	fmt.Printf("App mix:")
 	for _, a := range workload.ServeApps {
 		fmt.Printf(" %s", a.Name)
@@ -725,12 +749,13 @@ func serve(parallel int, seed int64, jobs, efpgas int, mode sched.StatsMode, beM
 	}
 	w.Flush()
 	fmt.Println("Reuse-aware placement avoids reprogramming; output is byte-identical per seed.")
-	if windows > 0 {
+	if s.Windows > 0 {
 		fmt.Println("\nFlight recorder (worst windows per policy):")
 		for _, r := range results {
 			printWindowSummary(fmt.Sprintf("%v", r.Policy), r.Windows)
 		}
 	}
+	return nil
 }
 
 // clusterRow is the machine-readable projection of a ClusterResult: the
@@ -770,47 +795,35 @@ func toClusterRow(r workload.ClusterResult) clusterRow {
 	return row
 }
 
-func clusterCmd(parallel int, seed int64, jobs, efpgas, shards int, mode sched.StatsMode, beMode workload.BackendMode, softCPUs, windows int, progress bool, lookahead int, jsonOut bool) error {
+func clusterCmd(o *options) error {
+	s := o.serve
 	// The front-end x policy table: one independent cluster per cell,
 	// fanned out on the study pool (each cell spawns its own per-shard
 	// goroutines inside its slot).
-	// The flight recorder rides on the table cells only; the scaling
-	// sweep repeats the same scenario at growing shard counts, so its
-	// windows would only duplicate the table's series.
 	var cfgs []workload.ClusterConfig
 	for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
-		for _, p := range servePolicies(beMode) {
-			cfgs = append(cfgs, workload.ClusterConfig{
-				ServeConfig: workload.ServeConfig{
-					Policy: p, Seed: seed, Jobs: jobs, EFPGAs: efpgas, Stats: mode,
-					Backend: beMode, SoftCPUs: softCPUs, Windows: windows,
-				},
-				Shards:   shards,
-				FrontEnd: fe,
-				Handoff:  lookahead,
-			})
+		for _, p := range servePolicies(s.Backend) {
+			cfg := s
+			cfg.Policy = p
+			cfgs = append(cfgs, workload.ClusterConfig{ServeConfig: cfg, Shards: o.shards, FrontEnd: fe, Handoff: o.lookahead})
 		}
 	}
 	// The scaling sweep drives a saturating offered load (5us mean gap,
 	// deep admission queue): at the default gap one shard already keeps
 	// up with arrivals, so added capacity would only show up in latency.
+	// The flight recorder rides on the table cells only; the scaling
+	// sweep repeats the same scenario at growing shard counts, so its
+	// windows would only duplicate the table's series.
+	scale := s
+	scale.Policy, scale.MeanGapUS, scale.QueueCap, scale.Windows = sched.Affinity, 5, 1024, 0
 	var scaleCfgs []workload.ClusterConfig
-	for sh := 1; sh <= shards; sh *= 2 {
-		scaleCfgs = append(scaleCfgs, workload.ClusterConfig{
-			ServeConfig: workload.ServeConfig{
-				Policy: sched.Affinity, Seed: seed, Jobs: jobs, EFPGAs: efpgas,
-				MeanGapUS: 5, QueueCap: 1024, Stats: mode,
-				Backend: beMode, SoftCPUs: softCPUs,
-			},
-			Shards:   sh,
-			FrontEnd: cluster.LeastOutstanding,
-			Handoff:  lookahead,
-		})
+	for sh := 1; sh <= o.shards; sh *= 2 {
+		scaleCfgs = append(scaleCfgs, workload.ClusterConfig{ServeConfig: scale, Shards: sh, FrontEnd: cluster.LeastOutstanding, Handoff: o.lookahead})
 	}
 	// The Progress sink tallies arrival deliveries across every study
 	// point (hedge duplicates can push the count slightly past the
 	// nominal total); it never influences results.
-	prog, stopProgress := startProgress(progress, jobs*(len(cfgs)+len(scaleCfgs)))
+	prog, stopProgress := startProgress(o.progress, s.Jobs*(len(cfgs)+len(scaleCfgs)))
 	defer stopProgress()
 	for i := range cfgs {
 		cfgs[i].ServeConfig.Progress = prog
@@ -818,11 +831,11 @@ func clusterCmd(parallel int, seed int64, jobs, efpgas, shards int, mode sched.S
 	for i := range scaleCfgs {
 		scaleCfgs[i].ServeConfig.Progress = prog
 	}
-	table, err := workload.ClusterStudy(parallel, cfgs)
+	table, err := workload.ClusterStudy(o.parallel, cfgs)
 	if err != nil {
 		return err
 	}
-	scaling, err := workload.ClusterStudy(parallel, scaleCfgs)
+	scaling, err := workload.ClusterStudy(o.parallel, scaleCfgs)
 	if err != nil {
 		return err
 	}
@@ -836,20 +849,19 @@ func clusterCmd(parallel int, seed int64, jobs, efpgas, shards int, mode sched.S
 		})
 	}
 
-	if jsonOut {
+	if o.json {
 		var rows []clusterRow
 		for _, r := range table {
 			rows = append(rows, toClusterRow(r))
 		}
-		emitJSON(struct {
+		return emitJSON(struct {
 			Cluster []clusterRow `json:"cluster"`
 			Scaling []scalingRow `json:"scaling"`
 		}{rows, scaleRows})
-		return nil
 	}
 
 	header(fmt.Sprintf("Cluster: sharded serve farm (%d jobs, %d shards x %d eFPGAs, seed %d, %s stats, %s backend)",
-		jobs, shards, efpgas, seed, mode, beMode))
+		s.Jobs, o.shards, s.EFPGAs, s.Seed, s.Stats, s.Backend))
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Front end\tPolicy\tCompleted\tRejected\tThroughput\tp50\tp99\tMean wait\tReconfigs\tMissed DL\tShard jobs")
 	for _, r := range table {
@@ -876,7 +888,7 @@ func clusterCmd(parallel int, seed int64, jobs, efpgas, shards int, mode sched.S
 	w.Flush()
 	fmt.Println("Per (seed, shards, front end, policy) the table is byte-identical across runs;")
 	fmt.Println("a 1-shard cluster reproduces `duetsim serve` exactly.")
-	if windows > 0 {
+	if s.Windows > 0 {
 		fmt.Println("\nFlight recorder (worst windows per table cell):")
 		for _, r := range table {
 			printWindowSummary(fmt.Sprintf("%v/%v", r.FrontEnd, r.Policy), r.Windows)
@@ -902,21 +914,21 @@ func printWindowSummary(label string, rows []telemetry.WindowRow) {
 // bare series array, or report's own CSV — and prints each found series
 // as a per-window table with a worst-window summary. -csv re-emits the
 // series (exactly one must be present) in the stable CSV column order.
-func reportCmd(inPath string, csvOut bool) error {
+func reportCmd(o *options) error {
 	var data []byte
 	var err error
-	if inPath == "" {
+	if o.in == "" {
 		if data, err = io.ReadAll(os.Stdin); err != nil {
 			return fmt.Errorf("reading stdin: %w", err)
 		}
-	} else if data, err = os.ReadFile(inPath); err != nil {
+	} else if data, err = os.ReadFile(o.in); err != nil {
 		return err
 	}
 	found, err := telemetry.LoadSeries(data)
 	if err != nil {
 		return err
 	}
-	if csvOut {
+	if o.csv {
 		if len(found) != 1 {
 			paths := make([]string, len(found))
 			for i, fs := range found {
@@ -946,40 +958,52 @@ func reportCmd(inPath string, csvOut bool) error {
 	return nil
 }
 
+// errXValDiverged is xval's failing verdict, returned after the rows are
+// printed.
+var errXValDiverged = errors.New("model-vs-cycle divergence exceeds the tolerance")
+
 // xval runs the backend cross-validation study: the serve grid on the
 // cycle-level backend and on the analytic model backend, compared field
-// by field. Returns false (after printing the offending rows) when any
-// p50/p99 relative error exceeds the tolerance or the accounting
-// counters diverge — the CI gate for the model backend's calibration.
-func xval(parallel int, seed int64, jobs, efpgas int, mode sched.StatsMode, tolerance float64, jsonOut bool) bool {
+// by field. Returns errXValDiverged (after printing the offending rows)
+// when any p50/p99 relative error exceeds the tolerance or the
+// accounting counters diverge — the CI gate for the model backend's
+// calibration.
+func xval(o *options) error {
+	// CrossValidate sets each side's backend itself (ignoring -backend),
+	// and the grid fixes the soft-path pool and records no windows.
+	s := o.serve
+	s.SoftCPUs, s.Windows = 0, 0
 	var cfgs []workload.ServeConfig
-	for _, p := range []sched.Policy{sched.FIFO, sched.SJF, sched.Affinity} {
-		cfgs = append(cfgs, workload.ServeConfig{
-			Policy: p, Seed: seed, Jobs: jobs, EFPGAs: efpgas, Stats: mode,
-		})
+	for _, p := range []sched.Policy{sched.FIFO, sched.SJF, sched.Affinity, sched.Hybrid} {
+		cfg := s
+		cfg.Policy = p
+		if p == sched.Hybrid {
+			// A soft-path worker on both sides (hybrid Dolly vs analytic
+			// replica), so the gate covers the CPU spill path too.
+			cfg.SoftCPUs = 1
+		}
+		cfgs = append(cfgs, cfg)
 	}
-	// The hybrid row gets a soft-path worker on both sides (hybrid Dolly
-	// vs analytic replica), so the gate covers the CPU spill path too.
-	cfgs = append(cfgs, workload.ServeConfig{
-		Policy: sched.Hybrid, Seed: seed, Jobs: jobs, EFPGAs: efpgas, Stats: mode, SoftCPUs: 1,
-	})
-	rows := workload.CrossValidate(parallel, cfgs)
+	rows := workload.CrossValidate(o.parallel, cfgs)
 	ok := true
 	for _, r := range rows {
-		if !r.CountersMatch || r.P50RelErr > tolerance || r.P99RelErr > tolerance {
+		if !r.CountersMatch || r.P50RelErr > o.tolerance || r.P99RelErr > o.tolerance {
 			ok = false
 		}
 	}
-	if jsonOut {
-		emitJSON(struct {
+	if o.json {
+		err := emitJSON(struct {
 			XVal      []workload.XValRow `json:"xval"`
 			Tolerance float64            `json:"tolerance"`
 			Pass      bool               `json:"pass"`
-		}{rows, tolerance, ok})
-		return ok
+		}{rows, o.tolerance, ok})
+		if err == nil && !ok {
+			err = errXValDiverged
+		}
+		return err
 	}
 	header(fmt.Sprintf("XVal: model-vs-cycle backend cross-validation (%d jobs, %d eFPGAs, seed %d, %s stats, tolerance %.2f%%)",
-		jobs, efpgas, seed, mode, 100*tolerance))
+		s.Jobs, s.EFPGAs, s.Seed, s.Stats, 100*o.tolerance))
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Policy\tCycle p50\tModel p50\tp50 err\tCycle p99\tModel p99\tp99 err\tCounters")
 	for _, r := range rows {
@@ -992,18 +1016,13 @@ func xval(parallel int, seed int64, jobs, efpgas int, mode sched.StatsMode, tole
 			r.Cycle.P99, r.Model.P99, 100*r.P99RelErr, counters)
 	}
 	w.Flush()
-	if ok {
-		fmt.Println("PASS: the analytic model backend reproduces the cycle-level backend within tolerance.")
-	} else {
-		fmt.Printf("FAIL: model-vs-cycle divergence exceeds the %.2f%% tolerance.\n", 100*tolerance)
+	if !ok {
+		fmt.Printf("FAIL: model-vs-cycle divergence exceeds the %.2f%% tolerance.\n", 100*o.tolerance)
+		return errXValDiverged
 	}
-	return ok
+	fmt.Println("PASS: the analytic model backend reproduces the cycle-level backend within tolerance.")
+	return nil
 }
-
-// errUnknownScenario marks a -scenario value that names no chaos
-// scenario; main maps it to exit code 2 (usage error, not a run
-// failure) after printing the valid names.
-var errUnknownScenario = errors.New("unknown chaos scenario")
 
 // chaosCmd runs the named fault scenarios of the deterministic chaos
 // harness (internal/workload/chaos.go) and prints their outcome records.
@@ -1012,45 +1031,40 @@ var errUnknownScenario = errors.New("unknown chaos scenario")
 // selects the execution backend (the fault plan injects below the
 // Backend seam, so cycle and model runs produce identical outcomes —
 // the property the golden tests and the CI chaos-smoke job pin).
-func chaosCmd(parallel int, scenario string, list bool, repairDelayUS int64, domainsSpec string, beMode workload.BackendMode, jsonOut bool) error {
+func chaosCmd(o *options) error {
 	names := workload.ChaosScenarioNames()
-	if list {
-		if jsonOut {
-			emitJSON(struct {
+	if o.list {
+		if o.json {
+			return emitJSON(struct {
 				Scenarios []string `json:"scenarios"`
 			}{names})
-			return nil
 		}
 		for _, n := range names {
 			fmt.Println(n)
 		}
 		return nil
 	}
-	if scenario != "all" {
-		if !slices.Contains(names, scenario) {
-			return fmt.Errorf("%w %q (have %s)", errUnknownScenario, scenario, strings.Join(names, ", "))
+	if o.scenario != "all" {
+		if !slices.Contains(names, o.scenario) {
+			return usagef("unknown chaos scenario %q (have %s)", o.scenario, strings.Join(names, ", "))
 		}
-		names = []string{scenario}
+		names = []string{o.scenario}
 	}
-	ov := workload.ChaosOverride{RepairDelay: sim.Time(repairDelayUS) * sim.US}
-	if strings.TrimSpace(domainsSpec) != "" {
-		doms, err := faults.ParseDomains(domainsSpec)
-		if err != nil {
-			return err
-		}
-		ov.Domains = doms
-	}
-	results, err := workload.ChaosStudyOverride(parallel, names, beMode, ov)
+	doms, err := faults.ParseDomains(o.faults.domains)
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		emitJSON(struct {
+	ov := workload.ChaosOverride{RepairDelay: o.faults.repairDelay, Domains: doms}
+	results, err := workload.ChaosStudyOverride(o.parallel, names, o.serve.Backend, ov)
+	if err != nil {
+		return err
+	}
+	if o.json {
+		return emitJSON(struct {
 			Chaos []workload.ChaosResult `json:"chaos"`
 		}{results})
-		return nil
 	}
-	header(fmt.Sprintf("Chaos: deterministic fault scenarios (%s backend)", beMode))
+	header(fmt.Sprintf("Chaos: deterministic fault scenarios (%s backend)", o.serve.Backend))
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Scenario\tShards\tCompleted\tTimedOut\tUnavail\tWedges\tRetries\tQuar\tRepairs\tRerouted\tHedged\tGoodput\tAvail\tp99")
 	for _, r := range results {
@@ -1095,25 +1109,25 @@ func runPDESAblation() pdesRow {
 	}
 }
 
-func ablations(parallel int, jsonOut bool) {
-	res := workload.Ablation(parallel, nil, nil, 100)
+func ablations(o *options) error {
+	res := workload.Ablation(o.parallel, nil, nil, 100)
 	pdes := runPDESAblation()
-	if jsonOut {
-		emitJSON(struct {
+	if o.json {
+		return emitJSON(struct {
 			Ablation workload.AblationResult `json:"ablation"`
 			PDES     pdesRow                 `json:"speculative_pdes"`
 		}{res, pdes})
-		return
 	}
 	header("Ablations: design choices behind the headline results")
 	printAblation(res)
 	fmt.Println("Speculative PDES scheduler (paper §III-B2 extension; 8 cores, lookahead 1):")
 	if pdes.Error != "" {
 		fmt.Printf("  error: %s\n", pdes.Error)
-		return
+		return nil
 	}
 	fmt.Printf("  conservative %v, speculative %v (%.2fx; %d speculative releases, %d squashes)\n",
 		sim.Time(pdes.ConservativePS), sim.Time(pdes.SpeculativePS), pdes.Speedup, pdes.SpecReleased, pdes.Squashed)
+	return nil
 }
 
 func printAblation(res workload.AblationResult) {

@@ -1,9 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"duet/internal/workload"
 )
 
 // TestSamePath covers the -in/-out overlap guard: `-out F report -in F`
@@ -56,5 +64,143 @@ func TestCheckPoolFlags(t *testing.T) {
 		if err := checkPoolFlags(bad[0], bad[1], bad[2]); err == nil {
 			t.Fatalf("efpgas/shards/softcpus %v accepted", bad)
 		}
+	}
+}
+
+// TestParseJobs pins the documented -jobs forms and the values refused.
+func TestParseJobs(t *testing.T) {
+	for in, want := range map[string]int{
+		"240": 240, "2.5k": 2500, "250M": 250_000_000, "1G": 1_000_000_000,
+		"1B": 1_000_000_000, "1e9": 1_000_000_000, "0.5k": 500,
+	} {
+		if got, err := parseJobs(in); err != nil || got != want {
+			t.Errorf("parseJobs(%q) = (%d, %v), want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"0", "-1", "1.5", "", "k", "NaN", "Inf", "9223372036854775807k", "1e19"} {
+		if got, err := parseJobs(in); err == nil {
+			t.Errorf("parseJobs(%q) = %d, want an error", in, got)
+		}
+	}
+}
+
+// FuzzParseJobs: an accepted count is positive, and a plain integer
+// parses to itself.
+func FuzzParseJobs(f *testing.F) {
+	for _, s := range []string{"240", "2.5k", "250M", "1G", "1B", "1e9", "0.5k", "1.5", "NaN", "9223372036854775807k", "1e19"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseJobs(s)
+		if err != nil {
+			return
+		}
+		if got <= 0 {
+			t.Fatalf("parseJobs(%q) accepted nonpositive %d", s, got)
+		}
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil && int64(got) != n {
+			t.Fatalf("parseJobs(%q) = %d, want %d", s, got, n)
+		}
+	})
+}
+
+// runQuiet runs one command line in process with stderr captured, and
+// returns the exit code and what was printed there.
+func runQuiet(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout, stderr := os.Stdout, os.Stderr
+	os.Stderr = f
+	code := run(args)
+	os.Stderr = stderr
+	if os.Stdout != stdout {
+		t.Fatalf("run %q left os.Stdout redirected", args)
+	}
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(b)
+}
+
+// TestRunExitCodes drives the CLI in process: usage errors exit 2
+// before any command runs, and flags parse the same wherever they sit.
+func TestRunExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	series := filepath.Join(dir, "series.json")
+	if err := os.WriteFile(series, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{nil, 2},
+		{[]string{"-h"}, 0},
+		{[]string{"bogus"}, 2},
+		{[]string{"-json", "table1"}, 2},
+		{[]string{"-json", "fig9", "fig10"}, 2},
+		{[]string{"-out", series, "report", "-in", series}, 2},
+		{[]string{"-efpgas", "0", "serve"}, 2},
+		{[]string{"-jobs", "1.5", "serve"}, 2},
+		{[]string{"-backend", "quantum", "serve"}, 2},
+		{[]string{"-policy", "nope", "daemon"}, 2},
+		{[]string{"-scenario", "nope", "chaos"}, 2},
+		{[]string{"-repairdelay", "-1", "chaos"}, 2},
+		{[]string{"-repairdelay", "9223372036854775807", "chaos"}, 2},
+		{[]string{"chaos", "-nosuchflag"}, 2},
+	} {
+		if code, stderr := runQuiet(t, tc.args...); code != tc.code {
+			t.Errorf("run %q exit %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr)
+		}
+	}
+	if b, err := os.ReadFile(series); err != nil || string(b) != "keep" {
+		t.Errorf("-out truncated -in: %q, %v", b, err)
+	}
+
+	names := workload.ChaosScenarioNames()
+	list := filepath.Join(dir, "list.txt")
+	if code, stderr := runQuiet(t, "-out", list, "-list", "chaos"); code != 0 {
+		t.Fatalf("-list chaos exit %d; stderr:\n%s", code, stderr)
+	}
+	if b, _ := os.ReadFile(list); string(b) != strings.Join(names, "\n")+"\n" {
+		t.Errorf("-list chaos printed %q", b)
+	}
+	before, after := filepath.Join(dir, "before.json"), filepath.Join(dir, "after.json")
+	for _, args := range [][]string{
+		{"-json", "-list", "-out", before, "chaos"},
+		{"chaos", "-json", "-list", "-out", after},
+	} {
+		if code, stderr := runQuiet(t, args...); code != 0 {
+			t.Fatalf("run %q exit %d; stderr:\n%s", args, code, stderr)
+		}
+	}
+	b, _ := os.ReadFile(before)
+	var doc struct{ Scenarios []string }
+	if err := json.Unmarshal(b, &doc); err != nil || !slices.Equal(doc.Scenarios, names) {
+		t.Errorf("-json -list chaos = %s (%v), want scenarios %q", b, err, names)
+	}
+	if a, _ := os.ReadFile(after); string(a) != string(b) {
+		t.Errorf("flags after the command word printed %q, before it %q", a, b)
+	}
+}
+
+// TestREADMEUsage keeps README's usage block equal to `duetsim -h`.
+func TestREADMEUsage(t *testing.T) {
+	var buf bytes.Buffer
+	fs := flag.NewFlagSet("duetsim", flag.ContinueOnError)
+	newOptions(fs)
+	fs.SetOutput(&buf)
+	usage(fs)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(readme, buf.Bytes()) {
+		t.Errorf("README.md lacks the current `duetsim -h` output; paste it from `go run ./cmd/duetsim -h`:\n%s", buf.String())
 	}
 }

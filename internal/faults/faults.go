@@ -196,6 +196,11 @@ func ParseDomains(spec string) ([]Domain, error) {
 			if err1 != nil || err2 != nil || from < 0 || to <= from {
 				return nil, fmt.Errorf("faults: domain %q: bad window %q", name, w)
 			}
+			// A bound past sim.Forever would overflow sim.Time when
+			// scaled from microseconds.
+			if maxUS := int64(sim.Forever / sim.US); to > maxUS {
+				return nil, fmt.Errorf("faults: domain %q: window %q ends past %dus", name, w, maxUS)
+			}
 			d.Down = append(d.Down, sched.Downtime{From: sim.Time(from) * sim.US, To: sim.Time(to) * sim.US})
 		}
 		out = append(out, d)

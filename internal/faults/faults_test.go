@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -329,11 +330,47 @@ func TestParseDomains(t *testing.T) {
 	if got, err := ParseDomains("  "); err != nil || got != nil {
 		t.Errorf("blank spec = (%v, %v), want no domains", got, err)
 	}
-	for _, bad := range []string{"=0", "r0=", "r0=x", "r0=0@5", "r0=0@9-3", "r0=0~1.5", "r0=0~x"} {
-		if _, err := ParseDomains(bad); err == nil {
-			t.Errorf("spec %q parsed without error", bad)
+	for _, bad := range []string{"=0", "r0=", "r0=x", "r0=0@5", "r0=0@9-3", "r0=0~1.5", "r0=0~x",
+		// Bounds past sim.Forever once wrapped to negative times.
+		"r=0@0-9300000000000", "r=0@1-9223372036854775807", fmt.Sprintf("r=0@0-%d", sim.Forever/sim.US+1)} {
+		if got, err := ParseDomains(bad); err == nil {
+			t.Errorf("spec %q parsed without error: %+v", bad, got)
 		}
 	}
+	last := fmt.Sprintf("r=0@0-%d", sim.Forever/sim.US)
+	if got, err := ParseDomains(last); err != nil || got[0].Down[0].To != sim.Forever/sim.US*sim.US {
+		t.Errorf("spec %q = (%+v, %v), want a window ending at the last representable microsecond", last, got, err)
+	}
+}
+
+// FuzzParseDomains: whatever the spec, every window ParseDomains
+// returns is a nonempty interval at or after time zero, and every member
+// shard is a valid index.
+func FuzzParseDomains(f *testing.F) {
+	for _, seed := range []string{
+		"rack0=0+1@4000-9000; feedA=2@1000-2000,5000-6000~0.8",
+		"r=0@0-9300000000000", "r0=0@9-3", "r=3", "a=1;;b=2@1-2~0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		doms, err := ParseDomains(spec)
+		if err != nil {
+			return
+		}
+		for _, d := range doms {
+			for _, s := range d.Shards {
+				if s < 0 {
+					t.Fatalf("%q: domain %q has shard %d", spec, d.Name, s)
+				}
+			}
+			for _, w := range d.Down {
+				if w.From < 0 || w.From >= w.To {
+					t.Fatalf("%q: domain %q has window [%v, %v)", spec, d.Name, w.From, w.To)
+				}
+			}
+		}
+	})
 }
 
 // TestDownForMergesDomains: a shard's effective schedule is its own

@@ -213,14 +213,18 @@ func TestDigestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsModeNames pins the -stats flag surface: every mode
+// round-trips through its text form and unknown names are refused.
 func TestStatsModeNames(t *testing.T) {
 	for m := StatsMode(0); m < NumStatsModes; m++ {
-		got, err := StatsModeByName(m.String())
-		if err != nil || got != m {
-			t.Fatalf("round trip %v: got %v err %v", m, got, err)
+		text, err := m.MarshalText()
+		var got StatsMode
+		if err != nil || string(text) != m.String() || got.UnmarshalText(text) != nil || got != m {
+			t.Fatalf("round trip %v: text %q err %v, got %v", m, text, err, got)
 		}
 	}
-	if _, err := StatsModeByName("nonesuch"); err == nil {
-		t.Fatal("bogus stats mode parsed")
+	got := StatsStreaming
+	if err := got.UnmarshalText([]byte("nonesuch")); err == nil || got != StatsStreaming {
+		t.Fatalf("bogus stats mode parsed: err %v, mode now %v", err, got)
 	}
 }

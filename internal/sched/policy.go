@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"duet/internal/sim"
@@ -43,18 +42,19 @@ func (p Policy) String() string {
 	return names[p]
 }
 
-// MarshalJSON encodes the policy as its String name, so machine-readable
+// MarshalText encodes the policy as its String name, so machine-readable
 // study output stays self-describing and stable across enum reorderings.
-func (p Policy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// PolicyByName parses a policy name as printed by String.
-func PolicyByName(name string) (Policy, error) {
-	for p := Policy(0); p < NumPolicies; p++ {
-		if p.String() == name {
-			return p, nil
+// UnmarshalText parses a policy name as printed by String.
+func (p *Policy) UnmarshalText(name []byte) error {
+	for q := Policy(0); q < NumPolicies; q++ {
+		if q.String() == string(name) {
+			*p = q
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("sched: unknown policy %q", name)
+	return fmt.Errorf("sched: unknown policy %q", name)
 }
 
 // pick applies the configured policy: it returns the chosen idle worker

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"duet"
@@ -183,18 +184,25 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestPolicyNames pins the policy's text form: the -policy flag parses
+// it, and JSON output carries it as a quoted name.
 func TestPolicyNames(t *testing.T) {
 	for p := sched.Policy(0); p < sched.NumPolicies; p++ {
-		got, err := sched.PolicyByName(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v err %v", p, got, err)
+		text, err := p.MarshalText()
+		var got sched.Policy
+		if err != nil || string(text) != p.String() || got.UnmarshalText(text) != nil || got != p {
+			t.Fatalf("round trip %v: text %q err %v, got %v", p, text, err, got)
+		}
+		if b, err := json.Marshal(p); err != nil || string(b) != `"`+p.String()+`"` {
+			t.Fatalf("JSON of %v = %s, %v", p, b, err)
 		}
 	}
 	if sched.Policy(99).String() != "unknown" {
 		t.Fatalf("out-of-range policy prints %q", sched.Policy(99).String())
 	}
-	if _, err := sched.PolicyByName("nonesuch"); err == nil {
-		t.Fatal("bogus policy name parsed")
+	got := sched.SJF
+	if err := got.UnmarshalText([]byte("nonesuch")); err == nil || got != sched.SJF {
+		t.Fatalf("bogus policy name parsed: err %v, policy now %v", err, got)
 	}
 }
 

@@ -37,14 +37,18 @@ func (m StatsMode) String() string {
 	return names[m]
 }
 
-// StatsModeByName parses a stats mode as printed by String.
-func StatsModeByName(name string) (StatsMode, error) {
-	for m := StatsMode(0); m < NumStatsModes; m++ {
-		if m.String() == name {
-			return m, nil
+// MarshalText encodes the mode as its String name.
+func (m StatsMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a stats mode as printed by String.
+func (m *StatsMode) UnmarshalText(name []byte) error {
+	for n := StatsMode(0); n < NumStatsModes; n++ {
+		if n.String() == string(name) {
+			*m = n
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("sched: unknown stats mode %q", name)
+	return fmt.Errorf("sched: unknown stats mode %q", name)
 }
 
 // aggregate is the streaming-mode replacement for the per-job ledgers:

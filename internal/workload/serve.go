@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"duet"
@@ -51,18 +50,19 @@ func (m BackendMode) String() string {
 	return names[m]
 }
 
-// MarshalJSON encodes the mode as its String name for machine-readable
+// MarshalText encodes the mode as its String name for machine-readable
 // study output.
-func (m BackendMode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
+func (m BackendMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// BackendModeByName parses a backend mode as printed by String.
-func BackendModeByName(name string) (BackendMode, error) {
-	for m := BackendMode(0); m < NumBackendModes; m++ {
-		if m.String() == name {
-			return m, nil
+// UnmarshalText parses a backend mode as printed by String.
+func (m *BackendMode) UnmarshalText(name []byte) error {
+	for n := BackendMode(0); n < NumBackendModes; n++ {
+		if n.String() == string(name) {
+			*m = n
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("workload: unknown backend %q", name)
+	return fmt.Errorf("workload: unknown backend %q", name)
 }
 
 // ServeConfig parameterizes one serve run.

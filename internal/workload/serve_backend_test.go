@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -171,15 +172,21 @@ func TestHeterogeneousClusterShards(t *testing.T) {
 	}
 }
 
-// TestBackendModeNames pins the flag surface of -backend.
+// TestBackendModeNames pins the flag surface of -backend and the mode's
+// JSON form, a quoted name.
 func TestBackendModeNames(t *testing.T) {
 	for m := BackendMode(0); m < NumBackendModes; m++ {
-		got, err := BackendModeByName(m.String())
-		if err != nil || got != m {
-			t.Fatalf("round trip %v: %v %v", m, got, err)
+		text, err := m.MarshalText()
+		var got BackendMode
+		if err != nil || string(text) != m.String() || got.UnmarshalText(text) != nil || got != m {
+			t.Fatalf("round trip %v: text %q err %v, got %v", m, text, err, got)
+		}
+		if b, err := json.Marshal(m); err != nil || string(b) != `"`+m.String()+`"` {
+			t.Fatalf("JSON of %v = %s, %v", m, b, err)
 		}
 	}
-	if _, err := BackendModeByName("quantum"); err == nil {
-		t.Fatal("bogus backend name parsed")
+	got := BackendHybrid
+	if err := got.UnmarshalText([]byte("quantum")); err == nil || got != BackendHybrid {
+		t.Fatalf("bogus backend name parsed: err %v, mode now %v", err, got)
 	}
 }
