@@ -47,6 +47,7 @@ func main() {
 			{Kind: core.RegFIFOToCPU},
 		},
 	})
+	defer sys.Close()
 	addr := sys.Alloc(64)
 	bs := efpga.Synthesize(efpga.Design{Name: "buggy", LUTLogic: 80, RegBits: 64, PipelineDepth: 3},
 		func() efpga.Accelerator { return &buggyAccel{addr: addr} })

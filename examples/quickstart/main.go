@@ -49,6 +49,7 @@ func main() {
 			{Kind: core.RegFIFOToCPU},  // result FIFO
 		},
 	})
+	defer sys.Close()
 
 	cAddr := sys.Alloc(64)
 	bs := efpga.Synthesize(efpga.Design{

@@ -217,6 +217,7 @@ func RunBarnesHut(v Variant, cfg BHConfig) Result {
 		sysCfg.MemHubs = 1
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	rng := newRNG(cfg.Seed)
 	bodies := make([]bhBody, cfg.Particles)

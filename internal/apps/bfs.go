@@ -70,6 +70,7 @@ func RunBFS(v Variant, cfg BFSConfig) Result {
 		sysCfg.MemHubs = 0
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	g := genGraph(cfg.Nodes, cfg.AvgDegree, cfg.Seed, true)
 	n := cfg.Nodes

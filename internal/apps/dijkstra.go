@@ -137,6 +137,7 @@ func RunDijkstra(v Variant, cfg DijkstraConfig) Result {
 		sysCfg.MemHubs = memHubs
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	g := genGraph(cfg.Nodes, cfg.AvgDegree, cfg.Seed, false)
 	n := cfg.Nodes

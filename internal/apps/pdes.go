@@ -101,6 +101,7 @@ func RunPDES(v Variant, cfg PDESConfig) Result {
 		sysCfg.MemHubs = 1
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	initial := pdesInitial(cfg)
 	wantCount := refPDESCount(cfg)

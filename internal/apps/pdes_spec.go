@@ -89,6 +89,7 @@ func RunPDESSpec(cfg PDESSpecConfig) (Result, *accel.PDESSpec) {
 	}
 	regs = append(regs, core.SoftRegSpec{Kind: core.RegPlain}) // entity base
 	sys := duet.New(duet.Config{Cores: cfg.Cores, MemHubs: 1, Style: duet.StyleDuet, RegSpecs: regs})
+	defer sys.Close()
 
 	rng := newRNG(cfg.Seed)
 	initial := make([]uint64, cfg.Population)

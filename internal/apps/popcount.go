@@ -43,6 +43,7 @@ func RunPopcount(v Variant, cfg PopcountConfig) Result {
 		sysCfg.MemHubs = memHubs
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	rng := newRNG(cfg.Seed)
 	vecs := sys.Alloc(cfg.Vectors * accel.PopVectorBytes)

@@ -43,6 +43,7 @@ func RunSort(v Variant, cfg SortConfig) Result {
 		sysCfg.MemHubs = memHubs
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	rng := newRNG(cfg.Seed)
 	inputs := make([][]uint32, cfg.Rounds)

@@ -51,6 +51,7 @@ func RunTangent(v Variant, cfg TangentConfig) Result {
 		sysCfg.MemHubs = memHubs
 	}
 	sys := duet.New(sysCfg)
+	defer sys.Close()
 
 	in := sys.Alloc(cfg.Calls * 8)
 	out := sys.Alloc(cfg.Calls * 8)

@@ -87,8 +87,11 @@ func (r *EngineReplica) Workers() int { return r.Sch.Workers() }
 // PlayStream drives the engine through Drive: before each arrival the
 // engine executes every event strictly before the arrival instant
 // (RunBefore), so the calendar holds only in-flight completion chains,
-// never O(jobs) pre-scheduled arrival events.
+// never O(jobs) pre-scheduled arrival events. The replica is played once:
+// after the final drain PlayStream closes the engine, releasing its
+// parked simulation threads.
 func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
+	defer r.Eng.Close()
 	advance := func(t sim.Time) { r.Eng.RunBefore(t) }
 	return Drive(feed, r.Sch, r.Rec, r.DiscardSamples, advance, r.Run)
 }

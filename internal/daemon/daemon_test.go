@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -369,6 +371,47 @@ func TestDrainIdempotent(t *testing.T) {
 	s.Drain()
 	if !s.Draining() {
 		t.Fatal("server not draining after Drain")
+	}
+}
+
+// TestCycleDrainReleasesSystem: on the cycle backend, concurrent
+// requests resume the system's simulation threads from whichever request
+// goroutine holds the lock, and Drain, the daemon's shutdown, retires
+// every job and then releases those threads.
+func TestCycleDrainReleasesSystem(t *testing.T) {
+	before := runtime.NumGoroutine()
+	clock := &FakeClock{}
+	s, err := NewServer(Config{Backend: workload.BackendCycle, EFPGAs: 2, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 4, 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				clock.Advance(20 * time.Microsecond)
+				if out := s.Submit(JobRequest{App: "Tangent", InputSize: 8}); out.Code != Admitted {
+					t.Errorf("submission: code %d, want admitted", out.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Drain()
+	if st := s.Stats(); st.Completed != clients*perClient {
+		t.Fatalf("completed %d after drain, want %d", st.Completed, clients*perClient)
+	}
+	// The client goroutines may still be exiting after wg.Wait; a parked
+	// thread never would.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the server, %d after Drain", before, after)
 	}
 }
 

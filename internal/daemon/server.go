@@ -80,12 +80,15 @@ type liveTimeline interface {
 }
 
 // engineTimeline adapts *sim.Engine (whose RunUntil returns an event
-// count) to the liveTimeline seam.
+// count) to the liveTimeline seam. Drain is the daemon's shutdown, so
+// after running the engine to quiescence it closes it, releasing the
+// system's parked simulation threads; the closed engine still answers
+// Now and RunUntil for read-backs after the drain.
 type engineTimeline struct{ eng *sim.Engine }
 
 func (t engineTimeline) Now() sim.Time        { return t.eng.Now() }
 func (t engineTimeline) RunUntil(at sim.Time) { t.eng.RunUntil(at) }
-func (t engineTimeline) Drain()               { t.eng.Run(0) }
+func (t engineTimeline) Drain()               { t.eng.Run(0); t.eng.Close() }
 func (t engineTimeline) AfterArg(d sim.Time, fn func(any), arg any) {
 	t.eng.AfterArg(d, fn, arg)
 }

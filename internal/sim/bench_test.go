@@ -72,8 +72,9 @@ func BenchmarkEngineClockTicks(b *testing.B) {
 
 // BenchmarkThreadPingPong measures the thread wakeup path: two coroutine
 // threads handing control back and forth through a pair of conditions.
-// Each round trip is two parks, two wakeup events, and four goroutine
-// handoffs; the scheduling side of it must not allocate.
+// Each round trip is two parks, two wakeup events, and four coroutine
+// switches; it must not allocate (only each op's engine and thread set-up
+// does).
 func BenchmarkThreadPingPong(b *testing.B) {
 	const rounds = 512
 	b.ReportAllocs()

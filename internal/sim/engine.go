@@ -4,9 +4,12 @@
 // Time is measured in integer picoseconds (Time). Components schedule
 // callbacks on an Engine; clocked components derive edge times from Clock.
 // Sequential "programs" (processor software, behavioural accelerator models)
-// run as Threads: goroutines that are resumed one at a time by the engine,
-// which keeps the simulation fully deterministic while letting benchmark
-// code be written as ordinary straight-line Go.
+// run as Threads: runtime coroutines (iter.Pull) that the engine resumes one
+// at a time, which keeps the simulation fully deterministic while letting
+// benchmark code be written as ordinary straight-line Go. A resume or park
+// is a direct coroutine switch that bypasses the Go scheduler, and a panic
+// in a thread surfaces from the Run call that resumed it. Engine.Close
+// stops the threads still parked when a simulation is discarded.
 //
 // The event queue is a calendar of per-timestamp buckets ordered by a
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule
@@ -105,8 +108,10 @@ type Engine struct {
 	// every thread is parked but no events remain.
 	liveThreads int
 
-	// pool holds idle coroutine workers for reuse by Go; see worker.
-	pool []*worker
+	// pool holds idle coroutine workers for reuse by Go; workers holds
+	// every worker not yet stopped, pooled or running a thread (Close).
+	pool    []*worker
+	workers []*worker
 }
 
 // NewEngine returns an empty engine at time zero.

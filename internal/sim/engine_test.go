@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -439,16 +442,12 @@ func TestThreadInterleavingDeterminism(t *testing.T) {
 		e.Run(0)
 		return log
 	}
-	first := run()
+	// Threads waking at one instant run in the order their wakeups were
+	// scheduled: at 2ns b (scheduled at 0) precedes a (scheduled at 1ns).
+	want := []string{"a", "b", "a", "c", "a", "d", "b", "c", "b", "d", "c", "d"}
 	for trial := 0; trial < 5; trial++ {
-		if got := run(); len(got) != len(first) {
-			t.Fatal("nondeterministic length")
-		} else {
-			for i := range got {
-				if got[i] != first[i] {
-					t.Fatalf("nondeterministic interleaving: %v vs %v", got, first)
-				}
-			}
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: interleaving = %q, want %q", trial, got, want)
 		}
 	}
 }
@@ -523,12 +522,74 @@ func TestDeadlockedThreadDetectable(t *testing.T) {
 	if e.LiveThreads() != 1 {
 		t.Fatalf("expected 1 live (deadlocked) thread, got %d", e.LiveThreads())
 	}
-	// Wake it so the goroutine exits cleanly.
+	// Wake it so the thread finishes.
 	c.Broadcast()
 	e.Run(0)
 	if e.LiveThreads() != 0 {
 		t.Fatal("thread did not drain")
 	}
+}
+
+func TestCloseReleasesParkedThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	c := NewCond(e)
+	unwound := false
+	stuck := e.Go("stuck", func(th *Thread) {
+		defer func() { unwound = true }()
+		for {
+			c.Wait(th) // never signalled
+		}
+	})
+	brief := func(th *Thread) { th.Sleep(NS) }
+	for i := 0; i < 3; i++ {
+		e.Go("brief", brief)
+	}
+	e.Run(0)
+	// RunBefore keeps the finished threads' workers pooled and idle.
+	for i := 0; i < 3; i++ {
+		e.Go("brief", brief)
+	}
+	e.RunBefore(e.Now() + 10*NS)
+	ran := false
+	late := e.Go("late", func(*Thread) { ran = true }) // takes a pooled worker
+	if e.LiveThreads() != 2 || len(e.pool) != 2 {
+		t.Fatalf("before Close: live threads %d, idle workers %d; want 2 and 2", e.LiveThreads(), len(e.pool))
+	}
+
+	e.Close()
+	if !unwound || !stuck.Done() {
+		t.Fatalf("parked thread not unwound: deferred call ran %v, done %v", unwound, stuck.Done())
+	}
+	if ran || !late.Done() {
+		t.Fatalf("undispatched thread: ran %v, done %v; want false, true", ran, late.Done())
+	}
+	if e.LiveThreads() != 0 {
+		t.Fatalf("live threads after Close = %d", e.LiveThreads())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the engine, %d after Close", before, after)
+	}
+	e.Run(0) // the late thread's queued wakeup is dropped
+	e.Close()
+}
+
+func TestThreadPanicReachesRun(t *testing.T) {
+	boom := errors.New("boom")
+	e := NewEngine()
+	defer e.Close()
+	e.Go("fine", func(th *Thread) { th.Sleep(5 * NS) })
+	e.Go("bad", func(th *Thread) {
+		th.Sleep(NS)
+		panic(boom)
+	})
+	defer func() {
+		if r := recover(); r != boom {
+			t.Fatalf("Run panicked with %v, want %v", r, boom)
+		}
+	}()
+	e.Run(0)
+	t.Fatal("Run returned despite the thread panic")
 }
 
 func TestTXBreakdown(t *testing.T) {

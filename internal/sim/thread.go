@@ -1,10 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
-// Thread is a deterministic coroutine: a goroutine that the engine resumes
-// one at a time. At any instant at most one thread (or event callback) is
-// executing, so models need no locking and simulations are reproducible.
+// Thread is a simulation thread: a runtime coroutine (iter.Pull) that the
+// engine resumes one at a time. At any instant at most one thread (or
+// event callback) is executing, so models need no locking and simulations
+// are reproducible.
 //
 // Thread code interacts with simulated time only through the blocking
 // methods (Sleep, WaitUntil, park via Cond/queues). All wakeups are routed
@@ -14,8 +19,7 @@ import "fmt"
 type Thread struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	yield  chan struct{}
+	w      *worker // the coroutine running this thread
 	parked bool
 	done   bool
 	wake   Event // pre-built dispatch record; see Engine.AtEvent
@@ -24,33 +28,54 @@ type Thread struct {
 // dispatchThread is the shared trampoline behind every thread wakeup event.
 func dispatchThread(a any) { a.(*Thread).dispatch() }
 
-// worker is a pooled coroutine: a goroutine and its channel pair, reused
-// across finished threads so models that spawn threads per transaction
-// (e.g. the coherence homes) pay the goroutine and channel setup once.
-// All pool accesses happen in simulation context — at most one thread or
-// callback runs at a time — so the pool needs no locking, and every
-// cross-goroutine access is ordered by the resume/yield handoffs.
+// worker is a pooled coroutine, reused across finished threads so models
+// that spawn threads per transaction (e.g. the coherence homes) pay the
+// coroutine setup once. next resumes the coroutine and returns when it
+// yields; yield, called from inside it, switches back to whoever called
+// next. A switch is a direct goroutine hand-off that never passes through
+// the Go scheduler. All pool accesses happen in simulation context — at
+// most one thread or callback runs at a time — so the pool needs no
+// locking.
 type worker struct {
-	resume chan struct{}
-	yield  chan struct{}
-	t      *Thread // thread to run next; nil tells the loop to exit
-	fn     func(*Thread)
+	eng   *Engine
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	t     *Thread // thread assigned to this worker; nil while pooled
+	fn    func(*Thread)
 }
 
-func (w *worker) loop(e *Engine) {
-	for {
-		<-w.resume
-		if w.t == nil {
-			return // reaped: the engine drained its queue
+// threadClosed is the private panic value that unwinds a parked thread
+// when its engine is closed: park raises it, the worker's loop recovers it.
+type threadClosed struct{}
+
+// loop is the worker's pulled sequence: it runs one assigned thread after
+// another, yielding between them while pooled, and returns once stopped.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(threadClosed); !ok {
+				panic(r) // a model panic: re-raise it to the caller of next
+			}
+			w.retire()
 		}
-		t, fn := w.t, w.fn
-		w.t, w.fn = nil, nil
-		fn(t)
-		t.done = true
-		e.liveThreads--
-		e.pool = append(e.pool, w)
-		t.yield <- struct{}{}
+	}()
+	for {
+		w.fn(w.t)
+		w.retire()
+		w.eng.pool = append(w.eng.pool, w)
+		if !yield(struct{}{}) {
+			return // reaped or closed while pooled
+		}
 	}
+}
+
+// retire marks the worker's thread finished.
+func (w *worker) retire() {
+	w.t.done = true
+	w.eng.liveThreads--
+	w.t, w.fn = nil, nil
 }
 
 // Go spawns fn as a new simulation thread named name. The thread begins
@@ -62,19 +87,11 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		w = &worker{
-			resume: make(chan struct{}),
-			yield:  make(chan struct{}),
-		}
-		go w.loop(e)
+		w = &worker{eng: e}
+		w.next, w.stop = iter.Pull(w.loop)
+		e.workers = append(e.workers, w)
 	}
-	t := &Thread{
-		eng:    e,
-		name:   name,
-		resume: w.resume,
-		yield:  w.yield,
-		parked: true,
-	}
+	t := &Thread{eng: e, name: name, w: w, parked: true}
 	t.wake = Event{Fn: dispatchThread, Arg: t}
 	w.t, w.fn = t, fn
 	e.liveThreads++
@@ -82,43 +99,68 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 	return t
 }
 
-// reapWorkers shuts down the idle pooled coroutines. Run and RunUntil call
-// it on every return — however the run ended — so a discarded engine leaks
-// no goroutines and pooling never outlives the run that benefited from it
-// (workers of deadlocked threads are mid-function and stay, exactly like
-// the unpooled design). Spawns after the reap simply start fresh workers.
+// reapWorkers stops the idle pooled coroutines. Run and RunUntil call it
+// on every return — however the run ended — so pooling never outlives the
+// run that benefited from it. Workers of parked threads are mid-function
+// and stay until Close. Spawns after the reap simply start fresh workers.
 func (e *Engine) reapWorkers() {
+	if len(e.pool) == 0 {
+		return
+	}
 	for i, w := range e.pool {
-		w.resume <- struct{}{} // w.t == nil: the loop exits
+		w.stop()
 		e.pool[i] = nil
 	}
 	e.pool = e.pool[:0]
+	e.workers = slices.DeleteFunc(e.workers, func(w *worker) bool { return w.t == nil })
 }
 
-// dispatch resumes the thread from engine context and blocks until it parks
-// again or finishes. Spurious dispatches of a running or finished thread are
-// ignored.
+// Close stops every coroutine the engine still holds: idle pooled workers
+// and parked threads. A parked thread unwinds from its blocking call, so
+// its deferred calls run; a thread spawned but never dispatched is dropped
+// without running. Afterwards LiveThreads is 0 and nothing outside the
+// caller's references keeps the engine reachable. Call it once a
+// simulation's results have been read: its threads must not be resumed
+// again. A panic raised while a thread unwinds reaches the caller.
+func (e *Engine) Close() {
+	for n := len(e.workers); n > 0; n = len(e.workers) {
+		w := e.workers[n-1]
+		e.workers[n-1] = nil
+		e.workers = e.workers[:n-1]
+		w.stop()
+		if w.t != nil {
+			w.retire() // never started, or ended by a model panic
+		}
+	}
+	clear(e.pool)
+	e.pool = e.pool[:0]
+}
+
+// dispatch resumes the thread from engine context and returns once it
+// parks again or finishes. Spurious dispatches of a running or finished
+// thread are ignored. A panic in the thread function surfaces here, on
+// the engine's goroutine.
 func (t *Thread) dispatch() {
 	if !t.parked || t.done {
 		return
 	}
 	t.parked = false
-	t.resume <- struct{}{}
-	<-t.yield
+	t.w.next()
 }
 
 // park suspends the thread until the next dispatch. Must be called from the
-// thread's own goroutine.
+// thread itself. If the engine is closed meanwhile, park unwinds the thread.
 func (t *Thread) park() {
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	if !t.w.yield(struct{}{}) {
+		panic(threadClosed{})
+	}
 }
 
 // Park suspends the thread until another component wakes it (Wake, a Cond
 // signal, or a timed wakeup). As with Cond.Wait, callers re-check their
 // predicate in a loop: dispatches may be spurious. Must be called from the
-// thread's own goroutine.
+// thread itself.
 func (t *Thread) Park() { t.park() }
 
 // Wake schedules a dispatch of t at the current instant if t is parked —

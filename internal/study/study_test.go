@@ -1,11 +1,14 @@
 package study
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"duet/internal/sim"
 )
 
 func TestRunOrdersResultsByPoint(t *testing.T) {
@@ -77,6 +80,39 @@ func TestRunPanicPropagatesLowestIndex(t *testing.T) {
 				if i%4 == 3 {
 					panic("boom")
 				}
+				return i
+			})
+		}()
+	}
+}
+
+func TestRunPanicInSimThread(t *testing.T) {
+	// A panic inside a simulation thread surfaces from the point's
+	// Engine.Run on the point's own goroutine, so the lowest-index
+	// contract holds for model failures too, not only for panics in
+	// the point function itself.
+	for _, parallel := range []int{1, 4} {
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok {
+					t.Fatalf("parallel=%d: propagated panic = %v, want an error", parallel, r)
+				}
+				if want := "point 2 panicked: thread 2 failed"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("parallel=%d: propagated panic = %q, want it to contain %q", parallel, err, want)
+				}
+			}()
+			Run(parallel, 8, func(i int) int {
+				e := sim.NewEngine()
+				defer e.Close()
+				e.Go("model", func(th *sim.Thread) {
+					th.Sleep(sim.Time(8-i) * sim.NS)
+					if i >= 2 && i%2 == 0 {
+						panic(fmt.Sprintf("thread %d failed", i))
+					}
+				})
+				e.Run(0)
 				return i
 			})
 		}()

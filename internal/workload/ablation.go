@@ -78,6 +78,7 @@ func MeasureHubWindow(outstanding int, freqMHz float64) float64 {
 		Cores: 1, MemHubs: 1, Style: duet.StyleDuet,
 		RegSpecs: bwSpecs(false), FPGAFreqMHz: freqMHz,
 	})
+	defer sys.Close()
 	acc := &bwAccel{}
 	bs := efpga.Synthesize(efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3},
 		func() efpga.Accelerator { return acc })
@@ -117,6 +118,7 @@ func MeasureSyncStagesLatency(stages int, freqMHz float64) sim.Time {
 		FPGAFreqMHz: freqMHz,
 		SyncStages:  stages,
 	})
+	defer sys.Close()
 	bs := efpga.Synthesize(efpga.Design{Name: "reg", LUTLogic: 40, PipelineDepth: 2},
 		func() efpga.Accelerator { return accelNop{} })
 	sys.Fabric.MustRegister(bs)

@@ -123,6 +123,7 @@ func MeasureBandwidth(mech Mechanism, freqMHz float64) Fig10Row {
 		Cores: 1, MemHubs: 1, Style: style,
 		RegSpecs: bwSpecs(shadow), FPGAFreqMHz: freqMHz,
 	})
+	defer sys.Close()
 	acc := &bwAccel{shadowRegs: mech == ShadowReg || mech == NormalReg}
 	bs := efpga.Synthesize(efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3},
 		func() efpga.Accelerator { return acc })

@@ -60,6 +60,7 @@ func MeasureContention(kind ContentionKind, procs int) Fig11Row {
 		RegSpecs:    []core.SoftRegSpec{{Kind: regKind}},
 		FPGAFreqMHz: 500,
 	})
+	defer sys.Close()
 	bs := efpga.Synthesize(efpga.Design{Name: "regfile", LUTLogic: 64, RegBits: 64, PipelineDepth: 2},
 		func() efpga.Accelerator { return accelNop{} })
 	sys.Fabric.MustRegister(bs)

@@ -153,6 +153,7 @@ func MeasureLatency(mech Mechanism, freqMHz float64) Fig9Row {
 		style = duet.StyleFPSoC
 	}
 	sys, acc := buildLatencySystem(style, freqMHz)
+	defer sys.Close()
 	row := Fig9Row{Mechanism: mech, FreqMHz: freqMHz}
 
 	wtx := sim.NewTX(0)

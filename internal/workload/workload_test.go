@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"duet/internal/sim"
@@ -95,6 +96,27 @@ func reduction(fast, slow sim.Time) float64 {
 		return 0
 	}
 	return 1 - float64(fast)/float64(slow)
+}
+
+// TestFig9ReleasesSystems checks that a sweep closes every system it
+// builds: once Fig9P (or Serve) returns, none of its simulation threads
+// is left parked on a goroutine that would keep a finished system
+// reachable.
+func TestFig9ReleasesSystems(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if rows := Fig9P(1, []float64{100}); len(rows) != int(NumMechanisms) {
+		t.Fatalf("Fig9P returned %d rows, want %d", len(rows), NumMechanisms)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before Fig9P, %d after; %d left behind", before, after, after-before)
+	}
+	// A cycle-backend serve replica is closed after its final drain.
+	if r := Serve(ServeConfig{Jobs: 40, Seed: 7}); r.Stats.Completed == 0 {
+		t.Fatal("Serve completed no jobs")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before Serve, %d after; %d left behind", before, after, after-before)
+	}
 }
 
 // TestFig10Shapes verifies the bandwidth study's qualitative results:

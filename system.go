@@ -312,6 +312,11 @@ func (s *System) Run() sim.Time {
 	return s.Eng.Now()
 }
 
+// Close releases the system's simulation threads (see sim.Engine.Close).
+// Call it once the system's results have been read; until then its
+// parked server threads keep the whole system reachable.
+func (s *System) Close() { s.Eng.Close() }
+
 // RunChecked runs to completion and validates coherence invariants.
 func (s *System) RunChecked() (sim.Time, error) {
 	t := s.Run()
