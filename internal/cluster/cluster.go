@@ -39,7 +39,8 @@ import (
 // end routes by the replica's catalog model (Predict, Workers);
 // PlayStream runs the shard to completion over its share of the arrival
 // stream. Implementations: EngineReplica (cycle-level Dolly system) and
-// internal/model's analytic fast-path replica; both play through Drive.
+// internal/model's analytic fast-path replica; both are Pools and play
+// through Drive.
 type Replica interface {
 	// Predict is the shard catalog's analytic occupancy estimate for one
 	// job — what deterministic front ends route by. ok is false for
@@ -52,6 +53,24 @@ type Replica interface {
 	// they are produced, keeping memory independent of the job count,
 	// and returns the harvested results.
 	PlayStream(feed ArrivalFeed) (ShardResult, error)
+}
+
+// Pool is the one seam a serve replica's simulated time moves through.
+// Drive plays a feed over it and the live daemon calls it directly, so
+// every front end orders a tie the same way: a submission at instant t
+// precedes every completion due at t.
+type Pool interface {
+	// Scheduler is the replica's scheduler (catalog, submission, stats).
+	Scheduler() *sched.Scheduler
+	// Now reports the replica's simulated time.
+	Now() sim.Time
+	// Advance runs every pending event strictly before t, then moves the
+	// clock to t; events at exactly t stay pending.
+	Advance(t sim.Time)
+	// Drain runs the remaining events to quiescence, reports any
+	// model-level error and releases the replica's simulation resources.
+	// The drained pool still answers Now and Advance.
+	Drain() error
 }
 
 // EngineReplica is a cycle-level shard: a fully independent simulated
@@ -84,23 +103,33 @@ func (r *EngineReplica) Predict(app string, inputSize int) (sim.Time, bool) {
 // Workers reports the shard's worker count.
 func (r *EngineReplica) Workers() int { return r.Sch.Workers() }
 
-// PlayStream drives the engine through Drive: before each arrival the
-// engine executes every event strictly before the arrival instant
-// (RunBefore), so the calendar holds only in-flight completion chains,
-// never O(jobs) pre-scheduled arrival events. The replica is played once:
-// after the final drain PlayStream closes the engine, releasing its
-// parked simulation threads.
+// Scheduler exposes the shard's scheduler.
+func (r *EngineReplica) Scheduler() *sched.Scheduler { return r.Sch }
+
+// Now reports the engine's simulated time.
+func (r *EngineReplica) Now() sim.Time { return r.Eng.Now() }
+
+// Advance runs the engine's events strictly before t (RunBefore), so the
+// calendar holds only in-flight completion chains, never O(jobs)
+// pre-scheduled arrival events.
+func (r *EngineReplica) Advance(t sim.Time) { r.Eng.RunBefore(t) }
+
+// Drain runs the engine to quiescence through Run, then closes it,
+// releasing the system's parked simulation threads.
+func (r *EngineReplica) Drain() error {
+	err := r.Run()
+	r.Eng.Close()
+	return err
+}
+
+// PlayStream plays the replica once, through Drive.
 func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
-	defer r.Eng.Close()
-	advance := func(t sim.Time) { r.Eng.RunBefore(t) }
-	return Drive(feed, r.Sch, r.Rec, r.DiscardSamples, advance, r.Run)
+	return Drive(feed, r, r.Rec, r.DiscardSamples)
 }
 
 // Drive is the one replica play loop: it submits the feed's arrivals to
-// sch in order and harvests the shard's results. advance(t) must run
-// every pending event strictly before t, so a submission at t still
-// precedes every completion queued at t; drain runs the remaining
-// events once the feed is exhausted and reports any model-level error.
+// p's scheduler in order, advancing p to each arrival instant first, and
+// harvests the shard's results once the feed is exhausted and p drained.
 // rec, when non-nil, becomes the scheduler's observer before the first
 // submission and is handed back in ShardResult.Windows.
 //
@@ -111,8 +140,8 @@ func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
 // retired job records are recycled through a freelist (the scheduler
 // keeps no reference after OnResult) — the run allocates O(in-flight)
 // jobs however many the feed offers.
-func Drive(feed ArrivalFeed, sch *sched.Scheduler, rec *telemetry.Recorder, discard bool,
-	advance func(sim.Time), drain func() error) (ShardResult, error) {
+func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (ShardResult, error) {
+	sch := p.Scheduler()
 	var sr ShardResult
 	if rec != nil {
 		sch.SetObserver(rec)
@@ -135,7 +164,7 @@ func Drive(feed ArrivalFeed, sch *sched.Scheduler, rec *telemetry.Recorder, disc
 	}
 	var a Arrival
 	for feed.Next(&a) {
-		advance(a.At)
+		p.Advance(a.At)
 		var j *sched.Job
 		if n := len(free); n > 0 {
 			j, free = free[n-1], free[:n-1]
@@ -151,7 +180,7 @@ func Drive(feed ArrivalFeed, sch *sched.Scheduler, rec *telemetry.Recorder, disc
 			free = append(free, j)
 		}
 	}
-	err := drain()
+	err := p.Drain()
 	sr.Stats = sch.Stats()
 	if d, waits, services, ok := sch.SojournDigest(); ok {
 		// The digest is the scheduler's own table, adopted by the shard

@@ -6,6 +6,13 @@
 // policies every batch study runs), and reports per-job outcomes and
 // Prometheus metrics fed from the telemetry flight recorder.
 //
+// The pool is built by workload.NewServePool, the builder batch serve
+// and every cluster shard use, and its simulated timeline advances
+// through the same cluster.Pool seam they play through. On every
+// backend a submission at instant t therefore precedes the completions
+// due at t: a request landing exactly on a job's finish still sees that
+// job pending and its worker busy.
+//
 // The simulated timeline only ever advances under the server's lock, at
 // instants derived from the Clock — so with a FakeClock the whole
 // daemon, scheduler included, is deterministic, and the e2e tests replay

@@ -227,9 +227,15 @@ func TestUnknownApp(t *testing.T) {
 
 // TestGracefulDrain: Drain retires every admitted job (sync waiters
 // included), refuses new work with 503, and lands the telemetry horizon
-// on the end of the drained timeline.
+// on the end of the drained timeline — on every backend.
 func TestGracefulDrain(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.QueueCap = 64 })
+	for m := workload.BackendMode(0); m < workload.NumBackendModes; m++ {
+		t.Run(m.String(), func(t *testing.T) { testGracefulDrain(t, m) })
+	}
+}
+
+func testGracefulDrain(t *testing.T, backend workload.BackendMode) {
+	s, _ := newTestServer(t, func(c *Config) { c.Backend, c.QueueCap = backend, 64 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -283,6 +289,72 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if st := s.Stats(); st.Completed != 9 {
 		t.Fatalf("completed %d after drain, want 9", st.Completed)
+	}
+}
+
+// TestSameInstantTie: on every backend a submission landing exactly on
+// a completion instant precedes that completion, the rule batch serving
+// plays by (cluster.Pool). One fabric and a 1-deep queue: A runs, B
+// waits, B2 bounces. At A's finish instant A still reads back pending,
+// so B is still queued and C bounces too.
+func TestSameInstantTie(t *testing.T) {
+	type outcome struct {
+		codes   [4]AdmitCode // A, B, B2, C
+		aStatus string       // Lookup(A) at A's finish instant
+	}
+	want := outcome{codes: [4]AdmitCode{Admitted, Admitted, QueueFull, QueueFull}, aStatus: "pending"}
+	for _, c := range []struct {
+		name     string
+		backend  workload.BackendMode
+		softCPUs int
+	}{
+		{"model", workload.BackendModel, 0},
+		{"cycle", workload.BackendCycle, 0},
+		{"model+cpu", workload.BackendModel, 1},
+		{"hybrid", workload.BackendHybrid, 1},
+	} {
+		build := func() (*Server, *FakeClock) {
+			// Timescale 0.001: one fake-clock ns is one simulated ps.
+			return newTestServer(t, func(cfg *Config) {
+				cfg.Backend, cfg.SoftCPUs, cfg.QueueCap, cfg.Timescale = c.backend, c.softCPUs, 1, 0.001
+			})
+		}
+		req := JobRequest{App: "Tangent", InputSize: 8}
+		probe, _ := build()
+		a := probe.Submit(req)
+		probe.Drain()
+		finish := probe.byID[a.ID].job.Finish
+
+		s, clock := build()
+		var got outcome
+		var aID uint64
+		for i := 0; i < 3; i++ {
+			out := s.Submit(req)
+			got.codes[i] = out.Code
+			if i == 0 {
+				aID = out.ID
+			}
+		}
+		clock.Advance(time.Duration(finish))
+		if now := s.simNow(); now != finish {
+			t.Fatalf("%s: clock bridge landed at %v, not A's finish %v", c.name, now, finish)
+		}
+		res, _ := s.Lookup(aID)
+		got.aStatus = res.Status
+		got.codes[3] = s.Submit(req).Code
+		if got != want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, want)
+		}
+		s.Drain()
+	}
+}
+
+// TestUnknownBackend: NewServer refuses a backend mode the shared pool
+// builder does not know.
+func TestUnknownBackend(t *testing.T) {
+	_, err := NewServer(Config{Backend: workload.NumBackendModes, Clock: &FakeClock{}})
+	if err == nil || !strings.Contains(err.Error(), "unknown backend mode") {
+		t.Fatalf("err %v, want unknown backend mode", err)
 	}
 }
 

@@ -6,9 +6,8 @@ import (
 	"sync"
 	"time"
 
-	duet "duet"
+	"duet/internal/cluster"
 	"duet/internal/faults"
-	"duet/internal/model"
 	"duet/internal/sched"
 	"duet/internal/sim"
 	"duet/internal/telemetry"
@@ -16,12 +15,13 @@ import (
 )
 
 // Config parameterizes one daemon server. The zero value (with defaults
-// applied by NewServer) is a 2-eFPGA analytic-model pool at timescale 1
+// applied by NewServer) is a 2-eFPGA cycle-level pool at timescale 1
 // — one simulated second per wall second.
 type Config struct {
-	// Backend selects the execution backend: workload.BackendModel
-	// (default, analytic fast path), BackendCycle (full Dolly instance),
-	// or BackendHybrid (cycle fabrics + CPU soft-path workers).
+	// Backend selects the execution backend: workload.BackendCycle
+	// (the zero value, full Dolly instance), BackendModel (analytic fast
+	// path), or BackendHybrid (cycle fabrics + CPU soft-path workers).
+	// NewServer rejects any other mode.
 	Backend workload.BackendMode
 
 	EFPGAs      int          // fabric workers (default 2)
@@ -70,40 +70,17 @@ type Config struct {
 	Namespace string
 }
 
-// liveTimeline is the seam the daemon drives simulated time through:
-// both *model.Events and the cycle engine advance to a target instant
-// (running everything due on the way) and drain to quiescence.
-type liveTimeline interface {
-	sched.Timeline
-	RunUntil(sim.Time)
-	Drain()
-}
-
-// engineTimeline adapts *sim.Engine (whose RunUntil returns an event
-// count) to the liveTimeline seam. Drain is the daemon's shutdown, so
-// after running the engine to quiescence it closes it, releasing the
-// system's parked simulation threads; the closed engine still answers
-// Now and RunUntil for read-backs after the drain.
-type engineTimeline struct{ eng *sim.Engine }
-
-func (t engineTimeline) Now() sim.Time        { return t.eng.Now() }
-func (t engineTimeline) RunUntil(at sim.Time) { t.eng.RunUntil(at) }
-func (t engineTimeline) Drain()               { t.eng.Run(0); t.eng.Close() }
-func (t engineTimeline) AfterArg(d sim.Time, fn func(any), arg any) {
-	t.eng.AfterArg(d, fn, arg)
-}
-
-// Server is the live ingest front end. One mutex guards the timeline,
-// the scheduler, and the result tables: the simulated timeline only
-// advances while it is held, so scheduler callbacks (OnResult, observer
-// hooks) always run under it. HTTP handlers are thin shims over the
+// Server is the live ingest front end. One mutex guards the pool (its
+// timeline and scheduler) and the result tables: the simulated timeline
+// only advances while it is held, so scheduler callbacks (OnResult,
+// observer hooks) always run under it. HTTP handlers are thin shims over the
 // exported methods, which are all safe for concurrent use.
 type Server struct {
 	cfg   Config
 	clock Clock
 
 	mu          sync.Mutex
-	tl          liveTimeline
+	pool        cluster.Pool
 	sch         *sched.Scheduler
 	rec         *telemetry.Recorder
 	byJob       map[*sched.Job]*entry
@@ -185,19 +162,11 @@ type SubmitOutcome struct {
 	Retry time.Duration
 }
 
-// NewServer builds a server over a fresh scheduler pool with the full
-// serve catalog registered. Stats aggregation is always streaming: a
-// daemon runs indefinitely, so O(jobs) exact ledgers are off the table.
+// NewServer builds a server over a fresh serve pool — workload's
+// single-shard builder, so the live catalog, worker pool and fault seam
+// are the ones batch studies run. Stats aggregation is always streaming:
+// a daemon runs indefinitely, so O(jobs) exact ledgers are off the table.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.EFPGAs <= 0 {
-		cfg.EFPGAs = 2
-	}
-	if cfg.MemHubs <= 0 {
-		cfg.MemHubs = 1
-	}
-	if cfg.Backend == workload.BackendHybrid && cfg.SoftCPUs <= 0 {
-		cfg.SoftCPUs = 1
-	}
 	if cfg.Timescale <= 0 {
 		cfg.Timescale = 1
 	}
@@ -219,63 +188,21 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = NewWallClock()
 	}
-
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		inj = faults.NewInjector(cfg.Faults, 0)
-	}
-	var tl liveTimeline
-	var sch *sched.Scheduler
-	switch cfg.Backend {
-	case workload.BackendModel:
-		mcfg := model.Config{
-			EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs, MemHubs: cfg.MemHubs,
-			Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: sched.StatsStreaming,
-			CPUSlowdown: cfg.CPUSlowdown,
-		}
-		if inj != nil {
-			mcfg.Wrap = func(tl model.Timeline, worker int, be sched.Backend) sched.Backend {
-				return inj.Wrap(tl, worker, be)
-			}
-			mcfg.Faults = cfg.Faults.FaultConfig(0)
-		}
-		rep := model.NewReplica(mcfg)
-		sch = rep.Scheduler()
-		tl = rep.Events()
-	case workload.BackendCycle, workload.BackendHybrid:
-		sys := duet.New(duet.Config{
-			Cores: 1, MemHubs: cfg.MemHubs, EFPGAs: cfg.EFPGAs, Style: duet.StyleDuet,
-		})
-		var soft []sched.Backend
-		if cfg.Backend == workload.BackendHybrid {
-			for i := 0; i < cfg.SoftCPUs; i++ {
-				soft = append(soft, model.NewCPU(sys.Eng, fmt.Sprintf("cpu%d", i), cfg.CPUSlowdown))
-			}
-		}
-		scfg := sched.Config{
-			Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: sched.StatsStreaming,
-		}
-		var wrap func(worker int, be sched.Backend) sched.Backend
-		if inj != nil {
-			scfg.Faults = cfg.Faults.FaultConfig(0)
-			wrap = func(worker int, be sched.Backend) sched.Backend {
-				return inj.Wrap(sys.Eng, worker, be)
-			}
-		}
-		sch = sys.SchedulerWrapped(scfg, wrap, soft...)
-		tl = engineTimeline{sys.Eng}
-	default:
-		return nil, fmt.Errorf("daemon: unknown backend mode %v", cfg.Backend)
-	}
-	if err := workload.RegisterServeApps(sch); err != nil {
+	pool, err := workload.NewServePool(workload.ServeConfig{
+		Backend: cfg.Backend, EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs, MemHubs: cfg.MemHubs,
+		Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: sched.StatsStreaming,
+		CPUSlowdown: cfg.CPUSlowdown, Faults: cfg.Faults,
+	})
+	if err != nil {
 		return nil, err
 	}
+	sch := pool.Scheduler()
 	rec := telemetry.NewRecorder(cfg.WindowWidth, sch.WorkerKinds())
 	sch.SetObserver(rec)
 	s := &Server{
 		cfg:   cfg,
 		clock: cfg.Clock,
-		tl:    tl,
+		pool:  pool,
 		sch:   sch,
 		rec:   rec,
 		byJob: make(map[*sched.Job]*entry),
@@ -291,13 +218,16 @@ func (s *Server) simNow() sim.Time {
 }
 
 // advanceLocked runs the simulated timeline up to the clock's current
-// instant, retiring everything due on the way, and extends the telemetry
-// horizon so idle wall time shows up as idle windows. Callers hold s.mu.
+// instant, retiring everything due before it, and extends the telemetry
+// horizon so idle wall time shows up as idle windows. Completions due at
+// exactly that instant stay pending, so a submission made now precedes
+// them — the rule every batch front end plays by (cluster.Pool). Callers
+// hold s.mu.
 func (s *Server) advanceLocked() {
-	if t := s.simNow(); t > s.tl.Now() {
-		s.tl.RunUntil(t)
+	if t := s.simNow(); t > s.pool.Now() {
+		s.pool.Advance(t)
 	}
-	s.rec.ExtendHorizon(s.tl.Now())
+	s.rec.ExtendHorizon(s.pool.Now())
 }
 
 // onResult is the scheduler's OnResult hook. The timeline only advances
@@ -350,12 +280,12 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	if s.outstanding >= s.cfg.MaxOutstanding {
 		return SubmitOutcome{Code: Overloaded, Retry: s.retryLocked()}
 	}
-	if s.sch.HealthyWorkers() == 0 || s.sch.DownAt(s.tl.Now()) {
+	if s.sch.HealthyWorkers() == 0 || s.sch.DownAt(s.pool.Now()) {
 		return SubmitOutcome{Code: Unavailable, Retry: time.Second}
 	}
 	j := &sched.Job{App: req.App, InputSize: req.InputSize, Priority: req.Priority}
 	if req.DeadlineUS > 0 {
-		j.Deadline = s.tl.Now() + sim.Time(req.DeadlineUS)*sim.US
+		j.Deadline = s.pool.Now() + sim.Time(req.DeadlineUS)*sim.US
 	}
 	s.nextID++
 	e := &entry{id: s.nextID, app: req.App, tenant: req.Tenant, job: j, done: make(chan struct{})}
@@ -434,8 +364,8 @@ func (s *Server) Drain() {
 	defer s.mu.Unlock()
 	s.draining = true
 	s.advanceLocked()
-	s.tl.Drain()
-	s.rec.ExtendHorizon(s.tl.Now())
+	s.pool.Drain() // unchecked pools report no model-level error
+	s.rec.ExtendHorizon(s.pool.Now())
 }
 
 // Health is the /healthz readiness payload: the pool's degradation
@@ -460,7 +390,7 @@ func (s *Server) Health() Health {
 		HealthyWorkers: s.sch.HealthyWorkers(),
 		WedgedFabrics:  s.sch.QuarantinedWorkers(),
 	}
-	if s.sch.DownAt(s.tl.Now()) {
+	if s.sch.DownAt(s.pool.Now()) {
 		h.DeadShards = 1
 	}
 	switch {
@@ -549,7 +479,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		{"draining", "gauge", "1 while the server is draining for shutdown.", b2i(s.draining)},
 		{"healthy_workers", "gauge", "Workers still accepting placements.", int64(s.sch.HealthyWorkers())},
 		{"wedged_fabrics", "gauge", "Fabrics quarantined by wedged reprograms.", int64(s.sch.QuarantinedWorkers())},
-		{"shard_down", "gauge", "1 while the pool is inside a scheduled outage window.", b2i(s.sch.DownAt(s.tl.Now()))},
+		{"shard_down", "gauge", "1 while the pool is inside a scheduled outage window.", b2i(s.sch.DownAt(s.pool.Now()))},
 	}
 	for _, g := range gauges {
 		name := ns + "_" + g.name

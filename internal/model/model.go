@@ -98,11 +98,10 @@ func (e *Events) popAt(m int) {
 	top.fn(top.arg)
 }
 
-// RunUntil runs every callback strictly before t, then advances the
+// RunBefore runs every callback strictly before t, then advances the
 // timeline to t. Events at exactly t stay pending: a submission at t is
-// processed before completions at t, matching the engine's ordering of
-// pre-scheduled arrivals against run-time completions.
-func (e *Events) RunUntil(t sim.Time) {
+// processed before completions at t, matching sim.Engine.RunBefore.
+func (e *Events) RunBefore(t sim.Time) {
 	for len(e.h) > 0 {
 		m := e.next()
 		if e.h[m].at >= t {
@@ -163,9 +162,10 @@ type Config struct {
 }
 
 // Replica is an analytic serve shard: the real sched.Scheduler over
-// model backends on an Events timeline. It implements cluster.Replica,
-// so model shards drop into any cluster — alone, or mixed with
-// cycle-level shards in a heterogeneous farm.
+// model backends on an Events timeline. It implements cluster.Replica
+// and cluster.Pool, so model shards drop into any cluster — alone, or
+// mixed with cycle-level shards in a heterogeneous farm — and under the
+// live daemon.
 type Replica struct {
 	ev      *Events
 	sch     *sched.Scheduler
@@ -224,10 +224,16 @@ func (r *Replica) Scheduler() *sched.Scheduler { return r.sch }
 // so the cycle and model paths instrument identically.
 func (r *Replica) SetRecorder(rec *telemetry.Recorder) { r.rec = rec }
 
-// Events exposes the replica's analytic timeline, for live feeders (the
-// daemon's clock bridge) that advance simulated time incrementally
-// instead of playing a feed.
-func (r *Replica) Events() *Events { return r.ev }
+// Now reports the replica's simulated time.
+func (r *Replica) Now() sim.Time { return r.ev.Now() }
+
+// Advance runs every callback strictly before t (Events.RunBefore), then
+// moves the clock to t.
+func (r *Replica) Advance(t sim.Time) { r.ev.RunBefore(t) }
+
+// Drain runs every pending callback to exhaustion. The analytic timeline
+// holds no other resources and never fails.
+func (r *Replica) Drain() error { r.ev.Drain(); return nil }
 
 // RegisterApp adds an application to the replica's catalog.
 func (r *Replica) RegisterApp(app sched.App) error { return r.sch.RegisterApp(app) }
@@ -240,10 +246,7 @@ func (r *Replica) Predict(app string, inputSize int) (sim.Time, bool) {
 // Workers reports the replica's worker count.
 func (r *Replica) Workers() int { return r.sch.Workers() }
 
-// PlayStream runs the shard over its feed through cluster.Drive: the
-// analytic timeline advances to each arrival (RunUntil), running due
-// completions on the way, and drains once the feed is exhausted.
+// PlayStream plays the replica once, through cluster.Drive.
 func (r *Replica) PlayStream(feed cluster.ArrivalFeed) (cluster.ShardResult, error) {
-	drain := func() error { r.ev.Drain(); return nil }
-	return cluster.Drive(feed, r.sch, r.rec, r.discard, r.ev.RunUntil, drain)
+	return cluster.Drive(feed, r, r.rec, r.discard)
 }

@@ -207,7 +207,7 @@ func TestMixedFidelityScheduler(t *testing.T) {
 }
 
 // TestEventsOrdering: the analytic timeline must run same-instant
-// callbacks in scheduling order and interleave RunUntil boundaries the
+// callbacks in scheduling order and interleave RunBefore boundaries the
 // way the engine orders pre-scheduled arrivals against completions.
 func TestEventsOrdering(t *testing.T) {
 	ev := &model.Events{}
@@ -217,12 +217,12 @@ func TestEventsOrdering(t *testing.T) {
 	ev.AfterArg(5, rec, 2)
 	ev.AfterArg(10, rec, 3) // same instant as 1: scheduling order
 	ev.AfterArg(7, rec, 4)
-	ev.RunUntil(10) // strictly-before: 2 (t=5), 4 (t=7) only
+	ev.RunBefore(10) // strictly-before: 2 (t=5), 4 (t=7) only
 	if ev.Now() != 10 {
-		t.Fatalf("RunUntil left now=%v", ev.Now())
+		t.Fatalf("RunBefore left now=%v", ev.Now())
 	}
 	if !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Fatalf("RunUntil ran %v", got)
+		t.Fatalf("RunBefore ran %v", got)
 	}
 	ev.Drain()
 	if !reflect.DeepEqual(got, []int{2, 4, 1, 3}) {

@@ -177,12 +177,8 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 }
 
 // RegisterServeApps installs the full serve catalog on a scheduler —
-// the same apps batch serve studies run, so the daemon's live catalog
-// matches the offline one.
-func RegisterServeApps(sch *sched.Scheduler) error { return registerServeApps(sch) }
-
-// registerServeApps installs the full serve catalog on a scheduler.
-func registerServeApps(sch *sched.Scheduler) error {
+// the apps every serve replica runs, for callers that build their own.
+func RegisterServeApps(sch *sched.Scheduler) error {
 	for _, a := range ServeApps {
 		bs := accel.Synthesize(a.Name, func() efpga.Accelerator { return serveStub{} })
 		if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: a.Fixed, CyclesPerItem: a.PerItem}); err != nil {
@@ -192,18 +188,38 @@ func registerServeApps(sch *sched.Scheduler) error {
 	return nil
 }
 
+// serveReplica is what the serve builder returns: a cluster shard whose
+// timeline a live front end can also drive by hand.
+type serveReplica interface {
+	cluster.Replica
+	cluster.Pool
+}
+
+// NewServePool builds the single-shard pool cfg describes, with the
+// builder batch Serve and every ServeCluster shard use, for front ends
+// that drive the pool's timeline themselves (the live daemon). The pool
+// is shard 0 of cfg's fault plan, runs unchecked, and keeps no per-job
+// samples or flight recorder.
+func NewServePool(cfg ServeConfig) (cluster.Pool, error) {
+	return newServeReplica(cfg.withDefaults(), 0, false, false, 0)
+}
+
 // newServeReplica builds one serve replica for cfg's backend mode:
 // a cycle-level Dolly instance, the analytic model replica, or a hybrid
-// Dolly + CPU-soft-path pool. cfg must have defaults applied. shard is
-// the replica's cluster shard index (0 for single-replica runs) — the
-// fault plan's draw site and outage-schedule key. checked selects
-// RunChecked (coherence validation) for engine-backed replicas; harvest
-// keeps the exact-mode per-job samples (cluster shards need them for
-// exact merged quantiles; single-replica Serve reads Stats only and
-// skips the duplicate O(jobs) copy). windowWidth, when positive,
-// attaches a flight recorder over windows of that width — every shard
-// of one run must get the same width so its series merge.
-func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWidth sim.Time) (cluster.Replica, error) {
+// Dolly + CPU-soft-path pool; any other mode is an error. cfg must have
+// defaults applied. shard is the replica's cluster shard index (0 for
+// single-replica runs) — the fault plan's draw site and outage-schedule
+// key. checked selects RunChecked (coherence validation) for
+// engine-backed replicas; harvest keeps the exact-mode per-job samples
+// (cluster shards need them for exact merged quantiles; single-replica
+// Serve reads Stats only and skips the duplicate O(jobs) copy).
+// windowWidth, when positive, attaches a flight recorder over windows of
+// that width — every shard of one run must get the same width so its
+// series merge.
+func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWidth sim.Time) (serveReplica, error) {
+	if cfg.Backend < 0 || cfg.Backend >= NumBackendModes {
+		return nil, fmt.Errorf("workload: unknown backend mode %d", int(cfg.Backend))
+	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {
 		inj = faults.NewInjector(cfg.Faults, shard)
@@ -221,7 +237,7 @@ func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWi
 			mcfg.Faults = cfg.Faults.FaultConfig(shard)
 		}
 		rep := model.NewReplica(mcfg)
-		if err := registerServeApps(rep.Scheduler()); err != nil {
+		if err := RegisterServeApps(rep.Scheduler()); err != nil {
 			return nil, err
 		}
 		if windowWidth > 0 {
@@ -249,7 +265,7 @@ func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWi
 		}
 	}
 	sch := sys.SchedulerWrapped(scfg, wrap, soft...)
-	if err := registerServeApps(sch); err != nil {
+	if err := RegisterServeApps(sch); err != nil {
 		return nil, err
 	}
 	run := func() error {

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"duet/internal/cluster"
@@ -188,5 +189,19 @@ func TestBackendModeNames(t *testing.T) {
 	got := BackendHybrid
 	if err := got.UnmarshalText([]byte("quantum")); err == nil || got != BackendHybrid {
 		t.Fatalf("bogus backend name parsed: err %v, mode now %v", err, got)
+	}
+}
+
+// TestUnknownBackendRejected: the shared replica builder refuses a mode
+// it does not know instead of quietly building a cycle pool, whether the
+// mode comes from the cluster's base config or from one shard's spec.
+func TestUnknownBackendRejected(t *testing.T) {
+	for _, cfg := range []ClusterConfig{
+		{ServeConfig: ServeConfig{Backend: NumBackendModes, Jobs: 8}, Shards: 1},
+		{ServeConfig: ServeConfig{Jobs: 8}, Shards: 2, ShardSpecs: []ShardSpec{{Backend: BackendModel}, {Backend: -1}}},
+	} {
+		if _, err := ServeCluster(cfg); err == nil || !strings.Contains(err.Error(), "unknown backend mode") {
+			t.Fatalf("%+v: err %v, want unknown backend mode", cfg, err)
+		}
 	}
 }
