@@ -158,6 +158,12 @@ type Adapter struct {
 	// per-operation intake path allocates no closure.
 	decodeFn func(any)
 
+	// env is the accelerator environment startAccel hands every started
+	// accelerator, built on first use. Its fields (engine, fabric clock
+	// pointer, scratchpad, register file, hub ports) are fixed for the
+	// adapter's lifetime, so one record serves every (re)start.
+	env *efpga.Env
+
 	// TLB window staging registers, per hub.
 	stageVPN []uint64
 	stagePPN []uint64
@@ -489,23 +495,26 @@ func (a *Adapter) RaiseExceptionCode(code uint64, deactivateHubs bool) {
 // individually through their feature switches).
 func (a *Adapter) ClearError() { a.errCode = ErrNone }
 
-// startAccel instantiates a fresh environment and starts the configured
-// accelerator.
+// startAccel starts the configured accelerator with the adapter's reused
+// Env.
 func (a *Adapter) startAccel() {
 	acc := a.fabric.Accel()
 	if acc == nil {
 		return
 	}
-	env := &efpga.Env{
-		Eng:     a.eng,
-		Clk:     a.fabric.Clock(),
-		Scratch: a.fabric.Scratch,
-		Regs:    a.regs,
+	if a.env == nil {
+		a.env = &efpga.Env{
+			Eng:     a.eng,
+			Clk:     a.fabric.Clock(),
+			Scratch: a.fabric.Scratch,
+			Regs:    a.regs,
+			Mem:     make([]efpga.MemIntf, len(a.hubs)),
+		}
+		for i, h := range a.hubs {
+			a.env.Mem[i] = h.port
+		}
 	}
-	for _, h := range a.hubs {
-		env.Mem = append(env.Mem, h.port)
-	}
-	acc.Start(env)
+	acc.Start(a.env)
 	if a.OnAccelStart != nil {
 		a.OnAccelStart(a.fabric.Current())
 	}

@@ -14,10 +14,19 @@ type fpgaMgr struct {
 	a      *Adapter
 	status uint64
 	clkKHz uint64
+
+	// streamedFn is the one stream-completion callback; the stream in
+	// flight rides in pendBS/pendDone (checkPreconditions admits one
+	// stream at a time), so a stream schedules no closure.
+	streamedFn func()
+	pendBS     *efpga.Bitstream
+	pendDone   func(error)
 }
 
 func newFPGAMgr(a *Adapter) *fpgaMgr {
-	return &fpgaMgr{a: a, status: StatusIdle, clkKHz: uint64(a.fabric.Clock().FreqMHz() * 1000)}
+	m := &fpgaMgr{a: a, status: StatusIdle, clkKHz: uint64(a.fabric.Clock().FreqMHz() * 1000)}
+	m.streamedFn = m.streamed
+	return m
 }
 
 func (m *fpgaMgr) access(op *inflight, off uint64, write bool, val uint64) {
@@ -99,18 +108,26 @@ func (m *fpgaMgr) checkPreconditions(bitstreamID int) (*efpga.Bitstream, error) 
 func (m *fpgaMgr) stream(bs *efpga.Bitstream, done func(error)) {
 	a := m.a
 	m.status = StatusProgramming
+	m.pendBS, m.pendDone = bs, done
 	cycles := int64(len(bs.Image)+params.LineBytes-1) / params.LineBytes
-	a.eng.After(a.fastClk.Cycles(cycles), func() {
-		if err := a.fabric.Configure(bs); err != nil {
-			m.status = StatusError
-			a.RaiseExceptionCode(ErrProgram, false)
-			done(err)
-			return
-		}
-		m.status = StatusReady
-		a.startAccel()
-		done(nil)
-	})
+	a.eng.After(a.fastClk.Cycles(cycles), m.streamedFn)
+}
+
+// streamed completes the stream in flight. The pending slot is cleared
+// before done runs, so done may start the next stream.
+func (m *fpgaMgr) streamed() {
+	a := m.a
+	bs, done := m.pendBS, m.pendDone
+	m.pendBS, m.pendDone = nil, nil
+	if err := a.fabric.Configure(bs); err != nil {
+		m.status = StatusError
+		a.RaiseExceptionCode(ErrProgram, false)
+		done(err)
+		return
+	}
+	m.status = StatusReady
+	a.startAccel()
+	done(nil)
 }
 
 // program runs the MMIO flow of the programming engine.

@@ -235,7 +235,7 @@ func (f *Fabric) BitstreamByID(id int) (*Bitstream, error) {
 
 // Configure validates and installs a bitstream: CRC integrity check, then
 // resource capacity check. On success the accelerator instance is created
-// (but not started; the adapter starts it with a fresh Env).
+// (but not started; the adapter starts it with the adapter's reused Env).
 func (f *Fabric) Configure(b *Bitstream) error {
 	if b.Checksum() != b.CRC {
 		return fmt.Errorf("efpga: bitstream %q integrity check failed", b.Name)

@@ -17,6 +17,12 @@ import (
 // occupies the fabric for the job's modeled service time on the fabric
 // clock. This is the original scheduler path, extracted behind the
 // Backend interface; its event sequence is unchanged.
+//
+// The reprogram flow is a pre-built chain of four events — quiescedFn →
+// programmedFn → resumedFn → settledFn — built once in NewCycleBackend.
+// The in-flight reprogram rides in the pend* fields (a worker holds one
+// job at a time, so one slot suffices), and a reprogram schedules no
+// closure.
 type CycleBackend struct {
 	eng *sim.Engine
 	ad  *core.Adapter
@@ -24,10 +30,25 @@ type CycleBackend struct {
 
 	settle int64
 	done   func(*Job, error)
+	// toggles is the hub feature-switch round trips per quiesce or
+	// resume: one per Memory Hub, at least one.
+	toggles int64
 	// finishFn is the one service-completion callback: Dispatch
 	// schedules it with the job as the event argument, so the resident
 	// fast path allocates no closure.
 	finishFn func(any)
+
+	// The reprogram chain's pre-built steps and its one pending slot:
+	// the job, its app, the pre-quiesce hub mask and the bitstream id.
+	// pendJob is nil while no chain is in flight.
+	quiescedFn   func()
+	programmedFn func(error)
+	resumedFn    func()
+	settledFn    func()
+	pendJob      *Job
+	pendApp      *App
+	pendSaved    uint64
+	pendID       int
 
 	// scrubbed marks the configuration state discarded by a repair's
 	// probationary Scrub: Resident reports unprogrammed until the next
@@ -40,8 +61,12 @@ type CycleBackend struct {
 
 // NewCycleBackend wraps an adapter/fabric pair as an execution backend.
 func NewCycleBackend(eng *sim.Engine, ad *core.Adapter, fab *efpga.Fabric) *CycleBackend {
-	b := &CycleBackend{eng: eng, ad: ad, fab: fab}
+	b := &CycleBackend{eng: eng, ad: ad, fab: fab, toggles: max(int64(len(ad.Hubs())), 1)}
 	b.finishFn = func(a any) { b.done(a.(*Job), nil) }
+	b.quiescedFn = b.quiesced
+	b.programmedFn = b.programmed
+	b.resumedFn = b.resumed
+	b.settledFn = b.settled
 	return b
 }
 
@@ -141,6 +166,11 @@ func ReprogramCost(app *App, hubs int, fastPeriod sim.Time, settleCycles int64, 
 // scheduler's dispatch observer reads it at the dispatch instant (every
 // Backend honors this; internal/model mirrors it).
 func (b *CycleBackend) Dispatch(j *Job, app *App) {
+	if b.pendJob != nil {
+		// A worker holds one job at a time; the chain's one slot relies
+		// on it.
+		panic(fmt.Sprintf("sched: dispatch of job %d on fabric %q while job %d is reprogramming", j.ID, b.fab.Name, b.pendJob.ID))
+	}
 	if b.Resident() == j.App {
 		b.serve(j, app)
 		return
@@ -158,37 +188,55 @@ func (b *CycleBackend) Dispatch(j *Job, app *App) {
 	}
 	j.Reprogrammed = true
 	b.scrubbed = false // the reprogram re-establishes real resident state
-	fast := b.ad.FastClock()
-	toggles := int64(len(b.ad.Hubs()))
-	if toggles == 0 {
-		toggles = 1
-	}
 	// Quiesce: one feature-switch round trip per hub, then the
 	// programming engine (streaming + integrity check), then hub
 	// re-enable, then the configuration settle time.
-	saved := b.ad.QuiesceHubs()
-	b.eng.After(fast.Cycles(toggles*HubToggleCycles), func() {
-		b.ad.ProgramAsync(id, func(err error) {
-			if err != nil {
-				// Restore the pre-quiesce hub state before surfacing the
-				// failure, so the adapter is not left quiesced forever.
-				b.ad.ResumeHubs(saved)
-				b.done(j, err)
-				return
-			}
-			// The scheduler owns the adapter while serving: the incoming
-			// tenant is granted every Memory Hub.
-			b.ad.ResumeHubs(^uint64(0))
-			b.eng.After(fast.Cycles(toggles*HubToggleCycles), func() {
-				if app.BS.FmaxMHz > 0 {
-					b.fab.SetFreqMHz(app.BS.FmaxMHz)
-				}
-				b.eng.After(b.fab.Clock().Cycles(b.settle), func() {
-					b.serve(j, app)
-				})
-			})
-		})
-	})
+	b.pendJob, b.pendApp, b.pendID = j, app, id
+	b.pendSaved = b.ad.QuiesceHubs()
+	b.eng.After(b.ad.FastClock().Cycles(b.toggles*HubToggleCycles), b.quiescedFn)
+}
+
+// quiesced runs once the hubs are quiesced: it starts the programming
+// engine (streaming + integrity check).
+func (b *CycleBackend) quiesced() { b.ad.ProgramAsync(b.pendID, b.programmedFn) }
+
+// programmed is the programming engine's completion. On failure it
+// restores the pre-quiesce hub state and fails the job; on success the
+// scheduler owns the adapter while serving, so the incoming tenant is
+// granted every Memory Hub before the resume round trip.
+func (b *CycleBackend) programmed(err error) {
+	if err != nil {
+		// The slot is freed before done, which may dispatch this
+		// worker's next job.
+		j := b.pendJob
+		b.ad.ResumeHubs(b.pendSaved)
+		b.clearPending()
+		b.done(j, err)
+		return
+	}
+	b.ad.ResumeHubs(^uint64(0))
+	b.eng.After(b.ad.FastClock().Cycles(b.toggles*HubToggleCycles), b.resumedFn)
+}
+
+// resumed runs once the hubs are re-enabled: it switches the fabric to
+// the app's Fmax and waits out the configuration settle.
+func (b *CycleBackend) resumed() {
+	if app := b.pendApp; app.BS.FmaxMHz > 0 {
+		b.fab.SetFreqMHz(app.BS.FmaxMHz)
+	}
+	b.eng.After(b.fab.Clock().Cycles(b.settle), b.settledFn)
+}
+
+// settled ends the chain: the slot is freed and the job served.
+func (b *CycleBackend) settled() {
+	j, app := b.pendJob, b.pendApp
+	b.clearPending()
+	b.serve(j, app)
+}
+
+// clearPending frees the reprogram slot.
+func (b *CycleBackend) clearPending() {
+	b.pendJob, b.pendApp = nil, nil
 }
 
 // serve occupies the fabric for the job's modeled service time.

@@ -233,12 +233,15 @@ func TestHeterogeneousCapacityPlacement(t *testing.T) {
 }
 
 // TestProgrammingFailureRestoresHubs: a failed reprogram must restore the
-// pre-quiesce hub state and leave the scheduler serviceable.
+// pre-quiesce hub state and leave the scheduler serviceable: the next job
+// on the same backend, for a third app, reprograms (the failed chain
+// released its pending slot), serves, and leaves the hubs enabled.
 func TestProgrammingFailureRestoresHubs(t *testing.T) {
 	sys, sch := newServeSystem(t, 1, sched.Config{Policy: sched.FIFO})
 	good := mkBitstream("good", efpga.Resources{LUTs: 100}, 100)
 	bad := mkBitstream("bad", efpga.Resources{LUTs: 100}, 100)
-	for _, bs := range []*efpga.Bitstream{good, bad} {
+	other := mkBitstream("other", efpga.Resources{LUTs: 100}, 100)
+	for _, bs := range []*efpga.Bitstream{good, bad, other} {
 		if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 1000, CyclesPerItem: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -261,12 +264,21 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 		t.Fatal("memory hub left quiesced after programming failure")
 	}
 	// The worker must still be serviceable.
-	again := &sched.Job{App: "good"}
+	again := &sched.Job{App: "other"}
 	sch.Submit(again)
 	sys.Run()
 	st := sch.Stats()
 	if st.Completed != 2 || st.Failed != 1 || again.Finish == 0 {
 		t.Fatalf("completed=%d failed=%d finish=%v after recovery", st.Completed, st.Failed, again.Finish)
+	}
+	if !again.Reprogrammed {
+		t.Fatal("job for a non-resident app after the failure did not reprogram")
+	}
+	if got := sys.Fabric.Current().Name; got != "other" {
+		t.Fatalf("resident = %q after the recovery reprogram, want other", got)
+	}
+	if !sys.Adapter.Hub(0).Enabled() {
+		t.Fatal("memory hub left quiesced after the recovery reprogram")
 	}
 }
 
