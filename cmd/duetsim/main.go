@@ -136,13 +136,12 @@ func runAll(o *options) error {
 // field. Commands copy the serve base and set only what differs.
 type options struct {
 	studyFlags
-	serve     workload.ServeConfig // -seed -jobs -efpgas -stats -backend -softcpus -windows
-	shards    int
-	lookahead int
-	progress  bool
-	faults    faultFlags
-	daemon    daemonFlags
-	loadgen   loadgenFlags
+	serve    workload.ServeConfig // -seed -jobs -efpgas -stats -backend -softcpus -windows
+	shards   int
+	progress bool
+	faults   faultFlags
+	daemon   daemonFlags
+	loadgen  loadgenFlags
 
 	scenario, in, out      string
 	list, csv              bool
@@ -183,7 +182,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.Windows, "windows", 0, "serve/cluster: record a flight-recorder series over N simulated-time windows (0 = off)")
 
 	fs.IntVar(&o.shards, "shards", 4, "cluster: number of Duet replicas")
-	fs.IntVar(&o.lookahead, "lookahead", 0, "cluster: streaming hand-off lookahead per shard for the stateful front ends — arrivals the router may run ahead of a shard (0 = default 4096; results identical at any bound)")
 	fs.BoolVar(&o.progress, "progress", false, "serve/cluster: print progress lines (jobs done, sim time, live heap) to stderr every 2s")
 
 	fs.StringVar(&o.scenario, "scenario", "all", "chaos: named fault scenario (see chaos -list) or all")
@@ -805,7 +803,7 @@ func clusterCmd(o *options) error {
 		for _, p := range servePolicies(s.Backend) {
 			cfg := s
 			cfg.Policy = p
-			cfgs = append(cfgs, workload.ClusterConfig{ServeConfig: cfg, Shards: o.shards, FrontEnd: fe, Handoff: o.lookahead})
+			cfgs = append(cfgs, workload.ClusterConfig{ServeConfig: cfg, Shards: o.shards, FrontEnd: fe})
 		}
 	}
 	// The scaling sweep drives a saturating offered load (5us mean gap,
@@ -818,7 +816,7 @@ func clusterCmd(o *options) error {
 	scale.Policy, scale.MeanGapUS, scale.QueueCap, scale.Windows = sched.Affinity, 5, 1024, 0
 	var scaleCfgs []workload.ClusterConfig
 	for sh := 1; sh <= o.shards; sh *= 2 {
-		scaleCfgs = append(scaleCfgs, workload.ClusterConfig{ServeConfig: scale, Shards: sh, FrontEnd: cluster.LeastOutstanding, Handoff: o.lookahead})
+		scaleCfgs = append(scaleCfgs, workload.ClusterConfig{ServeConfig: scale, Shards: sh, FrontEnd: cluster.LeastOutstanding})
 	}
 	// The Progress sink tallies arrival deliveries across every study
 	// point (hedge duplicates can push the count slightly past the

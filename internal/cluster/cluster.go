@@ -223,14 +223,6 @@ type Config struct {
 	// contract verbatim. Nil (or an inactive spec) changes nothing.
 	Faults *FaultSpec
 
-	// Handoff bounds RunSource's per-shard hand-off buffer for the
-	// stateful front ends (LeastOutstanding, HealthWeighted): how many
-	// routed arrivals the producer may run ahead of a shard's
-	// consumption. <= 0 selects DefaultHandoff. The bound affects only
-	// memory and producer/consumer overlap, never results; the
-	// index-free front ends ignore it.
-	Handoff int
-
 	// Progress, when set, receives coarse delivered-arrival counts and
 	// the simulated-time high-water mark from RunSource's feeds — the
 	// sensor behind duetsim's -progress ticker. Nil disables updates.

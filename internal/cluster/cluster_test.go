@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -316,17 +317,24 @@ func TestShardSeed(t *testing.T) {
 	}
 }
 
+// TestFrontEndNames pins the front end's text form: JSON output carries
+// it as a quoted name, and parsing rejects names String never prints.
 func TestFrontEndNames(t *testing.T) {
 	for f := cluster.FrontEnd(0); f < cluster.NumFrontEnds; f++ {
-		got, err := cluster.FrontEndByName(f.String())
-		if err != nil || got != f {
-			t.Fatalf("round trip %v: %v %v", f, got, err)
+		text, err := f.MarshalText()
+		var got cluster.FrontEnd
+		if err != nil || string(text) != f.String() || got.UnmarshalText(text) != nil || got != f {
+			t.Fatalf("round trip %v: text %q err %v, got %v", f, text, err, got)
+		}
+		if b, err := json.Marshal(f); err != nil || string(b) != `"`+f.String()+`"` {
+			t.Fatalf("JSON of %v = %s, %v", f, b, err)
 		}
 	}
 	if cluster.FrontEnd(-1).String() != "unknown" || cluster.NumFrontEnds.String() != "unknown" {
 		t.Fatal("out-of-range FrontEnd.String not bounded")
 	}
-	if _, err := cluster.FrontEndByName("fastest"); err == nil {
-		t.Fatal("unknown front-end name accepted")
+	got := cluster.RoundRobin
+	if err := got.UnmarshalText([]byte("fastest")); err == nil || got != cluster.RoundRobin {
+		t.Fatalf("unknown front-end name parsed: err %v, front end now %v", err, got)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 
@@ -56,18 +55,19 @@ func (f FrontEnd) String() string {
 	return names[f]
 }
 
-// MarshalJSON encodes the front end as its String name for
-// machine-readable study output.
-func (f FrontEnd) MarshalJSON() ([]byte, error) { return json.Marshal(f.String()) }
+// MarshalText encodes the front end as its String name, so
+// machine-readable study output carries it as a quoted name.
+func (f FrontEnd) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
 
-// FrontEndByName parses a front-end name as printed by String.
-func FrontEndByName(name string) (FrontEnd, error) {
-	for f := FrontEnd(0); f < NumFrontEnds; f++ {
-		if f.String() == name {
-			return f, nil
+// UnmarshalText parses a front-end name as printed by String.
+func (f *FrontEnd) UnmarshalText(name []byte) error {
+	for g := FrontEnd(0); g < NumFrontEnds; g++ {
+		if g.String() == string(name) {
+			*f = g
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("cluster: unknown front end %q", name)
+	return fmt.Errorf("cluster: unknown front end %q", name)
 }
 
 func hashApp(app string) uint32 {

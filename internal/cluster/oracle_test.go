@@ -97,7 +97,9 @@ func oracleStream(n int) []Arrival {
 
 // TestRunSourceMatchesOracle holds both RunSource branches — the
 // parallel filtered clones and the producer hand-off — to the sequential
-// reference, per-shard arrival sequence for arrival sequence.
+// reference, per-shard arrival sequence for arrival sequence. On the
+// handoff axis, 0 keeps RunSource's fixed bound and 1 shrinks it to a
+// single batch per shard, so the producer blocks on each one.
 func TestRunSourceMatchesOracle(t *testing.T) {
 	us := func(n int) sim.Time { return sim.Time(n) * sim.US }
 	rack := &faults.Plan{
@@ -109,21 +111,25 @@ func TestRunSourceMatchesOracle(t *testing.T) {
 		"crash+hedge": {ShardDown: [][]sched.Downtime{nil, {{From: us(200), To: us(600)}}}, Hedge: us(80)},
 		"domain+hold": {ShardDown: rack.EffectiveShardDown(3), Hedge: us(60), RecoverHold: us(200)},
 	}
-	stream := oracleStream(400)
+	stream := oracleStream(4 * 3 * handoffBatch) // several batches per shard at shards=3
 	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
 		for name, spec := range specs {
-			for _, handoff := range []int{0, 1} {
+			for _, h := range []int{0, 1} {
 				for _, shards := range []int{1, 3} {
-					t.Run(fmt.Sprintf("%v/%s/handoff=%d/shards=%d", fe, name, handoff, shards), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%v/%s/handoff=%d/shards=%d", fe, name, h, shards), func(t *testing.T) {
 						reps := make([]Replica, shards)
 						for i := range reps {
 							reps[i] = &recordingReplica{workers: 1 + i%2}
 						}
 						cfg := Config{
-							Shards: shards, FrontEnd: fe, Handoff: handoff, Faults: spec,
+							Shards: shards, FrontEnd: fe, Faults: spec,
 							NewReplica: func(i int, _ int64) (Replica, error) { return reps[i], nil },
 						}
-						res, err := RunSource(cfg, NewSliceSource(stream))
+						bound := handoff
+						if h > 0 {
+							bound = h
+						}
+						res, err := runSource(cfg, NewSliceSource(stream), bound)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -150,16 +156,17 @@ func TestRunSourceMatchesOracle(t *testing.T) {
 
 // TestProducerSurvivesShardError: under a stateful front end, a shard
 // that fails after pulling a few arrivals must neither block the
-// producer (its feed is drained) nor lose its shard attribution.
+// producer (its feed is drained) nor lose its shard attribution. The
+// stream is long enough to overfill the failed shard's hand-off channel.
 func TestProducerSurvivesShardError(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunSource(Config{
-			Shards: 3, FrontEnd: LeastOutstanding, Handoff: 1,
+			Shards: 3, FrontEnd: LeastOutstanding,
 			NewReplica: func(i int, _ int64) (Replica, error) {
 				return &recordingReplica{workers: 1, failAfter: 3 * (i % 2)}, nil // shard 1 fails
 			},
-		}, NewSliceSource(oracleStream(5000)))
+		}, NewSliceSource(oracleStream(4*3*handoff)))
 		done <- err
 	}()
 	select {
@@ -169,5 +176,43 @@ func TestProducerSurvivesShardError(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("producer deadlocked on a shard that stopped consuming")
+	}
+}
+
+// TestProgressCountsDeliveries: a tapped run counts every arrival a
+// shard consumes, hedged duplicates included, and its high-water mark is
+// the last delivered instant. Each shard receives more than one flush
+// batch, so both the mid-stream and the final flush are exercised.
+func TestProgressCountsDeliveries(t *testing.T) {
+	spec := &FaultSpec{ShardDown: [][]sched.Downtime{nil, {{From: 200 * sim.US, To: 600 * sim.US}}}, Hedge: 80 * sim.US} // the oracle's crash+hedge
+	stream := oracleStream(4 * progressBatch)
+	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
+		t.Run(fe.String(), func(t *testing.T) {
+			reps := make([]*recordingReplica, 3)
+			p := &Progress{}
+			res, err := RunSource(Config{
+				Shards: len(reps), FrontEnd: fe, Faults: spec, Progress: p,
+				NewReplica: func(i int, _ int64) (Replica, error) {
+					reps[i] = &recordingReplica{workers: 1 + i%2}
+					return reps[i], nil
+				},
+			}, NewSliceSource(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Hedged == 0 {
+				t.Fatal("spec hedged nothing; the test would not count duplicates")
+			}
+			var last sim.Time
+			for _, r := range reps {
+				if n := len(r.got); n > 0 && r.got[n-1].At > last {
+					last = r.got[n-1].At
+				}
+			}
+			if p.Jobs() != int64(res.Offered) || p.SimAt() != last {
+				t.Fatalf("progress jobs/simAt = %d/%v, want offered %d and last delivery %v",
+					p.Jobs(), p.SimAt(), res.Offered, last)
+			}
+		})
 	}
 }

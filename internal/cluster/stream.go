@@ -11,22 +11,23 @@ import (
 // This file is the cluster's arrival pipeline: RunSource plays a study
 // straight off an O(1)-memory arrival source, so the run never
 // materializes an O(jobs) stream. The front end, the fault pass
-// (dead-shard reroute and hedge duplicates), and each shard's simulation
-// form a single pass over the source:
+// (FaultSpec.place: dead-shard reroute and hedge duplicates), and each
+// shard's simulation form a single pass over the source:
 //
 //   - Index-free front ends (HashApp, RoundRobin) need no shared routing
 //     state, so every shard clones the source and filters it down to its
 //     own assignment in parallel — generation itself is parallelized and
 //     no hand-off buffer exists at all.
 //   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
-//     single producer goroutine, in stream order, which feeds each shard
-//     through a bounded hand-off channel (Config.Handoff caps how far the
-//     producer runs ahead), so peak memory is O(shards x Handoff)
-//     instead of O(jobs).
+//     single producer, in stream order, which feeds each shard through a
+//     bounded hand-off channel (at most handoff arrivals ahead of the
+//     shard), so peak memory is O(shards x handoff) instead of O(jobs).
 //
-// Both branches deliver, per shard, exactly the arrival sequence of the
-// sequential route-then-fault-pass reference kept in oracle_test.go,
-// which pins the equivalence arrival for arrival.
+// Either way RunSource ends up with one feed per shard, taps it for
+// Progress, and plays it on the shard's own goroutine. Both branches
+// deliver, per shard, exactly the arrival sequence of the sequential
+// route-then-fault-pass reference kept in oracle_test.go, which pins the
+// equivalence arrival for arrival.
 
 // Source is a restartable O(1)-memory arrival generator: a pure function
 // of its construction parameters that yields the stream in ascending
@@ -79,9 +80,10 @@ type ArrivalFeed interface {
 }
 
 // Progress is a coarse, concurrency-safe progress counter for capacity
-// runs: feeds batch job deliveries locally and flush into it, so a CLI
-// ticker can report jobs done and the simulated-time high-water mark
-// without touching the hot path. A nil *Progress disables all updates.
+// runs: each tapped feed batches its deliveries locally and flushes into
+// it, so a CLI ticker can report jobs done and the simulated-time
+// high-water mark without touching the hot path. A nil *Progress
+// disables all updates.
 type Progress struct {
 	jobs  atomic.Int64
 	simAt atomic.Int64
@@ -103,30 +105,42 @@ func (p *Progress) SimAt() sim.Time {
 	return sim.Time(p.simAt.Load())
 }
 
+// Tap returns feed with every delivered arrival counted into p. A nil p
+// returns feed itself, so untracked runs pay nothing per arrival.
+func (p *Progress) Tap(feed ArrivalFeed) ArrivalFeed {
+	if p == nil {
+		return feed
+	}
+	return &tappedFeed{feed: feed, p: p}
+}
+
 // progressBatch is the flush granularity: one atomic add per this many
 // deliveries keeps the counter invisible in profiles.
 const progressBatch = 8192
 
-// progressTap is a feed-local accumulator in front of a shared Progress.
-type progressTap struct {
+// tappedFeed is a feed-local accumulator in front of a shared Progress.
+type tappedFeed struct {
+	feed    ArrivalFeed
 	p       *Progress
 	pending int64
 	at      sim.Time
 }
 
-func (t *progressTap) bump(at sim.Time) {
-	if t.p == nil {
-		return
+func (t *tappedFeed) Next(a *Arrival) bool {
+	if !t.feed.Next(a) {
+		t.flush()
+		return false
 	}
 	t.pending++
-	t.at = at
+	t.at = a.At
 	if t.pending >= progressBatch {
 		t.flush()
 	}
+	return true
 }
 
-func (t *progressTap) flush() {
-	if t.p == nil || t.pending == 0 {
+func (t *tappedFeed) flush() {
+	if t.pending == 0 {
 		return
 	}
 	t.p.jobs.Add(t.pending)
@@ -140,40 +154,34 @@ func (t *progressTap) flush() {
 	}
 }
 
-// SourceFeed adapts a whole Source into one replica's feed — the
-// single-shard (workload.Serve) fast path, with optional progress taps.
-type SourceFeed struct {
-	src Source
-	tap progressTap
-}
-
-// NewSourceFeed returns a feed yielding every arrival of src. p may be nil.
-func NewSourceFeed(src Source, p *Progress) *SourceFeed {
-	return &SourceFeed{src: src, tap: progressTap{p: p}}
-}
-
-// Next yields the next arrival of the source.
-func (f *SourceFeed) Next(a *Arrival) bool {
-	if f.src.Next(a) {
-		f.tap.bump(a.At)
-		return true
+// place is the fault pass for one arrival routed to shard s at instant
+// at: eff is the shard it runs on after dead-shard reroute, and when
+// hedge is set a duplicate goes to dup, the next shard healthy at at.
+// dup is never eff, so an arrival lands on a shard at most once. A nil
+// spec leaves the routing as it is.
+func (f *FaultSpec) place(shards, s int, at sim.Time) (eff, dup int, hedge bool) {
+	eff = s
+	if f == nil {
+		return eff, 0, false
 	}
-	f.tap.flush()
-	return false
+	if f.downAt(s, at) {
+		if alt, ok := f.nextHealthy(shards, s, at); ok {
+			eff = alt
+		}
+	}
+	if f.Hedge > 0 && f.crashesWithin(eff, at) {
+		dup, hedge = f.nextHealthy(shards, eff, at)
+	}
+	return eff, dup, hedge
 }
 
 // filterFeed is an index-free shard's view of the stream: a private
 // clone of the source filtered down to the arrivals this shard would
 // receive after routing and the fault pass. Routing by (index, app) and
-// the per-arrival reroute/hedge decisions depend only on the arrival and
-// the static fault spec, so every shard recomputes them independently —
-// that is what lets generation run in parallel with zero hand-off state.
-//
-// Reroute rewrites each arrival's single destination (counted at the
-// destination shard, so the per-shard counts sum to the global total),
-// and a hedge duplicate targets nextHealthy(effective), which is never
-// the effective shard itself, so each arrival contributes at most one
-// entry per shard, in stream order — the producer's per-shard order.
+// place depend only on the arrival and the static fault spec, so every
+// shard recomputes them independently — that is what lets generation
+// run in parallel with zero hand-off state. Each shard counts what it
+// receives, so the per-shard counts sum to the global totals.
 type filterFeed struct {
 	src    Source
 	shard  int
@@ -181,7 +189,6 @@ type filterFeed struct {
 	fe     FrontEnd
 	spec   *FaultSpec // nil when the fault pass is inactive
 	idx    int        // global stream index (round-robin key)
-	tap    progressTap
 
 	assigned, rerouted, hedged int
 }
@@ -196,38 +203,30 @@ func (f *filterFeed) Next(a *Arrival) bool {
 		} else {
 			s = int(hashApp(a.Job.App) % uint32(f.shards))
 		}
-		eff := s
-		if f.spec != nil && f.spec.downAt(s, a.At) {
-			if alt, ok := f.spec.nextHealthy(f.shards, s, a.At); ok {
-				eff = alt
-			}
-		}
-		if eff == f.shard {
+		eff, dup, hedge := f.spec.place(f.shards, s, a.At)
+		switch {
+		case eff == f.shard:
 			f.assigned++
 			if eff != s {
 				f.rerouted++
 			}
-			f.tap.bump(a.At)
+			return true
+		case hedge && dup == f.shard:
+			// The Arrival travels by value, so the duplicate is an
+			// independent job record.
+			f.assigned++
+			f.hedged++
 			return true
 		}
-		if f.spec != nil && f.spec.Hedge > 0 && f.spec.crashesWithin(eff, a.At) {
-			if alt, ok := f.spec.nextHealthy(f.shards, eff, a.At); ok && alt == f.shard {
-				// The Arrival travels by value, so the duplicate is an
-				// independent job record.
-				f.assigned++
-				f.hedged++
-				f.tap.bump(a.At)
-				return true
-			}
-		}
 	}
-	f.tap.flush()
 	return false
 }
 
-// DefaultHandoff is the stateful front ends' hand-off bound: how many
-// routed arrivals the producer may buffer per shard before it blocks.
-const DefaultHandoff = 4096
+// handoff is the stateful front ends' hand-off bound: how many routed
+// arrivals the producer may buffer per shard before it blocks, so peak
+// memory is O(shards x handoff). It affects only producer/consumer
+// overlap, never results.
+const handoff = 4096
 
 // handoffBatch is the channel granularity: arrivals travel in value
 // batches so the producer pays one channel operation per batch, not per
@@ -237,45 +236,45 @@ const handoffBatch = 256
 // chanFeed is a stateful front end's per-shard feed: batches of routed
 // arrivals from the producer goroutine over a bounded channel.
 type chanFeed struct {
-	ch    chan []Arrival
-	cur   []Arrival
-	i     int
-	tap   progressTap
-	drain sync.Once
+	ch  chan []Arrival
+	cur []Arrival
+	i   int
 }
 
 func (f *chanFeed) Next(a *Arrival) bool {
 	for f.i >= len(f.cur) {
 		batch, ok := <-f.ch
 		if !ok {
-			f.tap.flush()
 			return false
 		}
 		f.cur, f.i = batch, 0
 	}
 	*a = f.cur[f.i]
 	f.i++
-	f.tap.bump(a.At)
 	return true
 }
 
-// drainRest empties the channel so the producer can never block on a
-// shard that stopped consuming early (a shard error before exhaustion).
-func (f *chanFeed) drainRest() {
-	f.drain.Do(func() {
-		for range f.ch {
-		}
-	})
-}
-
 // producer routes the whole source on one goroutine — routing, then
-// reroute and hedge, per arrival in stream order — and feeds each
-// shard's channel in batches.
+// place, per arrival in stream order — and feeds each shard's channel
+// in batches.
 type producer struct {
 	chans            []chan []Arrival
 	batches          [][]Arrival
 	counts           []int
 	rerouted, hedged int
+}
+
+func newProducer(shards, bound int) *producer {
+	p := &producer{
+		chans:   make([]chan []Arrival, shards),
+		batches: make([][]Arrival, shards),
+		counts:  make([]int, shards),
+	}
+	for i := range p.chans {
+		p.chans[i] = make(chan []Arrival, max(1, bound/handoffBatch))
+		p.batches[i] = make([]Arrival, 0, handoffBatch)
+	}
+	return p
 }
 
 func (p *producer) send(shard int, a *Arrival) {
@@ -296,29 +295,31 @@ func (p *producer) close() {
 	}
 }
 
+// drainRest empties shard's channel so the producer can never block on
+// a shard that stopped consuming early (a shard error before
+// exhaustion).
+func (p *producer) drainRest(shard int) {
+	for range p.chans[shard] {
+	}
+}
+
 // run consumes the source to exhaustion. reps supplies each shard's
 // catalog model for the load-model ranking; routeSpec feeds the
 // health-weighted ranking (nil for plain least-outstanding) and
-// faultSpec the reroute/hedge pass (nil when inactive).
+// faultSpec the fault pass (nil when inactive).
 func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSpec) {
 	lo := newLoadModel(reps)
-	shards := len(p.chans)
 	var a Arrival
 	for src.Next(&a) {
 		s := lo.route(&a, routeSpec)
-		eff := s
-		if faultSpec != nil && faultSpec.downAt(s, a.At) {
-			if alt, ok := faultSpec.nextHealthy(shards, s, a.At); ok {
-				eff = alt
-				p.rerouted++
-			}
+		eff, dup, hedge := faultSpec.place(len(p.chans), s, a.At)
+		if eff != s {
+			p.rerouted++
 		}
 		p.send(eff, &a)
-		if faultSpec != nil && faultSpec.Hedge > 0 && faultSpec.crashesWithin(eff, a.At) {
-			if alt, ok := faultSpec.nextHealthy(shards, eff, a.At); ok {
-				p.hedged++
-				p.send(alt, &a)
-			}
+		if hedge {
+			p.hedged++
+			p.send(dup, &a)
 		}
 	}
 	p.close()
@@ -328,8 +329,14 @@ func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSp
 // ever materializing the stream: shards consume their assignment as it
 // is produced, so peak memory is independent of the job count. Per
 // (seed, shards, front end, per-shard configs) the merged result is
-// byte-identical at every hand-off bound and goroutine interleaving.
+// byte-identical at every goroutine interleaving.
 func RunSource(cfg Config, src Source) (Result, error) {
+	return runSource(cfg, src, handoff)
+}
+
+// runSource is RunSource with the hand-off bound as a parameter, so the
+// oracle test can shrink it until the producer blocks on every batch.
+func runSource(cfg Config, src Source, bound int) (Result, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -344,82 +351,69 @@ func RunSource(cfg Config, src Source) (Result, error) {
 	if cfg.Faults.active() {
 		faultSpec = cfg.Faults
 	}
-	results := make([]ShardResult, cfg.Shards)
-	errs := make([]error, cfg.Shards)
-	counts := make([]int, cfg.Shards)
-	var rerouted, hedged int
-	var wg sync.WaitGroup
 
+	feeds := make([]ArrivalFeed, cfg.Shards)
+	var filters []*filterFeed // index-free front ends: one filtered clone per shard
+	var p *producer           // stateful front ends: one router feeds every shard
 	switch cfg.FrontEnd {
 	case HashApp, RoundRobin:
-		// Parallel generation: each shard filters its own clone.
-		feeds := make([]*filterFeed, cfg.Shards)
-		for i := range feeds {
-			feeds[i] = &filterFeed{
+		filters = make([]*filterFeed, cfg.Shards)
+		for i := range filters {
+			filters[i] = &filterFeed{
 				src: src.Clone(), shard: i, shards: cfg.Shards,
-				fe: cfg.FrontEnd, spec: faultSpec, tap: progressTap{p: cfg.Progress},
+				fe: cfg.FrontEnd, spec: faultSpec,
 			}
-		}
-		for i := range reps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = reps[i].PlayStream(feeds[i])
-			}(i)
-		}
-		wg.Wait()
-		for i, f := range feeds {
-			counts[i] = f.assigned
-			rerouted += f.rerouted
-			hedged += f.hedged
+			feeds[i] = filters[i]
 		}
 	case LeastOutstanding, HealthWeighted:
-		// Sequential routing on a producer goroutine, bounded hand-off to
-		// each shard. The load model reads only each shard's immutable
-		// catalog (Predict), never live scheduler state, so it is safe to
-		// run concurrently with the shard simulations.
-		handoff := cfg.Handoff
-		if handoff <= 0 {
-			handoff = DefaultHandoff
-		}
-		capBatches := handoff / handoffBatch
-		if capBatches < 1 {
-			capBatches = 1
-		}
-		p := &producer{
-			chans:   make([]chan []Arrival, cfg.Shards),
-			batches: make([][]Arrival, cfg.Shards),
-			counts:  counts,
-		}
-		feeds := make([]*chanFeed, cfg.Shards)
+		p = newProducer(cfg.Shards, bound)
 		for i := range feeds {
-			p.chans[i] = make(chan []Arrival, capBatches)
-			p.batches[i] = make([]Arrival, 0, handoffBatch)
-			feeds[i] = &chanFeed{ch: p.chans[i], tap: progressTap{p: cfg.Progress}}
+			feeds[i] = &chanFeed{ch: p.chans[i]}
 		}
-		for i := range reps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer feeds[i].drainRest()
-				results[i], errs[i] = reps[i].PlayStream(feeds[i])
-			}(i)
-		}
+	default:
+		return Result{}, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
+	}
+
+	results := make([]ShardResult, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	var wg sync.WaitGroup
+	for i, feed := range feeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p != nil {
+				defer p.drainRest(i)
+			}
+			results[i], errs[i] = reps[i].PlayStream(cfg.Progress.Tap(feed))
+		}()
+	}
+	if p != nil {
+		// Sequential routing on this goroutine, bounded hand-off to each
+		// shard. The load model reads only each shard's immutable catalog
+		// (Predict), never live scheduler state, so it is safe to run
+		// concurrently with the shard simulations.
 		var routeSpec *FaultSpec
 		if cfg.FrontEnd == HealthWeighted {
 			routeSpec = cfg.Faults // ranking input even when inactive
 		}
 		p.run(src, reps, routeSpec, faultSpec)
-		wg.Wait()
-		rerouted, hedged = p.rerouted, p.hedged
-	default:
-		return Result{}, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
 	}
+	wg.Wait()
 
 	for i, err := range errs {
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
+	}
+	counts := make([]int, cfg.Shards)
+	var rerouted, hedged int
+	if p != nil {
+		counts, rerouted, hedged = p.counts, p.rerouted, p.hedged
+	}
+	for i, f := range filters {
+		counts[i] = f.assigned
+		rerouted += f.rerouted
+		hedged += f.hedged
 	}
 	return finish(cfg, seeds, results, counts, src.Len()+hedged, rerouted, hedged)
 }

@@ -348,7 +348,7 @@ func Serve(cfg ServeConfig) ServeResult {
 	if err != nil {
 		panic(err)
 	}
-	sr, err := rep.PlayStream(cluster.NewSourceFeed(src, cfg.Progress))
+	sr, err := rep.PlayStream(cfg.Progress.Tap(src))
 	if err != nil {
 		panic(err)
 	}

@@ -49,12 +49,6 @@ type ClusterConfig struct {
 	// i's backend/fabric-count/soft-CPU/policy configuration. Must be
 	// empty or exactly Shards long.
 	ShardSpecs []ShardSpec
-
-	// Handoff bounds the streaming pipeline's per-shard hand-off buffer
-	// under the stateful front ends (see cluster.Config.Handoff); <= 0
-	// selects cluster.DefaultHandoff. Memory/overlap knob only — results
-	// are identical at every bound.
-	Handoff int
 }
 
 // ClusterResult is the outcome of one sharded serve run.
@@ -164,7 +158,6 @@ func (cfg ClusterConfig) clusterConfig(width sim.Time) cluster.Config {
 		Shards:   cfg.Shards,
 		FrontEnd: cfg.FrontEnd,
 		Seed:     cfg.Seed,
-		Handoff:  cfg.Handoff,
 		Progress: cfg.ServeConfig.Progress,
 		// The serve replica draws nothing locally (arrivals are
 		// pre-generated, accelerators are inert stubs), so the derived

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"duet/internal/cluster"
 	"duet/internal/sched"
 )
 
@@ -44,5 +45,17 @@ func TestServePoliciesDiffer(t *testing.T) {
 	}
 	if aff, fifo := results[sched.Affinity].Reconfigs, results[sched.FIFO].Reconfigs; aff >= fifo {
 		t.Fatalf("affinity reconfigs (%d) not below fifo (%d)", aff, fifo)
+	}
+}
+
+// TestServeProgress: a single-replica run with a Progress sink counts
+// exactly its offered jobs and ends at the last arrival's instant.
+func TestServeProgress(t *testing.T) {
+	cfg := ServeConfig{Policy: sched.Affinity, Jobs: 10_000, Seed: 5, Backend: BackendModel}
+	stream := Arrivals(cfg)
+	cfg.Progress = &cluster.Progress{}
+	Serve(cfg)
+	if got, at := cfg.Progress.Jobs(), cfg.Progress.SimAt(); got != int64(cfg.Jobs) || at != stream[len(stream)-1].At {
+		t.Fatalf("progress jobs/simAt = %d/%v, want %d/%v", got, at, cfg.Jobs, stream[len(stream)-1].At)
 	}
 }

@@ -119,7 +119,7 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 // must reproduce ServeClusterOver over the materialized Arrivals exactly
 // — full ClusterResult DeepEqual, including per-shard samples,
 // fault-pass counts and telemetry — across front ends, stats modes,
-// backends, fault plans and hand-off bounds.
+// backends and fault plans.
 func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 	crash := &faults.Plan{
 		Seed:      11,
@@ -176,19 +176,15 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 			},
 			Shards: 2, FrontEnd: cluster.LeastOutstanding,
 		},
-		// A tiny hand-off bound must change nothing but overlap.
 		ClusterConfig{
 			ServeConfig: ServeConfig{Policy: sched.Affinity, Jobs: 150, Seed: 7, Backend: BackendModel},
-			Shards:      3, FrontEnd: cluster.LeastOutstanding, Handoff: 1,
+			Shards:      3, FrontEnd: cluster.LeastOutstanding,
 		},
 	)
 	for _, cfg := range cases {
 		name := fmt.Sprintf("%v/%v/%v", cfg.FrontEnd, cfg.Backend, cfg.Stats)
 		if cfg.Faults != nil {
 			name += "/faults"
-		}
-		if cfg.Handoff > 0 {
-			name += fmt.Sprintf("/handoff=%d", cfg.Handoff)
 		}
 		t.Run(name, func(t *testing.T) {
 			want, err := ServeClusterOver(cfg, Arrivals(cfg.ServeConfig))
