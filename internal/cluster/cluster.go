@@ -171,7 +171,7 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (Sha
 		} else {
 			j = new(sched.Job)
 		}
-		*j = a.Job
+		*j = sched.Job{Request: a.Request}
 		if !sch.Submit(j) && streaming && j.Err == nil {
 			// Queue-full bounce: the job was never admitted and never
 			// retired (no OnResult), so the scheduler holds no reference —
@@ -192,13 +192,13 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (Sha
 	return sr, err
 }
 
-// Arrival is one job offered to the cluster front end at absolute
-// simulated time At. Jobs are held by value in the stream; the front
-// end assigns each arrival to exactly one shard, so shards never share
-// job state.
+// Arrival is one job request offered to the cluster front end at
+// absolute simulated time At. It carries the request alone, by value:
+// the shard that plays it builds its own job record, so shards never
+// share job state.
 type Arrival struct {
-	At  sim.Time
-	Job sched.Job
+	At sim.Time
+	sched.Request
 }
 
 // Config parameterizes one cluster run.

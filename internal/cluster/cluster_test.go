@@ -67,7 +67,7 @@ func stream(n int) []cluster.Arrival {
 	at := sim.Time(0)
 	for i := 0; i < n; i++ {
 		at += sim.Time(1+i%7) * sim.US
-		arr = append(arr, cluster.Arrival{At: at, Job: sched.Job{
+		arr = append(arr, cluster.Arrival{At: at, Request: sched.Request{
 			App:       testApps[i%len(testApps)].name,
 			InputSize: 64 + (i*37)%1500,
 			Priority:  i % 4,
@@ -168,7 +168,7 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 	arr := make([]cluster.Arrival, 12)
 	for i := range arr {
 		// 1s gaps dwarf any service time: all shards idle at each arrival.
-		arr[i] = cluster.Arrival{At: sim.Time(i+1) * sim.Time(1e12), Job: sched.Job{
+		arr[i] = cluster.Arrival{At: sim.Time(i+1) * sim.Time(1e12), Request: sched.Request{
 			App: testApps[i%len(testApps)].name, InputSize: 64,
 		}}
 	}

@@ -173,7 +173,7 @@ func (lm *loadModel) route(a *Arrival, faults *FaultSpec) int {
 	if sh.free[fab] > start {
 		start = sh.free[fab]
 	}
-	svc, _ := lm.reps[best].Predict(a.Job.App, a.Job.InputSize)
+	svc, _ := lm.reps[best].Predict(a.App, a.InputSize)
 	fin := start + svc
 	sh.free[fab] = fin
 	if sh.n < loadCap {

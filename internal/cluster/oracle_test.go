@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +32,7 @@ func oracle(cfg Config, reps []Replica, stream []Arrival) (perShard [][]Arrival,
 		case HealthWeighted:
 			assign[i] = lo.route(&stream[i], f)
 		default: // HashApp
-			assign[i] = int(hashApp(stream[i].Job.App) % uint32(n))
+			assign[i] = int(hashApp(stream[i].App) % uint32(n))
 		}
 	}
 	if !f.active() {
@@ -83,6 +85,32 @@ func (r *recordingReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
 	return ShardResult{}, nil
 }
 
+// countingReplica is a recordingReplica that counts its deliveries
+// instead of keeping them, so playing a feed allocates nothing and the
+// hand-off is all a run costs.
+type countingReplica struct {
+	recordingReplica
+	n int
+}
+
+func (r *countingReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
+	var a Arrival
+	for feed.Next(&a) {
+		r.n++
+	}
+	return ShardResult{}, nil
+}
+
+// countingConfig is a least-outstanding run over two counting shards.
+func countingConfig() Config {
+	return Config{
+		Shards: 2, FrontEnd: LeastOutstanding,
+		NewReplica: func(int, int64) (Replica, error) {
+			return &countingReplica{recordingReplica: recordingReplica{workers: 1}}, nil
+		},
+	}
+}
+
 // oracleStream is a deterministic stream dense enough to build backlog.
 func oracleStream(n int) []Arrival {
 	apps := []string{"Tangent", "Popcount", "BFS", "Sort"}
@@ -90,7 +118,7 @@ func oracleStream(n int) []Arrival {
 	at := sim.Time(0)
 	for i := range arr {
 		at += sim.Time(1+i%5) * sim.US
-		arr[i] = Arrival{At: at, Job: sched.Job{ID: i, App: apps[i*7%len(apps)], InputSize: 16 + i*37%300}}
+		arr[i] = Arrival{At: at, Request: sched.Request{App: apps[i*7%len(apps)], InputSize: 16 + i*37%300}}
 	}
 	return arr
 }
@@ -176,6 +204,50 @@ func TestProducerSurvivesShardError(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("producer deadlocked on a shard that stopped consuming")
+	}
+}
+
+// TestProducerRecyclesBatches: the producer's hand-off buffers are a
+// fixed set per shard that cycles between producer and shard, so a
+// stateful-front-end run allocates the same heap objects at 16 and at
+// 128 hand-off bounds' worth of arrivals. The streams are materialized
+// before the measured region. The runtime's own goroutine and
+// channel-waiter caches add a few objects when goroutines land on fresh
+// Ps, so the runs go on one P and each size keeps its fewest of three.
+func TestProducerRecyclesBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(stream []Arrival) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			src := NewSliceSource(stream)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := RunSource(countingConfig(), src)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	short, long := oracleStream(16*handoff), oracleStream(128*handoff)
+	if s, l := mallocs(short), mallocs(long); s != l {
+		t.Fatalf("run allocated %d objects at %d arrivals but %d at %d: the hand-off allocates per batch",
+			s, len(short), l, len(long))
+	}
+}
+
+// BenchmarkRunSourceHandoff times the stateful front ends' hand-off on
+// its own: least-outstanding routing of a 1M-arrival materialized stream
+// onto two shards that only count what they receive.
+func BenchmarkRunSourceHandoff(b *testing.B) {
+	stream := oracleStream(1_000_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RunSource(countingConfig(), NewSliceSource(stream)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -21,7 +21,10 @@ import (
 //   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
 //     single producer, in stream order, which feeds each shard through a
 //     bounded hand-off channel (at most handoff arrivals ahead of the
-//     shard), so peak memory is O(shards x handoff) instead of O(jobs).
+//     shard). Its batches of 48-byte request records come from a fixed
+//     per-shard set of buffers that the shard hands back once drained,
+//     so the hand-off allocates O(shards x handoff) once and nothing
+//     per arrival.
 //
 // Either way RunSource ends up with one feed per shard, taps it for
 // Progress, and plays it on the shard's own goroutine. Both branches
@@ -201,7 +204,7 @@ func (f *filterFeed) Next(a *Arrival) bool {
 		if f.fe == RoundRobin {
 			s = i % f.shards
 		} else {
-			s = int(hashApp(a.Job.App) % uint32(f.shards))
+			s = int(hashApp(a.App) % uint32(f.shards))
 		}
 		eff, dup, hedge := f.spec.place(f.shards, s, a.At)
 		switch {
@@ -234,15 +237,22 @@ const handoff = 4096
 const handoffBatch = 256
 
 // chanFeed is a stateful front end's per-shard feed: batches of routed
-// arrivals from the producer goroutine over a bounded channel.
+// arrivals from the producer goroutine over a bounded channel. Each
+// drained batch goes back to the producer on free before the next one
+// is received, so a shard holds at most one buffer.
 type chanFeed struct {
-	ch  chan []Arrival
-	cur []Arrival
-	i   int
+	ch   <-chan []Arrival
+	free chan<- []Arrival
+	cur  []Arrival
+	i    int
 }
 
 func (f *chanFeed) Next(a *Arrival) bool {
 	for f.i >= len(f.cur) {
+		if f.cur != nil {
+			f.free <- f.cur
+			f.cur = nil
+		}
 		batch, ok := <-f.ch
 		if !ok {
 			return false
@@ -256,10 +266,16 @@ func (f *chanFeed) Next(a *Arrival) bool {
 
 // producer routes the whole source on one goroutine — routing, then
 // place, per arrival in stream order — and feeds each shard's channel
-// in batches.
+// in batches. Each shard's batches come from a fixed set of cap(ch)+2
+// buffers: those queued on the channel, the one being filled and the
+// one the shard is playing. Once the set is full, the producer refills
+// only from the buffers the shard hands back on free, so a run
+// allocates O(shards x handoff) however many arrivals it routes.
 type producer struct {
 	chans            []chan []Arrival
+	free             []chan []Arrival
 	batches          [][]Arrival
+	made             []int // buffers allocated per shard
 	counts           []int
 	rerouted, hedged int
 }
@@ -267,14 +283,33 @@ type producer struct {
 func newProducer(shards, bound int) *producer {
 	p := &producer{
 		chans:   make([]chan []Arrival, shards),
+		free:    make([]chan []Arrival, shards),
 		batches: make([][]Arrival, shards),
+		made:    make([]int, shards),
 		counts:  make([]int, shards),
 	}
 	for i := range p.chans {
 		p.chans[i] = make(chan []Arrival, max(1, bound/handoffBatch))
-		p.batches[i] = make([]Arrival, 0, handoffBatch)
+		// Room for the whole set, so handing a buffer back never blocks.
+		p.free[i] = make(chan []Arrival, p.bufs(i))
+		p.batches[i] = p.next(i)
 	}
 	return p
+}
+
+// bufs is the size of shard's buffer set.
+func (p *producer) bufs(shard int) int { return cap(p.chans[shard]) + 2 }
+
+// next returns an empty batch buffer for shard: a new one while the set
+// is not yet full, otherwise one the shard has drained. With the whole
+// set allocated and none held here, at most cap(ch) are queued and one
+// is being played, so a drained buffer is always on its way back.
+func (p *producer) next(shard int) []Arrival {
+	if p.made[shard] < p.bufs(shard) {
+		p.made[shard]++
+		return make([]Arrival, 0, handoffBatch)
+	}
+	return (<-p.free[shard])[:0]
 }
 
 func (p *producer) send(shard int, a *Arrival) {
@@ -282,7 +317,7 @@ func (p *producer) send(shard int, a *Arrival) {
 	p.batches[shard] = append(p.batches[shard], *a)
 	if len(p.batches[shard]) >= handoffBatch {
 		p.chans[shard] <- p.batches[shard]
-		p.batches[shard] = make([]Arrival, 0, handoffBatch)
+		p.batches[shard] = p.next(shard)
 	}
 }
 
@@ -295,11 +330,13 @@ func (p *producer) close() {
 	}
 }
 
-// drainRest empties shard's channel so the producer can never block on
-// a shard that stopped consuming early (a shard error before
-// exhaustion).
+// drainRest empties shard's channel, handing every batch back, so the
+// producer can never block on a shard that stopped consuming early (a
+// shard error before exhaustion): neither on a full channel nor waiting
+// for a free buffer.
 func (p *producer) drainRest(shard int) {
-	for range p.chans[shard] {
+	for b := range p.chans[shard] {
+		p.free[shard] <- b
 	}
 }
 
@@ -368,7 +405,7 @@ func runSource(cfg Config, src Source, bound int) (Result, error) {
 	case LeastOutstanding, HealthWeighted:
 		p = newProducer(cfg.Shards, bound)
 		for i := range feeds {
-			feeds[i] = &chanFeed{ch: p.chans[i]}
+			feeds[i] = &chanFeed{ch: p.chans[i], free: p.free[i]}
 		}
 	default:
 		return Result{}, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)

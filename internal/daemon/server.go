@@ -283,7 +283,7 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	if s.sch.HealthyWorkers() == 0 || s.sch.DownAt(s.pool.Now()) {
 		return SubmitOutcome{Code: Unavailable, Retry: time.Second}
 	}
-	j := &sched.Job{App: req.App, InputSize: req.InputSize, Priority: req.Priority}
+	j := &sched.Job{Request: sched.Request{App: req.App, InputSize: req.InputSize, Priority: req.Priority}}
 	if req.DeadlineUS > 0 {
 		j.Deadline = s.pool.Now() + sim.Time(req.DeadlineUS)*sim.US
 	}

@@ -80,16 +80,22 @@ func (a *App) Finalize() {
 	}
 }
 
-// Job is one unit of work submitted to the scheduler. The caller fills
-// the request fields; the scheduler fills the outcome fields.
-type Job struct {
-	ID        int
+// Request is what a submitter asks of the scheduler: the part of a job
+// an arrival stream carries.
+type Request struct {
 	App       string   // bitstream name (RegisterApp key)
 	InputSize int      // work items
 	Priority  int      // higher is more urgent (SJF tie-break)
 	Deadline  sim.Time // absolute completion deadline; 0 = none
+}
+
+// Job is one unit of work submitted to the scheduler. The caller fills
+// the Request; the scheduler fills the outcome fields.
+type Job struct {
+	Request
 
 	// Outcome.
+	ID           int // assigned by Submit
 	Submit       sim.Time
 	Start        sim.Time // dispatch instant (end of queue wait)
 	Finish       sim.Time

@@ -62,14 +62,14 @@ func TestOversizedBitstreamFailsGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bigJob := &sched.Job{App: "big", InputSize: 10}
+	bigJob := &sched.Job{Request: sched.Request{App: "big", InputSize: 10}}
 	if sch.Submit(bigJob) {
 		t.Fatal("over-capacity job was admitted")
 	}
 	if bigJob.Err == nil {
 		t.Fatal("over-capacity job has no error")
 	}
-	okJob := &sched.Job{App: "small", InputSize: 10}
+	okJob := &sched.Job{Request: sched.Request{App: "small", InputSize: 10}}
 	if !sch.Submit(okJob) {
 		t.Fatal("fitting job was not admitted")
 	}
@@ -85,7 +85,7 @@ func TestOversizedBitstreamFailsGracefully(t *testing.T) {
 
 func TestUnknownAppFails(t *testing.T) {
 	sys, sch := newServeSystem(t, 1, sched.Config{})
-	j := &sched.Job{App: "nonesuch"}
+	j := &sched.Job{Request: sched.Request{App: "nonesuch"}}
 	if sch.Submit(j) || j.Err == nil {
 		t.Fatalf("unknown app admitted (err=%v)", j.Err)
 	}
@@ -109,7 +109,7 @@ func runAlternating(t *testing.T, policy sched.Policy) sched.Stats {
 		}
 	}
 	for _, app := range []string{"A", "B", "B", "A", "B", "A", "B", "A"} {
-		if !sch.Submit(&sched.Job{App: app}) {
+		if !sch.Submit(&sched.Job{Request: sched.Request{App: app}}) {
 			t.Fatalf("job %q not admitted", app)
 		}
 	}
@@ -145,7 +145,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 	}
 	admitted := 0
 	for i := 0; i < 5; i++ {
-		if sch.Submit(&sched.Job{App: "A"}) {
+		if sch.Submit(&sched.Job{Request: sched.Request{App: "A"}}) {
 			admitted++
 		}
 	}
@@ -166,7 +166,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: a, FixedCycles: 1000, CyclesPerItem: 2}); err != nil {
 		t.Fatal(err)
 	}
-	j := &sched.Job{App: "A", InputSize: 500, Deadline: 1} // 1ps: must miss
+	j := &sched.Job{Request: sched.Request{App: "A", InputSize: 500, Deadline: 1}} // 1ps: must miss
 	sch.Submit(j)
 	sys.Run()
 	st := sch.Stats()
@@ -215,7 +215,7 @@ func TestHeterogeneousCapacityPlacement(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: big, FixedCycles: 1000, CyclesPerItem: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := &sched.Job{App: "big"}, &sched.Job{App: "big"}
+	j1, j2 := &sched.Job{Request: sched.Request{App: "big"}}, &sched.Job{Request: sched.Request{App: "big"}}
 	if !sch.Submit(j1) || !sch.Submit(j2) {
 		t.Fatal("fitting jobs not admitted")
 	}
@@ -248,8 +248,8 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 	}
 	bad.Image[0] ^= 0xff // stale CRC: Configure must reject it
 
-	sch.Submit(&sched.Job{App: "good"}) // serves; scheduler grants the hub
-	failing := &sched.Job{App: "bad"}
+	sch.Submit(&sched.Job{Request: sched.Request{App: "good"}}) // serves; scheduler grants the hub
+	failing := &sched.Job{Request: sched.Request{App: "bad"}}
 	sch.Submit(failing)
 	sys.Run()
 	if failing.Err == nil {
@@ -264,7 +264,7 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 		t.Fatal("memory hub left quiesced after programming failure")
 	}
 	// The worker must still be serviceable.
-	again := &sched.Job{App: "other"}
+	again := &sched.Job{Request: sched.Request{App: "other"}}
 	sch.Submit(again)
 	sys.Run()
 	st := sch.Stats()
@@ -324,10 +324,10 @@ func TestOnResultDrain(t *testing.T) {
 		drained = append(drained, j)
 		finishes = append(finishes, sys.Eng.Now())
 	}
-	sch.Submit(&sched.Job{App: "drain", InputSize: 4})   // served immediately
-	sch.Submit(&sched.Job{App: "phantom", InputSize: 4}) // fails at submit
-	sch.Submit(&sched.Job{App: "drain", InputSize: 4})   // queued
-	sch.Submit(&sched.Job{App: "drain", InputSize: 4})   // bounced: queue full
+	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // served immediately
+	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom", InputSize: 4}}) // fails at submit
+	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // queued
+	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // bounced: queue full
 	sys.Run()
 	if len(drained) != 3 {
 		t.Fatalf("hook fired %d times, want 3 (2 completed + 1 failed, rejection silent)", len(drained))

@@ -26,13 +26,13 @@ func runStreamWorkload(t *testing.T, mode sched.StatsMode) *sched.Scheduler {
 		if i%3 == 0 {
 			app = "B"
 		}
-		j := &sched.Job{App: app, InputSize: 100 + 37*i}
+		j := &sched.Job{Request: sched.Request{App: app, InputSize: 100 + 37*i}}
 		if i%10 == 5 {
 			j.Deadline = 1 // 1ps: must miss
 		}
 		sch.Submit(j)
 	}
-	sch.Submit(&sched.Job{App: "phantom"}) // fails at submit
+	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom"}}) // fails at submit
 	sys.Run()
 	return sch
 }
@@ -90,8 +90,8 @@ func TestStreamingOnResultStillFires(t *testing.T) {
 	}
 	fired := 0
 	sch.OnResult = func(j *sched.Job) { fired++ }
-	sch.Submit(&sched.Job{App: "drain", InputSize: 4})
-	sch.Submit(&sched.Job{App: "phantom"})
+	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})
+	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom"}})
 	sys.Run()
 	if fired != 2 {
 		t.Fatalf("OnResult fired %d times, want 2", fired)

@@ -433,7 +433,7 @@ func everyCount(r *Recorder) Counts {
 	repeat(want.Reprograms, func() { dispatch(r, 30, 0, true) })
 	repeat(want.Spills, func() { dispatch(r, 30, 1, false) })
 	repeat(want.Completions-want.DeadlineMisses, func() { retire(r, &sched.Job{Submit: 10, Finish: 40}) })
-	repeat(want.DeadlineMisses, func() { retire(r, &sched.Job{Submit: 10, Deadline: 30, Finish: 40}) })
+	repeat(want.DeadlineMisses, func() { retire(r, &sched.Job{Submit: 10, Request: sched.Request{Deadline: 30}, Finish: 40}) })
 	repeat(want.Failures, func() { retire(r, &sched.Job{Finish: 40, Err: sched.ErrUnavailable}) })
 	repeat(want.Wedges, func() { observe(r, sched.EventWedge, 50) })
 	repeat(want.Retries, func() { observe(r, sched.EventRetry, 50) })

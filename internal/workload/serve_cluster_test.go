@@ -90,10 +90,10 @@ func TestServeArrivalsGolden(t *testing.T) {
 	h := fnv.New64a()
 	for _, a := range arrivals {
 		binary.Write(h, binary.LittleEndian, int64(a.At))
-		h.Write([]byte(a.Job.App))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.InputSize))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.Priority))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.Deadline))
+		h.Write([]byte(a.App))
+		binary.Write(h, binary.LittleEndian, int64(a.InputSize))
+		binary.Write(h, binary.LittleEndian, int64(a.Priority))
+		binary.Write(h, binary.LittleEndian, int64(a.Deadline))
 	}
 	const golden = uint64(0x9e2f398c9687650c) // seed 1, 240 jobs, 25us mean gap
 	if got := h.Sum64(); got != golden {

@@ -29,13 +29,13 @@ func referenceArrivals(cfg ServeConfig) []cluster.Arrival {
 	out := make([]cluster.Arrival, 0, cfg.Jobs)
 	for i := 0; i < cfg.Jobs; i++ {
 		at += sim.Time(rng.ExpFloat64() * cfg.MeanGapUS * float64(sim.US))
-		j := sched.Job{
+		r := sched.Request{
 			App:       ServeApps[rng.Intn(len(ServeApps))].Name,
 			InputSize: 64 + rng.Intn(2048),
 			Priority:  rng.Intn(4),
 		}
-		j.Deadline = at + sim.Time((0.2+0.6*rng.ExpFloat64())*float64(sim.MS))
-		out = append(out, cluster.Arrival{At: at, Job: j})
+		r.Deadline = at + sim.Time((0.2+0.6*rng.ExpFloat64())*float64(sim.MS))
+		out = append(out, cluster.Arrival{At: at, Request: r})
 	}
 	return out
 }
@@ -46,10 +46,10 @@ func arrivalStreamHash(arrivals []cluster.Arrival) uint64 {
 	h := fnv.New64a()
 	for _, a := range arrivals {
 		binary.Write(h, binary.LittleEndian, int64(a.At))
-		h.Write([]byte(a.Job.App))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.InputSize))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.Priority))
-		binary.Write(h, binary.LittleEndian, int64(a.Job.Deadline))
+		h.Write([]byte(a.App))
+		binary.Write(h, binary.LittleEndian, int64(a.InputSize))
+		binary.Write(h, binary.LittleEndian, int64(a.Priority))
+		binary.Write(h, binary.LittleEndian, int64(a.Deadline))
 	}
 	return h.Sum64()
 }
@@ -114,6 +114,12 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// recycledJobs is a stream that, at a 5us mean gap, least-outstanding
+// spreads evenly enough over 3 shards that each one cycles its fixed set
+// of 18 hand-off buffers (16 queued, one filling, one playing) about
+// four times: some 78 batches of 256 arrivals per shard.
+const recycledJobs = 60_000
+
 // TestServeClusterStreamingMatchesMaterialized pins generator-fed runs
 // to slice-fed ones end to end: ServeCluster (arrivals drawn online)
 // must reproduce ServeClusterOver over the materialized Arrivals exactly
@@ -176,15 +182,22 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 			},
 			Shards: 2, FrontEnd: cluster.LeastOutstanding,
 		},
+		// Long enough that each shard's hand-off buffers cycle many times.
 		ClusterConfig{
-			ServeConfig: ServeConfig{Policy: sched.Affinity, Jobs: 150, Seed: 7, Backend: BackendModel},
-			Shards:      3, FrontEnd: cluster.LeastOutstanding,
+			ServeConfig: ServeConfig{
+				Policy: sched.Affinity, Jobs: recycledJobs, Seed: 7, MeanGapUS: 5,
+				Stats: sched.StatsStreaming, Backend: BackendModel,
+			},
+			Shards: 3, FrontEnd: cluster.LeastOutstanding,
 		},
 	)
 	for _, cfg := range cases {
 		name := fmt.Sprintf("%v/%v/%v", cfg.FrontEnd, cfg.Backend, cfg.Stats)
 		if cfg.Faults != nil {
 			name += "/faults"
+		}
+		if cfg.Jobs == recycledJobs {
+			name += "/recycled"
 		}
 		t.Run(name, func(t *testing.T) {
 			want, err := ServeClusterOver(cfg, Arrivals(cfg.ServeConfig))
@@ -204,7 +217,7 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 
 // TestStreamingClusterFlatHeap is the capacity regression gate: a
 // 10M-job model-backend streaming-stats cluster run must hold its peak
-// live heap under a flat bound — far below the >1 GB a materialized
+// live heap under a flat bound — far below the 480 MB a materialized
 // []Arrival stream of that length would pin — proving peak memory no
 // longer scales with the job count.
 func TestStreamingClusterFlatHeap(t *testing.T) {
