@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -36,16 +37,20 @@ import (
 )
 
 // Replica is one shard: an isolated simulated serve instance. The front
-// end routes by the replica's catalog model (Predict, Workers);
+// end routes by the replica's catalog (Apps, Predict, Workers);
 // PlayStream runs the shard to completion over its share of the arrival
-// stream. Implementations: EngineReplica (cycle-level Dolly system) and
+// stream. Arrivals name apps by sched.AppID, so every shard of a run
+// must list the same catalog in the same order (RunSource checks it).
+// Implementations: EngineReplica (cycle-level Dolly system) and
 // internal/model's analytic fast-path replica; both are Pools and play
 // through Drive.
 type Replica interface {
+	// Apps lists the shard's catalog names in AppID order.
+	Apps() []string
 	// Predict is the shard catalog's analytic occupancy estimate for one
-	// job — what deterministic front ends route by. ok is false for
-	// unregistered apps.
-	Predict(app string, inputSize int) (est sim.Time, ok bool)
+	// job — what deterministic front ends route by. ok is false for an
+	// AppID outside the catalog.
+	Predict(app sched.AppID, inputSize int) (est sim.Time, ok bool)
 	// Workers reports the shard's worker count (the front end's view of
 	// its service parallelism).
 	Workers() int
@@ -95,8 +100,11 @@ type EngineReplica struct {
 	Rec *telemetry.Recorder
 }
 
+// Apps lists the shard's catalog in AppID order.
+func (r *EngineReplica) Apps() []string { return r.Sch.Apps() }
+
 // Predict exposes the shard's catalog model for front-end routing.
-func (r *EngineReplica) Predict(app string, inputSize int) (sim.Time, bool) {
+func (r *EngineReplica) Predict(app sched.AppID, inputSize int) (sim.Time, bool) {
 	return r.Sch.Predict(app, inputSize)
 }
 
@@ -193,9 +201,9 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (Sha
 }
 
 // Arrival is one job request offered to the cluster front end at
-// absolute simulated time At. It carries the request alone, by value:
-// the shard that plays it builds its own job record, so shards never
-// share job state.
+// absolute simulated time At: a 40-byte record. It carries the request
+// alone, by value: the shard that plays it builds its own job record, so
+// shards never share job state.
 type Arrival struct {
 	At sim.Time
 	sched.Request
@@ -210,9 +218,10 @@ type Config struct {
 	// NewReplica builds shard i with its derived seed. Shards may be
 	// heterogeneous — different worker counts, fabric clocks or
 	// execution backends — but every shard must register the same
-	// application catalog (the front end routes by each shard's own
-	// catalog model). Construction runs sequentially, in shard order,
-	// before any goroutine starts.
+	// application catalog in the same order, since arrivals carry
+	// catalog indices (RunSource fails the run otherwise); the front end
+	// routes by each shard's own catalog model. Construction runs
+	// sequentially, in shard order, before any goroutine starts.
 	NewReplica func(shard int, seed int64) (Replica, error)
 
 	// Faults, when set, is the front end's view of the run's fault plan:
@@ -384,31 +393,38 @@ type Result struct {
 }
 
 // buildReplicas validates cfg and constructs every shard sequentially,
-// in shard order, with its derived seed.
-func buildReplicas(cfg Config) ([]Replica, []int64, error) {
+// in shard order, with its derived seed. It also returns the run's
+// catalog: arrivals name apps by AppID, so every shard must list shard
+// 0's.
+func buildReplicas(cfg Config) (reps []Replica, seeds []int64, catalog []string, err error) {
 	if cfg.FrontEnd < 0 || cfg.FrontEnd >= NumFrontEnds {
-		return nil, nil, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
+		return nil, nil, nil, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
 	}
 	if cfg.NewReplica == nil {
-		return nil, nil, fmt.Errorf("cluster: Config.NewReplica is required")
+		return nil, nil, nil, fmt.Errorf("cluster: Config.NewReplica is required")
 	}
-	reps := make([]Replica, cfg.Shards)
-	seeds := make([]int64, cfg.Shards)
+	reps = make([]Replica, cfg.Shards)
+	seeds = make([]int64, cfg.Shards)
 	for i := range reps {
 		seeds[i] = ShardSeed(cfg.Seed, i)
 		r, err := cfg.NewReplica(i, seeds[i])
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: shard %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
 		if r == nil {
-			return nil, nil, fmt.Errorf("cluster: shard %d: nil replica", i)
+			return nil, nil, nil, fmt.Errorf("cluster: shard %d: nil replica", i)
 		}
 		if er, ok := r.(*EngineReplica); ok && (er.Eng == nil || er.Sch == nil || er.Run == nil) {
-			return nil, nil, fmt.Errorf("cluster: shard %d: replica needs Eng, Sch and Run", i)
+			return nil, nil, nil, fmt.Errorf("cluster: shard %d: replica needs Eng, Sch and Run", i)
+		}
+		if apps := r.Apps(); i == 0 {
+			catalog = apps
+		} else if !slices.Equal(apps, catalog) {
+			return nil, nil, nil, fmt.Errorf("cluster: shard %d: catalog %q differs from shard 0's %q", i, apps, catalog)
 		}
 		reps[i] = r
 	}
-	return reps, seeds, nil
+	return reps, seeds, catalog, nil
 }
 
 // finish stamps per-shard identity onto the results and performs the

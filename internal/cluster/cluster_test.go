@@ -68,7 +68,7 @@ func stream(n int) []cluster.Arrival {
 	for i := 0; i < n; i++ {
 		at += sim.Time(1+i%7) * sim.US
 		arr = append(arr, cluster.Arrival{At: at, Request: sched.Request{
-			App:       testApps[i%len(testApps)].name,
+			App:       sched.AppID(i % len(testApps)),
 			InputSize: 64 + (i*37)%1500,
 			Priority:  i % 4,
 		}})
@@ -169,7 +169,7 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 	for i := range arr {
 		// 1s gaps dwarf any service time: all shards idle at each arrival.
 		arr[i] = cluster.Arrival{At: sim.Time(i+1) * sim.Time(1e12), Request: sched.Request{
-			App: testApps[i%len(testApps)].name, InputSize: 64,
+			App: sched.AppID(i % len(testApps)), InputSize: 64,
 		}}
 	}
 	r, err := runSlice(cluster.Config{
@@ -299,6 +299,48 @@ func TestRunErrors(t *testing.T) {
 	}, stream(30))
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("replica failure not attributed to its shard: %v", err)
+	}
+}
+
+// TestRunCatalogMismatch: arrivals name apps by catalog index, so a
+// shard listing a different catalog — another order, or an extra app —
+// would serve the wrong app for every job; RunSource refuses the run.
+func TestRunCatalogMismatch(t *testing.T) {
+	reversed := func(_ int, _ int64) (cluster.Replica, error) {
+		sys := duet.New(duet.Config{Cores: 1, MemHubs: 1, EFPGAs: 1, Style: duet.StyleDuet})
+		sch := sys.Scheduler(sched.Config{})
+		for i := len(testApps) - 1; i >= 0; i-- {
+			a := testApps[i]
+			bs := accel.Synthesize(a.name, func() efpga.Accelerator { return stub{} })
+			if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: a.fixed, CyclesPerItem: a.per}); err != nil {
+				return nil, err
+			}
+		}
+		return &cluster.EngineReplica{Eng: sys.Eng, Sch: sch, Run: func() error { sys.Run(); return nil }}, nil
+	}
+	extra := func(shard int, seed int64) (cluster.Replica, error) {
+		r, err := newReplica(sched.FIFO, -1)(shard, seed)
+		if err != nil {
+			return nil, err
+		}
+		bs := accel.Synthesize("Dijkstra", func() efpga.Accelerator { return stub{} })
+		return r, r.(*cluster.EngineReplica).Sch.RegisterApp(sched.App{BS: bs, FixedCycles: 8})
+	}
+	for name, odd := range map[string]func(int, int64) (cluster.Replica, error){"reversed": reversed, "extra": extra} {
+		for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
+			_, err := runSlice(cluster.Config{
+				Shards: 3, FrontEnd: fe,
+				NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
+					if shard == 2 {
+						return odd(shard, seed)
+					}
+					return newReplica(sched.FIFO, -1)(shard, seed)
+				},
+			}, stream(4))
+			if err == nil || !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "catalog") {
+				t.Fatalf("%s catalog on shard 2 under %v: err %v, want a catalog mismatch", name, fe, err)
+			}
+		}
 	}
 }
 

@@ -76,6 +76,17 @@ func hashApp(app string) uint32 {
 	return h.Sum32()
 }
 
+// hashShards is the hash-app routing table: element id is the shard
+// every job of AppID id lands on. Built once per run from the catalog
+// names, so routing an arrival never hashes a name.
+func hashShards(catalog []string, shards int) []int {
+	t := make([]int, len(catalog))
+	for id, name := range catalog {
+		t[id] = int(hashApp(name) % uint32(shards))
+	}
+	return t
+}
+
 // loadModel is the least-outstanding front end's analytic view of shard
 // occupancy: each shard is modeled as its own Workers() virtual fabrics
 // serving jobs for their catalog-predicted occupancy, FIFO per fabric.

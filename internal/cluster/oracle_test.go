@@ -32,7 +32,7 @@ func oracle(cfg Config, reps []Replica, stream []Arrival) (perShard [][]Arrival,
 		case HealthWeighted:
 			assign[i] = lo.route(&stream[i], f)
 		default: // HashApp
-			assign[i] = int(hashApp(stream[i].App) % uint32(n))
+			assign[i] = int(hashApp(oracleApps[stream[i].App]) % uint32(n))
 		}
 	}
 	if !f.active() {
@@ -68,8 +68,13 @@ type recordingReplica struct {
 	got       []Arrival
 }
 
-func (r *recordingReplica) Predict(app string, inputSize int) (sim.Time, bool) {
-	return sim.Time(len(app)*400+inputSize*9) * sim.NS, true
+// oracleApps is every routing-only shard's catalog, in AppID order.
+var oracleApps = []string{"Tangent", "Popcount", "BFS", "Sort"}
+
+func (r *recordingReplica) Apps() []string { return oracleApps }
+
+func (r *recordingReplica) Predict(app sched.AppID, inputSize int) (sim.Time, bool) {
+	return sim.Time(len(oracleApps[app])*400+inputSize*9) * sim.NS, true
 }
 
 func (r *recordingReplica) Workers() int { return r.workers }
@@ -113,12 +118,11 @@ func countingConfig() Config {
 
 // oracleStream is a deterministic stream dense enough to build backlog.
 func oracleStream(n int) []Arrival {
-	apps := []string{"Tangent", "Popcount", "BFS", "Sort"}
 	arr := make([]Arrival, n)
 	at := sim.Time(0)
 	for i := range arr {
 		at += sim.Time(1+i%5) * sim.US
-		arr[i] = Arrival{At: at, Request: sched.Request{App: apps[i*7%len(apps)], InputSize: 16 + i*37%300}}
+		arr[i] = Arrival{At: at, Request: sched.Request{App: sched.AppID(i * 7 % len(oracleApps)), InputSize: 16 + i*37%300}}
 	}
 	return arr
 }

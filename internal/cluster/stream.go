@@ -17,14 +17,15 @@ import (
 //   - Index-free front ends (HashApp, RoundRobin) need no shared routing
 //     state, so every shard clones the source and filters it down to its
 //     own assignment in parallel — generation itself is parallelized and
-//     no hand-off buffer exists at all.
+//     no hand-off buffer exists at all. HashApp reads a per-run table of
+//     each AppID's shard, built once from the catalog names.
 //   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
 //     single producer, in stream order, which feeds each shard through a
 //     bounded hand-off channel (at most handoff arrivals ahead of the
-//     shard). Its batches of 48-byte request records come from a fixed
-//     per-shard set of buffers that the shard hands back once drained,
-//     so the hand-off allocates O(shards x handoff) once and nothing
-//     per arrival.
+//     shard). Its batches of 40-byte arrival records (an AppID, not an
+//     app name) come from a fixed per-shard set of buffers that the
+//     shard hands back once drained, so the hand-off allocates
+//     O(shards x handoff) once and nothing per arrival.
 //
 // Either way RunSource ends up with one feed per shard, taps it for
 // Progress, and plays it on the shard's own goroutine. Both branches
@@ -189,7 +190,7 @@ type filterFeed struct {
 	src    Source
 	shard  int
 	shards int
-	fe     FrontEnd
+	byApp  []int      // hash-app shard per AppID; nil for round-robin
 	spec   *FaultSpec // nil when the fault pass is inactive
 	idx    int        // global stream index (round-robin key)
 
@@ -200,11 +201,12 @@ func (f *filterFeed) Next(a *Arrival) bool {
 	for f.src.Next(a) {
 		i := f.idx
 		f.idx++
-		var s int
-		if f.fe == RoundRobin {
+		s := 0 // an AppID outside the catalog goes to shard 0, which fails it
+		switch {
+		case f.byApp == nil:
 			s = i % f.shards
-		} else {
-			s = int(hashApp(a.App) % uint32(f.shards))
+		case uint(a.App) < uint(len(f.byApp)):
+			s = f.byApp[a.App]
 		}
 		eff, dup, hedge := f.spec.place(f.shards, s, a.At)
 		switch {
@@ -380,7 +382,7 @@ func runSource(cfg Config, src Source, bound int) (Result, error) {
 	if src == nil {
 		return Result{}, fmt.Errorf("cluster: RunSource needs a non-nil source")
 	}
-	reps, seeds, err := buildReplicas(cfg)
+	reps, seeds, catalog, err := buildReplicas(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -394,11 +396,15 @@ func runSource(cfg Config, src Source, bound int) (Result, error) {
 	var p *producer           // stateful front ends: one router feeds every shard
 	switch cfg.FrontEnd {
 	case HashApp, RoundRobin:
+		var byApp []int
+		if cfg.FrontEnd == HashApp {
+			byApp = hashShards(catalog, cfg.Shards)
+		}
 		filters = make([]*filterFeed, cfg.Shards)
 		for i := range filters {
 			filters[i] = &filterFeed{
 				src: src.Clone(), shard: i, shards: cfg.Shards,
-				fe: cfg.FrontEnd, spec: faultSpec,
+				byApp: byApp, spec: faultSpec,
 			}
 			feeds[i] = filters[i]
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -217,11 +218,64 @@ func TestUnknownApp(t *testing.T) {
 		t.Fatalf("unknown app: status %d, want 400", resp.StatusCode)
 	}
 	body := decodeJSON[map[string]string](t, resp)
-	if !strings.Contains(body["error"], "unknown app") {
-		t.Fatalf("unknown app error %q", body["error"])
+	if !strings.Contains(body["error"], "unknown app") || !strings.Contains(body["error"], `"nope"`) {
+		t.Fatalf("unknown app error %q does not name the app", body["error"])
 	}
 	if st := s.Stats(); st.Failed != 1 || st.Completed != 0 {
 		t.Fatalf("stats after failed submit: %+v", st)
+	}
+	if res, ok := s.Lookup(1); !ok || res.Status != "failed" || res.App != "nope" {
+		t.Fatalf("failed submission not queryable: ok=%v %+v", ok, res)
+	}
+}
+
+// TestHostileJobFields: a negative or oversized input_size and a
+// negative or clock-overflowing deadline_us are refused with a 400 that
+// names the field, count as failed, and leave the pool serving — on the
+// cycle backend (the daemon's default, where a negative size once
+// scheduled service in the past) and on the model backend.
+func TestHostileJobFields(t *testing.T) {
+	bad := []struct {
+		field string
+		req   JobRequest
+	}{
+		{"input_size", JobRequest{App: "Tangent", InputSize: -3683363949}},
+		{"input_size", JobRequest{App: "Tangent", InputSize: maxInputSize + 1}},
+		{"deadline_us", JobRequest{App: "Tangent", InputSize: 8, DeadlineUS: math.MaxInt64}},
+		{"deadline_us", JobRequest{App: "Tangent", InputSize: 8, DeadlineUS: -1}},
+	}
+	for _, backend := range []workload.BackendMode{workload.BackendModel, workload.BackendCycle} {
+		t.Run(backend.String(), func(t *testing.T) {
+			s, clock := newTestServer(t, func(c *Config) { c.Backend = backend })
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for i, b := range bad {
+				resp := postJob(t, ts.URL, b.req)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%+v: status %d, want 400", b.req, resp.StatusCode)
+				}
+				body := decodeJSON[map[string]string](t, resp)
+				if !strings.Contains(body["error"], b.field) {
+					t.Fatalf("%+v: error %q does not name %s", b.req, body["error"], b.field)
+				}
+				if st := s.Stats(); st.Failed != i+1 || st.Completed != 0 {
+					t.Fatalf("after %d hostile requests: %d failed, %d completed", i+1, st.Failed, st.Completed)
+				}
+			}
+			resp := postJob(t, ts.URL, JobRequest{App: "Tangent", InputSize: 64, DeadlineUS: 1e6, Wait: false})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("valid job after hostile ones: status %d, want 202", resp.StatusCode)
+			}
+			id := uint64(decodeJSON[map[string]any](t, resp)["id"].(float64))
+			clock.Advance(time.Second)
+			s.Tick()
+			if res, ok := s.Lookup(id); !ok || res.Status != "ok" || res.ServiceUS <= 0 {
+				t.Fatalf("valid job after hostile ones: ok=%v %+v", ok, res)
+			}
+			if st := s.Stats(); st.Failed != len(bad) || st.Completed != 1 {
+				t.Fatalf("final stats: %d failed, %d completed; want %d/1", st.Failed, st.Completed, len(bad))
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -267,9 +268,11 @@ func (s *Server) onResult(j *sched.Job) {
 }
 
 // Submit offers a job at the clock's current instant. The admission
-// ladder: draining and overload are checked before the scheduler ever
-// sees the job; then the scheduler itself fails it (BadRequest) or
-// bounces it off the bounded queue (QueueFull).
+// ladder: draining, overload and a down pool are checked before the
+// scheduler ever sees the job; then a request naming an unknown app or
+// carrying an unservable field fails (BadRequest, still counted in
+// Stats.Failed and queryable); then the scheduler itself fails it
+// (BadRequest) or bounces it off the bounded queue (QueueFull).
 func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,15 +286,18 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	if s.sch.HealthyWorkers() == 0 || s.sch.DownAt(s.pool.Now()) {
 		return SubmitOutcome{Code: Unavailable, Retry: time.Second}
 	}
-	j := &sched.Job{Request: sched.Request{App: req.App, InputSize: req.InputSize, Priority: req.Priority}}
-	if req.DeadlineUS > 0 {
-		j.Deadline = s.pool.Now() + sim.Time(req.DeadlineUS)*sim.US
-	}
+	r, bad := s.resolve(req, s.pool.Now())
+	j := &sched.Job{Request: r}
 	s.nextID++
 	e := &entry{id: s.nextID, app: req.App, tenant: req.Tenant, job: j, done: make(chan struct{})}
 	s.byJob[j] = e
 	s.byID[e.id] = e
 	s.outstanding++
+	if bad != nil {
+		// Refuse retires the job synchronously, like a failed Submit.
+		s.sch.Refuse(j, bad)
+		return SubmitOutcome{Code: BadRequest, ID: e.id, Done: e.done, Err: bad}
+	}
 	if !s.sch.Submit(j) {
 		if j.Err != nil {
 			// Failed at submission: the synchronous retire already ran
@@ -307,6 +313,35 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	}
 	s.admitted++
 	return SubmitOutcome{Code: Admitted, ID: e.id, Done: e.done}
+}
+
+// maxInputSize bounds a job's input_size: far past any real request, yet
+// small enough that every catalog app's modeled service time stays well
+// inside the simulated clock's int64 picoseconds.
+const maxInputSize = 1 << 24
+
+// resolve turns a wire request arriving at instant now into a scheduler
+// request, resolving the app name to its catalog index once. An unknown
+// app or an unservable field is an error naming the culprit, which
+// Submit fails the job with.
+func (s *Server) resolve(req JobRequest, now sim.Time) (sched.Request, error) {
+	id, ok := s.sch.Lookup(req.App)
+	if !ok {
+		return sched.Request{}, fmt.Errorf("daemon: unknown app %q", req.App)
+	}
+	if req.InputSize < 0 || req.InputSize > maxInputSize {
+		return sched.Request{}, fmt.Errorf("daemon: input_size %d outside [0, %d]", req.InputSize, maxInputSize)
+	}
+	r := sched.Request{App: id, InputSize: req.InputSize, Priority: req.Priority}
+	switch {
+	case req.DeadlineUS < 0:
+		return sched.Request{}, fmt.Errorf("daemon: deadline_us %d is negative (0 means none)", req.DeadlineUS)
+	case req.DeadlineUS > (math.MaxInt64-int64(now))/int64(sim.US):
+		return sched.Request{}, fmt.Errorf("daemon: deadline_us %d overflows the simulated clock", req.DeadlineUS)
+	case req.DeadlineUS > 0:
+		r.Deadline = now + sim.Time(req.DeadlineUS)*sim.US
+	}
+	return r, nil
 }
 
 // retryLocked estimates the wall-clock wait until the backlog clears

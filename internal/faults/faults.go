@@ -488,7 +488,7 @@ func (in *Injector) Wrap(tl Timeline, worker int, be sched.Backend) sched.Backen
 	b := &backend{inner: be, tl: tl, in: in, worker: worker}
 	b.wedgeFn = func(a any) {
 		j := a.(*sched.Job)
-		b.done(j, fmt.Errorf("faults: reprogram of %q on worker %d: %w", j.App, b.worker, sched.ErrWedged))
+		b.done(j, fmt.Errorf("faults: reprogram of %q on worker %d: %w", b.wedged, b.worker, sched.ErrWedged))
 	}
 	b.holdFn = func(a any) { b.done(a.(*sched.Job), nil) }
 	return b
@@ -509,6 +509,7 @@ type backend struct {
 
 	done    func(*sched.Job, error)
 	extra   sim.Time // blowup service extension of the in-flight job
+	wedged  string   // bitstream of the in-flight wedged reprogram
 	wedgeFn func(any)
 	holdFn  func(any)
 }
@@ -564,6 +565,7 @@ func (b *backend) Dispatch(j *sched.Job, app *sched.App) {
 			// contract (Reprogrammed settled synchronously at dispatch)
 			// holds for wedged attempts too.
 			j.Reprogrammed = true
+			b.wedged = app.BS.Name
 			b.tl.AfterArg(b.in.detect(), b.wedgeFn, j)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"duet/internal/efpga"
@@ -258,7 +259,7 @@ func TestWrapWedgeInterception(t *testing.T) {
 	var gotErr error
 	be.Bind(0, func(_ *sched.Job, err error) { gotErr = err })
 	j := &sched.Job{ID: 1}
-	be.Dispatch(j, &sched.App{})
+	be.Dispatch(j, &sched.App{BS: &efpga.Bitstream{Name: "Tangent"}})
 
 	if len(inner.dispatched) != 0 {
 		t.Fatal("wedged dispatch reached the inner backend")
@@ -270,8 +271,8 @@ func TestWrapWedgeInterception(t *testing.T) {
 		t.Fatalf("detection occupancy %v, want one 9us deferral", tl.delays)
 	}
 	tl.fns[0](tl.args[0]) // detection fires
-	if !errors.Is(gotErr, sched.ErrWedged) {
-		t.Fatalf("completion error %v does not wrap sched.ErrWedged", gotErr)
+	if !errors.Is(gotErr, sched.ErrWedged) || !strings.Contains(gotErr.Error(), `"Tangent"`) {
+		t.Fatalf("completion error %v does not wrap sched.ErrWedged naming the bitstream", gotErr)
 	}
 
 	// A placement with no reconfiguration never draws a wedge, even at

@@ -50,7 +50,10 @@ type Fabric struct {
 
 	period   sim.Time // current fabric clock period
 	resident string
-	images   map[string]*efpga.Bitstream
+	// images backs Register's duplicate-name guard. Dispatch never reads
+	// it: the scheduler registers every catalog app on every worker
+	// before a job can name one.
+	images map[string]*efpga.Bitstream
 
 	settle int64
 	done   func(*sched.Job, error)
@@ -142,22 +145,19 @@ func (b *Fabric) settlePeriod(app *sched.App) sim.Time {
 // Dispatch occupies the worker with job j: a reprogram charge when the
 // app is not resident, then the service time.
 func (b *Fabric) Dispatch(j *sched.Job, app *sched.App) {
-	if b.resident == j.App {
+	name := app.BS.Name
+	if b.resident == name {
 		b.pendingApp = app
 		b.serve(j)
 		return
 	}
 	if !app.BS.Res.Fits(b.p.Cap) {
-		b.done(j, fmt.Errorf("sched: bitstream %q exceeds fabric %q capacity", j.App, b.p.Name))
-		return
-	}
-	if _, ok := b.images[j.App]; !ok {
-		b.done(j, fmt.Errorf("sched: bitstream %q not registered on fabric %q", j.App, b.p.Name))
+		b.done(j, fmt.Errorf("sched: bitstream %q exceeds fabric %q capacity", name, b.p.Name))
 		return
 	}
 	j.Reprogrammed = true
 	cost := sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settle, b.settlePeriod(app))
-	b.resident = j.App
+	b.resident = name
 	if app.BS.FmaxMHz > 0 {
 		b.period = app.Period()
 	}

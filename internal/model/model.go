@@ -239,9 +239,12 @@ func (r *Replica) Drain() error { r.ev.Drain(); return nil }
 func (r *Replica) RegisterApp(app sched.App) error { return r.sch.RegisterApp(app) }
 
 // Predict exposes the catalog model for front-end routing.
-func (r *Replica) Predict(app string, inputSize int) (sim.Time, bool) {
+func (r *Replica) Predict(app sched.AppID, inputSize int) (sim.Time, bool) {
 	return r.sch.Predict(app, inputSize)
 }
+
+// Apps lists the replica's catalog in AppID order.
+func (r *Replica) Apps() []string { return r.sch.Apps() }
 
 // Workers reports the replica's worker count.
 func (r *Replica) Workers() int { return r.sch.Workers() }

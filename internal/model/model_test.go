@@ -38,7 +38,7 @@ func TestReprogramCostMatchesCycleChain(t *testing.T) {
 		if err := sch.RegisterApp(app); err != nil {
 			t.Fatal(err)
 		}
-		j := &sched.Job{Request: sched.Request{App: "app", InputSize: 33}}
+		j := &sched.Job{Request: sched.Request{App: 0, InputSize: 33}}
 		sch.Submit(j)
 		sys.Run()
 		if !j.Reprogrammed || j.Err != nil {
@@ -84,7 +84,7 @@ func TestCPUBackendServes(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 100, CyclesPerItem: 0}); err != nil {
 		t.Fatal(err)
 	}
-	j := &sched.Job{Request: sched.Request{App: "app"}}
+	j := &sched.Job{Request: sched.Request{App: 0}}
 	sch.Submit(j)
 	ev.Drain()
 	// 100 cycles * 10ns * 4x slowdown = 4us.
@@ -119,7 +119,7 @@ func TestHybridSpill(t *testing.T) {
 	// Light load: one job at a time; the fabric takes everything.
 	ev, sch := build()
 	for i := 0; i < 3; i++ {
-		sch.Submit(&sched.Job{Request: sched.Request{App: "app"}})
+		sch.Submit(&sched.Job{Request: sched.Request{App: 0}})
 		ev.Drain()
 	}
 	st := sch.Stats()
@@ -132,7 +132,7 @@ func TestHybridSpill(t *testing.T) {
 	// the tail spills.
 	ev, sch = build()
 	for i := 0; i < 8; i++ {
-		sch.Submit(&sched.Job{Request: sched.Request{App: "app"}})
+		sch.Submit(&sched.Job{Request: sched.Request{App: 0}})
 	}
 	ev.Drain()
 	st = sch.Stats()
@@ -162,7 +162,7 @@ func TestHybridOversizedBitstreamTakesSoftPath(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 100, CyclesPerItem: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j := &sched.Job{Request: sched.Request{App: "huge", InputSize: 16}}
+	j := &sched.Job{Request: sched.Request{App: 0, InputSize: 16}}
 	if !sch.Submit(j) {
 		t.Fatal("oversized-for-fabric job rejected despite the soft path")
 	}
@@ -192,7 +192,7 @@ func TestMixedFidelityScheduler(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 5000, CyclesPerItem: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := &sched.Job{Request: sched.Request{App: "app", InputSize: 64}}, &sched.Job{Request: sched.Request{App: "app", InputSize: 64}}
+	j1, j2 := &sched.Job{Request: sched.Request{App: 0, InputSize: 64}}, &sched.Job{Request: sched.Request{App: 0, InputSize: 64}}
 	sch.Submit(j1)
 	sch.Submit(j2)
 	sys.Run()

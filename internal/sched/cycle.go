@@ -171,19 +171,20 @@ func (b *CycleBackend) Dispatch(j *Job, app *App) {
 		// on it.
 		panic(fmt.Sprintf("sched: dispatch of job %d on fabric %q while job %d is reprogramming", j.ID, b.fab.Name, b.pendJob.ID))
 	}
-	if b.Resident() == j.App {
+	name := app.BS.Name
+	if b.Resident() == name {
 		b.serve(j, app)
 		return
 	}
 	if !app.BS.Res.Fits(b.fab.Cap) {
 		// pick never pairs a job with a too-small fabric; this guards a
 		// future policy bug from wedging the worker.
-		b.done(j, fmt.Errorf("sched: bitstream %q exceeds fabric %q capacity", j.App, b.fab.Name))
+		b.done(j, fmt.Errorf("sched: bitstream %q exceeds fabric %q capacity", name, b.fab.Name))
 		return
 	}
-	id, ok := b.fab.IDByName(j.App)
+	id, ok := b.fab.IDByName(name)
 	if !ok {
-		b.done(j, fmt.Errorf("sched: bitstream %q not registered on fabric %q", j.App, b.fab.Name))
+		b.done(j, fmt.Errorf("sched: bitstream %q not registered on fabric %q", name, b.fab.Name))
 		return
 	}
 	j.Reprogrammed = true

@@ -28,7 +28,7 @@ func reprogramAllocs(t *testing.T, jobs int) float64 {
 	const runs = 2
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := range js {
-			js[i] = sched.Job{Request: sched.Request{App: apps[i%2]}}
+			js[i] = sched.Job{Request: sched.Request{App: sched.AppID(i % 2)}}
 			sch.Submit(&js[i])
 			sys.Run()
 		}
@@ -64,11 +64,11 @@ func TestDispatchWhileReprogrammingPanics(t *testing.T) {
 	}
 	be.Bind(16, func(*sched.Job, error) {})
 	app := &sched.App{BS: bs, FixedCycles: 1000}
-	be.Dispatch(&sched.Job{ID: 1, Request: sched.Request{App: "a"}}, app)
+	be.Dispatch(&sched.Job{ID: 1}, app)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Dispatch during a pending reprogram did not panic")
 		}
 	}()
-	be.Dispatch(&sched.Job{ID: 2, Request: sched.Request{App: "a"}}, app)
+	be.Dispatch(&sched.Job{ID: 2}, app)
 }

@@ -101,7 +101,7 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 			if !s.usable(w) || !app.BS.Res.Fits(w.be.Capacity()) {
 				continue
 			}
-			if w.be.Resident() == j.App {
+			if w.be.Resident() == app.BS.Name {
 				return w
 			}
 			if first == nil {
@@ -132,8 +132,9 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 		return preferResident(s.queue[best]), best
 	case Affinity:
 		for i, j := range s.queue {
+			name := j.app.BS.Name
 			for _, w := range idle {
-				if s.usable(w) && w.be.Resident() == j.App {
+				if s.usable(w) && w.be.Resident() == name {
 					return w, i
 				}
 			}
@@ -161,8 +162,9 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 	// Pass 1: bitstream affinity over idle fabric-class workers.
 	for i, j := range s.queue {
+		name := j.app.BS.Name
 		for _, w := range idle {
-			if !w.quarantined && w.be.Kind() != BackendCPU && w.be.Resident() == j.App {
+			if !w.quarantined && w.be.Kind() != BackendCPU && w.be.Resident() == name {
 				return w, i
 			}
 		}

@@ -80,10 +80,17 @@ func (a *App) Finalize() {
 	}
 }
 
+// AppID names a registered application by its catalog index: the
+// order RegisterApp saw it in, starting at 0. Front ends resolve a name
+// once (Lookup) and carry the index from then on, so no hot path hashes
+// an app name.
+type AppID int32
+
 // Request is what a submitter asks of the scheduler: the part of a job
-// an arrival stream carries.
+// an arrival stream carries. At 32 bytes it is what the cluster's
+// hand-off batches copy per arrival.
 type Request struct {
-	App       string   // bitstream name (RegisterApp key)
+	App       AppID    // catalog index (see Lookup); out of range fails at Submit
 	InputSize int      // work items
 	Priority  int      // higher is more urgent (SJF tie-break)
 	Deadline  sim.Time // absolute completion deadline; 0 = none
@@ -105,7 +112,7 @@ type Job struct {
 	Err          error
 
 	// app caches the catalog entry resolved at submission, so queue
-	// scans and dispatch never re-hash the name. Scoped to one
+	// scans and dispatch read the bitstream directly. Scoped to one
 	// scheduler: jobs are single-use.
 	app *App
 }
@@ -170,8 +177,8 @@ type worker struct {
 type Scheduler struct {
 	tl      Timeline
 	cfg     Config
-	apps    map[string]*App
-	appList []string // registration order (deterministic iteration)
+	apps    []*App           // the catalog, indexed by AppID
+	byName  map[string]AppID // read only by Lookup and RegisterApp
 	workers []*worker
 	queue   []*Job
 	nextID  int
@@ -233,7 +240,7 @@ func New(tl Timeline, backends []Backend, cfg Config) *Scheduler {
 	if cfg.SettleCycles <= 0 {
 		cfg.SettleCycles = defaultSettleCycles
 	}
-	s := &Scheduler{tl: tl, cfg: cfg, apps: make(map[string]*App)}
+	s := &Scheduler{tl: tl, cfg: cfg, byName: make(map[string]AppID)}
 	s.repairFn = func(a any) { s.repair(a.(*worker)) }
 	if cfg.Stats == StatsStreaming {
 		s.agg = &aggregate{}
@@ -264,12 +271,13 @@ func (s *Scheduler) usable(w *worker) bool {
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // RegisterApp adds an application to the service catalog, registering its
-// bitstream with every backend's image library.
+// bitstream with every backend's image library. The app's AppID is its
+// registration index.
 func (s *Scheduler) RegisterApp(app App) error {
 	if app.BS == nil || app.BS.Name == "" {
 		return fmt.Errorf("sched: app needs a named bitstream")
 	}
-	if _, dup := s.apps[app.BS.Name]; dup {
+	if _, dup := s.byName[app.BS.Name]; dup {
 		return fmt.Errorf("sched: app %q already registered", app.BS.Name)
 	}
 	app.Finalize()
@@ -278,13 +286,35 @@ func (s *Scheduler) RegisterApp(app App) error {
 			return err
 		}
 	}
-	s.apps[app.BS.Name] = &app
-	s.appList = append(s.appList, app.BS.Name)
+	s.byName[app.BS.Name] = AppID(len(s.apps))
+	s.apps = append(s.apps, &app)
 	return nil
 }
 
-// Apps lists the registered application names in registration order.
-func (s *Scheduler) Apps() []string { return append([]string(nil), s.appList...) }
+// Apps lists the registered application names in registration order:
+// element i is the name of AppID i.
+func (s *Scheduler) Apps() []string {
+	names := make([]string, len(s.apps))
+	for i, a := range s.apps {
+		names[i] = a.BS.Name
+	}
+	return names
+}
+
+// Lookup resolves an application name to its AppID; ok is false for
+// unregistered names.
+func (s *Scheduler) Lookup(name string) (id AppID, ok bool) {
+	id, ok = s.byName[name]
+	return id, ok
+}
+
+// app returns the catalog entry of id, or nil when id is out of range.
+func (s *Scheduler) app(id AppID) *App {
+	if uint(id) >= uint(len(s.apps)) {
+		return nil
+	}
+	return s.apps[id]
+}
 
 // QueueLen reports the current admission-queue depth.
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
@@ -292,51 +322,35 @@ func (s *Scheduler) QueueLen() int { return len(s.queue) }
 // Workers reports the number of execution-backend workers.
 func (s *Scheduler) Workers() int { return len(s.workers) }
 
-// Predict estimates the fabric occupancy of one job of the named app with
-// the given input size — the catalog's analytic model, the same estimate
-// SJF ranks by. ok is false for unregistered apps.
-func (s *Scheduler) Predict(app string, inputSize int) (est sim.Time, ok bool) {
-	a, ok := s.apps[app]
-	if !ok {
+// Predict estimates the fabric occupancy of one job of app id with the
+// given input size — the catalog's analytic model, the same estimate SJF
+// ranks by. ok is false for an id outside the catalog.
+func (s *Scheduler) Predict(id AppID, inputSize int) (est sim.Time, ok bool) {
+	a := s.app(id)
+	if a == nil {
 		return 0, false
 	}
 	return sim.Time(a.Cycles(inputSize)) * a.period, true
 }
 
-// predict estimates a job's fabric occupancy from the catalog model (used
-// by SJF and for deadline admission by callers).
+// predict estimates a queued job's fabric occupancy from the catalog
+// model (SJF's ranking and the hybrid spill decision).
 func (s *Scheduler) predict(j *Job) sim.Time {
-	if j.app != nil {
-		return sim.Time(j.app.Cycles(j.InputSize)) * j.app.period
-	}
-	est, _ := s.Predict(j.App, j.InputSize)
-	return est
+	return sim.Time(j.app.Cycles(j.InputSize)) * j.app.period
 }
 
 // Submit offers a job to the scheduler at the current simulation time. It
-// returns false when the job was not admitted: unknown application or a
-// bitstream no worker can hold (the job lands in Failed with Err set), or
-// a full admission queue (counted in Rejected).
+// returns false when the job was not admitted: an AppID outside the
+// catalog or a bitstream no worker can hold (the job lands in Failed with
+// Err set), or a full admission queue (counted in Rejected).
 func (s *Scheduler) Submit(j *Job) bool {
-	s.nextID++
-	j.ID = s.nextID
-	now := s.tl.Now()
-	j.Submit = now
-	s.syncFaults(now)
+	now := s.arrive(j)
 	if s.down {
-		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
-		j.Err = fmt.Errorf("sched: submission refused, shard down: %w", ErrUnavailable)
-		j.Finish = now // dies at submit: zero-length lifetime
-		s.retire(j)
-		return false
+		return s.refuse(j, now, fmt.Errorf("sched: submission refused, shard down: %w", ErrUnavailable))
 	}
-	app, ok := s.apps[j.App]
-	if !ok {
-		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
-		j.Err = fmt.Errorf("sched: unknown app %q", j.App)
-		j.Finish = now // dies at submit: zero-length lifetime
-		s.retire(j)
-		return false
+	app := s.app(j.App)
+	if app == nil {
+		return s.refuse(j, now, fmt.Errorf("sched: unknown app id %d", j.App))
 	}
 	j.app = app
 	fits, fitsQuarantined := false, false
@@ -355,15 +369,10 @@ func (s *Scheduler) Submit(j *Job) bool {
 		}
 	}
 	if !fits {
-		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 		if fitsQuarantined {
-			j.Err = fmt.Errorf("sched: every fitting worker quarantined: %w", ErrUnavailable)
-		} else {
-			j.Err = fmt.Errorf("sched: bitstream %q (%+v) exceeds every worker's capacity", j.App, app.BS.Res)
+			return s.refuse(j, now, fmt.Errorf("sched: every fitting worker quarantined: %w", ErrUnavailable))
 		}
-		j.Finish = now // dies at submit: zero-length lifetime
-		s.retire(j)
-		return false
+		return s.refuse(j, now, fmt.Errorf("sched: bitstream %q (%+v) exceeds every worker's capacity", app.BS.Name, app.BS.Res))
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
 		s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
@@ -375,6 +384,36 @@ func (s *Scheduler) Submit(j *Job) bool {
 	s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 	s.dispatch(now)
 	return true
+}
+
+// Refuse fails j at submission with err, exactly as Submit fails a job it
+// cannot admit: j gets an ID, an arrival is observed, and j retires into
+// Failed (and OnResult) with a zero-length lifetime. Front ends use it
+// for requests they reject before resolving them into a Request (a
+// daemon's malformed wire fields), so those still count as failures.
+func (s *Scheduler) Refuse(j *Job, err error) {
+	s.refuse(j, s.arrive(j), err)
+}
+
+// arrive stamps a submission: the job's ID and submit instant, with the
+// downtime state advanced to that instant.
+func (s *Scheduler) arrive(j *Job) sim.Time {
+	s.nextID++
+	j.ID = s.nextID
+	now := s.tl.Now()
+	j.Submit = now
+	s.syncFaults(now)
+	return now
+}
+
+// refuse fails a just-arrived job with err: it dies at submit, with a
+// zero-length lifetime. It always returns false, Submit's verdict.
+func (s *Scheduler) refuse(j *Job, now sim.Time, err error) bool {
+	s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
+	j.Err = err
+	j.Finish = now
+	s.retire(j)
+	return false
 }
 
 // dispatch drains the admission queue onto idle workers, one placement

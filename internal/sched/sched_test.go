@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"duet"
@@ -26,6 +27,20 @@ func mkBitstream(name string, res efpga.Resources, fmax float64) *efpga.Bitstrea
 	}
 	bs.CRC = bs.Checksum()
 	return bs
+}
+
+// phantom is an AppID outside every test catalog: Submit fails it as an
+// unknown app.
+const phantom sched.AppID = 99
+
+// lookup resolves a registered app name to its AppID.
+func lookup(t *testing.T, sch *sched.Scheduler, name string) sched.AppID {
+	t.Helper()
+	id, ok := sch.Lookup(name)
+	if !ok {
+		t.Fatalf("app %q not registered", name)
+	}
+	return id
 }
 
 func newServeSystem(t *testing.T, efpgas int, cfg sched.Config) (*duet.System, *sched.Scheduler) {
@@ -62,14 +77,14 @@ func TestOversizedBitstreamFailsGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bigJob := &sched.Job{Request: sched.Request{App: "big", InputSize: 10}}
+	bigJob := &sched.Job{Request: sched.Request{App: lookup(t, sch, "big"), InputSize: 10}}
 	if sch.Submit(bigJob) {
 		t.Fatal("over-capacity job was admitted")
 	}
 	if bigJob.Err == nil {
 		t.Fatal("over-capacity job has no error")
 	}
-	okJob := &sched.Job{Request: sched.Request{App: "small", InputSize: 10}}
+	okJob := &sched.Job{Request: sched.Request{App: lookup(t, sch, "small"), InputSize: 10}}
 	if !sch.Submit(okJob) {
 		t.Fatal("fitting job was not admitted")
 	}
@@ -83,13 +98,77 @@ func TestOversizedBitstreamFailsGracefully(t *testing.T) {
 	}
 }
 
+// TestUnknownAppFails: an AppID outside the catalog, above or below it,
+// fails at submission through OnResult, without touching a worker.
 func TestUnknownAppFails(t *testing.T) {
 	sys, sch := newServeSystem(t, 1, sched.Config{})
-	j := &sched.Job{Request: sched.Request{App: "nonesuch"}}
-	if sch.Submit(j) || j.Err == nil {
-		t.Fatalf("unknown app admitted (err=%v)", j.Err)
+	if err := sch.RegisterApp(sched.App{BS: mkBitstream("A", efpga.Resources{LUTs: 10}, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	retired := 0
+	sch.OnResult = func(*sched.Job) { retired++ }
+	for _, id := range []sched.AppID{1, phantom, -1} {
+		j := &sched.Job{Request: sched.Request{App: id}}
+		if sch.Submit(j) || j.Err == nil || j.Finish != j.Submit {
+			t.Fatalf("unknown app id %d admitted (err=%v)", id, j.Err)
+		}
 	}
 	sys.Run()
+	if st := sch.Stats(); st.Failed != 3 || retired != 3 || st.Fabrics[0].Jobs != 0 {
+		t.Fatalf("unknown ids: %d failed, %d retired, %d placed; want 3/3/0", st.Failed, retired, st.Fabrics[0].Jobs)
+	}
+}
+
+// TestCatalogLookup: AppIDs are registration indices — Apps lists the
+// names in that order and Lookup inverts it.
+func TestCatalogLookup(t *testing.T) {
+	_, sch := newServeSystem(t, 1, sched.Config{})
+	names := []string{"B", "A", "C"}
+	for _, name := range names {
+		if err := sch.RegisterApp(sched.App{BS: mkBitstream(name, efpga.Resources{LUTs: 10}, 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := sch.Apps()
+	if len(got) != len(names) {
+		t.Fatalf("Apps() = %q, want %q", got, names)
+	}
+	for i, name := range names {
+		if got[i] != name {
+			t.Fatalf("Apps() = %q, want %q", got, names)
+		}
+		if id, ok := sch.Lookup(name); !ok || id != sched.AppID(i) {
+			t.Fatalf("Lookup(%q) = %d, %v; want %d", name, id, ok, i)
+		}
+	}
+	if _, ok := sch.Lookup("D"); ok {
+		t.Fatal("unregistered name resolved")
+	}
+}
+
+// TestRefuse: a job the front end refuses counts as failed exactly like
+// one Submit fails — an ID, a zero-length lifetime, OnResult — and
+// leaves the scheduler serving.
+func TestRefuse(t *testing.T) {
+	sys, sch := newServeSystem(t, 1, sched.Config{})
+	if err := sch.RegisterApp(sched.App{BS: mkBitstream("A", efpga.Resources{LUTs: 10}, 100), FixedCycles: 100}); err != nil {
+		t.Fatal(err)
+	}
+	var drained []*sched.Job
+	sch.OnResult = func(j *sched.Job) { drained = append(drained, j) }
+	bad := &sched.Job{}
+	sch.Refuse(bad, errors.New("bad field"))
+	good := &sched.Job{}
+	if !sch.Submit(good) {
+		t.Fatal("valid job after a refusal not admitted")
+	}
+	sys.Run()
+	if bad.ID != 1 || good.ID != 2 || bad.Err == nil || bad.Finish != bad.Submit {
+		t.Fatalf("refused job %+v, next job id %d", bad, good.ID)
+	}
+	if st := sch.Stats(); st.Failed != 1 || st.Completed != 1 || len(drained) != 2 || drained[0] != bad {
+		t.Fatalf("after refusal: %d failed, %d completed, %d retired", st.Failed, st.Completed, len(drained))
+	}
 }
 
 // runAlternating submits A,B then B,A pairs and returns the total
@@ -109,7 +188,7 @@ func runAlternating(t *testing.T, policy sched.Policy) sched.Stats {
 		}
 	}
 	for _, app := range []string{"A", "B", "B", "A", "B", "A", "B", "A"} {
-		if !sch.Submit(&sched.Job{Request: sched.Request{App: app}}) {
+		if !sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, app)}}) {
 			t.Fatalf("job %q not admitted", app)
 		}
 	}
@@ -145,7 +224,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 	}
 	admitted := 0
 	for i := 0; i < 5; i++ {
-		if sch.Submit(&sched.Job{Request: sched.Request{App: "A"}}) {
+		if sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "A")}}) {
 			admitted++
 		}
 	}
@@ -166,7 +245,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: a, FixedCycles: 1000, CyclesPerItem: 2}); err != nil {
 		t.Fatal(err)
 	}
-	j := &sched.Job{Request: sched.Request{App: "A", InputSize: 500, Deadline: 1}} // 1ps: must miss
+	j := &sched.Job{Request: sched.Request{App: lookup(t, sch, "A"), InputSize: 500, Deadline: 1}} // 1ps: must miss
 	sch.Submit(j)
 	sys.Run()
 	st := sch.Stats()
@@ -215,7 +294,7 @@ func TestHeterogeneousCapacityPlacement(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: big, FixedCycles: 1000, CyclesPerItem: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := &sched.Job{Request: sched.Request{App: "big"}}, &sched.Job{Request: sched.Request{App: "big"}}
+	j1, j2 := &sched.Job{Request: sched.Request{App: lookup(t, sch, "big")}}, &sched.Job{Request: sched.Request{App: lookup(t, sch, "big")}}
 	if !sch.Submit(j1) || !sch.Submit(j2) {
 		t.Fatal("fitting jobs not admitted")
 	}
@@ -248,8 +327,8 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 	}
 	bad.Image[0] ^= 0xff // stale CRC: Configure must reject it
 
-	sch.Submit(&sched.Job{Request: sched.Request{App: "good"}}) // serves; scheduler grants the hub
-	failing := &sched.Job{Request: sched.Request{App: "bad"}}
+	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "good")}}) // serves; scheduler grants the hub
+	failing := &sched.Job{Request: sched.Request{App: lookup(t, sch, "bad")}}
 	sch.Submit(failing)
 	sys.Run()
 	if failing.Err == nil {
@@ -264,7 +343,7 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 		t.Fatal("memory hub left quiesced after programming failure")
 	}
 	// The worker must still be serviceable.
-	again := &sched.Job{Request: sched.Request{App: "other"}}
+	again := &sched.Job{Request: sched.Request{App: lookup(t, sch, "other")}}
 	sch.Submit(again)
 	sys.Run()
 	st := sch.Stats()
@@ -296,7 +375,7 @@ func TestPredictAndWorkers(t *testing.T) {
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 50, CyclesPerItem: 2}); err != nil {
 		t.Fatal(err)
 	}
-	est, ok := sch.Predict("model", 25)
+	est, ok := sch.Predict(lookup(t, sch, "model"), 25)
 	if !ok {
 		t.Fatal("registered app not predictable")
 	}
@@ -304,8 +383,10 @@ func TestPredictAndWorkers(t *testing.T) {
 	if want := sim.Time(1 * sim.US); est != want {
 		t.Fatalf("predicted occupancy = %v, want %v", est, want)
 	}
-	if _, ok := sch.Predict("phantom", 1); ok {
-		t.Fatal("unknown app predicted")
+	for _, id := range []sched.AppID{1, phantom, -1} {
+		if _, ok := sch.Predict(id, 1); ok {
+			t.Fatalf("unknown app id %d predicted", id)
+		}
 	}
 }
 
@@ -324,10 +405,10 @@ func TestOnResultDrain(t *testing.T) {
 		drained = append(drained, j)
 		finishes = append(finishes, sys.Eng.Now())
 	}
-	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // served immediately
-	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom", InputSize: 4}}) // fails at submit
-	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // queued
-	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})   // bounced: queue full
+	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "drain"), InputSize: 4}}) // served immediately
+	sch.Submit(&sched.Job{Request: sched.Request{App: phantom, InputSize: 4}})                 // fails at submit
+	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "drain"), InputSize: 4}}) // queued
+	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "drain"), InputSize: 4}}) // bounced: queue full
 	sys.Run()
 	if len(drained) != 3 {
 		t.Fatalf("hook fired %d times, want 3 (2 completed + 1 failed, rejection silent)", len(drained))

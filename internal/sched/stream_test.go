@@ -22,9 +22,9 @@ func runStreamWorkload(t *testing.T, mode sched.StatsMode) *sched.Scheduler {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		app := "A"
+		app := lookup(t, sch, "A")
 		if i%3 == 0 {
-			app = "B"
+			app = lookup(t, sch, "B")
 		}
 		j := &sched.Job{Request: sched.Request{App: app, InputSize: 100 + 37*i}}
 		if i%10 == 5 {
@@ -32,7 +32,7 @@ func runStreamWorkload(t *testing.T, mode sched.StatsMode) *sched.Scheduler {
 		}
 		sch.Submit(j)
 	}
-	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom"}}) // fails at submit
+	sch.Submit(&sched.Job{Request: sched.Request{App: phantom}}) // fails at submit
 	sys.Run()
 	return sch
 }
@@ -90,8 +90,8 @@ func TestStreamingOnResultStillFires(t *testing.T) {
 	}
 	fired := 0
 	sch.OnResult = func(j *sched.Job) { fired++ }
-	sch.Submit(&sched.Job{Request: sched.Request{App: "drain", InputSize: 4}})
-	sch.Submit(&sched.Job{Request: sched.Request{App: "phantom"}})
+	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "drain"), InputSize: 4}})
+	sch.Submit(&sched.Job{Request: sched.Request{App: phantom}})
 	sys.Run()
 	if fired != 2 {
 		t.Fatalf("OnResult fired %d times, want 2", fired)

@@ -173,6 +173,28 @@ func TestHeterogeneousClusterShards(t *testing.T) {
 	}
 }
 
+// TestServeReplicaCatalogOrder: arrivals carry ServeApps indices, so
+// every serve replica — model, cycle or hybrid — must list ServeApps in
+// index order: AppID i is ServeApps[i] on every shard.
+func TestServeReplicaCatalogOrder(t *testing.T) {
+	want := make([]string, len(ServeApps))
+	for i, a := range ServeApps {
+		want[i] = a.Name
+	}
+	for m := BackendMode(0); m < NumBackendModes; m++ {
+		rep, err := newServeReplica(ServeConfig{Backend: m}.withDefaults(), 0, false, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Apps(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v replica catalog %q, want ServeApps order %q", m, got, want)
+		}
+		if err := rep.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBackendModeNames pins the flag surface of -backend and the mode's
 // JSON form, a quoted name.
 func TestBackendModeNames(t *testing.T) {

@@ -90,7 +90,7 @@ func TestServeArrivalsGolden(t *testing.T) {
 	h := fnv.New64a()
 	for _, a := range arrivals {
 		binary.Write(h, binary.LittleEndian, int64(a.At))
-		h.Write([]byte(a.App))
+		h.Write([]byte(ServeApps[a.App].Name))
 		binary.Write(h, binary.LittleEndian, int64(a.InputSize))
 		binary.Write(h, binary.LittleEndian, int64(a.Priority))
 		binary.Write(h, binary.LittleEndian, int64(a.Deadline))

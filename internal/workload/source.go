@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"duet/internal/cluster"
+	"duet/internal/sched"
 	"duet/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func (s *ArrivalSource) Next(a *cluster.Arrival) bool {
 	s.i++
 	s.at += sim.Time(s.rng.ExpFloat64() * s.cfg.MeanGapUS * float64(sim.US))
 	a.At = s.at
-	a.App = ServeApps[s.rng.Intn(len(ServeApps))].Name
+	a.App = sched.AppID(s.rng.Intn(len(ServeApps))) // RegisterServeApps order
 	a.InputSize = 64 + s.rng.Intn(2048)
 	a.Priority = s.rng.Intn(4)
 	a.Deadline = s.at + sim.Time((0.2+0.6*s.rng.ExpFloat64())*float64(sim.MS))

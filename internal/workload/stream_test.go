@@ -30,7 +30,7 @@ func referenceArrivals(cfg ServeConfig) []cluster.Arrival {
 	for i := 0; i < cfg.Jobs; i++ {
 		at += sim.Time(rng.ExpFloat64() * cfg.MeanGapUS * float64(sim.US))
 		r := sched.Request{
-			App:       ServeApps[rng.Intn(len(ServeApps))].Name,
+			App:       sched.AppID(rng.Intn(len(ServeApps))),
 			InputSize: 64 + rng.Intn(2048),
 			Priority:  rng.Intn(4),
 		}
@@ -46,7 +46,7 @@ func arrivalStreamHash(arrivals []cluster.Arrival) uint64 {
 	h := fnv.New64a()
 	for _, a := range arrivals {
 		binary.Write(h, binary.LittleEndian, int64(a.At))
-		h.Write([]byte(a.App))
+		h.Write([]byte(ServeApps[a.App].Name))
 		binary.Write(h, binary.LittleEndian, int64(a.InputSize))
 		binary.Write(h, binary.LittleEndian, int64(a.Priority))
 		binary.Write(h, binary.LittleEndian, int64(a.Deadline))
