@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"duet/internal/sim"
 	"duet/internal/workload"
 )
 
@@ -100,6 +101,28 @@ func FuzzParseJobs(f *testing.F) {
 		}
 		if n, err := strconv.ParseInt(s, 10, 64); err == nil && int64(got) != n {
 			t.Fatalf("parseJobs(%q) = %d, want %d", s, got, n)
+		}
+	})
+}
+
+// FuzzParseRepairDelay: an accepted delay is a whole number of
+// microseconds in [0, sim.Forever], and its decimal microsecond count
+// parses back to the same delay.
+func FuzzParseRepairDelay(f *testing.F) {
+	for _, s := range []string{"0", "500", "-1", "0x10", "1_000", "1e3", "4611686018427387", "4611686018427388", "9223372036854775807", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := parseRepairDelay(s)
+		if err != nil {
+			return
+		}
+		if d < 0 || d > sim.Forever || d%sim.US != 0 {
+			t.Fatalf("parseRepairDelay(%q) accepted %d ps", s, d)
+		}
+		again, err := parseRepairDelay(strconv.FormatInt(int64(d/sim.US), 10))
+		if err != nil || again != d {
+			t.Fatalf("parseRepairDelay(%q) = %d ps, but its microsecond count parses to %d, %v", s, d, again, err)
 		}
 	})
 }

@@ -77,9 +77,6 @@ func NewFifo(eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages 
 // WriterClock reports the writer-side clock.
 func (f *Fifo) WriterClock() *sim.Clock { return f.wclk }
 
-// ReaderClock reports the reader-side clock.
-func (f *Fifo) ReaderClock() *sim.Clock { return f.rclk }
-
 // Depth reports the FIFO capacity.
 func (f *Fifo) Depth() int { return f.depth }
 
@@ -131,9 +128,6 @@ func (f *Fifo) headVisible(now sim.Time) bool {
 	return len(f.queue) > 0 && f.queue[0].visibleAt <= now
 }
 
-// CanPop reports whether a pop would succeed at time now.
-func (f *Fifo) CanPop(now sim.Time) bool { return f.headVisible(now) }
-
 // Len reports the number of entries currently stored (visible or not).
 func (f *Fifo) Len() int { return len(f.queue) }
 
@@ -181,21 +175,3 @@ func (f *Fifo) PopBlocking(t *sim.Thread) (interface{}, *sim.TX) {
 		f.notEmpty.Wait(t)
 	}
 }
-
-// PeekVisibleAt reports the time the head entry becomes visible to the
-// reader, or (0, false) when the FIFO is empty. Event-driven consumers use
-// this to schedule their service.
-func (f *Fifo) PeekVisibleAt() (sim.Time, bool) {
-	if len(f.queue) == 0 {
-		return 0, false
-	}
-	return f.queue[0].visibleAt, true
-}
-
-// NotEmpty exposes the condition signalled when an entry may have become
-// visible. Consumers that multiplex several FIFOs wait on it and re-poll.
-func (f *Fifo) NotEmpty() *sim.Cond { return f.notEmpty }
-
-// NotFull exposes the condition signalled when writer-visible space may
-// have become available.
-func (f *Fifo) NotFull() *sim.Cond { return f.notFull }

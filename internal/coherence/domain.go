@@ -133,15 +133,6 @@ func deliver(c *PCache, m *noc.Msg) {
 // Cache returns the attached cache with the given ID.
 func (d *Domain) Cache(id int) *PCache { return d.caches[id] }
 
-// Caches returns all attached caches.
-func (d *Domain) Caches() []*PCache {
-	out := make([]*PCache, 0, len(d.caches))
-	for _, c := range d.caches {
-		out = append(out, c)
-	}
-	return out
-}
-
 // DebugReadLine returns the current coherent value of a line for test and
 // benchmark result checking: a dirty private copy wins over the home's.
 // Only meaningful at quiescence.

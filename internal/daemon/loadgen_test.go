@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,6 +32,32 @@ func TestParseTenants(t *testing.T) {
 			t.Fatalf("ParseTenants(%q) did not fail", bad)
 		}
 	}
+}
+
+// FuzzParseTenants: an accepted spec has named, positively weighted
+// shares, and formatting them back as "name:weight,..." parses to the
+// same shares.
+func FuzzParseTenants(f *testing.F) {
+	for _, s := range []string{"alpha:3, beta:1,gamma", "  ", "a", ":3", "a:0", "a:x", "a:-1", ",", "a :+2", "a:b:c", "a:99999999999999999999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := ParseTenants(spec)
+		if err != nil || got == nil {
+			return
+		}
+		parts := make([]string, len(got))
+		for i, ts := range got {
+			if ts.Name == "" || ts.Weight <= 0 {
+				t.Fatalf("ParseTenants(%q) accepted %+v", spec, ts)
+			}
+			parts[i] = ts.Name + ":" + strconv.Itoa(ts.Weight)
+		}
+		again, err := ParseTenants(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("ParseTenants(%q) = %+v, but its formatting parses to %+v, %v", spec, got, again, err)
+		}
+	})
 }
 
 // newLiveServer boots a wall-clock daemon with a running ticker — the

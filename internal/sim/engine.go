@@ -15,10 +15,12 @@
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule
 // almost everything on clock-edge-aligned timestamps shared by many
 // components, the common enqueue/dequeue is an O(1) append/advance on an
-// existing bucket; the heap only sees distinct timestamps. Events are stored
-// by value and callbacks are passed as (func(any), arg) pairs, so the
-// schedule-and-run path performs no per-event allocation. See PERF.md for
-// the layout and the determinism invariants.
+// existing bucket, found through a fixed direct-mapped slot table; the heap
+// holds about one bucket per distinct timestamp. Events run in (time,
+// scheduling order) and carry no priority. Events are stored by value and
+// callbacks are passed as (func(any), arg) pairs, so the schedule-and-run
+// path performs no per-event allocation. See PERF.md for the layout and
+// the determinism invariants.
 package sim
 
 import (
@@ -63,7 +65,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e12 }
 // function value and arg a caller-owned pointer (or the plain func() for
 // events scheduled through At/After, which boxes allocation-free).
 type event struct {
-	pri int32
 	fn  func(any)
 	arg any
 }
@@ -71,15 +72,24 @@ type event struct {
 // call0 adapts a plain func() callback to the (fn, arg) event form.
 func call0(a any) { a.(func())() }
 
-// bucket holds every queued event of one timestamp. Events at equal
-// (at, pri) run in scheduling order; the slice is kept sorted by priority
-// (stable in scheduling order) over the unpopped tail [head:], which is a
-// no-op append for the default priority 0.
+// bucket holds queued events of one timestamp in scheduling order. An
+// instant normally has one live bucket; after a slot collision it can have
+// several, and seq (creation order) runs the older one first. Only the
+// newest bucket of an instant is ever appended to, so events at one instant
+// still run in scheduling order.
 type bucket struct {
-	at   Time
-	head int // next event to pop
+	at   Time   // -1 once drained
+	seq  uint64 // creation order: the heap's tie-break at equal at
+	head int    // next event to pop
 	evs  []event
 }
+
+// calSlots is the size of the calendar's direct-mapped slot table.
+const calSlots = 256
+
+// calSlot hashes t to a slot. Clock-aligned picosecond times share their
+// low bits, so a multiplicative (Fibonacci) hash takes the top bits.
+func calSlot(t Time) uint64 { return (uint64(t) * 0x9E3779B97F4A7C15) >> 56 }
 
 // Event is a pre-built schedulable record. Components that repeatedly
 // schedule the same callback (thread wakeups, FIFO drains) build one Event
@@ -87,7 +97,6 @@ type bucket struct {
 // closures. Scheduling copies the record; one Event may be pending at
 // several times at once.
 type Event struct {
-	Pri int32
 	Fn  func(any)
 	Arg any
 }
@@ -99,10 +108,11 @@ type Engine struct {
 	stopped bool
 	pending int
 
-	buckets []bucket       // bucket arena; heap and byTime hold indices into it
-	free    []int32        // released arena slots available for reuse
-	heap    []int32        // 4-ary min-heap of live bucket indices, keyed by at
-	byTime  map[Time]int32 // live buckets by timestamp
+	buckets []bucket        // bucket arena; heap and slots hold indices into it
+	free    []int32         // released arena slots available for reuse
+	heap    []int32         // 4-ary min-heap of live bucket indices, keyed by (at, seq)
+	slots   [calSlots]int32 // newest bucket opened per calSlot; a hit needs at == t
+	seq     uint64          // buckets opened so far
 
 	// threads tracks live Threads so Run can detect a deadlock in which
 	// every thread is parked but no events remain.
@@ -119,7 +129,7 @@ func NewEngine() *Engine { return NewEngineCap(0) }
 
 // NewEngineCap returns an empty engine pre-sized for roughly capHint
 // concurrently queued events, so large models reach steady state without
-// growing the queue's arena, heap, or calendar index mid-run.
+// growing the queue's bucket arena or heap mid-run.
 func NewEngineCap(capHint int) *Engine {
 	e := &Engine{}
 	if capHint > 0 {
@@ -129,9 +139,6 @@ func NewEngineCap(capHint int) *Engine {
 		e.buckets = make([]bucket, 0, nb)
 		e.free = make([]int32, 0, nb)
 		e.heap = make([]int32, 0, nb)
-		e.byTime = make(map[Time]int32, nb)
-	} else {
-		e.byTime = make(map[Time]int32)
 	}
 	return e
 }
@@ -142,55 +149,47 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug.
 func (e *Engine) At(t Time, fn func()) {
-	e.at(t, 0, call0, fn)
-}
-
-// AtPri schedules fn at time t with an explicit priority. Lower priorities
-// run first among events at the same instant; same-priority events run in
-// scheduling order.
-func (e *Engine) AtPri(t Time, pri int32, fn func()) {
-	e.at(t, pri, call0, fn)
+	e.at(t, call0, fn)
 }
 
 // After schedules fn to run d picoseconds from now.
 func (e *Engine) After(d Time, fn func()) {
-	e.at(e.now+d, 0, call0, fn)
+	e.at(e.now+d, call0, fn)
 }
 
 // AtArg schedules fn(arg) at absolute time t. With a long-lived fn and a
 // pointer-shaped arg this schedules without allocating, so per-message hot
 // paths (NoC delivery, MMIO decode, job completion) avoid closure churn.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) {
-	e.at(t, 0, fn, arg)
+	e.at(t, fn, arg)
 }
 
 // AfterArg schedules fn(arg) d picoseconds from now; see AtArg.
 func (e *Engine) AfterArg(d Time, fn func(any), arg any) {
-	e.at(e.now+d, 0, fn, arg)
+	e.at(e.now+d, fn, arg)
 }
 
 // AtEvent schedules the pre-built record ev at absolute time t. The record
 // is copied, never retained, so it can be rescheduled freely — the
 // allocation-free path behind thread wakeups and condition broadcasts.
 func (e *Engine) AtEvent(t Time, ev *Event) {
-	e.at(t, ev.Pri, ev.Fn, ev.Arg)
+	e.at(t, ev.Fn, ev.Arg)
 }
 
-// at enqueues one event. The fast path — a timestamp that already has a
-// bucket, default priority — is a map hit plus an append.
-func (e *Engine) at(t Time, pri int32, fn func(any), arg any) {
+// at enqueues one event. The fast path — the instant's newest bucket is
+// still in its slot — is a slot load, a timestamp compare and an append.
+// On a miss (no open bucket, or a colliding instant took the slot) a new
+// bucket opens and takes the slot.
+func (e *Engine) at(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.pending++
-	if bi, ok := e.byTime[t]; ok {
+	s := calSlot(t)
+	// Unwritten slots hold 0, which may name no bucket yet.
+	if bi := e.slots[s]; int(bi) < len(e.buckets) && e.buckets[bi].at == t {
 		b := &e.buckets[bi]
-		b.evs = append(b.evs, event{pri: pri, fn: fn, arg: arg})
-		// Restore (pri, scheduling-order) order over the unpopped tail.
-		// Appends at the default priority terminate immediately.
-		for i := len(b.evs) - 1; i > b.head && b.evs[i-1].pri > pri; i-- {
-			b.evs[i-1], b.evs[i] = b.evs[i], b.evs[i-1]
-		}
+		b.evs = append(b.evs, event{fn: fn, arg: arg})
 		return
 	}
 	var bi int32
@@ -203,9 +202,11 @@ func (e *Engine) at(t Time, pri int32, fn func(any), arg any) {
 	}
 	b := &e.buckets[bi]
 	b.at = t
+	b.seq = e.seq
+	e.seq++
 	b.head = 0
-	b.evs = append(b.evs[:0], event{pri: pri, fn: fn, arg: arg})
-	e.byTime[t] = bi
+	b.evs = append(b.evs[:0], event{fn: fn, arg: arg})
+	e.slots[s] = bi
 	e.heapPush(bi)
 }
 
@@ -214,7 +215,7 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // step pops and executes the earliest queued event. Callers guarantee the
 // queue is non-empty. The "time went backwards" guard holds for every
-// execution path (Run and RunUntil alike): it is the kernel's core
+// execution path (Run and RunBefore alike): it is the kernel's core
 // determinism invariant.
 func (e *Engine) step() {
 	bi := e.heap[0]
@@ -227,10 +228,9 @@ func (e *Engine) step() {
 	b.evs[b.head] = event{} // release the callback and payload promptly
 	b.head++
 	if b.head == len(b.evs) {
-		// Bucket drained: drop it from the calendar before running the
-		// callback, so a callback scheduling at this same instant starts a
-		// fresh bucket (which becomes the heap top again, preserving order).
-		delete(e.byTime, b.at)
+		// Bucket drained: mark it dead before running the callback, so a
+		// callback scheduling at this same instant misses and opens a
+		// fresh bucket (the newest at now, so it sorts after any other).
 		b.at = -1
 		b.head = 0
 		b.evs = b.evs[:0]
@@ -258,31 +258,12 @@ func (e *Engine) Run(maxEvents int) int {
 	return n
 }
 
-// RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued. It returns the number executed.
-func (e *Engine) RunUntil(deadline Time) int {
-	e.stopped = false
-	n := 0
-	for len(e.heap) > 0 && !e.stopped {
-		if e.buckets[e.heap[0]].at > deadline {
-			break
-		}
-		e.step()
-		n++
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-	e.reapWorkers()
-	return n
-}
-
 // RunBefore executes events with timestamps strictly before deadline,
 // then advances the clock to deadline. Events at exactly deadline stay
 // queued — the streaming submission contract: work injected at deadline
 // (outside any event) precedes every already-queued callback at that
 // same instant, exactly as a pre-scheduled arrival event would by bucket
-// insertion order. Unlike Run and RunUntil it does not reap pooled
+// insertion order. Unlike Run it does not reap pooled
 // worker coroutines, so a caller fusing a long submission stream into
 // the run keeps the coroutine pool warm between arrivals; the final
 // drain (Run) reaps as usual.
@@ -305,11 +286,11 @@ func (e *Engine) RunBefore(deadline Time) int {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.pending }
 
-// --- 4-ary heap of bucket handles, keyed by bucket timestamp ---------------
+// --- 4-ary heap of bucket handles, keyed by (at, seq) ----------------------
 //
-// Timestamps in the heap are distinct (byTime guarantees one live bucket
-// per instant), so ordering needs no tie-break. 4-ary halves the tree depth
-// of a binary heap and keeps the sift loops free of interface dispatch.
+// A pushed bucket is always the newest, so sift-up compares timestamps
+// alone. 4-ary halves the tree depth of a binary heap and keeps the sift
+// loops free of interface dispatch.
 
 func (e *Engine) heapPush(bi int32) {
 	e.heap = append(e.heap, bi)
@@ -334,7 +315,7 @@ func (e *Engine) heapPopTop() {
 	if n == 0 {
 		return
 	}
-	at := e.buckets[moved].at
+	at, seq := e.buckets[moved].at, e.buckets[moved].seq
 	i := 0
 	for {
 		c := 4*i + 1
@@ -345,13 +326,14 @@ func (e *Engine) heapPopTop() {
 		if end > n {
 			end = n
 		}
-		m, mAt := c, e.buckets[e.heap[c]].at
+		m := c
+		mb := &e.buckets[e.heap[c]]
 		for j := c + 1; j < end; j++ {
-			if a := e.buckets[e.heap[j]].at; a < mAt {
-				m, mAt = j, a
+			if b := &e.buckets[e.heap[j]]; b.at < mb.at || b.at == mb.at && b.seq < mb.seq {
+				m, mb = j, b
 			}
 		}
-		if mAt >= at {
+		if mb.at > at || mb.at == at && mb.seq > seq {
 			break
 		}
 		e.heap[i] = e.heap[m]

@@ -41,17 +41,6 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestEnginePriority(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.AtPri(5*NS, 1, func() { got = append(got, "low") })
-	e.AtPri(5*NS, 0, func() { got = append(got, "high") })
-	e.Run(0)
-	if got[0] != "high" || got[1] != "low" {
-		t.Fatalf("priority order = %v", got)
-	}
-}
-
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -85,35 +74,11 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	e.Run(0)
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10*NS, func() { ran++ })
-	e.At(20*NS, func() { ran++ })
-	e.At(30*NS, func() { ran++ })
-	n := e.RunUntil(20 * NS)
-	if n != 2 || ran != 2 {
-		t.Fatalf("RunUntil ran %d events, want 2", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	if e.Now() != 20*NS {
-		t.Fatalf("Now = %v, want 20ns", e.Now())
-	}
-	// Deadline with no events advances time.
-	e2 := NewEngine()
-	e2.RunUntil(42 * NS)
-	if e2.Now() != 42*NS {
-		t.Fatalf("empty RunUntil Now = %v", e2.Now())
-	}
-}
-
-// TestRunBefore pins the strictly-before contract that distinguishes
-// RunBefore from the inclusive RunUntil: events at exactly the deadline
-// stay pending — the streaming cluster path depends on it so a
+// TestRunBefore pins the strictly-before contract: events at exactly the
+// deadline stay pending — the streaming cluster path depends on it so a
 // submission at t still precedes completions at t, matching the
-// pre-scheduled arrival ordering of the materialized path.
+// pre-scheduled arrival ordering of the materialized path. Run then
+// drains what RunBefore left.
 func TestRunBefore(t *testing.T) {
 	e := NewEngine()
 	ran := 0
@@ -133,7 +98,13 @@ func TestRunBefore(t *testing.T) {
 	if n := e.RunBefore(21 * NS); n != 1 || ran != 2 {
 		t.Fatalf("second RunBefore ran %d events (n=%d), want 1", ran, n)
 	}
-	// Deadline with no events advances time, like RunUntil.
+	if n := e.Run(0); n != 1 || ran != 3 || e.Pending() != 0 {
+		t.Fatalf("Run ran %d events (n=%d), pending %d; want all 3 run", ran, n, e.Pending())
+	}
+	if e.Now() != 30*NS {
+		t.Fatalf("Now = %v after Run, want 30ns", e.Now())
+	}
+	// Deadline with no events advances time.
 	e2 := NewEngine()
 	e2.RunBefore(42 * NS)
 	if e2.Now() != 42*NS {
@@ -141,23 +112,22 @@ func TestRunBefore(t *testing.T) {
 	}
 }
 
-// TestRunUntilTimeWentBackwardsPanics is the regression test for the
-// RunUntil pop path missing the "event time went backwards" invariant
-// check that Run always had. The invariant cannot be violated through the
-// public API (scheduling in the past panics at enqueue), so the test
-// corrupts a queued bucket's timestamp directly.
-func TestRunUntilTimeWentBackwardsPanics(t *testing.T) {
+// TestRunBeforeTimeWentBackwardsPanics pins the "event time went
+// backwards" invariant on the RunBefore pop path. The invariant cannot be
+// violated through the public API (scheduling in the past panics at
+// enqueue), so the test corrupts a queued bucket's timestamp directly.
+func TestRunBeforeTimeWentBackwardsPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10*NS, func() {})
 	e.At(20*NS, func() {})
-	e.RunUntil(10 * NS) // now = 10ns; the 20ns event stays queued
+	e.RunBefore(11 * NS) // now = 11ns; the 20ns event stays queued
 	e.buckets[e.heap[0]].at = 5 * NS
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunUntil executed an event behind the current time without panicking")
+			t.Fatal("RunBefore executed an event behind the current time without panicking")
 		}
 	}()
-	e.RunUntil(30 * NS)
+	e.RunBefore(30 * NS)
 }
 
 // TestRunTimeWentBackwardsPanics pins the same guard on the Run path.
@@ -194,6 +164,43 @@ func TestRunBudgetResumesMidBucket(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		if got[i] != i {
 			t.Fatalf("order = %v", got)
+		}
+	}
+}
+
+// TestSlotCollisionKeepsSchedulingOrder forces two live buckets at one
+// instant: an event at the colliding instant takes the first instant's
+// slot, so the next events at the first instant miss and open a second
+// bucket there. The older bucket must run first, and every event at the
+// instant — including one scheduled at now while the older bucket drains —
+// must run in scheduling order.
+func TestSlotCollisionKeepsSchedulingOrder(t *testing.T) {
+	for _, swap := range []bool{false, true} {
+		t1, t2 := collidingInstants(NS, NS)
+		if swap {
+			t1, t2 = t2, t1 // the colliding instant runs first
+		}
+		e := NewEngine()
+		var got []string
+		rec := func(s string) func() { return func() { got = append(got, s) } }
+		e.At(t1, func() {
+			got = append(got, "a1")
+			e.At(e.Now(), rec("a-child"))
+		})
+		e.At(t1, rec("a2"))
+		e.At(t2, rec("b"))
+		e.At(t1, rec("a3"))
+		e.At(t1, rec("a4"))
+		if live := len(e.heap); live != 3 {
+			t.Fatalf("swap=%v: %d live buckets, want 3 (two at %v, one at %v)", swap, live, t1, t2)
+		}
+		e.Run(0)
+		want := []string{"a1", "a2", "a3", "a4", "a-child", "b"}
+		if swap {
+			want = []string{"b", "a1", "a2", "a3", "a4", "a-child"}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("swap=%v: order = %v, want %v", swap, got, want)
 		}
 	}
 }
@@ -236,20 +243,6 @@ func TestAtArgAndAtEvent(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-// TestAtEventPriority checks AtEvent honors the record's priority against
-// plain same-instant events.
-func TestAtEventPriority(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	ev := Event{Pri: -1, Fn: func(any) { got = append(got, "early") }}
-	e.At(5*NS, func() { got = append(got, "normal") })
-	e.AtEvent(5*NS, &ev)
-	e.Run(0)
-	if len(got) != 2 || got[0] != "early" || got[1] != "normal" {
-		t.Fatalf("order = %v", got)
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 )
 
 // refEvent / refHeap reimplement the kernel's pre-calendar event queue — a
-// container/heap of boxed events totally ordered by (at, pri, seq) — as the
+// container/heap of boxed events totally ordered by (at, seq) — as the
 // ordering oracle for FuzzEventOrder.
 type refEvent struct {
 	at  Time
-	pri int32
 	seq uint64
 	id  int
 }
@@ -21,9 +20,6 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
 	}
 	return h[i].seq < h[j].seq
 }
@@ -38,26 +34,23 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// fuzzOp is one decoded fuzz instruction: a root event at base+dt with the
-// given priority which, when it runs, schedules a child childDt after its
-// own execution time (childDt < 0 means no child). Children exercise
-// nested scheduling, including the schedule-at-now-while-draining path.
+// fuzzOp is one decoded fuzz instruction: a root event at fuzzBase+dt
+// which, when it runs, schedules a child childDt after its own execution
+// time (childDt < 0 means no child). Children exercise nested scheduling,
+// including the schedule-at-now-while-draining path.
 type fuzzOp struct {
 	dt      Time
-	pri     int32
 	childDt Time // -1: no child
 }
 
+const fuzzBase = 10 * NS
+
 func decodeFuzzOps(data []byte) []fuzzOp {
 	var ops []fuzzOp
-	for i := 0; i+2 < len(data) && len(ops) < 512; i += 3 {
-		op := fuzzOp{
-			dt:      Time(data[i]) * 100,
-			pri:     int32(int8(data[i+1])),
-			childDt: -1,
-		}
-		if data[i+2]%2 == 0 {
-			op.childDt = Time(data[i+2]) * 50
+	for i := 0; i+1 < len(data) && len(ops) < 512; i += 2 {
+		op := fuzzOp{dt: Time(data[i]) * 100, childDt: -1}
+		if data[i+1]%2 == 0 {
+			op.childDt = Time(data[i+1]) * 50
 		}
 		ops = append(ops, op)
 	}
@@ -70,11 +63,10 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 func runKernelOrder(ops []fuzzOp) []int {
 	e := NewEngine()
 	var got []int
-	base := e.Now() + 10*NS
 	for i, op := range ops {
 		i, op := i, op
 		childID := len(ops) + i
-		e.AtPri(base+op.dt, op.pri, func() {
+		e.At(fuzzBase+op.dt, func() {
 			got = append(got, i)
 			if op.childDt >= 0 {
 				e.At(e.Now()+op.childDt, func() { got = append(got, childID) })
@@ -92,10 +84,9 @@ func runReferenceOrder(ops []fuzzOp) []int {
 	var h refHeap
 	var seq uint64
 	var want []int
-	base := Time(10 * NS)
 	for i, op := range ops {
 		seq++
-		heap.Push(&h, &refEvent{at: base + op.dt, pri: op.pri, seq: seq, id: i})
+		heap.Push(&h, &refEvent{at: fuzzBase + op.dt, seq: seq, id: i})
 	}
 	for h.Len() > 0 {
 		ev := heap.Pop(&h).(*refEvent)
@@ -103,23 +94,43 @@ func runReferenceOrder(ops []fuzzOp) []int {
 		if ev.id < len(ops) {
 			if op := ops[ev.id]; op.childDt >= 0 {
 				seq++
-				heap.Push(&h, &refEvent{at: ev.at + op.childDt, pri: 0, seq: seq, id: len(ops) + ev.id})
+				heap.Push(&h, &refEvent{at: ev.at + op.childDt, seq: seq, id: len(ops) + ev.id})
 			}
 		}
 	}
 	return want
 }
 
+// collidingInstants returns the first two of the instants base+k*step,
+// k = 0..256, that share a calendar slot; with 257 instants over 256 slots
+// a pair always exists.
+func collidingInstants(base, step Time) (Time, Time) {
+	seen := map[uint64]Time{}
+	for k := Time(0); k <= calSlots; k++ {
+		tm := base + k*step
+		if first, ok := seen[calSlot(tm)]; ok {
+			return first, tm
+		}
+		seen[calSlot(tm)] = tm
+	}
+	panic("unreachable: more instants than slots")
+}
+
 // FuzzEventOrder drives the calendar-bucket queue and the reference
-// container/heap with the same (at, pri) stream — including same-instant
-// ties, negative priorities, and nested scheduling — and requires
-// identical pop order. This is the determinism contract every golden-seed
-// result in this repository rests on.
+// container/heap with the same event stream — including same-instant
+// ties, slot collisions and nested scheduling — and requires identical
+// pop order. This is the determinism contract every golden-seed result in
+// this repository rests on.
 func FuzzEventOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1})          // same-instant FIFO ties
-	f.Add([]byte{5, 0x80, 3, 5, 0x7f, 1, 5, 0, 2})    // pri extremes on one instant
-	f.Add([]byte{9, 1, 0, 9, 0xff, 0, 9, 2, 0, 9, 0}) // children landing mid-drain
-	f.Add([]byte{200, 0, 1, 100, 0, 1, 0, 0, 1, 50, 0, 1})
+	f.Add([]byte{0, 1, 0, 1, 0, 1})            // same-instant FIFO ties
+	f.Add([]byte{5, 3, 5, 1, 5, 0, 5, 2})      // children at and just after a busy instant
+	f.Add([]byte{9, 0, 9, 0, 9, 0})            // children landing mid-drain
+	f.Add([]byte{200, 1, 100, 1, 0, 1, 50, 1}) // out-of-order instants
+	// Slot collisions: a and b take turns in one slot, so each instant
+	// gets a second live bucket, with children landing at now.
+	t1, t2 := collidingInstants(fuzzBase, 100)
+	a, b := byte((t1-fuzzBase)/100), byte((t2-fuzzBase)/100)
+	f.Add([]byte{a, 0, a, 1, b, 1, a, 1, a, 0, b, 1, b, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data)
 		got := runKernelOrder(ops)

@@ -99,7 +99,7 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 	return t
 }
 
-// reapWorkers stops the idle pooled coroutines. Run and RunUntil call it
+// reapWorkers stops the idle pooled coroutines. Run calls it
 // on every return — however the run ended — so pooling never outlives the
 // run that benefited from it. Workers of parked threads are mid-function
 // and stay until Close. Spawns after the reap simply start fresh workers.
@@ -271,6 +271,3 @@ func (c *Cond) Broadcast() {
 func (c *Cond) BroadcastAt(tm Time) {
 	c.eng.AtEvent(tm, &c.bcast)
 }
-
-// Waiters reports the number of threads currently waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) }
