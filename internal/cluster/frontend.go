@@ -87,6 +87,49 @@ func hashShards(catalog []string, shards int) []int {
 	return t
 }
 
+// router is a front end's routing decision for each arrival, made in
+// stream order: hash-app reads the per-run hashShards table, round-robin
+// deals by the stream index, and the stateful front ends rank shards on
+// the load model.
+type router struct {
+	frontEnd FrontEnd
+	shards   int
+	byApp    []int      // hash-app
+	lo       *loadModel // least-outstanding and health-weighted
+	spec     *FaultSpec // health-weighted ranking input, even when inactive
+}
+
+func newRouter(cfg Config, reps []Replica, catalog []string) (*router, error) {
+	r := &router{frontEnd: cfg.FrontEnd, shards: cfg.Shards}
+	switch cfg.FrontEnd {
+	case HashApp:
+		r.byApp = hashShards(catalog, cfg.Shards)
+	case RoundRobin: // routes by the stream index alone
+	case HealthWeighted:
+		r.spec = cfg.Faults
+		fallthrough
+	case LeastOutstanding:
+		r.lo = newLoadModel(reps)
+	default:
+		return nil, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
+	}
+	return r, nil
+}
+
+// route returns the shard for a, the i-th arrival of the stream.
+func (r *router) route(i int, a *Arrival) int {
+	switch r.frontEnd {
+	case HashApp:
+		if uint(a.App) < uint(len(r.byApp)) {
+			return r.byApp[a.App]
+		}
+		return 0 // an AppID outside the catalog goes to shard 0, which fails it
+	case RoundRobin:
+		return i % r.shards
+	}
+	return r.lo.route(a, r.spec)
+}
+
 // loadModel is the least-outstanding front end's analytic view of shard
 // occupancy: each shard is modeled as its own Workers() virtual fabrics
 // serving jobs for their catalog-predicted occupancy, FIFO per fabric.

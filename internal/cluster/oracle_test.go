@@ -106,10 +106,10 @@ func (r *countingReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
 	return ShardResult{}, nil
 }
 
-// countingConfig is a least-outstanding run over two counting shards.
-func countingConfig() Config {
+// countingConfig is a run under front end fe over two counting shards.
+func countingConfig(fe FrontEnd) Config {
 	return Config{
-		Shards: 2, FrontEnd: LeastOutstanding,
+		Shards: 2, FrontEnd: fe,
 		NewReplica: func(int, int64) (Replica, error) {
 			return &countingReplica{recordingReplica: recordingReplica{workers: 1}}, nil
 		},
@@ -127,11 +127,15 @@ func oracleStream(n int) []Arrival {
 	return arr
 }
 
-// TestRunSourceMatchesOracle holds both RunSource branches — the
-// parallel filtered clones and the producer hand-off — to the sequential
-// reference, per-shard arrival sequence for arrival sequence. On the
-// handoff axis, 0 keeps RunSource's fixed bound and 1 shrinks it to a
-// single batch per shard, so the producer blocks on each one.
+// crashHedge crashes shard 1 from 200 to 600us and hedges every arrival
+// within 80us of a crash: the oracle's reroute-plus-duplicate case.
+var crashHedge = &FaultSpec{ShardDown: [][]sched.Downtime{nil, {{From: 200 * sim.US, To: 600 * sim.US}}}, Hedge: 80 * sim.US}
+
+// TestRunSourceMatchesOracle holds the producer hand-off, under every
+// front end, to the sequential reference, per-shard arrival sequence for
+// arrival sequence. On the handoff axis, 0 keeps RunSource's fixed bound
+// and 1 shrinks it to a single batch per shard, so the producer blocks
+// on each one.
 func TestRunSourceMatchesOracle(t *testing.T) {
 	us := func(n int) sim.Time { return sim.Time(n) * sim.US }
 	rack := &faults.Plan{
@@ -140,7 +144,7 @@ func TestRunSourceMatchesOracle(t *testing.T) {
 	}
 	specs := map[string]*FaultSpec{
 		"none":        nil,
-		"crash+hedge": {ShardDown: [][]sched.Downtime{nil, {{From: us(200), To: us(600)}}}, Hedge: us(80)},
+		"crash+hedge": crashHedge,
 		"domain+hold": {ShardDown: rack.EffectiveShardDown(3), Hedge: us(60), RecoverHold: us(200)},
 	}
 	stream := oracleStream(4 * 3 * handoffBatch) // several batches per shard at shards=3
@@ -186,70 +190,124 @@ func TestRunSourceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestProducerSurvivesShardError: under a stateful front end, a shard
-// that fails after pulling a few arrivals must neither block the
-// producer (its feed is drained) nor lose its shard attribution. The
-// stream is long enough to overfill the failed shard's hand-off channel.
+// TestProducerSurvivesShardError: under every front end, a shard that
+// fails after pulling a few arrivals must neither block the producer
+// (its feed is drained) nor lose its shard attribution. The stream is
+// long enough to overfill the failed shard's hand-off channel under
+// each front end (hash-app sends shard 1 two of the four apps).
 func TestProducerSurvivesShardError(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunSource(Config{
-			Shards: 3, FrontEnd: LeastOutstanding,
-			NewReplica: func(i int, _ int64) (Replica, error) {
-				return &recordingReplica{workers: 1, failAfter: 3 * (i % 2)}, nil // shard 1 fails
-			},
-		}, NewSliceSource(oracleStream(4*3*handoff)))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "shard 1") {
-			t.Fatalf("shard failure not attributed to shard 1: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("producer deadlocked on a shard that stopped consuming")
+	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
+		t.Run(fe.String(), func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunSource(Config{
+					Shards: 3, FrontEnd: fe,
+					NewReplica: func(i int, _ int64) (Replica, error) {
+						return &recordingReplica{workers: 1, failAfter: 3 * (i % 2)}, nil // shard 1 fails
+					},
+				}, NewSliceSource(oracleStream(4*3*handoff)))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "shard 1") {
+					t.Fatalf("shard failure not attributed to shard 1: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("producer deadlocked on a shard that stopped consuming")
+			}
+		})
 	}
 }
 
 // TestProducerRecyclesBatches: the producer's hand-off buffers are a
-// fixed set per shard that cycles between producer and shard, so a
-// stateful-front-end run allocates the same heap objects at 16 and at
+// fixed set per shard that cycles between producer and shard, so a run
+// under every front end allocates the same heap objects at 16 and at
 // 128 hand-off bounds' worth of arrivals. The streams are materialized
 // before the measured region. The runtime's own goroutine and
 // channel-waiter caches add a few objects when goroutines land on fresh
 // Ps, so the runs go on one P and each size keeps its fewest of three.
 func TestProducerRecyclesBatches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	mallocs := func(stream []Arrival) uint64 {
-		least := uint64(math.MaxUint64)
-		for range 3 {
-			src := NewSliceSource(stream)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := RunSource(countingConfig(), src)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			least = min(least, after.Mallocs-before.Mallocs)
-		}
-		return least
-	}
 	short, long := oracleStream(16*handoff), oracleStream(128*handoff)
-	if s, l := mallocs(short), mallocs(long); s != l {
-		t.Fatalf("run allocated %d objects at %d arrivals but %d at %d: the hand-off allocates per batch",
-			s, len(short), l, len(long))
+	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
+		t.Run(fe.String(), func(t *testing.T) {
+			mallocs := func(stream []Arrival) uint64 {
+				least := uint64(math.MaxUint64)
+				for range 3 {
+					src := NewSliceSource(stream)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					_, err := RunSource(countingConfig(fe), src)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					least = min(least, after.Mallocs-before.Mallocs)
+				}
+				return least
+			}
+			if s, l := mallocs(short), mallocs(long); s != l {
+				t.Fatalf("run allocated %d objects at %d arrivals but %d at %d: the hand-off allocates per batch",
+					s, len(short), l, len(long))
+			}
+		})
 	}
 }
 
-// BenchmarkRunSourceHandoff times the stateful front ends' hand-off on
-// its own: least-outstanding routing of a 1M-arrival materialized stream
+// countingSource is a SliceSource that counts its Next calls and panics
+// on Clone, so a run that draws the stream more than once, or clones it
+// at all, is caught.
+type countingSource struct {
+	SliceSource
+	calls int
+}
+
+func (s *countingSource) Next(a *Arrival) bool {
+	s.calls++
+	return s.SliceSource.Next(a)
+}
+
+func (s *countingSource) Clone() Source { panic("cluster: RunSource cloned its source") }
+
+// TestRunSourceGeneratesOnce: every front end, with and without the
+// fault pass, draws the source exactly once — Len() arrivals plus the
+// call that reports exhaustion — however many shards the run has.
+func TestRunSourceGeneratesOnce(t *testing.T) {
+	specs := map[string]*FaultSpec{
+		"none":        nil,
+		"crash+hedge": crashHedge,
+	}
+	stream := oracleStream(4 * 3 * handoffBatch)
+	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
+		for name, spec := range specs {
+			t.Run(fmt.Sprintf("%v/%s", fe, name), func(t *testing.T) {
+				src := &countingSource{SliceSource: SliceSource{stream: stream}}
+				_, err := RunSource(Config{
+					Shards: 3, FrontEnd: fe, Faults: spec,
+					NewReplica: func(i int, _ int64) (Replica, error) {
+						return &recordingReplica{workers: 1 + i%2}, nil
+					},
+				}, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := src.Len() + 1; src.calls != want {
+					t.Fatalf("source drawn %d times, want Len()+1 = %d", src.calls, want)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRunSourceHandoff times the producer hand-off on its own:
+// least-outstanding routing of a 1M-arrival materialized stream
 // onto two shards that only count what they receive.
 func BenchmarkRunSourceHandoff(b *testing.B) {
 	stream := oracleStream(1_000_000)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := RunSource(countingConfig(), NewSliceSource(stream)); err != nil {
+		if _, err := RunSource(countingConfig(LeastOutstanding), NewSliceSource(stream)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,14 +318,13 @@ func BenchmarkRunSourceHandoff(b *testing.B) {
 // the last delivered instant. Each shard receives more than one flush
 // batch, so both the mid-stream and the final flush are exercised.
 func TestProgressCountsDeliveries(t *testing.T) {
-	spec := &FaultSpec{ShardDown: [][]sched.Downtime{nil, {{From: 200 * sim.US, To: 600 * sim.US}}}, Hedge: 80 * sim.US} // the oracle's crash+hedge
 	stream := oracleStream(4 * progressBatch)
 	for fe := FrontEnd(0); fe < NumFrontEnds; fe++ {
 		t.Run(fe.String(), func(t *testing.T) {
 			reps := make([]*recordingReplica, 3)
 			p := &Progress{}
 			res, err := RunSource(Config{
-				Shards: len(reps), FrontEnd: fe, Faults: spec, Progress: p,
+				Shards: len(reps), FrontEnd: fe, Faults: crashHedge, Progress: p,
 				NewReplica: func(i int, _ int64) (Replica, error) {
 					reps[i] = &recordingReplica{workers: 1 + i%2}
 					return reps[i], nil

@@ -10,33 +10,30 @@ import (
 
 // This file is the cluster's arrival pipeline: RunSource plays a study
 // straight off an O(1)-memory arrival source, so the run never
-// materializes an O(jobs) stream. The front end, the fault pass
-// (FaultSpec.place: dead-shard reroute and hedge duplicates), and each
-// shard's simulation form a single pass over the source:
+// materializes an O(jobs) stream. One producer goroutine draws the
+// source once and, per arrival in stream order, applies the front end's
+// routing (router: the hash-app table, the round-robin stream index, or
+// the stateful front ends' load model) and the fault pass
+// (FaultSpec.place: dead-shard reroute and hedge duplicates). It feeds
+// each shard through a bounded hand-off channel (at most handoff
+// arrivals ahead of the shard). Its batches of 40-byte arrival records
+// (an AppID, not an app name) cycle through a fixed per-shard ring of
+// buffers, all carved from one backing array per run, so the hand-off
+// allocates O(shards x handoff) once and nothing per arrival.
+// Generation costs one draw per arrival whatever the shard count.
 //
-//   - Index-free front ends (HashApp, RoundRobin) need no shared routing
-//     state, so every shard clones the source and filters it down to its
-//     own assignment in parallel — generation itself is parallelized and
-//     no hand-off buffer exists at all. HashApp reads a per-run table of
-//     each AppID's shard, built once from the catalog names.
-//   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
-//     single producer, in stream order, which feeds each shard through a
-//     bounded hand-off channel (at most handoff arrivals ahead of the
-//     shard). Its batches of 40-byte arrival records (an AppID, not an
-//     app name) come from a fixed per-shard set of buffers that the
-//     shard hands back once drained, so the hand-off allocates
-//     O(shards x handoff) once and nothing per arrival.
-//
-// Either way RunSource ends up with one feed per shard, taps it for
-// Progress, and plays it on the shard's own goroutine. Both branches
-// deliver, per shard, exactly the arrival sequence of the sequential
-// route-then-fault-pass reference kept in oracle_test.go, which pins the
-// equivalence arrival for arrival.
+// Each shard's feed is tapped for Progress and played on the shard's
+// own goroutine. Per shard, it delivers exactly the arrival sequence of
+// the sequential route-then-fault-pass reference kept in
+// oracle_test.go, which pins the equivalence arrival for arrival.
 
 // Source is a restartable O(1)-memory arrival generator: a pure function
 // of its construction parameters that yields the stream in ascending
-// arrival order. Clone must restart the identical stream from the first
-// arrival: the index-free front ends give every shard its own clone.
+// arrival order. RunSource draws it once and never calls Clone. Clone
+// stays in the interface only because perfbench/trace.go's traced
+// source forwards Clone to the source it wraps; removing it means
+// changing the benchmark program too. A Clone must restart the
+// identical stream from the first arrival.
 type Source interface {
 	// Next writes the next arrival into *a and reports whether one was
 	// produced; false means the stream is exhausted.
@@ -179,82 +176,33 @@ func (f *FaultSpec) place(shards, s int, at sim.Time) (eff, dup int, hedge bool)
 	return eff, dup, hedge
 }
 
-// filterFeed is an index-free shard's view of the stream: a private
-// clone of the source filtered down to the arrivals this shard would
-// receive after routing and the fault pass. Routing by (index, app) and
-// place depend only on the arrival and the static fault spec, so every
-// shard recomputes them independently — that is what lets generation
-// run in parallel with zero hand-off state. Each shard counts what it
-// receives, so the per-shard counts sum to the global totals.
-type filterFeed struct {
-	src    Source
-	shard  int
-	shards int
-	byApp  []int      // hash-app shard per AppID; nil for round-robin
-	spec   *FaultSpec // nil when the fault pass is inactive
-	idx    int        // global stream index (round-robin key)
-
-	assigned, rerouted, hedged int
-}
-
-func (f *filterFeed) Next(a *Arrival) bool {
-	for f.src.Next(a) {
-		i := f.idx
-		f.idx++
-		s := 0 // an AppID outside the catalog goes to shard 0, which fails it
-		switch {
-		case f.byApp == nil:
-			s = i % f.shards
-		case uint(a.App) < uint(len(f.byApp)):
-			s = f.byApp[a.App]
-		}
-		eff, dup, hedge := f.spec.place(f.shards, s, a.At)
-		switch {
-		case eff == f.shard:
-			f.assigned++
-			if eff != s {
-				f.rerouted++
-			}
-			return true
-		case hedge && dup == f.shard:
-			// The Arrival travels by value, so the duplicate is an
-			// independent job record.
-			f.assigned++
-			f.hedged++
-			return true
-		}
-	}
-	return false
-}
-
-// handoff is the stateful front ends' hand-off bound: how many routed
-// arrivals the producer may buffer per shard before it blocks, so peak
-// memory is O(shards x handoff). It affects only producer/consumer
-// overlap, never results.
-const handoff = 4096
+// handoff is the hand-off bound: how many routed arrivals the producer
+// may buffer per shard before it blocks, so peak memory is
+// O(shards x handoff). It affects only producer/consumer overlap, never
+// results.
+const handoff = 128
 
 // handoffBatch is the channel granularity: arrivals travel in value
 // batches so the producer pays one channel operation per batch, not per
 // job. Order within and across batches is the producer's routing order.
-const handoffBatch = 256
+const handoffBatch = 64
 
-// chanFeed is a stateful front end's per-shard feed: batches of routed
-// arrivals from the producer goroutine over a bounded channel. Each
-// drained batch goes back to the producer on free before the next one
-// is received, so a shard holds at most one buffer.
+// chanFeed is a shard's feed: batches of routed arrivals from the
+// producer goroutine over a bounded channel. Receiving a batch ends the
+// shard's reads of the one before it, which is what lets the producer
+// reuse that buffer (see handoffShard).
 type chanFeed struct {
-	ch   <-chan []Arrival
-	free chan<- []Arrival
-	cur  []Arrival
-	i    int
+	ch  <-chan []Arrival
+	cur []Arrival
+	i   int
+	// The feeds sit side by side in one slice, one per shard goroutine;
+	// padding each to a 64-byte cache line keeps one shard's per-arrival
+	// write of i from invalidating its neighbour's line.
+	_ [24]byte
 }
 
 func (f *chanFeed) Next(a *Arrival) bool {
 	for f.i >= len(f.cur) {
-		if f.cur != nil {
-			f.free <- f.cur
-			f.cur = nil
-		}
 		batch, ok := <-f.ch
 		if !ok {
 			return false
@@ -266,92 +214,76 @@ func (f *chanFeed) Next(a *Arrival) bool {
 	return true
 }
 
-// producer routes the whole source on one goroutine — routing, then
-// place, per arrival in stream order — and feeds each shard's channel
-// in batches. Each shard's batches come from a fixed set of cap(ch)+2
-// buffers: those queued on the channel, the one being filled and the
-// one the shard is playing. Once the set is full, the producer refills
-// only from the buffers the shard hands back on free, so a run
-// allocates O(shards x handoff) however many arrivals it routes.
+// handoffShard is the producer's side of one shard's hand-off: the
+// channel its batches travel on, its ring of cap(ch)+2 batch buffers,
+// the batch being filled and how many arrivals it was sent. The
+// producer fills the ring's buffers in order. Once the send of batch k
+// completes, the shard has received batch k-cap(ch) (a buffered
+// channel's (k-C)th receive is synchronized before its kth send
+// completes), so it is done reading batch k-cap(ch)-1: the buffer that
+// batch k+1 reuses. No buffer ever travels back to the producer.
+type handoffShard struct {
+	ch    chan []Arrival
+	ring  []Arrival
+	next  int // offset in ring of the buffer after batch
+	batch []Arrival
+	count int
+}
+
+// producer routes the whole source on one goroutine — the front end's
+// routing, then place, per arrival in stream order — and feeds each
+// shard's channel in batches. Every shard's ring is carved from one
+// backing array per run, so a run allocates O(shards x handoff) once
+// however many arrivals it routes.
 type producer struct {
-	chans            []chan []Arrival
-	free             []chan []Arrival
-	batches          [][]Arrival
-	made             []int // buffers allocated per shard
-	counts           []int
+	shards           []handoffShard
 	rerouted, hedged int
 }
 
 func newProducer(shards, bound int) *producer {
-	p := &producer{
-		chans:   make([]chan []Arrival, shards),
-		free:    make([]chan []Arrival, shards),
-		batches: make([][]Arrival, shards),
-		made:    make([]int, shards),
-		counts:  make([]int, shards),
-	}
-	for i := range p.chans {
-		p.chans[i] = make(chan []Arrival, max(1, bound/handoffBatch))
-		// Room for the whole set, so handing a buffer back never blocks.
-		p.free[i] = make(chan []Arrival, p.bufs(i))
-		p.batches[i] = p.next(i)
+	depth := max(1, bound/handoffBatch)
+	ring := (depth + 2) * handoffBatch
+	backing := make([]Arrival, shards*ring)
+	p := &producer{shards: make([]handoffShard, shards)}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.ch = make(chan []Arrival, depth)
+		sh.ring = backing[i*ring : (i+1)*ring : (i+1)*ring]
+		sh.batch, sh.next = sh.ring[:0:handoffBatch], handoffBatch
 	}
 	return p
 }
 
-// bufs is the size of shard's buffer set.
-func (p *producer) bufs(shard int) int { return cap(p.chans[shard]) + 2 }
-
-// next returns an empty batch buffer for shard: a new one while the set
-// is not yet full, otherwise one the shard has drained. With the whole
-// set allocated and none held here, at most cap(ch) are queued and one
-// is being played, so a drained buffer is always on its way back.
-func (p *producer) next(shard int) []Arrival {
-	if p.made[shard] < p.bufs(shard) {
-		p.made[shard]++
-		return make([]Arrival, 0, handoffBatch)
-	}
-	return (<-p.free[shard])[:0]
-}
-
+// send appends a to shard's batch and, once the batch is full, queues it
+// and starts the next buffer of the ring.
 func (p *producer) send(shard int, a *Arrival) {
-	p.counts[shard]++
-	p.batches[shard] = append(p.batches[shard], *a)
-	if len(p.batches[shard]) >= handoffBatch {
-		p.chans[shard] <- p.batches[shard]
-		p.batches[shard] = p.next(shard)
+	sh := &p.shards[shard]
+	sh.count++
+	sh.batch = append(sh.batch, *a)
+	if len(sh.batch) == handoffBatch {
+		sh.ch <- sh.batch
+		sh.batch = sh.ring[sh.next : sh.next : sh.next+handoffBatch]
+		sh.next = (sh.next + handoffBatch) % len(sh.ring)
 	}
 }
 
 func (p *producer) close() {
-	for s, b := range p.batches {
-		if len(b) > 0 {
-			p.chans[s] <- b
+	for i := range p.shards {
+		sh := &p.shards[i]
+		if len(sh.batch) > 0 {
+			sh.ch <- sh.batch
 		}
-		close(p.chans[s])
+		close(sh.ch)
 	}
 }
 
-// drainRest empties shard's channel, handing every batch back, so the
-// producer can never block on a shard that stopped consuming early (a
-// shard error before exhaustion): neither on a full channel nor waiting
-// for a free buffer.
-func (p *producer) drainRest(shard int) {
-	for b := range p.chans[shard] {
-		p.free[shard] <- b
-	}
-}
-
-// run consumes the source to exhaustion. reps supplies each shard's
-// catalog model for the load-model ranking; routeSpec feeds the
-// health-weighted ranking (nil for plain least-outstanding) and
-// faultSpec the fault pass (nil when inactive).
-func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSpec) {
-	lo := newLoadModel(reps)
+// run consumes the source to exhaustion, routing each arrival with r and
+// then the fault pass (faultSpec nil when inactive).
+func (p *producer) run(src Source, r *router, faultSpec *FaultSpec) {
 	var a Arrival
-	for src.Next(&a) {
-		s := lo.route(&a, routeSpec)
-		eff, dup, hedge := faultSpec.place(len(p.chans), s, a.At)
+	for i := 0; src.Next(&a); i++ {
+		s := r.route(i, &a)
+		eff, dup, hedge := faultSpec.place(len(p.shards), s, a.At)
 		if eff != s {
 			p.rerouted++
 		}
@@ -362,6 +294,13 @@ func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSp
 		}
 	}
 	p.close()
+}
+
+// drain empties a hand-off channel, so the producer can never block on a
+// shard that stopped consuming early (a shard error before exhaustion).
+func drain(ch <-chan []Arrival) {
+	for range ch {
+	}
 }
 
 // RunSource plays an arrival source through a sharded serve farm without
@@ -386,61 +325,34 @@ func runSource(cfg Config, src Source, bound int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	r, err := newRouter(cfg, reps, catalog)
+	if err != nil {
+		return Result{}, err
+	}
 	var faultSpec *FaultSpec
 	if cfg.Faults.active() {
 		faultSpec = cfg.Faults
 	}
 
-	feeds := make([]ArrivalFeed, cfg.Shards)
-	var filters []*filterFeed // index-free front ends: one filtered clone per shard
-	var p *producer           // stateful front ends: one router feeds every shard
-	switch cfg.FrontEnd {
-	case HashApp, RoundRobin:
-		var byApp []int
-		if cfg.FrontEnd == HashApp {
-			byApp = hashShards(catalog, cfg.Shards)
-		}
-		filters = make([]*filterFeed, cfg.Shards)
-		for i := range filters {
-			filters[i] = &filterFeed{
-				src: src.Clone(), shard: i, shards: cfg.Shards,
-				byApp: byApp, spec: faultSpec,
-			}
-			feeds[i] = filters[i]
-		}
-	case LeastOutstanding, HealthWeighted:
-		p = newProducer(cfg.Shards, bound)
-		for i := range feeds {
-			feeds[i] = &chanFeed{ch: p.chans[i], free: p.free[i]}
-		}
-	default:
-		return Result{}, fmt.Errorf("cluster: unknown front end %d", cfg.FrontEnd)
-	}
-
+	p := newProducer(cfg.Shards, bound)
+	feeds := make([]chanFeed, cfg.Shards)
 	results := make([]ShardResult, cfg.Shards)
 	errs := make([]error, cfg.Shards)
 	var wg sync.WaitGroup
-	for i, feed := range feeds {
+	for i := range feeds {
+		feeds[i].ch = p.shards[i].ch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if p != nil {
-				defer p.drainRest(i)
-			}
-			results[i], errs[i] = reps[i].PlayStream(cfg.Progress.Tap(feed))
+			defer drain(feeds[i].ch)
+			results[i], errs[i] = reps[i].PlayStream(cfg.Progress.Tap(&feeds[i]))
 		}()
 	}
-	if p != nil {
-		// Sequential routing on this goroutine, bounded hand-off to each
-		// shard. The load model reads only each shard's immutable catalog
-		// (Predict), never live scheduler state, so it is safe to run
-		// concurrently with the shard simulations.
-		var routeSpec *FaultSpec
-		if cfg.FrontEnd == HealthWeighted {
-			routeSpec = cfg.Faults // ranking input even when inactive
-		}
-		p.run(src, reps, routeSpec, faultSpec)
-	}
+	// Sequential routing on this goroutine, bounded hand-off to each
+	// shard. The load model reads only each shard's immutable catalog
+	// (Predict), never live scheduler state, so it is safe to run
+	// concurrently with the shard simulations.
+	p.run(src, r, faultSpec)
 	wg.Wait()
 
 	for i, err := range errs {
@@ -449,14 +361,8 @@ func runSource(cfg Config, src Source, bound int) (Result, error) {
 		}
 	}
 	counts := make([]int, cfg.Shards)
-	var rerouted, hedged int
-	if p != nil {
-		counts, rerouted, hedged = p.counts, p.rerouted, p.hedged
+	for i := range p.shards {
+		counts[i] = p.shards[i].count
 	}
-	for i, f := range filters {
-		counts[i] = f.assigned
-		rerouted += f.rerouted
-		hedged += f.hedged
-	}
-	return finish(cfg, seeds, results, counts, src.Len()+hedged, rerouted, hedged)
+	return finish(cfg, seeds, results, counts, src.Len()+p.hedged, p.rerouted, p.hedged)
 }

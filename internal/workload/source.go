@@ -52,8 +52,8 @@ func (s *ArrivalSource) Next(a *cluster.Arrival) bool {
 // Len reports the total number of arrivals the stream will yield.
 func (s *ArrivalSource) Len() int { return s.cfg.Jobs }
 
-// Clone returns an independent generator restarted at the first arrival —
-// cluster.RunSource's per-shard filtered generation depends on it.
+// Clone returns an independent generator restarted at the first arrival.
+// cluster.RunSource never calls it: one producer draws the stream once.
 func (s *ArrivalSource) Clone() cluster.Source { return NewArrivalSource(s.cfg) }
 
 // Span reports the stream's final arrival instant — the closed-form

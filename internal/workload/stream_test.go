@@ -96,8 +96,8 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 						t.Fatalf("Span = %v, want last arrival %v", span, want[len(want)-1].At)
 					}
 					// Clone must restart from the first arrival even when the
-					// original is mid-stream — the per-shard parallel
-					// generation in cluster.RunSource depends on it.
+					// original is mid-stream, as the cluster.Source contract
+					// requires.
 					half := NewArrivalSource(cfg)
 					for i := 0; i < jobs/2; i++ {
 						half.Next(&a)
@@ -116,8 +116,8 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 
 // recycledJobs is a stream that, at a 5us mean gap, least-outstanding
 // spreads evenly enough over 3 shards that each one cycles its fixed set
-// of 18 hand-off buffers (16 queued, one filling, one playing) about
-// four times: some 78 batches of 256 arrivals per shard.
+// of 6 hand-off buffers (4 queued, one filling, one playing) some 50
+// times: about 310 batches of 64 arrivals per shard.
 const recycledJobs = 60_000
 
 // TestServeClusterStreamingMatchesMaterialized pins generator-fed runs
