@@ -87,9 +87,6 @@ func (m *Memory) Write32(addr uint64, v uint32) {
 	m.Write(addr, b[:])
 }
 
-// Lines reports the number of distinct lines ever written.
-func (m *Memory) Lines() int { return len(m.lines) }
-
 func checkAligned(addr uint64, size int) {
 	if size <= 0 || size > LineBytes {
 		panic(fmt.Sprintf("mem: bad access size %d", size))

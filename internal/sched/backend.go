@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"duet/internal/efpga"
 	"duet/internal/sim"
@@ -56,35 +55,36 @@ func (k BackendKind) String() string {
 // study output.
 func (k BackendKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// BackendKindByName parses a backend kind as printed by String.
-func BackendKindByName(name string) (BackendKind, error) {
-	for k := BackendKind(0); k < NumBackendKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown backend kind %q", name)
-}
-
 // Backend is one execution engine behind a scheduler worker. The
 // scheduler owns admission, policy and accounting; a backend owns how a
 // placed job actually executes — the cycle-level adapter path, the
 // calibrated analytic fast model, or the CPU soft path — including any
 // reconfiguration the placement implies.
+//
+// Placement decides from scheduler-owned copies of what a backend
+// reports, never by asking it per decision: Kind is read once at
+// construction, Capacity once per app into the fit table at the first
+// Submit, and Resident once per completion, repair scrub and
+// registration.
 type Backend interface {
 	// Kind reports the implementation class (placement policies use it
-	// to tell spill-only CPU workers from fabric-class workers).
+	// to tell spill-only CPU workers from fabric-class workers). It must
+	// not change.
 	Kind() BackendKind
 	// Name is the display name used in per-worker statistics.
 	Name() string
 	// Capacity is the reconfigurable resource budget jobs are checked
-	// against. Software backends report an unbounded budget.
+	// against. Software backends report an unbounded budget. It must not
+	// change once jobs have been submitted.
 	Capacity() efpga.Resources
 	// Register adds an application bitstream to the backend's image
 	// library. Registration is idempotent per bitstream.
 	Register(bs *efpga.Bitstream) error
 	// Resident reports the name of the installed bitstream ("" when
-	// unprogrammed, or for backends with no configuration state).
+	// unprogrammed, or for backends with no configuration state). It may
+	// change only while a job occupies the backend or through Scrub: the
+	// scheduler re-reads it at each completion, scrub and registration,
+	// never per placement decision.
 	Resident() string
 	// ServiceTime is the backend's analytic occupancy for one job of app
 	// with the given input size — what placement estimates charge.
@@ -113,8 +113,8 @@ type Scrubber interface {
 	Scrub()
 }
 
-// unboundedCap is the capacity software backends report: every bitstream
-// "fits" a processor.
+// unboundedInt is the per-resource capacity software backends report:
+// every bitstream "fits" a processor.
 const unboundedInt = int(^uint(0) >> 1)
 
 // UnboundedResources is the capacity reported by backends with no

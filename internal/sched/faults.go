@@ -124,6 +124,7 @@ func (s *Scheduler) failQueued(now sim.Time, w Downtime) {
 	q := s.queue
 	s.queue = s.queue[:0]
 	for _, j := range q {
+		j.app.queued--
 		j.Finish = now
 		j.Err = fmt.Errorf("sched: queued job killed by shard outage [%v, %v): %w", w.From, w.To, ErrUnavailable)
 		s.retire(j)
@@ -151,6 +152,7 @@ func (s *Scheduler) purgeExpired(now sim.Time) {
 	kept := s.queue[:0]
 	for _, j := range s.queue {
 		if j.Deadline > 0 && j.Deadline <= now {
+			j.app.queued--
 			j.Finish = now
 			j.Err = fmt.Errorf("sched: %w (deadline %v, now %v)", ErrTimedOut, j.Deadline, now)
 			s.observe(Event{Kind: EventTimeout, At: now})
@@ -188,6 +190,7 @@ func (s *Scheduler) quarantine(w *worker, now sim.Time) {
 			kept = append(kept, j)
 			continue
 		}
+		j.app.queued--
 		j.Finish = now
 		j.Err = fmt.Errorf("sched: every fitting worker quarantined: %w", ErrUnavailable)
 		s.retire(j)
@@ -216,31 +219,22 @@ func (s *Scheduler) repair(w *worker) {
 	if sc, ok := w.be.(Scrubber); ok {
 		sc.Scrub()
 	}
+	s.syncResident(w, -1)
 	s.observe(Event{Kind: EventRepair, At: now, Worker: w.id, Span: now - w.quarantinedAt})
 	s.dispatch(now)
 }
 
-// placeableEventually is placeable extended with repair-pending workers:
-// a job whose only fitting workers are quarantined but being repaired
-// stays queued for the repair instead of dying.
+// placeableEventually reports whether some worker that can hold j's
+// bitstream is usable or has a repair in flight — the same fit test
+// Submit admits against, re-run after quarantines shrink the pool. A job
+// whose only fitting workers are quarantined but being repaired stays
+// queued for the repair instead of dying.
 func (s *Scheduler) placeableEventually(j *Job) bool {
 	for _, w := range s.workers {
-		if !j.app.BS.Res.Fits(w.be.Capacity()) {
+		if !s.fits(j.App, w) {
 			continue
 		}
 		if s.usable(w) || (w.quarantined && w.repairPending) {
-			return true
-		}
-	}
-	return false
-}
-
-// placeable reports whether some usable worker can hold j's bitstream —
-// the same fit test Submit admits against, re-run after quarantines
-// shrink the pool.
-func (s *Scheduler) placeable(j *Job) bool {
-	for _, w := range s.workers {
-		if s.usable(w) && j.app.BS.Res.Fits(w.be.Capacity()) {
 			return true
 		}
 	}
@@ -271,7 +265,7 @@ func (s *Scheduler) completeWedged(w *worker, j *Job, err error, now sim.Time) {
 		j.Reprogrammed = false
 		j.Err = nil
 		s.observe(Event{Kind: EventRetry, At: now})
-		s.queue = append(s.queue, j)
+		s.enqueue(j)
 		s.release(w, now)
 		return
 	}

@@ -89,7 +89,7 @@ func (s *Scheduler) SetObserver(o Observer) { s.obs = o }
 func (s *Scheduler) WorkerKinds() []BackendKind {
 	ks := make([]BackendKind, len(s.workers))
 	for i, w := range s.workers {
-		ks[i] = w.be.Kind()
+		ks[i] = w.kind
 	}
 	return ks
 }

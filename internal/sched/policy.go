@@ -64,6 +64,10 @@ func (p *Policy) UnmarshalText(name []byte) error {
 // Jobs are only ever paired with workers that can hold their bitstream,
 // so an admitted job waits for a fitting worker instead of being killed
 // on a too-small one.
+//
+// Every decision reads scheduler-owned state — the fit table, each
+// worker's cached kind and tracked resident app, and the per-app queue
+// counts — never the backends.
 func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	if len(s.queue) == 0 {
 		return nil, -1
@@ -83,25 +87,20 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	// resident match. Both skip CPU soft-path workers whenever fabric
 	// workers exist — spill capacity belongs to the Hybrid policy alone.
 	firstFit := func(j *Job) *worker {
-		app := j.app
 		for _, w := range idle {
-			if !s.usable(w) {
-				continue
-			}
-			if app.BS.Res.Fits(w.be.Capacity()) {
+			if s.usable(w) && s.fits(j.App, w) {
 				return w
 			}
 		}
 		return nil
 	}
 	preferResident := func(j *Job) *worker {
-		app := j.app
 		var first *worker
 		for _, w := range idle {
-			if !s.usable(w) || !app.BS.Res.Fits(w.be.Capacity()) {
+			if !s.usable(w) || !s.fits(j.App, w) {
 				continue
 			}
-			if w.be.Resident() == app.BS.Name {
+			if w.resident == j.App {
 				return w
 			}
 			if first == nil {
@@ -131,13 +130,8 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 		}
 		return preferResident(s.queue[best]), best
 	case Affinity:
-		for i, j := range s.queue {
-			name := j.app.BS.Name
-			for _, w := range idle {
-				if s.usable(w) && w.be.Resident() == name {
-					return w, i
-				}
-			}
+		if w, i := s.pickResident(idle, false); w != nil {
+			return w, i
 		}
 		for i, j := range s.queue {
 			if w := firstFit(j); w != nil {
@@ -157,23 +151,45 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	}
 }
 
-// pickHybrid is the Hybrid policy body: reuse-aware fabric placement
-// first, then a modeled spill decision onto idle CPU soft-path workers.
-func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
-	// Pass 1: bitstream affinity over idle fabric-class workers.
+// pickResident is the reuse-aware pass: the earliest queued job whose
+// bitstream is resident on an idle usable worker (fabric-class only when
+// fabricOnly is set), placed on the lowest-numbered such worker. Only
+// workers whose resident app has queued jobs are candidates, so the scan
+// skips the queue entirely when none are, and otherwise stops at the
+// first job of a candidate's app. (nil, -1) when no job has a match.
+func (s *Scheduler) pickResident(idle []*worker, fabricOnly bool) (*worker, int) {
+	cand := s.residentScratch[:0]
+	for _, w := range idle {
+		if w.resident >= 0 && s.apps[w.resident].queued > 0 && s.usable(w) && (!fabricOnly || w.kind != BackendCPU) {
+			cand = append(cand, w)
+		}
+	}
+	s.residentScratch = cand
+	if len(cand) == 0 {
+		return nil, -1
+	}
 	for i, j := range s.queue {
-		name := j.app.BS.Name
-		for _, w := range idle {
-			if !w.quarantined && w.be.Kind() != BackendCPU && w.be.Resident() == name {
+		for _, w := range cand {
+			if w.resident == j.App {
 				return w, i
 			}
 		}
 	}
+	panic("sched: per-app queue counts out of step with the queue")
+}
+
+// pickHybrid is the Hybrid policy body: reuse-aware fabric placement
+// first, then a modeled spill decision onto idle CPU soft-path workers.
+// Under Hybrid every non-quarantined worker is usable.
+func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
+	// Pass 1: bitstream affinity over idle fabric-class workers.
+	if w, i := s.pickResident(idle, true); w != nil {
+		return w, i
+	}
 	// Pass 2: FIFO order onto the lowest-numbered fitting idle fabric.
 	for i, j := range s.queue {
-		app := j.app
 		for _, w := range idle {
-			if !w.quarantined && w.be.Kind() != BackendCPU && app.BS.Res.Fits(w.be.Capacity()) {
+			if !w.quarantined && w.kind != BackendCPU && s.fits(j.App, w) {
 				return w, i
 			}
 		}
@@ -187,7 +203,7 @@ func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 	// fits its bitstream at all.
 	var cpu *worker
 	for _, w := range idle {
-		if !w.quarantined && w.be.Kind() == BackendCPU {
+		if !w.quarantined && w.kind == BackendCPU {
 			cpu = w
 			break
 		}
@@ -210,7 +226,7 @@ func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 		for wi, w := range s.workers {
 			// Quarantined fabrics never free up again: they are not a
 			// wait-for option, so the spill decision ignores them.
-			if w.quarantined || w.be.Kind() == BackendCPU || !app.BS.Res.Fits(w.be.Capacity()) {
+			if w.quarantined || w.kind == BackendCPU || !s.fits(j.App, w) {
 				continue
 			}
 			if best == -1 || free[wi] < free[best] {

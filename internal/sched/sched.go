@@ -15,6 +15,12 @@
 // construction; see policy.go. Per-job wait/service times and
 // per-worker utilization and reconfiguration counts are collected
 // throughout; see stats.go.
+//
+// Placement decisions read scheduler-owned indexes, not the backends:
+// each worker's backend kind (read once) and resident app (re-read at
+// each completion, repair scrub and registration), each app's count of
+// queued jobs, and an app × worker fit table built at the first Submit.
+// A decision makes no Backend call.
 package sched
 
 import (
@@ -53,6 +59,7 @@ type App struct {
 	CyclesPerItem int64
 
 	period sim.Time // service clock period, derived from BS.FmaxMHz
+	queued int32    // this app's jobs in the admission queue (see enqueue)
 }
 
 // Cycles is the modeled fabric occupancy of one job with input size n —
@@ -148,8 +155,15 @@ type Config struct {
 
 // worker tracks one execution backend and its accumulated stats.
 type worker struct {
-	id          int
-	be          Backend
+	id   int
+	be   Backend
+	kind BackendKind // be.Kind(), read once in New
+	// resident is the catalog app whose bitstream the backend holds (-1:
+	// none, or one outside the catalog). An idle worker's residency
+	// changes only under a job or a repair scrub, so it is re-read from
+	// be.Resident() at each completion, scrub and registration (see
+	// syncResident) and placement never asks the backend.
+	resident    AppID
 	busy        bool
 	quarantined bool // wedged mid-reprogram; out of service until repaired
 	// Repair state (see faults.go): repairPending is true while a
@@ -202,9 +216,16 @@ type Scheduler struct {
 	// (no fabric workers) serves under every policy.
 	hasFabric bool
 
+	// fit is the placement fit table: fit[a*len(workers)+w] reports
+	// whether app a's bitstream fits worker w's capacity. One allocation,
+	// built at the first Submit (so a backend's capacity may still change
+	// before then) and rebuilt by any later RegisterApp.
+	fit []bool
+
 	// Policy scratch (reused across pick calls; see policy.go).
-	idleScratch []*worker
-	estScratch  []sim.Time
+	idleScratch     []*worker
+	residentScratch []*worker
+	estScratch      []sim.Time
 
 	// Outcome ledgers (exact mode; streaming mode keeps them empty and
 	// folds outcomes into agg instead).
@@ -246,12 +267,18 @@ func New(tl Timeline, backends []Backend, cfg Config) *Scheduler {
 		s.agg = &aggregate{}
 	}
 	for i, be := range backends {
-		s.workers = append(s.workers, &worker{id: i, be: be})
+		w := &worker{id: i, be: be, kind: be.Kind(), resident: -1}
+		s.workers = append(s.workers, w)
 		be.Bind(cfg.SettleCycles, s.complete)
-		if be.Kind() != BackendCPU {
+		if w.kind != BackendCPU {
 			s.hasFabric = true
 		}
 	}
+	// Both per-pick worker lists hold at most one entry per worker: one
+	// backing array serves them.
+	n := len(s.workers)
+	scratch := make([]*worker, 2*n)
+	s.idleScratch, s.residentScratch = scratch[:0:n], scratch[n:n]
 	return s
 }
 
@@ -264,7 +291,40 @@ func (s *Scheduler) usable(w *worker) bool {
 	if w.quarantined {
 		return false
 	}
-	return s.cfg.Policy == Hybrid || !s.hasFabric || w.be.Kind() != BackendCPU
+	return s.cfg.Policy == Hybrid || !s.hasFabric || w.kind != BackendCPU
+}
+
+// fits reports whether app a's bitstream fits worker w (the fit table's
+// entry; built by the first Submit).
+func (s *Scheduler) fits(a AppID, w *worker) bool {
+	return s.fit[int(a)*len(s.workers)+w.id]
+}
+
+// buildFit (re)builds the fit table from every backend's Capacity.
+func (s *Scheduler) buildFit() {
+	n := len(s.workers)
+	s.fit = make([]bool, len(s.apps)*n)
+	for a, app := range s.apps {
+		for i, w := range s.workers {
+			s.fit[a*n+i] = app.BS.Res.Fits(w.be.Capacity())
+		}
+	}
+}
+
+// syncResident re-reads w's installed bitstream into w.resident. hint is
+// the app w just served, tried before the catalog hash: it is what a
+// completed job leaves resident. Pass -1 for no hint.
+func (s *Scheduler) syncResident(w *worker, hint AppID) {
+	name := w.be.Resident()
+	if a := s.app(hint); a != nil && a.BS.Name == name {
+		w.resident = hint
+		return
+	}
+	id, ok := s.byName[name]
+	if !ok {
+		id = -1
+	}
+	w.resident = id
 }
 
 // Config reports the scheduler's configuration (defaults applied).
@@ -272,7 +332,8 @@ func (s *Scheduler) Config() Config { return s.cfg }
 
 // RegisterApp adds an application to the service catalog, registering its
 // bitstream with every backend's image library. The app's AppID is its
-// registration index.
+// registration index. A backend may already hold the bitstream, so every
+// worker's residency is re-read.
 func (s *Scheduler) RegisterApp(app App) error {
 	if app.BS == nil || app.BS.Name == "" {
 		return fmt.Errorf("sched: app needs a named bitstream")
@@ -288,6 +349,14 @@ func (s *Scheduler) RegisterApp(app App) error {
 	}
 	s.byName[app.BS.Name] = AppID(len(s.apps))
 	s.apps = append(s.apps, &app)
+	for _, w := range s.workers {
+		s.syncResident(w, -1)
+	}
+	if s.fit != nil {
+		// Registered after the first Submit: queued jobs' placements read
+		// the table, so it cannot wait for the next Submit.
+		s.buildFit()
+	}
 	return nil
 }
 
@@ -353,9 +422,12 @@ func (s *Scheduler) Submit(j *Job) bool {
 		return s.refuse(j, now, fmt.Errorf("sched: unknown app id %d", j.App))
 	}
 	j.app = app
+	if s.fit == nil {
+		s.buildFit()
+	}
 	fits, fitsQuarantined := false, false
 	for _, w := range s.workers {
-		if !app.BS.Res.Fits(w.be.Capacity()) {
+		if !s.fits(j.App, w) {
 			continue
 		}
 		// A quarantined worker with a repair in flight still counts as a
@@ -380,10 +452,18 @@ func (s *Scheduler) Submit(j *Job) bool {
 		s.ctr.Rejected++
 		return false
 	}
-	s.queue = append(s.queue, j)
+	s.enqueue(j)
 	s.observe(Event{Kind: EventArrival, At: now, Depth: len(s.queue)})
 	s.dispatch(now)
 	return true
+}
+
+// enqueue appends an admitted job to the admission queue. Every queue
+// mutation keeps its app's queued count exact: placement reads the
+// counts to skip resident workers no queued job wants.
+func (s *Scheduler) enqueue(j *Job) {
+	s.queue = append(s.queue, j)
+	j.app.queued++
 }
 
 // Refuse fails j at submission with err, exactly as Submit fails a job it
@@ -433,6 +513,7 @@ func (s *Scheduler) dispatch(now sim.Time) {
 		}
 		j := s.queue[qi]
 		s.queue = append(s.queue[:qi], s.queue[qi+1:]...)
+		j.app.queued--
 		s.place(w, j, now)
 	}
 }
@@ -457,6 +538,7 @@ func (s *Scheduler) place(w *worker, j *Job, now sim.Time) {
 // backend callback; j.Fabric names the worker it occupied).
 func (s *Scheduler) complete(j *Job, err error) {
 	w := s.workers[j.Fabric]
+	s.syncResident(w, j.App)
 	now := s.tl.Now()
 	s.syncFaults(now)
 	if err != nil && errors.Is(err, ErrWedged) {

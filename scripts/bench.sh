@@ -5,11 +5,12 @@
 #   scripts/bench.sh check   # fail past +30% ns/op or +16 allocs/op
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
-# ticks, same-instant bursts, thread wakeups), two per-layer benches at
+# ticks, same-instant bursts, thread wakeups), three per-layer benches at
 # -count 5, of which the gate keeps the fastest — the stateful front
 # ends' producer hand-off on its own (1M arrivals onto two counting
 # shards) and sched dispatch (1M pre-built requests through Submit on
-# one 2-fabric affinity model replica) — and the serve studies
+# one 2-fabric affinity model replica, at a mostly-empty queue and at a
+# saturated one) — and the serve studies
 # on both execution backends — the materialized 1M runs plus the
 # 100M-job streaming-pipeline capacity run. -benchtime 1x on the serve
 # benches: one deterministic run is the measurement, iterating it would
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 run_benches() {
     go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkThreadPingPong$' -benchtime 200000x -benchmem ./internal/sim
     go test -run '^$' -bench 'BenchmarkRunSourceHandoff$' -count 5 -benchmem ./internal/cluster
-    go test -run '^$' -bench 'BenchmarkSchedSubmit$' -count 5 -benchmem ./internal/model
+    go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m .
 }
 
