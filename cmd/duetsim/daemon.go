@@ -90,8 +90,9 @@ func daemonCmd(o *options) error {
 	}
 
 	// Drain first (every admitted job retires, sync waiters unblock),
-	// then shut the listener down so those responses still go out.
-	srv.Drain()
+	// then shut the listener down so those responses still go out. A
+	// failed end-of-run check is reported once the listener is down.
+	drainErr := srv.Drain()
 	close(stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -101,6 +102,9 @@ func daemonCmd(o *options) error {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "duetsim daemon: drained; completed %d, failed %d, queue-rejected %d, p50 %v, p99 %v\n",
 		st.Completed, st.Failed, st.Rejected, st.P50, st.P99)
+	if drainErr != nil {
+		return fmt.Errorf("daemon drain: %w", drainErr)
+	}
 	return nil
 }
 

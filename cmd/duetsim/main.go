@@ -1053,7 +1053,7 @@ func chaosCmd(o *options) error {
 		return err
 	}
 	ov := workload.ChaosOverride{RepairDelay: o.faults.repairDelay, Domains: doms}
-	results, err := workload.ChaosStudyOverride(o.parallel, names, o.serve.Backend, ov)
+	results, err := workload.ChaosStudy(o.parallel, names, o.serve.Backend, ov)
 	if err != nil {
 		return err
 	}

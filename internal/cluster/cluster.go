@@ -87,12 +87,6 @@ type EngineReplica struct {
 	Sch *sched.Scheduler
 	Run func() error
 
-	// DiscardSamples skips the exact-mode per-job harvest (Sojourns and
-	// the wait/service sums) — for single-replica callers that read
-	// Stats only and never merge. Cluster shards must leave it false:
-	// Merge pools the raw samples for exact quantiles.
-	DiscardSamples bool
-
 	// Rec, when set, is the shard's windowed flight recorder: PlayStream
 	// attaches it to the scheduler before any submission and hands it
 	// back in ShardResult.Windows. Window widths must agree across
@@ -132,23 +126,21 @@ func (r *EngineReplica) Drain() error {
 
 // PlayStream plays the replica once, through Drive.
 func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
-	return Drive(feed, r, r.Rec, r.DiscardSamples)
+	return Drive(feed, r, r.Rec)
 }
 
 // Drive is the one replica play loop: it submits the feed's arrivals to
 // p's scheduler in order, advancing p to each arrival instant first, and
-// harvests the shard's results once the feed is exhausted and p drained.
-// rec, when non-nil, becomes the scheduler's observer before the first
-// submission and is handed back in ShardResult.Windows.
+// harvests the shard's results (sched.Scheduler.Harvest) once the feed
+// is exhausted and p drained. rec, when non-nil, becomes the scheduler's
+// observer before the first submission and is handed back in
+// ShardResult.Windows.
 //
-// In exact mode per-job results are harvested through the scheduler's
-// OnResult drain hook (skipped when discard is set). A streaming-stats
-// scheduler already folds every job into its own fixed-memory digest and
-// exact sums, so the shard reads those back after the run instead, and
-// retired job records are recycled through a freelist (the scheduler
-// keeps no reference after OnResult) — the run allocates O(in-flight)
-// jobs however many the feed offers.
-func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (ShardResult, error) {
+// A streaming-stats scheduler keeps no reference to a retired job, so
+// Drive recycles job records through a freelist fed by the OnResult
+// hook — the run allocates O(in-flight) jobs however many the feed
+// offers. In exact mode the scheduler's ledgers own every record.
+func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder) (ShardResult, error) {
 	sch := p.Scheduler()
 	var sr ShardResult
 	if rec != nil {
@@ -157,18 +149,8 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (Sha
 	}
 	streaming := sch.Config().Stats == sched.StatsStreaming
 	var free []*sched.Job
-	switch {
-	case streaming:
+	if streaming {
 		sch.OnResult = func(j *sched.Job) { free = append(free, j) }
-	case !discard:
-		sch.OnResult = func(j *sched.Job) {
-			if j.Err != nil {
-				return
-			}
-			sr.Sojourns = append(sr.Sojourns, j.Sojourn())
-			sr.WaitSum += j.Wait()
-			sr.ServiceSum += j.Service()
-		}
 	}
 	var a Arrival
 	for feed.Next(&a) {
@@ -190,13 +172,10 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder, discard bool) (Sha
 	}
 	err := p.Drain()
 	sr.Stats = sch.Stats()
-	if d, waits, services, ok := sch.SojournDigest(); ok {
-		// The digest is the scheduler's own table, adopted by the shard
-		// result; the replica is discarded after this run, so nothing
-		// else writes to it.
-		sr.Digest = d
-		sr.WaitSum, sr.ServiceSum = waits, services
-	}
+	// A streaming digest is the scheduler's own table, adopted by the
+	// shard result; the replica is discarded after this run, so nothing
+	// else writes to it.
+	sr.Sojourns, sr.Digest, sr.WaitSum, sr.ServiceSum = sch.Harvest()
 	return sr, err
 }
 
@@ -350,8 +329,9 @@ type ShardResult struct {
 	Stats    sched.Stats
 
 	// Sojourns holds every completed job's submit-to-finish latency in
-	// completion order — the raw samples behind exact merged quantiles.
-	// Nil in streaming mode, where Digest replaces it.
+	// completion order (the scheduler's Completed ledger) — the raw
+	// samples behind exact merged quantiles. Nil in streaming mode, where
+	// Digest replaces it.
 	Sojourns []sim.Time
 	// Digest is the fixed-memory sojourn summary harvested when the
 	// shard's scheduler runs with sched.StatsStreaming: per-shard stats

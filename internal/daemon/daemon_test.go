@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"duet/internal/cluster"
 	"duet/internal/sim"
 	"duet/internal/workload"
 )
@@ -376,7 +378,9 @@ func TestSameInstantTie(t *testing.T) {
 		req := JobRequest{App: "Tangent", InputSize: 8}
 		probe, _ := build()
 		a := probe.Submit(req)
-		probe.Drain()
+		if err := probe.Drain(); err != nil {
+			t.Fatalf("%s: probe drain: %v", c.name, err)
+		}
 		finish := probe.byID[a.ID].job.Finish
 
 		s, clock := build()
@@ -399,7 +403,9 @@ func TestSameInstantTie(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, want)
 		}
-		s.Drain()
+		if err := s.Drain(); err != nil {
+			t.Errorf("%s: drain: %v", c.name, err)
+		}
 	}
 }
 
@@ -500,6 +506,27 @@ func TestDrainIdempotent(t *testing.T) {
 	}
 }
 
+// failingPool is a pool whose end-of-run check fails.
+type failingPool struct{ cluster.Pool }
+
+func (p failingPool) Drain() error {
+	p.Pool.Drain()
+	return errors.New("coherence check failed")
+}
+
+// TestDrainReportsPoolError: Drain hands back the pool's end-of-run error
+// instead of dropping it, and the server is drained all the same.
+func TestDrainReportsPoolError(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	s.pool = failingPool{s.pool}
+	if err := s.Drain(); err == nil || !strings.Contains(err.Error(), "coherence check failed") {
+		t.Fatalf("Drain error %v, want the pool's", err)
+	}
+	if !s.Draining() {
+		t.Fatal("server not draining after a failed Drain")
+	}
+}
+
 // TestCycleDrainReleasesSystem: on the cycle backend, concurrent
 // requests resume the system's simulation threads from whichever request
 // goroutine holds the lock, and Drain, the daemon's shutdown, retires
@@ -526,7 +553,9 @@ func TestCycleDrainReleasesSystem(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.Drain()
+	if err := s.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 	if st := s.Stats(); st.Completed != clients*perClient {
 		t.Fatalf("completed %d after drain, want %d", st.Completed, clients*perClient)
 	}

@@ -393,14 +393,17 @@ func (s *Server) RunTicker(interval time.Duration, stop <-chan struct{}) {
 // the simulated timeline to quiescence, retiring every queued and
 // in-flight job — deterministic graceful shutdown: nothing admitted is
 // ever dropped, sync waiters all unblock, and the flight recorder's
-// horizon lands exactly on the last retirement.
-func (s *Server) Drain() {
+// horizon lands exactly on the last retirement. The error is the pool's
+// end-of-run validation (a failed coherence check on an engine-backed
+// pool); the drain itself completes either way.
+func (s *Server) Drain() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.draining = true
 	s.advanceLocked()
-	s.pool.Drain() // unchecked pools report no model-level error
+	err := s.pool.Drain()
 	s.rec.ExtendHorizon(s.pool.Now())
+	return err
 }
 
 // Health is the /healthz readiness payload: the pool's degradation

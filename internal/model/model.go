@@ -128,6 +128,8 @@ type Config struct {
 	SoftCPUs int // CPU soft-path workers appended after the fabrics
 	MemHubs  int // memory hubs per (modeled) adapter, for reprogram cost
 
+	// Scheduler settings (see sched.Config). PlayStream harvests the
+	// shard's samples in either Stats mode (sched.Scheduler.Harvest).
 	Policy       sched.Policy
 	QueueCap     int
 	SettleCycles int64
@@ -143,12 +145,6 @@ type Config struct {
 	// CPUSlowdown scales App service times on the soft path (defaults to
 	// DefaultCPUSlowdown).
 	CPUSlowdown float64
-
-	// DiscardSamples skips PlayStream's exact-mode per-job harvest
-	// (Sojourns and the wait/service sums) — for single-replica callers
-	// that read Stats only. Cluster shards must leave it false: Merge
-	// pools the raw samples for exact quantiles.
-	DiscardSamples bool
 
 	// Wrap, when set, decorates each backend before the scheduler sees
 	// it — the fault-injection seam (internal/faults plugs in here). It
@@ -167,10 +163,9 @@ type Config struct {
 // mixed with cycle-level shards in a heterogeneous farm — and under the
 // live daemon.
 type Replica struct {
-	ev      *Events
-	sch     *sched.Scheduler
-	discard bool
-	rec     *telemetry.Recorder
+	ev  *Events
+	sch *sched.Scheduler
+	rec *telemetry.Recorder
 }
 
 // NewReplica builds an analytic replica with cfg's worker pool.
@@ -211,7 +206,7 @@ func NewReplica(cfg Config) *Replica {
 		SettleCycles: cfg.SettleCycles, Stats: cfg.Stats,
 		Faults: cfg.Faults,
 	})
-	return &Replica{ev: ev, sch: sch, discard: cfg.DiscardSamples}
+	return &Replica{ev: ev, sch: sch}
 }
 
 // Scheduler exposes the replica's scheduler (catalog registration,
@@ -235,9 +230,6 @@ func (r *Replica) Advance(t sim.Time) { r.ev.RunBefore(t) }
 // holds no other resources and never fails.
 func (r *Replica) Drain() error { r.ev.Drain(); return nil }
 
-// RegisterApp adds an application to the replica's catalog.
-func (r *Replica) RegisterApp(app sched.App) error { return r.sch.RegisterApp(app) }
-
 // Predict exposes the catalog model for front-end routing.
 func (r *Replica) Predict(app sched.AppID, inputSize int) (sim.Time, bool) {
 	return r.sch.Predict(app, inputSize)
@@ -251,5 +243,5 @@ func (r *Replica) Workers() int { return r.sch.Workers() }
 
 // PlayStream plays the replica once, through cluster.Drive.
 func (r *Replica) PlayStream(feed cluster.ArrivalFeed) (cluster.ShardResult, error) {
-	return cluster.Drive(feed, r, r.rec, r.discard)
+	return cluster.Drive(feed, r, r.rec)
 }

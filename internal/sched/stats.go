@@ -132,39 +132,42 @@ type Stats struct {
 	Fabrics []FabricStats
 }
 
-// SojournDigest exposes the streaming-mode sojourn digest together with
-// the exact wait/service sums it was accumulated alongside, so a front
-// end (e.g. internal/cluster) can harvest per-shard statistics without
-// re-accumulating a parallel copy per job. ok is false in exact mode.
-// The digest is the scheduler's own: callers merge it or read quantiles,
-// but must not Add to it.
-func (s *Scheduler) SojournDigest() (d *Digest, waitSum, serviceSum sim.Time, ok bool) {
-	if s.agg == nil {
-		return nil, 0, 0, false
+// Harvest returns the per-shard samples a front end (e.g.
+// internal/cluster) merges: in exact mode the sojourns of the Completed
+// ledger in completion order, in streaming mode the sojourn digest, and
+// in both the exact wait/service sums over completed jobs. The digest is
+// the scheduler's own: callers merge it or read quantiles, but must not
+// Add to it.
+func (s *Scheduler) Harvest() (sojourns []sim.Time, d *Digest, waitSum, serviceSum sim.Time) {
+	if g := s.agg; g != nil {
+		return nil, &g.sojourns, g.waitSum, g.serviceSum
 	}
-	return &s.agg.sojourns, s.agg.waitSum, s.agg.serviceSum, true
+	if len(s.Completed) > 0 {
+		sojourns = make([]sim.Time, len(s.Completed))
+	}
+	for i, j := range s.Completed {
+		sojourns[i] = j.Sojourn()
+		waitSum += j.Wait()
+		serviceSum += j.Service()
+	}
+	return sojourns, nil, waitSum, serviceSum
 }
 
 // Stats computes the run summary at the current instant.
 func (s *Scheduler) Stats() Stats {
 	st := Stats{Counters: s.ctr}
-	var waits, services sim.Time
+	sojourns, d, waits, services := s.Harvest()
 	if g := s.agg; g != nil {
 		// Streaming mode: everything was folded in at finish time.
-		st.Makespan, waits, services = g.makespan, g.waitSum, g.serviceSum
-		st.P50 = g.sojourns.Quantile(50)
-		st.P99 = g.sojourns.Quantile(99)
+		st.Makespan = g.makespan
+		st.P50, st.P99 = d.Quantile(50), d.Quantile(99)
 	} else {
-		sojourns := make([]sim.Time, 0, len(s.Completed))
-		for _, j := range s.Completed {
-			sojourns = append(sojourns, j.Sojourn())
-			waits += j.Wait()
-			services += j.Service()
-			st.Makespan = max(st.Makespan, j.Finish)
-		}
 		// Failed jobs occupy their fabric too (quiesce + failed stream), so
 		// the makespan — the utilization and throughput denominator — must
 		// cover their finish instants as well.
+		for _, j := range s.Completed {
+			st.Makespan = max(st.Makespan, j.Finish)
+		}
 		for _, j := range s.Failed {
 			st.Makespan = max(st.Makespan, j.Finish)
 		}

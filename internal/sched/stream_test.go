@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"duet/internal/efpga"
@@ -98,5 +99,72 @@ func TestStreamingOnResultStillFires(t *testing.T) {
 	}
 	if st := sch.Stats(); st.Completed != 1 || st.Failed != 1 {
 		t.Fatalf("stats = %d completed / %d failed, want 1/1", st.Completed, st.Failed)
+	}
+}
+
+// TestHarvest: Harvest hands a front end the same samples an OnResult
+// collector would gather from the completed jobs, on a run where queued
+// jobs time out past their deadline and an unknown app fails at submit.
+// Exact mode returns the Completed ledger's sojourns in completion
+// order; streaming mode returns the digest behind Stats' quantiles.
+func TestHarvest(t *testing.T) {
+	for _, mode := range []sched.StatsMode{sched.StatsExact, sched.StatsStreaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys, sch := newServeSystem(t, 1, sched.Config{
+				Policy: sched.FIFO, Stats: mode, QueueCap: 64,
+				Faults: sched.FaultConfig{EnforceDeadlines: true},
+			})
+			bs := mkBitstream("H", efpga.Resources{LUTs: 10}, 100)
+			if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 500, CyclesPerItem: 2}); err != nil {
+				t.Fatal(err)
+			}
+			var refSojourns []sim.Time
+			var refWait, refService sim.Time
+			sch.OnResult = func(j *sched.Job) {
+				if j.Err != nil {
+					return
+				}
+				refSojourns = append(refSojourns, j.Sojourn())
+				refWait += j.Wait()
+				refService += j.Service()
+			}
+			app := lookup(t, sch, "H")
+			for i := 0; i < 30; i++ {
+				j := &sched.Job{Request: sched.Request{App: app, InputSize: 10 + 7*i}}
+				if i%4 == 3 {
+					j.Deadline = 1 // 1ps: times out in the queue
+				}
+				sch.Submit(j)
+			}
+			sch.Submit(&sched.Job{Request: sched.Request{App: phantom}})
+			sys.Run()
+
+			st := sch.Stats()
+			if st.TimedOut == 0 || st.Failed <= st.TimedOut || st.Completed == 0 {
+				t.Fatalf("want completions, deadline timeouts and another failure: %+v", st.Counters)
+			}
+			sojourns, d, waits, services := sch.Harvest()
+			if waits != refWait || services != refService {
+				t.Fatalf("sums %v/%v, OnResult reference %v/%v", waits, services, refWait, refService)
+			}
+			if mode == sched.StatsExact {
+				if d != nil {
+					t.Fatal("exact mode returned a digest")
+				}
+				if !slices.Equal(sojourns, refSojourns) {
+					t.Fatalf("sojourns %v, OnResult reference %v", sojourns, refSojourns)
+				}
+				return
+			}
+			if sojourns != nil {
+				t.Fatalf("streaming mode returned %d raw sojourns", len(sojourns))
+			}
+			if d == nil || d.Count() != uint64(st.Completed) {
+				t.Fatalf("digest %v, want one sample per completed job (%d)", d, st.Completed)
+			}
+			if d.Quantile(50) != st.P50 || d.Quantile(99) != st.P99 {
+				t.Fatalf("digest p50/p99 %v/%v, Stats %v/%v", d.Quantile(50), d.Quantile(99), st.P50, st.P99)
+			}
+		})
 	}
 }

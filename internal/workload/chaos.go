@@ -191,17 +191,12 @@ func (ov ChaosOverride) apply(plan *faults.Plan) {
 	}
 }
 
-// RunChaos plays one named scenario on the given execution backend and
-// reduces it to its outcome record. Cycle-class backends are promoted to
-// BackendHybrid when the scenario carries soft-path workers, so the
-// worker pool matches the model variant exactly.
-func RunChaos(name string, backend BackendMode) (ChaosResult, error) {
-	return RunChaosOverride(name, backend, ChaosOverride{})
-}
-
-// RunChaosOverride is RunChaos with the scenario's fault plan adjusted
-// by ov before the run.
-func RunChaosOverride(name string, backend BackendMode, ov ChaosOverride) (ChaosResult, error) {
+// RunChaos plays one named scenario on the given execution backend, with
+// the scenario's fault plan adjusted by ov (the zero ChaosOverride keeps
+// it), and reduces it to its outcome record. Cycle-class backends are
+// promoted to BackendHybrid when the scenario carries soft-path workers,
+// so the worker pool matches the model variant exactly.
+func RunChaos(name string, backend BackendMode, ov ChaosOverride) (ChaosResult, error) {
 	cfg, err := chaosConfig(name)
 	if err != nil {
 		return ChaosResult{}, err
@@ -256,23 +251,18 @@ func RunChaosOverride(name string, backend BackendMode, ov ChaosOverride) (Chaos
 	return cr, nil
 }
 
-// ChaosStudy runs the named scenarios on a parallel-wide study pool
-// (<= 0 selects GOMAXPROCS), results in name order — the sweep behind
-// `duetsim chaos -scenario all`. Pool width never changes the outcomes:
-// each scenario is an independent deterministic cluster run.
-func ChaosStudy(parallel int, names []string, backend BackendMode) ([]ChaosResult, error) {
-	return ChaosStudyOverride(parallel, names, backend, ChaosOverride{})
-}
-
-// ChaosStudyOverride is ChaosStudy with every scenario's fault plan
-// adjusted by ov before its run.
-func ChaosStudyOverride(parallel int, names []string, backend BackendMode, ov ChaosOverride) ([]ChaosResult, error) {
+// ChaosStudy runs the named scenarios, each with its fault plan adjusted
+// by ov, on a parallel-wide study pool (<= 0 selects GOMAXPROCS), results
+// in name order — the sweep behind `duetsim chaos -scenario all`. Pool
+// width never changes the outcomes: each scenario is an independent
+// deterministic cluster run.
+func ChaosStudy(parallel int, names []string, backend BackendMode, ov ChaosOverride) ([]ChaosResult, error) {
 	type out struct {
 		res ChaosResult
 		err error
 	}
 	pts := study.Map(parallel, names, func(n string) out {
-		r, err := RunChaosOverride(n, backend, ov)
+		r, err := RunChaos(n, backend, ov)
 		return out{r, err}
 	})
 	results := make([]ChaosResult, len(pts))

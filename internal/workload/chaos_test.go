@@ -26,7 +26,7 @@ func chaosJSON(t *testing.T, cr ChaosResult) []byte {
 func TestChaosGolden(t *testing.T) {
 	for _, name := range ChaosScenarioNames() {
 		t.Run(name, func(t *testing.T) {
-			cr, err := RunChaos(name, BackendModel)
+			cr, err := RunChaos(name, BackendModel, ChaosOverride{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestChaosFaultActivity(t *testing.T) {
 		},
 	}
 	for _, name := range ChaosScenarioNames() {
-		cr, err := RunChaos(name, BackendModel)
+		cr, err := RunChaos(name, BackendModel, ChaosOverride{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ func TestChaosBackendsAgree(t *testing.T) {
 	}
 	for _, name := range ChaosScenarioNames() {
 		t.Run(name, func(t *testing.T) {
-			model, err := RunChaos(name, BackendModel)
+			model, err := RunChaos(name, BackendModel, ChaosOverride{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycle, err := RunChaos(name, BackendCycle)
+			cycle, err := RunChaos(name, BackendCycle, ChaosOverride{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,12 +144,12 @@ func TestChaosBackendsAgree(t *testing.T) {
 // face of the repo-wide `-parallel` determinism contract.
 func TestChaosStudyWidthInvariant(t *testing.T) {
 	names := ChaosScenarioNames()
-	base, err := ChaosStudy(1, names, BackendModel)
+	base, err := ChaosStudy(1, names, BackendModel, ChaosOverride{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{2, 8} {
-		got, err := ChaosStudy(width, names, BackendModel)
+		got, err := ChaosStudy(width, names, BackendModel, ChaosOverride{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -184,9 +184,6 @@ func MeasureBandwidth(mech Mechanism, freqMHz float64) Fig10Row {
 	return Fig10Row{Mechanism: mech, FreqMHz: freqMHz, MBps: mbps}
 }
 
-// Fig10 regenerates the bandwidth study on a default-width study pool.
-func Fig10(freqs []float64) []Fig10Row { return Fig10P(0, freqs) }
-
 // Fig10P regenerates Fig. 10 on a parallel-wide study pool (<= 0 selects
 // GOMAXPROCS); rows are identical for every pool width.
 func Fig10P(parallel int, freqs []float64) []Fig10Row {

@@ -100,9 +100,6 @@ func MeasureContention(kind ContentionKind, procs int) Fig11Row {
 	return Fig11Row{Kind: kind, Procs: procs, PerProcMBps: total / float64(procs)}
 }
 
-// Fig11 regenerates the contention study on a default-width study pool.
-func Fig11(counts []int) []Fig11Row { return Fig11P(0, counts) }
-
 // Fig11P regenerates Fig. 11 on a parallel-wide study pool (<= 0 selects
 // GOMAXPROCS); rows are identical for every pool width.
 func Fig11P(parallel int, counts []int) []Fig11Row {

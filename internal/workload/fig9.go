@@ -218,10 +218,6 @@ func MeasureLatency(mech Mechanism, freqMHz float64) Fig9Row {
 	return row
 }
 
-// Fig9 regenerates the latency study across mechanisms and frequencies
-// on a default-width (GOMAXPROCS) study pool.
-func Fig9(freqs []float64) []Fig9Row { return Fig9P(0, freqs) }
-
 // Fig9P regenerates Fig. 9 on a parallel-wide study pool (<= 0 selects
 // GOMAXPROCS). Every (mechanism, frequency) cell simulates a complete
 // independent System, so the rows are identical for every pool width.

@@ -198,10 +198,10 @@ type serveReplica interface {
 // NewServePool builds the single-shard pool cfg describes, with the
 // builder batch Serve and every ServeCluster shard use, for front ends
 // that drive the pool's timeline themselves (the live daemon). The pool
-// is shard 0 of cfg's fault plan, runs unchecked, and keeps no per-job
-// samples or flight recorder.
+// is shard 0 of cfg's fault plan, and keeps no flight recorder; an
+// engine-backed pool's Drain checks coherence like every other replica.
 func NewServePool(cfg ServeConfig) (cluster.Pool, error) {
-	return newServeReplica(cfg.withDefaults(), 0, false, false, 0)
+	return newServeReplica(cfg.withDefaults(), 0, 0)
 }
 
 // newServeReplica builds one serve replica for cfg's backend mode:
@@ -209,14 +209,11 @@ func NewServePool(cfg ServeConfig) (cluster.Pool, error) {
 // Dolly + CPU-soft-path pool; any other mode is an error. cfg must have
 // defaults applied. shard is the replica's cluster shard index (0 for
 // single-replica runs) — the fault plan's draw site and outage-schedule
-// key. checked selects RunChecked (coherence validation) for
-// engine-backed replicas; harvest keeps the exact-mode per-job samples
-// (cluster shards need them for exact merged quantiles; single-replica
-// Serve reads Stats only and skips the duplicate O(jobs) copy).
-// windowWidth, when positive, attaches a flight recorder over windows of
-// that width — every shard of one run must get the same width so its
-// series merge.
-func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWidth sim.Time) (serveReplica, error) {
+// key. Engine-backed replicas drain through RunChecked, so every run
+// ends on a coherence validation. windowWidth, when positive, attaches a
+// flight recorder over windows of that width — every shard of one run
+// must get the same width so its series merge.
+func newServeReplica(cfg ServeConfig, shard int, windowWidth sim.Time) (serveReplica, error) {
 	if cfg.Backend < 0 || cfg.Backend >= NumBackendModes {
 		return nil, fmt.Errorf("workload: unknown backend mode %d", int(cfg.Backend))
 	}
@@ -228,7 +225,7 @@ func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWi
 		mcfg := model.Config{
 			EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs, MemHubs: cfg.MemHubs,
 			Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: cfg.Stats,
-			CPUSlowdown: cfg.CPUSlowdown, DiscardSamples: !harvest,
+			CPUSlowdown: cfg.CPUSlowdown,
 		}
 		if inj != nil {
 			mcfg.Wrap = func(tl model.Timeline, worker int, be sched.Backend) sched.Backend {
@@ -269,16 +266,10 @@ func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWi
 		return nil, err
 	}
 	run := func() error {
-		sys.Run()
-		return nil
+		_, err := sys.RunChecked()
+		return err
 	}
-	if checked {
-		run = func() error {
-			_, err := sys.RunChecked()
-			return err
-		}
-	}
-	rep := &cluster.EngineReplica{Eng: sys.Eng, Sch: sch, Run: run, DiscardSamples: !harvest}
+	rep := &cluster.EngineReplica{Eng: sys.Eng, Sch: sch, Run: run}
 	if windowWidth > 0 {
 		rep.Rec = telemetry.NewRecorder(windowWidth, sch.WorkerKinds())
 	}
@@ -344,7 +335,7 @@ func Serve(cfg ServeConfig) ServeResult {
 	if cfg.Windows > 0 {
 		width = spanWidth(src.Span(), cfg.Windows)
 	}
-	rep, err := newServeReplica(cfg, 0, false, false, width)
+	rep, err := newServeReplica(cfg, 0, width)
 	if err != nil {
 		panic(err)
 	}

@@ -182,7 +182,7 @@ func TestServeReplicaCatalogOrder(t *testing.T) {
 		want[i] = a.Name
 	}
 	for m := BackendMode(0); m < NumBackendModes; m++ {
-		rep, err := newServeReplica(ServeConfig{Backend: m}.withDefaults(), 0, false, false, 0)
+		rep, err := newServeReplica(ServeConfig{Backend: m}.withDefaults(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ func (cfg ClusterConfig) clusterConfig(width sim.Time) cluster.Config {
 		// pre-generated, accelerators are inert stubs), so the derived
 		// per-shard seed is accepted but unused.
 		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
-			return newServeReplica(cfg.shardConfig(shard), shard, true, true, width)
+			return newServeReplica(cfg.shardConfig(shard), shard, width)
 		},
 	}
 	if cfg.Faults != nil {

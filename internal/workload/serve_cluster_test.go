@@ -56,24 +56,37 @@ func TestServeClusterDeterministic(t *testing.T) {
 // TestServeClusterSingleShardMatchesServe guards the "identical per
 // seed" contract in serve.go from the other side: a 1-shard cluster must
 // reproduce the single-System Serve run exactly — same merged stats,
-// byte-identical table — under every front end (with one shard they all
-// route identically).
+// byte-identical table, same flight-recorder series — under every front
+// end (with one shard they all route identically), on every backend and
+// in both stats modes.
 func TestServeClusterSingleShardMatchesServe(t *testing.T) {
-	base := ServeConfig{Policy: sched.SJF, Jobs: 80, Seed: 42}
-	want := Serve(base)
-	for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
-		r, err := ServeCluster(ClusterConfig{ServeConfig: base, Shards: 1, FrontEnd: fe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Merged, want.Stats) {
-			t.Fatalf("%v: 1-shard cluster diverged from Serve:\n%+v\n%+v", fe, r.Merged, want.Stats)
-		}
-		if got, wantS := statsTable(r.Merged), statsTable(want.Stats); got != wantS {
-			t.Fatalf("%v: tables differ:\n%s\n%s", fe, got, wantS)
-		}
-		if r.PerShard[0].Assigned != base.Jobs {
-			t.Fatalf("%v: shard 0 assigned %d of %d", fe, r.PerShard[0].Assigned, base.Jobs)
+	for b := BackendMode(0); b < NumBackendModes; b++ {
+		for _, mode := range []sched.StatsMode{sched.StatsExact, sched.StatsStreaming} {
+			t.Run(b.String()+"/"+mode.String(), func(t *testing.T) {
+				base := ServeConfig{Policy: sched.SJF, Jobs: 80, Seed: 42, Backend: b, Stats: mode, Windows: 5}
+				want := Serve(base)
+				if len(want.Windows) == 0 {
+					t.Fatal("Serve recorded no windows")
+				}
+				for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
+					r, err := ServeCluster(ClusterConfig{ServeConfig: base, Shards: 1, FrontEnd: fe})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(r.Merged, want.Stats) {
+						t.Fatalf("%v: 1-shard cluster diverged from Serve:\n%+v\n%+v", fe, r.Merged, want.Stats)
+					}
+					if got, wantS := statsTable(r.Merged), statsTable(want.Stats); got != wantS {
+						t.Fatalf("%v: tables differ:\n%s\n%s", fe, got, wantS)
+					}
+					if !reflect.DeepEqual(r.Windows, want.Windows) {
+						t.Fatalf("%v: window series differ:\n%+v\n%+v", fe, r.Windows, want.Windows)
+					}
+					if r.PerShard[0].Assigned != base.Jobs {
+						t.Fatalf("%v: shard 0 assigned %d of %d", fe, r.PerShard[0].Assigned, base.Jobs)
+					}
+				}
+			})
 		}
 	}
 }

@@ -263,23 +263,18 @@ func (s *System) readMem(addr uint64, size int) uint64 {
 // use. Subsequent calls return the existing scheduler and ignore cfg.
 // CPU-only systems have no eFPGAs and therefore no scheduler (panics).
 func (s *System) Scheduler(cfg sched.Config) *sched.Scheduler {
-	return s.SchedulerWith(cfg)
+	return s.SchedulerWrapped(cfg, nil)
 }
 
-// SchedulerWith is Scheduler with extra execution backends appended
+// SchedulerWrapped is Scheduler with extra execution backends appended
 // after the system's cycle-level eFPGA workers — e.g. internal/model's
-// CPU soft-path fallback for hybrid placement. Like Scheduler it builds
+// CPU soft-path fallback for hybrid placement — and a backend decorator
+// applied to every worker (cycle eFPGA workers and extras alike) before
+// the scheduler sees them: the cycle-path fault-injection seam,
+// mirroring model.Config.Wrap so both backends fail identically under
+// one fault plan. A nil wrap is the identity. Like Scheduler it builds
 // on first use only; extra backends must schedule on this system's
 // engine.
-func (s *System) SchedulerWith(cfg sched.Config, extra ...sched.Backend) *sched.Scheduler {
-	return s.SchedulerWrapped(cfg, nil, extra...)
-}
-
-// SchedulerWrapped is SchedulerWith with a backend decorator applied to
-// every worker (cycle eFPGA workers and extras alike) before the
-// scheduler sees them — the cycle-path fault-injection seam, mirroring
-// model.Config.Wrap so both backends fail identically under one fault
-// plan. A nil wrap is the identity.
 func (s *System) SchedulerWrapped(cfg sched.Config, wrap func(worker int, be sched.Backend) sched.Backend, extra ...sched.Backend) *sched.Scheduler {
 	if s.scheduler == nil {
 		backends := append(sched.CycleBackends(s.Eng, s.Adapters, s.Fabrics), extra...)
