@@ -323,7 +323,7 @@ func benchServe1M(b *testing.B, be workload.BackendMode) {
 // fixed-memory digests. Per-shard stats memory (the digest table) must
 // stay in the tens of kilobytes however far the job count grows; the
 // exact-mode equivalent would retain 8 MB of raw samples per million
-// jobs on top of the job ledgers.
+// jobs.
 func BenchmarkServeStream1M(b *testing.B) { benchServe1M(b, workload.BackendCycle) }
 
 // BenchmarkServeModel1M is the same 1M-job cluster study on the

@@ -176,7 +176,7 @@ func newOptions(fs *flag.FlagSet) *options {
 			return err
 		})
 	fs.IntVar(&s.EFPGAs, "efpgas", 2, "serve/cluster: number of eFPGAs (per shard)")
-	fs.TextVar(&s.Stats, "stats", sched.StatsExact, "serve/cluster latency stats, `exact|stream`: exact (per-job ledgers) or stream (fixed-memory digest)")
+	fs.TextVar(&s.Stats, "stats", sched.StatsExact, "serve/cluster latency stats, `exact|stream`: exact (every sojourn sample) or stream (fixed-memory digest)")
 	fs.TextVar(&s.Backend, "backend", workload.BackendCycle, "serve/cluster execution backend, `cycle|model|hybrid`: cycle (Dolly instance), model (analytic fast path), hybrid (cycle + CPU soft-path spill)")
 	fs.IntVar(&s.SoftCPUs, "softcpus", 0, "serve/cluster: CPU soft-path workers per replica (hybrid backend defaults to 1)")
 	fs.IntVar(&s.Windows, "windows", 0, "serve/cluster: record a flight-recorder series over N simulated-time windows (0 = off)")
@@ -675,23 +675,36 @@ func fig12(o *options) error {
 	if o.quick {
 		benches = benches[:7] // single-and-4-core benchmarks only
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	return fig12Table(os.Stdout, benches)
+}
+
+// fig12Table runs each benchmark and prints its Fig. 12 row, then the
+// geomeans. A row that fails its functional check shows the error in
+// its check column, and once the table is out the returned error names
+// every failed row.
+func fig12Table(out io.Writer, benches []apps.Benchmark) error {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tSpeedup Duet\tSpeedup FPSoC\tADP Duet\tADP FPSoC\tCPU runtime\tcheck")
 	var rows []apps.Fig12Row
+	var failed []error
 	for _, b := range benches {
 		r := apps.RunOne(b)
 		rows = append(rows, r)
 		status := "ok"
 		if r.Err != nil {
 			status = r.Err.Error()
+			failed = append(failed, r.Err)
 		}
 		fmt.Fprintf(w, "%s\t%.2fx\t%.2fx\t%.2f\t%.2f\t%v\t%s\n",
 			r.Name, r.SpeedupDuet, r.SpeedupFPSoC, r.ADPDuet, r.ADPFPSoC, r.CPURuntime, status)
 	}
 	w.Flush() // once: every flush restarts the column widths
 	sd, sf, ad, af := apps.Geomeans(rows)
-	fmt.Printf("\nGeomean: Duet %.2fx, FPSoC %.2fx; ADP Duet %.2f, FPSoC %.2f\n", sd, sf, ad, af)
-	fmt.Println("Paper geomeans: Duet 4.53x, FPSoC 2.14x; ADP Duet 0.61, FPSoC 1.23.")
+	fmt.Fprintf(out, "\nGeomean: Duet %.2fx, FPSoC %.2fx; ADP Duet %.2f, FPSoC %.2f\n", sd, sf, ad, af)
+	fmt.Fprintln(out, "Paper geomeans: Duet 4.53x, FPSoC 2.14x; ADP Duet 0.61, FPSoC 1.23.")
+	if len(failed) > 0 {
+		return fmt.Errorf("fig12: %d of %d rows failed their functional check: %w", len(failed), len(rows), errors.Join(failed...))
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"duet/internal/apps"
 	"duet/internal/sim"
 	"duet/internal/workload"
 )
@@ -225,5 +227,49 @@ func TestREADMEUsage(t *testing.T) {
 	}
 	if !bytes.Contains(readme, buf.Bytes()) {
 		t.Errorf("README.md lacks the current `duetsim -h` output; paste it from `go run ./cmd/duetsim -h`:\n%s", buf.String())
+	}
+}
+
+// TestFig12FailedRowErrors: a row that fails its functional check is
+// printed with the error in its check column, the table still prints in
+// full, and the command returns an error naming every failed row (so
+// `duetsim fig12` exits 1 on a broken accelerator).
+func TestFig12FailedRowErrors(t *testing.T) {
+	stub := func(name string, broken apps.Variant) apps.Benchmark {
+		return apps.Benchmark{Name: name, Run: func(v apps.Variant) apps.Result {
+			r := apps.Result{Name: name, Variant: v, Runtime: 1000, AreaMM2: 1}
+			if v == broken {
+				r.Err = errors.New("checksum mismatch")
+			}
+			return r
+		}}
+	}
+	var out bytes.Buffer
+	benches := []apps.Benchmark{
+		stub("good", -1), stub("bad1", apps.VariantDuet), stub("bad2", apps.VariantDuet),
+	}
+	err := fig12Table(&out, benches)
+	if err == nil {
+		t.Fatal("failed rows returned no error")
+	}
+	for _, name := range []string{"bad1", "bad2"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name failed row %s", err, name)
+		}
+	}
+	if strings.Contains(err.Error(), "good") {
+		t.Errorf("error %q names the passing row", err)
+	}
+	table := out.String()
+	if !strings.Contains(table, "checksum mismatch") || !strings.Contains(table, "Geomean") {
+		t.Fatalf("table lacks the failed check or the geomean line:\n%s", table)
+	}
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, "good") && !strings.HasSuffix(strings.TrimSpace(line), "ok") {
+			t.Errorf("passing row not marked ok: %q", line)
+		}
+	}
+	if err := fig12Table(&out, benches[:1]); err != nil {
+		t.Fatalf("all rows passed, got %v", err)
 	}
 }

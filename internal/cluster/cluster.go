@@ -136,10 +136,9 @@ func (r *EngineReplica) PlayStream(feed ArrivalFeed) (ShardResult, error) {
 // observer before the first submission and is handed back in
 // ShardResult.Windows.
 //
-// A streaming-stats scheduler keeps no reference to a retired job, so
-// Drive recycles job records through a freelist fed by the OnResult
-// hook — the run allocates O(in-flight) jobs however many the feed
-// offers. In exact mode the scheduler's ledgers own every record.
+// The scheduler keeps no reference to a retired job, so Drive recycles
+// job records through a freelist fed by the OnResult hook: the run
+// allocates O(in-flight) jobs however many the feed offers.
 func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder) (ShardResult, error) {
 	sch := p.Scheduler()
 	var sr ShardResult
@@ -147,11 +146,8 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder) (ShardResult, erro
 		sch.SetObserver(rec)
 		sr.Windows = rec
 	}
-	streaming := sch.Config().Stats == sched.StatsStreaming
 	var free []*sched.Job
-	if streaming {
-		sch.OnResult = func(j *sched.Job) { free = append(free, j) }
-	}
+	sch.OnResult = func(j *sched.Job) { free = append(free, j) }
 	var a Arrival
 	for feed.Next(&a) {
 		p.Advance(a.At)
@@ -162,7 +158,7 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder) (ShardResult, erro
 			j = new(sched.Job)
 		}
 		*j = sched.Job{Request: a.Request}
-		if !sch.Submit(j) && streaming && j.Err == nil {
+		if !sch.Submit(j) && j.Err == nil {
 			// Queue-full bounce: the job was never admitted and never
 			// retired (no OnResult), so the scheduler holds no reference —
 			// recycle the record directly. Submissions refused with an
@@ -172,9 +168,9 @@ func Drive(feed ArrivalFeed, p Pool, rec *telemetry.Recorder) (ShardResult, erro
 	}
 	err := p.Drain()
 	sr.Stats = sch.Stats()
-	// A streaming digest is the scheduler's own table, adopted by the
+	// The samples and digest are the scheduler's own, adopted by the
 	// shard result; the replica is discarded after this run, so nothing
-	// else writes to it.
+	// else writes to them.
 	sr.Sojourns, sr.Digest, sr.WaitSum, sr.ServiceSum = sch.Harvest()
 	return sr, err
 }
@@ -329,9 +325,9 @@ type ShardResult struct {
 	Stats    sched.Stats
 
 	// Sojourns holds every completed job's submit-to-finish latency in
-	// completion order (the scheduler's Completed ledger) — the raw
-	// samples behind exact merged quantiles. Nil in streaming mode, where
-	// Digest replaces it.
+	// completion order (the scheduler's exact-mode samples, see
+	// sched.Scheduler.Harvest) — the raw samples behind exact merged
+	// quantiles. Nil in streaming mode, where Digest replaces it.
 	Sojourns []sim.Time
 	// Digest is the fixed-memory sojourn summary harvested when the
 	// shard's scheduler runs with sched.StatsStreaming: per-shard stats

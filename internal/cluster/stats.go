@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -41,13 +40,6 @@ func Merge(shards []ShardResult) sched.Stats {
 		waits += s.WaitSum
 		services += s.ServiceSum
 	}
-	if m.Completed > 0 {
-		m.MeanWait = waits / sim.Time(m.Completed)
-		m.MeanService = services / sim.Time(m.Completed)
-		if m.Makespan > 0 {
-			m.ThroughputPerMS = float64(m.Completed) / (float64(m.Makespan) / float64(sim.MS))
-		}
-	}
 	if digest != nil {
 		// Mixed modes (exact and streaming shards in one cluster) still
 		// rank over the whole population: exact shards' raw samples fold
@@ -55,14 +47,8 @@ func Merge(shards []ShardResult) sched.Stats {
 		for _, v := range sojourns {
 			digest.Add(v)
 		}
-		m.P50 = digest.Quantile(50)
-		m.P99 = digest.Quantile(99)
-	} else {
-		// Sort the pooled population once; both ranks come from it.
-		slices.Sort(sojourns)
-		m.P50 = sched.PercentileSorted(sojourns, 50)
-		m.P99 = sched.PercentileSorted(sojourns, 99)
 	}
+	m.Summarize(sojourns, digest, waits, services)
 	for si, s := range shards {
 		for _, f := range s.Stats.Fabrics {
 			if len(shards) > 1 {

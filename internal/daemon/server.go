@@ -166,7 +166,8 @@ type SubmitOutcome struct {
 // NewServer builds a server over a fresh serve pool — workload's
 // single-shard builder, so the live catalog, worker pool and fault seam
 // are the ones batch studies run. Stats aggregation is always streaming:
-// a daemon runs indefinitely, so O(jobs) exact ledgers are off the table.
+// a daemon runs indefinitely, so keeping every sojourn sample (exact
+// mode's O(jobs) memory) is off the table.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Timescale <= 0 {
 		cfg.Timescale = 1

@@ -473,12 +473,10 @@ func (in *Injector) detect() sim.Time {
 	return DefaultWedgeDetect
 }
 
-// Timeline is the deferred-callback surface the wrapper charges fault
+// Timeline is the scheduler's timeline, which the wrapper charges fault
 // occupancies on. Both *model.Events and *sim.Engine satisfy it — the
 // same seam the model backends schedule through.
-type Timeline interface {
-	AfterArg(d sim.Time, fn func(any), arg any)
-}
+type Timeline = sched.Timeline
 
 // Wrap decorates one execution backend with the injector's fault model;
 // worker is its scheduler index (the wedge-probability and draw site).

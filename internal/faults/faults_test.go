@@ -209,6 +209,8 @@ type stubTimeline struct {
 	args   []any
 }
 
+func (tl *stubTimeline) Now() sim.Time { return 0 }
+
 func (tl *stubTimeline) AfterArg(d sim.Time, fn func(any), arg any) {
 	tl.delays = append(tl.delays, d)
 	tl.fns = append(tl.fns, fn)

@@ -34,15 +34,12 @@ import (
 	"duet/internal/telemetry"
 )
 
-// Timeline is the scheduling surface a model backend needs: current
-// time plus deferred-callback scheduling. Both the package's analytic
-// Events timeline and the full *sim.Engine satisfy it, so model
-// backends can ride in an engine-backed scheduler (mixed-fidelity
-// pools, the hybrid CPU spill) or in a pure analytic replica.
-type Timeline interface {
-	Now() sim.Time
-	AfterArg(d sim.Time, fn func(any), arg any)
-}
+// Timeline is the scheduler's timeline, which is all a model backend
+// needs. Both the package's analytic Events timeline and the full
+// *sim.Engine satisfy it, so model backends can ride in an engine-backed
+// scheduler (mixed-fidelity pools, the hybrid CPU spill) or in a pure
+// analytic replica.
+type Timeline = sched.Timeline
 
 // Events is the analytic event timeline: an unsorted slice of pending
 // callbacks popped by linear min-scan over (time, scheduling order). It

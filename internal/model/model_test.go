@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"duet"
+	"duet/internal/cluster"
 	"duet/internal/efpga"
 	"duet/internal/model"
 	"duet/internal/sched"
@@ -230,5 +231,60 @@ func TestEventsOrdering(t *testing.T) {
 	}
 	if ev.Now() != 10 {
 		t.Fatalf("Drain left now=%v", ev.Now())
+	}
+}
+
+// retireCounter is a sched.Observer that collects the distinct job
+// records retired over a run.
+type retireCounter map[*sched.Job]struct{}
+
+func (c retireCounter) Observe(e sched.Event) {
+	if e.Kind == sched.EventRetire {
+		c[e.Job] = struct{}{}
+	}
+}
+
+// TestDriveRecyclesJobs: neither stats mode keeps a reference to a
+// retired job, so cluster.Drive recycles job records in both. Over a
+// saturating run with queue bounces and submit-time failures, the
+// distinct records ever retired stay within what can be live at once:
+// the queue, one per worker, and the submission in hand.
+func TestDriveRecyclesJobs(t *testing.T) {
+	const jobs, queueCap = 4000, 8
+	for _, mode := range []sched.StatsMode{sched.StatsExact, sched.StatsStreaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := model.NewReplica(model.Config{
+				EFPGAs: 2, MemHubs: 1, Policy: sched.FIFO, QueueCap: queueCap, Stats: mode,
+			})
+			sch := r.Scheduler()
+			for _, name := range []string{"A", "B"} {
+				bs := mkBitstream(name, efpga.Resources{LUTs: 100}, 100, 64)
+				if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 2000, CyclesPerItem: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			arr := make([]cluster.Arrival, jobs)
+			for i := range arr {
+				arr[i] = cluster.Arrival{At: sim.Time(i) * 12 * sim.US, Request: sched.Request{
+					App: sched.AppID(i % 2), InputSize: 100 + (i*37)%2000,
+				}}
+				if i%50 == 7 {
+					arr[i].App = 9 // outside the catalog: fails at submit
+				}
+			}
+			seen := retireCounter{}
+			sch.SetObserver(seen)
+			sr, err := cluster.Drive(cluster.NewSliceSource(arr), r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := sr.Stats.Counters
+			if c.Completed == 0 || c.Failed == 0 || c.Rejected == 0 || c.Completed+c.Failed+c.Rejected != jobs {
+				t.Fatalf("want completions, failures and queue bounces summing to %d: %+v", jobs, c)
+			}
+			if bound := queueCap + sch.Workers() + 1; len(seen) > bound {
+				t.Fatalf("%d distinct job records retired, want at most %d", len(seen), bound)
+			}
+		})
 	}
 }

@@ -144,9 +144,10 @@ type Config struct {
 	// SettleCycles is the post-configuration settle time in fabric-clock
 	// cycles (defaults to 1024; see the timing-model constants above).
 	SettleCycles int64
-	// Stats selects the aggregation mode: StatsExact (default) retains
-	// per-job ledgers for exact percentiles; StatsStreaming folds jobs
-	// into fixed-memory aggregates for serve-scale runs (see stats.go).
+	// Stats selects how completed jobs' sojourns are kept: StatsExact
+	// (default) keeps every sample for exact percentiles; StatsStreaming
+	// folds them into a fixed-memory digest for serve-scale runs (see
+	// stats.go).
 	Stats StatsMode
 	// Faults configures retry budgets, deadline enforcement and shard
 	// outage windows; the zero value adds no behavior (see faults.go).
@@ -227,23 +228,19 @@ type Scheduler struct {
 	residentScratch []*worker
 	estScratch      []sim.Time
 
-	// Outcome ledgers (exact mode; streaming mode keeps them empty and
-	// folds outcomes into agg instead).
-	Completed []*Job
-	Failed    []*Job // unknown app, over-capacity bitstream, programming error
-
-	// agg holds the streaming-mode running aggregates; nil in exact mode.
-	agg *aggregate
+	// agg is what the scheduler keeps of its retired jobs (see stats.go).
+	agg aggregate
 
 	// obs, when set, receives lifecycle events — the windowed-telemetry
 	// seam; see observe.go.
 	obs Observer
 
 	// OnResult, when set, is invoked at each job's finish instant — once
-	// per completed or failed job, in completion order — so a front end
-	// (e.g. internal/cluster) can harvest results without reaching into
-	// the scheduler's ledgers. Jobs bounced by the admission queue never
-	// started and are not reported.
+	// per completed or failed job, in completion order. The scheduler
+	// keeps no reference to a retired job, so once OnResult returns the
+	// record is the caller's to keep or reuse (internal/cluster recycles
+	// it). Jobs bounced by the admission queue never started and are not
+	// reported.
 	OnResult func(*Job)
 }
 
@@ -264,7 +261,7 @@ func New(tl Timeline, backends []Backend, cfg Config) *Scheduler {
 	s := &Scheduler{tl: tl, cfg: cfg, byName: make(map[string]AppID)}
 	s.repairFn = func(a any) { s.repair(a.(*worker)) }
 	if cfg.Stats == StatsStreaming {
-		s.agg = &aggregate{}
+		s.agg.digest = &Digest{}
 	}
 	for i, be := range backends {
 		w := &worker{id: i, be: be, kind: be.Kind(), resident: -1}
@@ -410,8 +407,8 @@ func (s *Scheduler) predict(j *Job) sim.Time {
 
 // Submit offers a job to the scheduler at the current simulation time. It
 // returns false when the job was not admitted: an AppID outside the
-// catalog or a bitstream no worker can hold (the job lands in Failed with
-// Err set), or a full admission queue (counted in Rejected).
+// catalog or a bitstream no worker can hold (the job retires as failed,
+// with Err set), or a full admission queue (counted in Rejected).
 func (s *Scheduler) Submit(j *Job) bool {
 	now := s.arrive(j)
 	if s.down {
@@ -467,10 +464,11 @@ func (s *Scheduler) enqueue(j *Job) {
 }
 
 // Refuse fails j at submission with err, exactly as Submit fails a job it
-// cannot admit: j gets an ID, an arrival is observed, and j retires into
-// Failed (and OnResult) with a zero-length lifetime. Front ends use it
-// for requests they reject before resolving them into a Request (a
-// daemon's malformed wire fields), so those still count as failures.
+// cannot admit: j gets an ID, an arrival is observed, and j retires as
+// failed (counted in Failed, reported to OnResult) with a zero-length
+// lifetime. Front ends use it for requests they reject before resolving
+// them into a Request (a daemon's malformed wire fields), so those still
+// count as failures.
 func (s *Scheduler) Refuse(j *Job, err error) {
 	s.refuse(j, s.arrive(j), err)
 }
@@ -563,18 +561,12 @@ func (s *Scheduler) complete(j *Job, err error) {
 	s.release(w, now)
 }
 
-// retire records a finished job — completed or failed — in the
-// configured aggregation mode and notifies OnResult. Streaming mode
-// keeps no reference to the job: after OnResult returns it is garbage.
+// retire folds a finished job — completed or failed — into the
+// aggregate and the counters, then notifies OnResult. The scheduler
+// keeps no reference to the job.
 func (s *Scheduler) retire(j *Job) {
 	s.observe(Event{Kind: EventRetire, At: j.Finish, Job: j})
-	if s.agg != nil {
-		s.agg.finish(j)
-	} else if j.Err != nil {
-		s.Failed = append(s.Failed, j)
-	} else {
-		s.Completed = append(s.Completed, j)
-	}
+	s.agg.finish(j)
 	if j.Err == nil {
 		s.ctr.Completed++
 		if j.MissedDeadline() {

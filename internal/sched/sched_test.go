@@ -424,7 +424,7 @@ func TestOnResultDrain(t *testing.T) {
 			t.Fatalf("hook out of completion order: %v after %v", finishes[i], finishes[i-1])
 		}
 	}
-	if len(sch.Completed) != 2 || len(sch.Failed) != 1 {
-		t.Fatalf("ledgers: %d completed, %d failed", len(sch.Completed), len(sch.Failed))
+	if c := sch.Stats().Counters; c.Completed != 2 || c.Failed != 1 {
+		t.Fatalf("counters: %d completed, %d failed; want 2/1", c.Completed, c.Failed)
 	}
 }

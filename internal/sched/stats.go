@@ -9,22 +9,20 @@ import (
 	"duet/internal/sim"
 )
 
-// StatsMode selects how the scheduler aggregates per-job outcomes.
+// StatsMode selects how the scheduler keeps completed jobs' sojourns.
+// Every other Stats field is exact and the same in both modes, and
+// neither mode keeps a reference to a retired job.
 type StatsMode int
 
 // Stats modes.
 const (
-	// StatsExact retains every completed/failed job in the Completed and
-	// Failed ledgers and computes exact nearest-rank percentiles over the
-	// full sojourn population — O(jobs) memory, the default.
+	// StatsExact keeps every sojourn sample, in completion order, and
+	// computes exact nearest-rank percentiles over the full population:
+	// O(completed jobs) memory at 8 bytes a job. The default.
 	StatsExact StatsMode = iota
-	// StatsStreaming folds each job into O(1) running aggregates at its
-	// finish instant — counters, sums, makespan, and a fixed-memory
-	// Digest for sojourn quantiles — and retains no per-job state. P50
-	// and P99 then carry the digest's documented relative value error
-	// (DigestRelError, <0.8%); every other Stats field stays exact.
-	// The Completed and Failed ledgers remain empty; per-job harvesting
-	// still works through OnResult.
+	// StatsStreaming folds each sojourn into a fixed-memory Digest, so
+	// memory stays O(1) in the job count. P50 and P99 then carry the
+	// digest's documented relative value error (DigestRelError, <0.8%).
 	StatsStreaming
 	NumStatsModes
 )
@@ -51,17 +49,23 @@ func (m *StatsMode) UnmarshalText(name []byte) error {
 	return fmt.Errorf("sched: unknown stats mode %q", name)
 }
 
-// aggregate is the streaming-mode replacement for the per-job ledgers:
-// the sums and sojourn digest Stats needs, folded in at finish time in
-// O(1) space (the counts live in the scheduler's Counters).
+// aggregate is what the scheduler keeps of its retired jobs, folded in
+// at each finish instant: the makespan over every retired job, the exact
+// wait/service sums over completed ones, and their sojourns — every
+// sample in completion order (exact mode) or a Digest (streaming mode).
+// The counts live in the scheduler's Counters.
 type aggregate struct {
 	makespan   sim.Time
 	waitSum    sim.Time
 	serviceSum sim.Time
-	sojourns   Digest
+	samples    []sim.Time // exact mode
+	digest     *Digest    // streaming mode; nil in exact mode
 }
 
 func (g *aggregate) finish(j *Job) {
+	// Failed jobs occupy their fabric too (quiesce + failed stream), so
+	// the makespan — the utilization and throughput denominator — covers
+	// their finish instants as well.
 	if j.Finish > g.makespan {
 		g.makespan = j.Finish
 	}
@@ -70,7 +74,11 @@ func (g *aggregate) finish(j *Job) {
 	}
 	g.waitSum += j.Wait()
 	g.serviceSum += j.Service()
-	g.sojourns.Add(j.Sojourn())
+	if g.digest != nil {
+		g.digest.Add(j.Sojourn())
+	} else {
+		g.samples = append(g.samples, j.Sojourn())
+	}
 }
 
 // FabricStats summarizes one eFPGA's share of a scheduler run.
@@ -133,57 +141,22 @@ type Stats struct {
 }
 
 // Harvest returns the per-shard samples a front end (e.g.
-// internal/cluster) merges: in exact mode the sojourns of the Completed
-// ledger in completion order, in streaming mode the sojourn digest, and
-// in both the exact wait/service sums over completed jobs. The digest is
-// the scheduler's own: callers merge it or read quantiles, but must not
-// Add to it.
+// internal/cluster) merges: the completed jobs' sojourns — in exact
+// mode every sample in completion order, in streaming mode the digest —
+// and the exact wait/service sums over them. Both the slice and the
+// digest are the scheduler's own: callers merge or read them but must
+// not modify them.
 func (s *Scheduler) Harvest() (sojourns []sim.Time, d *Digest, waitSum, serviceSum sim.Time) {
-	if g := s.agg; g != nil {
-		return nil, &g.sojourns, g.waitSum, g.serviceSum
-	}
-	if len(s.Completed) > 0 {
-		sojourns = make([]sim.Time, len(s.Completed))
-	}
-	for i, j := range s.Completed {
-		sojourns[i] = j.Sojourn()
-		waitSum += j.Wait()
-		serviceSum += j.Service()
-	}
-	return sojourns, nil, waitSum, serviceSum
+	g := &s.agg
+	return g.samples, g.digest, g.waitSum, g.serviceSum
 }
 
 // Stats computes the run summary at the current instant.
 func (s *Scheduler) Stats() Stats {
-	st := Stats{Counters: s.ctr}
+	st := Stats{Counters: s.ctr, Makespan: s.agg.makespan}
 	sojourns, d, waits, services := s.Harvest()
-	if g := s.agg; g != nil {
-		// Streaming mode: everything was folded in at finish time.
-		st.Makespan = g.makespan
-		st.P50, st.P99 = d.Quantile(50), d.Quantile(99)
-	} else {
-		// Failed jobs occupy their fabric too (quiesce + failed stream), so
-		// the makespan — the utilization and throughput denominator — must
-		// cover their finish instants as well.
-		for _, j := range s.Completed {
-			st.Makespan = max(st.Makespan, j.Finish)
-		}
-		for _, j := range s.Failed {
-			st.Makespan = max(st.Makespan, j.Finish)
-		}
-		// Sort the population once and take both ranks from it, instead of
-		// copying + sorting per Percentile call.
-		slices.Sort(sojourns)
-		st.P50 = PercentileSorted(sojourns, 50)
-		st.P99 = PercentileSorted(sojourns, 99)
-	}
-	if n := st.Completed; n > 0 {
-		st.MeanWait = waits / sim.Time(n)
-		st.MeanService = services / sim.Time(n)
-		if st.Makespan > 0 {
-			st.ThroughputPerMS = float64(n) / (float64(st.Makespan) / float64(sim.MS))
-		}
-	}
+	// Summarize sorts its samples; Harvest's stay in completion order.
+	st.Summarize(slices.Clone(sojourns), d, waits, services)
 	for _, w := range s.workers {
 		fs := FabricStats{
 			Name: w.be.Name(), Jobs: w.jobs, Reconfigs: w.reconfigs, Busy: w.busyTotal,
@@ -194,6 +167,30 @@ func (s *Scheduler) Stats() Stats {
 		st.Fabrics = append(st.Fabrics, fs)
 	}
 	return st
+}
+
+// Summarize fills st's derived fields — MeanWait, MeanService,
+// ThroughputPerMS, P50 and P99 — from st.Completed, st.Makespan, and the
+// completed jobs' exact wait/service sums and sojourns. The sojourns
+// are a digest when d is non-nil (samples is then ignored), and
+// otherwise the raw samples, which Summarize sorts in place. A
+// scheduler's Stats and a cluster's merged Stats both derive through it.
+func (st *Stats) Summarize(samples []sim.Time, d *Digest, waitSum, serviceSum sim.Time) {
+	if n := st.Completed; n > 0 {
+		st.MeanWait = waitSum / sim.Time(n)
+		st.MeanService = serviceSum / sim.Time(n)
+		if st.Makespan > 0 {
+			st.ThroughputPerMS = float64(n) / (float64(st.Makespan) / float64(sim.MS))
+		}
+	}
+	if d != nil {
+		st.P50, st.P99 = d.Quantile(50), d.Quantile(99)
+		return
+	}
+	// Sort the population once and take both ranks from it.
+	slices.Sort(samples)
+	st.P50 = PercentileSorted(samples, 50)
+	st.P99 = PercentileSorted(samples, 99)
 }
 
 // Percentile returns the p-th percentile (nearest-rank) of durs; zero

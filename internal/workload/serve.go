@@ -75,8 +75,8 @@ type ServeConfig struct {
 	MeanGapUS float64 // mean inter-arrival gap in microseconds (default 25)
 	QueueCap  int     // admission-queue bound (default sched's 64)
 
-	// Stats selects the scheduler's aggregation mode: exact per-job
-	// ledgers (default) or fixed-memory streaming digests for
+	// Stats selects how the scheduler keeps sojourns: every sample
+	// (exact, the default) or a fixed-memory streaming digest for
 	// million-job runs (see sched.StatsMode).
 	Stats sched.StatsMode
 
