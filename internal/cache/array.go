@@ -12,27 +12,37 @@ import (
 
 // Way holds one cache line and its metadata. The State field is owned by
 // the protocol layer (coherence package); the array only distinguishes
-// valid from invalid.
+// valid from invalid. The flags sit last so a way packs into 56 bytes.
 type Way struct {
-	Valid bool
 	Tag   uint64 // full line address (tag+index combined, for simplicity)
 	Data  mem.Line
-	State int // protocol-defined
-	Dirty bool
+	State int    // protocol-defined
 	VPN   uint64 // virtual page number (Proxy Cache reverse mapping); 0 if unused
 	lru   uint64 // last-touch stamp
+	Valid bool
+	Dirty bool
 }
 
+// chunkSets is how many sets one storage chunk holds.
+const chunkSets = 8
+
 // Array is a set-associative array of cache lines indexed by physical line
-// address. Line storage is one flat slice, allocated on first access: a
-// constructed-but-untouched array (the common case for the serve/cluster
-// studies, which build full Dolly systems whose caches carry no traffic)
-// costs nothing, and a live one is a single contiguous block.
+// address. Storage is allocated per set, when Victim or Set first reaches
+// it: a constructed-but-untouched array (the common case for the
+// serve/cluster studies, which build full Dolly systems whose caches carry
+// no traffic) costs nothing, and a live one costs the sets its traffic
+// reaches, not its full capacity. Lookup and Peek never allocate; on an
+// untouched set they miss. A set's ways are carved, in first-touch order,
+// from fixed-size chunks that are never moved or freed, so a *Way stays
+// valid for the array's lifetime.
 type Array struct {
-	sets  int
-	ways  int
-	lines []Way // flat sets*ways storage; nil until first access
-	stamp uint64
+	sets      int
+	ways      int
+	chunkSets int     // sets per chunk: min(chunkSets, sets)
+	slot      []int32 // per set: 1 + its position in chunk storage, 0 if untouched (nil until a set is)
+	chunks    [][]Way // each chunkSets*ways long
+	used      int32   // sets materialized so far
+	stamp     uint64
 	// Hits/Misses count Lookup outcomes for statistics.
 	Hits, Misses uint64
 }
@@ -49,27 +59,58 @@ func NewArray(capacityBytes, ways int) *Array {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", sets))
 	}
-	return &Array{sets: sets, ways: ways}
+	return &Array{sets: sets, ways: ways, chunkSets: min(chunkSets, sets)}
 }
-
-// Sets reports the number of sets.
-func (a *Array) Sets() int { return a.sets }
 
 // Ways reports the associativity.
 func (a *Array) Ways() int { return a.ways }
 
-func (a *Array) setOf(lineAddr uint64) []Way {
-	if a.lines == nil {
-		a.lines = make([]Way, a.sets*a.ways)
+func (a *Array) setIndex(lineAddr uint64) int {
+	return int((lineAddr / mem.LineBytes) % uint64(a.sets))
+}
+
+// waysAt returns the ways stored at chunk-storage position p.
+func (a *Array) waysAt(p int32) []Way {
+	c := a.chunks[int(p)/a.chunkSets]
+	o := int(p) % a.chunkSets * a.ways
+	return c[o : o+a.ways : o+a.ways]
+}
+
+// peekSet returns the ways of lineAddr's set, or nil if the set was never
+// touched.
+func (a *Array) peekSet(lineAddr uint64) []Way {
+	if a.slot == nil {
+		return nil
 	}
-	idx := int((lineAddr/mem.LineBytes)%uint64(a.sets)) * a.ways
-	return a.lines[idx : idx+a.ways]
+	if p := a.slot[a.setIndex(lineAddr)]; p != 0 {
+		return a.waysAt(p - 1)
+	}
+	return nil
+}
+
+// setOf returns the ways of lineAddr's set, allocating its storage on
+// first touch.
+func (a *Array) setOf(lineAddr uint64) []Way {
+	if a.slot == nil {
+		a.slot = make([]int32, a.sets)
+	}
+	s := a.setIndex(lineAddr)
+	if p := a.slot[s]; p != 0 {
+		return a.waysAt(p - 1)
+	}
+	p := a.used
+	if int(p)%a.chunkSets == 0 {
+		a.chunks = append(a.chunks, make([]Way, a.chunkSets*a.ways))
+	}
+	a.used++
+	a.slot[s] = p + 1
+	return a.waysAt(p)
 }
 
 // Lookup finds the way holding lineAddr, touching LRU state on hit. It
 // returns nil on miss.
 func (a *Array) Lookup(lineAddr uint64) *Way {
-	set := a.setOf(lineAddr)
+	set := a.peekSet(lineAddr)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == lineAddr {
 			a.stamp++
@@ -84,7 +125,7 @@ func (a *Array) Lookup(lineAddr uint64) *Way {
 
 // Peek finds the way holding lineAddr without touching LRU or counters.
 func (a *Array) Peek(lineAddr uint64) *Way {
-	set := a.setOf(lineAddr)
+	set := a.peekSet(lineAddr)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == lineAddr {
 			return &set[i]
@@ -136,18 +177,18 @@ func (a *Array) Install(w *Way, lineAddr uint64, data mem.Line, state int) *Way 
 // Invalidate clears the way.
 func (a *Array) Invalidate(w *Way) { *w = Way{} }
 
-// ForEach calls fn for every valid line.
+// ForEach calls fn for every valid line, in set order and, within a set,
+// in way order.
 func (a *Array) ForEach(fn func(*Way)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(&a.lines[i])
+	for _, p := range a.slot {
+		if p == 0 {
+			continue
+		}
+		set := a.waysAt(p - 1)
+		for i := range set {
+			if set[i].Valid {
+				fn(&set[i])
+			}
 		}
 	}
-}
-
-// CountValid reports the number of valid lines.
-func (a *Array) CountValid() int {
-	n := 0
-	a.ForEach(func(*Way) { n++ })
-	return n
 }

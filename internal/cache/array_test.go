@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -108,5 +109,90 @@ func TestPropertyInstallAll(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// setAddr returns the address of the i-th line mapping to set s.
+func setAddr(a *Array, s, i int) uint64 {
+	return uint64(i*a.Sets()+s) * mem.LineBytes
+}
+
+// A *Way handed out by Victim or Lookup must stay valid, with its data,
+// while other sets are touched for the first time: set storage is carved
+// from chunks that never move.
+func TestWayStableAcrossFirstTouches(t *testing.T) {
+	a := NewArray(64*1024, 4) // 1024 sets
+	var d mem.Line
+	d[3] = 0xa5
+	v := a.Install(a.Victim(setAddr(a, 0, 0)), setAddr(a, 0, 0), d, 1)
+	l := a.Lookup(setAddr(a, 0, 0))
+	if l != v {
+		t.Fatalf("lookup returned %p, victim %p", l, v)
+	}
+	for s := 1; s <= 100; s++ {
+		a.Install(a.Victim(setAddr(a, s, 1)), setAddr(a, s, 1), mem.Line{byte(s)}, 2)
+	}
+	if !v.Valid || v.Tag != setAddr(a, 0, 0) || v.Data != d || v.State != 1 {
+		t.Fatalf("way changed after 100 first touches: %+v", v)
+	}
+	if got := a.Peek(setAddr(a, 0, 0)); got != v {
+		t.Fatalf("peek returned %p, want the original way %p", got, v)
+	}
+	for s := 1; s <= 100; s++ {
+		if w := a.Peek(setAddr(a, s, 1)); w == nil || w.Data[0] != byte(s) {
+			t.Fatalf("set %d lost its line: %+v", s, w)
+		}
+	}
+}
+
+// ForEach visits valid lines in set order and, within a set, in way
+// order, whatever order the sets were first touched in.
+func TestForEachSetThenWayOrder(t *testing.T) {
+	a := NewArray(64*mem.LineBytes, 4) // 16 sets
+	type pos struct{ set, tag int }
+	var want []pos
+	for _, s := range []int{9, 2, 15, 0, 7} {
+		for i := 0; i < 3; i++ {
+			addr := setAddr(a, s, i)
+			a.Install(a.Victim(addr), addr, mem.Line{}, 1)
+		}
+	}
+	a.Invalidate(a.Peek(setAddr(a, 2, 1))) // a hole inside a set
+	for _, s := range []int{0, 2, 7, 9, 15} {
+		for i := 0; i < 3; i++ {
+			if s == 2 && i == 1 {
+				continue
+			}
+			want = append(want, pos{s, int(setAddr(a, s, i))})
+		}
+	}
+	var got []pos
+	a.ForEach(func(w *Way) {
+		got = append(got, pos{int(w.Tag/mem.LineBytes) % a.Sets(), int(w.Tag)})
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ForEach order\n got %v\nwant %v", got, want)
+	}
+}
+
+// Lookup and Peek never allocate: on an untouched array or set they miss.
+func TestLookupUntouchedAllocatesNothing(t *testing.T) {
+	a := NewArray(64*1024, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		if a.Lookup(0x4000) != nil || a.Peek(0x8000) != nil {
+			t.Fatal("hit in an untouched array")
+		}
+	}); n != 0 {
+		t.Fatalf("lookup on an untouched array allocated %v objects", n)
+	}
+	a.Install(a.Victim(0), 0, mem.Line{}, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		a.Lookup(0x4010)
+		a.Peek(0x8010)
+	}); n != 0 {
+		t.Fatalf("lookup on an untouched set allocated %v objects", n)
+	}
+	if a.CountValid() != 1 {
+		t.Fatalf("misses materialized lines: %d valid", a.CountValid())
 	}
 }

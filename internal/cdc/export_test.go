@@ -1,0 +1,13 @@
+package cdc
+
+import "duet/internal/sim"
+
+// PushBlocking pushes payload, parking thread t while the FIFO is full.
+func (f *Fifo) PushBlocking(t *sim.Thread, payload interface{}, tx *sim.TX) {
+	for !f.TryPush(payload, tx) {
+		f.notFull.Wait(t)
+	}
+}
+
+// Backlog reports entries accepted but not yet in the FIFO.
+func (p *Pusher) Backlog() int { return p.n }

@@ -40,7 +40,11 @@ type Fifo struct {
 	depth      int
 	syncStages int
 
-	queue []entry
+	// ring holds the stored entries: n of them from head, wrapping. The
+	// writer never sees more than depth slots in use, so depth slots
+	// always suffice; they are allocated on the first push.
+	ring    []entry
+	head, n int
 	// freeAt[i] holds times at which previously-consumed slots become
 	// visible to the writer again.
 	pendingFree []sim.Time
@@ -84,7 +88,7 @@ func (f *Fifo) Depth() int { return f.depth }
 // now: everything in the queue plus consumed slots whose release has not yet
 // crossed the synchronizer back.
 func (f *Fifo) occupancySeenByWriter(now sim.Time) int {
-	n := len(f.queue)
+	n := f.n
 	for _, t := range f.pendingFree {
 		if t > now {
 			n++
@@ -109,27 +113,24 @@ func (f *Fifo) TryPush(payload interface{}, tx *sim.TX) bool {
 	}
 	wedge := f.wclk.NextEdge(now)
 	visible := f.rclk.EdgesAfter(wedge, int64(f.syncStages))
-	f.queue = append(f.queue, entry{payload: payload, writtenAt: wedge, visibleAt: visible, tx: tx})
+	if f.ring == nil {
+		f.ring = make([]entry, f.depth)
+	}
+	f.ring[(f.head+f.n)%f.depth] = entry{payload: payload, writtenAt: wedge, visibleAt: visible, tx: tx}
+	f.n++
 	f.Pushed++
 	// Wake potential readers when the entry becomes visible.
 	f.notEmpty.BroadcastAt(visible)
 	return true
 }
 
-// PushBlocking pushes payload, parking thread t while the FIFO is full.
-func (f *Fifo) PushBlocking(t *sim.Thread, payload interface{}, tx *sim.TX) {
-	for !f.TryPush(payload, tx) {
-		f.notFull.Wait(t)
-	}
-}
-
 // headVisible reports whether the head entry is poppable at now.
 func (f *Fifo) headVisible(now sim.Time) bool {
-	return len(f.queue) > 0 && f.queue[0].visibleAt <= now
+	return f.n > 0 && f.ring[f.head].visibleAt <= now
 }
 
 // Len reports the number of entries currently stored (visible or not).
-func (f *Fifo) Len() int { return len(f.queue) }
+func (f *Fifo) Len() int { return f.n }
 
 // TryPop pops the head entry if it is visible at the current time. The
 // pop is committed at the next reader-clock edge at or after now (now is
@@ -140,8 +141,10 @@ func (f *Fifo) TryPop() (interface{}, *sim.TX, bool) {
 	if !f.headVisible(now) {
 		return nil, nil, false
 	}
-	e := f.queue[0]
-	f.queue = f.queue[1:]
+	e := f.ring[f.head]
+	f.ring[f.head] = entry{}
+	f.head = (f.head + 1) % f.depth
+	f.n--
 	f.Popped++
 	redge := f.rclk.NextEdge(now)
 	// The slot is returned to the writer once the read pointer crosses the

@@ -9,7 +9,8 @@ import "duet/internal/sim"
 type Pusher struct {
 	eng     *sim.Engine
 	f       *Fifo
-	q       []queued
+	q       []queued // ring of entries not yet in the FIFO: n of them from head
+	head, n int
 	busy    bool
 	drainEv sim.Event // pre-built retry record; rescheduled, never rebuilt
 }
@@ -32,25 +33,38 @@ func NewPusher(eng *sim.Engine, f *Fifo) *Pusher {
 // Push enqueues payload; it is committed to the FIFO in Push-call order as
 // space becomes available.
 func (p *Pusher) Push(payload interface{}, tx *sim.TX) {
-	p.q = append(p.q, queued{payload, tx})
+	if p.n == len(p.q) {
+		p.grow()
+	}
+	p.q[(p.head+p.n)%len(p.q)] = queued{payload, tx}
+	p.n++
 	if !p.busy {
 		p.drain()
 	}
 }
 
-// Backlog reports entries accepted but not yet in the FIFO.
-func (p *Pusher) Backlog() int { return len(p.q) }
+// grow doubles the ring, unwrapping it so the oldest entry is first.
+func (p *Pusher) grow() {
+	q := make([]queued, max(4, 2*len(p.q)))
+	for i := 0; i < p.n; i++ {
+		q[i] = p.q[(p.head+i)%len(p.q)]
+	}
+	p.q, p.head = q, 0
+}
 
 func (p *Pusher) drain() {
-	for len(p.q) > 0 {
-		if !p.f.TryPush(p.q[0].payload, p.q[0].tx) {
+	for p.n > 0 {
+		e := p.q[p.head]
+		if !p.f.TryPush(e.payload, e.tx) {
 			// Full: retry at the next writer edge. The busy flag keeps
 			// later Push calls queued behind us.
 			p.busy = true
 			p.eng.AtEvent(p.f.WriterClock().EdgeAfter(p.eng.Now()), &p.drainEv)
 			return
 		}
-		p.q = p.q[1:]
+		p.q[p.head] = queued{}
+		p.head = (p.head + 1) % len(p.q)
+		p.n--
 	}
 	p.busy = false
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,6 +244,43 @@ func TestMergeExactQuantiles(t *testing.T) {
 	}
 	if m.Completed != 10 {
 		t.Fatalf("merged completed = %d", m.Completed)
+	}
+}
+
+// TestMergeSingleExactShard: a one-shard merge returns the shard's own
+// Stats, and that Stats is what pooling and ranking its exact-mode
+// samples would give, so skipping the pooled copy changes nothing.
+func TestMergeSingleExactShard(t *testing.T) {
+	r, err := runSlice(cluster.Config{Shards: 1, Seed: 9, NewReplica: newReplica(sched.Affinity, -1)}, stream(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := r.PerShard[0]
+	if sr.Digest != nil || len(sr.Sojourns) != sr.Stats.Completed || sr.Stats.Completed == 0 {
+		t.Fatalf("want an exact-mode shard with samples: %d samples, %d completed", len(sr.Sojourns), sr.Stats.Completed)
+	}
+	if !reflect.DeepEqual(r.Merged, sr.Stats) {
+		t.Fatalf("1-shard merge is not the shard's Stats:\n%+v\n%+v", r.Merged, sr.Stats)
+	}
+	want := sched.Stats{Counters: sr.Stats.Counters, Makespan: sr.Stats.Makespan, Fabrics: sr.Stats.Fabrics}
+	want.Summarize(slices.Clone(sr.Sojourns), nil, sr.WaitSum, sr.ServiceSum)
+	if !reflect.DeepEqual(r.Merged, want) {
+		t.Fatalf("1-shard merge differs from its pooled samples:\n%+v\n%+v", r.Merged, want)
+	}
+}
+
+// TestMergeSingleShardAllocs: merging one exact shard costs O(1) heap
+// objects however many samples it holds; it used to copy and sort them.
+func TestMergeSingleShardAllocs(t *testing.T) {
+	sr := cluster.ShardResult{Sojourns: make([]sim.Time, 100_000)}
+	for i := range sr.Sojourns {
+		sr.Sojourns[i] = sim.Time((i * 7919) % 100_000)
+	}
+	sr.Stats.Completed = len(sr.Sojourns)
+	sr.Stats.Fabrics = []sched.FabricStats{{Name: "f0"}, {Name: "f1"}}
+	shards := []cluster.ShardResult{sr}
+	if n := testing.AllocsPerRun(10, func() { cluster.Merge(shards) }); n > 1 {
+		t.Fatalf("1-shard merge of %d samples allocated %v objects per run, want at most 1", len(sr.Sojourns), n)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -22,7 +23,14 @@ import (
 //
 // With a single shard the merge is the identity on its Stats, which is
 // what ties the cluster's determinism contract back to workload.Serve.
+// Drive builds that Stats from the same samples (sched.Scheduler.Stats),
+// so Merge returns it as is rather than pooling and re-sorting a copy.
 func Merge(shards []ShardResult) sched.Stats {
+	if len(shards) == 1 {
+		m := shards[0].Stats
+		m.Fabrics = slices.Clone(m.Fabrics)
+		return m
+	}
 	var m sched.Stats
 	var sojourns []sim.Time
 	var digest *sched.Digest
@@ -51,15 +59,12 @@ func Merge(shards []ShardResult) sched.Stats {
 	m.Summarize(sojourns, digest, waits, services)
 	for si, s := range shards {
 		for _, f := range s.Stats.Fabrics {
-			if len(shards) > 1 {
-				// Prefix fabric names with their shard and rebase
-				// utilization onto the cluster-wide makespan so every row
-				// shares one denominator. Single-shard merges keep the
-				// shard's own view, exactly matching a plain Serve run.
-				f.Name = fmt.Sprintf("s%d/%s", si, f.Name)
-				if m.Makespan > 0 {
-					f.Utilization = float64(f.Busy) / float64(m.Makespan)
-				}
+			// Prefix fabric names with their shard and rebase utilization
+			// onto the cluster-wide makespan so every row shares one
+			// denominator.
+			f.Name = fmt.Sprintf("s%d/%s", si, f.Name)
+			if m.Makespan > 0 {
+				f.Utilization = float64(f.Busy) / float64(m.Makespan)
 			}
 			m.Fabrics = append(m.Fabrics, f)
 		}

@@ -95,7 +95,7 @@ func CheckCoherence(d *Domain) error {
 					return fmt.Errorf("line %#x: directory owner %d holds %s", line, de.owner, StateName(s))
 				}
 			}
-			for id := range de.sharers {
+			for _, id := range de.sharers {
 				c := d.caches[id]
 				if c == nil {
 					return fmt.Errorf("line %#x: directory sharer %d unknown", line, id)

@@ -17,7 +17,7 @@ type testRig struct {
 	caches []*PCache
 }
 
-func newRig(t *testing.T, nCaches int) *testRig {
+func newRig(t testing.TB, nCaches int) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	clk := sim.NewClock("fast", params.CPUClockPS)

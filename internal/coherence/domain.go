@@ -21,6 +21,7 @@ type Domain struct {
 	Homes []*Home
 
 	homeTiles []int
+	pool      msgPool                // every protocol message of the domain
 	caches    map[int]*PCache        // cache ID -> cache
 	tileRx    map[int]func(*noc.Msg) // VN2 receivers per tile (after dispatch)
 	byTile    map[int]map[int]bool   // tile -> cache IDs
@@ -42,7 +43,7 @@ func NewDomain(eng *sim.Engine, mesh *noc.Mesh, homeTiles []int) *Domain {
 		byTile:    make(map[int]map[int]bool),
 	}
 	for _, t := range homeTiles {
-		d.Homes = append(d.Homes, NewHome(eng, mesh.Clock(), mesh, t, d.DRAM))
+		d.Homes = append(d.Homes, newHome(eng, mesh.Clock(), mesh, t, d.DRAM, &d.pool))
 	}
 	return d
 }
@@ -61,7 +62,7 @@ func (d *Domain) HomeFor(line uint64) *Home {
 
 // NewCache creates and attaches a fast-domain private cache.
 func (d *Domain) NewCache(cfg PCacheConfig) *PCache {
-	c := NewPCache(d.Eng, d.Mesh, cfg, d.HomeOf, nil)
+	c := newPCache(d.Eng, d.Mesh, cfg, d.HomeOf, nil, &d.pool)
 	d.attach(c, nil)
 	return c
 }
@@ -73,7 +74,7 @@ func (d *Domain) NewSlowCache(cfg PCacheConfig, slowClk *sim.Clock) *PCache {
 	br := newBridge(d.Eng, d.Mesh, cfg.Tile, d.Mesh.Clock(), slowClk)
 	cfg.Clk = slowClk
 	cfg.Cat = sim.CatSlow
-	c := NewPCache(d.Eng, d.Mesh, cfg, d.HomeOf, br)
+	c := newPCache(d.Eng, d.Mesh, cfg, d.HomeOf, br, &d.pool)
 	br.cache = c
 	d.attach(c, br)
 	return c
@@ -96,7 +97,7 @@ func (d *Domain) attach(c *PCache, br *cdcBridge) {
 	if br != nil {
 		d.tileRxSet(c.ID(), br.receiveFromNoC)
 	} else {
-		d.tileRxSet(c.ID(), func(m *noc.Msg) { deliver(c, m) })
+		d.tileRxSet(c.ID(), func(m *noc.Msg) { deliver(c, m.Payload, m.TX) })
 	}
 }
 
@@ -121,12 +122,12 @@ func (d *Domain) dispatchVN2(tile int, m *noc.Msg) {
 	rx(m)
 }
 
-func deliver(c *PCache, m *noc.Msg) {
-	switch p := m.Payload.(type) {
+func deliver(c *PCache, payload any, tx *sim.TX) {
+	switch p := payload.(type) {
 	case *RespMsg:
-		c.DeliverResp(p, m.TX)
+		c.DeliverResp(p, tx)
 	case *FwdMsg:
-		c.DeliverFwd(p, m.TX)
+		c.DeliverFwd(p, tx)
 	}
 }
 
@@ -187,7 +188,7 @@ func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.
 	eng.Go(fmt.Sprintf("bridge%d.inpump", tile), func(t *sim.Thread) {
 		for {
 			v, tx := b.in.PopBlocking(t)
-			deliver(b.cache, &noc.Msg{Payload: v, TX: tx})
+			deliver(b.cache, v, tx)
 		}
 	})
 	eng.Go(fmt.Sprintf("bridge%d.outpump", tile), func(t *sim.Thread) {

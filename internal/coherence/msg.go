@@ -22,6 +22,7 @@ package coherence
 
 import (
 	"duet/internal/mem"
+	"duet/internal/noc"
 )
 
 // Private-cache line states (MESI).
@@ -96,6 +97,8 @@ type ReqMsg struct {
 	Operand  uint64
 	Operand2 uint64
 	Op       AmoOp
+
+	msg noc.Msg // the network envelope carrying this request
 }
 
 // FwdType enumerates home→cache forward types.
@@ -120,6 +123,8 @@ type FwdMsg struct {
 	Type FwdType
 	Line uint64
 	To   int
+
+	msg noc.Msg // the network envelope; its TX travels to the handler
 }
 
 // RespKind enumerates home→cache response kinds.
@@ -146,6 +151,8 @@ type RespMsg struct {
 	Data  mem.Line
 	Old   [8]byte // AMO old value (little-endian, Size bytes valid)
 	To    int
+
+	msg noc.Msg // the network envelope; its TX travels to the handler
 }
 
 // AckMsg is a cache→home forward acknowledgement (VN3).
@@ -156,6 +163,46 @@ type AckMsg struct {
 	Dirty   bool // Data carries modified content
 	FromWB  bool // served from the write-back buffer: drop sender from directory
 	Data    mem.Line
+
+	msg noc.Msg // the network envelope carrying this ack
+}
+
+// msgPool recycles one Domain's protocol messages. Every message embeds
+// the noc.Msg that carries it, so a recycled message costs no allocation
+// at all. A message goes back to its list at the one point where its last
+// reader is done with it, and nothing may keep its pointer past that
+// point (put zeroes the record, so a late reader sees line 0 and no data):
+//
+//   - a ReqMsg once Home.process has run its transaction;
+//   - an AckMsg once the caller of Home.collectAcks has read it
+//     (Home.releaseAcks);
+//   - a RespMsg or FwdMsg once its PCache handler is finished with it.
+type msgPool struct {
+	reqs  freeList[ReqMsg]
+	resps freeList[RespMsg]
+	fwds  freeList[FwdMsg]
+	acks  freeList[AckMsg]
+}
+
+// freeList is a LIFO of zeroed records. get returns a zero record; put
+// zeroes x and keeps it for the next get.
+type freeList[T any] struct{ free []*T }
+
+func (l *freeList[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	l.free = append(l.free, x)
 }
 
 // Message payload sizes in bytes, used for NoC serialization.

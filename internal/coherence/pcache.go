@@ -56,23 +56,40 @@ const (
 	opAmo
 )
 
+// frontOp is one front-side access. It is recycled through the cache's
+// free list once it completes (see complete).
 type frontOp struct {
 	kind     opKind
 	addr     uint64
 	size     int
-	data     []byte
+	data     []byte // store data: buf[:size] unless it exceeds a line
+	buf      [mem.LineBytes]byte
 	vpn      uint64
 	amoOp    AmoOp
 	operand  uint64
 	operand2 uint64
 	tx       *sim.TX
-	done     func(result []byte)
+
+	// Exactly one completion: the async callback of the op's kind, or a
+	// blocking caller's thread, which reads the result (res, old) itself
+	// once finished is set.
+	onLoad   func([]byte)
+	onStore  func()
+	onAmo    func(old uint64)
+	waiter   *sim.Thread
+	res      []byte
+	old      uint64
+	finished bool
 }
 
+// mshr is one outstanding miss. It is recycled once its response has been
+// handled and its pending ops resubmitted.
 type mshr struct {
 	line    uint64
+	rt      ReqType
 	op      *frontOp
 	pending []*frontOp
+	resp    *RespMsg // an AMO or WT response awaiting its one-cycle completion
 }
 
 type wbEntry struct {
@@ -92,15 +109,21 @@ type PCache struct {
 	port OutPort
 
 	homeOf func(line uint64) int // line -> home tile
+	pool   *msgPool              // the domain's protocol messages
 
 	mshrs   map[uint64]*mshr
 	wb      map[uint64]*wbEntry
 	stalled []*frontOp
 
-	// lookupFn is the one tag-lookup callback for the cache; submit
-	// schedules it with the front op as the event argument, so the
-	// per-access front end allocates no closure.
-	lookupFn func(any)
+	// Free lists of the cache's own transaction records.
+	freeOps  freeList[frontOp]
+	freeMSHR freeList[mshr]
+	freeWB   freeList[wbEntry]
+
+	// eventFn is the cache's one event callback (see step), built once:
+	// every delayed step is scheduled with its record as the event
+	// argument, so no access or message allocates a closure.
+	eventFn func(any)
 
 	// Stats.
 	Loads, Stores, Amos     uint64
@@ -110,9 +133,10 @@ type PCache struct {
 	AbsentFwds              uint64
 }
 
-// NewPCache creates a private cache. homeOf maps a line address to its
-// home tile; port may be nil to send directly into the mesh.
-func NewPCache(eng *sim.Engine, mesh *noc.Mesh, cfg PCacheConfig, homeOf func(uint64) int, port OutPort) *PCache {
+// newPCache creates a private cache drawing its messages from pool. homeOf
+// maps a line address to its home tile; port may be nil to send directly
+// into the mesh.
+func newPCache(eng *sim.Engine, mesh *noc.Mesh, cfg PCacheConfig, homeOf func(uint64) int, port OutPort, pool *msgPool) *PCache {
 	if port == nil {
 		port = meshPort{mesh}
 	}
@@ -125,10 +149,11 @@ func NewPCache(eng *sim.Engine, mesh *noc.Mesh, cfg PCacheConfig, homeOf func(ui
 		arr:    cache.NewArray(cfg.SizeBytes, cfg.Ways),
 		port:   port,
 		homeOf: homeOf,
+		pool:   pool,
 		mshrs:  make(map[uint64]*mshr),
 		wb:     make(map[uint64]*wbEntry),
 	}
-	c.lookupFn = func(a any) { c.lookup(a.(*frontOp)) }
+	c.eventFn = c.step
 	return c
 }
 
@@ -148,92 +173,151 @@ func (c *PCache) Tile() int { return c.cfg.Tile }
 // Name reports the cache's name.
 func (c *PCache) Name() string { return c.cfg.Name }
 
-// after runs fn n cache-clock cycles from now, attributing the delay to
-// the cache's latency category on tx.
-func (c *PCache) after(n int64, tx *sim.TX, fn func()) {
+// after runs step(rec) n cache-clock cycles from now, attributing the
+// delay to the cache's latency category on tx.
+func (c *PCache) after(n int64, tx *sim.TX, rec any) {
 	now := c.eng.Now()
 	at := c.cfg.Clk.EdgesAfter(now, n)
 	tx.Add(c.cfg.Cat, at-now)
-	c.eng.At(at, fn)
+	c.eng.AtArg(at, c.eventFn, rec)
 }
 
-// afterArg is the closure-free variant of after for the cache's cached
-// callbacks (see lookupFn).
-func (c *PCache) afterArg(n int64, tx *sim.TX, fn func(any), arg any) {
-	now := c.eng.Now()
-	at := c.cfg.Clk.EdgesAfter(now, n)
-	tx.Add(c.cfg.Cat, at-now)
-	c.eng.AtArg(at, fn, arg)
+// step runs a delayed step for rec; the record's type says which: a front
+// op's tag lookup, an MSHR's request issue (or, once its AMO or WT
+// response is in, its completion), a grant's fill, or a forward.
+func (c *PCache) step(rec any) {
+	switch r := rec.(type) {
+	case *frontOp:
+		c.lookup(r)
+	case *mshr:
+		if r.resp == nil {
+			c.issue(r)
+		} else {
+			c.respDone(r)
+		}
+	case *RespMsg:
+		c.fill(r)
+	case *FwdMsg:
+		c.handleFwd(r)
+	}
+}
+
+// newOp returns a zeroed front op from the free list.
+func (c *PCache) newOp(kind opKind, addr uint64, size int, vpn uint64, tx *sim.TX) *frontOp {
+	op := c.freeOps.get()
+	op.kind, op.addr, op.size, op.vpn, op.tx = kind, addr, size, vpn, tx
+	return op
+}
+
+// setData copies store data into the op, inline when it fits a line.
+func (op *frontOp) setData(data []byte) {
+	if len(data) <= len(op.buf) {
+		op.data = op.buf[:len(data)]
+	} else {
+		op.data = make([]byte, len(data))
+	}
+	copy(op.data, data)
+}
+
+// complete finishes op with its result (load data, or an AMO's
+// little-endian old value). An async op runs its callback and goes back to
+// the free list; a blocking op wakes its caller, which reads the result
+// and frees it.
+func (c *PCache) complete(op *frontOp, res []byte) {
+	if op.kind == opAmo {
+		for i := range res {
+			op.old |= uint64(res[i]) << (8 * i)
+		}
+		res = nil // it aliases the response, which is released next
+	}
+	if op.waiter != nil {
+		op.res, op.finished = res, true
+		op.waiter.Wake()
+		return
+	}
+	switch op.kind {
+	case opLoad:
+		op.onLoad(res)
+	case opStore:
+		op.onStore()
+	case opAmo:
+		op.onAmo(op.old)
+	}
+	c.freeOps.put(op)
+}
+
+// await parks t until op completes, then frees op.
+func (c *PCache) await(t *sim.Thread, op *frontOp) (res []byte, old uint64) {
+	for !op.finished {
+		t.Park()
+	}
+	res, old = op.res, op.old
+	c.freeOps.put(op)
+	return res, old
 }
 
 // LoadAsync reads size bytes at addr, calling done with the data when the
 // access completes. vpn tags the line for reverse mapping (0 if unused).
 func (c *PCache) LoadAsync(addr uint64, size int, vpn uint64, tx *sim.TX, done func([]byte)) {
 	c.Loads++
-	c.submit(&frontOp{kind: opLoad, addr: addr, size: size, vpn: vpn, tx: tx, done: done})
+	op := c.newOp(opLoad, addr, size, vpn, tx)
+	op.onLoad = done
+	c.submit(op)
 }
 
 // StoreAsync writes data at addr, calling done when the store commits.
 func (c *PCache) StoreAsync(addr uint64, data []byte, vpn uint64, tx *sim.TX, done func()) {
 	c.Stores++
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.submit(&frontOp{kind: opStore, addr: addr, size: len(data), data: cp, vpn: vpn, tx: tx,
-		done: func([]byte) { done() }})
+	op := c.newOp(opStore, addr, len(data), vpn, tx)
+	op.setData(data)
+	op.onStore = done
+	c.submit(op)
 }
 
 // AmoAsync performs a home-side atomic, calling done with the old value.
 func (c *PCache) AmoAsync(op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX, done func(old uint64)) {
 	c.Amos++
-	c.submit(&frontOp{kind: opAmo, addr: addr, size: size, amoOp: op, operand: operand, operand2: operand2, tx: tx,
-		done: func(res []byte) {
-			var v uint64
-			for i := 0; i < len(res); i++ {
-				v |= uint64(res[i]) << (8 * i)
-			}
-			done(v)
-		}})
+	o := c.newAmo(op, addr, size, operand, operand2, tx)
+	o.onAmo = done
+	c.submit(o)
 }
 
-// Load is the blocking wrapper over LoadAsync for thread-style callers.
+func (c *PCache) newAmo(op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX) *frontOp {
+	o := c.newOp(opAmo, addr, size, 0, tx)
+	o.amoOp, o.operand, o.operand2 = op, operand, operand2
+	return o
+}
+
+// Load is the blocking counterpart of LoadAsync for thread-style callers.
 // The calling thread is the only possible waiter, so completion wakes it
 // directly (Thread.Wake) instead of through a per-call condition.
 func (c *PCache) Load(t *sim.Thread, addr uint64, size int, tx *sim.TX) []byte {
-	var out []byte
-	c.LoadAsync(addr, size, 0, tx, func(d []byte) {
-		out = d
-		t.Wake()
-	})
-	for out == nil {
-		t.Park()
-	}
-	return out
+	c.Loads++
+	op := c.newOp(opLoad, addr, size, 0, tx)
+	op.waiter = t
+	c.submit(op)
+	res, _ := c.await(t, op)
+	return res
 }
 
-// Store is the blocking wrapper over StoreAsync.
+// Store is the blocking counterpart of StoreAsync.
 func (c *PCache) Store(t *sim.Thread, addr uint64, data []byte, tx *sim.TX) {
-	ok := false
-	c.StoreAsync(addr, data, 0, tx, func() {
-		ok = true
-		t.Wake()
-	})
-	for !ok {
-		t.Park()
-	}
+	c.Stores++
+	op := c.newOp(opStore, addr, len(data), 0, tx)
+	op.setData(data)
+	op.waiter = t
+	c.submit(op)
+	c.await(t, op)
 }
 
-// Amo is the blocking wrapper over AmoAsync.
+// Amo is the blocking counterpart of AmoAsync.
 func (c *PCache) Amo(t *sim.Thread, op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX) uint64 {
-	var out uint64
-	ok := false
-	c.AmoAsync(op, addr, size, operand, operand2, tx, func(v uint64) {
-		out, ok = v, true
-		t.Wake()
-	})
-	for !ok {
-		t.Park()
-	}
-	return out
+	c.Amos++
+	o := c.newAmo(op, addr, size, operand, operand2, tx)
+	o.waiter = t
+	c.submit(o)
+	_, old := c.await(t, o)
+	return old
 }
 
 func (c *PCache) submit(op *frontOp) {
@@ -246,7 +330,7 @@ func (c *PCache) submit(op *frontOp) {
 		w.pending = append(w.pending, op)
 		return
 	}
-	c.afterArg(c.cfg.HitCycles, op.tx, c.lookupFn, op)
+	c.after(c.cfg.HitCycles, op.tx, op)
 }
 
 func (c *PCache) lookup(op *frontOp) {
@@ -280,7 +364,7 @@ func (c *PCache) lookup(op *frontOp) {
 			}
 			out := make([]byte, op.size)
 			copy(out, w.Data[off:off+op.size])
-			op.done(out)
+			c.complete(op, out)
 			return
 		}
 		c.LoadMisses++
@@ -293,7 +377,7 @@ func (c *PCache) lookup(op *frontOp) {
 			if op.vpn != 0 {
 				w.VPN = op.vpn
 			}
-			op.done(nil)
+			c.complete(op, nil)
 			return
 		}
 		if c.cfg.WriteNoAllocate {
@@ -311,88 +395,112 @@ func (c *PCache) lookup(op *frontOp) {
 	}
 }
 
-// miss allocates an MSHR and sends the request to the home.
+// miss allocates an MSHR and, MissIssueCycles later, sends the request
+// to the home.
 func (c *PCache) miss(op *frontOp, rt ReqType) {
-	line := mem.LineAddr(op.addr)
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		c.stalled = append(c.stalled, op)
 		return
 	}
-	m := &mshr{line: line, op: op}
-	c.mshrs[line] = m
-	c.after(c.cfg.MissIssueCycles, op.tx, func() {
-		req := &ReqMsg{Type: rt, Line: line, CacheID: c.cfg.ID, Addr: op.addr, Size: op.size}
-		switch rt {
-		case ReqAmo:
-			req.Op = op.amoOp
-			req.Operand = op.operand
-			req.Operand2 = op.operand2
-		case ReqWT:
-			req.Bytes = op.data
-		}
-		c.send(req, op.tx)
-	})
+	m := c.freeMSHR.get()
+	m.line, m.rt, m.op = mem.LineAddr(op.addr), rt, op
+	c.mshrs[m.line] = m
+	c.after(c.cfg.MissIssueCycles, op.tx, m)
+}
+
+// issue builds and sends an MSHR's request.
+func (c *PCache) issue(m *mshr) {
+	op := m.op
+	req := c.pool.reqs.get()
+	req.Type, req.Line, req.CacheID, req.Addr, req.Size = m.rt, m.line, c.cfg.ID, op.addr, op.size
+	switch m.rt {
+	case ReqAmo:
+		req.Op = op.amoOp
+		req.Operand = op.operand
+		req.Operand2 = op.operand2
+	case ReqWT:
+		// The op outlives the request: it completes only on the WTAck,
+		// after the home has processed (and released) the request.
+		req.Bytes = op.data
+	}
+	c.send(req, op.tx)
 }
 
 func (c *PCache) send(req *ReqMsg, tx *sim.TX) {
-	c.port.Send(&noc.Msg{
+	req.msg = noc.Msg{
 		Src:     c.cfg.Tile,
 		Dst:     c.homeOf(req.Line),
 		VN:      noc.VNReq,
 		Bytes:   ReqBytes(req),
 		Payload: req,
 		TX:      tx,
-	})
+	}
+	c.port.Send(&req.msg)
 }
 
-func (c *PCache) sendAck(ack *AckMsg, tx *sim.TX) {
-	c.port.Send(&noc.Msg{
+// sendAck sends a pooled forward acknowledgement to line's home.
+func (c *PCache) sendAck(line uint64, present, dirty, fromWB bool, data mem.Line, tx *sim.TX) {
+	ack := c.pool.acks.get()
+	ack.Line, ack.CacheID = line, c.cfg.ID
+	ack.Present, ack.Dirty, ack.FromWB, ack.Data = present, dirty, fromWB, data
+	ack.msg = noc.Msg{
 		Src:     c.cfg.Tile,
-		Dst:     c.homeOf(ack.Line),
+		Dst:     c.homeOf(line),
 		VN:      noc.VNData,
 		Bytes:   AckBytes(ack),
 		Payload: ack,
 		TX:      tx,
-	})
+	}
+	c.port.Send(&ack.msg)
 }
 
 // DeliverResp handles a home→cache response. Callers (tile dispatcher or
 // CDC bridge) invoke it at the time the message reaches the cache's clock
-// domain.
+// domain. The cache owns r from here on and returns it to the domain's
+// pool once its handler is done with it.
 func (c *PCache) DeliverResp(r *RespMsg, tx *sim.TX) {
+	r.msg.TX = tx // the deferred handlers read tx from the envelope
 	switch r.Kind {
 	case RespData:
-		c.after(c.cfg.FillCycles, tx, func() { c.fill(r, tx) })
-	case RespAmo:
+		c.after(c.cfg.FillCycles, tx, r)
+	case RespAmo, RespWTAck:
 		m := c.takeMSHR(r.Line)
-		c.after(1, tx, func() {
-			m.op.done(r.Old[:m.op.size])
-			c.drain(m)
-		})
-	case RespWTAck:
-		m := c.takeMSHR(r.Line)
-		c.after(1, tx, func() {
-			// Refresh a retained S copy with the home's updated line.
-			if w := c.arr.Peek(r.Line); w != nil && w.State == StateS {
-				w.Data = r.Data
-			}
-			m.op.done(nil)
-			c.drain(m)
-		})
+		m.resp = r
+		c.after(1, tx, m)
 	case RespWBAck, RespWBStale:
 		e := c.wb[r.Line]
 		if e == nil {
 			panic(fmt.Sprintf("%s: WB response without WB entry %#x", c.cfg.Name, r.Line))
 		}
 		delete(c.wb, r.Line)
-		pend := e.pending
-		for _, op := range pend {
+		c.pool.resps.put(r) // an ack carries nothing more to read
+		for _, op := range e.pending {
 			c.submit(op)
 		}
+		c.freeWB.put(e) // its pending ops are resubmitted
 		c.retryStalled()
 	default:
 		panic("pcache: unknown response kind")
 	}
+}
+
+// respDone completes an AMO or write-through MSHR one cycle after its
+// response arrived.
+func (c *PCache) respDone(m *mshr) {
+	r := m.resp
+	switch r.Kind {
+	case RespAmo:
+		c.complete(m.op, r.Old[:m.op.size])
+	case RespWTAck:
+		// Refresh a retained S copy with the home's updated line.
+		if w := c.arr.Peek(r.Line); w != nil && w.State == StateS {
+			w.Data = r.Data
+		}
+		c.complete(m.op, nil)
+	}
+	c.pool.resps.put(r) // result and refresh data are consumed
+	c.drain(m)
+	c.freeMSHR.put(m) // the op is complete and its waiters resubmitted
 }
 
 func (c *PCache) takeMSHR(line uint64) *mshr {
@@ -405,7 +513,8 @@ func (c *PCache) takeMSHR(line uint64) *mshr {
 }
 
 // fill installs a granted line and completes the MSHR's operations.
-func (c *PCache) fill(r *RespMsg, tx *sim.TX) {
+func (c *PCache) fill(r *RespMsg) {
+	tx := r.msg.TX
 	m := c.mshrs[r.Line]
 	if m == nil {
 		panic(fmt.Sprintf("%s: fill without MSHR for %#x", c.cfg.Name, r.Line))
@@ -420,15 +529,16 @@ func (c *PCache) fill(r *RespMsg, tx *sim.TX) {
 		w = c.pickVictim(r.Line)
 		if w == nil {
 			// Every way in the set is transient; retry shortly.
-			c.after(1, tx, func() { c.fill(r, tx) })
+			c.after(1, tx, r)
 			return
 		}
 		if w.Valid {
-			c.evict(w, tx)
+			c.evict(w)
 		}
 		w = c.arr.Install(w, r.Line, r.Data, r.Grant)
 	}
 	delete(c.mshrs, r.Line)
+	c.pool.resps.put(r) // the grant is installed in w
 	op := m.op
 	off := mem.Offset(op.addr)
 	switch op.kind {
@@ -438,7 +548,7 @@ func (c *PCache) fill(r *RespMsg, tx *sim.TX) {
 		}
 		out := make([]byte, op.size)
 		copy(out, w.Data[off:off+op.size])
-		op.done(out)
+		c.complete(op, out)
 	case opStore:
 		copy(w.Data[off:off+op.size], op.data)
 		w.State = StateM
@@ -446,11 +556,12 @@ func (c *PCache) fill(r *RespMsg, tx *sim.TX) {
 		if op.vpn != 0 {
 			w.VPN = op.vpn
 		}
-		op.done(nil)
+		c.complete(op, nil)
 	default:
 		panic("pcache: fill for non-load/store")
 	}
 	c.drain(m)
+	c.freeMSHR.put(m) // the op is complete and its waiters resubmitted
 }
 
 // drain resubmits an emptied MSHR's pending ops and retries stalled ones.
@@ -494,44 +605,47 @@ func (c *PCache) pickVictim(line uint64) *cache.Way {
 
 // evict pushes a valid line into the WB buffer and sends the write-back
 // transaction.
-func (c *PCache) evict(w *cache.Way, tx *sim.TX) {
+func (c *PCache) evict(w *cache.Way) {
 	c.Evictions++
 	line := w.Tag
-	e := &wbEntry{data: w.Data, dirty: w.Dirty && w.State == StateM, vpn: w.VPN}
+	e := c.freeWB.get()
+	e.data, e.dirty, e.vpn = w.Data, w.Dirty && w.State == StateM, w.VPN
 	c.wb[line] = e
 	if c.cfg.OnLineLost != nil {
 		c.cfg.OnLineLost(line, w.VPN)
 	}
 	c.arr.Invalidate(w)
-	req := &ReqMsg{Type: ReqWB, Line: line, CacheID: c.cfg.ID, Data: e.data, Dirty: e.dirty}
+	req := c.pool.reqs.get()
+	req.Type, req.Line, req.CacheID, req.Data, req.Dirty = ReqWB, line, c.cfg.ID, e.data, e.dirty
 	c.send(req, nil)
 }
 
-// DeliverFwd handles a home→cache forward (invalidate or downgrade).
+// DeliverFwd handles a home→cache forward (invalidate or downgrade). The
+// cache owns f from here on and returns it to the domain's pool once
+// handled.
 func (c *PCache) DeliverFwd(f *FwdMsg, tx *sim.TX) {
 	c.FwdsSeen++
-	c.after(c.cfg.FwdCycles, tx, func() { c.handleFwd(f, tx) })
+	f.msg.TX = tx // handleFwd reads tx from the envelope
+	c.after(c.cfg.FwdCycles, tx, f)
 }
 
-func (c *PCache) handleFwd(f *FwdMsg, tx *sim.TX) {
-	line := f.Line
+func (c *PCache) handleFwd(f *FwdMsg) {
+	line, typ, tx := f.Line, f.Type, f.msg.TX
+	c.pool.fwds.put(f) // every field is read
+
 	if w := c.arr.Peek(line); w != nil {
-		ack := &AckMsg{Line: line, CacheID: c.cfg.ID, Present: true}
-		switch f.Type {
+		dirty, data := w.Dirty && w.State == StateM, w.Data
+		switch typ {
 		case FwdInv:
-			ack.Dirty = w.Dirty && w.State == StateM
-			ack.Data = w.Data
 			if c.cfg.OnLineLost != nil {
 				c.cfg.OnLineLost(line, w.VPN)
 			}
 			c.arr.Invalidate(w)
 		case FwdDowngrade:
-			ack.Dirty = w.Dirty && w.State == StateM
-			ack.Data = w.Data
 			w.State = StateS
 			w.Dirty = false
 		}
-		c.sendAck(ack, tx)
+		c.sendAck(line, true, dirty, false, data, tx)
 		return
 	}
 	if e := c.wb[line]; e != nil && !e.surrendered {
@@ -539,12 +653,12 @@ func (c *PCache) handleFwd(f *FwdMsg, tx *sim.TX) {
 		// let the home reject the WB as stale.
 		c.Surrenders++
 		e.surrendered = true
-		c.sendAck(&AckMsg{Line: line, CacheID: c.cfg.ID, Present: true, Dirty: e.dirty, FromWB: true, Data: e.data}, tx)
+		c.sendAck(line, true, e.dirty, true, e.data, tx)
 		return
 	}
 	// Not present (already surrendered or protocol race window).
 	c.AbsentFwds++
-	c.sendAck(&AckMsg{Line: line, CacheID: c.cfg.ID, Present: false}, tx)
+	c.sendAck(line, false, false, false, mem.Line{}, tx)
 }
 
 // State reports the MESI state of a line (StateI if absent); for tests and
@@ -575,17 +689,6 @@ func (c *PCache) peekState(line uint64) (mem.Line, int, bool) {
 // Quiet reports whether the cache has no in-flight transactions.
 func (c *PCache) Quiet() bool {
 	return len(c.mshrs) == 0 && len(c.wb) == 0 && len(c.stalled) == 0
-}
-
-// FlushAll evicts every valid line (used by tests to force final state
-// back to the homes). Completion is signalled by Quiet turning true once
-// outstanding WBs drain.
-func (c *PCache) FlushAll() {
-	c.arr.ForEach(func(w *cache.Way) {
-		if c.mshrs[w.Tag] == nil && c.wb[w.Tag] == nil {
-			c.evict(w, nil)
-		}
-	})
 }
 
 // Uint64At is a helper to decode a little-endian value from load results.

@@ -29,6 +29,20 @@ func TestRandomStress(t *testing.T) {
 	}
 }
 
+// FuzzCoherenceStress runs TestRandomStress's load/store/AMO mix at a
+// fuzzed seed. It ends on CheckCoherence and the stress test's value
+// checks, so a protocol record recycled while still in use (a message,
+// front-end op or MSHR reused before its last reader is done) shows up as
+// a data or directory violation.
+func FuzzCoherenceStress(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		runStress(t, seed)
+	})
+}
+
 type slotHistory struct {
 	vals  []uint64   // every committed value, in completion order
 	times []sim.Time // completion time of each value

@@ -126,44 +126,6 @@ func (m *Mesh) Register(tile int, vn VN, h Handler) {
 	m.handlers[tile] = hs
 }
 
-// route returns the sequence of tile ids visited from src to dst under XY
-// routing, excluding src, including dst.
-func (m *Mesh) route(src, dst int) []int {
-	var path []int
-	x, y := m.XY(src)
-	dx, dy := m.XY(dst)
-	for x != dx {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, m.TileAt(x, y))
-	}
-	for y != dy {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, m.TileAt(x, y))
-	}
-	return path
-}
-
-// Hops reports the hop count between two tiles.
-func (m *Mesh) Hops(src, dst int) int {
-	x, y := m.XY(src)
-	dx, dy := m.XY(dst)
-	abs := func(v int) int {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
-	return abs(x-dx) + abs(y-dy)
-}
-
 // flits reports the number of link flits for a payload of n bytes
 // (one header flit plus payload flits).
 func flits(n int) int64 {
@@ -187,8 +149,8 @@ func (m *Mesh) Send(msg *Msg) {
 	t := start
 	nf := flits(msg.Bytes)
 	cur := msg.Src
-	// Walk the XY route hop by hop (same order as route(), without
-	// materializing the path: Send is the per-message hot path).
+	// Walk the XY route hop by hop without materializing the path: Send
+	// is the per-message hot path.
 	hop := func(next int) {
 		// Router pipeline at the current node.
 		t += m.clk.Cycles(params.RouterCycles)
@@ -241,6 +203,3 @@ func (m *Mesh) deliver(msg *Msg) {
 	}
 	hs[msg.VN](msg)
 }
-
-// VNCount reports how many messages were sent on vn.
-func (m *Mesh) VNCount(vn VN) uint64 { return m.perVN[vn] }

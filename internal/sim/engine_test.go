@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -289,6 +290,45 @@ func TestWakeOfFinishedThreadDropped(t *testing.T) {
 	if e.LiveThreads() != 0 {
 		t.Fatalf("live threads = %d", e.LiveThreads())
 	}
+}
+
+// TestRespawn: a finished thread's record runs a new function exactly as
+// a fresh Go would — started at the current instant, in scheduling order
+// with the instant's other events — and respawning a live thread panics.
+func TestRespawn(t *testing.T) {
+	e := NewEngine()
+	var trace []string
+	note := func(s string, th *Thread) { trace = append(trace, fmt.Sprintf("%s@%v", s, th.Now())) }
+	th := e.Go("worker", func(th *Thread) {
+		th.Sleep(10 * NS)
+		note("first", th)
+	})
+	e.At(40*NS, func() {
+		e.Respawn(th, func(th *Thread) {
+			note("second", th)
+			th.Sleep(5 * NS)
+			note("second", th)
+		})
+		e.Go("other", func(o *Thread) { note("other", o) })
+	})
+	e.Run(0)
+	want := []string{"first@10.000ns", "second@40.000ns", "other@40.000ns", "second@45.000ns"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	if !th.Done() || e.LiveThreads() != 0 {
+		t.Fatalf("done = %v, live threads = %d", th.Done(), e.LiveThreads())
+	}
+
+	live := e.Go("live", func(th *Thread) { th.Park() })
+	e.Run(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("respawning a parked thread did not panic")
+		}
+		e.Close()
+	}()
+	e.Respawn(live, func(*Thread) {})
 }
 
 func TestCondBroadcastAt(t *testing.T) {

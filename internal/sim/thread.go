@@ -81,6 +81,30 @@ func (w *worker) retire() {
 // Go spawns fn as a new simulation thread named name. The thread begins
 // running at the current simulation time (via a scheduled event).
 func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
+	t := &Thread{eng: e, name: name}
+	t.wake = Event{Fn: dispatchThread, Arg: t}
+	e.start(t, fn)
+	return t
+}
+
+// Respawn runs fn on t, a finished thread of this engine, exactly as Go
+// would run it on a new one: the same worker pool and the same start
+// event at the current time. A model that restarts one serial worker per
+// resource (a coherence home's per-line worker) keeps that worker's record
+// instead of allocating one per busy period. t must have no wakeup
+// pending, which holds for a thread that only ever blocked in Sleep,
+// WaitUntil or Cond.Wait: each of those consumes its own wakeup.
+func (e *Engine) Respawn(t *Thread, fn func(*Thread)) {
+	if !t.done || t.eng != e {
+		panic(fmt.Sprintf("sim: respawn of live or foreign thread %s", t.name))
+	}
+	t.done = false
+	e.start(t, fn)
+}
+
+// start binds t to a pooled (or new) worker running fn and schedules its
+// first dispatch at the current time.
+func (e *Engine) start(t *Thread, fn func(*Thread)) {
 	var w *worker
 	if n := len(e.pool); n > 0 {
 		w = e.pool[n-1]
@@ -91,12 +115,10 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 		w.next, w.stop = iter.Pull(w.loop)
 		e.workers = append(e.workers, w)
 	}
-	t := &Thread{eng: e, name: name, w: w, parked: true}
-	t.wake = Event{Fn: dispatchThread, Arg: t}
+	t.w, t.parked = w, true
 	w.t, w.fn = t, fn
 	e.liveThreads++
 	e.AtEvent(e.now, &t.wake)
-	return t
 }
 
 // reapWorkers stops the idle pooled coroutines. Run calls it
