@@ -59,6 +59,10 @@ type Proc interface {
 	// Fence drains the core's memory operations (no-op beyond a cycle in
 	// this blocking model; kept for program fidelity).
 	Fence()
+
+	// spinUntil is the polled spin loop behind the sync primitives; see
+	// sync.go. Being unexported, it keeps *proc the only Proc.
+	spinUntil(addr, want uint64, eq bool) uint64
 }
 
 // Core is one processor tile.
@@ -177,15 +181,21 @@ type proc struct {
 	// in update, the L2 in StoreAsync), so one scratch buffer serves every
 	// store without a per-store allocation.
 	stbuf [8]byte
+
+	spin *spinner // spinUntil's engine-driven half, built at the first spin
 }
 
 func (p *proc) CoreID() int   { return p.core.id }
 func (p *proc) Now() sim.Time { return p.t.Now() }
 
+// irqDue reports whether an interrupt would be taken at the next
+// instruction boundary.
+func (c *Core) irqDue() bool { return len(c.irqPending) > 0 && c.irqHandler != nil }
+
 // checkIRQ delivers pending interrupts at an instruction boundary.
 func (p *proc) checkIRQ() {
 	c := p.core
-	for len(c.irqPending) > 0 && c.irqHandler != nil {
+	for c.irqDue() {
 		irq := c.irqPending[0]
 		c.irqPending = c.irqPending[1:]
 		p.t.SleepCycles(c.clk, trapEntryCycles)
@@ -204,14 +214,24 @@ func (p *proc) Exec(n int64) {
 }
 
 func (p *proc) load(addr uint64, size int) uint64 {
+	v, hit := p.issueLoad(addr, size)
+	if hit {
+		p.t.SleepCycles(p.core.clk, params.L1HitCycles)
+	}
+	return v
+}
+
+// issueLoad performs a load up to its L1 hit latency: an L1 hit returns
+// the value at once (hit true) and leaves the L1HitCycles wait to the
+// caller, a miss blocks until the L2 delivers the line.
+func (p *proc) issueLoad(addr uint64, size int) (v uint64, hit bool) {
 	p.checkIRQ()
 	c := p.core
 	c.Loads++
 	c.Instrs++
 	if data, ok := c.l1.load(addr, size); ok {
 		c.L1Hits++
-		p.t.SleepCycles(c.clk, params.L1HitCycles)
-		return data
+		return data, true
 	}
 	c.L1Misses++
 	// L1 miss: fetch the line through the L2 (blocking).
@@ -220,7 +240,7 @@ func (p *proc) load(addr uint64, size int) uint64 {
 	b := c.l2.Load(p.t, addr, size, tx)
 	line, _ := c.l2.PeekLine(addr &^ (params.LineBytes - 1))
 	c.l1.fill(addr&^(params.LineBytes-1), line)
-	return coherence.Uint64At(b)
+	return coherence.Uint64At(b), false
 }
 
 func (p *proc) store(addr uint64, v uint64, size int) {

@@ -18,7 +18,7 @@ type rig struct {
 	cores []*Core
 }
 
-func newRig(t *testing.T, n int, route mmio.Router) *rig {
+func newRig(t testing.TB, n int, route mmio.Router) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	clk := sim.NewClock("fast", params.CPUClockPS)

@@ -9,6 +9,22 @@ package cpu
 // through the simulated coherence protocol — lock handoff cost and
 // contention behaviour emerge from cache-to-cache transfers rather than
 // being modelled analytically.
+//
+// The MCS and barrier waits poll an L1-resident word through spinUntil.
+// Its polls are exact: each costs what a load plus Exec(spinBackoff)
+// costs, at the same instants and with the same counters. Once a poll
+// hits the L1, though, the thread parks and a prebuilt engine callback
+// replays the loop at the thread's would-be wakeups, so a long spin costs
+// event-queue work instead of two coroutine round trips per poll. The
+// callback hands control back (sim.Thread.Resume) only where the thread
+// must decide: the exit value was seen, an interrupt is due, or the line
+// left the L1 and the next poll misses to the L2. TASAcquire polls with
+// home-side atomics and stays thread-driven.
+
+import (
+	"duet/internal/params"
+	"duet/internal/sim"
+)
 
 // MCS queue-lock memory layout:
 //
@@ -36,9 +52,7 @@ func MCSAcquire(p Proc, tailAddr, nodeAddr uint64) {
 		return // uncontended
 	}
 	p.Store64(pred+mcsNextOff, nodeAddr)
-	for p.Load64(nodeAddr+mcsLockedOff) != 0 {
-		p.Exec(spinBackoff)
-	}
+	p.spinUntil(nodeAddr+mcsLockedOff, 0, true)
 }
 
 // MCSRelease releases the MCS lock acquired with the same qnode.
@@ -50,13 +64,7 @@ func MCSRelease(p Proc, tailAddr, nodeAddr uint64) {
 			return
 		}
 		// A successor is enqueueing; wait for its link.
-		for {
-			next = p.Load64(nodeAddr + mcsNextOff)
-			if next != 0 {
-				break
-			}
-			p.Exec(spinBackoff)
-		}
+		next = p.spinUntil(nodeAddr+mcsNextOff, 0, false)
 	}
 	p.Store64(next+mcsLockedOff, 0)
 }
@@ -97,7 +105,83 @@ func BarrierWait(p Proc, addr uint64, n int, localSense uint64) {
 		p.Store64(addr+8, localSense) // flip global sense, releasing waiters
 		return
 	}
-	for p.Load64(addr+8) != localSense {
+	p.spinUntil(addr+8, localSense, true)
+}
+
+// spinner is the engine-driven half of one core thread's spinUntil. While
+// it runs, the thread is parked and ev (spinStep on the spinner, built
+// once per thread) is queued at the end of the current hit or backoff.
+type spinner struct {
+	p          *proc
+	ev         sim.Event
+	addr, want uint64
+	eq         bool
+	v          uint64 // the value the last poll read
+	hitEnd     bool   // ev ends a poll's hit latency, not a backoff
+	reload     bool   // on resume: the thread issues the next poll itself
+}
+
+func spinStep(a any) { a.(*spinner).step() }
+
+// spinUntil polls the 8-byte word at addr, with Exec(spinBackoff) between
+// polls, until (value == want) == eq, and returns the value that ended
+// the spin. A poll that hits the L1 hands the loop to the spinner.
+func (p *proc) spinUntil(addr, want uint64, eq bool) uint64 {
+	c, s := p.core, p.spin
+	if s == nil {
+		s = &spinner{p: p}
+		s.ev = sim.Event{Fn: spinStep, Arg: s}
+		p.spin = s
+	}
+	for {
+		v, hit := p.issueLoad(addr, 8)
+		if hit {
+			s.addr, s.want, s.eq, s.v, s.hitEnd = addr, want, eq, v, true
+			c.eng.AtEvent(c.clk.EdgesAfter(c.eng.Now(), params.L1HitCycles), &s.ev)
+			p.t.Park()
+			if s.reload {
+				continue
+			}
+			v = s.v
+		}
+		if (v == want) == eq {
+			return v
+		}
 		p.Exec(spinBackoff)
 	}
+}
+
+// step does at one of the spinning thread's wakeups what the thread
+// would have done there, up to its next wait, and schedules itself for
+// that wait's end. It resumes the thread instead wherever the thread's
+// path would leave the hit-and-backoff loop.
+func (s *spinner) step() {
+	p := s.p
+	c := p.core
+	now := c.eng.Now()
+	if s.hitEnd {
+		// The poll returns: test the value, then Exec(spinBackoff).
+		if (s.v == s.want) == s.eq || c.irqDue() {
+			s.reload = false
+			p.t.Resume()
+			return
+		}
+		c.Instrs += spinBackoff
+		s.hitEnd = false
+		c.eng.AtEvent(c.clk.EdgesAfter(now, spinBackoff), &s.ev)
+		return
+	}
+	// The backoff ends: issue the next poll. A miss is the thread's to
+	// take (and count), so test for the line before touching the L1.
+	if c.irqDue() || !c.l1.holds(s.addr) {
+		s.reload = true
+		p.t.Resume()
+		return
+	}
+	c.Loads++
+	c.Instrs++
+	s.v, _ = c.l1.load(s.addr, 8)
+	c.L1Hits++
+	s.hitEnd = true
+	c.eng.AtEvent(c.clk.EdgesAfter(now, params.L1HitCycles), &s.ev)
 }

@@ -39,11 +39,6 @@ func (c *Clock) String() string {
 	return fmt.Sprintf("%s(%.1fMHz)", c.Name, c.FreqMHz())
 }
 
-// EdgeAt reports the time of rising edge number n.
-func (c *Clock) EdgeAt(n int64) Time {
-	return c.Phase + Time(n)*c.Period
-}
-
 // NextEdge reports the earliest rising edge at or after t.
 func (c *Clock) NextEdge(t Time) Time {
 	if t <= c.Phase {

@@ -107,6 +107,11 @@ type Engine struct {
 	now     Time
 	stopped bool
 	pending int
+	// horizon bounds Thread.WaitUntil's run-on path: a thread keeps
+	// running to a wakeup strictly before it. Run(0) sets Forever and
+	// RunBefore its deadline; an event budget, and the time between
+	// runs, leave it 0, which turns the path off.
+	horizon Time
 
 	buckets []bucket        // bucket arena; heap and slots hold indices into it
 	free    []int32         // released arena slots available for reuse
@@ -241,11 +246,24 @@ func (e *Engine) step() {
 	ev.fn(ev.arg)
 }
 
+// runsOn reports whether a wakeup at tm, scheduled now, would be the next
+// event the current run pops: the run continues past tm, and no queued
+// event runs at or before tm.
+func (e *Engine) runsOn(tm Time) bool {
+	return !e.stopped && tm < e.horizon && (len(e.heap) == 0 || e.buckets[e.heap[0]].at > tm)
+}
+
 // Run executes events until the queue drains, Stop is called, or the event
 // budget maxEvents is exhausted (0 means no budget). It returns the number
-// of events executed.
+// of events executed: queue pops, so a thread wakeup taken by the run-on
+// path (see Thread.WaitUntil) does not count. Under a budget the run-on
+// path is off, so every wakeup is a counted event.
 func (e *Engine) Run(maxEvents int) int {
 	e.stopped = false
+	e.horizon = Forever
+	if maxEvents > 0 {
+		e.horizon = 0
+	}
 	n := 0
 	for len(e.heap) > 0 && !e.stopped {
 		if maxEvents > 0 && n >= maxEvents {
@@ -254,6 +272,7 @@ func (e *Engine) Run(maxEvents int) int {
 		e.step()
 		n++
 	}
+	e.horizon = 0
 	e.reapWorkers()
 	return n
 }
@@ -269,6 +288,7 @@ func (e *Engine) Run(maxEvents int) int {
 // drain (Run) reaps as usual.
 func (e *Engine) RunBefore(deadline Time) int {
 	e.stopped = false
+	e.horizon = deadline
 	n := 0
 	for len(e.heap) > 0 && !e.stopped {
 		if e.buckets[e.heap[0]].at >= deadline {
@@ -277,6 +297,7 @@ func (e *Engine) RunBefore(deadline Time) int {
 		e.step()
 		n++
 	}
+	e.horizon = 0
 	if e.now < deadline && !e.stopped {
 		e.now = deadline
 	}

@@ -12,10 +12,14 @@ import (
 // are reproducible.
 //
 // Thread code interacts with simulated time only through the blocking
-// methods (Sleep, WaitUntil, park via Cond/queues). All wakeups are routed
-// through the event queue, never delivered inline, which preserves the
-// single-runner invariant. Every wakeup reschedules the thread's pre-built
-// wake record, so parking and waking allocate nothing.
+// methods (Sleep, WaitUntil, park via Cond/queues). Wakeups are routed
+// through the event queue and never delivered from another thread, which
+// preserves the single-runner invariant. Every wakeup reschedules the
+// thread's pre-built wake record, so parking and waking allocate nothing.
+// Two exact shortcuts skip the queue's coroutine round trip. A timed wait
+// whose wakeup would be the next event popped keeps running (the run-on
+// rule in WaitUntil). An event callback that did a parked thread's waiting
+// for it hands control back in place with Resume.
 type Thread struct {
 	eng    *Engine
 	name   string
@@ -170,6 +174,20 @@ func (t *Thread) dispatch() {
 	t.w.next()
 }
 
+// Resume runs the parked thread t in place, from the event callback that
+// calls it, and returns once t parks again or finishes. A callback that
+// replays what a parked thread would have done at its wakeups (the cpu
+// package's L1-hit spin polls) resumes it this way when the thread must
+// decide, instead of scheduling a wakeup at the current instant. Call it
+// only from engine context (an event callback, never a thread); Resume
+// panics if t is running or finished.
+func (t *Thread) Resume() {
+	if !t.parked || t.done {
+		panic(fmt.Sprintf("sim: resume of running or finished thread %s", t.name))
+	}
+	t.dispatch()
+}
+
 // park suspends the thread until the next dispatch. Must be called from the
 // thread itself. If the engine is closed meanwhile, park unwinds the thread.
 func (t *Thread) park() {
@@ -208,15 +226,24 @@ func (t *Thread) Now() Time { return t.eng.Now() }
 // Done reports whether the thread function has returned.
 func (t *Thread) Done() bool { return t.done }
 
-// WaitUntil suspends the thread until absolute time tm.
+// WaitUntil suspends the thread until absolute time tm. When the wakeup
+// would be the next event the current run pops (the engine is not stopped,
+// tm is before the run's bound, and nothing is queued at or before tm),
+// the thread keeps running and the clock advances to tm: the run-on rule.
+// It skips two coroutine switches and changes no event's order.
 func (t *Thread) WaitUntil(tm Time) {
-	if tm < t.eng.now {
-		panic(fmt.Sprintf("sim: thread %s waiting for past time %v (now %v)", t.name, tm, t.eng.now))
+	e := t.eng
+	if tm < e.now {
+		panic(fmt.Sprintf("sim: thread %s waiting for past time %v (now %v)", t.name, tm, e.now))
 	}
-	if tm == t.eng.now {
+	if tm == e.now {
 		return
 	}
-	t.eng.AtEvent(tm, &t.wake)
+	if e.runsOn(tm) {
+		e.now = tm
+		return
+	}
+	e.AtEvent(tm, &t.wake)
 	t.park()
 }
 

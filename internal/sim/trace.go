@@ -63,16 +63,3 @@ func (tx *TX) Total() Time {
 	}
 	return tx.End - tx.Start
 }
-
-// Unattributed reports latency not covered by any category (queueing and
-// other waits the models did not classify).
-func (tx *TX) Unattributed() Time {
-	if tx == nil {
-		return 0
-	}
-	s := tx.Total()
-	for _, p := range tx.Parts {
-		s -= p
-	}
-	return s
-}
