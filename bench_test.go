@@ -16,9 +16,7 @@ import (
 
 	"duet/internal/accel"
 	"duet/internal/apps"
-	"duet/internal/area"
 	"duet/internal/cluster"
-	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
 	"duet/internal/workload"
@@ -40,20 +38,6 @@ func studyParallel() int {
 		}
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// BenchmarkTableI exercises the component area model (Table I): the
-// linear MOSFET scaling of every published component.
-func BenchmarkTableI(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for _, c := range area.TableI {
-			a, _ := area.LinearScale(c.AreaMM2, c.FreqMHz, 22, 45)
-			total += a
-		}
-	}
-	b.ReportMetric(total, "scaled-mm2")
 }
 
 // BenchmarkTableII runs the synthesis cost model over all nine
@@ -265,153 +249,6 @@ func BenchmarkAblationSweep(b *testing.B) {
 		res = workload.Ablation(studyParallel(), nil, nil, 100)
 	}
 	b.ReportMetric(float64(len(res.HubWindow)+len(res.SyncDepth)), "points")
-}
-
-// serveStream1MConfig is the shared 1M-job cluster study behind
-// BenchmarkServeStream1M (cycle backend) and BenchmarkServeModel1M
-// (analytic model backend): identical arrival stream, shards, front end
-// and streaming digests, differing only in the execution backend —
-// PERF.md's model-vs-cycle speedup comparison.
-func serveStream1MConfig(be workload.BackendMode) workload.ClusterConfig {
-	return workload.ClusterConfig{
-		ServeConfig: workload.ServeConfig{
-			Policy: sched.FIFO, Jobs: 1_000_000, Seed: 1, MeanGapUS: 30,
-			QueueCap: 4096, Stats: sched.StatsStreaming, Backend: be,
-		},
-		Shards:   4,
-		FrontEnd: cluster.RoundRobin,
-	}
-}
-
-// benchServe1M runs the 1M-job cluster study at the given backend. The
-// arrival stream (identical on both backends, ~100 ms to draw) is
-// generated outside the timed region so the metric isolates what the
-// backends actually differ in: replica construction and simulation.
-func benchServe1M(b *testing.B, be workload.BackendMode) {
-	cfg := serveStream1MConfig(be)
-	stream := workload.Arrivals(cfg.ServeConfig)
-	b.ResetTimer()
-	var digestBytes, p99 float64
-	for i := 0; i < b.N; i++ {
-		// The run only reads the stream, so one draw serves every
-		// iteration; GC debt is flushed off the clock, so the timed region
-		// carries only the backend's own allocation behaviour.
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-		r, err := workload.ServeClusterOver(cfg, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Merged.Completed != 1_000_000 {
-			b.Fatalf("completed %d of 1M", r.Merged.Completed)
-		}
-		digestBytes = 0
-		for _, s := range r.PerShard {
-			if m := float64(s.Digest.MemoryBytes()); m > digestBytes {
-				digestBytes = m
-			}
-		}
-		p99 = float64(r.Merged.P99)
-	}
-	b.ReportMetric(digestBytes, "max-shard-digest-B")
-	b.ReportMetric(p99, "p99-ps")
-}
-
-// BenchmarkServeStream1M is the streaming-stats acceptance run: one
-// million offered jobs through a 4-shard cycle-backend cluster with
-// fixed-memory digests. Per-shard stats memory (the digest table) must
-// stay in the tens of kilobytes however far the job count grows; the
-// exact-mode equivalent would retain 8 MB of raw samples per million
-// jobs.
-func BenchmarkServeStream1M(b *testing.B) { benchServe1M(b, workload.BackendCycle) }
-
-// BenchmarkServeModel1M is the same 1M-job cluster study on the
-// calibrated analytic model backend — statistically identical output
-// (see the xval gate) at a fraction of the cost, the fast path for
-// capacity-planning sweeps. PERF.md records the measured speedup over
-// BenchmarkServeStream1M.
-func BenchmarkServeModel1M(b *testing.B) { benchServe1M(b, workload.BackendModel) }
-
-// BenchmarkServeModel100M is the capacity-planning run: one hundred
-// million offered jobs through the same 4-shard model-backend cluster,
-// on the streaming pipeline (ServeCluster) with arrival generation
-// inside the timed region — the streaming path fuses generation into
-// the run, so there is no stream to pre-draw off the clock. Peak
-// memory stays flat at any job count (PERF.md records the measured
-// capacity ceiling); the snapshot entry gates the fused pipeline's
-// per-job cost end to end.
-func BenchmarkServeModel100M(b *testing.B) {
-	const jobs = 100_000_000
-	cfg := serveStream1MConfig(workload.BackendModel)
-	cfg.ServeConfig.Jobs = jobs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := workload.ServeCluster(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Merged.Completed != jobs {
-			b.Fatalf("completed %d of 100M", r.Merged.Completed)
-		}
-	}
-	b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-}
-
-// BenchmarkServeFaultFree is BenchmarkServeModel1M with an empty fault
-// plan wired in: the injection seam installed on every worker (wrapper
-// dispatch, scheduler fault checks) but never firing. Its snapshot
-// entry gates the seam's fault-free overhead — the wrapped hot path may
-// not regress more than the CI bench gate's 30% against the baseline
-// recorded in BENCH_duetsim.json.
-func BenchmarkServeFaultFree(b *testing.B) {
-	cfg := serveStream1MConfig(workload.BackendModel)
-	cfg.Faults = &faults.Plan{}
-	stream := workload.Arrivals(cfg.ServeConfig)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-		r, err := workload.ServeClusterOver(cfg, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Merged.Completed != 1_000_000 {
-			b.Fatalf("completed %d of 1M", r.Merged.Completed)
-		}
-		if r.Merged.Wedges != 0 || r.Merged.TimedOut != 0 || r.Merged.Unavailable != 0 {
-			b.Fatalf("empty plan injected faults: %+v", r.Merged)
-		}
-	}
-}
-
-// BenchmarkServeRecovery is the repair-path cost run: the 1M-job
-// model-backend study under a live wedge/repair cycle — fabrics wedge,
-// quarantine, and return on probation throughout the run. Its snapshot
-// entry gates the recovery machinery (repair scheduling, scrub,
-// probationary reprogram, quarantine bookkeeping) with the same >30%
-// regression check the fault-free seam gets.
-func BenchmarkServeRecovery(b *testing.B) {
-	cfg := serveStream1MConfig(workload.BackendModel)
-	cfg.Faults = &faults.Plan{
-		Seed: 1, WedgeProb: 0.002, MaxRetries: 2,
-		RepairDelay: 500 * sim.US,
-	}
-	stream := workload.Arrivals(cfg.ServeConfig)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-		r, err := workload.ServeClusterOver(cfg, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Merged.Wedges == 0 || r.Merged.Repairs == 0 {
-			b.Fatalf("recovery plan exercised nothing: %+v", r.Merged)
-		}
-	}
 }
 
 // BenchmarkAblation_BFSLockDiscipline compares the BFS baseline's naive

@@ -3,10 +3,10 @@
 // simulation, and runs the serving studies built on them. `duetsim -h`
 // prints the command table and every flag.
 //
-// Every sweep (fig9, fig10, fig11, ablate, study, serve, cluster, xval,
-// chaos) runs its grid of independent simulation points on the internal/study
-// worker pool; -parallel bounds the pool (default GOMAXPROCS) and the
-// output is byte-identical at every width. -json switches the sweep
+// Every sweep (fig9, fig10, fig11, fig12, ablate, study, serve, cluster,
+// xval, chaos) runs its grid of independent simulation points on the
+// internal/study worker pool; -parallel bounds the pool (default
+// GOMAXPROCS) and the output is byte-identical at every width. -json switches the sweep
 // commands to machine-readable output with a stable field order; -stats
 // stream runs serve/cluster with fixed-memory streaming latency stats;
 // -backend selects the serve/cluster execution backend (cycle-level
@@ -166,7 +166,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	o := &options{serve: workload.ServeConfig{Jobs: 240}}
 	s := &o.serve
 	fs.BoolVar(&o.quick, "quick", false, "smaller workloads (faster, less stable numbers)")
-	fs.IntVar(&o.parallel, "parallel", 0, "study-pool width for sweep commands; 0 = GOMAXPROCS, output identical at every width")
+	fs.IntVar(&o.parallel, "parallel", 0, "study-pool width for sweep commands and fig12; 0 = GOMAXPROCS, output identical at every width")
 	fs.BoolVar(&o.json, "json", false, "machine-readable output (stable field order) for sweep commands")
 
 	fs.Int64Var(&s.Seed, "seed", 1, "serve/cluster: arrival-process seed (loadgen: app/tenant/gap seed)")
@@ -675,21 +675,18 @@ func fig12(o *options) error {
 	if o.quick {
 		benches = benches[:7] // single-and-4-core benchmarks only
 	}
-	return fig12Table(os.Stdout, benches)
+	return fig12Table(os.Stdout, apps.Fig12(o.parallel, benches))
 }
 
-// fig12Table runs each benchmark and prints its Fig. 12 row, then the
-// geomeans. A row that fails its functional check shows the error in
-// its check column, and once the table is out the returned error names
-// every failed row.
-func fig12Table(out io.Writer, benches []apps.Benchmark) error {
+// fig12Table prints one Fig. 12 row per benchmark, then the geomeans. A
+// row that fails its functional check shows the error in its check
+// column, and once the table is out the returned error names every
+// failed row.
+func fig12Table(out io.Writer, rows []apps.Fig12Row) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tSpeedup Duet\tSpeedup FPSoC\tADP Duet\tADP FPSoC\tCPU runtime\tcheck")
-	var rows []apps.Fig12Row
 	var failed []error
-	for _, b := range benches {
-		r := apps.RunOne(b)
-		rows = append(rows, r)
+	for _, r := range rows {
 		status := "ok"
 		if r.Err != nil {
 			status = r.Err.Error()

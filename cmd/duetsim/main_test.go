@@ -248,7 +248,7 @@ func TestFig12FailedRowErrors(t *testing.T) {
 	benches := []apps.Benchmark{
 		stub("good", -1), stub("bad1", apps.VariantDuet), stub("bad2", apps.VariantDuet),
 	}
-	err := fig12Table(&out, benches)
+	err := fig12Table(&out, apps.Fig12(1, benches))
 	if err == nil {
 		t.Fatal("failed rows returned no error")
 	}
@@ -269,7 +269,7 @@ func TestFig12FailedRowErrors(t *testing.T) {
 			t.Errorf("passing row not marked ok: %q", line)
 		}
 	}
-	if err := fig12Table(&out, benches[:1]); err != nil {
+	if err := fig12Table(&out, apps.Fig12(1, benches[:1])); err != nil {
 		t.Fatalf("all rows passed, got %v", err)
 	}
 }

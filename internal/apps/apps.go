@@ -13,6 +13,7 @@ import (
 	"duet/internal/area"
 	"duet/internal/cpu"
 	"duet/internal/sim"
+	"duet/internal/study"
 )
 
 // Variant selects the system organization a benchmark runs on.
@@ -85,14 +86,12 @@ type Fig12Row struct {
 	Err          error
 }
 
-// Fig12 runs every benchmark in all three variants and computes
-// normalized speedup and area-delay product.
-func Fig12() []Fig12Row {
-	var rows []Fig12Row
-	for _, b := range All() {
-		rows = append(rows, RunOne(b))
-	}
-	return rows
+// Fig12 runs each benchmark in all three variants on a parallel-wide
+// study pool (<= 0 selects GOMAXPROCS) and returns the rows in benches
+// order. Every run builds its own System, so the rows are identical at
+// every pool width.
+func Fig12(parallel int, benches []Benchmark) []Fig12Row {
+	return study.Map(parallel, benches, RunOne)
 }
 
 // RunOne executes one benchmark across the three variants.

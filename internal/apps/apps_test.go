@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -150,5 +151,27 @@ func TestMultiCoreDeterministic(t *testing.T) {
 	first, second := RunOne(bfs4), RunOne(bfs4)
 	if first != second {
 		t.Fatalf("bfs/4 diverged between runs:\n%+v\n%+v", first, second)
+	}
+}
+
+// TestFig12PoolWidth: Fig12's rows must not depend on the study-pool
+// width. Three small benchmarks, one of them multi-core, run at widths 1
+// and 3 and must give identical rows in benches order.
+func TestFig12PoolWidth(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "tangent", Run: func(v Variant) Result { return RunTangent(v, TangentConfig{Calls: 32, Seed: 3}) }},
+		{Name: "sort/32", Run: func(v Variant) Result { return RunSort(v, SortConfig{N: 32, Rounds: 2, Seed: 7}) }},
+		{Name: "bfs/4", Run: func(v Variant) Result {
+			return RunBFS(v, BFSConfig{Cores: 4, Nodes: 128, AvgDegree: 4, Seed: 13})
+		}},
+	}
+	seq, par := Fig12(1, benches), Fig12(3, benches)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("rows differ between widths 1 and 3:\n%+v\n%+v", seq, par)
+	}
+	for i, r := range seq {
+		if r.Name != benches[i].Name || r.Err != nil {
+			t.Fatalf("row %d: %q, %v; want %q, no error", i, r.Name, r.Err, benches[i].Name)
+		}
 	}
 }

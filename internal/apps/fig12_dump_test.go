@@ -7,7 +7,7 @@ func TestDumpFig12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sweep")
 	}
-	rows := Fig12()
+	rows := Fig12(0, All())
 	for _, r := range rows {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Name, r.Err)

@@ -33,14 +33,6 @@ const (
 	CoreTileMM2 = ArianeMM2 + SocketMM2
 )
 
-// LinearScale scales an area from a source node to a target node with the
-// paper's linear MOSFET scaling model (area scales with the square of the
-// feature-size ratio, frequency with its inverse).
-func LinearScale(areaMM2, freqMHz, fromNM, toNM float64) (area, freq float64) {
-	r := toNM / fromNM
-	return areaMM2 * r * r, freqMHz / r
-}
-
 // SystemArea computes the silicon area of an evaluated configuration
 // (paper §V-D): the processor-only baseline counts processors and the
 // hardware cache system; the FPSoC adds the eFPGA; Dolly further adds the

@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-func TestTableIScaling(t *testing.T) {
-	// Ariane: 0.39mm2 @ 22nm -> 45nm with the linear model.
-	a, f := LinearScale(0.39, 910, 22, 45)
-	if math.Abs(a-1.63) > 0.05 {
-		t.Fatalf("scaled area = %.2f, want ~1.63 (paper rounds to 1.56)", a)
-	}
-	if math.Abs(f-445) > 15 {
-		t.Fatalf("scaled freq = %.0f, want ~445 (paper rounds to 455)", f)
-	}
-}
-
 func TestSystemAreaComposition(t *testing.T) {
 	cpuOnly := SystemArea{Cores: 4}
 	if got := cpuOnly.Total(); math.Abs(got-4*CoreTileMM2) > 1e-9 {

@@ -219,14 +219,20 @@ func TestHeterogeneousShardRouting(t *testing.T) {
 	}
 }
 
+// percentile is the nearest-rank p-th percentile of an unsorted
+// population, which it leaves untouched.
+func percentile(durs []sim.Time, p float64) sim.Time {
+	return sched.PercentileSorted(slices.Sorted(slices.Values(durs)), p)
+}
+
 // TestMergeExactQuantiles: merged percentiles must rank the pooled
 // per-job samples, not recombine per-shard percentiles.
 func TestMergeExactQuantiles(t *testing.T) {
 	mk := func(sojourns ...sim.Time) cluster.ShardResult {
 		sr := cluster.ShardResult{Sojourns: sojourns}
 		sr.Stats.Completed = len(sojourns)
-		sr.Stats.P50 = sched.Percentile(sojourns, 50)
-		sr.Stats.P99 = sched.Percentile(sojourns, 99)
+		sr.Stats.P50 = percentile(sojourns, 50)
+		sr.Stats.P99 = percentile(sojourns, 99)
 		return sr
 	}
 	// Shard 0 holds the slow tail; shard 1 is uniformly fast. Any
@@ -236,10 +242,10 @@ func TestMergeExactQuantiles(t *testing.T) {
 	m := cluster.Merge([]cluster.ShardResult{s0, s1})
 	pooled := []sim.Time{900 * sim.US, 950 * sim.US, 1000 * sim.US,
 		10 * sim.US, 20 * sim.US, 30 * sim.US, 40 * sim.US, 50 * sim.US, 60 * sim.US, 70 * sim.US}
-	if want := sched.Percentile(pooled, 99); m.P99 != want {
+	if want := percentile(pooled, 99); m.P99 != want {
 		t.Fatalf("merged p99 = %v, want pooled %v", m.P99, want)
 	}
-	if want := sched.Percentile(pooled, 50); m.P50 != want {
+	if want := percentile(pooled, 50); m.P50 != want {
 		t.Fatalf("merged p50 = %v, want pooled %v", m.P50, want)
 	}
 	if m.Completed != 10 {
@@ -305,7 +311,7 @@ func TestMergeMixedModeQuantiles(t *testing.T) {
 		p    float64
 		got  sim.Time
 		want sim.Time
-	}{{50, m.P50, sched.Percentile(pooled, 50)}, {99, m.P99, sched.Percentile(pooled, 99)}} {
+	}{{50, m.P50, percentile(pooled, 50)}, {99, m.P99, percentile(pooled, 99)}} {
 		if q.got < q.want || q.got > q.want+sim.Time(float64(q.want)*sched.DigestRelError)+1 {
 			t.Fatalf("mixed-mode p%v = %v, want pooled %v within the digest bound", q.p, q.got, q.want)
 		}

@@ -44,35 +44,6 @@ type Source interface {
 	Clone() Source
 }
 
-// SliceSource adapts a materialized stream to the Source interface —
-// tests and benchmarks that draw the stream up front feed RunSource
-// through it.
-type SliceSource struct {
-	stream []Arrival
-	i      int
-}
-
-// NewSliceSource returns a Source yielding stream's entries in order.
-func NewSliceSource(stream []Arrival) *SliceSource {
-	return &SliceSource{stream: stream}
-}
-
-// Next yields the next entry by value.
-func (s *SliceSource) Next(a *Arrival) bool {
-	if s.i >= len(s.stream) {
-		return false
-	}
-	*a = s.stream[s.i]
-	s.i++
-	return true
-}
-
-// Len reports the stream length.
-func (s *SliceSource) Len() int { return len(s.stream) }
-
-// Clone restarts the stream from the first entry.
-func (s *SliceSource) Clone() Source { return &SliceSource{stream: s.stream} }
-
 // ArrivalFeed is the pull side of the pipeline: a shard's own assigned
 // arrivals in ascending order. Replica.PlayStream consumes one to
 // exhaustion. Arrivals are delivered by value — each call may reuse *a.

@@ -221,11 +221,6 @@ func NewAdapter(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, fabric *
 // BaseAddr returns the MMIO base address of adapter id.
 func BaseAddr(id int) uint64 { return params.MMIOBase + uint64(id)*AdapterStride }
 
-// Owns reports whether addr falls in this adapter's MMIO window.
-func (a *Adapter) Owns(addr uint64) bool {
-	return addr >= a.base && addr < a.base+AdapterStride
-}
-
 // Hub returns memory hub i.
 func (a *Adapter) Hub(i int) *MemHub { return a.hubs[i] }
 

@@ -208,36 +208,6 @@ func ParseDomains(spec string) ([]Domain, error) {
 	return out, nil
 }
 
-// Empty reports whether the plan injects nothing anywhere — wrappers
-// built from it are pure pass-through.
-func (p *Plan) Empty() bool {
-	if p == nil {
-		return true
-	}
-	if p.WedgeProb > 0 || p.BlowupProb > 0 || p.EnforceDeadlines || p.MaxRetries > 0 || p.Hedge > 0 {
-		return false
-	}
-	if p.RepairDelay > 0 || p.RecoverHold > 0 {
-		return false
-	}
-	for _, w := range p.WedgeProbs {
-		if w > 0 {
-			return false
-		}
-	}
-	for _, d := range p.ShardDown {
-		if len(d) > 0 {
-			return false
-		}
-	}
-	for _, d := range p.Domains {
-		if len(d.Down) > 0 || d.WedgeProb > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // DownFor reports shard's effective outage schedule: its own ShardDown
 // windows merged with every member domain's windows — ascending and
 // non-overlapping, the form sched.FaultConfig.Down requires. Nil for

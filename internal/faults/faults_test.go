@@ -89,36 +89,6 @@ func TestWedgeRate(t *testing.T) {
 	}
 }
 
-func TestPlanEmpty(t *testing.T) {
-	cases := []struct {
-		name string
-		plan *Plan
-		want bool
-	}{
-		{"nil", nil, true},
-		{"zero", &Plan{}, true},
-		{"seed-only", &Plan{Seed: 99}, true},
-		{"empty-shard-schedules", &Plan{ShardDown: [][]sched.Downtime{nil, {}}}, true},
-		{"wedge", &Plan{WedgeProb: 0.1}, false},
-		{"per-worker-wedge", &Plan{WedgeProbs: []float64{0, 0.5}}, false},
-		{"blowup", &Plan{BlowupProb: 0.1}, false},
-		{"deadlines", &Plan{EnforceDeadlines: true}, false},
-		{"retries", &Plan{MaxRetries: 1}, false},
-		{"downtime", &Plan{ShardDown: [][]sched.Downtime{{{From: 1, To: 2}}}}, false},
-		{"hedge", &Plan{Hedge: sim.US}, false},
-		{"repair", &Plan{RepairDelay: sim.US}, false},
-		{"recover-hold", &Plan{RecoverHold: sim.US}, false},
-		{"inert-domain", &Plan{Domains: []Domain{{Name: "r0", Shards: []int{0}}}}, true},
-		{"domain-down", &Plan{Domains: []Domain{{Name: "r0", Shards: []int{0}, Down: []sched.Downtime{{From: 1, To: 2}}}}}, false},
-		{"domain-wedge", &Plan{Domains: []Domain{{Name: "r0", Shards: []int{0}, WedgeProb: 0.2}}}, false},
-	}
-	for _, tc := range cases {
-		if got := tc.plan.Empty(); got != tc.want {
-			t.Errorf("%s: Empty() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestFaultConfigPerShard(t *testing.T) {
 	plan := &Plan{
 		MaxRetries:       3,

@@ -63,21 +63,11 @@ func (m *Memory) Write(addr uint64, data []byte) {
 	m.WriteLine(addr, line)
 }
 
-// Read64 loads a little-endian uint64 at an 8-byte-aligned address.
-func (m *Memory) Read64(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(m.Read(addr, 8))
-}
-
 // Write64 stores a little-endian uint64 at an 8-byte-aligned address.
 func (m *Memory) Write64(addr uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	m.Write(addr, b[:])
-}
-
-// Read32 loads a little-endian uint32 at a 4-byte-aligned address.
-func (m *Memory) Read32(addr uint64) uint32 {
-	return binary.LittleEndian.Uint32(m.Read(addr, 4))
 }
 
 // Write32 stores a little-endian uint32 at a 4-byte-aligned address.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -17,15 +18,15 @@ func TestLineAddrOffset(t *testing.T) {
 func TestReadWrite64(t *testing.T) {
 	m := New()
 	m.Write64(0x1000, 0xdeadbeefcafef00d)
-	if v := m.Read64(0x1000); v != 0xdeadbeefcafef00d {
-		t.Fatalf("Read64 = %#x", v)
+	if v := binary.LittleEndian.Uint64(m.Read(0x1000, 8)); v != 0xdeadbeefcafef00d {
+		t.Fatalf("Read(8) = %#x", v)
 	}
-	if v := m.Read64(0x1008); v != 0 {
+	if v := binary.LittleEndian.Uint64(m.Read(0x1008, 8)); v != 0 {
 		t.Fatalf("unwritten read = %#x", v)
 	}
 	m.Write32(0x2004, 0x12345678)
-	if v := m.Read32(0x2004); v != 0x12345678 {
-		t.Fatalf("Read32 = %#x", v)
+	if v := binary.LittleEndian.Uint32(m.Read(0x2004, 4)); v != 0x12345678 {
+		t.Fatalf("Read(4) = %#x", v)
 	}
 }
 
@@ -68,7 +69,7 @@ func TestPropertyWriteReadBack(t *testing.T) {
 	f := func(addrRaw uint32, v uint64) bool {
 		addr := uint64(addrRaw) &^ 7 // 8-byte aligned
 		m.Write64(addr, v)
-		return m.Read64(addr) == v
+		return binary.LittleEndian.Uint64(m.Read(addr, 8)) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,9 @@ func TestRouterSteersToOwningAdapter(t *testing.T) {
 	if route == nil {
 		t.Fatal("no router on an eFPGA system")
 	}
+	inWindow := func(a int, addr uint64) bool {
+		return addr >= core.BaseAddr(a) && addr < core.BaseAddr(a)+core.AdapterStride
+	}
 	for a, ad := range sys.Adapters {
 		want := ad.CtrlTile()
 		addrs := map[string]uint64{
@@ -37,11 +40,11 @@ func TestRouterSteersToOwningAdapter(t *testing.T) {
 			if !ok || tile != want {
 				t.Fatalf("adapter %d %s %#x routed to (%d,%v), want tile %d", a, what, addr, tile, ok, want)
 			}
-			if own := ad.Owns(addr); !own {
-				t.Fatalf("adapter %d does not own its %s address %#x", a, what, addr)
+			if !inWindow(a, addr) {
+				t.Fatalf("adapter %d's %s address %#x is outside its window", a, what, addr)
 			}
-			if other := sys.Adapters[1-a]; other.Owns(addr) {
-				t.Fatalf("adapter %d claims adapter %d's %s address %#x", 1-a, a, what, addr)
+			if inWindow(1-a, addr) {
+				t.Fatalf("adapter %d's window holds adapter %d's %s address %#x", 1-a, a, what, addr)
 			}
 		}
 	}

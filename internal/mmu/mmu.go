@@ -31,18 +31,6 @@ func (pt *PageTable) Map(va, pa uint64) {
 	pt.pages[VPN(va)] = pa / PageSize
 }
 
-// Unmap removes the translation for va's page.
-func (pt *PageTable) Unmap(va uint64) { delete(pt.pages, VPN(va)) }
-
-// Translate returns the physical address for va, if mapped.
-func (pt *PageTable) Translate(va uint64) (uint64, bool) {
-	ppn, ok := pt.pages[VPN(va)]
-	if !ok {
-		return 0, false
-	}
-	return ppn*PageSize + PageOff(va), true
-}
-
 // Lookup returns the PPN for a VPN, if mapped.
 func (pt *PageTable) Lookup(vpn uint64) (uint64, bool) {
 	ppn, ok := pt.pages[vpn]

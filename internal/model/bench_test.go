@@ -49,7 +49,7 @@ func benchSchedStream(b *testing.B, gapUS float64) sched.Stats {
 		if err := workload.RegisterServeApps(rep.Scheduler()); err != nil {
 			b.Fatal(err)
 		}
-		res, err := rep.PlayStream(cluster.NewSliceSource(stream))
+		res, err := rep.PlayStream(&sliceFeed{stream: stream})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func TestDriveRecyclesJobs(t *testing.T) {
 			}
 			seen := retireCounter{}
 			sch.SetObserver(seen)
-			sr, err := cluster.Drive(cluster.NewSliceSource(arr), r, nil)
+			sr, err := cluster.Drive(&sliceFeed{stream: arr}, r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,4 +287,19 @@ func TestDriveRecyclesJobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sliceFeed plays a pre-built stream as a cluster.ArrivalFeed.
+type sliceFeed struct {
+	stream []cluster.Arrival
+	i      int
+}
+
+func (f *sliceFeed) Next(a *cluster.Arrival) bool {
+	if f.i >= len(f.stream) {
+		return false
+	}
+	*a = f.stream[f.i]
+	f.i++
+	return true
 }

@@ -100,9 +100,6 @@ func (d *Digest) Add(v sim.Time) {
 	d.buckets[i]++
 }
 
-// Count reports the number of recorded samples.
-func (d *Digest) Count() uint64 { return d.count }
-
 // MemoryBytes reports the digest's bucket-table footprint — the number
 // streaming-mode scale tests pin flat while the job count grows. It is
 // bounded by 8*DigestMaxBuckets regardless of sample count.
@@ -127,7 +124,7 @@ func (d *Digest) Merge(o *Digest) {
 
 // Quantile returns the nearest-rank p-th percentile with the documented
 // relative value error; zero when the digest is empty. It mirrors
-// Percentile's rank convention so exact and streaming stats agree on
+// PercentileSorted's rank convention so exact and streaming stats agree on
 // which sample a percentile names.
 func (d *Digest) Quantile(p float64) sim.Time {
 	if d.count == 0 {

@@ -2,6 +2,9 @@ package sched
 
 import "fmt"
 
+// Count reports the number of samples d has recorded.
+func (d *Digest) Count() uint64 { return d.count }
+
 // CheckResidency compares every idle worker's tracked resident app with
 // its backend's Resident(), resolved through the catalog (-1 when the
 // name is not in it). Busy workers are skipped: their residency changes

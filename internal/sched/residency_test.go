@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"duet/internal/cluster"
 	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -86,7 +87,8 @@ func checkIndexesOverRun(t *testing.T, cfg workload.ServeConfig) {
 	sch := pool.Scheduler()
 	obs := &indexObserver{sch: sch}
 	sch.SetObserver(obs)
-	for _, a := range workload.Arrivals(cfg) {
+	src := workload.NewArrivalSource(cfg)
+	for a := (cluster.Arrival{}); src.Next(&a); {
 		pool.Advance(a.At)
 		sch.Submit(&sched.Job{Request: a.Request})
 	}

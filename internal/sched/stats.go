@@ -193,16 +193,6 @@ func (st *Stats) Summarize(samples []sim.Time, d *Digest, waitSum, serviceSum si
 	st.P99 = PercentileSorted(samples, 99)
 }
 
-// Percentile returns the p-th percentile (nearest-rank) of durs; zero
-// when durs is empty. durs is not modified. Callers taking several
-// percentiles of one population should sort once with slices.Sort and
-// use PercentileSorted instead.
-func Percentile(durs []sim.Time, p float64) sim.Time {
-	sorted := append([]sim.Time(nil), durs...)
-	slices.Sort(sorted)
-	return PercentileSorted(sorted, p)
-}
-
 // PercentileSorted returns the p-th percentile (nearest-rank) of an
 // ascending-sorted population; zero when it is empty.
 func PercentileSorted(sorted []sim.Time, p float64) sim.Time {

@@ -154,7 +154,8 @@ func TestHarvest(t *testing.T) {
 				if st.Makespan != refMakespan {
 					t.Fatalf("makespan %v, latest retired finish %v", st.Makespan, refMakespan)
 				}
-				p50, p99 := sched.Percentile(refSojourns, 50), sched.Percentile(refSojourns, 99)
+				sorted := slices.Sorted(slices.Values(refSojourns))
+				p50, p99 := sched.PercentileSorted(sorted, 50), sched.PercentileSorted(sorted, 99)
 				if st.P50 != p50 || st.P99 != p99 {
 					t.Fatalf("p50/p99 %v/%v, reference %v/%v", st.P50, st.P99, p50, p99)
 				}

@@ -68,42 +68,13 @@ func Ablation(parallel int, windows, stages []int, freqMHz float64) AblationResu
 }
 
 // MeasureHubWindow is the ablation behind Fig. 10's bandwidth ceiling: it
-// reruns the eFPGA-pull transfer with the Proxy Cache's in-flight request
-// window forced to `outstanding` and reports MB/s. The paper attributes
-// the peak bandwidth to "the number of concurrent, in-flight memory
-// requests supported by the Proxy Cache" (§V-C); this measures exactly
-// that sensitivity.
+// reruns Fig. 10's eFPGA-pull transfer through the Proxy Cache with its
+// in-flight request window forced to `outstanding` and reports MB/s. The
+// paper attributes the peak bandwidth to "the number of concurrent,
+// in-flight memory requests supported by the Proxy Cache" (§V-C); this
+// measures exactly that sensitivity.
 func MeasureHubWindow(outstanding int, freqMHz float64) float64 {
-	sys := duet.New(duet.Config{
-		Cores: 1, MemHubs: 1, Style: duet.StyleDuet,
-		RegSpecs: bwSpecs(false), FPGAFreqMHz: freqMHz,
-	})
-	defer sys.Close()
-	acc := &bwAccel{}
-	bs := efpga.Synthesize(efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3},
-		func() efpga.Accelerator { return acc })
-	sys.Fabric.MustRegister(bs)
-	if err := sys.Fabric.Configure(bs); err != nil {
-		panic(err)
-	}
-	sys.Fabric.SetFreqMHz(freqMHz)
-	sys.Adapter.Hub(0).SetMaxOutstanding(outstanding)
-	sys.Adapter.StartAccelerator()
-
-	bufA := sys.Alloc(xferBytes)
-	bufB := sys.Alloc(xferBytes)
-	sys.Cores[0].Run("bw", func(p cpu.Proc) {
-		duet.EnableHub(p, 0, false, false, false)
-		for i := 0; i < xferWords; i++ {
-			p.Store64(bufA+uint64(i*8), uint64(i))
-		}
-		p.MMIOWrite64(duet.SoftRegAddr(bwRegBaseA), bufA)
-		p.MMIOWrite64(duet.SoftRegAddr(bwRegBaseB), bufB)
-		p.Fence()
-		p.MMIORead64(duet.SoftRegAddr(bwRegWake))
-	})
-	sys.Run()
-	return bytesPerSecMB(xferBytes, acc.pullLeg)
+	return measureBandwidth(FPGAPullProxy, freqMHz, outstanding)
 }
 
 // MeasureSyncStagesLatency is the CDC-depth ablation: the normal-register
@@ -119,14 +90,7 @@ func MeasureSyncStagesLatency(stages int, freqMHz float64) sim.Time {
 		SyncStages:  stages,
 	})
 	defer sys.Close()
-	bs := efpga.Synthesize(efpga.Design{Name: "reg", LUTLogic: 40, PipelineDepth: 2},
-		func() efpga.Accelerator { return accelNop{} })
-	sys.Fabric.MustRegister(bs)
-	if err := sys.Fabric.Configure(bs); err != nil {
-		panic(err)
-	}
-	sys.Fabric.SetFreqMHz(freqMHz)
-	sys.Adapter.StartAccelerator()
+	install(sys, efpga.Design{Name: "reg", LUTLogic: 40, PipelineDepth: 2}, accelNop{}, freqMHz)
 
 	var lat sim.Time
 	sys.Cores[0].Run("probe", func(p cpu.Proc) {

@@ -5,6 +5,7 @@ import (
 	"duet/internal/core"
 	"duet/internal/cpu"
 	"duet/internal/efpga"
+	"duet/internal/params"
 	"duet/internal/sim"
 	"duet/internal/study"
 )
@@ -114,6 +115,13 @@ func (a *bwAccel) Start(env *efpga.Env) {
 
 // MeasureBandwidth runs one mechanism at one frequency and reports MB/s.
 func MeasureBandwidth(mech Mechanism, freqMHz float64) Fig10Row {
+	mbps := measureBandwidth(mech, freqMHz, params.HubOutstanding)
+	return Fig10Row{Mechanism: mech, FreqMHz: freqMHz, MBps: mbps}
+}
+
+// measureBandwidth is MeasureBandwidth with the Proxy Cache's in-flight
+// request window set to outstanding.
+func measureBandwidth(mech Mechanism, freqMHz float64, outstanding int) float64 {
 	style := duet.StyleDuet
 	if mech == CPUPullSlow || mech == FPGAPullSlow {
 		style = duet.StyleFPSoC
@@ -124,15 +132,9 @@ func MeasureBandwidth(mech Mechanism, freqMHz float64) Fig10Row {
 		RegSpecs: bwSpecs(shadow), FPGAFreqMHz: freqMHz,
 	})
 	defer sys.Close()
+	sys.Adapter.Hub(0).SetMaxOutstanding(outstanding)
 	acc := &bwAccel{shadowRegs: mech == ShadowReg || mech == NormalReg}
-	bs := efpga.Synthesize(efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3},
-		func() efpga.Accelerator { return acc })
-	sys.Fabric.MustRegister(bs)
-	if err := sys.Fabric.Configure(bs); err != nil {
-		panic(err)
-	}
-	sys.Fabric.SetFreqMHz(freqMHz)
-	sys.Adapter.StartAccelerator()
+	install(sys, scratchpad, acc, freqMHz)
 
 	bufA := sys.Alloc(xferBytes)
 	bufB := sys.Alloc(xferBytes)
@@ -181,7 +183,7 @@ func MeasureBandwidth(mech Mechanism, freqMHz float64) Fig10Row {
 	case CPUPullProxy, CPUPullSlow:
 		mbps = bytesPerSecMB(xferBytes, acc.pushLeg+cpuLoadLeg)
 	}
-	return Fig10Row{Mechanism: mech, FreqMHz: freqMHz, MBps: mbps}
+	return mbps
 }
 
 // Fig10P regenerates Fig. 10 on a parallel-wide study pool (<= 0 selects

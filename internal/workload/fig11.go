@@ -61,14 +61,7 @@ func MeasureContention(kind ContentionKind, procs int) Fig11Row {
 		FPGAFreqMHz: 500,
 	})
 	defer sys.Close()
-	bs := efpga.Synthesize(efpga.Design{Name: "regfile", LUTLogic: 64, RegBits: 64, PipelineDepth: 2},
-		func() efpga.Accelerator { return accelNop{} })
-	sys.Fabric.MustRegister(bs)
-	if err := sys.Fabric.Configure(bs); err != nil {
-		panic(err)
-	}
-	sys.Fabric.SetFreqMHz(500)
-	sys.Adapter.StartAccelerator()
+	install(sys, efpga.Design{Name: "regfile", LUTLogic: 64, RegBits: 64, PipelineDepth: 2}, accelNop{}, 500)
 
 	addr := duet.SoftRegAddr(0)
 	write := kind == NormalRegWrite || kind == ShadowRegWrite

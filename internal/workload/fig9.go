@@ -134,15 +134,26 @@ func buildLatencySystem(style duet.Style, freqMHz float64) (*duet.System, *fig9A
 	// tile; Y (eFPGA pulls from the CPU's L2) homed at the core tile.
 	acc.addrX = lineHomedAt(sys, sys.Alloc(4096), sys.Adapter.CtrlTile())
 	acc.addrY = lineHomedAt(sys, sys.Alloc(4096), 0)
-	bs := efpga.Synthesize(efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3},
-		func() efpga.Accelerator { return acc })
+	install(sys, scratchpad, acc, freqMHz)
+	return sys, acc
+}
+
+// scratchpad is the eFPGA design behind the latency and bandwidth
+// studies: a scratchpad memory with a soft controller.
+var scratchpad = efpga.Design{Name: "scratchpad", LUTLogic: 200, RAMKb: 32, RegBits: 256, PipelineDepth: 3}
+
+// install synthesizes design around acc, loads the bitstream onto sys's
+// fabric, clocks the fabric at freqMHz and starts the accelerator. The
+// clock is set after Configure on purpose: it overrides the bitstream's
+// Fmax cap, because these studies sweep the clock.
+func install(sys *duet.System, design efpga.Design, acc efpga.Accelerator, freqMHz float64) {
+	bs := efpga.Synthesize(design, func() efpga.Accelerator { return acc })
 	sys.Fabric.MustRegister(bs)
 	if err := sys.Fabric.Configure(bs); err != nil {
 		panic(err)
 	}
-	sys.Fabric.SetFreqMHz(freqMHz) // override the bitstream Fmax cap: this study sweeps the clock
+	sys.Fabric.SetFreqMHz(freqMHz)
 	sys.Adapter.StartAccelerator()
-	return sys, acc
 }
 
 // MeasureLatency runs the single-transaction round-trip latency probe for

@@ -280,9 +280,8 @@ func newServeReplica(cfg ServeConfig, shard int, windowWidth sim.Time) (serveRep
 // stream's final instant: the smallest width at which n windows cover
 // every arrival (ceil((last+1)/n)). The span is a pure function of the
 // serve config, so the width — and with it the window keying of every
-// shard — is too. Streaming runs compute last with ArrivalSource.Span
-// (O(1) memory); materialized runs read stream[len-1].At — identical
-// values, so both paths key windows the same way.
+// shard — is too. Runs compute last with ArrivalSource.Span (O(1)
+// memory).
 func spanWidth(last sim.Time, n int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -292,36 +291,6 @@ func spanWidth(last sim.Time, n int) sim.Time {
 		w = 1
 	}
 	return sim.Time(w)
-}
-
-// windowWidth is spanWidth over a materialized stream. Zero (telemetry
-// off) when n <= 0 or the stream is empty.
-func windowWidth(stream []cluster.Arrival, n int) sim.Time {
-	if n <= 0 || len(stream) == 0 {
-		return 0
-	}
-	return spanWidth(stream[len(stream)-1].At, n) // arrivals are generated in ascending order
-}
-
-// Arrivals generates cfg's open-loop arrival stream (defaults applied) —
-// the exact stream Serve and ServeCluster play. Exported so benchmarks
-// and studies can pre-generate the stream outside their timed region.
-func Arrivals(cfg ServeConfig) []cluster.Arrival {
-	return serveArrivals(cfg.withDefaults())
-}
-
-// serveArrivals materializes the study's open-loop arrival stream from
-// ArrivalSource — the single home of the draw sequence, so the
-// materialized and streaming paths are the same stream by construction
-// (a property test pins it). cfg must have defaults applied.
-func serveArrivals(cfg ServeConfig) []cluster.Arrival {
-	src := NewArrivalSource(cfg)
-	arrivals := make([]cluster.Arrival, 0, cfg.Jobs)
-	var a cluster.Arrival
-	for src.Next(&a) {
-		arrivals = append(arrivals, a)
-	}
-	return arrivals
 }
 
 // Serve plays a seeded open-loop workload through the scheduler and

@@ -97,9 +97,8 @@ func (cfg ClusterConfig) shardConfig(shard int) ServeConfig {
 // serve farm and reports the merged statistics. The arrival stream is
 // consumed straight from the generator through cluster.RunSource —
 // never materialized — so a billion-job study runs at the same peak
-// memory as a million-job one. Results are byte-identical to
-// ServeClusterOver over the same materialized Arrivals, which property
-// tests pin.
+// memory as a million-job one. Results are byte-identical to a replay
+// of the same stream drawn up front, which property tests pin.
 func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 	var err error
 	if cfg, err = cfg.normalized(); err != nil {
@@ -113,26 +112,6 @@ func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 		width = spanWidth(src.Span(), cfg.Windows)
 	}
 	res, err := cluster.RunSource(cfg.clusterConfig(width), src)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	return cfg.result(res), nil
-}
-
-// ServeClusterOver is ServeCluster over a caller-provided materialized
-// arrival stream (see Arrivals), played through cluster.NewSliceSource —
-// benchmarks use it to keep stream generation outside their timed
-// region. Replicas copy each arrival's job, so the stream is left
-// untouched and may be replayed.
-func ServeClusterOver(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResult, error) {
-	var err error
-	if cfg, err = cfg.normalized(); err != nil {
-		return ClusterResult{}, err
-	}
-	// One width for every shard, derived from the shared stream, so the
-	// per-shard window series align index for index in the merge.
-	width := windowWidth(stream, cfg.Windows)
-	res, err := cluster.RunSource(cfg.clusterConfig(width), cluster.NewSliceSource(stream))
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -159,8 +138,8 @@ func (cfg ClusterConfig) clusterConfig(width sim.Time) cluster.Config {
 		FrontEnd: cfg.FrontEnd,
 		Seed:     cfg.Seed,
 		Progress: cfg.ServeConfig.Progress,
-		// The serve replica draws nothing locally (arrivals are
-		// pre-generated, accelerators are inert stubs), so the derived
+		// The serve replica draws nothing locally (arrivals come from
+		// the shared stream, accelerators are inert stubs), so the derived
 		// per-shard seed is accepted but unused.
 		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
 			return newServeReplica(cfg.shardConfig(shard), shard, width)

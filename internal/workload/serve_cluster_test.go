@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -96,20 +94,12 @@ func TestServeClusterSingleShardMatchesServe(t *testing.T) {
 // accidental change to draw order or distribution parameters must fail
 // loudly, not shift every downstream number silently.
 func TestServeArrivalsGolden(t *testing.T) {
-	arrivals := serveArrivals(ServeConfig{}.withDefaults())
+	arrivals := drawArrivals(ServeConfig{})
 	if len(arrivals) != 240 {
 		t.Fatalf("default stream has %d arrivals", len(arrivals))
 	}
-	h := fnv.New64a()
-	for _, a := range arrivals {
-		binary.Write(h, binary.LittleEndian, int64(a.At))
-		h.Write([]byte(ServeApps[a.App].Name))
-		binary.Write(h, binary.LittleEndian, int64(a.InputSize))
-		binary.Write(h, binary.LittleEndian, int64(a.Priority))
-		binary.Write(h, binary.LittleEndian, int64(a.Deadline))
-	}
 	const golden = uint64(0x9e2f398c9687650c) // seed 1, 240 jobs, 25us mean gap
-	if got := h.Sum64(); got != golden {
+	if got := arrivalStreamHash(arrivals); got != golden {
 		t.Fatalf("arrival stream hash = %#x, want %#x (generator behaviour changed)", got, golden)
 	}
 }

@@ -52,7 +52,7 @@ func TestServePoliciesDiffer(t *testing.T) {
 // exactly its offered jobs and ends at the last arrival's instant.
 func TestServeProgress(t *testing.T) {
 	cfg := ServeConfig{Policy: sched.Affinity, Jobs: 10_000, Seed: 5, Backend: BackendModel}
-	stream := Arrivals(cfg)
+	stream := drawArrivals(cfg)
 	cfg.Progress = &cluster.Progress{}
 	Serve(cfg)
 	if got, at := cfg.Progress.Jobs(), cfg.Progress.SimAt(); got != int64(cfg.Jobs) || at != stream[len(stream)-1].At {

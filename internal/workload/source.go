@@ -9,13 +9,11 @@ import (
 )
 
 // ArrivalSource is the serve study's arrival process as an O(1)-memory
-// online generator: the exact draw sequence of serveArrivals (exponential
-// gaps, uniform app choice, uniform input sizes, loose exponential
-// deadline slack — in that order, per job, off one math/rand stream
-// seeded with cfg.Seed), yielded one arrival at a time instead of
-// materialized as an O(jobs) slice. The pinned FNV-1a stream hash and
-// every golden output are therefore unchanged: the bytes a study sees
-// are identical whether the stream is materialized or pulled from here.
+// online generator: exponential gaps, uniform app choice, uniform input
+// sizes and loose exponential deadline slack — in that order, per job,
+// off one math/rand stream seeded with cfg.Seed — yielded one arrival at
+// a time, never materialized as an O(jobs) slice. A golden FNV-1a hash
+// pins the stream it draws.
 //
 // It implements cluster.Source, so cluster.RunSource can fan a
 // billion-job study across shards with peak memory independent of the
@@ -27,8 +25,8 @@ type ArrivalSource struct {
 	at  sim.Time
 }
 
-// NewArrivalSource returns the arrival generator for cfg (defaults
-// applied, like Arrivals).
+// NewArrivalSource returns the arrival generator for cfg, with cfg's
+// defaults applied.
 func NewArrivalSource(cfg ServeConfig) *ArrivalSource {
 	cfg = cfg.withDefaults()
 	return &ArrivalSource{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}

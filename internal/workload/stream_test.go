@@ -21,7 +21,7 @@ import (
 // arrival process — the draw order and distributions written out by
 // hand, not routed through ArrivalSource — so the property test below
 // checks the generator against a second implementation rather than
-// against itself (serveArrivals materializes *from* the source).
+// against itself.
 func referenceArrivals(cfg ServeConfig) []cluster.Arrival {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -56,8 +56,8 @@ func arrivalStreamHash(arrivals []cluster.Arrival) uint64 {
 
 // TestArrivalSourceMatchesMaterialized is the streaming generator's
 // property test: across a (seed, jobs, mean gap) grid the O(1)-memory
-// ArrivalSource must yield exactly the stream the materialized path
-// produces — per-arrival equality and equal FNV-1a stream hashes —
+// ArrivalSource must yield exactly the stream referenceArrivals
+// materializes — per-arrival equality and equal FNV-1a stream hashes —
 // with Len, Span and Clone agreeing on the same stream.
 func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1 << 40} {
@@ -66,9 +66,6 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 				t.Run(fmt.Sprintf("seed=%d/jobs=%d/gap=%g", seed, jobs, gap), func(t *testing.T) {
 					cfg := ServeConfig{Seed: seed, Jobs: jobs, MeanGapUS: gap}
 					want := referenceArrivals(cfg)
-					if mat := serveArrivals(cfg.withDefaults()); !reflect.DeepEqual(mat, want) {
-						t.Fatal("serveArrivals diverged from the reference draw sequence")
-					}
 					src := NewArrivalSource(cfg)
 					if src.Len() != jobs {
 						t.Fatalf("Len = %d, want %d", src.Len(), jobs)
@@ -122,10 +119,11 @@ const recycledJobs = 60_000
 
 // TestServeClusterStreamingMatchesMaterialized pins generator-fed runs
 // to slice-fed ones end to end: ServeCluster (arrivals drawn online)
-// must reproduce ServeClusterOver over the materialized Arrivals exactly
+// must reproduce serveClusterReplay over the pre-drawn stream exactly
 // — full ClusterResult DeepEqual, including per-shard samples,
 // fault-pass counts and telemetry — across front ends, stats modes,
-// backends and fault plans.
+// backends and fault plans. It is what licenses the serve benches to
+// draw their stream outside the timed region.
 func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 	crash := &faults.Plan{
 		Seed:      11,
@@ -200,7 +198,7 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 			name += "/recycled"
 		}
 		t.Run(name, func(t *testing.T) {
-			want, err := ServeClusterOver(cfg, Arrivals(cfg.ServeConfig))
+			want, err := serveClusterReplay(cfg, drawArrivals(cfg.ServeConfig))
 			if err != nil {
 				t.Fatal(err)
 			}

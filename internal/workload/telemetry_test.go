@@ -9,22 +9,18 @@ import (
 )
 
 // TestWindowWidth: the derived width must put the last arrival inside
-// window n-1 (n windows cover the stream) and be a pure function of the
-// stream, with 0 disabling telemetry.
+// window n-1 (n windows cover the stream) and be the smallest such
+// width, with 0 disabling telemetry.
 func TestWindowWidth(t *testing.T) {
-	stream := []cluster.Arrival{{At: 0}, {At: 999}}
-	if w := windowWidth(stream, 0); w != 0 {
+	const last = 999
+	if w := spanWidth(last, 0); w != 0 {
 		t.Fatalf("width(n=0) = %v, want 0", w)
 	}
-	if w := windowWidth(nil, 8); w != 0 {
-		t.Fatalf("width(empty) = %v, want 0", w)
-	}
 	for _, n := range []int{1, 2, 7, 64, 1000, 5000} {
-		w := windowWidth(stream, n)
+		w := spanWidth(last, n)
 		if w < 1 {
 			t.Fatalf("width(n=%d) = %v", n, w)
 		}
-		last := int64(stream[len(stream)-1].At)
 		if last/int64(w) >= int64(n) {
 			t.Fatalf("n=%d width=%v: last arrival lands in window %d", n, w, last/int64(w))
 		}

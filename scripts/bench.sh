@@ -12,9 +12,10 @@
 # 2-fabric affinity model replica, at a mostly-empty queue and at a
 # saturated one), one round of coherence transactions (load miss,
 # S→M upgrade, AMO) on a two-cache domain and 200 MCS lock handoffs
-# among four cycle-level cores — and the serve studies
-# on both execution backends — the materialized 1M runs plus the
-# 100M-job streaming-pipeline capacity run. -benchtime 1x on the serve
+# among four cycle-level cores — and the serve studies in
+# internal/workload on both execution backends — the 1M runs, which
+# replay a stream drawn outside the timed region, plus the 100M-job
+# streaming-pipeline capacity run. -benchtime 1x on the serve
 # benches: one deterministic run is the measurement, iterating it would
 # only multiply CI time. -benchmem records allocs/op, which the snapshot
 # gates next to ns/op.
@@ -27,7 +28,7 @@ run_benches() {
     go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkCoherenceMiss$' -count 5 -benchmem ./internal/coherence
     go test -run '^$' -bench 'BenchmarkMCSContention$' -count 5 -benchmem ./internal/cpu
-    go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m .
+    go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m ./internal/workload
 }
 
 case "${1:-snapshot}" in
