@@ -37,7 +37,7 @@ type daemonFlags struct {
 func (d *daemonFlags) bind(fs *flag.FlagSet) {
 	fs.StringVar(&d.listen, "listen", ":8080", "daemon: HTTP listen address")
 	fs.TextVar(&d.cfg.Policy, "policy", sched.FIFO, "daemon: scheduling policy, `fifo|sjf|affinity|hybrid`")
-	fs.IntVar(&d.cfg.QueueCap, "queuecap", 0, "daemon: admission-queue bound (0 = default 64)")
+	fs.IntVar(&d.cfg.QueueCap, "queuecap", 0, fmt.Sprintf("daemon: admission-queue bound (0 = default %d)", sched.DefaultQueueCap))
 	fs.IntVar(&d.cfg.MaxOutstanding, "maxinflight", 0, "daemon: outstanding-job bound, 503 past it (0 = 4x queuecap)")
 	fs.Float64Var(&d.cfg.Timescale, "timescale", 1, "daemon: simulated seconds advanced per wall-clock second")
 	fs.Float64Var(&d.windowMS, "windowms", 250, "daemon: telemetry window width in simulated milliseconds")

@@ -16,13 +16,6 @@ import (
 	"duet/internal/sim"
 )
 
-// DefaultSyncStages is the synchronizer depth used across Dolly
-// ("Gray-coded, 2-stage synchronizers", paper §IV).
-const DefaultSyncStages = 2
-
-// DefaultDepth is the default FIFO capacity in entries.
-const DefaultDepth = 8
-
 type entry struct {
 	payload   interface{}
 	writtenAt sim.Time // writer edge the entry was committed
@@ -56,16 +49,10 @@ type Fifo struct {
 	Pushed, Popped uint64
 }
 
-// NewFifo creates an async FIFO with the given capacity (entries) and
-// synchronizer depth. depth <= 0 selects DefaultDepth; stages <= 0 selects
-// DefaultSyncStages.
+// NewFifo creates an async FIFO with the given positive capacity
+// (entries) and synchronizer depth; Dolly's are params.FifoDepth and
+// params.SyncStages.
 func NewFifo(eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages int) *Fifo {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
-	if stages <= 0 {
-		stages = DefaultSyncStages
-	}
 	return &Fifo{
 		Name:       name,
 		eng:        eng,

@@ -214,7 +214,7 @@ type Config struct {
 }
 
 // FaultSpec is the cluster-level slice of a fault plan (the front end
-// never sees wedge or blowup draws — those live below the Backend seam).
+// never sees wedge draws — those live below the Backend seam).
 type FaultSpec struct {
 	// ShardDown lists outage windows per shard index (ascending,
 	// non-overlapping per shard; shards past the length never crash).

@@ -12,6 +12,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/cluster"
 	"duet/internal/efpga"
+	"duet/internal/model"
 	"duet/internal/sched"
 	"duet/internal/sim"
 )
@@ -191,31 +192,56 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 	}
 }
 
+// newModelReplicaN builds analytic model replicas of efpgas fabrics
+// with the test catalog registered.
+func newModelReplicaN(efpgas int) func(int, int64) (cluster.Replica, error) {
+	return func(int, int64) (cluster.Replica, error) {
+		rep := model.NewReplica(model.Config{EFPGAs: efpgas, MemHubs: 1, Policy: sched.FIFO})
+		for _, a := range testApps {
+			bs := accel.Synthesize(a.name, func() efpga.Accelerator { return stub{} })
+			if err := rep.Scheduler().RegisterApp(sched.App{BS: bs, FixedCycles: a.fixed, CyclesPerItem: a.per}); err != nil {
+				return nil, err
+			}
+		}
+		return rep, nil
+	}
+}
+
 // TestHeterogeneousShardRouting: the least-outstanding front end must
 // plan with each shard's own catalog model. A 4-fabric shard behind a
 // 1-fabric shard absorbs most of a saturating stream, even from the
-// higher shard index (which loses ties but wins on capacity).
+// higher shard index (which loses ties but wins on capacity), whether
+// the shards are cycle-level or analytic model replicas.
 func TestHeterogeneousShardRouting(t *testing.T) {
-	mk := newReplicaN(sched.FIFO, -1, 1)
-	big := newReplicaN(sched.FIFO, -1, 4)
-	r, err := runSlice(cluster.Config{
-		Shards: 2, FrontEnd: cluster.LeastOutstanding, Seed: 1,
-		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
-			if shard == 1 {
-				return big(shard, seed)
+	for _, tc := range []struct {
+		name  string
+		build func(efpgas int) func(int, int64) (cluster.Replica, error)
+	}{
+		{"cycle", func(n int) func(int, int64) (cluster.Replica, error) { return newReplicaN(sched.FIFO, -1, n) }},
+		{"model", newModelReplicaN},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk, big := tc.build(1), tc.build(4)
+			r, err := runSlice(cluster.Config{
+				Shards: 2, FrontEnd: cluster.LeastOutstanding, Seed: 1,
+				NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
+					if shard == 1 {
+						return big(shard, seed)
+					}
+					return mk(shard, seed)
+				},
+			}, stream(120))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return mk(shard, seed)
-		},
-	}, stream(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, wide := r.PerShard[0].Assigned, r.PerShard[1].Assigned
-	if wide <= small {
-		t.Fatalf("4-fabric shard got %d jobs vs 1-fabric shard's %d: front end ignored per-shard capacity", wide, small)
-	}
-	if small == 0 {
-		t.Fatal("least-outstanding starved the small shard entirely")
+			small, wide := r.PerShard[0].Assigned, r.PerShard[1].Assigned
+			if wide <= small {
+				t.Fatalf("4-fabric shard got %d jobs vs 1-fabric shard's %d: front end ignored per-shard capacity", wide, small)
+			}
+			if small == 0 {
+				t.Fatal("least-outstanding starved the small shard entirely")
+			}
+		})
 	}
 }
 

@@ -393,6 +393,15 @@ func (p *Port) StoreAsync(t *sim.Thread, va uint64, data []byte) uint64 {
 
 // Await blocks until the handle completes, returning data (loads) or nil.
 func (p *Port) Await(t *sim.Thread, handle uint64) ([]byte, error) {
+	r, err := p.wait(t, handle)
+	if err != nil {
+		return nil, err
+	}
+	return r.data, nil
+}
+
+// wait blocks until the handle completes and takes its response.
+func (p *Port) wait(t *sim.Thread, handle uint64) (*hubResp, error) {
 	for p.results[handle] == nil {
 		p.cond.Wait(t)
 	}
@@ -401,14 +410,7 @@ func (p *Port) Await(t *sim.Thread, handle uint64) ([]byte, error) {
 	if r.kind == hrErr {
 		return nil, fmt.Errorf("memhub: request failed (hub deactivated or access killed)")
 	}
-	if r.kind == hrAmo {
-		b := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(r.old >> (8 * i))
-		}
-		return b, nil
-	}
-	return r.data, nil
+	return r, nil
 }
 
 // Load performs a blocking load of size bytes at va.
@@ -433,13 +435,9 @@ func (p *Port) Amo(t *sim.Thread, op int, va uint64, size int, operand, operand2
 	r.amoOp = op
 	r.operand, r.operand2 = operand, operand2
 	p.send(t, r)
-	b, err := p.Await(t, r.seq)
+	resp, err := p.wait(t, r.seq)
 	if err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 0; i < len(b); i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return resp.old, nil
 }

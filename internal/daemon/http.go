@@ -83,7 +83,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-out.Done:
 			res, ok := s.Lookup(out.ID)
-			if !ok { // evicted between retire and lookup (tiny ResultCap)
+			if !ok { // evicted between retire and lookup
 				httpError(w, http.StatusInternalServerError, "result evicted before delivery")
 				return
 			}

@@ -46,6 +46,9 @@ func ParseTenants(spec string) ([]TenantShare, error) {
 	return out, nil
 }
 
+// loadgenInputSize is every generated job's input size.
+const loadgenInputSize = 64
+
 // LoadgenConfig parameterizes one load-generation run against a daemon.
 type LoadgenConfig struct {
 	Target string // base URL, e.g. "http://localhost:8080"
@@ -62,11 +65,10 @@ type LoadgenConfig struct {
 	Duration    time.Duration // run length (default 5s)
 	Jobs        int           // optional total submission cap; 0 = Duration only
 
-	Apps      []string      // app mix, uniform; empty = fetch the daemon's catalog
-	InputSize int           // per-job input size (default 64)
-	Tenants   []TenantShare // weighted tenant mix; empty = single "loadgen" tenant
-	Seed      int64         // app/tenant/gap randomness seed (default 1)
-	Timeout   time.Duration // per-request client timeout (default 30s)
+	Apps    []string      // app mix, uniform; empty = fetch the daemon's catalog
+	Tenants []TenantShare // weighted tenant mix; empty = single "loadgen" tenant
+	Seed    int64         // app/tenant/gap randomness seed (default 1)
+	Timeout time.Duration // per-request client timeout (default 30s)
 }
 
 // LoadgenReport is a run's final tally. Latencies are wall-clock,
@@ -128,9 +130,6 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (LoadgenReport, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 5 * time.Second
-	}
-	if cfg.InputSize <= 0 {
-		cfg.InputSize = 64
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -314,7 +313,7 @@ func retryDelay(header string, attempt int) time.Duration {
 // attempts per the Retry-After hint — and files the final outcome.
 func (g *loadgen) submit(ctx context.Context) {
 	app, tenant := g.pick()
-	body, _ := json.Marshal(JobRequest{App: app, InputSize: g.cfg.InputSize, Tenant: tenant, Wait: true})
+	body, _ := json.Marshal(JobRequest{App: app, InputSize: loadgenInputSize, Tenant: tenant, Wait: true})
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.cfg.Target+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {

@@ -25,12 +25,10 @@ type Config struct {
 	// NewServer rejects any other mode.
 	Backend workload.BackendMode
 
-	EFPGAs      int          // fabric workers (default 2)
-	SoftCPUs    int          // soft-path workers (hybrid default 1)
-	MemHubs     int          // memory hubs per adapter (default 1)
-	Policy      sched.Policy // placement policy
-	QueueCap    int          // bounded admission queue (default 64)
-	CPUSlowdown float64      // soft-path slowdown factor (model default)
+	EFPGAs   int          // fabric workers (default 2)
+	SoftCPUs int          // soft-path workers (hybrid default 1)
+	Policy   sched.Policy // placement policy
+	QueueCap int          // bounded admission queue (default sched.DefaultQueueCap)
 
 	// Timescale is the exchange rate of the clock bridge: simulated
 	// seconds advanced per wall-clock second (default 1). Above 1 the
@@ -52,13 +50,9 @@ type Config struct {
 	// dispatch as soon as a worker frees.
 	MaxOutstanding int
 
-	// ResultCap bounds retained finished results for GET /v1/jobs/{id}
-	// (default 16384, evicted oldest-first).
-	ResultCap int
-
 	// Faults, when non-nil, installs the deterministic fault-injection
 	// seam on the daemon's pool (internal/faults): wedge-on-reprogram
-	// quarantines, service blowups, retry budgets, deadline enforcement
+	// quarantines and their repairs, retry budgets, deadline enforcement
 	// and downtime windows, all in simulated time. The daemon is a
 	// single-shard stack, so the plan's shard-0 schedule applies.
 	Faults *faults.Plan
@@ -66,10 +60,15 @@ type Config struct {
 	// Clock is the wall-time source (default NewWallClock). Tests inject
 	// a *FakeClock here.
 	Clock Clock
-
-	// Namespace prefixes every exposed metric (default "duetsim").
-	Namespace string
 }
+
+const (
+	// resultCap bounds the finished results retained for
+	// GET /v1/jobs/{id}, evicted oldest-first.
+	resultCap = 16384
+	// namespace prefixes every exposed metric.
+	namespace = "duetsim"
+)
 
 // Server is the live ingest front end. One mutex guards the pool (its
 // timeline and scheduler) and the result tables: the simulated timeline
@@ -86,7 +85,7 @@ type Server struct {
 	rec         *telemetry.Recorder
 	byJob       map[*sched.Job]*entry
 	byID        map[uint64]*entry
-	order       []uint64 // finished ids, oldest first (ResultCap eviction)
+	order       []uint64 // finished ids, oldest first (resultCap eviction)
 	nextID      uint64
 	outstanding int
 	draining    bool
@@ -176,24 +175,18 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.WindowWidth = 250 * sim.MS
 	}
 	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 64
+		cfg.QueueCap = sched.DefaultQueueCap
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 4 * cfg.QueueCap
-	}
-	if cfg.ResultCap <= 0 {
-		cfg.ResultCap = 16384
-	}
-	if cfg.Namespace == "" {
-		cfg.Namespace = "duetsim"
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = NewWallClock()
 	}
 	pool, err := workload.NewServePool(workload.ServeConfig{
-		Backend: cfg.Backend, EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs, MemHubs: cfg.MemHubs,
+		Backend: cfg.Backend, EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs,
 		Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: sched.StatsStreaming,
-		CPUSlowdown: cfg.CPUSlowdown, Faults: cfg.Faults,
+		Faults: cfg.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -260,7 +253,7 @@ func (s *Server) onResult(j *sched.Job) {
 	}
 	close(e.done)
 	s.order = append(s.order, e.id)
-	if n := len(s.order) - s.cfg.ResultCap; n > 0 {
+	if n := len(s.order) - resultCap; n > 0 {
 		for _, id := range s.order[:n] {
 			delete(s.byID, id)
 		}
@@ -504,10 +497,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceLocked()
-	if err := telemetry.WriteProm(w, s.cfg.Namespace, s.rec); err != nil {
+	if err := telemetry.WriteProm(w, namespace, s.rec); err != nil {
 		return err
 	}
-	ns := s.cfg.Namespace
 	gauges := []struct {
 		name, typ, help string
 		value           int64
@@ -521,7 +513,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		{"shard_down", "gauge", "1 while the pool is inside a scheduled outage window.", b2i(s.sch.DownAt(s.pool.Now()))},
 	}
 	for _, g := range gauges {
-		name := ns + "_" + g.name
+		name := namespace + "_" + g.name
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
 			name, g.help, name, g.typ, name, g.value); err != nil {
 			return err

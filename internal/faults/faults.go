@@ -4,7 +4,7 @@
 // model backends fail identically — the same faults at the same
 // simulated instants, whatever executes the job.
 //
-// Three fault classes are modeled:
+// Two fault classes are modeled:
 //
 //   - Wedge-on-reprogram: with a per-fabric probability, a placement
 //     that triggers reconfiguration never completes it — the modeled
@@ -12,9 +12,6 @@
 //     The injector charges a detection occupancy, then fails the job
 //     with an error wrapping sched.ErrWedged; the scheduler quarantines
 //     the fabric and retries the victim (sched/faults.go).
-//   - Service-time blowups: with a per-job probability, a job's service
-//     takes BlowupFactor times its modeled occupancy — a straggler, not
-//     a failure.
 //   - Shard crash/rejoin schedules: simulated-time outage windows per
 //     cluster shard, enforced by the scheduler's downtime state machine
 //     and visible to cluster front ends for reroute and hedging.
@@ -37,14 +34,10 @@ import (
 	"duet/internal/sim"
 )
 
-// DefaultWedgeDetect is the occupancy charged before a wedged reprogram
+// WedgeDetect is the occupancy charged before a wedged reprogram
 // is detected: the modeled driver's bounded programming-status poll
-// giving up. Overridden per plan by WedgeDetect.
-const DefaultWedgeDetect = 50 * sim.US
-
-// DefaultBlowupFactor is the service-time multiplier of a blown-up job
-// when the plan does not set one.
-const DefaultBlowupFactor = 4.0
+// giving up.
+const WedgeDetect = 50 * sim.US
 
 // Plan is one seeded, fully reproducible fault scenario. The zero Plan
 // (and a nil *Plan) injects nothing; an empty plan wired into a stack
@@ -60,17 +53,9 @@ type Plan struct {
 	// workers never reprogram and so never wedge.
 	WedgeProb  float64
 	WedgeProbs []float64
-	// WedgeDetect is the fabric occupancy charged from dispatch to
-	// wedge detection (default DefaultWedgeDetect).
-	WedgeDetect sim.Time
 	// MaxRetries is the per-job re-queue budget after wedges, applied
 	// through sched.FaultConfig.
 	MaxRetries int
-
-	// BlowupProb is the per-job probability of a service-time straggler;
-	// BlowupFactor is its multiplier (default DefaultBlowupFactor).
-	BlowupProb   float64
-	BlowupFactor float64
 
 	// EnforceDeadlines drops queued jobs past their absolute deadline
 	// with a distinct timed-out outcome (sched.ErrTimedOut).
@@ -94,9 +79,6 @@ type Plan struct {
 	// every other fault (see RepairDelayFor). Zero keeps quarantine
 	// permanent, the pre-repair behavior.
 	RepairDelay sim.Time
-	// MaxRepairs bounds repairs per worker (0 = unlimited): a worker
-	// wedging past its budget is quarantined permanently.
-	MaxRepairs int
 	// RecoverHold is the cluster front ends' recovery hysteresis: the
 	// health-weighted front end keeps deprioritizing a shard whose
 	// outage window closed less than RecoverHold ago.
@@ -336,13 +318,9 @@ const maxBackoffShift = 6
 // wedge (capped at 64x) with a deterministic ±50% jitter — a pure
 // counted draw keyed like every other fault, so the cycle and model
 // backends schedule identical repair instants. Zero (permanent
-// quarantine) when the plan has no repair process or the worker has
-// exhausted MaxRepairs.
+// quarantine) when the plan has no repair process.
 func (p *Plan) RepairDelayFor(shard, worker, nth int) sim.Time {
 	if p == nil || p.RepairDelay <= 0 || nth <= 0 {
-		return 0
-	}
-	if p.MaxRepairs > 0 && nth > p.MaxRepairs {
 		return 0
 	}
 	shift := nth - 1
@@ -370,12 +348,13 @@ func (p *Plan) wedgeProbFor(shard, worker int) float64 {
 	return prob
 }
 
-// Fault-class discriminators mixed into every draw, so the wedge,
-// blowup and repair streams are independent even at equal sites.
+// Fault-class discriminators mixed into every draw, so the wedge and
+// repair streams are independent even at equal sites. The values are
+// part of every draw's key: renumbering one moves every seeded fault of
+// its class.
 const (
-	classWedge uint64 = 1 + iota
-	classBlowup
-	classRepair
+	classWedge  uint64 = 1
+	classRepair uint64 = 3
 )
 
 // mix is a splitmix64-style finalizer over the draw's key material.
@@ -421,28 +400,6 @@ func (in *Injector) wedge(worker, attempt int) bool {
 	return draw(uint64(in.plan.Seed), classWedge, uint64(in.shard), uint64(worker), uint64(attempt)) < prob
 }
 
-// blowup reports a job's service-time multiplier: 1 for normal service.
-func (in *Injector) blowup(jobID int) float64 {
-	if in.plan == nil || in.plan.BlowupProb <= 0 {
-		return 1
-	}
-	if draw(uint64(in.plan.Seed), classBlowup, uint64(in.shard), uint64(jobID)) >= in.plan.BlowupProb {
-		return 1
-	}
-	if in.plan.BlowupFactor > 0 {
-		return in.plan.BlowupFactor
-	}
-	return DefaultBlowupFactor
-}
-
-// detect is the plan's wedge-detection occupancy.
-func (in *Injector) detect() sim.Time {
-	if in.plan != nil && in.plan.WedgeDetect > 0 {
-		return in.plan.WedgeDetect
-	}
-	return DefaultWedgeDetect
-}
-
 // Timeline is the scheduler's timeline, which the wrapper charges fault
 // occupancies on. Both *model.Events and *sim.Engine satisfy it — the
 // same seam the model backends schedule through.
@@ -451,20 +408,20 @@ type Timeline = sched.Timeline
 // Wrap decorates one execution backend with the injector's fault model;
 // worker is its scheduler index (the wedge-probability and draw site).
 // The wrapper is transparent under an empty plan: every dispatch goes
-// straight to the inner backend after two cheap probability checks.
+// straight to the inner backend after one cheap probability check, and
+// completions reach the scheduler without passing through it.
 func (in *Injector) Wrap(tl Timeline, worker int, be sched.Backend) sched.Backend {
 	b := &backend{inner: be, tl: tl, in: in, worker: worker}
 	b.wedgeFn = func(a any) {
 		j := a.(*sched.Job)
 		b.done(j, fmt.Errorf("faults: reprogram of %q on worker %d: %w", b.wedged, b.worker, sched.ErrWedged))
 	}
-	b.holdFn = func(a any) { b.done(a.(*sched.Job), nil) }
 	return b
 }
 
 // backend is the fault-injecting sched.Backend decorator. One job is in
-// flight per worker, so the blowup extension rides in a field and both
-// callbacks stay closure-free.
+// flight per worker, so the wedged bitstream rides in a field and the
+// detection callback stays closure-free.
 type backend struct {
 	inner  sched.Backend
 	tl     Timeline
@@ -476,10 +433,8 @@ type backend struct {
 	attempts int
 
 	done    func(*sched.Job, error)
-	extra   sim.Time // blowup service extension of the in-flight job
-	wedged  string   // bitstream of the in-flight wedged reprogram
+	wedged  string // bitstream of the in-flight wedged reprogram
 	wedgeFn func(any)
-	holdFn  func(any)
 }
 
 func (b *backend) Kind() sched.BackendKind { return b.inner.Kind() }
@@ -501,22 +456,11 @@ func (b *backend) Scrub() {
 	}
 }
 
-// Bind interposes on the completion path: the inner backend completes
-// into innerDone, which defers blown-up jobs before handing them to the
-// scheduler's real callback.
-func (b *backend) Bind(settleCycles int64, done func(*sched.Job, error)) {
+// Bind keeps the scheduler's callback for wedged attempts and hands it
+// straight to the inner backend, which completes every other job.
+func (b *backend) Bind(done func(*sched.Job, error)) {
 	b.done = done
-	b.inner.Bind(settleCycles, b.innerDone)
-}
-
-func (b *backend) innerDone(j *sched.Job, err error) {
-	if err != nil || b.extra <= 0 {
-		b.done(j, err)
-		return
-	}
-	d := b.extra
-	b.extra = 0
-	b.tl.AfterArg(d, b.holdFn, j)
+	b.inner.Bind(done)
 }
 
 // Dispatch draws the job's faults, then delegates. A placement that
@@ -534,13 +478,9 @@ func (b *backend) Dispatch(j *sched.Job, app *sched.App) {
 			// holds for wedged attempts too.
 			j.Reprogrammed = true
 			b.wedged = app.BS.Name
-			b.tl.AfterArg(b.in.detect(), b.wedgeFn, j)
+			b.tl.AfterArg(WedgeDetect, b.wedgeFn, j)
 			return
 		}
-	}
-	b.extra = 0
-	if f := b.in.blowup(j.ID); f > 1 {
-		b.extra = sim.Time((f - 1) * float64(b.inner.ServiceTime(app, j.InputSize)))
 	}
 	b.inner.Dispatch(j, app)
 }

@@ -16,26 +16,23 @@ import (
 // — two injectors over equal plans agree site by site, which is the
 // whole determinism story (no RNG stream scheduling order could skew).
 func TestDrawsDeterministic(t *testing.T) {
-	plan := &Plan{Seed: 42, WedgeProb: 0.3, BlowupProb: 0.2, BlowupFactor: 3}
+	plan := &Plan{Seed: 42, WedgeProb: 0.3}
 	a := NewInjector(plan, 1)
-	b := NewInjector(&Plan{Seed: 42, WedgeProb: 0.3, BlowupProb: 0.2, BlowupFactor: 3}, 1)
+	b := NewInjector(&Plan{Seed: 42, WedgeProb: 0.3}, 1)
 	for attempt := 1; attempt <= 200; attempt++ {
 		if a.wedge(0, attempt) != b.wedge(0, attempt) {
 			t.Fatalf("wedge draw diverged at attempt %d", attempt)
-		}
-		if a.blowup(attempt) != b.blowup(attempt) {
-			t.Fatalf("blowup draw diverged at job %d", attempt)
 		}
 	}
 }
 
 // TestDrawsKeyedBySite: changing any key component — seed, shard,
-// worker — changes the draw stream; and the wedge and blowup classes
+// worker — changes the draw stream; and the wedge and repair classes
 // are independent even at equal sites.
 func TestDrawsKeyedBySite(t *testing.T) {
-	base := NewInjector(&Plan{Seed: 1, WedgeProb: 0.5, BlowupProb: 0.5}, 0)
-	seeds := NewInjector(&Plan{Seed: 2, WedgeProb: 0.5, BlowupProb: 0.5}, 0)
-	shards := NewInjector(&Plan{Seed: 1, WedgeProb: 0.5, BlowupProb: 0.5}, 1)
+	base := NewInjector(&Plan{Seed: 1, WedgeProb: 0.5}, 0)
+	seeds := NewInjector(&Plan{Seed: 2, WedgeProb: 0.5}, 0)
+	shards := NewInjector(&Plan{Seed: 1, WedgeProb: 0.5}, 1)
 	diff := func(other *Injector) bool {
 		for attempt := 1; attempt <= 64; attempt++ {
 			if base.wedge(0, attempt) != other.wedge(0, attempt) {
@@ -62,13 +59,13 @@ func TestDrawsKeyedBySite(t *testing.T) {
 	}
 	classDiff := false
 	for n := 1; n <= 64; n++ {
-		if base.wedge(0, n) != (base.blowup(n) > 1) {
+		if base.wedge(0, n) != (draw(1, classRepair, 0, 0, uint64(n)) < 0.5) {
 			classDiff = true
 			break
 		}
 	}
 	if !classDiff {
-		t.Error("wedge and blowup classes are not independent at equal sites")
+		t.Error("wedge and repair classes are not independent at equal sites")
 	}
 }
 
@@ -139,15 +136,6 @@ func TestWedgeProbPerWorkerOverride(t *testing.T) {
 	}
 }
 
-func TestDetectOccupancy(t *testing.T) {
-	if got := NewInjector(&Plan{}, 0).detect(); got != DefaultWedgeDetect {
-		t.Errorf("default detect %v, want %v", got, DefaultWedgeDetect)
-	}
-	if got := NewInjector(&Plan{WedgeDetect: 7 * sim.US}, 0).detect(); got != 7*sim.US {
-		t.Errorf("detect %v, want the plan's 7us", got)
-	}
-}
-
 // stubBackend records Dispatch/Bind traffic and completes jobs
 // synchronously, so the wrapper's interposition is directly observable.
 type stubBackend struct {
@@ -164,9 +152,7 @@ func (s *stubBackend) Register(*efpga.Bitstream) error      { return nil }
 func (s *stubBackend) Resident() string                     { return "" }
 func (s *stubBackend) ReconfigCost(*sched.App) sim.Time     { return s.reconfig }
 func (s *stubBackend) ServiceTime(*sched.App, int) sim.Time { return s.service }
-func (s *stubBackend) Bind(_ int64, done func(*sched.Job, error)) {
-	s.done = done
-}
+func (s *stubBackend) Bind(done func(*sched.Job, error))    { s.done = done }
 func (s *stubBackend) Dispatch(j *sched.Job, _ *sched.App) {
 	s.dispatched = append(s.dispatched, j.ID)
 	s.done(j, nil)
@@ -197,7 +183,7 @@ func TestWrapEmptyPlanPassThrough(t *testing.T) {
 	be := NewInjector(&Plan{}, 0).Wrap(tl, 0, inner)
 
 	var completed []int
-	be.Bind(0, func(j *sched.Job, err error) {
+	be.Bind(func(j *sched.Job, err error) {
 		if err != nil {
 			t.Fatalf("job %d failed under empty plan: %v", j.ID, err)
 		}
@@ -226,10 +212,10 @@ func TestWrapEmptyPlanPassThrough(t *testing.T) {
 func TestWrapWedgeInterception(t *testing.T) {
 	inner := &stubBackend{reconfig: sim.US, service: 10 * sim.US}
 	tl := &stubTimeline{}
-	be := NewInjector(&Plan{Seed: 1, WedgeProb: 1, WedgeDetect: 9 * sim.US}, 0).Wrap(tl, 0, inner)
+	be := NewInjector(&Plan{Seed: 1, WedgeProb: 1}, 0).Wrap(tl, 0, inner)
 
 	var gotErr error
-	be.Bind(0, func(_ *sched.Job, err error) { gotErr = err })
+	be.Bind(func(_ *sched.Job, err error) { gotErr = err })
 	j := &sched.Job{ID: 1}
 	be.Dispatch(j, &sched.App{BS: &efpga.Bitstream{Name: "Tangent"}})
 
@@ -239,8 +225,8 @@ func TestWrapWedgeInterception(t *testing.T) {
 	if !j.Reprogrammed {
 		t.Fatal("wedged attempt did not settle Reprogrammed at dispatch")
 	}
-	if len(tl.delays) != 1 || tl.delays[0] != 9*sim.US {
-		t.Fatalf("detection occupancy %v, want one 9us deferral", tl.delays)
+	if len(tl.delays) != 1 || tl.delays[0] != WedgeDetect {
+		t.Fatalf("detection occupancy %v, want one %v deferral", tl.delays, WedgeDetect)
 	}
 	tl.fns[0](tl.args[0]) // detection fires
 	if !errors.Is(gotErr, sched.ErrWedged) || !strings.Contains(gotErr.Error(), `"Tangent"`) {
@@ -253,29 +239,6 @@ func TestWrapWedgeInterception(t *testing.T) {
 	be.Dispatch(&sched.Job{ID: 2}, &sched.App{})
 	if len(inner.dispatched) != 1 {
 		t.Fatal("resident-app dispatch did not pass through")
-	}
-}
-
-// TestWrapBlowupDefersCompletion: a blown-up job completes only after
-// the extra (factor-1) x service occupancy is charged on the timeline.
-func TestWrapBlowupDefersCompletion(t *testing.T) {
-	inner := &stubBackend{service: 10 * sim.US}
-	tl := &stubTimeline{}
-	be := NewInjector(&Plan{Seed: 1, BlowupProb: 1, BlowupFactor: 4}, 0).Wrap(tl, 0, inner)
-
-	var completed bool
-	be.Bind(0, func(*sched.Job, error) { completed = true })
-	be.Dispatch(&sched.Job{ID: 1}, &sched.App{})
-
-	if completed {
-		t.Fatal("blown-up job completed without the extension")
-	}
-	if len(tl.delays) != 1 || tl.delays[0] != 30*sim.US {
-		t.Fatalf("extension %v, want one (4-1)x10us deferral", tl.delays)
-	}
-	tl.fns[0](tl.args[0])
-	if !completed {
-		t.Fatal("deferred completion never reached the scheduler")
 	}
 }
 
@@ -398,11 +361,10 @@ func TestDomainWedgeProbRaises(t *testing.T) {
 	}
 }
 
-// TestRepairDelayFor: seeded, backed off, jittered within ±50%, and cut
-// off past MaxRepairs.
+// TestRepairDelayFor: seeded, backed off and jittered within ±50%.
 func TestRepairDelayFor(t *testing.T) {
-	plan := &Plan{Seed: 7, RepairDelay: 100 * sim.US, MaxRepairs: 3}
-	twin := &Plan{Seed: 7, RepairDelay: 100 * sim.US, MaxRepairs: 3}
+	plan := &Plan{Seed: 7, RepairDelay: 100 * sim.US}
+	twin := &Plan{Seed: 7, RepairDelay: 100 * sim.US}
 	for nth := 1; nth <= 3; nth++ {
 		d := plan.RepairDelayFor(0, 1, nth)
 		if d != twin.RepairDelayFor(0, 1, nth) {
@@ -412,9 +374,6 @@ func TestRepairDelayFor(t *testing.T) {
 		if d < base/2 || d >= base+base/2 {
 			t.Errorf("nth=%d delay %v outside [%v, %v)", nth, d, base/2, base+base/2)
 		}
-	}
-	if got := plan.RepairDelayFor(0, 1, 4); got != 0 {
-		t.Errorf("past MaxRepairs delay %v, want permanent quarantine", got)
 	}
 	if got := (&Plan{Seed: 7}).RepairDelayFor(0, 1, 1); got != 0 {
 		t.Errorf("repair-free plan delay %v, want 0", got)

@@ -8,32 +8,36 @@ import (
 	"duet/internal/sim"
 )
 
-// DefaultCPUSlowdown is the calibrated soft-path slowdown: how much
+// CPUSlowdown is the calibrated soft-path slowdown: how much
 // longer an application takes on the processor than on its fabric
 // accelerator. It is the paper's Fig. 12 geometric-mean Duet speedup
 // over the processor-only baseline (4.53x across the nine benchmark
 // accelerators), inverted into a service-time multiplier.
-const DefaultCPUSlowdown = 4.53
+const CPUSlowdown = 4.53
 
 // CPUServiceTime is the soft path's analytic occupancy: the App's
 // fabric service time stretched by the calibrated slowdown. Shared by
 // the CPU backend's dispatch and every placement estimate, so the
 // hybrid policy's spill decision prices exactly what dispatch charges.
-func CPUServiceTime(app *sched.App, inputSize int, slowdown float64) sim.Time {
-	return sim.Time(slowdown * float64(app.Cycles(inputSize)) * float64(app.Period()))
+func CPUServiceTime(app *sched.App, inputSize int) sim.Time {
+	return sim.Time(CPUSlowdown * float64(app.Cycles(inputSize)) * float64(app.Period()))
 }
 
 // FabricParams describes one analytic fabric worker.
 type FabricParams struct {
 	Name string
-	Cap  efpga.Resources
+	// Cap is the modeled reconfigurable budget (defaults to
+	// efpga.DefaultFabricCap, matching duet.Config).
+	Cap efpga.Resources
 	// Hubs is the modeled adapter's Memory Hub count (reprogram cost
 	// charges one feature-switch round per hub, before and after).
 	Hubs int
 	// FastPeriod is the fast-domain clock period the hub toggles and
 	// programming stream are charged at (params.CPUClockPS on Dolly).
 	FastPeriod sim.Time
-	// InitFreqMHz is the fabric clock before the first configuration.
+	// InitFreqMHz is the fabric clock before the first configuration
+	// (defaults to 100 MHz, matching duet.Config); each app's Fmax takes
+	// over on its first configuration, exactly as on the cycle path.
 	InitFreqMHz float64
 }
 
@@ -55,8 +59,7 @@ type Fabric struct {
 	// before a job can name one.
 	images map[string]*efpga.Bitstream
 
-	settle int64
-	done   func(*sched.Job, error)
+	done func(*sched.Job, error)
 
 	// One job is in flight per worker, so the pending app rides in a
 	// field and both callbacks stay closure-free.
@@ -114,11 +117,8 @@ func (b *Fabric) Resident() string { return b.resident }
 // pays the full reconfiguration cost, like the cycle backend's Scrub.
 func (b *Fabric) Scrub() { b.resident = "" }
 
-// Bind attaches the scheduler's settle time and completion callback.
-func (b *Fabric) Bind(settleCycles int64, done func(*sched.Job, error)) {
-	b.settle = settleCycles
-	b.done = done
-}
+// Bind attaches the scheduler's completion callback.
+func (b *Fabric) Bind(done func(*sched.Job, error)) { b.done = done }
 
 // ServiceTime is the catalog occupancy at the app's Fmax.
 func (b *Fabric) ServiceTime(app *sched.App, inputSize int) sim.Time {
@@ -130,7 +130,7 @@ func (b *Fabric) ReconfigCost(app *sched.App) sim.Time {
 	if b.resident == app.BS.Name {
 		return 0
 	}
-	return sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settle, b.settlePeriod(app))
+	return sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settlePeriod(app))
 }
 
 // settlePeriod is the fabric period the configuration settle runs at:
@@ -156,7 +156,7 @@ func (b *Fabric) Dispatch(j *sched.Job, app *sched.App) {
 		return
 	}
 	j.Reprogrammed = true
-	cost := sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settle, b.settlePeriod(app))
+	cost := sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settlePeriod(app))
 	b.resident = name
 	if app.BS.FmaxMHz > 0 {
 		b.period = app.Period()
@@ -180,21 +180,16 @@ func (b *Fabric) serve(j *sched.Job) {
 // placement policy spills onto CPU workers when every fitting fabric is
 // busy and the soft path's modeled completion beats waiting.
 type CPU struct {
-	tl       Timeline
-	name     string
-	slowdown float64
+	tl   Timeline
+	name string
 
 	done     func(*sched.Job, error)
 	finishFn func(any)
 }
 
-// NewCPU builds a soft-path worker (slowdown <= 0 selects the
-// calibrated default).
-func NewCPU(tl Timeline, name string, slowdown float64) *CPU {
-	if slowdown <= 0 {
-		slowdown = DefaultCPUSlowdown
-	}
-	b := &CPU{tl: tl, name: name, slowdown: slowdown}
+// NewCPU builds a soft-path worker.
+func NewCPU(tl Timeline, name string) *CPU {
+	b := &CPU{tl: tl, name: name}
 	b.finishFn = func(a any) { b.done(a.(*sched.Job), nil) }
 	return b
 }
@@ -214,13 +209,12 @@ func (b *CPU) Register(*efpga.Bitstream) error { return nil }
 // Resident reports no configuration state.
 func (b *CPU) Resident() string { return "" }
 
-// Bind attaches the completion callback (the settle time is a fabric
-// concept; the soft path ignores it).
-func (b *CPU) Bind(_ int64, done func(*sched.Job, error)) { b.done = done }
+// Bind attaches the completion callback.
+func (b *CPU) Bind(done func(*sched.Job, error)) { b.done = done }
 
 // ServiceTime is the calibrated soft-path occupancy.
 func (b *CPU) ServiceTime(app *sched.App, inputSize int) sim.Time {
-	return CPUServiceTime(app, inputSize, b.slowdown)
+	return CPUServiceTime(app, inputSize)
 }
 
 // ReconfigCost is zero: there is nothing to configure.
@@ -228,5 +222,5 @@ func (b *CPU) ReconfigCost(*sched.App) sim.Time { return 0 }
 
 // Dispatch occupies the worker for the slowed-down service time.
 func (b *CPU) Dispatch(j *sched.Job, app *sched.App) {
-	b.tl.AfterArg(CPUServiceTime(app, j.InputSize, b.slowdown), b.finishFn, j)
+	b.tl.AfterArg(CPUServiceTime(app, j.InputSize), b.finishFn, j)
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"duet/internal/cluster"
-	"duet/internal/efpga"
 	"duet/internal/params"
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -127,21 +126,9 @@ type Config struct {
 
 	// Scheduler settings (see sched.Config). PlayStream harvests the
 	// shard's samples in either Stats mode (sched.Scheduler.Harvest).
-	Policy       sched.Policy
-	QueueCap     int
-	SettleCycles int64
-	Stats        sched.StatsMode
-
-	// FPGAFreqMHz is the initial fabric clock (defaults to 100 MHz,
-	// matching duet.Config); each app's Fmax takes over on first
-	// configuration, exactly as on the cycle path.
-	FPGAFreqMHz float64
-	// FabricCap is the per-fabric capacity (defaults to
-	// efpga.DefaultFabricCap, matching duet.Config).
-	FabricCap efpga.Resources
-	// CPUSlowdown scales App service times on the soft path (defaults to
-	// DefaultCPUSlowdown).
-	CPUSlowdown float64
+	Policy   sched.Policy
+	QueueCap int
+	Stats    sched.StatsMode
 
 	// Wrap, when set, decorates each backend before the scheduler sees
 	// it — the fault-injection seam (internal/faults plugs in here). It
@@ -170,28 +157,17 @@ func NewReplica(cfg Config) *Replica {
 	if cfg.EFPGAs <= 0 {
 		cfg.EFPGAs = 1
 	}
-	if cfg.FPGAFreqMHz == 0 {
-		cfg.FPGAFreqMHz = 100
-	}
-	if cfg.FabricCap == (efpga.Resources{}) {
-		cfg.FabricCap = efpga.DefaultFabricCap
-	}
-	if cfg.CPUSlowdown <= 0 {
-		cfg.CPUSlowdown = DefaultCPUSlowdown
-	}
 	ev := &Events{}
 	var backends []sched.Backend
 	for i := 0; i < cfg.EFPGAs; i++ {
 		backends = append(backends, NewFabric(ev, FabricParams{
-			Name:        fmt.Sprintf("efpga%d", i),
-			Cap:         cfg.FabricCap,
-			Hubs:        cfg.MemHubs,
-			FastPeriod:  params.CPUClockPS,
-			InitFreqMHz: cfg.FPGAFreqMHz,
+			Name:       fmt.Sprintf("efpga%d", i),
+			Hubs:       cfg.MemHubs,
+			FastPeriod: params.CPUClockPS,
 		}))
 	}
 	for i := 0; i < cfg.SoftCPUs; i++ {
-		backends = append(backends, NewCPU(ev, fmt.Sprintf("cpu%d", i), cfg.CPUSlowdown))
+		backends = append(backends, NewCPU(ev, fmt.Sprintf("cpu%d", i)))
 	}
 	if cfg.Wrap != nil {
 		for i, be := range backends {
@@ -199,8 +175,7 @@ func NewReplica(cfg Config) *Replica {
 		}
 	}
 	sch := sched.New(ev, backends, sched.Config{
-		Policy: cfg.Policy, QueueCap: cfg.QueueCap,
-		SettleCycles: cfg.SettleCycles, Stats: cfg.Stats,
+		Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: cfg.Stats,
 		Faults: cfg.Faults,
 	})
 	return &Replica{ev: ev, sch: sch}

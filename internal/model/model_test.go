@@ -46,7 +46,7 @@ func TestReprogramCostMatchesCycleChain(t *testing.T) {
 			t.Fatalf("hubs=%d: job not served via reprogram: %+v", hubs, j)
 		}
 		app.Finalize()
-		want := sched.ReprogramCost(&app, hubs, 1000, sch.Config().SettleCycles, app.Period()) +
+		want := sched.ReprogramCost(&app, hubs, 1000, app.Period()) +
 			sim.Time(app.Cycles(33))*app.Period()
 		if got := j.Service(); got != want {
 			t.Fatalf("hubs=%d: cycle chain served in %v, analytic formula says %v", hubs, got, want)
@@ -62,8 +62,8 @@ func TestBackendEstimatesAgree(t *testing.T) {
 	mdl := model.NewFabric(&model.Events{}, model.FabricParams{
 		Name: "efpga0", Hubs: 2, FastPeriod: 1000, InitFreqMHz: 100,
 	})
-	cyc.Bind(1024, nil)
-	mdl.Bind(1024, nil)
+	cyc.Bind(nil)
+	mdl.Bind(nil)
 	bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 330, 1024)
 	app := sched.App{BS: bs, FixedCycles: 500, CyclesPerItem: 3}
 	app.Finalize()
@@ -79,7 +79,7 @@ func TestBackendEstimatesAgree(t *testing.T) {
 // every job at the calibrated slowdown, with no reconfigurations.
 func TestCPUBackendServes(t *testing.T) {
 	ev := &model.Events{}
-	cpu := model.NewCPU(ev, "cpu0", 4)
+	cpu := model.NewCPU(ev, "cpu0")
 	sch := sched.New(ev, []sched.Backend{cpu}, sched.Config{Policy: sched.FIFO})
 	bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 100, 64) // 100 MHz: 10ns cycle
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 100, CyclesPerItem: 0}); err != nil {
@@ -88,8 +88,8 @@ func TestCPUBackendServes(t *testing.T) {
 	j := &sched.Job{Request: sched.Request{App: 0}}
 	sch.Submit(j)
 	ev.Drain()
-	// 100 cycles * 10ns * 4x slowdown = 4us.
-	if want := sim.Time(4 * sim.US); j.Service() != want {
+	// 100 cycles * 10ns * 4.53x slowdown = 4.53us.
+	if want := sim.Time(4530 * sim.NS); j.Service() != want {
 		t.Fatalf("soft-path service = %v, want %v", j.Service(), want)
 	}
 	st := sch.Stats()
@@ -108,7 +108,7 @@ func TestHybridSpill(t *testing.T) {
 	build := func() (*model.Events, *sched.Scheduler) {
 		ev := &model.Events{}
 		fab := model.NewFabric(ev, model.FabricParams{Name: "efpga0", Hubs: 1, FastPeriod: 1000, InitFreqMHz: 100})
-		cpu := model.NewCPU(ev, "cpu0", 4)
+		cpu := model.NewCPU(ev, "cpu0")
 		sch := sched.New(ev, []sched.Backend{fab, cpu}, sched.Config{Policy: sched.Hybrid, QueueCap: 64})
 		bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 100, 64)
 		if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 100_000, CyclesPerItem: 0}); err != nil {
@@ -128,7 +128,7 @@ func TestHybridSpill(t *testing.T) {
 		t.Fatalf("light load spilled: fabric=%d cpu=%d", st.Fabrics[0].Jobs, st.Fabrics[1].Jobs)
 	}
 
-	// Burst: 8 jobs at once. The fabric serves the head; with 4x
+	// Burst: 8 jobs at once. The fabric serves the head; with 4.53x
 	// slowdown a CPU run beats waiting behind several queued jobs, so
 	// the tail spills.
 	ev, sch = build()
@@ -157,7 +157,7 @@ func TestHybridOversizedBitstreamTakesSoftPath(t *testing.T) {
 		Name: "efpga0", Cap: efpga.Resources{LUTs: 10, FFs: 10, BRAMKb: 1, DSPs: 1},
 		Hubs: 1, FastPeriod: 1000, InitFreqMHz: 100,
 	})
-	cpu := model.NewCPU(ev, "cpu0", 0)
+	cpu := model.NewCPU(ev, "cpu0")
 	sch := sched.New(ev, []sched.Backend{fab, cpu}, sched.Config{Policy: sched.Hybrid})
 	bs := mkBitstream("huge", efpga.Resources{LUTs: 1 << 30}, 100, 64)
 	if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 100, CyclesPerItem: 1}); err != nil {

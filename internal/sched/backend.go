@@ -93,11 +93,10 @@ type Backend interface {
 	// instant: zero when it already is (or when the backend has no
 	// configuration state).
 	ReconfigCost(app *App) sim.Time
-	// Bind attaches the backend to its scheduler: the post-configuration
-	// settle time and the completion callback Dispatch must invoke
-	// exactly once per job at its finish instant. Called once, before
-	// any Dispatch.
-	Bind(settleCycles int64, done func(*Job, error))
+	// Bind attaches the backend to its scheduler: done is the
+	// completion callback Dispatch must invoke exactly once per job at
+	// its finish instant. Called once, before any Dispatch.
+	Bind(done func(*Job, error))
 	// Dispatch occupies the backend with job j of app: it models any
 	// reconfiguration (setting j.Reprogrammed) and the service time,
 	// then invokes the bound done callback at the completion instant.

@@ -28,8 +28,7 @@ type CycleBackend struct {
 	ad  *core.Adapter
 	fab *efpga.Fabric
 
-	settle int64
-	done   func(*Job, error)
+	done func(*Job, error)
 	// toggles is the hub feature-switch round trips per quiesce or
 	// resume: one per Memory Hub, at least one.
 	toggles int64
@@ -113,9 +112,8 @@ func (b *CycleBackend) Resident() string {
 // process's probationary re-reprogram; see sched.Scrubber).
 func (b *CycleBackend) Scrub() { b.scrubbed = true }
 
-// Bind attaches the scheduler's settle time and completion callback.
-func (b *CycleBackend) Bind(settleCycles int64, done func(*Job, error)) {
-	b.settle = settleCycles
+// Bind attaches the scheduler's completion callback.
+func (b *CycleBackend) Bind(done func(*Job, error)) {
 	b.done = done
 }
 
@@ -139,24 +137,24 @@ func (b *CycleBackend) ReconfigCost(app *App) sim.Time {
 	if app.BS.FmaxMHz > 0 {
 		period = app.Period()
 	}
-	return ReprogramCost(app, len(b.ad.Hubs()), b.ad.FastClock().Period, b.settle, period)
+	return ReprogramCost(app, len(b.ad.Hubs()), b.ad.FastClock().Period, period)
 }
 
 // ReprogramCost is the driver-flow timing model shared by every backend:
 // one hub feature-switch round trip per Memory Hub before and after
 // programming, the programming engine streaming one configuration word
-// per fast cycle, and settleCycles of the (post-Fmax-switch) fabric
+// per fast cycle, and SettleCycles of the (post-Fmax-switch) fabric
 // clock. settlePeriod is the fabric clock period the settle is charged
 // at — the app's period when it sets an Fmax, the fabric's current
 // period otherwise.
-func ReprogramCost(app *App, hubs int, fastPeriod sim.Time, settleCycles int64, settlePeriod sim.Time) sim.Time {
+func ReprogramCost(app *App, hubs int, fastPeriod, settlePeriod sim.Time) sim.Time {
 	toggles := int64(hubs)
 	if toggles == 0 {
 		toggles = 1
 	}
 	streamCycles := int64(len(app.BS.Image)+params.LineBytes-1) / params.LineBytes
 	return sim.Time(2*toggles*HubToggleCycles+streamCycles)*fastPeriod +
-		sim.Time(settleCycles)*settlePeriod
+		SettleCycles*settlePeriod
 }
 
 // Dispatch starts job j on the backend: directly when the needed
@@ -225,7 +223,7 @@ func (b *CycleBackend) resumed() {
 	if app := b.pendApp; app.BS.FmaxMHz > 0 {
 		b.fab.SetFreqMHz(app.BS.FmaxMHz)
 	}
-	b.eng.After(b.fab.Clock().Cycles(b.settle), b.settledFn)
+	b.eng.After(b.fab.Clock().Cycles(SettleCycles), b.settledFn)
 }
 
 // settled ends the chain: the slot is freed and the job served.

@@ -62,7 +62,7 @@ func TestDispatchWhileReprogrammingPanics(t *testing.T) {
 	if err := be.Register(bs); err != nil {
 		t.Fatal(err)
 	}
-	be.Bind(16, func(*sched.Job, error) {})
+	be.Bind(func(*sched.Job, error) {})
 	app := &sched.App{BS: bs, FixedCycles: 1000}
 	be.Dispatch(&sched.Job{ID: 1}, app)
 	defer func() {

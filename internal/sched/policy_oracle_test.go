@@ -192,7 +192,7 @@ func (b *oracleBackend) Capacity() efpga.Resources       { return b.cap }
 func (b *oracleBackend) Register(*efpga.Bitstream) error { return nil }
 func (b *oracleBackend) Resident() string                { return b.resident }
 func (b *oracleBackend) ReconfigCost(*App) sim.Time      { return 0 }
-func (b *oracleBackend) Bind(int64, func(*Job, error))   {}
+func (b *oracleBackend) Bind(func(*Job, error))          {}
 func (b *oracleBackend) Dispatch(*Job, *App)             { panic("oracleBackend: dispatch") }
 func (b *oracleBackend) ServiceTime(a *App, n int) sim.Time {
 	// The soft path's calibrated-slowdown shape: a few times the
@@ -300,7 +300,7 @@ func FuzzPickOracle(f *testing.F) {
 	// serve-cycle's saturated shape: 2 fabrics, the queue at its cap.
 	for p := range NumPolicies {
 		for seed := range uint64(8) {
-			f.Add(uint8(p), uint8(2), uint8(0), uint8(defaultQueueCap), seed)
+			f.Add(uint8(p), uint8(2), uint8(0), uint8(DefaultQueueCap), seed)
 		}
 	}
 	// Mixed pools, shallow and deep queues.

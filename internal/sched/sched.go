@@ -40,13 +40,14 @@ const (
 	// re-enable after). Exported so analytic backends charge the same
 	// driver-flow model as the cycle-level path.
 	HubToggleCycles = 32
-	// defaultSettleCycles is the default Config.SettleCycles: fabric-clock
+	// SettleCycles is the post-configuration settle time: fabric-clock
 	// cycles after configuration for partial-region reset, configuration
 	// scrubbing, and clock-generator relock before the accelerator can
-	// accept work.
-	defaultSettleCycles = 1024
-	// defaultQueueCap is the default admission-queue bound.
-	defaultQueueCap = 64
+	// accept work (§II).
+	SettleCycles = 1024
+	// DefaultQueueCap is the default admission-queue bound
+	// (Config.QueueCap).
+	DefaultQueueCap = 64
 )
 
 // App couples a synthesized bitstream with the scheduler's analytic
@@ -140,10 +141,7 @@ func (j *Job) MissedDeadline() bool { return j.Deadline > 0 && j.Finish > j.Dead
 // Config selects the scheduling policy and admission bound.
 type Config struct {
 	Policy   Policy
-	QueueCap int // bounded admission queue; defaults to 64
-	// SettleCycles is the post-configuration settle time in fabric-clock
-	// cycles (defaults to 1024; see the timing-model constants above).
-	SettleCycles int64
+	QueueCap int // bounded admission queue; defaults to DefaultQueueCap
 	// Stats selects how completed jobs' sojourns are kept: StatsExact
 	// (default) keeps every sample for exact percentiles; StatsStreaming
 	// folds them into a fixed-memory digest for serve-scale runs (see
@@ -253,10 +251,7 @@ func New(tl Timeline, backends []Backend, cfg Config) *Scheduler {
 		panic("sched: need at least one execution backend")
 	}
 	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = defaultQueueCap
-	}
-	if cfg.SettleCycles <= 0 {
-		cfg.SettleCycles = defaultSettleCycles
+		cfg.QueueCap = DefaultQueueCap
 	}
 	s := &Scheduler{tl: tl, cfg: cfg, byName: make(map[string]AppID)}
 	s.repairFn = func(a any) { s.repair(a.(*worker)) }
@@ -266,7 +261,7 @@ func New(tl Timeline, backends []Backend, cfg Config) *Scheduler {
 	for i, be := range backends {
 		w := &worker{id: i, be: be, kind: be.Kind(), resident: -1}
 		s.workers = append(s.workers, w)
-		be.Bind(cfg.SettleCycles, s.complete)
+		be.Bind(s.complete)
 		if w.kind != BackendCPU {
 			s.hasFabric = true
 		}

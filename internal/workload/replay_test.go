@@ -42,10 +42,7 @@ func (s *replaySource) Clone() cluster.Source { return &replaySource{stream: s.s
 // ArrivalSource.Span. Replicas copy each arrival, so the stream is left
 // untouched and may be replayed.
 func serveClusterReplay(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return ClusterResult{}, err
-	}
+	cfg = cfg.normalized()
 	var width sim.Time
 	if cfg.Windows > 0 && len(stream) > 0 {
 		width = spanWidth(stream[len(stream)-1].At, cfg.Windows)

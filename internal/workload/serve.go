@@ -73,7 +73,7 @@ type ServeConfig struct {
 	Jobs      int     // offered jobs (default 240)
 	Seed      int64   // arrival-process seed (default 1)
 	MeanGapUS float64 // mean inter-arrival gap in microseconds (default 25)
-	QueueCap  int     // admission-queue bound (default sched's 64)
+	QueueCap  int     // admission-queue bound (default sched.DefaultQueueCap)
 
 	// Stats selects how the scheduler keeps sojourns: every sample
 	// (exact, the default) or a fixed-memory streaming digest for
@@ -88,9 +88,6 @@ type ServeConfig struct {
 	// fabrics (hybrid and model backends; defaults to 1 under
 	// BackendHybrid).
 	SoftCPUs int
-	// CPUSlowdown calibrates the soft path (defaults to
-	// model.DefaultCPUSlowdown, the paper's Fig. 12 geomean speedup).
-	CPUSlowdown float64
 
 	// Faults, when non-nil, is the run's deterministic fault plan: the
 	// backend wrappers and scheduler fault config are installed on every
@@ -225,7 +222,6 @@ func newServeReplica(cfg ServeConfig, shard int, windowWidth sim.Time) (serveRep
 		mcfg := model.Config{
 			EFPGAs: cfg.EFPGAs, SoftCPUs: cfg.SoftCPUs, MemHubs: cfg.MemHubs,
 			Policy: cfg.Policy, QueueCap: cfg.QueueCap, Stats: cfg.Stats,
-			CPUSlowdown: cfg.CPUSlowdown,
 		}
 		if inj != nil {
 			mcfg.Wrap = func(tl model.Timeline, worker int, be sched.Backend) sched.Backend {
@@ -248,7 +244,7 @@ func newServeReplica(cfg ServeConfig, shard int, windowWidth sim.Time) (serveRep
 	var soft []sched.Backend
 	if cfg.Backend == BackendHybrid {
 		for i := 0; i < cfg.SoftCPUs; i++ {
-			soft = append(soft, model.NewCPU(sys.Eng, fmt.Sprintf("cpu%d", i), cfg.CPUSlowdown))
+			soft = append(soft, model.NewCPU(sys.Eng, fmt.Sprintf("cpu%d", i)))
 		}
 	}
 	scfg := sched.Config{

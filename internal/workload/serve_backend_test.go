@@ -139,40 +139,6 @@ func TestHybridServeSpills(t *testing.T) {
 		soft, hybrid.Jobs, r.Makespan, fabricOnly.Makespan)
 }
 
-// TestHeterogeneousClusterShards: a cluster mixing cycle and model
-// shards with different fabric counts runs deterministically, completes
-// the stream, and routes by per-shard capacity.
-func TestHeterogeneousClusterShards(t *testing.T) {
-	cfg := ClusterConfig{
-		ServeConfig: ServeConfig{Policy: sched.Affinity, Jobs: 200, Seed: 5, MeanGapUS: 8, QueueCap: 1024},
-		Shards:      3,
-		FrontEnd:    cluster.LeastOutstanding,
-		ShardSpecs: []ShardSpec{
-			{Backend: BackendCycle, EFPGAs: 1},
-			{Backend: BackendModel, EFPGAs: 4},
-			{Backend: BackendHybrid, EFPGAs: 1, SoftCPUs: 1, Policy: sched.Hybrid, SetPolicy: true},
-		},
-	}
-	r1, err := ServeCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ServeCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("heterogeneous cluster runs diverged")
-	}
-	if r1.Merged.Completed+r1.Merged.Failed+r1.Merged.Rejected != r1.Offered {
-		t.Fatalf("accounted %d of %d", r1.Merged.Completed+r1.Merged.Failed, r1.Offered)
-	}
-	if r1.PerShard[1].Assigned <= r1.PerShard[0].Assigned {
-		t.Fatalf("4-fabric model shard got %d jobs vs 1-fabric cycle shard's %d",
-			r1.PerShard[1].Assigned, r1.PerShard[0].Assigned)
-	}
-}
-
 // TestServeReplicaCatalogOrder: arrivals carry ServeApps indices, so
 // every serve replica — model, cycle or hybrid — must list ServeApps in
 // index order: AppID i is ServeApps[i] on every shard.
@@ -215,12 +181,11 @@ func TestBackendModeNames(t *testing.T) {
 }
 
 // TestUnknownBackendRejected: the shared replica builder refuses a mode
-// it does not know instead of quietly building a cycle pool, whether the
-// mode comes from the cluster's base config or from one shard's spec.
+// it does not know instead of quietly building a cycle pool.
 func TestUnknownBackendRejected(t *testing.T) {
 	for _, cfg := range []ClusterConfig{
 		{ServeConfig: ServeConfig{Backend: NumBackendModes, Jobs: 8}, Shards: 1},
-		{ServeConfig: ServeConfig{Jobs: 8}, Shards: 2, ShardSpecs: []ShardSpec{{Backend: BackendModel}, {Backend: -1}}},
+		{ServeConfig: ServeConfig{Backend: -1, Jobs: 8}, Shards: 2},
 	} {
 		if _, err := ServeCluster(cfg); err == nil || !strings.Contains(err.Error(), "unknown backend mode") {
 			t.Fatalf("%+v: err %v, want unknown backend mode", cfg, err)

@@ -13,42 +13,18 @@ import (
 // This file implements the sharded study behind `duetsim cluster`: the
 // Serve arrival stream dispatched across N independent serve replicas by
 // a deterministic front end. It is the scale axis past one System: per
-// (seed, shards, front end, policy, backend, shard specs) the merged
-// result is byte-identical across runs regardless of goroutine
-// interleaving, and a 1-shard cluster reproduces workload.Serve exactly.
-//
-// Shards need not be replicas of one another: ShardSpecs gives each
-// shard its own backend mode, fabric count and soft-CPU pool, and the
-// front ends route by each shard's own catalog model — a heterogeneous
-// serve farm (e.g. cycle-level shards fronting a model-backend overflow
-// tier, or big and small fabric pools side by side).
-
-// ShardSpec overrides one shard's build in a heterogeneous cluster.
-// Backend is absolute (its zero value is BackendCycle); the other
-// zero-valued fields inherit the cluster's base ServeConfig.
-type ShardSpec struct {
-	Backend  BackendMode
-	EFPGAs   int
-	SoftCPUs int
-	Policy   sched.Policy // effective only when SetPolicy is true
-	// SetPolicy marks Policy as an override (sched.FIFO is a valid
-	// policy and the zero value, so presence needs an explicit flag).
-	SetPolicy bool
-}
+// (seed, shards, front end, policy, backend) the merged result is
+// byte-identical across runs regardless of goroutine interleaving, and a
+// 1-shard cluster reproduces workload.Serve exactly.
 
 // ClusterConfig parameterizes one sharded serve run. The embedded
-// ServeConfig describes each replica (eFPGAs, hubs, scheduler policy,
+// ServeConfig describes every replica (eFPGAs, hubs, scheduler policy,
 // execution backend) and the shared arrival stream (jobs, seed, mean
-// gap); ShardSpecs, when non-empty, overrides per-shard builds.
+// gap).
 type ClusterConfig struct {
 	ServeConfig
 	Shards   int              // independent replicas (default 2)
 	FrontEnd cluster.FrontEnd // arrival-routing policy
-
-	// ShardSpecs makes the cluster heterogeneous: spec i overrides shard
-	// i's backend/fabric-count/soft-CPU/policy configuration. Must be
-	// empty or exactly Shards long.
-	ShardSpecs []ShardSpec
 }
 
 // ClusterResult is the outcome of one sharded serve run.
@@ -73,26 +49,6 @@ type ClusterResult struct {
 	Windows []telemetry.WindowRow `json:"Windows,omitempty"`
 }
 
-// shardConfig resolves shard i's ServeConfig under cfg's specs.
-func (cfg ClusterConfig) shardConfig(shard int) ServeConfig {
-	sc := cfg.ServeConfig
-	if len(cfg.ShardSpecs) == 0 {
-		return sc
-	}
-	spec := cfg.ShardSpecs[shard]
-	sc.Backend = spec.Backend
-	if spec.EFPGAs > 0 {
-		sc.EFPGAs = spec.EFPGAs
-	}
-	if spec.SoftCPUs > 0 {
-		sc.SoftCPUs = spec.SoftCPUs
-	}
-	if spec.SetPolicy {
-		sc.Policy = spec.Policy
-	}
-	return sc.withDefaults()
-}
-
 // ServeCluster plays the seeded open-loop workload through a sharded
 // serve farm and reports the merged statistics. The arrival stream is
 // consumed straight from the generator through cluster.RunSource —
@@ -100,10 +56,7 @@ func (cfg ClusterConfig) shardConfig(shard int) ServeConfig {
 // memory as a million-job one. Results are byte-identical to a replay
 // of the same stream drawn up front, which property tests pin.
 func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
-	var err error
-	if cfg, err = cfg.normalized(); err != nil {
-		return ClusterResult{}, err
-	}
+	cfg = cfg.normalized()
 	src := NewArrivalSource(cfg.ServeConfig)
 	var width sim.Time
 	if cfg.Windows > 0 {
@@ -118,16 +71,13 @@ func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 	return cfg.result(res), nil
 }
 
-// normalized applies defaults and validates the shard-spec shape.
-func (cfg ClusterConfig) normalized() (ClusterConfig, error) {
+// normalized applies defaults.
+func (cfg ClusterConfig) normalized() ClusterConfig {
 	cfg.ServeConfig = cfg.ServeConfig.withDefaults()
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if len(cfg.ShardSpecs) != 0 && len(cfg.ShardSpecs) != cfg.Shards {
-		return cfg, fmt.Errorf("workload: %d shard specs for %d shards", len(cfg.ShardSpecs), cfg.Shards)
-	}
-	return cfg, nil
+	return cfg
 }
 
 // clusterConfig renders the cluster-level run config; width is the
@@ -142,7 +92,7 @@ func (cfg ClusterConfig) clusterConfig(width sim.Time) cluster.Config {
 		// the shared stream, accelerators are inert stubs), so the derived
 		// per-shard seed is accepted but unused.
 		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
-			return newServeReplica(cfg.shardConfig(shard), shard, width)
+			return newServeReplica(cfg.ServeConfig, shard, width)
 		},
 	}
 	if cfg.Faults != nil {

@@ -76,18 +76,6 @@ func TestCrossValidateUnderFaults(t *testing.T) {
 			},
 		},
 		{
-			name: "service-blowups",
-			cfg: ServeConfig{
-				Policy: sched.Affinity, Jobs: 300, MeanGapUS: 40,
-				Faults: &faults.Plan{Seed: 8, BlowupProb: 0.1, BlowupFactor: 5},
-			},
-			wants: func(t *testing.T, s sched.Stats) {
-				if s.DeadlineMisses == 0 {
-					t.Errorf("blowups missed no deadlines")
-				}
-			},
-		},
-		{
 			name: "wedge-repair-cycle",
 			cfg: ServeConfig{
 				Policy: sched.Affinity, Jobs: 400, MeanGapUS: 40,
