@@ -273,3 +273,25 @@ func TestFig12FailedRowErrors(t *testing.T) {
 		t.Fatalf("all rows passed, got %v", err)
 	}
 }
+
+// TestAblatePDESFailedRowErrors: a speculative-PDES row that fails its
+// functional check is still printed, and the command then returns an
+// error (so `duetsim ablate` exits 1).
+func TestAblatePDESFailedRowErrors(t *testing.T) {
+	var out bytes.Buffer
+	err := pdesTable(&out, pdesRow{Error: "entity 3 diverged"})
+	if err == nil || !strings.Contains(err.Error(), "entity 3 diverged") {
+		t.Fatalf("failed row returned %v", err)
+	}
+	if !strings.Contains(out.String(), "error: entity 3 diverged") {
+		t.Fatalf("table lacks the failed check:\n%s", out.String())
+	}
+	out.Reset()
+	ok := pdesRow{ConservativePS: 2000, SpeculativePS: 1000, Speedup: 2}
+	if err := pdesTable(&out, ok); err != nil {
+		t.Fatalf("passing row returned %v", err)
+	}
+	if !strings.Contains(out.String(), "(2.00x;") {
+		t.Fatalf("passing row not printed:\n%s", out.String())
+	}
+}

@@ -62,9 +62,6 @@ func NewArray(capacityBytes, ways int) *Array {
 	return &Array{sets: sets, ways: ways, chunkSets: min(chunkSets, sets)}
 }
 
-// Ways reports the associativity.
-func (a *Array) Ways() int { return a.ways }
-
 func (a *Array) setIndex(lineAddr uint64) int {
 	return int((lineAddr / mem.LineBytes) % uint64(a.sets))
 }

@@ -68,9 +68,6 @@ func NewFifo(eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages 
 // WriterClock reports the writer-side clock.
 func (f *Fifo) WriterClock() *sim.Clock { return f.wclk }
 
-// Depth reports the FIFO capacity.
-func (f *Fifo) Depth() int { return f.depth }
-
 // occupancySeenByWriter counts slots the writer believes are in use at time
 // now: everything in the queue plus consumed slots whose release has not yet
 // crossed the synchronizer back.

@@ -139,7 +139,7 @@ func TestFifoTXAttribution(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
 	f := NewFifo(eng, "tx", fast, slow, 8, 2)
-	tx := sim.NewTX(0)
+	tx := new(sim.TX)
 	eng.At(0, func() { f.TryPush("p", tx) })
 	eng.Go("r", func(th *sim.Thread) { f.PopBlocking(th) })
 	eng.Run(0)

@@ -39,7 +39,7 @@ var testApps = []struct {
 func newReplicaN(policy sched.Policy, failShard, efpgas int) func(int, int64) (cluster.Replica, error) {
 	return func(shard int, seed int64) (cluster.Replica, error) {
 		sys := duet.New(duet.Config{Cores: 1, MemHubs: 1, EFPGAs: efpgas, Style: duet.StyleDuet})
-		sch := sys.Scheduler(sched.Config{Policy: policy})
+		sch := sys.SchedulerWrapped(sched.Config{Policy: policy}, nil)
 		for _, a := range testApps {
 			bs := accel.Synthesize(a.name, func() efpga.Accelerator { return stub{} })
 			if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: a.fixed, CyclesPerItem: a.per}); err != nil {
@@ -378,7 +378,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunCatalogMismatch(t *testing.T) {
 	reversed := func(_ int, _ int64) (cluster.Replica, error) {
 		sys := duet.New(duet.Config{Cores: 1, MemHubs: 1, EFPGAs: 1, Style: duet.StyleDuet})
-		sch := sys.Scheduler(sched.Config{})
+		sch := sys.SchedulerWrapped(sched.Config{}, nil)
 		for i := len(testApps) - 1; i >= 0; i-- {
 			a := testApps[i]
 			bs := accel.Synthesize(a.name, func() efpga.Accelerator { return stub{} })

@@ -131,9 +131,6 @@ func deliver(c *PCache, payload any, tx *sim.TX) {
 	}
 }
 
-// Cache returns the attached cache with the given ID.
-func (d *Domain) Cache(id int) *PCache { return d.caches[id] }
-
 // DebugReadLine returns the current coherent value of a line for test and
 // benchmark result checking: a dirty private copy wins over the home's.
 // Only meaningful at quiescence.

@@ -145,9 +145,6 @@ func newHome(eng *sim.Engine, clk *sim.Clock, mesh *noc.Mesh, tile int, dram *me
 	return h
 }
 
-// Tile reports the home's NoC tile.
-func (h *Home) Tile() int { return h.tile }
-
 // AddCache registers a private cache's tile so forwards can be routed.
 func (h *Home) AddCache(cacheID, tile int) { h.cacheTile[cacheID] = tile }
 

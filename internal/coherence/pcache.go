@@ -170,9 +170,6 @@ func (c *PCache) WriteNoAllocate() bool { return c.cfg.WriteNoAllocate }
 // Tile reports the cache's NoC tile.
 func (c *PCache) Tile() int { return c.cfg.Tile }
 
-// Name reports the cache's name.
-func (c *PCache) Name() string { return c.cfg.Name }
-
 // after runs step(rec) n cache-clock cycles from now, attributing the
 // delay to the cache's latency category on tx.
 func (c *PCache) after(n int64, tx *sim.TX, rec any) {

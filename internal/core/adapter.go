@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"duet/internal/coherence"
 	"duet/internal/cpu"
 	"duet/internal/efpga"
@@ -160,8 +158,8 @@ type Adapter struct {
 
 	// env is the accelerator environment startAccel hands every started
 	// accelerator, built on first use. Its fields (engine, fabric clock
-	// pointer, scratchpad, register file, hub ports) are fixed for the
-	// adapter's lifetime, so one record serves every (re)start.
+	// pointer, register file, hub ports) are fixed for the adapter's
+	// lifetime, so one record serves every (re)start.
 	env *efpga.Env
 
 	// TLB window staging registers, per hub.
@@ -221,17 +219,26 @@ func NewAdapter(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, fabric *
 // BaseAddr returns the MMIO base address of adapter id.
 func BaseAddr(id int) uint64 { return params.MMIOBase + uint64(id)*AdapterStride }
 
+// SoftRegAddr returns the MMIO address of soft register reg on adapter a.
+func SoftRegAddr(a, reg int) uint64 { return BaseAddr(a) + softRegBase + uint64(reg)*8 }
+
+// HubSwitchAddr returns the MMIO address of feature switch sw of memory
+// hub hub on adapter a.
+func HubSwitchAddr(a, hub int, sw uint64) uint64 {
+	return BaseAddr(a) + switchBase + uint64(hub)*switchStride + sw
+}
+
+// TLBRegAddr returns the MMIO address of register reg of memory hub
+// hub's TLB window on adapter a.
+func TLBRegAddr(a, hub int, reg uint64) uint64 {
+	return BaseAddr(a) + tlbBase + uint64(hub)*switchStride + reg
+}
+
 // Hub returns memory hub i.
 func (a *Adapter) Hub(i int) *MemHub { return a.hubs[i] }
 
 // Hubs returns all memory hubs.
 func (a *Adapter) Hubs() []*MemHub { return a.hubs }
-
-// Regs returns the soft register file (the accelerator-side interface).
-func (a *Adapter) Regs() efpga.RegIntf { return a.regs }
-
-// Fabric returns the attached eFPGA.
-func (a *Adapter) Fabric() *efpga.Fabric { return a.fabric }
 
 // ErrCode reports the latched exception code.
 func (a *Adapter) ErrCode() uint64 { return a.errCode }
@@ -499,11 +506,10 @@ func (a *Adapter) startAccel() {
 	}
 	if a.env == nil {
 		a.env = &efpga.Env{
-			Eng:     a.eng,
-			Clk:     a.fabric.Clock(),
-			Scratch: a.fabric.Scratch,
-			Regs:    a.regs,
-			Mem:     make([]efpga.MemIntf, len(a.hubs)),
+			Eng:  a.eng,
+			Clk:  a.fabric.Clock(),
+			Regs: a.regs,
+			Mem:  make([]efpga.MemIntf, len(a.hubs)),
 		}
 		for i, h := range a.hubs {
 			a.env.Mem[i] = h.port
@@ -573,18 +579,14 @@ func (a *Adapter) KernelTLBHandler(pt *mmu.PageTable) func(p cpu.Proc, irq cpu.I
 		if !ok || hub.a != a {
 			return // another adapter's fault
 		}
-		idx := uint64(hub.idx)
 		va := irq.Info
 		ppn, mapped := pt.Lookup(mmu.VPN(va))
-		base := a.base + tlbBase + idx*switchStride
 		if !mapped {
-			p.MMIOWrite64(base+TLBKill, 1)
+			p.MMIOWrite64(TLBRegAddr(a.ID, hub.idx, TLBKill), 1)
 			return
 		}
-		p.MMIOWrite64(base+TLBVPN, mmu.VPN(va))
-		p.MMIOWrite64(base+TLBPPN, ppn)
-		p.MMIOWrite64(base+TLBInstall, 1)
+		p.MMIOWrite64(TLBRegAddr(a.ID, hub.idx, TLBVPN), mmu.VPN(va))
+		p.MMIOWrite64(TLBRegAddr(a.ID, hub.idx, TLBPPN), ppn)
+		p.MMIOWrite64(TLBRegAddr(a.ID, hub.idx, TLBInstall), 1)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debug builds

@@ -142,9 +142,6 @@ func (h *MemHub) Proxy() *coherence.PCache { return h.proxy }
 // TLB exposes the hub's TLB (for the kernel handler via MMIO, and tests).
 func (h *MemHub) TLB() *mmu.TLB { return h.tlb }
 
-// Port returns the fabric-side memory interface.
-func (h *MemHub) Port() *Port { return h.port }
-
 // Enabled reports the hub's activation state.
 func (h *MemHub) Enabled() bool { return h.enabled }
 

@@ -122,15 +122,6 @@ func New(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, id, tile int, r
 	return c
 }
 
-// ID reports the core index.
-func (c *Core) ID() int { return c.id }
-
-// Tile reports the core's NoC tile.
-func (c *Core) Tile() int { return c.tile }
-
-// L2 exposes the core's private cache (for tests and checkers).
-func (c *Core) L2() *coherence.PCache { return c.l2 }
-
 // SetIRQHandler installs the kernel trap handler invoked at instruction
 // boundaries when an interrupt is pending.
 func (c *Core) SetIRQHandler(h func(p Proc, irq IRQ)) { c.irqHandler = h }

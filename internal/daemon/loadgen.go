@@ -8,11 +8,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"duet/internal/sched"
 )
 
 // TenantShare is one slice of the loadgen's tenant mix.
@@ -403,25 +405,16 @@ func (g *loadgen) finish() {
 	if len(g.lat) == 0 {
 		return
 	}
-	sort.Slice(g.lat, func(i, j int) bool { return g.lat[i] < g.lat[j] })
+	slices.Sort(g.lat)
 	var sum time.Duration
 	for _, d := range g.lat {
 		sum += d
 	}
 	g.rep.WallMean = sum / time.Duration(len(g.lat))
-	g.rep.WallP50 = latPercentile(g.lat, 50)
-	g.rep.WallP95 = latPercentile(g.lat, 95)
-	g.rep.WallP99 = latPercentile(g.lat, 99)
+	g.rep.WallP50 = sched.PercentileSorted(g.lat, 50)
+	g.rep.WallP95 = sched.PercentileSorted(g.lat, 95)
+	g.rep.WallP99 = sched.PercentileSorted(g.lat, 99)
 	if s := g.rep.Elapsed.Seconds(); s > 0 {
 		g.rep.ThroughputHz = float64(g.rep.Completed) / s
 	}
-}
-
-// latPercentile is the nearest-rank percentile of a sorted sample.
-func latPercentile(sorted []time.Duration, p float64) time.Duration {
-	rank := int(p / 100 * float64(len(sorted)))
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -221,3 +221,26 @@ func TestLoadgenRejectsBadConfig(t *testing.T) {
 		t.Fatal("missing target accepted")
 	}
 }
+
+// TestLoadgenPercentilesNearestRank: the wall-latency percentiles are
+// nearest-rank, sorted[ceil(p/100*n)-1]. Over 1..100 ms P50 is the 50th
+// sample, P95 the 95th and P99 the 99th, not the next one up.
+func TestLoadgenPercentilesNearestRank(t *testing.T) {
+	g := &loadgen{}
+	for i := 100; i >= 1; i-- {
+		g.lat = append(g.lat, time.Duration(i)*time.Millisecond)
+	}
+	g.finish()
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"P50", g.rep.WallP50, 50 * time.Millisecond},
+		{"P95", g.rep.WallP95, 95 * time.Millisecond},
+		{"P99", g.rep.WallP99, 99 * time.Millisecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}

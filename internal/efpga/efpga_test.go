@@ -144,21 +144,6 @@ func TestMemBoundDesignUtilizationShape(t *testing.T) {
 	}
 }
 
-func TestScratchpad(t *testing.T) {
-	s := NewScratchpad(256)
-	s.Write64(16, 0xdeadbeef)
-	if s.Read64(16) != 0xdeadbeef {
-		t.Fatal("scratchpad readback")
-	}
-	s.Write(0, []byte{1, 2, 3})
-	if got := s.Read(0, 3); got[0] != 1 || got[2] != 3 {
-		t.Fatal("byte rw")
-	}
-	if s.Size() != 256 {
-		t.Fatal("size")
-	}
-}
-
 func TestResourcesFits(t *testing.T) {
 	capacity := Resources{LUTs: 100, FFs: 100, BRAMKb: 64, DSPs: 4}
 	if !(Resources{LUTs: 100, FFs: 50, BRAMKb: 64, DSPs: 4}).Fits(capacity) {

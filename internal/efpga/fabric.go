@@ -1,8 +1,7 @@
 // Package efpga models the embedded FPGA fabrics of Duet (paper §IV): an
 // island-style fabric (in Dolly built with PRGA) with CLBs, block RAMs and
 // hard multipliers, a configuration memory loaded by the Control Hub's
-// programming engine, a software-programmable clock generator, and a
-// non-coherent scratchpad.
+// programming engine, and a software-programmable clock generator.
 //
 // The synthesis flow (Yosys + VTR + Catapult HLS in the paper) is replaced
 // by a deterministic cost model (see synth.go) calibrated against the
@@ -25,11 +24,6 @@ type Resources struct {
 	DSPs   int
 }
 
-// Add returns the element-wise sum.
-func (r Resources) Add(o Resources) Resources {
-	return Resources{r.LUTs + o.LUTs, r.FFs + o.FFs, r.BRAMKb + o.BRAMKb, r.DSPs + o.DSPs}
-}
-
 // Fits reports whether r fits within capacity c.
 func (r Resources) Fits(c Resources) bool {
 	return r.LUTs <= c.LUTs && r.FFs <= c.FFs && r.BRAMKb <= c.BRAMKb && r.DSPs <= c.DSPs
@@ -47,9 +41,8 @@ type Accelerator interface {
 // at configuration time; it is declared here as an interface to avoid a
 // dependency cycle.
 type Env struct {
-	Eng     *sim.Engine
-	Clk     *sim.Clock // the generated eFPGA clock
-	Scratch *Scratchpad
+	Eng *sim.Engine
+	Clk *sim.Clock // the generated eFPGA clock
 	// Regs and Mem are adapter-owned facades; typed as interfaces to keep
 	// efpga free of adapter dependencies.
 	Regs RegIntf
@@ -146,21 +139,23 @@ type Fabric struct {
 	bitstreams []*Bitstream
 	current    *Bitstream
 	accel      Accelerator
-	Scratch    *Scratchpad
 
 	// Generation counts successful configurations.
 	Generation int
 }
 
+// DefaultFreqMHz is the fabric's power-on clock, which runs until a
+// configuration or the FPGA manager sets another frequency.
+const DefaultFreqMHz = 100
+
 // NewFabric creates a fabric with the given capacity. The clock starts at
-// 100 MHz until reprogrammed.
+// DefaultFreqMHz until reprogrammed.
 func NewFabric(eng *sim.Engine, name string, capacity Resources) *Fabric {
 	return &Fabric{
-		Name:    name,
-		Cap:     capacity,
-		eng:     eng,
-		clk:     sim.ClockMHz(name+".clk", 100),
-		Scratch: NewScratchpad(64 * 1024),
+		Name: name,
+		Cap:  capacity,
+		eng:  eng,
+		clk:  sim.ClockMHz(name+".clk", DefaultFreqMHz),
 	}
 }
 
@@ -179,10 +174,10 @@ func (f *Fabric) SetFreqMHz(mhz float64) {
 	f.clk.Phase = f.eng.Now()
 }
 
-// DefaultFabricCap is the generous capacity used when a fabric is built
-// without an explicit resource budget: big enough for every Table II
-// design, so capacity checks bind only when a configuration asks for a
-// tighter budget.
+// DefaultFabricCap is the capacity of every fabric a duet.System or the
+// analytic model backend builds: big enough for every Table II design, so
+// only a bitstream larger than any the paper evaluates fails its capacity
+// check.
 var DefaultFabricCap = Resources{LUTs: 1 << 20, FFs: 1 << 21, BRAMKb: 1 << 16, DSPs: 1 << 12}
 
 // Register adds a bitstream to the system image library and returns its
@@ -257,58 +252,3 @@ func (f *Fabric) Current() *Bitstream { return f.current }
 
 // Accel reports the instantiated accelerator (nil if unprogrammed).
 func (f *Fabric) Accel() Accelerator { return f.accel }
-
-// Scratchpad is the eFPGA's non-coherent local memory (paper Fig. 3):
-// BRAM-backed storage private to the accelerator, accessed in the slow
-// clock domain with a fixed cycle cost charged by the caller.
-type Scratchpad struct {
-	size int
-	data []byte // allocated on first access; untouched scratchpads are free
-}
-
-// NewScratchpad builds a scratchpad of the given size. Storage is
-// allocated on first access, so systems whose accelerators never run
-// (e.g. the serve/cluster studies' analytic jobs) never pay for it.
-func NewScratchpad(size int) *Scratchpad {
-	return &Scratchpad{size: size}
-}
-
-// Size reports the scratchpad capacity in bytes.
-func (s *Scratchpad) Size() int { return s.size }
-
-func (s *Scratchpad) buf() []byte {
-	if s.data == nil {
-		s.data = make([]byte, s.size)
-	}
-	return s.data
-}
-
-// Read64 loads a uint64 at offset off.
-func (s *Scratchpad) Read64(off int) uint64 {
-	b := s.buf()
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[off+i]) << (8 * i)
-	}
-	return v
-}
-
-// Write64 stores a uint64 at offset off.
-func (s *Scratchpad) Write64(off int, v uint64) {
-	b := s.buf()
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
-}
-
-// Read copies n bytes at off.
-func (s *Scratchpad) Read(off, n int) []byte {
-	out := make([]byte, n)
-	copy(out, s.buf()[off:off+n])
-	return out
-}
-
-// Write copies data to off.
-func (s *Scratchpad) Write(off int, data []byte) {
-	copy(s.buf()[off:], data)
-}

@@ -88,8 +88,3 @@ func checkAligned(addr uint64, size int) {
 		panic(fmt.Sprintf("mem: misaligned %d-byte access at %#x", size, addr))
 	}
 }
-
-// Merge applies data under mask to dst (mask bit i covers dst[i]).
-func Merge(dst *Line, off int, data []byte) {
-	copy(dst[off:off+len(data)], data)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"duet/internal/efpga"
+	"duet/internal/params"
 	"duet/internal/sched"
 	"duet/internal/sim"
 )
@@ -23,22 +24,17 @@ func CPUServiceTime(app *sched.App, inputSize int) sim.Time {
 	return sim.Time(CPUSlowdown * float64(app.Cycles(inputSize)) * float64(app.Period()))
 }
 
-// FabricParams describes one analytic fabric worker.
+// FabricParams describes one analytic fabric worker. Like every fabric
+// of a duet.System, it has efpga.DefaultFabricCap resources, charges its
+// hub toggles and programming stream at the processor clock
+// (params.CPUClockPS), and runs at efpga.DefaultFreqMHz until its first
+// configuration, when the app's Fmax takes over, exactly as on the cycle
+// path.
 type FabricParams struct {
 	Name string
-	// Cap is the modeled reconfigurable budget (defaults to
-	// efpga.DefaultFabricCap, matching duet.Config).
-	Cap efpga.Resources
 	// Hubs is the modeled adapter's Memory Hub count (reprogram cost
 	// charges one feature-switch round per hub, before and after).
 	Hubs int
-	// FastPeriod is the fast-domain clock period the hub toggles and
-	// programming stream are charged at (params.CPUClockPS on Dolly).
-	FastPeriod sim.Time
-	// InitFreqMHz is the fabric clock before the first configuration
-	// (defaults to 100 MHz, matching duet.Config); each app's Fmax takes
-	// over on its first configuration, exactly as on the cycle path.
-	InitFreqMHz float64
 }
 
 // Fabric is the calibrated analytic fabric backend: it charges the same
@@ -70,16 +66,10 @@ type Fabric struct {
 
 // NewFabric builds an analytic fabric worker.
 func NewFabric(tl Timeline, p FabricParams) *Fabric {
-	if p.InitFreqMHz <= 0 {
-		p.InitFreqMHz = 100
-	}
-	if p.Cap == (efpga.Resources{}) {
-		p.Cap = efpga.DefaultFabricCap
-	}
 	b := &Fabric{
 		tl:     tl,
 		p:      p,
-		period: sim.Time(1e6/p.InitFreqMHz + 0.5),
+		period: sim.Time(1e6 / efpga.DefaultFreqMHz),
 		images: make(map[string]*efpga.Bitstream),
 	}
 	b.serveFn = func(a any) { b.serve(a.(*sched.Job)) }
@@ -94,7 +84,7 @@ func (b *Fabric) Kind() sched.BackendKind { return sched.BackendModel }
 func (b *Fabric) Name() string { return b.p.Name }
 
 // Capacity is the modeled reconfigurable budget.
-func (b *Fabric) Capacity() efpga.Resources { return b.p.Cap }
+func (b *Fabric) Capacity() efpga.Resources { return efpga.DefaultFabricCap }
 
 // Register adds a bitstream to the modeled image library, with the same
 // duplicate-name guard as efpga.Fabric.Register.
@@ -130,7 +120,7 @@ func (b *Fabric) ReconfigCost(app *sched.App) sim.Time {
 	if b.resident == app.BS.Name {
 		return 0
 	}
-	return sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settlePeriod(app))
+	return sched.ReprogramCost(app, b.p.Hubs, params.CPUClockPS, b.settlePeriod(app))
 }
 
 // settlePeriod is the fabric period the configuration settle runs at:
@@ -151,12 +141,12 @@ func (b *Fabric) Dispatch(j *sched.Job, app *sched.App) {
 		b.serve(j)
 		return
 	}
-	if !app.BS.Res.Fits(b.p.Cap) {
+	if !app.BS.Res.Fits(efpga.DefaultFabricCap) {
 		b.done(j, fmt.Errorf("sched: bitstream %q exceeds fabric %q capacity", name, b.p.Name))
 		return
 	}
 	j.Reprogrammed = true
-	cost := sched.ReprogramCost(app, b.p.Hubs, b.p.FastPeriod, b.settlePeriod(app))
+	cost := sched.ReprogramCost(app, b.p.Hubs, params.CPUClockPS, b.settlePeriod(app))
 	b.resident = name
 	if app.BS.FmaxMHz > 0 {
 		b.period = app.Period()

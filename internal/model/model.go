@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"duet/internal/cluster"
-	"duet/internal/params"
 	"duet/internal/sched"
 	"duet/internal/sim"
 	"duet/internal/telemetry"
@@ -161,9 +160,8 @@ func NewReplica(cfg Config) *Replica {
 	var backends []sched.Backend
 	for i := 0; i < cfg.EFPGAs; i++ {
 		backends = append(backends, NewFabric(ev, FabricParams{
-			Name:       fmt.Sprintf("efpga%d", i),
-			Hubs:       cfg.MemHubs,
-			FastPeriod: params.CPUClockPS,
+			Name: fmt.Sprintf("efpga%d", i),
+			Hubs: cfg.MemHubs,
 		}))
 	}
 	for i := 0; i < cfg.SoftCPUs; i++ {

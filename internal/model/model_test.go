@@ -33,7 +33,7 @@ func mkBitstream(name string, res efpga.Resources, fmax float64, imageLen int) *
 func TestReprogramCostMatchesCycleChain(t *testing.T) {
 	for _, hubs := range []int{1, 2, 4} {
 		sys := duet.New(duet.Config{Cores: 1, MemHubs: hubs, EFPGAs: 1, Style: duet.StyleDuet})
-		sch := sys.Scheduler(sched.Config{Policy: sched.FIFO})
+		sch := sys.SchedulerWrapped(sched.Config{Policy: sched.FIFO}, nil)
 		bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 250, 640)
 		app := sched.App{BS: bs, FixedCycles: 1000, CyclesPerItem: 2}
 		if err := sch.RegisterApp(app); err != nil {
@@ -59,9 +59,7 @@ func TestReprogramCostMatchesCycleChain(t *testing.T) {
 func TestBackendEstimatesAgree(t *testing.T) {
 	sys := duet.New(duet.Config{Cores: 1, MemHubs: 2, EFPGAs: 1, Style: duet.StyleDuet})
 	cyc := sched.NewCycleBackend(sys.Eng, sys.Adapters[0], sys.Fabrics[0])
-	mdl := model.NewFabric(&model.Events{}, model.FabricParams{
-		Name: "efpga0", Hubs: 2, FastPeriod: 1000, InitFreqMHz: 100,
-	})
+	mdl := model.NewFabric(&model.Events{}, model.FabricParams{Name: "efpga0", Hubs: 2})
 	cyc.Bind(nil)
 	mdl.Bind(nil)
 	bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 330, 1024)
@@ -107,7 +105,7 @@ func TestCPUBackendServes(t *testing.T) {
 func TestHybridSpill(t *testing.T) {
 	build := func() (*model.Events, *sched.Scheduler) {
 		ev := &model.Events{}
-		fab := model.NewFabric(ev, model.FabricParams{Name: "efpga0", Hubs: 1, FastPeriod: 1000, InitFreqMHz: 100})
+		fab := model.NewFabric(ev, model.FabricParams{Name: "efpga0", Hubs: 1})
 		cpu := model.NewCPU(ev, "cpu0")
 		sch := sched.New(ev, []sched.Backend{fab, cpu}, sched.Config{Policy: sched.Hybrid, QueueCap: 64})
 		bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 100, 64)
@@ -153,10 +151,7 @@ func TestHybridSpill(t *testing.T) {
 // the spill policy guarantees.
 func TestHybridOversizedBitstreamTakesSoftPath(t *testing.T) {
 	ev := &model.Events{}
-	fab := model.NewFabric(ev, model.FabricParams{
-		Name: "efpga0", Cap: efpga.Resources{LUTs: 10, FFs: 10, BRAMKb: 1, DSPs: 1},
-		Hubs: 1, FastPeriod: 1000, InitFreqMHz: 100,
-	})
+	fab := model.NewFabric(ev, model.FabricParams{Name: "efpga0", Hubs: 1})
 	cpu := model.NewCPU(ev, "cpu0")
 	sch := sched.New(ev, []sched.Backend{fab, cpu}, sched.Config{Policy: sched.Hybrid})
 	bs := mkBitstream("huge", efpga.Resources{LUTs: 1 << 30}, 100, 64)
@@ -186,7 +181,7 @@ func TestMixedFidelityScheduler(t *testing.T) {
 	sys := duet.New(duet.Config{Cores: 1, MemHubs: 1, EFPGAs: 1, Style: duet.StyleDuet})
 	backends := append(
 		sched.CycleBackends(sys.Eng, sys.Adapters, sys.Fabrics),
-		model.NewFabric(sys.Eng, model.FabricParams{Name: "model0", Hubs: 1, FastPeriod: 1000, InitFreqMHz: 100}),
+		model.NewFabric(sys.Eng, model.FabricParams{Name: "model0", Hubs: 1}),
 	)
 	sch := sched.New(sys.Eng, backends, sched.Config{Policy: sched.FIFO})
 	bs := mkBitstream("app", efpga.Resources{LUTs: 100}, 200, 320)

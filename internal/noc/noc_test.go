@@ -124,7 +124,7 @@ func TestVNsDoNotInterfere(t *testing.T) {
 
 func TestTXAttribution(t *testing.T) {
 	eng, m := mesh(4, 1)
-	tx := sim.NewTX(0)
+	tx := new(sim.TX)
 	m.Register(3, VNReq, func(msg *Msg) {})
 	eng.At(0, func() { m.Send(&Msg{Src: 0, Dst: 3, VN: VNReq, Bytes: 8, TX: tx}) })
 	eng.Run(0)

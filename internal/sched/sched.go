@@ -73,7 +73,8 @@ func (a *App) Cycles(n int) int64 { return a.FixedCycles + a.CyclesPerItem*int64
 func (a *App) Period() sim.Time { return a.period }
 
 // Finalize applies the catalog defaults: a minimum per-item cost and the
-// service period derived from the bitstream's Fmax (100 MHz fallback).
+// service period derived from the bitstream's Fmax (the fabric's
+// power-on clock, efpga.DefaultFreqMHz, when it has none).
 // RegisterApp calls it; analytic backends building their own catalogs
 // (internal/model) call it too, so every backend prices one App
 // identically.
@@ -81,11 +82,11 @@ func (a *App) Finalize() {
 	if a.CyclesPerItem <= 0 {
 		a.CyclesPerItem = 1
 	}
-	if a.BS.FmaxMHz > 0 {
-		a.period = sim.Time(1e6/a.BS.FmaxMHz + 0.5)
-	} else {
-		a.period = sim.Time(1e4) // 100 MHz fallback
+	mhz := a.BS.FmaxMHz
+	if mhz <= 0 {
+		mhz = efpga.DefaultFreqMHz
 	}
+	a.period = sim.Time(1e6/mhz + 0.5)
 }
 
 // AppID names a registered application by its catalog index: the
@@ -318,9 +319,6 @@ func (s *Scheduler) syncResident(w *worker, hint AppID) {
 	}
 	w.resident = id
 }
-
-// Config reports the scheduler's configuration (defaults applied).
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // RegisterApp adds an application to the service catalog, registering its
 // bitstream with every backend's image library. The app's AppID is its

@@ -46,7 +46,7 @@ func lookup(t *testing.T, sch *sched.Scheduler, name string) sched.AppID {
 func newServeSystem(t *testing.T, efpgas int, cfg sched.Config) (*duet.System, *sched.Scheduler) {
 	t.Helper()
 	sys := duet.New(duet.Config{Cores: 1, MemHubs: 1, EFPGAs: efpgas, Style: duet.StyleDuet})
-	return sys, sys.Scheduler(cfg)
+	return sys, sys.SchedulerWrapped(cfg, nil)
 }
 
 func TestEmptyQueueDrain(t *testing.T) {
@@ -65,11 +65,7 @@ func TestEmptyQueueDrain(t *testing.T) {
 }
 
 func TestOversizedBitstreamFailsGracefully(t *testing.T) {
-	sys := duet.New(duet.Config{
-		Cores: 1, MemHubs: 1, EFPGAs: 2, Style: duet.StyleDuet,
-		FabricCap: efpga.Resources{LUTs: 2000, FFs: 4000, BRAMKb: 64, DSPs: 4},
-	})
-	sch := sys.Scheduler(sched.Config{Policy: sched.FIFO})
+	sys, sch := newServeSystem(t, 2, sched.Config{Policy: sched.FIFO})
 	small := mkBitstream("small", efpga.Resources{LUTs: 100, FFs: 200}, 100)
 	big := mkBitstream("big", efpga.Resources{LUTs: 100, FFs: 200, BRAMKb: 1 << 20}, 100)
 	for _, bs := range []*efpga.Bitstream{small, big} {

@@ -195,7 +195,7 @@ func (st *Stats) Summarize(samples []sim.Time, d *Digest, waitSum, serviceSum si
 
 // PercentileSorted returns the p-th percentile (nearest-rank) of an
 // ascending-sorted population; zero when it is empty.
-func PercentileSorted(sorted []sim.Time, p float64) sim.Time {
+func PercentileSorted[T ~int64](sorted []T, p float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -626,24 +626,19 @@ func TestThreadPanicReachesRun(t *testing.T) {
 }
 
 func TestTXBreakdown(t *testing.T) {
-	tx := NewTX(100 * NS)
+	tx := new(TX)
 	tx.Add(CatNoC, 10*NS)
 	tx.Add(CatFast, 5*NS)
-	tx.Add(CatCDC, 0) // ignored
-	tx.Finish(130 * NS)
-	if tx.Total() != 30*NS {
-		t.Fatalf("total = %v", tx.Total())
-	}
-	if tx.Unattributed() != 15*NS {
-		t.Fatalf("unattributed = %v", tx.Unattributed())
+	tx.Add(CatFast, 2*NS)
+	tx.Add(CatCDC, 0)    // ignored
+	tx.Add(CatSlow, -NS) // ignored
+	want := [NumCategories]Time{CatNoC: 10 * NS, CatFast: 7 * NS}
+	if tx.Parts != want {
+		t.Fatalf("parts = %v, want %v", tx.Parts, want)
 	}
 	// nil-safety
 	var nilTX *TX
 	nilTX.Add(CatSlow, NS)
-	nilTX.Finish(0)
-	if nilTX.Total() != 0 || nilTX.Unattributed() != 0 {
-		t.Fatal("nil TX not inert")
-	}
 }
 
 func TestTimeString(t *testing.T) {

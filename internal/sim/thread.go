@@ -214,12 +214,6 @@ func (t *Thread) Wake() {
 	}
 }
 
-// Name reports the thread's name.
-func (t *Thread) Name() string { return t.name }
-
-// Engine reports the engine this thread runs on.
-func (t *Thread) Engine() *Engine { return t.eng }
-
 // Now reports the current simulation time.
 func (t *Thread) Now() Time { return t.eng.Now() }
 

@@ -33,12 +33,7 @@ func (c Category) String() string {
 // models can attribute unconditionally.
 type TX struct {
 	Parts [NumCategories]Time
-	Start Time
-	End   Time
 }
-
-// NewTX returns a transaction record starting now.
-func NewTX(now Time) *TX { return &TX{Start: now} }
 
 // Add attributes duration d to category cat. Safe on nil receivers.
 func (tx *TX) Add(cat Category, d Time) {
@@ -46,20 +41,4 @@ func (tx *TX) Add(cat Category, d Time) {
 		return
 	}
 	tx.Parts[cat] += d
-}
-
-// Finish records the completion time. Safe on nil receivers.
-func (tx *TX) Finish(now Time) {
-	if tx == nil {
-		return
-	}
-	tx.End = now
-}
-
-// Total reports the end-to-end latency (End - Start).
-func (tx *TX) Total() Time {
-	if tx == nil {
-		return 0
-	}
-	return tx.End - tx.Start
 }

@@ -13,7 +13,6 @@ import (
 	"duet/internal/core"
 	"duet/internal/cpu"
 	"duet/internal/efpga"
-	"duet/internal/mem"
 	"duet/internal/params"
 	"duet/internal/sim"
 	"duet/internal/study"
@@ -167,8 +166,8 @@ func MeasureLatency(mech Mechanism, freqMHz float64) Fig9Row {
 	defer sys.Close()
 	row := Fig9Row{Mechanism: mech, FreqMHz: freqMHz}
 
-	wtx := sim.NewTX(0)
-	rtx := sim.NewTX(0)
+	wtx := new(sim.TX)
+	rtx := new(sim.TX)
 	var total sim.Time
 
 	sys.Cores[0].Run("probe", func(p cpu.Proc) {
@@ -240,6 +239,3 @@ func Fig9P(parallel int, freqs []float64) []Fig9Row {
 		return MeasureLatency(Mechanism(i/len(freqs)), freqs[i%len(freqs)])
 	})
 }
-
-// lineOf truncates an address to its cache line.
-func lineOf(addr uint64) uint64 { return addr &^ (mem.LineBytes - 1) }

@@ -6,6 +6,7 @@ import (
 	"duet/internal/core"
 	"duet/internal/cpu"
 	"duet/internal/efpga"
+	"duet/internal/params"
 	"duet/internal/sim"
 )
 
@@ -31,6 +32,22 @@ func (a *scaleAccel) Start(env *efpga.Env) {
 	})
 }
 
+// installOn is InstallAccelerator on eFPGA idx.
+func installOn(s *System, idx int, bs *efpga.Bitstream) error {
+	fab := s.Fabrics[idx]
+	if _, err := fab.Register(bs); err != nil {
+		return err
+	}
+	if err := fab.Configure(bs); err != nil {
+		return err
+	}
+	if bs.FmaxMHz > 0 {
+		fab.SetFreqMHz(bs.FmaxMHz)
+	}
+	s.Adapters[idx].StartAccelerator()
+	return nil
+}
+
 // TestMultipleEFPGAs exercises the paper's scalability claim (Fig. 1c):
 // multiple independent eFPGAs, each behind its own Duet Adapter, serving
 // different cores concurrently while sharing one coherent memory system.
@@ -51,10 +68,10 @@ func TestMultipleEFPGAs(t *testing.T) {
 		return efpga.Synthesize(efpga.Design{Name: "scale", LUTLogic: 60, RegBits: 128, PipelineDepth: 3},
 			func() efpga.Accelerator { return &scaleAccel{gain: gain, addr: addr} })
 	}
-	if err := sys.InstallAcceleratorOn(0, mk(3, addr0)); err != nil {
+	if err := sys.InstallAccelerator(mk(3, addr0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.InstallAcceleratorOn(1, mk(5, addr1)); err != nil {
+	if err := installOn(sys, 1, mk(5, addr1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,10 +84,10 @@ func TestMultipleEFPGAs(t *testing.T) {
 				addr = addr1
 			}
 			p.Store64(addr, uint64(c+10)) // accelerator pulls this coherently
-			p.MMIOWrite64(HubSwitchAddrOn(c, 0, core.SwEnable), 1)
+			p.MMIOWrite64(core.HubSwitchAddr(c, 0, core.SwEnable), 1)
 			for i := uint64(1); i <= 6; i++ {
-				p.MMIOWrite64(SoftRegAddrOn(c, 0), i)
-				results[c] = append(results[c], p.MMIORead64(SoftRegAddrOn(c, 1)))
+				p.MMIOWrite64(core.SoftRegAddr(c, 0), i)
+				results[c] = append(results[c], p.MMIORead64(core.SoftRegAddr(c, 1)))
 			}
 		})
 	}
@@ -97,7 +114,7 @@ func TestMultiEFPGATLBIsolation(t *testing.T) {
 			{Kind: core.RegFIFOToCPU},
 		},
 	})
-	pa := sys.AllocPage()
+	pa := allocPage(sys)
 	va := uint64(0x5000_0000)
 	sys.PT.Map(va, pa)
 	sys.Dom.DRAM.Write64(pa+8, 777)
@@ -120,15 +137,15 @@ func TestMultiEFPGATLBIsolation(t *testing.T) {
 				})
 			})
 		})
-	if err := sys.InstallAcceleratorOn(1, bs); err != nil {
+	if err := installOn(sys, 1, bs); err != nil {
 		t.Fatal(err)
 	}
 	var got uint64
 	sys.Cores[0].Run("host", func(p cpu.Proc) {
-		p.MMIOWrite64(HubSwitchAddrOn(1, 0, core.SwVirtMode), 1)
-		p.MMIOWrite64(HubSwitchAddrOn(1, 0, core.SwEnable), 1)
-		p.MMIOWrite64(SoftRegAddrOn(1, 0), 1)
-		got = p.MMIORead64(SoftRegAddrOn(1, 1))
+		p.MMIOWrite64(core.HubSwitchAddr(1, 0, core.SwVirtMode), 1)
+		p.MMIOWrite64(core.HubSwitchAddr(1, 0, core.SwEnable), 1)
+		p.MMIOWrite64(core.SoftRegAddr(1, 0), 1)
+		got = p.MMIORead64(core.SoftRegAddr(1, 1))
 	})
 	if _, err := sys.RunChecked(); err != nil {
 		t.Fatal(err)
@@ -141,5 +158,60 @@ func TestMultiEFPGATLBIsolation(t *testing.T) {
 	}
 	if sys.Adapters[0].Hub(0).TLB().Misses != 0 {
 		t.Fatal("adapter 0's TLB was touched by adapter 1's fault")
+	}
+}
+
+// TestRouterSteersToOwningAdapter: every address core's encoders produce
+// for adapter a must route to adapter a's control-hub tile, and
+// addresses outside every window must be unclaimed.
+func TestRouterSteersToOwningAdapter(t *testing.T) {
+	sys := New(Config{Cores: 2, MemHubs: 2, EFPGAs: 2, Style: StyleDuet})
+	route := sys.route
+	if route == nil {
+		t.Fatal("no router on an eFPGA system")
+	}
+	inWindow := func(a int, addr uint64) bool {
+		return addr >= core.BaseAddr(a) && addr < core.BaseAddr(a)+core.AdapterStride
+	}
+	for a, ad := range sys.Adapters {
+		want := ad.CtrlTile()
+		addrs := map[string]uint64{
+			"soft reg":   core.SoftRegAddr(a, 5),
+			"hub switch": core.HubSwitchAddr(a, 1, core.SwAtomics),
+			"tlb reg":    core.TLBRegAddr(a, 1, core.TLBVPN),
+			"mgr reg":    core.BaseAddr(a) + core.RegStatus,
+			"base":       core.BaseAddr(a),
+		}
+		for what, addr := range addrs {
+			tile, ok := route(addr)
+			if !ok || tile != want {
+				t.Fatalf("adapter %d %s %#x routed to (%d,%v), want tile %d", a, what, addr, tile, ok, want)
+			}
+			if !inWindow(a, addr) {
+				t.Fatalf("adapter %d's %s address %#x is outside its window", a, what, addr)
+			}
+			if inWindow(1-a, addr) {
+				t.Fatalf("adapter %d's window holds adapter %d's %s address %#x", 1-a, a, what, addr)
+			}
+		}
+	}
+	// The adapter-0 helpers land in adapter 0's window.
+	for _, addr := range []uint64{SoftRegAddr(3), HubSwitchAddr(1, core.SwEnable), MgrRegAddr(core.RegCtrl)} {
+		if tile, ok := route(addr); !ok || tile != sys.Adapters[0].CtrlTile() {
+			t.Fatalf("adapter-0 address %#x routed to (%d,%v)", addr, tile, ok)
+		}
+	}
+
+	// Out of range: below the MMIO base, address zero, and one adapter
+	// past the last configured window.
+	for _, addr := range []uint64{0, params.MMIOBase - 8, core.BaseAddr(2)} {
+		if tile, ok := route(addr); ok {
+			t.Fatalf("unclaimed address %#x routed to tile %d", addr, tile)
+		}
+	}
+
+	// CPU-only systems expose no MMIO devices at all.
+	if New(Config{Cores: 1, Style: StyleCPUOnly}).route != nil {
+		t.Fatal("CPU-only system has a router")
 	}
 }

@@ -56,12 +56,9 @@ type Config struct {
 	// normal registers when empty.
 	RegSpecs []core.SoftRegSpec
 
-	// FabricCap is the eFPGA capacity; a generous default is used when
-	// zero (capacity is checked against the configured bitstream).
-	FabricCap efpga.Resources
-
 	// FPGAFreqMHz sets the initial eFPGA clock (later adjustable through
-	// the FPGA manager or bitstream Fmax). Defaults to 100 MHz.
+	// the FPGA manager or bitstream Fmax). Defaults to
+	// efpga.DefaultFreqMHz.
 	FPGAFreqMHz float64
 
 	// SyncStages sets the CDC synchronizer depth of every adapter FIFO
@@ -104,7 +101,7 @@ func New(cfg Config) *System {
 		panic("duet: CPU-only systems have no memory hubs")
 	}
 	if cfg.FPGAFreqMHz == 0 {
-		cfg.FPGAFreqMHz = 100
+		cfg.FPGAFreqMHz = efpga.DefaultFreqMHz
 	}
 	if cfg.EFPGAs == 0 {
 		cfg.EFPGAs = 1
@@ -164,12 +161,8 @@ func New(cfg Config) *System {
 		s.Cores = append(s.Cores, cpu.New(eng, mesh, dom, i, i, s.route))
 	}
 
-	capacity := cfg.FabricCap
-	if capacity == (efpga.Resources{}) {
-		capacity = efpga.DefaultFabricCap
-	}
 	for a := 0; a < cfg.EFPGAs; a++ {
-		fab := efpga.NewFabric(eng, fmt.Sprintf("efpga%d", a), capacity)
+		fab := efpga.NewFabric(eng, fmt.Sprintf("efpga%d", a), efpga.DefaultFabricCap)
 		fab.SetFreqMHz(cfg.FPGAFreqMHz)
 		hubTiles := make([]int, 0, cfg.MemHubs)
 		for i := 0; i < cfg.MemHubs; i++ {
@@ -214,25 +207,12 @@ func (s *System) Alloc(n int) uint64 {
 	return base
 }
 
-// AllocPage reserves one page-aligned page and returns its base.
-func (s *System) AllocPage() uint64 {
-	s.next = (s.next + mmu.PageSize - 1) &^ uint64(mmu.PageSize-1)
-	base := s.next
-	s.next += mmu.PageSize
-	return base
-}
-
 // InstallAccelerator registers, configures and starts a bitstream on
 // eFPGA 0, and runs its clock at the accelerator's maximum frequency (as
 // the paper's per-benchmark evaluation does). Programming-engine flows go
 // through MMIO instead (see Program).
 func (s *System) InstallAccelerator(bs *efpga.Bitstream) error {
-	return s.InstallAcceleratorOn(0, bs)
-}
-
-// InstallAcceleratorOn installs a bitstream on eFPGA idx.
-func (s *System) InstallAcceleratorOn(idx int, bs *efpga.Bitstream) error {
-	fab := s.Fabrics[idx]
+	fab := s.Fabric
 	if _, err := fab.Register(bs); err != nil {
 		return err
 	}
@@ -242,7 +222,7 @@ func (s *System) InstallAcceleratorOn(idx int, bs *efpga.Bitstream) error {
 	if bs.FmaxMHz > 0 {
 		fab.SetFreqMHz(bs.FmaxMHz)
 	}
-	s.Adapters[idx].StartAccelerator()
+	s.Adapter.StartAccelerator()
 	return nil
 }
 
@@ -258,23 +238,15 @@ func (s *System) readMem(addr uint64, size int) uint64 {
 	return v
 }
 
-// Scheduler returns the system's multi-tenant accelerator-as-a-service
-// scheduler over all configured eFPGAs, creating it with cfg on first
-// use. Subsequent calls return the existing scheduler and ignore cfg.
-// CPU-only systems have no eFPGAs and therefore no scheduler (panics).
-func (s *System) Scheduler(cfg sched.Config) *sched.Scheduler {
-	return s.SchedulerWrapped(cfg, nil)
-}
-
-// SchedulerWrapped is Scheduler with extra execution backends appended
-// after the system's cycle-level eFPGA workers — e.g. internal/model's
-// CPU soft-path fallback for hybrid placement — and a backend decorator
-// applied to every worker (cycle eFPGA workers and extras alike) before
-// the scheduler sees them: the cycle-path fault-injection seam,
-// mirroring model.Config.Wrap so both backends fail identically under
-// one fault plan. A nil wrap is the identity. Like Scheduler it builds
-// on first use only; extra backends must schedule on this system's
-// engine.
+// SchedulerWrapped returns the system's multi-tenant
+// accelerator-as-a-service scheduler, creating it with cfg on first use;
+// later calls return it and ignore their arguments. Its workers are the
+// system's cycle-level eFPGA workers, then the extra backends (e.g.
+// internal/model's CPU soft-path fallback for hybrid placement), each
+// passed through wrap before the scheduler sees it: the cycle-path
+// fault-injection seam, mirroring model.Config.Wrap so both backends fail
+// identically under one fault plan. A nil wrap is the identity. Extra
+// backends must schedule on this system's engine.
 func (s *System) SchedulerWrapped(cfg sched.Config, wrap func(worker int, be sched.Backend) sched.Backend, extra ...sched.Backend) *sched.Scheduler {
 	if s.scheduler == nil {
 		backends := append(sched.CycleBackends(s.Eng, s.Adapters, s.Fabrics), extra...)
@@ -287,12 +259,6 @@ func (s *System) SchedulerWrapped(cfg sched.Config, wrap func(worker int, be sch
 	}
 	return s.scheduler
 }
-
-// MMIORouter returns the system's MMIO address router: it maps an
-// address to the NoC tile of the owning adapter's control hub, with
-// ok=false for addresses no adapter claims. CPU-only systems have no
-// MMIO devices and return nil.
-func (s *System) MMIORouter() mmio.Router { return s.route }
 
 // ReadMem64 reads the current coherent value of a 64-bit word — for
 // result checking after a run.
@@ -324,36 +290,17 @@ func (s *System) RunChecked() (sim.Time, error) {
 	return t, nil
 }
 
-// --- MMIO address helpers (the "device driver" constants) ------------------
+// --- MMIO address helpers: adapter 0's addresses in core's map ------------
 
 // SoftRegAddr returns the MMIO address of soft register reg on adapter 0.
-func SoftRegAddr(reg int) uint64 { return SoftRegAddrOn(0, reg) }
-
-// SoftRegAddrOn returns the MMIO address of a soft register on adapter a.
-func SoftRegAddrOn(a, reg int) uint64 {
-	return core.BaseAddr(a) + 0x8000 + uint64(reg)*8
-}
+func SoftRegAddr(reg int) uint64 { return core.SoftRegAddr(0, reg) }
 
 // HubSwitchAddr returns the MMIO address of a feature switch on adapter 0.
-func HubSwitchAddr(hub int, sw uint64) uint64 { return HubSwitchAddrOn(0, hub, sw) }
-
-// HubSwitchAddrOn returns the MMIO address of a feature switch on adapter a.
-func HubSwitchAddrOn(a, hub int, sw uint64) uint64 {
-	return core.BaseAddr(a) + 0x1000 + uint64(hub)*0x100 + sw
-}
+func HubSwitchAddr(hub int, sw uint64) uint64 { return core.HubSwitchAddr(0, hub, sw) }
 
 // MgrRegAddr returns the MMIO address of an FPGA-manager register on
 // adapter 0.
 func MgrRegAddr(reg uint64) uint64 { return core.BaseAddr(0) + reg }
-
-// MgrRegAddrOn returns the MMIO address of an FPGA-manager register on
-// adapter a.
-func MgrRegAddrOn(a int, reg uint64) uint64 { return core.BaseAddr(a) + reg }
-
-// TLBRegAddr returns the MMIO address of a TLB-window register.
-func TLBRegAddr(hub int, reg uint64) uint64 {
-	return core.BaseAddr(0) + 0x4000 + uint64(hub)*0x100 + reg
-}
 
 // EnableHub turns on memory hub i with the given feature switches; call
 // from a host program running on a core.

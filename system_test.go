@@ -7,6 +7,7 @@ import (
 	"duet/internal/core"
 	"duet/internal/cpu"
 	"duet/internal/efpga"
+	"duet/internal/mmu"
 	"duet/internal/sim"
 )
 
@@ -32,6 +33,15 @@ func echoSpecs() []core.SoftRegSpec {
 		{Kind: core.RegNormal},
 		{Kind: core.RegTokenFIFO},
 	}
+}
+
+// allocPage reserves one page-aligned page of simulated memory and
+// returns its base.
+func allocPage(s *System) uint64 {
+	s.next = (s.next + mmu.PageSize - 1) &^ uint64(mmu.PageSize-1)
+	base := s.next
+	s.next += mmu.PageSize
+	return base
 }
 
 func newEchoSystem(t *testing.T, style Style) *System {
@@ -337,7 +347,7 @@ func TestHubInvalidationPushToSoftCacheSink(t *testing.T) {
 
 func TestTLBFaultResolvedByKernel(t *testing.T) {
 	sys := New(Config{Cores: 1, MemHubs: 1, Style: StyleDuet, RegSpecs: echoSpecs()})
-	pa := sys.AllocPage()
+	pa := allocPage(sys)
 	va := uint64(0x7000_0000)
 	sys.PT.Map(va, pa)
 	var result uint64

@@ -27,7 +27,7 @@ func TestVIVTSoftCacheSynonymRule(t *testing.T) {
 			{Kind: core.RegFIFOToCPU},
 		},
 	})
-	pa := sys.AllocPage()
+	pa := allocPage(sys)
 	va1 := uint64(0x4000_0000)
 	va2 := uint64(0x4100_0000)
 	sys.PT.Map(va1, pa)
