@@ -239,7 +239,7 @@ func BenchmarkServeCluster(b *testing.B) {
 	b.ReportMetric(sharded.Merged.ThroughputPerMS/base.ThroughputPerMS, "scaling-x")
 }
 
-// --- Ablation benches (design choices DESIGN.md calls out) -----------------
+// --- Ablation benches (the design choices `duetsim ablate` reports) --------
 
 // BenchmarkAblationSweep runs the hub-window + CDC-depth ablation grid
 // (`duetsim ablate`) through the study runner at the -parallel width.

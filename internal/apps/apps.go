@@ -5,13 +5,24 @@
 // the FPSoC baseline (same accelerator, slow-domain FPGA-side cache,
 // normal registers). Every run checks functional correctness against a
 // host-computed reference before reporting time.
+//
+// One harness (harness.run) builds, runs, checks and costs all three
+// variants the same way, so the Fig. 12 comparison is like for like: it
+// maps the variant to its duet.Config, installs the variant's bitstream,
+// runs the system with its coherence check, and charges the silicon area
+// once the functional check has passed. Each driver keeps only what is
+// its own: input generation, the per-core programs and the functional
+// check against the host reference.
 package apps
 
 import (
 	"fmt"
 
+	"duet"
 	"duet/internal/area"
+	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 	"duet/internal/sim"
 	"duet/internal/study"
 )
@@ -134,6 +145,70 @@ func Geomeans(rows []Fig12Row) (spDuet, spFPSoC, adpDuet, adpFPSoC float64) {
 	return area.Geomean(a), area.Geomean(b), area.Geomean(c), area.Geomean(d)
 }
 
+// harness is what a benchmark's three variants share: the core count, and
+// the memory hubs, soft registers and bitstream of the accelerated
+// variants. The processor-only variant has none of the three.
+type harness struct {
+	cores     int
+	memHubs   int
+	regs      []core.SoftRegSpec
+	bitstream func() *efpga.Bitstream
+}
+
+// queueRegs is the soft-register map of the hardware-augmentation widgets
+// (PDES scheduler, BFS queues): one deep command FIFO into the fabric and
+// one result FIFO back to each core.
+func queueRegs(cores int) []core.SoftRegSpec {
+	regs := []core.SoftRegSpec{{Kind: core.RegFIFOToFPGA, Depth: 16}}
+	for i := 0; i < cores; i++ {
+		regs = append(regs, core.SoftRegSpec{Kind: core.RegFIFOToCPU})
+	}
+	return regs
+}
+
+// variantStyle maps each Variant to its system organization.
+var variantStyle = [...]duet.Style{
+	VariantCPU:   duet.StyleCPUOnly,
+	VariantDuet:  duet.StyleDuet,
+	VariantFPSoC: duet.StyleFPSoC,
+}
+
+// run executes one variant of the benchmark name. It builds the system
+// and installs the variant's bitstream, then calls setup, which allocates
+// and loads memory, starts the per-core programs and returns the
+// functional check; the programs or the check record the measured region
+// in res.Runtime. run drains the system with its coherence check, runs
+// the functional check, and charges the system's area only once the
+// check has passed.
+func (h harness) run(name string, v Variant, setup func(sys *duet.System, res *Result) (check func() error)) Result {
+	res := Result{Name: name, Variant: v}
+	cfg := duet.Config{Cores: h.cores, Style: variantStyle[v]}
+	if v != VariantCPU {
+		cfg.MemHubs, cfg.RegSpecs = h.memHubs, h.regs
+	}
+	sys := duet.New(cfg)
+	defer sys.Close()
+
+	var efpgaMM2 float64
+	if v != VariantCPU {
+		bs := h.bitstream()
+		efpgaMM2 = bs.Report.AreaMM2
+		if err := sys.InstallAccelerator(bs); err != nil {
+			res.Err = err
+			return res
+		}
+	}
+	check := setup(sys, &res)
+	if _, err := sys.RunChecked(); err != nil {
+		res.Err = err
+		return res
+	}
+	if res.Err = check(); res.Err == nil {
+		res.AreaMM2 = systemArea(v, h.cores, h.memHubs, efpgaMM2)
+	}
+	return res
+}
+
 // systemArea assembles the configuration's silicon area.
 func systemArea(v Variant, cores, memHubs int, efpgaMM2 float64) float64 {
 	switch v {
@@ -144,15 +219,10 @@ func systemArea(v Variant, cores, memHubs int, efpgaMM2 float64) float64 {
 		// (paper §V-D).
 		return area.SystemArea{Cores: cores, EFPGAMM2: efpgaMM2}.Total()
 	default:
-		tiles := 0
-		if memHubs > 0 {
-			tiles = 1 + (memHubs - 1)
-		} else {
-			tiles = 1
-		}
+		// One C-tile plus an M-tile per hub beyond the first.
 		return area.SystemArea{
 			Cores: cores, MemHubs: memHubs, HasCtrl: true,
-			AdapterTiles: tiles, EFPGAMM2: efpgaMM2,
+			AdapterTiles: max(memHubs, 1), EFPGAMM2: efpgaMM2,
 		}.Total()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 	"duet/internal/sim"
 )
 
@@ -194,197 +195,168 @@ func refBHForces(bodies []bhBody, nodes []bhNode, theta float64) [][3]float64 {
 
 // RunBarnesHut executes the Barnes-Hut benchmark (P4M1, fine-grained).
 func RunBarnesHut(v Variant, cfg BHConfig) Result {
-	res := Result{Name: "barnes-hut", Variant: v}
-	style := duet.StyleCPUOnly
-	switch v {
-	case VariantDuet:
-		style = duet.StyleDuet
-	case VariantFPSoC:
-		style = duet.StyleFPSoC
-	}
-	regs := []core.SoftRegSpec{
+	h := harness{cores: bhCores, memHubs: 1, regs: []core.SoftRegSpec{
 		{Kind: core.RegFIFOToFPGA},                           // BHWork0Reg
 		{Kind: core.RegFIFOToFPGA},                           // BHWork1Reg
 		{Kind: core.RegFIFOToCPU}, {Kind: core.RegFIFOToCPU}, // per-core results
 		{Kind: core.RegFIFOToCPU}, {Kind: core.RegFIFOToCPU},
 		{Kind: core.RegPlain}, // BHPartBaseReg
 		{Kind: core.RegPlain}, // BHNodeBaseReg
-	}
-	sysCfg := duet.Config{Cores: bhCores, Style: style, RegSpecs: regs}
-	if v == VariantCPU {
-		sysCfg.RegSpecs = nil
-	} else {
-		sysCfg.MemHubs = 1
-	}
-	sys := duet.New(sysCfg)
-	defer sys.Close()
-
-	rng := newRNG(cfg.Seed)
-	bodies := make([]bhBody, cfg.Particles)
-	for i := range bodies {
-		bodies[i] = bhBody{rng.float(), rng.float(), rng.float(), 1e3 + rng.float()*1e5}
-	}
-	nodes := buildOctree(bodies)
-
-	// Flatten into simulated memory: body geometry (32B each), node
-	// geometry (32B each), node metadata (width + kids + leaf body).
-	partBase := sys.Alloc(len(bodies) * accel.BHBodyBytes)
-	nodeGeom := sys.Alloc(len(nodes) * accel.BHBodyBytes)
-	nodeWidth := sys.Alloc(len(nodes) * 8)
-	nodeKids := sys.Alloc(len(nodes) * 32)
-	nodeBody := sys.Alloc(len(nodes) * 4)
-	forces := sys.Alloc(len(bodies) * 24)
-	for i, b := range bodies {
-		base := partBase + uint64(i*accel.BHBodyBytes)
-		sys.Dom.DRAM.Write64(base, math.Float64bits(b.x))
-		sys.Dom.DRAM.Write64(base+8, math.Float64bits(b.y))
-		sys.Dom.DRAM.Write64(base+16, math.Float64bits(b.z))
-		sys.Dom.DRAM.Write64(base+24, math.Float64bits(b.m))
-	}
-	for i, nd := range nodes {
-		g := nodeGeom + uint64(i*accel.BHBodyBytes)
-		sys.Dom.DRAM.Write64(g, math.Float64bits(nd.cx))
-		sys.Dom.DRAM.Write64(g+8, math.Float64bits(nd.cy))
-		sys.Dom.DRAM.Write64(g+16, math.Float64bits(nd.cz))
-		sys.Dom.DRAM.Write64(g+24, math.Float64bits(nd.mass))
-		sys.Dom.DRAM.Write64(nodeWidth+uint64(i*8), math.Float64bits(nd.width))
-		for k := 0; k < 8; k++ {
-			sys.Dom.DRAM.Write32(nodeKids+uint64(i*32+k*4), uint32(nd.kids[k]))
+	}, bitstream: func() *efpga.Bitstream { return accel.NewBarnesHutBitstream(bhCores) }}
+	return h.run("barnes-hut", v, func(sys *duet.System, res *Result) func() error {
+		rng := newRNG(cfg.Seed)
+		bodies := make([]bhBody, cfg.Particles)
+		for i := range bodies {
+			bodies[i] = bhBody{rng.float(), rng.float(), rng.float(), 1e3 + rng.float()*1e5}
 		}
-		sys.Dom.DRAM.Write32(nodeBody+uint64(i*4), uint32(nd.body))
-	}
+		nodes := buildOctree(bodies)
 
-	var efpgaMM2 float64
-	if v != VariantCPU {
-		bs := accel.NewBarnesHutBitstream(bhCores)
-		efpgaMM2 = bs.Report.AreaMM2
-		if err := sys.InstallAccelerator(bs); err != nil {
-			res.Err = err
-			return res
+		// Flatten into simulated memory: body geometry (32B each), node
+		// geometry (32B each), node metadata (width + kids + leaf body).
+		partBase := sys.Alloc(len(bodies) * accel.BHBodyBytes)
+		nodeGeom := sys.Alloc(len(nodes) * accel.BHBodyBytes)
+		nodeWidth := sys.Alloc(len(nodes) * 8)
+		nodeKids := sys.Alloc(len(nodes) * 32)
+		nodeBody := sys.Alloc(len(nodes) * 4)
+		forces := sys.Alloc(len(bodies) * 24)
+		for i, b := range bodies {
+			base := partBase + uint64(i*accel.BHBodyBytes)
+			sys.Dom.DRAM.Write64(base, math.Float64bits(b.x))
+			sys.Dom.DRAM.Write64(base+8, math.Float64bits(b.y))
+			sys.Dom.DRAM.Write64(base+16, math.Float64bits(b.z))
+			sys.Dom.DRAM.Write64(base+24, math.Float64bits(b.m))
 		}
-	}
-
-	th2bits := cfg.Theta * cfg.Theta
-	starts := make([]sim.Time, bhCores)
-	ends := make([]sim.Time, bhCores)
-	for c := 0; c < bhCores; c++ {
-		c := c
-		sys.Cores[c].Run("bh", func(p cpu.Proc) {
-			if v != VariantCPU && c == 0 {
-				duet.EnableHub(p, 0, false, false, false)
-				p.MMIOWrite64(duet.SoftRegAddr(accel.BHPartBaseReg), partBase)
-				p.MMIOWrite64(duet.SoftRegAddr(accel.BHNodeBaseReg), nodeGeom)
+		for i, nd := range nodes {
+			g := nodeGeom + uint64(i*accel.BHBodyBytes)
+			sys.Dom.DRAM.Write64(g, math.Float64bits(nd.cx))
+			sys.Dom.DRAM.Write64(g+8, math.Float64bits(nd.cy))
+			sys.Dom.DRAM.Write64(g+16, math.Float64bits(nd.cz))
+			sys.Dom.DRAM.Write64(g+24, math.Float64bits(nd.mass))
+			sys.Dom.DRAM.Write64(nodeWidth+uint64(i*8), math.Float64bits(nd.width))
+			for k := 0; k < 8; k++ {
+				sys.Dom.DRAM.Write32(nodeKids+uint64(i*32+k*4), uint32(nd.kids[k]))
 			}
-			if v != VariantCPU {
-				// Wait for core 0's setup: the plain shadow register
-				// carries the node base as the ready flag.
-				for p.MMIORead64(duet.SoftRegAddr(accel.BHNodeBaseReg)) != nodeGeom {
-					p.Exec(50)
+			sys.Dom.DRAM.Write32(nodeBody+uint64(i*4), uint32(nd.body))
+		}
+
+		th2bits := cfg.Theta * cfg.Theta
+		starts := make([]sim.Time, bhCores)
+		ends := make([]sim.Time, bhCores)
+		for c := 0; c < bhCores; c++ {
+			c := c
+			sys.Cores[c].Run("bh", func(p cpu.Proc) {
+				if v != VariantCPU && c == 0 {
+					duet.EnableHub(p, 0, false, false, false)
+					p.MMIOWrite64(duet.SoftRegAddr(accel.BHPartBaseReg), partBase)
+					p.MMIOWrite64(duet.SoftRegAddr(accel.BHNodeBaseReg), nodeGeom)
 				}
-			}
-			if c == 0 {
-				warm(p, nodeGeom, len(nodes)*accel.BHBodyBytes)
-				warm(p, nodeWidth, len(nodes)*8)
-				warm(p, nodeKids, len(nodes)*32)
-				warm(p, nodeBody, len(nodes)*4)
-				warm(p, partBase, len(bodies)*accel.BHBodyBytes)
-			}
-			starts[c] = p.Now()
-			// Particles are striped across the cores.
-			for i := c; i < len(bodies); i += bhCores {
-				px := math.Float64frombits(p.Load64(partBase + uint64(i*32)))
-				py := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 8))
-				pz := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 16))
-				pm := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 24))
-				var fx, fy, fz float64
 				if v != VariantCPU {
-					p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpSetParticle, c, uint32(i)))
-				}
-				// Iterative DFS matching refBHForces' order.
-				stack := []int32{0}
-				for len(stack) > 0 {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					// Load node geometry (2 lines) and width.
-					ncx := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32))
-					ncy := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 8))
-					ncz := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 16))
-					nm := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 24))
-					if nm == 0 {
-						continue
+					// Wait for core 0's setup: the plain shadow register
+					// carries the node base as the ready flag.
+					for p.MMIORead64(duet.SoftRegAddr(accel.BHNodeBaseReg)) != nodeGeom {
+						p.Exec(50)
 					}
-					leaf := int32(p.Load32(nodeBody + uint64(n)*4))
-					if leaf >= 0 {
-						if int(leaf) != i {
+				}
+				if c == 0 {
+					warm(p, nodeGeom, len(nodes)*accel.BHBodyBytes)
+					warm(p, nodeWidth, len(nodes)*8)
+					warm(p, nodeKids, len(nodes)*32)
+					warm(p, nodeBody, len(nodes)*4)
+					warm(p, partBase, len(bodies)*accel.BHBodyBytes)
+				}
+				starts[c] = p.Now()
+				// Particles are striped across the cores.
+				for i := c; i < len(bodies); i += bhCores {
+					px := math.Float64frombits(p.Load64(partBase + uint64(i*32)))
+					py := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 8))
+					pz := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 16))
+					pm := math.Float64frombits(p.Load64(partBase + uint64(i*32) + 24))
+					var fx, fy, fz float64
+					if v != VariantCPU {
+						p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpSetParticle, c, uint32(i)))
+					}
+					// Iterative DFS matching refBHForces' order.
+					stack := []int32{0}
+					for len(stack) > 0 {
+						n := stack[len(stack)-1]
+						stack = stack[:len(stack)-1]
+						// Load node geometry (2 lines) and width.
+						ncx := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32))
+						ncy := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 8))
+						ncz := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 16))
+						nm := math.Float64frombits(p.Load64(nodeGeom + uint64(n)*32 + 24))
+						if nm == 0 {
+							continue
+						}
+						leaf := int32(p.Load32(nodeBody + uint64(n)*4))
+						if leaf >= 0 {
+							if int(leaf) != i {
+								if v == VariantCPU {
+									p.Exec(bhDistCycles + bhForceCycles)
+									gx, gy, gz := accel.BHForce(px, py, pz, pm, ncx, ncy, ncz, nm)
+									fx += gx
+									fy += gy
+									fz += gz
+								} else {
+									p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpCalc, c, uint32(leaf)))
+								}
+							}
+							continue
+						}
+						w := math.Float64frombits(p.Load64(nodeWidth + uint64(n)*8))
+						dx, dy, dz := ncx-px, ncy-py, ncz-pz
+						d2 := dx*dx + dy*dy + dz*dz + accel.BHSoftening
+						p.Exec(bhDistCycles + bhTestCycles)
+						if w*w < th2bits*d2 {
 							if v == VariantCPU {
-								p.Exec(bhDistCycles + bhForceCycles)
+								p.Exec(bhForceCycles)
 								gx, gy, gz := accel.BHForce(px, py, pz, pm, ncx, ncy, ncz, nm)
 								fx += gx
 								fy += gy
 								fz += gz
 							} else {
-								p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpCalc, c, uint32(leaf)))
+								p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpApprox, c, uint32(n)))
+							}
+							continue
+						}
+						// Push children in reverse so traversal order matches
+						// the recursive reference.
+						for k := 7; k >= 0; k-- {
+							kid := int32(p.Load32(nodeKids + uint64(n)*32 + uint64(k*4)))
+							if kid >= 0 {
+								stack = append(stack, kid)
 							}
 						}
-						continue
 					}
-					w := math.Float64frombits(p.Load64(nodeWidth + uint64(n)*8))
-					dx, dy, dz := ncx-px, ncy-py, ncz-pz
-					d2 := dx*dx + dy*dy + dz*dz + accel.BHSoftening
-					p.Exec(bhDistCycles + bhTestCycles)
-					if w*w < th2bits*d2 {
-						if v == VariantCPU {
-							p.Exec(bhForceCycles)
-							gx, gy, gz := accel.BHForce(px, py, pz, pm, ncx, ncy, ncz, nm)
-							fx += gx
-							fy += gy
-							fz += gz
-						} else {
-							p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpApprox, c, uint32(n)))
-						}
-						continue
+					if v != VariantCPU {
+						p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpFlush, c, 0))
+						fx = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
+						fy = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
+						fz = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
 					}
-					// Push children in reverse so traversal order matches
-					// the recursive reference.
-					for k := 7; k >= 0; k-- {
-						kid := int32(p.Load32(nodeKids + uint64(n)*32 + uint64(k*4)))
-						if kid >= 0 {
-							stack = append(stack, kid)
-						}
-					}
+					p.Store64(forces+uint64(i*24), math.Float64bits(fx))
+					p.Store64(forces+uint64(i*24+8), math.Float64bits(fy))
+					p.Store64(forces+uint64(i*24+16), math.Float64bits(fz))
 				}
-				if v != VariantCPU {
-					p.MMIOWrite64(duet.SoftRegAddr(accel.BHWorkReg(c)), accel.BHPack(accel.BHOpFlush, c, 0))
-					fx = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
-					fy = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
-					fz = math.Float64frombits(p.MMIORead64(duet.SoftRegAddr(accel.BHResultReg0 + c)))
-				}
-				p.Store64(forces+uint64(i*24), math.Float64bits(fx))
-				p.Store64(forces+uint64(i*24+8), math.Float64bits(fy))
-				p.Store64(forces+uint64(i*24+16), math.Float64bits(fz))
-			}
-			ends[c] = p.Now()
-		})
-	}
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Runtime = span(starts, ends)
-
-	want := refBHForces(bodies, nodes, cfg.Theta)
-	for i := range bodies {
-		gx := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24)))
-		gy := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24+8)))
-		gz := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24+16)))
-		if !closeF(gx, want[i][0]) || !closeF(gy, want[i][1]) || !closeF(gz, want[i][2]) {
-			res.Err = fmt.Errorf("barnes-hut: force[%d] = (%g,%g,%g), want (%g,%g,%g)",
-				i, gx, gy, gz, want[i][0], want[i][1], want[i][2])
-			return res
+				ends[c] = p.Now()
+			})
 		}
-	}
-	res.AreaMM2 = systemArea(v, bhCores, 1, efpgaMM2)
-	return res
+		return func() error {
+			res.Runtime = span(starts, ends)
+
+			want := refBHForces(bodies, nodes, cfg.Theta)
+			for i := range bodies {
+				gx := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24)))
+				gy := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24+8)))
+				gz := math.Float64frombits(sys.ReadMem64(forces + uint64(i*24+16)))
+				if !closeF(gx, want[i][0]) || !closeF(gy, want[i][1]) || !closeF(gz, want[i][2]) {
+					return fmt.Errorf("barnes-hut: force[%d] = (%g,%g,%g), want (%g,%g,%g)",
+						i, gx, gy, gz, want[i][0], want[i][1], want[i][2])
+				}
+			}
+			return nil
+		}
+	})
 }
 
 func closeF(a, b float64) bool {

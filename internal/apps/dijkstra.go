@@ -8,6 +8,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 	"duet/internal/sim"
 )
 
@@ -114,158 +115,128 @@ func (h *u64Heap) Pop() interface{} {
 // calls", §V-D) and whose distance writes stay coherently visible to the
 // processor, which consumes each result with a checksum pass.
 func RunDijkstra(v Variant, cfg DijkstraConfig) Result {
-	res := Result{Name: "dijkstra", Variant: v}
 	if cfg.Queries == 0 {
 		cfg.Queries = 3
 	}
-	style := duet.StyleCPUOnly
-	switch v {
-	case VariantDuet:
-		style = duet.StyleDuet
-	case VariantFPSoC:
-		style = duet.StyleFPSoC
-	}
-	memHubs := 1
-	sysCfg := duet.Config{Cores: 1, Style: style, RegSpecs: []core.SoftRegSpec{
+	h := harness{cores: 1, memHubs: 1, regs: []core.SoftRegSpec{
 		{Kind: core.RegPlain}, {Kind: core.RegPlain}, {Kind: core.RegPlain}, {Kind: core.RegPlain},
 		{Kind: core.RegFIFOToFPGA}, // DijQueryReg
 		{Kind: core.RegFIFOToCPU},  // DijDoneReg
-	}}
-	if v == VariantCPU {
-		sysCfg.RegSpecs = nil
-	} else {
-		sysCfg.MemHubs = memHubs
-	}
-	sys := duet.New(sysCfg)
-	defer sys.Close()
+	}, bitstream: func() *efpga.Bitstream { return accel.NewDijkstraBitstream(v == VariantDuet) }}
+	return h.run("dijkstra", v, func(sys *duet.System, res *Result) func() error {
+		g := genGraph(cfg.Nodes, cfg.AvgDegree, cfg.Seed, false)
+		n := cfg.Nodes
+		rowptr := sys.Alloc(len(g.rowptr) * 4)
+		cols := sys.Alloc(len(g.cols) * 4)
+		weights := sys.Alloc(len(g.weights) * 4)
+		dist := sys.Alloc(n * 4)
+		visited := sys.Alloc(n * 8)
+		heapBase := sys.Alloc(8 + 4*n*8)
+		sums := sys.Alloc(cfg.Queries * 8)
 
-	g := genGraph(cfg.Nodes, cfg.AvgDegree, cfg.Seed, false)
-	n := cfg.Nodes
-	rowptr := sys.Alloc(len(g.rowptr) * 4)
-	cols := sys.Alloc(len(g.cols) * 4)
-	weights := sys.Alloc(len(g.weights) * 4)
-	dist := sys.Alloc(n * 4)
-	visited := sys.Alloc(n * 8)
-	heapBase := sys.Alloc(8 + 4*n*8)
-	sums := sys.Alloc(cfg.Queries * 8)
-
-	for i, x := range g.rowptr {
-		sys.Dom.DRAM.Write32(rowptr+uint64(i*4), x)
-	}
-	for i := range g.cols {
-		sys.Dom.DRAM.Write32(cols+uint64(i*4), g.cols[i])
-		sys.Dom.DRAM.Write32(weights+uint64(i*4), g.weights[i])
-	}
-
-	sources := make([]uint32, cfg.Queries)
-	srcRNG := newRNG(cfg.Seed + 99)
-	for q := range sources {
-		sources[q] = uint32(srcRNG.intn(n))
-	}
-
-	var efpgaMM2 float64
-	if v != VariantCPU {
-		bs := accel.NewDijkstraBitstream(v == VariantDuet)
-		efpgaMM2 = bs.Report.AreaMM2
-		if err := sys.InstallAccelerator(bs); err != nil {
-			res.Err = err
-			return res
+		for i, x := range g.rowptr {
+			sys.Dom.DRAM.Write32(rowptr+uint64(i*4), x)
 		}
-	}
-
-	sys.Cores[0].Run("dijkstra", func(p cpu.Proc) {
-		if v != VariantCPU {
-			// fwdInv on: the soft cache must observe invalidations when
-			// the processor re-initializes the distance array.
-			duet.EnableHub(p, 0, true, false, false)
-			p.MMIOWrite64(duet.SoftRegAddr(accel.DijRowPtrReg), rowptr)
-			p.MMIOWrite64(duet.SoftRegAddr(accel.DijColsReg), cols)
-			p.MMIOWrite64(duet.SoftRegAddr(accel.DijWeightReg), weights)
-			p.MMIOWrite64(duet.SoftRegAddr(accel.DijDistReg), dist)
+		for i := range g.cols {
+			sys.Dom.DRAM.Write32(cols+uint64(i*4), g.cols[i])
+			sys.Dom.DRAM.Write32(weights+uint64(i*4), g.weights[i])
 		}
-		// Warm caches (paper §V-A).
-		warm(p, rowptr, len(g.rowptr)*4)
-		warm(p, cols, len(g.cols)*4)
-		warm(p, weights, len(g.weights)*4)
-		var elapsed int64
-		for q := 0; q < cfg.Queries; q++ {
-			qStart := p.Now()
-			src := sources[q]
-			// (Re-)initialize the distance array.
-			for i := 0; i < n; i++ {
-				p.Store32(dist+uint64(i*4), distInf)
+
+		sources := make([]uint32, cfg.Queries)
+		srcRNG := newRNG(cfg.Seed + 99)
+		for q := range sources {
+			sources[q] = uint32(srcRNG.intn(n))
+		}
+
+		sys.Cores[0].Run("dijkstra", func(p cpu.Proc) {
+			if v != VariantCPU {
+				// fwdInv on: the soft cache must observe invalidations when
+				// the processor re-initializes the distance array.
+				duet.EnableHub(p, 0, true, false, false)
+				p.MMIOWrite64(duet.SoftRegAddr(accel.DijRowPtrReg), rowptr)
+				p.MMIOWrite64(duet.SoftRegAddr(accel.DijColsReg), cols)
+				p.MMIOWrite64(duet.SoftRegAddr(accel.DijWeightReg), weights)
+				p.MMIOWrite64(duet.SoftRegAddr(accel.DijDistReg), dist)
 			}
-			p.Store32(dist+uint64(src)*4, 0)
-			if v == VariantCPU {
+			// Warm caches (paper §V-A).
+			warm(p, rowptr, len(g.rowptr)*4)
+			warm(p, cols, len(g.cols)*4)
+			warm(p, weights, len(g.weights)*4)
+			var elapsed int64
+			for q := 0; q < cfg.Queries; q++ {
+				qStart := p.Now()
+				src := sources[q]
+				// (Re-)initialize the distance array.
 				for i := 0; i < n; i++ {
-					p.Store64(visited+uint64(i*8), 0)
+					p.Store32(dist+uint64(i*4), distInf)
 				}
-				p.Store64(heapBase, 0)
-				HeapPush(p, heapBase, uint64(src)) // (dist=0)<<32 | src
-				for HeapLen(p, heapBase) > 0 {
-					item := HeapPop(p, heapBase)
-					d, u := uint32(item>>32), uint32(item)
-					if p.Load64(visited+uint64(u)*8) != 0 {
-						p.Exec(2)
-						continue
+				p.Store32(dist+uint64(src)*4, 0)
+				if v == VariantCPU {
+					for i := 0; i < n; i++ {
+						p.Store64(visited+uint64(i*8), 0)
 					}
-					p.Store64(visited+uint64(u)*8, 1)
-					s := p.Load32(rowptr + uint64(u)*4)
-					e := p.Load32(rowptr + uint64(u)*4 + 4)
-					for i := s; i < e; i++ {
-						vv := p.Load32(cols + uint64(i)*4)
-						w := p.Load32(weights + uint64(i)*4)
-						p.Exec(2)
-						nd := d + w
-						dv := p.Load32(dist + uint64(vv)*4)
-						p.Exec(2)
-						if nd < dv {
-							p.Store32(dist+uint64(vv)*4, nd)
-							HeapPush(p, heapBase, uint64(nd)<<32|uint64(vv))
+					p.Store64(heapBase, 0)
+					HeapPush(p, heapBase, uint64(src)) // (dist=0)<<32 | src
+					for HeapLen(p, heapBase) > 0 {
+						item := HeapPop(p, heapBase)
+						d, u := uint32(item>>32), uint32(item)
+						if p.Load64(visited+uint64(u)*8) != 0 {
+							p.Exec(2)
+							continue
+						}
+						p.Store64(visited+uint64(u)*8, 1)
+						s := p.Load32(rowptr + uint64(u)*4)
+						e := p.Load32(rowptr + uint64(u)*4 + 4)
+						for i := s; i < e; i++ {
+							vv := p.Load32(cols + uint64(i)*4)
+							w := p.Load32(weights + uint64(i)*4)
+							p.Exec(2)
+							nd := d + w
+							dv := p.Load32(dist + uint64(vv)*4)
+							p.Exec(2)
+							if nd < dv {
+								p.Store32(dist+uint64(vv)*4, nd)
+								HeapPush(p, heapBase, uint64(nd)<<32|uint64(vv))
+							}
 						}
 					}
+				} else {
+					p.MMIOWrite64(duet.SoftRegAddr(accel.DijQueryReg), uint64(n)<<32|uint64(src))
+					if p.MMIORead64(duet.SoftRegAddr(accel.DijDoneReg)) == ^uint64(0) {
+						return
+					}
 				}
-			} else {
-				p.MMIOWrite64(duet.SoftRegAddr(accel.DijQueryReg), uint64(n)<<32|uint64(src))
-				if p.MMIORead64(duet.SoftRegAddr(accel.DijDoneReg)) == ^uint64(0) {
-					return
+				elapsed += int64(p.Now() - qStart)
+				// Consume the result (outside the measured kernel, as the
+				// paper measures the algorithm): checksum the distances.
+				var sum uint64
+				for i := 0; i < n; i++ {
+					sum += uint64(p.Load32(dist + uint64(i*4)))
+					p.Exec(1)
+				}
+				p.Store64(sums+uint64(q*8), sum)
+			}
+			res.Runtime = sim.Time(elapsed)
+		})
+		return func() error {
+			for q := 0; q < cfg.Queries; q++ {
+				want := refDijkstra(g, int(sources[q]))
+				var wantSum uint64
+				for _, d := range want {
+					wantSum += uint64(d)
+				}
+				if got := sys.ReadMem64(sums + uint64(q*8)); got != wantSum {
+					return fmt.Errorf("dijkstra: query %d checksum %d, want %d", q, got, wantSum)
 				}
 			}
-			elapsed += int64(p.Now() - qStart)
-			// Consume the result (outside the measured kernel, as the
-			// paper measures the algorithm): checksum the distances.
-			var sum uint64
+			// The final query's full distance vector must match exactly.
+			want := refDijkstra(g, int(sources[cfg.Queries-1]))
 			for i := 0; i < n; i++ {
-				sum += uint64(p.Load32(dist + uint64(i*4)))
-				p.Exec(1)
+				if got := sys.ReadMem32(dist + uint64(i*4)); got != want[i] {
+					return fmt.Errorf("dijkstra: dist[%d]=%d, want %d", i, got, want[i])
+				}
 			}
-			p.Store64(sums+uint64(q*8), sum)
+			return nil
 		}
-		res.Runtime = sim.Time(elapsed)
 	})
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res
-	}
-	for q := 0; q < cfg.Queries; q++ {
-		want := refDijkstra(g, int(sources[q]))
-		var wantSum uint64
-		for _, d := range want {
-			wantSum += uint64(d)
-		}
-		if got := sys.ReadMem64(sums + uint64(q*8)); got != wantSum {
-			res.Err = fmt.Errorf("dijkstra: query %d checksum %d, want %d", q, got, wantSum)
-			return res
-		}
-	}
-	// The final query's full distance vector must match exactly.
-	want := refDijkstra(g, int(sources[cfg.Queries-1]))
-	for i := 0; i < n; i++ {
-		if got := sys.ReadMem32(dist + uint64(i*4)); got != want[i] {
-			res.Err = fmt.Errorf("dijkstra: dist[%d]=%d, want %d", i, got, want[i])
-			return res
-		}
-	}
-	res.AreaMM2 = systemArea(v, 1, memHubs, efpgaMM2)
-	return res
 }

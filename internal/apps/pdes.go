@@ -8,6 +8,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 	"duet/internal/sim"
 )
 
@@ -18,8 +19,9 @@ import (
 // delay in the future until the horizon. The paper simulated a digital
 // circuit; PHOLD exercises the identical scheduler/synchronization
 // behaviour — the property being measured — while keeping the event
-// population deterministic regardless of processing order (documented in
-// DESIGN.md).
+// population deterministic regardless of processing order, so every
+// variant's processed-event count checks against one sequential
+// reference (refPDESCount).
 type PDESConfig struct {
 	Cores      int
 	Population int    // initial event count
@@ -81,172 +83,143 @@ const pdesWorkCycles = 60
 // by an MCS lock with a conservative release window; Duet replaces the
 // locked heap with the eFPGA-emulated task scheduler (paper §III-B2).
 func RunPDES(v Variant, cfg PDESConfig) Result {
-	res := Result{Name: fmt.Sprintf("pdes/%d", cfg.Cores), Variant: v}
-	style := duet.StyleCPUOnly
-	switch v {
-	case VariantDuet:
-		style = duet.StyleDuet
-	case VariantFPSoC:
-		style = duet.StyleFPSoC
-	}
-	regs := []core.SoftRegSpec{{Kind: core.RegFIFOToFPGA, Depth: 16}}
-	for i := 0; i < cfg.Cores; i++ {
-		regs = append(regs, core.SoftRegSpec{Kind: core.RegFIFOToCPU})
-	}
-	regs = append(regs, core.SoftRegSpec{Kind: core.RegPlain}) // event-data base
-	sysCfg := duet.Config{Cores: cfg.Cores, Style: style, RegSpecs: regs}
-	if v == VariantCPU {
-		sysCfg.RegSpecs = nil
-	} else {
-		sysCfg.MemHubs = 1
-	}
-	sys := duet.New(sysCfg)
-	defer sys.Close()
+	regs := append(queueRegs(cfg.Cores), core.SoftRegSpec{Kind: core.RegPlain}) // event-data base
+	h := harness{cores: cfg.Cores, memHubs: 1, regs: regs,
+		bitstream: func() *efpga.Bitstream { return accel.NewPDESBitstream(cfg.Cores, pdesLookahead) }}
+	return h.run(fmt.Sprintf("pdes/%d", cfg.Cores), v, func(sys *duet.System, res *Result) func() error {
+		initial := pdesInitial(cfg)
+		wantCount := refPDESCount(cfg)
 
-	initial := pdesInitial(cfg)
-	wantCount := refPDESCount(cfg)
+		// Shared state for both variants: per-entity scratch records touched
+		// by event processing, and a processed-events counter. The scheduler
+		// fetches per-event data records from eventData.
+		entityBase := sys.Alloc(256 * 8)
+		eventData := sys.Alloc(256 * 16)
+		processedCtr := sys.Alloc(64)
 
-	// Shared state for both variants: per-entity scratch records touched
-	// by event processing, and a processed-events counter. The scheduler
-	// fetches per-event data records from eventData.
-	entityBase := sys.Alloc(256 * 8)
-	eventData := sys.Alloc(256 * 16)
-	processedCtr := sys.Alloc(64)
+		// Baseline-only state.
+		heapBase := sys.Alloc(8 + int(wantCount+8)*8)
+		lockTail := sys.Alloc(64)
+		nodesBase := sys.Alloc(cfg.Cores * cpu.MCSNodeBytes)
+		outstBase := sys.Alloc(cfg.Cores * 8) // per-core in-flight timestamp+1 (0 = idle)
+		activeCtr := sys.Alloc(64)            // events in heap + in flight
 
-	// Baseline-only state.
-	heapBase := sys.Alloc(8 + int(wantCount+8)*8)
-	lockTail := sys.Alloc(64)
-	nodesBase := sys.Alloc(cfg.Cores * cpu.MCSNodeBytes)
-	outstBase := sys.Alloc(cfg.Cores * 8) // per-core in-flight timestamp+1 (0 = idle)
-	activeCtr := sys.Alloc(64)            // events in heap + in flight
-
-	var efpgaMM2 float64
-	if v != VariantCPU {
-		bs := accel.NewPDESBitstream(cfg.Cores, pdesLookahead)
-		efpgaMM2 = bs.Report.AreaMM2
-		if err := sys.InstallAccelerator(bs); err != nil {
-			res.Err = err
-			return res
-		}
-	} else {
-		// Preload the software event queue and counters.
-		sys.Dom.DRAM.Write64(heapBase, uint64(len(initial)))
-		sorted := append([]uint64(nil), initial...)
-		heapify(sorted)
-		for i, e := range sorted {
-			sys.Dom.DRAM.Write64(heapBase+8+uint64(i*8), e)
-		}
-		sys.Dom.DRAM.Write64(activeCtr, uint64(len(initial)))
-	}
-
-	process := func(p cpu.Proc, ev uint64) {
-		p.Exec(pdesWorkCycles)
-		slot := entityBase + uint64(uint32(ev)%256)*8
-		cnt := p.Load64(slot)
-		p.Store64(slot, cnt+1)
-		p.AmoAdd64(processedCtr, 1)
-	}
-
-	starts := make([]sim.Time, cfg.Cores)
-	ends := make([]sim.Time, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		sys.Cores[c].Run("pdes", func(p cpu.Proc) {
-			if v != VariantCPU {
-				if c == 0 {
-					p.MMIOWrite64(duet.MgrRegAddr(core.RegTimeout), 3_000_000)
-					duet.EnableHub(p, 0, false, false, false)
-					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESDataBaseReg(cfg.Cores)), eventData)
-					for _, e := range initial {
-						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, 0, e))
-					}
-					// Release the other cores via the entity scratch area.
-					p.Store64(entityBase+255*8, 1)
-				} else {
-					for p.Load64(entityBase+255*8) == 0 {
-						p.Exec(50)
-					}
-				}
-				starts[c] = p.Now()
-				for {
-					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpReq, c, 0))
-					ev := p.MMIORead64(duet.SoftRegAddr(accel.PDESEventReg0 + c))
-					if ev == accel.PDESIdle {
-						break
-					}
-					process(p, ev)
-					if child, ok := pdesChildOf(ev, cfg.Horizon); ok {
-						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, c, child))
-					}
-					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpDone, c, 0))
-				}
-				ends[c] = p.Now()
-				return
+		if v == VariantCPU {
+			// Preload the software event queue and counters.
+			sys.Dom.DRAM.Write64(heapBase, uint64(len(initial)))
+			sorted := append([]uint64(nil), initial...)
+			heapify(sorted)
+			for i, e := range sorted {
+				sys.Dom.DRAM.Write64(heapBase+8+uint64(i*8), e)
 			}
+			sys.Dom.DRAM.Write64(activeCtr, uint64(len(initial)))
+		}
 
-			// Processor-only baseline: MCS-locked shared heap with a
-			// conservative release window.
-			node := nodesBase + uint64(c*cpu.MCSNodeBytes)
-			starts[c] = p.Now()
-			for {
-				if p.Load64(activeCtr) == 0 {
-					break
-				}
-				cpu.MCSAcquire(p, lockTail, node)
-				var ev uint64
-				got := false
-				if HeapLen(p, heapBase) > 0 {
-					top := HeapPeek(p, heapBase)
-					ts := accel.PDESEventTS(top)
-					// Conservative window: the event is safe only within
-					// lookahead of every in-flight event.
-					safe := true
-					for o := 0; o < cfg.Cores; o++ {
-						ots := p.Load64(outstBase + uint64(o*8))
-						p.Exec(2)
-						if ots != 0 && ts > (ots-1)+pdesLookahead {
-							safe = false
-							break
+		process := func(p cpu.Proc, ev uint64) {
+			p.Exec(pdesWorkCycles)
+			slot := entityBase + uint64(uint32(ev)%256)*8
+			cnt := p.Load64(slot)
+			p.Store64(slot, cnt+1)
+			p.AmoAdd64(processedCtr, 1)
+		}
+
+		starts := make([]sim.Time, cfg.Cores)
+		ends := make([]sim.Time, cfg.Cores)
+		for c := 0; c < cfg.Cores; c++ {
+			c := c
+			sys.Cores[c].Run("pdes", func(p cpu.Proc) {
+				if v != VariantCPU {
+					if c == 0 {
+						p.MMIOWrite64(duet.MgrRegAddr(core.RegTimeout), 3_000_000)
+						duet.EnableHub(p, 0, false, false, false)
+						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESDataBaseReg(cfg.Cores)), eventData)
+						for _, e := range initial {
+							p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, 0, e))
+						}
+						// Release the other cores via the entity scratch area.
+						p.Store64(entityBase+255*8, 1)
+					} else {
+						for p.Load64(entityBase+255*8) == 0 {
+							p.Exec(50)
 						}
 					}
-					if safe {
-						ev = HeapPop(p, heapBase)
-						p.Store64(outstBase+uint64(c*8), accel.PDESEventTS(ev)+1)
-						got = true
+					starts[c] = p.Now()
+					for {
+						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpReq, c, 0))
+						ev := p.MMIORead64(duet.SoftRegAddr(accel.PDESEventReg0 + c))
+						if ev == accel.PDESIdle {
+							break
+						}
+						process(p, ev)
+						if child, ok := pdesChildOf(ev, cfg.Horizon); ok {
+							p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, c, child))
+						}
+						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpDone, c, 0))
 					}
+					ends[c] = p.Now()
+					return
 				}
-				cpu.MCSRelease(p, lockTail, node)
-				if !got {
-					p.Exec(20)
-					continue
-				}
-				process(p, ev)
-				child, ok := pdesChildOf(ev, cfg.Horizon)
-				cpu.MCSAcquire(p, lockTail, node)
-				if ok {
-					HeapPush(p, heapBase, child)
-				} else {
-					// Tree leaf: one fewer live event.
-					p.Store64(activeCtr, p.Load64(activeCtr)-1)
-				}
-				p.Store64(outstBase+uint64(c*8), 0)
-				cpu.MCSRelease(p, lockTail, node)
-			}
-			ends[c] = p.Now()
-		})
-	}
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Runtime = span(starts, ends)
 
-	if got := sys.ReadMem64(processedCtr); got != wantCount {
-		res.Err = fmt.Errorf("pdes/%d: processed %d events, want %d", cfg.Cores, got, wantCount)
-		return res
-	}
-	res.AreaMM2 = systemArea(v, cfg.Cores, 1, efpgaMM2)
-	return res
+				// Processor-only baseline: MCS-locked shared heap with a
+				// conservative release window.
+				node := nodesBase + uint64(c*cpu.MCSNodeBytes)
+				starts[c] = p.Now()
+				for {
+					if p.Load64(activeCtr) == 0 {
+						break
+					}
+					cpu.MCSAcquire(p, lockTail, node)
+					var ev uint64
+					got := false
+					if HeapLen(p, heapBase) > 0 {
+						top := HeapPeek(p, heapBase)
+						ts := accel.PDESEventTS(top)
+						// Conservative window: the event is safe only within
+						// lookahead of every in-flight event.
+						safe := true
+						for o := 0; o < cfg.Cores; o++ {
+							ots := p.Load64(outstBase + uint64(o*8))
+							p.Exec(2)
+							if ots != 0 && ts > (ots-1)+pdesLookahead {
+								safe = false
+								break
+							}
+						}
+						if safe {
+							ev = HeapPop(p, heapBase)
+							p.Store64(outstBase+uint64(c*8), accel.PDESEventTS(ev)+1)
+							got = true
+						}
+					}
+					cpu.MCSRelease(p, lockTail, node)
+					if !got {
+						p.Exec(20)
+						continue
+					}
+					process(p, ev)
+					child, ok := pdesChildOf(ev, cfg.Horizon)
+					cpu.MCSAcquire(p, lockTail, node)
+					if ok {
+						HeapPush(p, heapBase, child)
+					} else {
+						// Tree leaf: one fewer live event.
+						p.Store64(activeCtr, p.Load64(activeCtr)-1)
+					}
+					p.Store64(outstBase+uint64(c*8), 0)
+					cpu.MCSRelease(p, lockTail, node)
+				}
+				ends[c] = p.Now()
+			})
+		}
+		return func() error {
+			res.Runtime = span(starts, ends)
+
+			if got := sys.ReadMem64(processedCtr); got != wantCount {
+				return fmt.Errorf("pdes/%d: processed %d events, want %d", cfg.Cores, got, wantCount)
+			}
+			return nil
+		}
+	})
 }
 
 // heapify orders a slice as a binary min-heap.

@@ -9,6 +9,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 	"duet/internal/sim"
 )
 
@@ -78,91 +79,78 @@ func refPDESSpec(cfg PDESSpecConfig, initial []uint64) (map[uint32]uint64, uint6
 // (Speculate=false) and the speculative one, both entity-serialized, and
 // both verified against the sequential reference.
 func RunPDESSpec(cfg PDESSpecConfig) (Result, *accel.PDESSpec) {
-	res := Result{Name: fmt.Sprintf("pdes-spec/%d", cfg.Cores), Variant: VariantDuet}
 	if cfg.Entities == 0 {
 		cfg.Entities = 256
 	}
 	entity := specEntityOf(cfg.Entities)
-	regs := []core.SoftRegSpec{{Kind: core.RegFIFOToFPGA, Depth: 16}}
-	for i := 0; i < cfg.Cores; i++ {
-		regs = append(regs, core.SoftRegSpec{Kind: core.RegFIFOToCPU})
-	}
-	regs = append(regs, core.SoftRegSpec{Kind: core.RegPlain}) // entity base
-	sys := duet.New(duet.Config{Cores: cfg.Cores, MemHubs: 1, Style: duet.StyleDuet, RegSpecs: regs})
-	defer sys.Close()
-
-	rng := newRNG(cfg.Seed)
-	initial := make([]uint64, cfg.Population)
-	for i := range initial {
-		initial[i] = accel.PDESEvent(uint64(rng.intn(16)), uint32(rng.next()))
-	}
-	wantRecords, wantCount := refPDESSpec(cfg, initial)
-
-	entityBase := sys.Alloc(256 * 16)
+	regs := append(queueRegs(cfg.Cores), core.SoftRegSpec{Kind: core.RegPlain}) // entity base
 	sched := &accel.PDESSpec{
 		Cores: cfg.Cores, MinDelay: cfg.MinDelay,
 		Speculate: cfg.Speculate, EntityOf: entity,
 	}
-	bs := accel.NewPDESSpecBitstream(sched)
-	if err := sys.InstallAccelerator(bs); err != nil {
-		res.Err = err
-		return res, sched
-	}
-
-	starts := make([]sim.Time, cfg.Cores)
-	ends := make([]sim.Time, cfg.Cores)
-	readyFlag := sys.Alloc(64)
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		sys.Cores[c].Run("pdes-spec", func(p cpu.Proc) {
-			if c == 0 {
-				p.MMIOWrite64(duet.MgrRegAddr(core.RegTimeout), 3_000_000)
-				duet.EnableHub(p, 0, false, false, false)
-				p.MMIOWrite64(duet.SoftRegAddr(accel.PDESDataBaseReg(cfg.Cores)), entityBase)
-				for _, e := range initial {
-					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, 0, e))
-				}
-				p.Store64(readyFlag, 1)
-			} else {
-				for p.Load64(readyFlag) == 0 {
-					p.Exec(50)
-				}
-			}
-			starts[c] = p.Now()
-			for {
-				p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpReq, c, 0))
-				ev := p.MMIORead64(duet.SoftRegAddr(accel.PDESEventReg0 + c))
-				if ev == accel.PDESIdle {
-					break
-				}
-				// Process: an order-sensitive update of the entity record.
-				slot := entityBase + uint64(entity(uint32(ev)))*16
-				old := p.Load64(slot)
-				p.Exec(40)
-				p.Store64(slot, specApply(old, ev))
-				if child, ok := specChildOf(ev, cfg.MinDelay, cfg.Horizon); ok {
-					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, c, child))
-				}
-				p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpDone, c, 0))
-			}
-			ends[c] = p.Now()
-		})
-	}
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res, sched
-	}
-	res.Runtime = span(starts, ends)
-
-	if sched.Committed != wantCount {
-		res.Err = fmt.Errorf("pdes-spec: committed %d events, want %d (squashed %d)", sched.Committed, wantCount, sched.Squashed)
-		return res, sched
-	}
-	for e, want := range wantRecords {
-		if got := sys.ReadMem64(entityBase + uint64(e)*16); got != want {
-			res.Err = fmt.Errorf("pdes-spec: entity %d record %#x, want %#x (rollback broken)", e, got, want)
-			return res, sched
+	h := harness{cores: cfg.Cores, memHubs: 1, regs: regs,
+		bitstream: func() *efpga.Bitstream { return accel.NewPDESSpecBitstream(sched) }}
+	res := h.run(fmt.Sprintf("pdes-spec/%d", cfg.Cores), VariantDuet, func(sys *duet.System, res *Result) func() error {
+		rng := newRNG(cfg.Seed)
+		initial := make([]uint64, cfg.Population)
+		for i := range initial {
+			initial[i] = accel.PDESEvent(uint64(rng.intn(16)), uint32(rng.next()))
 		}
-	}
+		wantRecords, wantCount := refPDESSpec(cfg, initial)
+
+		entityBase := sys.Alloc(256 * 16)
+		starts := make([]sim.Time, cfg.Cores)
+		ends := make([]sim.Time, cfg.Cores)
+		readyFlag := sys.Alloc(64)
+		for c := 0; c < cfg.Cores; c++ {
+			c := c
+			sys.Cores[c].Run("pdes-spec", func(p cpu.Proc) {
+				if c == 0 {
+					p.MMIOWrite64(duet.MgrRegAddr(core.RegTimeout), 3_000_000)
+					duet.EnableHub(p, 0, false, false, false)
+					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESDataBaseReg(cfg.Cores)), entityBase)
+					for _, e := range initial {
+						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, 0, e))
+					}
+					p.Store64(readyFlag, 1)
+				} else {
+					for p.Load64(readyFlag) == 0 {
+						p.Exec(50)
+					}
+				}
+				starts[c] = p.Now()
+				for {
+					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpReq, c, 0))
+					ev := p.MMIORead64(duet.SoftRegAddr(accel.PDESEventReg0 + c))
+					if ev == accel.PDESIdle {
+						break
+					}
+					// Process: an order-sensitive update of the entity record.
+					slot := entityBase + uint64(entity(uint32(ev)))*16
+					old := p.Load64(slot)
+					p.Exec(40)
+					p.Store64(slot, specApply(old, ev))
+					if child, ok := specChildOf(ev, cfg.MinDelay, cfg.Horizon); ok {
+						p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpPush, c, child))
+					}
+					p.MMIOWrite64(duet.SoftRegAddr(accel.PDESCmdReg), accel.PDESPackCmd(accel.PDESOpDone, c, 0))
+				}
+				ends[c] = p.Now()
+			})
+		}
+		return func() error {
+			res.Runtime = span(starts, ends)
+
+			if sched.Committed != wantCount {
+				return fmt.Errorf("pdes-spec: committed %d events, want %d (squashed %d)", sched.Committed, wantCount, sched.Squashed)
+			}
+			for e, want := range wantRecords {
+				if got := sys.ReadMem64(entityBase + uint64(e)*16); got != want {
+					return fmt.Errorf("pdes-spec: entity %d record %#x, want %#x (rollback broken)", e, got, want)
+				}
+			}
+			return nil
+		}
+	})
 	return res, sched
 }

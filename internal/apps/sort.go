@@ -8,6 +8,7 @@ import (
 	"duet/internal/accel"
 	"duet/internal/core"
 	"duet/internal/cpu"
+	"duet/internal/efpga"
 )
 
 // SortConfig sizes the sort benchmark.
@@ -22,98 +23,69 @@ type SortConfig struct {
 // result out through Memory Hub 1; the processor-only baseline runs an
 // in-memory quicksort over the same arrays.
 func RunSort(v Variant, cfg SortConfig) Result {
-	res := Result{Name: fmt.Sprintf("sort/%d", cfg.N), Variant: v}
-	style := duet.StyleCPUOnly
-	switch v {
-	case VariantDuet:
-		style = duet.StyleDuet
-	case VariantFPSoC:
-		style = duet.StyleFPSoC
-	}
-	memHubs := 2
-	sysCfg := duet.Config{Cores: 1, Style: style, RegSpecs: []core.SoftRegSpec{
+	h := harness{cores: 1, memHubs: 2, regs: []core.SoftRegSpec{
 		{Kind: core.RegPlain},      // SortSrcReg
 		{Kind: core.RegPlain},      // SortDstReg
 		{Kind: core.RegFIFOToFPGA}, // SortCmdReg
 		{Kind: core.RegFIFOToCPU},  // SortDoneReg
-	}}
-	if v == VariantCPU {
-		sysCfg.RegSpecs = nil
-	} else {
-		sysCfg.MemHubs = memHubs
-	}
-	sys := duet.New(sysCfg)
-	defer sys.Close()
-
-	rng := newRNG(cfg.Seed)
-	inputs := make([][]uint32, cfg.Rounds)
-	srcs := make([]uint64, cfg.Rounds)
-	dsts := make([]uint64, cfg.Rounds)
-	for r := 0; r < cfg.Rounds; r++ {
-		inputs[r] = make([]uint32, cfg.N)
-		srcs[r] = sys.Alloc(cfg.N * 4)
-		dsts[r] = sys.Alloc(cfg.N * 4)
-		for i := range inputs[r] {
-			inputs[r][i] = uint32(rng.next())
-			sys.Dom.DRAM.Write32(srcs[r]+uint64(i*4), inputs[r][i])
-		}
-	}
-
-	var efpgaMM2 float64
-	if v != VariantCPU {
-		bs := accel.NewSortBitstream(cfg.N)
-		efpgaMM2 = bs.Report.AreaMM2
-		if err := sys.InstallAccelerator(bs); err != nil {
-			res.Err = err
-			return res
-		}
-	}
-
-	sys.Cores[0].Run("sort", func(p cpu.Proc) {
-		if v != VariantCPU {
-			duet.EnableHub(p, 0, false, false, false)
-			duet.EnableHub(p, 1, false, false, false)
-		}
-		// Warm caches before the measured region (paper §V-A).
+	}, bitstream: func() *efpga.Bitstream { return accel.NewSortBitstream(cfg.N) }}
+	return h.run(fmt.Sprintf("sort/%d", cfg.N), v, func(sys *duet.System, res *Result) func() error {
+		rng := newRNG(cfg.Seed)
+		inputs := make([][]uint32, cfg.Rounds)
+		srcs := make([]uint64, cfg.Rounds)
+		dsts := make([]uint64, cfg.Rounds)
 		for r := 0; r < cfg.Rounds; r++ {
-			warm(p, srcs[r], cfg.N*4)
-			warm(p, dsts[r], cfg.N*4)
-		}
-		start := p.Now()
-		for r := 0; r < cfg.Rounds; r++ {
-			if v == VariantCPU {
-				quicksort32(p, srcs[r], 0, cfg.N-1)
-				// The baseline sorts in place; copy to dst for a uniform check.
-				for i := 0; i < cfg.N; i++ {
-					p.Store32(dsts[r]+uint64(i*4), p.Load32(srcs[r]+uint64(i*4)))
-				}
-			} else {
-				p.MMIOWrite64(duet.SoftRegAddr(accel.SortSrcReg), srcs[r])
-				p.MMIOWrite64(duet.SoftRegAddr(accel.SortDstReg), dsts[r])
-				p.MMIOWrite64(duet.SoftRegAddr(accel.SortCmdReg), uint64(cfg.N))
-				if p.MMIORead64(duet.SoftRegAddr(accel.SortDoneReg)) != uint64(cfg.N) {
-					return
-				}
+			inputs[r] = make([]uint32, cfg.N)
+			srcs[r] = sys.Alloc(cfg.N * 4)
+			dsts[r] = sys.Alloc(cfg.N * 4)
+			for i := range inputs[r] {
+				inputs[r][i] = uint32(rng.next())
+				sys.Dom.DRAM.Write32(srcs[r]+uint64(i*4), inputs[r][i])
 			}
 		}
-		res.Runtime = p.Now() - start
+
+		sys.Cores[0].Run("sort", func(p cpu.Proc) {
+			if v != VariantCPU {
+				duet.EnableHub(p, 0, false, false, false)
+				duet.EnableHub(p, 1, false, false, false)
+			}
+			// Warm caches before the measured region (paper §V-A).
+			for r := 0; r < cfg.Rounds; r++ {
+				warm(p, srcs[r], cfg.N*4)
+				warm(p, dsts[r], cfg.N*4)
+			}
+			start := p.Now()
+			for r := 0; r < cfg.Rounds; r++ {
+				if v == VariantCPU {
+					quicksort32(p, srcs[r], 0, cfg.N-1)
+					// The baseline sorts in place; copy to dst for a uniform check.
+					for i := 0; i < cfg.N; i++ {
+						p.Store32(dsts[r]+uint64(i*4), p.Load32(srcs[r]+uint64(i*4)))
+					}
+				} else {
+					p.MMIOWrite64(duet.SoftRegAddr(accel.SortSrcReg), srcs[r])
+					p.MMIOWrite64(duet.SoftRegAddr(accel.SortDstReg), dsts[r])
+					p.MMIOWrite64(duet.SoftRegAddr(accel.SortCmdReg), uint64(cfg.N))
+					if p.MMIORead64(duet.SoftRegAddr(accel.SortDoneReg)) != uint64(cfg.N) {
+						return
+					}
+				}
+			}
+			res.Runtime = p.Now() - start
+		})
+		return func() error {
+			for r := 0; r < cfg.Rounds; r++ {
+				want := append([]uint32(nil), inputs[r]...)
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				for i := range want {
+					if got := sys.ReadMem32(dsts[r] + uint64(i*4)); got != want[i] {
+						return fmt.Errorf("sort/%d round %d: [%d]=%d, want %d", cfg.N, r, i, got, want[i])
+					}
+				}
+			}
+			return nil
+		}
 	})
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res
-	}
-	for r := 0; r < cfg.Rounds; r++ {
-		want := append([]uint32(nil), inputs[r]...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got := sys.ReadMem32(dsts[r] + uint64(i*4)); got != want[i] {
-				res.Err = fmt.Errorf("sort/%d round %d: [%d]=%d, want %d", cfg.N, r, i, got, want[i])
-				return res
-			}
-		}
-	}
-	res.AreaMM2 = systemArea(v, 1, memHubs, efpgaMM2)
-	return res
 }
 
 // qsortCmpCycles models the C-library qsort comparator convention: an

@@ -25,94 +25,63 @@ const tanSWCycles = 110
 
 // RunTangent executes the tangent benchmark (P1M0, fine-grained).
 func RunTangent(v Variant, cfg TangentConfig) Result {
-	res := Result{Name: "tangent", Variant: v}
 	rng := newRNG(cfg.Seed)
 	xs := make([]float64, cfg.Calls)
 	for i := range xs {
 		xs[i] = rng.float()*2.4 - 1.2
 	}
 
-	style := duet.StyleCPUOnly
-	switch v {
-	case VariantDuet:
-		style = duet.StyleDuet
-	case VariantFPSoC:
-		style = duet.StyleFPSoC
-	}
-	memHubs := 0
-	regs := []core.SoftRegSpec{
+	h := harness{cores: 1, bitstream: accel.NewTangentBitstream, regs: []core.SoftRegSpec{
 		{Kind: core.RegFIFOToFPGA}, // TanArgReg
 		{Kind: core.RegFIFOToCPU},  // TanResultReg
-	}
-	sysCfg := duet.Config{Cores: 1, Style: style, RegSpecs: regs}
-	if v == VariantCPU {
-		sysCfg.RegSpecs = nil
-	} else {
-		sysCfg.MemHubs = memHubs
-	}
-	sys := duet.New(sysCfg)
-	defer sys.Close()
-
-	in := sys.Alloc(cfg.Calls * 8)
-	out := sys.Alloc(cfg.Calls * 8)
-	for i, x := range xs {
-		sys.Dom.DRAM.Write64(in+uint64(i*8), math.Float64bits(x))
-	}
-
-	var efpgaMM2 float64
-	if v != VariantCPU {
-		bs := accel.NewTangentBitstream()
-		efpgaMM2 = bs.Report.AreaMM2
-		if err := sys.InstallAccelerator(bs); err != nil {
-			res.Err = err
-			return res
+	}}
+	return h.run("tangent", v, func(sys *duet.System, res *Result) func() error {
+		in := sys.Alloc(cfg.Calls * 8)
+		out := sys.Alloc(cfg.Calls * 8)
+		for i, x := range xs {
+			sys.Dom.DRAM.Write64(in+uint64(i*8), math.Float64bits(x))
 		}
-	}
 
-	sys.Cores[0].Run("tangent", func(p cpu.Proc) {
-		warm(p, in, cfg.Calls*8)
-		warm(p, out, cfg.Calls*8)
-		start := p.Now()
-		for i := 0; i < cfg.Calls; i++ {
-			bits := p.Load64(in + uint64(i*8))
-			var y uint64
-			if v == VariantCPU {
-				p.Exec(tanSWCycles)
-				y = math.Float64bits(math.Tan(math.Float64frombits(bits)))
-			} else {
-				p.MMIOWrite64(duet.SoftRegAddr(accel.TanArgReg), bits)
-				y = p.MMIORead64(duet.SoftRegAddr(accel.TanResultReg))
+		sys.Cores[0].Run("tangent", func(p cpu.Proc) {
+			warm(p, in, cfg.Calls*8)
+			warm(p, out, cfg.Calls*8)
+			start := p.Now()
+			for i := 0; i < cfg.Calls; i++ {
+				bits := p.Load64(in + uint64(i*8))
+				var y uint64
+				if v == VariantCPU {
+					p.Exec(tanSWCycles)
+					y = math.Float64bits(math.Tan(math.Float64frombits(bits)))
+				} else {
+					p.MMIOWrite64(duet.SoftRegAddr(accel.TanArgReg), bits)
+					y = p.MMIORead64(duet.SoftRegAddr(accel.TanResultReg))
+				}
+				p.Store64(out+uint64(i*8), y)
 			}
-			p.Store64(out+uint64(i*8), y)
+			res.Runtime = p.Now() - start
+		})
+
+		// Functional check: CPU results must equal libm; accelerator
+		// results must equal the PWL model and stay within the 0.3%
+		// error bound.
+		return func() error {
+			for i, x := range xs {
+				got := math.Float64frombits(sys.ReadMem64(out + uint64(i*8)))
+				exact := math.Tan(x)
+				if v == VariantCPU {
+					if got != exact {
+						return fmt.Errorf("tangent[%d]: sw result %v != %v", i, got, exact)
+					}
+					continue
+				}
+				if got != accel.PWLTan(x) {
+					return fmt.Errorf("tangent[%d]: accel result diverges from PWL model", i)
+				}
+				if relErr := math.Abs(got-exact) / math.Max(math.Abs(exact), 1e-6); relErr > 0.003 {
+					return fmt.Errorf("tangent[%d]: PWL error %.4f%% exceeds 0.3%%", i, relErr*100)
+				}
+			}
+			return nil
 		}
-		res.Runtime = p.Now() - start
 	})
-	if _, err := sys.RunChecked(); err != nil {
-		res.Err = err
-		return res
-	}
-
-	// Functional check: CPU results must equal libm; accelerator results
-	// must equal the PWL model and stay within the 0.3% error bound.
-	for i, x := range xs {
-		got := math.Float64frombits(sys.ReadMem64(out + uint64(i*8)))
-		exact := math.Tan(x)
-		if v == VariantCPU {
-			if got != exact {
-				res.Err = fmt.Errorf("tangent[%d]: sw result %v != %v", i, got, exact)
-				return res
-			}
-			continue
-		}
-		if got != accel.PWLTan(x) {
-			res.Err = fmt.Errorf("tangent[%d]: accel result diverges from PWL model", i)
-			return res
-		}
-		if relErr := math.Abs(got-exact) / math.Max(math.Abs(exact), 1e-6); relErr > 0.003 {
-			res.Err = fmt.Errorf("tangent[%d]: PWL error %.4f%% exceeds 0.3%%", i, relErr*100)
-			return res
-		}
-	}
-	res.AreaMM2 = systemArea(v, 1, memHubs, efpgaMM2)
-	return res
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"duet/internal/efpga"
-	"duet/internal/params"
 )
 
 // fpgaMgr is the FPGA Manager (paper §II-E): programming engine with
@@ -109,8 +108,7 @@ func (m *fpgaMgr) stream(bs *efpga.Bitstream, done func(error)) {
 	a := m.a
 	m.status = StatusProgramming
 	m.pendBS, m.pendDone = bs, done
-	cycles := int64(len(bs.Image)+params.LineBytes-1) / params.LineBytes
-	a.eng.After(a.fastClk.Cycles(cycles), m.streamedFn)
+	a.eng.After(a.fastClk.Cycles(bs.StreamCycles()), m.streamedFn)
 }
 
 // streamed completes the stream in flight. The pending slot is cleared

@@ -136,12 +136,6 @@ func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
 	return h
 }
 
-// Proxy exposes the hub's FPGA-side cache (for tests and checkers).
-func (h *MemHub) Proxy() *coherence.PCache { return h.proxy }
-
-// TLB exposes the hub's TLB (for the kernel handler via MMIO, and tests).
-func (h *MemHub) TLB() *mmu.TLB { return h.tlb }
-
 // Enabled reports the hub's activation state.
 func (h *MemHub) Enabled() bool { return h.enabled }
 

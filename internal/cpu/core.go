@@ -32,8 +32,6 @@ type IRQ struct {
 // Proc is the API benchmark programs run against. All methods charge
 // simulated time; Exec models computation between memory operations.
 type Proc interface {
-	// CoreID reports the core's index.
-	CoreID() int
 	// Now reports the current simulated time.
 	Now() sim.Time
 	// Exec charges n core cycles of computation.
@@ -176,7 +174,6 @@ type proc struct {
 	spin *spinner // spinUntil's engine-driven half, built at the first spin
 }
 
-func (p *proc) CoreID() int   { return p.core.id }
 func (p *proc) Now() sim.Time { return p.t.Now() }
 
 // irqDue reports whether an interrupt would be taken at the next

@@ -150,7 +150,7 @@ func (s spinScenario) run(t *testing.T, impl syncImpl, countCas bool) (out spinO
 		c.SetIRQHandler(func(p Proc, irq IRQ) {
 			out.handled = append(out.handled, p.Now())
 			p.Exec(7)
-			p.AmoAdd64(spinIRQs+uint64(p.CoreID())*8, irq.Info)
+			p.AmoAdd64(spinIRQs+uint64(i)*8, irq.Info)
 		})
 		c.Run("spin", func(p Proc) {
 			if countCas {

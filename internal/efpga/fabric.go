@@ -5,13 +5,14 @@
 //
 // The synthesis flow (Yosys + VTR + Catapult HLS in the paper) is replaced
 // by a deterministic cost model (see synth.go) calibrated against the
-// paper's Table II; DESIGN.md documents the substitution.
+// paper's Table II; synth.go documents the substitution and its calibration.
 package efpga
 
 import (
 	"fmt"
 	"hash/crc32"
 
+	"duet/internal/params"
 	"duet/internal/sim"
 )
 
@@ -119,6 +120,14 @@ type Bitstream struct {
 // Checksum computes the CRC of the image; a Bitstream is intact when
 // Checksum() == CRC.
 func (b *Bitstream) Checksum() uint32 { return crc32.ChecksumIEEE(b.Image) }
+
+// StreamCycles is the length of the configuration stream: the fast-clock
+// cycles the programming engine takes to load Image, one configuration
+// word (a 16-byte NoC flit) per cycle. The engine and the schedulers'
+// analytic reprogram charge both use it, so the two cannot drift apart.
+func (b *Bitstream) StreamCycles() int64 {
+	return int64(len(b.Image)+params.LineBytes-1) / params.LineBytes
+}
 
 // Corrupt flips a byte of the image (fault-injection helper).
 func (b *Bitstream) Corrupt() {

@@ -5,7 +5,6 @@ import (
 
 	"duet/internal/core"
 	"duet/internal/efpga"
-	"duet/internal/params"
 	"duet/internal/sim"
 )
 
@@ -152,8 +151,7 @@ func ReprogramCost(app *App, hubs int, fastPeriod, settlePeriod sim.Time) sim.Ti
 	if toggles == 0 {
 		toggles = 1
 	}
-	streamCycles := int64(len(app.BS.Image)+params.LineBytes-1) / params.LineBytes
-	return sim.Time(2*toggles*HubToggleCycles+streamCycles)*fastPeriod +
+	return sim.Time(2*toggles*HubToggleCycles+app.BS.StreamCycles())*fastPeriod +
 		SettleCycles*settlePeriod
 }
 

@@ -217,9 +217,6 @@ func (t *Thread) Wake() {
 // Now reports the current simulation time.
 func (t *Thread) Now() Time { return t.eng.Now() }
 
-// Done reports whether the thread function has returned.
-func (t *Thread) Done() bool { return t.done }
-
 // WaitUntil suspends the thread until absolute time tm. When the wakeup
 // would be the next event the current run pops (the engine is not stopped,
 // tm is before the run's bound, and nothing is queued at or before tm),
@@ -277,25 +274,11 @@ func NewCond(e *Engine) *Cond {
 	return c
 }
 
-// Wait suspends t until a Signal or Broadcast wakes it. As with sync.Cond,
+// Wait suspends t until a Broadcast wakes it. As with sync.Cond,
 // callers should re-check their predicate in a loop.
 func (c *Cond) Wait(t *Thread) {
 	c.waiters = append(c.waiters, t)
 	t.park()
-}
-
-// Signal wakes the oldest waiter, if any. Removal shifts the FIFO in
-// place (rather than re-slicing) so the queue's capacity is kept and the
-// wait/signal steady state allocates nothing.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	t := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	c.eng.AtEvent(c.eng.now, &t.wake)
 }
 
 // Broadcast wakes all current waiters.
