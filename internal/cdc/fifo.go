@@ -10,23 +10,27 @@
 // SyncStages writer-clock edges after the read. Crossing into a slow
 // domain therefore costs ~2 slow cycles while crossing into a fast domain
 // costs ~2 fast cycles — the asymmetry behind Figs. 5, 6 and 9.
+//
+// Fifo and Pusher are generic over the element type, so a small message
+// crosses by value: pushing it boxes nothing and allocates nothing once the
+// ring is built.
 package cdc
 
 import (
 	"duet/internal/sim"
 )
 
-type entry struct {
-	payload   interface{}
+type entry[T any] struct {
+	payload   T
 	writtenAt sim.Time // writer edge the entry was committed
 	visibleAt sim.Time // first reader edge the entry can be popped
 	tx        *sim.TX
 }
 
-// Fifo is an asynchronous FIFO crossing from a writer clock domain to a
-// reader clock domain. All methods must be called from engine context (an
-// event callback or a parked-thread resumption).
-type Fifo struct {
+// Fifo is an asynchronous FIFO of T entries crossing from a writer clock
+// domain to a reader clock domain. All methods must be called from engine
+// context (an event callback or a parked-thread resumption).
+type Fifo[T any] struct {
 	Name       string
 	eng        *sim.Engine
 	wclk, rclk *sim.Clock
@@ -36,7 +40,7 @@ type Fifo struct {
 	// ring holds the stored entries: n of them from head, wrapping. The
 	// writer never sees more than depth slots in use, so depth slots
 	// always suffice; they are allocated on the first push.
-	ring    []entry
+	ring    []entry[T]
 	head, n int
 	// freeAt[i] holds times at which previously-consumed slots become
 	// visible to the writer again.
@@ -52,8 +56,8 @@ type Fifo struct {
 // NewFifo creates an async FIFO with the given positive capacity
 // (entries) and synchronizer depth; Dolly's are params.FifoDepth and
 // params.SyncStages.
-func NewFifo(eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages int) *Fifo {
-	return &Fifo{
+func NewFifo[T any](eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages int) *Fifo[T] {
+	return &Fifo[T]{
 		Name:       name,
 		eng:        eng,
 		wclk:       wclk,
@@ -66,12 +70,12 @@ func NewFifo(eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages 
 }
 
 // WriterClock reports the writer-side clock.
-func (f *Fifo) WriterClock() *sim.Clock { return f.wclk }
+func (f *Fifo[T]) WriterClock() *sim.Clock { return f.wclk }
 
 // occupancySeenByWriter counts slots the writer believes are in use at time
 // now: everything in the queue plus consumed slots whose release has not yet
 // crossed the synchronizer back.
-func (f *Fifo) occupancySeenByWriter(now sim.Time) int {
+func (f *Fifo[T]) occupancySeenByWriter(now sim.Time) int {
 	n := f.n
 	for _, t := range f.pendingFree {
 		if t > now {
@@ -82,7 +86,7 @@ func (f *Fifo) occupancySeenByWriter(now sim.Time) int {
 }
 
 // CanPush reports whether a push would be accepted at time now.
-func (f *Fifo) CanPush(now sim.Time) bool {
+func (f *Fifo[T]) CanPush(now sim.Time) bool {
 	return f.occupancySeenByWriter(now) < f.depth
 }
 
@@ -90,7 +94,7 @@ func (f *Fifo) CanPush(now sim.Time) bool {
 // after now. It returns false if the FIFO appears full to the writer.
 // On success the entry is committed at the writer edge and its visibility
 // time in the reader domain is computed per the synchronizer model.
-func (f *Fifo) TryPush(payload interface{}, tx *sim.TX) bool {
+func (f *Fifo[T]) TryPush(payload T, tx *sim.TX) bool {
 	now := f.eng.Now()
 	if !f.CanPush(now) {
 		return false
@@ -98,9 +102,9 @@ func (f *Fifo) TryPush(payload interface{}, tx *sim.TX) bool {
 	wedge := f.wclk.NextEdge(now)
 	visible := f.rclk.EdgesAfter(wedge, int64(f.syncStages))
 	if f.ring == nil {
-		f.ring = make([]entry, f.depth)
+		f.ring = make([]entry[T], f.depth)
 	}
-	f.ring[(f.head+f.n)%f.depth] = entry{payload: payload, writtenAt: wedge, visibleAt: visible, tx: tx}
+	f.ring[(f.head+f.n)%f.depth] = entry[T]{payload: payload, writtenAt: wedge, visibleAt: visible, tx: tx}
 	f.n++
 	f.Pushed++
 	// Wake potential readers when the entry becomes visible.
@@ -109,24 +113,25 @@ func (f *Fifo) TryPush(payload interface{}, tx *sim.TX) bool {
 }
 
 // headVisible reports whether the head entry is poppable at now.
-func (f *Fifo) headVisible(now sim.Time) bool {
+func (f *Fifo[T]) headVisible(now sim.Time) bool {
 	return f.n > 0 && f.ring[f.head].visibleAt <= now
 }
 
 // Len reports the number of entries currently stored (visible or not).
-func (f *Fifo) Len() int { return f.n }
+func (f *Fifo[T]) Len() int { return f.n }
 
 // TryPop pops the head entry if it is visible at the current time. The
 // pop is committed at the next reader-clock edge at or after now (now is
 // already a reader edge in well-formed models). It returns the payload,
 // its transaction tag, and whether a pop occurred.
-func (f *Fifo) TryPop() (interface{}, *sim.TX, bool) {
+func (f *Fifo[T]) TryPop() (T, *sim.TX, bool) {
 	now := f.eng.Now()
 	if !f.headVisible(now) {
-		return nil, nil, false
+		var zero T
+		return zero, nil, false
 	}
 	e := f.ring[f.head]
-	f.ring[f.head] = entry{}
+	f.ring[f.head] = entry[T]{}
 	f.head = (f.head + 1) % f.depth
 	f.n--
 	f.Popped++
@@ -143,7 +148,7 @@ func (f *Fifo) TryPop() (interface{}, *sim.TX, bool) {
 	return e.payload, e.tx, true
 }
 
-func (f *Fifo) gcPendingFree(now sim.Time) {
+func (f *Fifo[T]) gcPendingFree(now sim.Time) {
 	keep := f.pendingFree[:0]
 	for _, t := range f.pendingFree {
 		if t > now {
@@ -154,7 +159,7 @@ func (f *Fifo) gcPendingFree(now sim.Time) {
 }
 
 // PopBlocking pops the head entry, parking thread t until one is visible.
-func (f *Fifo) PopBlocking(t *sim.Thread) (interface{}, *sim.TX) {
+func (f *Fifo[T]) PopBlocking(t *sim.Thread) (T, *sim.TX) {
 	for {
 		if v, tx, ok := f.TryPop(); ok {
 			return v, tx

@@ -16,10 +16,10 @@ func clocks() (*sim.Clock, *sim.Clock) {
 func TestFifoVisibilityLatencyFastToSlow(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "f2s", fast, slow, 8, 2)
+	f := NewFifo[int](eng, "f2s", fast, slow, 8, 2)
 
 	var poppedAt sim.Time
-	var got interface{}
+	var got int
 	eng.Go("reader", func(th *sim.Thread) {
 		got, _ = f.PopBlocking(th)
 		poppedAt = th.Now()
@@ -43,7 +43,7 @@ func TestFifoVisibilityLatencyFastToSlow(t *testing.T) {
 func TestFifoVisibilityLatencySlowToFast(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "s2f", slow, fast, 8, 2)
+	f := NewFifo[string](eng, "s2f", slow, fast, 8, 2)
 	var poppedAt sim.Time
 	eng.Go("reader", func(th *sim.Thread) {
 		f.PopBlocking(th)
@@ -63,7 +63,7 @@ func TestFifoVisibilityLatencySlowToFast(t *testing.T) {
 func TestFifoOrderPreserved(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "ord", fast, slow, 4, 2)
+	f := NewFifo[int](eng, "ord", fast, slow, 4, 2)
 	var got []int
 	eng.Go("writer", func(th *sim.Thread) {
 		for i := 0; i < 20; i++ {
@@ -74,7 +74,7 @@ func TestFifoOrderPreserved(t *testing.T) {
 	eng.Go("reader", func(th *sim.Thread) {
 		for i := 0; i < 20; i++ {
 			v, _ := f.PopBlocking(th)
-			got = append(got, v.(int))
+			got = append(got, v)
 			th.SleepCycles(slow, 1)
 		}
 	})
@@ -92,7 +92,7 @@ func TestFifoOrderPreserved(t *testing.T) {
 func TestFifoCapacityBackpressure(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "bp", fast, slow, 2, 2)
+	f := NewFifo[int](eng, "bp", fast, slow, 2, 2)
 	pushed := 0
 	eng.At(0, func() {
 		for f.TryPush(pushed, nil) {
@@ -111,7 +111,7 @@ func TestFifoCapacityBackpressure(t *testing.T) {
 func TestFifoCreditReturnDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "credit", fast, slow, 1, 2)
+	f := NewFifo[int](eng, "credit", fast, slow, 1, 2)
 	var secondPushAt sim.Time
 	eng.Go("writer", func(th *sim.Thread) {
 		f.PushBlocking(th, 1, nil)
@@ -138,7 +138,7 @@ func TestFifoCreditReturnDelay(t *testing.T) {
 func TestFifoTXAttribution(t *testing.T) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
-	f := NewFifo(eng, "tx", fast, slow, 8, 2)
+	f := NewFifo[string](eng, "tx", fast, slow, 8, 2)
 	tx := new(sim.TX)
 	eng.At(0, func() { f.TryPush("p", tx) })
 	eng.Go("r", func(th *sim.Thread) { f.PopBlocking(th) })
@@ -154,7 +154,7 @@ func TestFifoSameClockDomain(t *testing.T) {
 	// FIFO for timing closure.
 	eng := sim.NewEngine()
 	fast, _ := clocks()
-	f := NewFifo(eng, "same", fast, fast, 8, 2)
+	f := NewFifo[int](eng, "same", fast, fast, 8, 2)
 	var at sim.Time
 	eng.Go("r", func(th *sim.Thread) {
 		f.PopBlocking(th)
@@ -177,7 +177,7 @@ func TestFifoProperty(t *testing.T) {
 		eng := sim.NewEngine()
 		wclk := sim.NewClock("w", wper)
 		rclk := sim.NewClock("r", rper)
-		fifo := NewFifo(eng, "p", wclk, rclk, 4, 2)
+		fifo := NewFifo[int](eng, "p", wclk, rclk, 4, 2)
 		const n = 25
 		var got []int
 		eng.Go("writer", func(th *sim.Thread) {
@@ -189,7 +189,7 @@ func TestFifoProperty(t *testing.T) {
 		eng.Go("reader", func(th *sim.Thread) {
 			for i := 0; i < n; i++ {
 				v, _ := fifo.PopBlocking(th)
-				got = append(got, v.(int))
+				got = append(got, v)
 				th.SleepCycles(rclk, int64(seed%2)+1)
 			}
 		})

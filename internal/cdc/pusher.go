@@ -6,37 +6,38 @@ import "duet/internal/sim"
 // backpressure. A bare TryPush-with-retry can reorder entries (a retried
 // push can fall behind a later successful one); every producer that may
 // push while the FIFO is full must go through a Pusher.
-type Pusher struct {
+type Pusher[T any] struct {
 	eng     *sim.Engine
-	f       *Fifo
-	q       []queued // ring of entries not yet in the FIFO: n of them from head
+	f       *Fifo[T]
+	q       []queued[T] // ring of entries not yet in the FIFO: n of them from head
 	head, n int
 	busy    bool
 	drainEv sim.Event // pre-built retry record; rescheduled, never rebuilt
 }
 
-type queued struct {
-	payload interface{}
+type queued[T any] struct {
+	payload T
 	tx      *sim.TX
 }
 
-// drainPusher is the trampoline behind the pusher's retry events.
-func drainPusher(a any) { a.(*Pusher).drain() }
+// drainPusher is the trampoline behind every pusher's retry events. It is
+// not generic, so no pusher builds a closure for it.
+func drainPusher(a any) { a.(interface{ drain() }).drain() }
 
 // NewPusher returns an ordered pusher for f.
-func NewPusher(eng *sim.Engine, f *Fifo) *Pusher {
-	p := &Pusher{eng: eng, f: f}
+func NewPusher[T any](eng *sim.Engine, f *Fifo[T]) *Pusher[T] {
+	p := &Pusher[T]{eng: eng, f: f}
 	p.drainEv = sim.Event{Fn: drainPusher, Arg: p}
 	return p
 }
 
 // Push enqueues payload; it is committed to the FIFO in Push-call order as
 // space becomes available.
-func (p *Pusher) Push(payload interface{}, tx *sim.TX) {
+func (p *Pusher[T]) Push(payload T, tx *sim.TX) {
 	if p.n == len(p.q) {
 		p.grow()
 	}
-	p.q[(p.head+p.n)%len(p.q)] = queued{payload, tx}
+	p.q[(p.head+p.n)%len(p.q)] = queued[T]{payload, tx}
 	p.n++
 	if !p.busy {
 		p.drain()
@@ -44,15 +45,15 @@ func (p *Pusher) Push(payload interface{}, tx *sim.TX) {
 }
 
 // grow doubles the ring, unwrapping it so the oldest entry is first.
-func (p *Pusher) grow() {
-	q := make([]queued, max(4, 2*len(p.q)))
+func (p *Pusher[T]) grow() {
+	q := make([]queued[T], max(4, 2*len(p.q)))
 	for i := 0; i < p.n; i++ {
 		q[i] = p.q[(p.head+i)%len(p.q)]
 	}
 	p.q, p.head = q, 0
 }
 
-func (p *Pusher) drain() {
+func (p *Pusher[T]) drain() {
 	for p.n > 0 {
 		e := p.q[p.head]
 		if !p.f.TryPush(e.payload, e.tx) {
@@ -62,7 +63,7 @@ func (p *Pusher) drain() {
 			p.eng.AtEvent(p.f.WriterClock().EdgeAfter(p.eng.Now()), &p.drainEv)
 			return
 		}
-		p.q[p.head] = queued{}
+		p.q[p.head] = queued[T]{}
 		p.head = (p.head + 1) % len(p.q)
 		p.n--
 	}

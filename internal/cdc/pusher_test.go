@@ -13,7 +13,7 @@ func TestPusherPreservesOrderUnderBackpressure(t *testing.T) {
 	eng := sim.NewEngine()
 	fast := sim.NewClock("fast", 1000)
 	slow := sim.NewClock("slow", 10000)
-	f := NewFifo(eng, "p", fast, slow, 2, 2)
+	f := NewFifo[int](eng, "p", fast, slow, 2, 2)
 	p := NewPusher(eng, f)
 
 	const n = 30
@@ -26,7 +26,7 @@ func TestPusherPreservesOrderUnderBackpressure(t *testing.T) {
 	eng.Go("reader", func(th *sim.Thread) {
 		for i := 0; i < n; i++ {
 			v, _ := f.PopBlocking(th)
-			got = append(got, v.(int))
+			got = append(got, v)
 			th.SleepCycles(slow, 2)
 		}
 	})
@@ -46,7 +46,7 @@ func TestPusherPreservesOrderUnderBackpressure(t *testing.T) {
 func TestPusherInterleavedProducers(t *testing.T) {
 	eng := sim.NewEngine()
 	fast := sim.NewClock("fast", 1000)
-	f := NewFifo(eng, "p2", fast, fast, 1, 2)
+	f := NewFifo[int](eng, "p2", fast, fast, 1, 2)
 	p := NewPusher(eng, f)
 	want := []int{}
 	for i := 0; i < 12; i++ {
@@ -58,7 +58,7 @@ func TestPusherInterleavedProducers(t *testing.T) {
 	eng.Go("reader", func(th *sim.Thread) {
 		for range want {
 			v, _ := f.PopBlocking(th)
-			got = append(got, v.(int))
+			got = append(got, v)
 		}
 	})
 	eng.Run(0)

@@ -167,18 +167,18 @@ type cdcBridge struct {
 	mesh  *noc.Mesh
 	cache *PCache
 
-	in      *cdc.Fifo // fast -> slow (toward cache)
-	out     *cdc.Fifo // slow -> fast (toward mesh)
-	inPush  *cdc.Pusher
-	outPush *cdc.Pusher
+	in      *cdc.Fifo[any]      // fast -> slow (toward cache): VN2 payloads
+	out     *cdc.Fifo[*noc.Msg] // slow -> fast (toward mesh)
+	inPush  *cdc.Pusher[any]
+	outPush *cdc.Pusher[*noc.Msg]
 }
 
 func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.Clock) *cdcBridge {
 	b := &cdcBridge{
 		eng:  eng,
 		mesh: mesh,
-		in:   cdc.NewFifo(eng, fmt.Sprintf("bridge%d.in", tile), fastClk, slowClk, params.FifoDepth, params.SyncStages),
-		out:  cdc.NewFifo(eng, fmt.Sprintf("bridge%d.out", tile), slowClk, fastClk, params.FifoDepth, params.SyncStages),
+		in:   cdc.NewFifo[any](eng, fmt.Sprintf("bridge%d.in", tile), fastClk, slowClk, params.FifoDepth, params.SyncStages),
+		out:  cdc.NewFifo[*noc.Msg](eng, fmt.Sprintf("bridge%d.out", tile), slowClk, fastClk, params.FifoDepth, params.SyncStages),
 	}
 	b.inPush = cdc.NewPusher(eng, b.in)
 	b.outPush = cdc.NewPusher(eng, b.out)
@@ -190,8 +190,7 @@ func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.
 	})
 	eng.Go(fmt.Sprintf("bridge%d.outpump", tile), func(t *sim.Thread) {
 		for {
-			v, tx := b.out.PopBlocking(t)
-			m := v.(*noc.Msg)
+			m, tx := b.out.PopBlocking(t)
 			m.TX = tx
 			b.mesh.Send(m)
 		}

@@ -200,7 +200,7 @@ func (h *Home) work(t *sim.Thread, c *lineCtx) {
 		c.jobs[c.head] = homeJob{}
 		c.head++
 		h.process(t, j.req, j.tx)
-		h.pool.reqs.put(j.req)
+		h.pool.reqs.Put(j.req)
 	}
 	c.jobs, c.head = c.jobs[:0], 0
 	if len(c.acks) > 0 {
@@ -248,7 +248,7 @@ func (h *Home) collectAcks(t *sim.Thread, line uint64, n int) []*AckMsg {
 func (h *Home) releaseAcks(line uint64) {
 	c := h.ctx(line)
 	for i, a := range c.acks {
-		h.pool.acks.put(a)
+		h.pool.acks.Put(a)
 		c.acks[i] = nil
 	}
 	c.acks = c.acks[:0]
@@ -256,7 +256,7 @@ func (h *Home) releaseAcks(line uint64) {
 
 // newResp returns a pooled response; respond sends it.
 func (h *Home) newResp(kind RespKind, line uint64, grant int, data mem.Line) *RespMsg {
-	r := h.pool.resps.get()
+	r := h.pool.resps.Get()
 	r.Kind, r.Line, r.Grant, r.Data = kind, line, grant, data
 	return r
 }
@@ -269,7 +269,7 @@ func (h *Home) respond(cacheID int, r *RespMsg, tx *sim.TX) {
 
 // forward sends a pooled forward of type typ for line to cacheID.
 func (h *Home) forward(cacheID int, typ FwdType, line uint64, tx *sim.TX) {
-	f := h.pool.fwds.get()
+	f := h.pool.fwds.Get()
 	f.Type, f.Line, f.To = typ, line, cacheID
 	f.msg = noc.Msg{Src: h.tile, Dst: h.cacheTile[cacheID], VN: noc.VNFwd, Bytes: FwdBytes, Payload: f, TX: tx}
 	h.Fwds++

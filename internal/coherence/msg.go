@@ -23,6 +23,7 @@ package coherence
 import (
 	"duet/internal/mem"
 	"duet/internal/noc"
+	"duet/internal/sim"
 )
 
 // Private-cache line states (MESI).
@@ -171,38 +172,17 @@ type AckMsg struct {
 // the noc.Msg that carries it, so a recycled message costs no allocation
 // at all. A message goes back to its list at the one point where its last
 // reader is done with it, and nothing may keep its pointer past that
-// point (put zeroes the record, so a late reader sees line 0 and no data):
+// point (Put zeroes the record, so a late reader sees line 0 and no data):
 //
 //   - a ReqMsg once Home.process has run its transaction;
 //   - an AckMsg once the caller of Home.collectAcks has read it
 //     (Home.releaseAcks);
 //   - a RespMsg or FwdMsg once its PCache handler is finished with it.
 type msgPool struct {
-	reqs  freeList[ReqMsg]
-	resps freeList[RespMsg]
-	fwds  freeList[FwdMsg]
-	acks  freeList[AckMsg]
-}
-
-// freeList is a LIFO of zeroed records. get returns a zero record; put
-// zeroes x and keeps it for the next get.
-type freeList[T any] struct{ free []*T }
-
-func (l *freeList[T]) get() *T {
-	n := len(l.free)
-	if n == 0 {
-		return new(T)
-	}
-	x := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return x
-}
-
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	l.free = append(l.free, x)
+	reqs  sim.FreeList[ReqMsg]
+	resps sim.FreeList[RespMsg]
+	fwds  sim.FreeList[FwdMsg]
+	acks  sim.FreeList[AckMsg]
 }
 
 // Message payload sizes in bytes, used for NoC serialization.

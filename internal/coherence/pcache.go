@@ -70,12 +70,11 @@ type frontOp struct {
 	operand2 uint64
 	tx       *sim.TX
 
-	// Exactly one completion: the async callback of the op's kind, or a
-	// blocking caller's thread, which reads the result (res, old) itself
-	// once finished is set.
-	onLoad   func([]byte)
-	onStore  func()
-	onAmo    func(old uint64)
+	// Exactly one completion: the async caller's callback, called with
+	// its argument, or a blocking caller's thread, which reads the result
+	// (res, old) itself once finished is set.
+	onDone   DoneFunc
+	arg      any
 	waiter   *sim.Thread
 	res      []byte
 	old      uint64
@@ -116,9 +115,9 @@ type PCache struct {
 	stalled []*frontOp
 
 	// Free lists of the cache's own transaction records.
-	freeOps  freeList[frontOp]
-	freeMSHR freeList[mshr]
-	freeWB   freeList[wbEntry]
+	freeOps  sim.FreeList[frontOp]
+	freeMSHR sim.FreeList[mshr]
+	freeWB   sim.FreeList[wbEntry]
 
 	// eventFn is the cache's one event callback (see step), built once:
 	// every delayed step is scheduled with its record as the event
@@ -201,7 +200,7 @@ func (c *PCache) step(rec any) {
 
 // newOp returns a zeroed front op from the free list.
 func (c *PCache) newOp(kind opKind, addr uint64, size int, vpn uint64, tx *sim.TX) *frontOp {
-	op := c.freeOps.get()
+	op := c.freeOps.Get()
 	op.kind, op.addr, op.size, op.vpn, op.tx = kind, addr, size, vpn, tx
 	return op
 }
@@ -232,15 +231,8 @@ func (c *PCache) complete(op *frontOp, res []byte) {
 		op.waiter.Wake()
 		return
 	}
-	switch op.kind {
-	case opLoad:
-		op.onLoad(res)
-	case opStore:
-		op.onStore()
-	case opAmo:
-		op.onAmo(op.old)
-	}
-	c.freeOps.put(op)
+	op.onDone(op.arg, res, op.old)
+	c.freeOps.Put(op)
 }
 
 // await parks t until op completes, then frees op.
@@ -249,33 +241,41 @@ func (c *PCache) await(t *sim.Thread, op *frontOp) (res []byte, old uint64) {
 		t.Park()
 	}
 	res, old = op.res, op.old
-	c.freeOps.put(op)
+	c.freeOps.Put(op)
 	return res, old
 }
 
-// LoadAsync reads size bytes at addr, calling done with the data when the
+// DoneFunc receives an async access's completion together with the
+// argument its caller passed: res is a load's data (nil for stores and
+// atomics), old an atomic's old value. An async caller passes one
+// long-lived DoneFunc and a pointer-shaped arg, so an access allocates no
+// completion closure.
+type DoneFunc func(arg any, res []byte, old uint64)
+
+// LoadAsync reads size bytes at addr and calls done(arg, data, 0) when the
 // access completes. vpn tags the line for reverse mapping (0 if unused).
-func (c *PCache) LoadAsync(addr uint64, size int, vpn uint64, tx *sim.TX, done func([]byte)) {
+func (c *PCache) LoadAsync(addr uint64, size int, vpn uint64, tx *sim.TX, done DoneFunc, arg any) {
 	c.Loads++
 	op := c.newOp(opLoad, addr, size, vpn, tx)
-	op.onLoad = done
+	op.onDone, op.arg = done, arg
 	c.submit(op)
 }
 
-// StoreAsync writes data at addr, calling done when the store commits.
-func (c *PCache) StoreAsync(addr uint64, data []byte, vpn uint64, tx *sim.TX, done func()) {
+// StoreAsync writes data at addr and calls done(arg, nil, 0) when the
+// store commits. data is copied before StoreAsync returns.
+func (c *PCache) StoreAsync(addr uint64, data []byte, vpn uint64, tx *sim.TX, done DoneFunc, arg any) {
 	c.Stores++
 	op := c.newOp(opStore, addr, len(data), vpn, tx)
 	op.setData(data)
-	op.onStore = done
+	op.onDone, op.arg = done, arg
 	c.submit(op)
 }
 
-// AmoAsync performs a home-side atomic, calling done with the old value.
-func (c *PCache) AmoAsync(op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX, done func(old uint64)) {
+// AmoAsync performs a home-side atomic and calls done(arg, nil, old).
+func (c *PCache) AmoAsync(op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX, done DoneFunc, arg any) {
 	c.Amos++
 	o := c.newAmo(op, addr, size, operand, operand2, tx)
-	o.onAmo = done
+	o.onDone, o.arg = done, arg
 	c.submit(o)
 }
 
@@ -399,7 +399,7 @@ func (c *PCache) miss(op *frontOp, rt ReqType) {
 		c.stalled = append(c.stalled, op)
 		return
 	}
-	m := c.freeMSHR.get()
+	m := c.freeMSHR.Get()
 	m.line, m.rt, m.op = mem.LineAddr(op.addr), rt, op
 	c.mshrs[m.line] = m
 	c.after(c.cfg.MissIssueCycles, op.tx, m)
@@ -408,7 +408,7 @@ func (c *PCache) miss(op *frontOp, rt ReqType) {
 // issue builds and sends an MSHR's request.
 func (c *PCache) issue(m *mshr) {
 	op := m.op
-	req := c.pool.reqs.get()
+	req := c.pool.reqs.Get()
 	req.Type, req.Line, req.CacheID, req.Addr, req.Size = m.rt, m.line, c.cfg.ID, op.addr, op.size
 	switch m.rt {
 	case ReqAmo:
@@ -437,7 +437,7 @@ func (c *PCache) send(req *ReqMsg, tx *sim.TX) {
 
 // sendAck sends a pooled forward acknowledgement to line's home.
 func (c *PCache) sendAck(line uint64, present, dirty, fromWB bool, data mem.Line, tx *sim.TX) {
-	ack := c.pool.acks.get()
+	ack := c.pool.acks.Get()
 	ack.Line, ack.CacheID = line, c.cfg.ID
 	ack.Present, ack.Dirty, ack.FromWB, ack.Data = present, dirty, fromWB, data
 	ack.msg = noc.Msg{
@@ -470,11 +470,11 @@ func (c *PCache) DeliverResp(r *RespMsg, tx *sim.TX) {
 			panic(fmt.Sprintf("%s: WB response without WB entry %#x", c.cfg.Name, r.Line))
 		}
 		delete(c.wb, r.Line)
-		c.pool.resps.put(r) // an ack carries nothing more to read
+		c.pool.resps.Put(r) // an ack carries nothing more to read
 		for _, op := range e.pending {
 			c.submit(op)
 		}
-		c.freeWB.put(e) // its pending ops are resubmitted
+		c.freeWB.Put(e) // its pending ops are resubmitted
 		c.retryStalled()
 	default:
 		panic("pcache: unknown response kind")
@@ -495,9 +495,9 @@ func (c *PCache) respDone(m *mshr) {
 		}
 		c.complete(m.op, nil)
 	}
-	c.pool.resps.put(r) // result and refresh data are consumed
+	c.pool.resps.Put(r) // result and refresh data are consumed
 	c.drain(m)
-	c.freeMSHR.put(m) // the op is complete and its waiters resubmitted
+	c.freeMSHR.Put(m) // the op is complete and its waiters resubmitted
 }
 
 func (c *PCache) takeMSHR(line uint64) *mshr {
@@ -535,7 +535,7 @@ func (c *PCache) fill(r *RespMsg) {
 		w = c.arr.Install(w, r.Line, r.Data, r.Grant)
 	}
 	delete(c.mshrs, r.Line)
-	c.pool.resps.put(r) // the grant is installed in w
+	c.pool.resps.Put(r) // the grant is installed in w
 	op := m.op
 	off := mem.Offset(op.addr)
 	switch op.kind {
@@ -558,7 +558,7 @@ func (c *PCache) fill(r *RespMsg) {
 		panic("pcache: fill for non-load/store")
 	}
 	c.drain(m)
-	c.freeMSHR.put(m) // the op is complete and its waiters resubmitted
+	c.freeMSHR.Put(m) // the op is complete and its waiters resubmitted
 }
 
 // drain resubmits an emptied MSHR's pending ops and retries stalled ones.
@@ -605,14 +605,14 @@ func (c *PCache) pickVictim(line uint64) *cache.Way {
 func (c *PCache) evict(w *cache.Way) {
 	c.Evictions++
 	line := w.Tag
-	e := c.freeWB.get()
+	e := c.freeWB.Get()
 	e.data, e.dirty, e.vpn = w.Data, w.Dirty && w.State == StateM, w.VPN
 	c.wb[line] = e
 	if c.cfg.OnLineLost != nil {
 		c.cfg.OnLineLost(line, w.VPN)
 	}
 	c.arr.Invalidate(w)
-	req := c.pool.reqs.get()
+	req := c.pool.reqs.Get()
 	req.Type, req.Line, req.CacheID, req.Data, req.Dirty = ReqWB, line, c.cfg.ID, e.data, e.dirty
 	c.send(req, nil)
 }
@@ -628,7 +628,7 @@ func (c *PCache) DeliverFwd(f *FwdMsg, tx *sim.TX) {
 
 func (c *PCache) handleFwd(f *FwdMsg) {
 	line, typ, tx := f.Line, f.Type, f.msg.TX
-	c.pool.fwds.put(f) // every field is read
+	c.pool.fwds.Put(f) // every field is read
 
 	if w := c.arr.Peek(line); w != nil {
 		dirty, data := w.Dirty && w.State == StateM, w.Data

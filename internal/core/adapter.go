@@ -107,18 +107,35 @@ type IRQSink interface {
 // CPU-bound FIFO reads are data-dependent waits, not pending endpoint
 // operations: once parked they stop gating later operations (otherwise a
 // kernel trap handler could never service the device the read waits on).
+//
+// Records come from the adapter's free list and go back once the response
+// is sent. A watchdog stays queued for the whole timeout even after its op
+// completes, so it remembers the op's id: a recycled record carries
+// another id (or none) and is left alone.
 type inflight struct {
-	req       *mmio.Req
+	id        uint64    // unique per operation on this adapter
+	m         *mmio.Msg // the round trip being served
 	tx        *sim.TX
+	src       int    // requesting tile
+	reg       int    // soft register index (soft register accesses)
+	write     bool   // decoded access
+	val       uint64 // write data; a stalled FPGA-bound FIFO write's payload
 	done      bool
 	sent      bool
 	queued    bool // participates in the per-source ordering queue
 	dequeued  bool // removed from the queue while parked; respond directly
 	data      uint64
 	err       bool
-	stash     uint64 // stalled FPGA-bound FIFO write payload
 	normalSeq uint64
 	parked    bool // blocked on accelerator data (CPU-bound FIFO read)
+}
+
+// armed is one queued watchdog: the op it guards, that op's id, and the
+// instant it expires.
+type armed struct {
+	op *inflight
+	id uint64
+	at sim.Time
 }
 
 // Adapter is one Duet Adapter instance.
@@ -146,15 +163,24 @@ type Adapter struct {
 
 	// Ordering engine state (per requesting source tile, soft register
 	// accesses only).
-	queues        map[int][]*inflight
+	queues        [][]*inflight // indexed by source tile; built at the first access
 	intakeFree    sim.Time
 	seqCtr        uint64
 	pendingNormal map[uint64]*inflight
+	ops           sim.FreeList[inflight]
+	opIDs         uint64 // the last op id handed out
 
-	// decodeFn is the one decode callback for the whole adapter; onMMIO
-	// schedules it with the in-flight op as the event argument, so the
-	// per-operation intake path allocates no closure.
-	decodeFn func(any)
+	// watches is a ring of the queued watchdogs in arming order: nWatch of
+	// them from watchHead.
+	watches           []armed
+	watchHead, nWatch int
+
+	// The adapter's per-operation callbacks, built once: each is scheduled
+	// with the in-flight op as the event argument, so no MMIO operation
+	// allocates a closure. decodeFn runs the decode after intake, replyFn
+	// completes a device-register access with the value staged in op.data,
+	// and watchdogFn is the exception handler's timeout.
+	decodeFn, replyFn, watchdogFn func(any)
 
 	// env is the accelerator environment startAccel hands every started
 	// accelerator, built on first use. Its fields (engine, fabric clock
@@ -194,13 +220,17 @@ func NewAdapter(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, fabric *
 		irq:           cfg.IRQ,
 		ctrlEnabled:   true,
 		timeoutCycles: params.DefaultTimeoutCycles,
-		queues:        make(map[int][]*inflight),
 		pendingNormal: make(map[uint64]*inflight),
 	}
 	if a.syncStages <= 0 {
 		a.syncStages = params.SyncStages
 	}
 	a.decodeFn = func(x any) { a.decode(x.(*inflight)) }
+	a.replyFn = func(x any) {
+		op := x.(*inflight)
+		a.complete(op, op.data, false)
+	}
+	a.watchdogFn = func(any) { a.expire() }
 	for i, tile := range cfg.HubTiles {
 		a.hubs = append(a.hubs, newMemHub(a, i, tile, cfg.CacheIDBase+i))
 	}
@@ -251,20 +281,29 @@ func (a *Adapter) nextSeq() uint64 {
 	return a.seqCtr
 }
 
-// afterFast runs fn after n fast cycles, attributing latency to tx.
-func (a *Adapter) afterFast(n int64, tx *sim.TX, fn func()) {
+// afterFast runs fn(op) after n fast cycles, attributing latency to the
+// op's TX.
+func (a *Adapter) afterFast(n int64, op *inflight, fn func(any)) {
 	now := a.eng.Now()
 	at := a.fastClk.EdgesAfter(now, n)
-	tx.Add(sim.CatFast, at-now)
-	a.eng.At(at, fn)
+	op.tx.Add(sim.CatFast, at-now)
+	a.eng.AtArg(at, fn, op)
+}
+
+// reply completes op with data after n fast cycles.
+func (a *Adapter) reply(n int64, op *inflight, data uint64) {
+	op.data = data
+	a.afterFast(n, op, a.replyFn)
 }
 
 // --- MMIO front end and ordering engine ------------------------------------
 
 func (a *Adapter) onMMIO(m *noc.Msg) {
-	req := m.Payload.(*mmio.Req)
+	msg := m.Payload.(*mmio.Msg)
 	a.MMIOOps++
-	op := &inflight{req: req, tx: m.TX}
+	op := a.ops.Get()
+	a.opIDs++
+	op.id, op.m, op.tx, op.src = a.opIDs, msg, m.TX, msg.Req.SrcTile
 	// Serialized intake: the control hub decodes one operation per cycle.
 	start := a.fastClk.NextEdge(a.eng.Now())
 	if start < a.intakeFree {
@@ -282,9 +321,9 @@ func (a *Adapter) decode(op *inflight) {
 		a.complete(op, 0xdead, true)
 		return
 	}
-	off := op.req.Addr - a.base
-	write := op.req.Write
-	val := op.req.Data
+	off := op.m.Req.Addr - a.base
+	write := op.m.Req.Write
+	val := op.m.Req.Data
 	switch {
 	case off < switchBase:
 		a.mgr.access(op, off, write, val)
@@ -296,11 +335,16 @@ func (a *Adapter) decode(op *inflight) {
 		a.tlbAccess(op, hub, (off-tlbBase)%switchStride, write, val)
 	default:
 		// Soft register accesses enter the per-source ordering queue.
+		// cpuAccess may answer op at once, so src is read first.
+		src := op.src
+		if a.queues == nil {
+			a.queues = make([][]*inflight, a.mesh.Tiles())
+		}
 		op.queued = true
-		a.queues[op.req.SrcTile] = append(a.queues[op.req.SrcTile], op)
-		reg := int((off - softRegBase) / 8)
-		a.regs.cpuAccess(op, reg, write, val, op.tx)
-		a.drain(op.req.SrcTile)
+		a.queues[src] = append(a.queues[src], op)
+		op.reg, op.write, op.val = int((off-softRegBase)/8), write, val
+		a.regs.cpuAccess(op)
+		a.drain(src)
 	}
 }
 
@@ -308,7 +352,7 @@ func (a *Adapter) decode(op *inflight) {
 // same-source operations.
 func (a *Adapter) park(op *inflight) {
 	op.parked = true
-	a.drain(op.req.SrcTile)
+	a.drain(op.src)
 }
 
 func (a *Adapter) switchAccess(op *inflight, hub int, sw uint64, write bool, val uint64) {
@@ -359,7 +403,7 @@ func (a *Adapter) switchAccess(op *inflight, hub int, sw uint64, write bool, val
 		a.complete(op, 0, true)
 		return
 	}
-	a.afterFast(1, op.tx, func() { a.complete(op, cur, false) })
+	a.reply(1, op, cur)
 }
 
 func (a *Adapter) tlbAccess(op *inflight, hub int, off uint64, write bool, val uint64) {
@@ -399,7 +443,7 @@ func (a *Adapter) tlbAccess(op *inflight, hub int, off uint64, write bool, val u
 		a.complete(op, 0, true)
 		return
 	}
-	a.afterFast(params.TLBLookupCycles, op.tx, func() { a.complete(op, out, false) })
+	a.reply(params.TLBLookupCycles, op, out)
 }
 
 // complete marks an operation finished. Soft register responses to one
@@ -416,57 +460,104 @@ func (a *Adapter) complete(op *inflight, data uint64, err bool) {
 		a.send(op)
 		return
 	}
-	a.drain(op.req.SrcTile)
+	a.drain(op.src)
 }
 
+// drain sends the finished head of src's ordering queue and dequeues
+// parked reads, stopping at the first pending op. The queue keeps its
+// backing array: the survivors move to the front.
 func (a *Adapter) drain(src int) {
 	q := a.queues[src]
-	for len(q) > 0 {
-		op := q[0]
+	n := 0
+	for n < len(q) {
+		op := q[n]
 		if op.done {
-			q = q[1:]
+			n++
 			a.send(op)
 			continue
 		}
 		if op.parked {
 			// Data-blocked read: respond later, directly.
 			op.dequeued = true
-			q = q[1:]
+			n++
 			continue
 		}
 		break
 	}
-	a.queues[src] = q
+	if n > 0 {
+		k := copy(q, q[n:])
+		clear(q[k:])
+		a.queues[src] = q[:k]
+	}
 }
 
+// send answers op's requester over the NoC, in the requester's own
+// round-trip record, and recycles op: this is its last reader.
 func (a *Adapter) send(op *inflight) {
 	if op.sent {
 		return
 	}
 	op.sent = true
-	resp := &mmio.Resp{SeqID: op.req.SeqID, Data: op.data, Err: op.err}
-	a.mesh.Send(&noc.Msg{
-		Src: a.ctrlTile, Dst: op.req.SrcTile, VN: noc.VNMMIOResp,
-		Bytes: mmio.RespBytes, Payload: resp, TX: op.tx,
-	})
+	a.mesh.Send(op.m.Reply(a.ctrlTile, op.data, op.err))
+	a.ops.Put(op)
 }
 
 // watchdog arms the exception handler's timeout for a pending operation.
 // On expiry the exception is raised and the stalled operation completes
 // with bogus data so the processor is not halted (paper §II-E).
 func (a *Adapter) watchdog(op *inflight) {
-	limit := a.timeoutCycles
-	a.eng.After(a.fastClk.Cycles(limit), func() {
-		if op.done {
-			return
+	d := a.fastClk.Cycles(a.timeoutCycles)
+	if a.nWatch == len(a.watches) {
+		grown := make([]armed, max(8, 2*len(a.watches)))
+		for i := range a.nWatch {
+			grown[i] = a.watches[(a.watchHead+i)%len(a.watches)]
 		}
-		a.Timeouts++
-		a.RaiseException(ErrTimeout)
-		if op.normalSeq != 0 {
-			delete(a.pendingNormal, op.normalSeq)
+		a.watches, a.watchHead = grown, 0
+	}
+	a.watches[(a.watchHead+a.nWatch)%len(a.watches)] = armed{op: op, id: op.id, at: a.eng.Now() + d}
+	a.nWatch++
+	a.eng.AfterArg(d, a.watchdogFn, nil)
+}
+
+// expired removes and returns the watchdog expiring now. The engine runs
+// one instant's watchdogs in arming order, so it is the oldest armed one
+// due now: the ring's head, unless RegTimeout shortened the limit since
+// older ones were armed.
+func (a *Adapter) expired() armed {
+	n, now := len(a.watches), a.eng.Now()
+	for i := range a.nWatch {
+		w := a.watches[(a.watchHead+i)%n]
+		if w.at != now {
+			continue
 		}
-		a.complete(op, 0xdead, true)
-	})
+		// Close the gap: the i older entries move up one slot.
+		for k := i; k > 0; k-- {
+			a.watches[(a.watchHead+k)%n] = a.watches[(a.watchHead+k-1)%n]
+		}
+		a.watches[a.watchHead] = armed{}
+		a.watchHead = (a.watchHead + 1) % n
+		a.nWatch--
+		return w
+	}
+	panic("core: watchdog expired with none armed")
+}
+
+// expire is a watchdog's expiry. An op answered in time (and perhaps
+// recycled since) is left alone; a stalled op times out and leaves every
+// wait list, so no later event finds it there once it is recycled.
+func (a *Adapter) expire() {
+	w := a.expired()
+	op := w.op
+	if op.id != w.id || op.done {
+		return
+	}
+	a.Timeouts++
+	a.RaiseException(ErrTimeout)
+	if op.normalSeq != 0 {
+		delete(a.pendingNormal, op.normalSeq)
+	}
+	a.regs.forget(op)
+	a.complete(op, 0xdead, true)
 }
 
 // RaiseException latches an error code and deactivates all Memory Hubs in

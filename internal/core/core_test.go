@@ -26,13 +26,8 @@ func (inert) Start(*efpga.Env) {}
 // for about bytes/16 fast cycles — long enough to observe the engine
 // mid-flight.
 func slowBitstream(name string, bytes int) *efpga.Bitstream {
-	bs := &efpga.Bitstream{
-		Name:    name,
-		Image:   make([]byte, bytes),
-		Factory: func() efpga.Accelerator { return inert{} },
-	}
-	bs.CRC = bs.Checksum()
-	return bs
+	return efpga.NewBitstream(name, efpga.Resources{}, 0, make([]byte, bytes),
+		func() efpga.Accelerator { return inert{} })
 }
 
 func quickBitstream(name string) *efpga.Bitstream {

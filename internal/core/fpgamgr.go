@@ -47,13 +47,13 @@ func (m *fpgaMgr) access(op *inflight, off uint64, write bool, val uint64) {
 				}
 			}
 		}
-		a.afterFast(1, op.tx, func() { a.complete(op, 0, false) })
+		a.reply(1, op, 0)
 	case RegClkKHz:
 		if write {
 			m.clkKHz = val
 			a.fabric.SetFreqMHz(float64(val) / 1000.0)
 		}
-		a.afterFast(1, op.tx, func() { a.complete(op, m.clkKHz, false) })
+		a.afterFast(1, op, func(any) { a.complete(op, m.clkKHz, false) })
 	case RegProgram:
 		if !write {
 			a.complete(op, 0, true)
@@ -61,12 +61,14 @@ func (m *fpgaMgr) access(op *inflight, off uint64, write bool, val uint64) {
 		}
 		m.program(op, int(val))
 	case RegStatus:
-		a.afterFast(1, op.tx, func() { a.complete(op, m.status|a.errCode<<8, false) })
+		// Manager registers are read when the reply fires, so a write
+		// decoded in the meantime is visible.
+		a.afterFast(1, op, func(any) { a.complete(op, m.status|a.errCode<<8, false) })
 	case RegTimeout:
 		if write {
 			a.timeoutCycles = int64(val)
 		}
-		a.afterFast(1, op.tx, func() { a.complete(op, uint64(a.timeoutCycles), false) })
+		a.afterFast(1, op, func(any) { a.complete(op, uint64(a.timeoutCycles), false) })
 	default:
 		a.complete(op, 0, true)
 	}
@@ -138,7 +140,7 @@ func (m *fpgaMgr) program(op *inflight, bitstreamID int) {
 	}
 	// The MMIO write completes immediately; programming proceeds in the
 	// background (software polls RegStatus).
-	a.afterFast(1, op.tx, func() { a.complete(op, 0, false) })
+	a.reply(1, op, 0)
 	m.stream(bs, func(error) {})
 }
 

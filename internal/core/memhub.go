@@ -27,12 +27,17 @@ const (
 	hrErr
 )
 
+// hubReq is one fabric request. Records come from the port's free list
+// and go back when the hub responds (respond is the last reader), so a
+// request allocates nothing once the list holds as many records as the
+// hub has in flight.
 type hubReq struct {
 	seq       uint64
 	kind      int
 	va        uint64
 	size      int
-	data      []byte
+	data      []byte // store data: buf[:size]
+	buf       [params.HubStoreBytes]byte
 	amoOp     int
 	operand   uint64
 	operand2  uint64
@@ -40,6 +45,7 @@ type hubReq struct {
 	tx        *sim.TX
 }
 
+// hubResp crosses the FPGA-bound FIFO by value.
 type hubResp struct {
 	kind int
 	seq  uint64
@@ -68,10 +74,10 @@ type MemHub struct {
 	virtMode    bool
 	killOnFault bool
 
-	in      *cdc.Fifo
-	inPush  *cdc.Pusher
-	out     *cdc.Fifo
-	outPush *cdc.Pusher
+	in      *cdc.Fifo[*hubReq]
+	inPush  *cdc.Pusher[*hubReq]
+	out     *cdc.Fifo[hubResp]
+	outPush *cdc.Pusher[hubResp]
 
 	outstanding    int
 	maxOutstanding int
@@ -84,6 +90,10 @@ type MemHub struct {
 	parityFaults int // fault injection: next n requests arrive corrupted
 
 	port *Port
+
+	// doneFn is the hub's one completion callback for issued accesses,
+	// called with the request as its argument.
+	doneFn coherence.DoneFunc
 
 	// Stats.
 	Reqs, Loads, Stores, Amos, Errs, Invs uint64
@@ -99,6 +109,7 @@ func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
 	}
 	h.slotCond = sim.NewCond(a.eng)
 	h.tlbCond = sim.NewCond(a.eng)
+	h.doneFn = h.accessDone
 
 	cfg := coherence.PCacheConfig{
 		Name: fmt.Sprintf("adapter%d.hub%d.proxy", a.ID, idx),
@@ -123,13 +134,13 @@ func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
 		cfg.FillCycles = params.L2FillCycles
 		cfg.FwdCycles = params.ProxyFwdCycles
 		h.proxy = a.dom.NewCache(cfg)
-		h.in = cdc.NewFifo(a.eng, cfg.Name+".in", a.fabric.Clock(), a.fastClk, params.FifoDepth, a.syncStages)
+		h.in = cdc.NewFifo[*hubReq](a.eng, cfg.Name+".in", a.fabric.Clock(), a.fastClk, params.FifoDepth, a.syncStages)
 		h.inPush = cdc.NewPusher(a.eng, h.in)
-		h.out = cdc.NewFifo(a.eng, cfg.Name+".out", a.fastClk, a.fabric.Clock(), params.FifoDepth, a.syncStages)
+		h.out = cdc.NewFifo[hubResp](a.eng, cfg.Name+".out", a.fastClk, a.fabric.Clock(), params.FifoDepth, a.syncStages)
 		h.outPush = cdc.NewPusher(a.eng, h.out)
 		a.eng.Go(cfg.Name+".serve", h.serve)
 	}
-	h.port = &Port{hub: h, results: make(map[uint64]*hubResp), cond: sim.NewCond(a.eng)}
+	h.port = &Port{hub: h, results: make(map[uint64]hubResp), cond: sim.NewCond(a.eng)}
 	if !a.fpsoc {
 		a.eng.Go(cfg.Name+".pump", h.port.pump)
 	}
@@ -146,7 +157,6 @@ func (h *MemHub) onLineLost(line, vpnTag uint64) {
 		return
 	}
 	h.Invs++
-	resp := &hubResp{kind: hrInv, pa: line, vpn: vpnTag}
 	if h.a.fpsoc {
 		// Same-domain delivery: the slow cache and soft cache share the
 		// fabric clock.
@@ -155,34 +165,33 @@ func (h *MemHub) onLineLost(line, vpnTag uint64) {
 		}
 		return
 	}
-	h.outPush.Push(resp, nil)
+	h.outPush.Push(hubResp{kind: hrInv, pa: line, vpn: vpnTag}, nil)
 }
 
 // serve is the Duet-mode fast-domain service loop.
 func (h *MemHub) serve(t *sim.Thread) {
 	for {
-		v, tx := h.in.PopBlocking(t)
-		r := v.(*hubReq)
+		r, tx := h.in.PopBlocking(t)
 		before := h.a.eng.Now()
 		t.SleepCycles(h.a.fastClk, params.HubIngressCycles)
 		tx.Add(sim.CatFast, h.a.eng.Now()-before)
-		h.process(t, r, tx)
+		h.process(t, r)
 	}
 }
 
 // process validates, translates and issues one request. It may block on a
 // TLB fault or on the outstanding-request limit; requests behind it wait
 // (in-order hub front end).
-func (h *MemHub) process(t *sim.Thread, r *hubReq, tx *sim.TX) {
+func (h *MemHub) process(t *sim.Thread, r *hubReq) {
 	if !h.enabled {
 		h.Errs++
-		h.respond(&hubResp{kind: hrErr, seq: r.seq}, tx)
+		h.fail(r)
 		return
 	}
 	if r.parityBad {
 		h.a.RaiseException(ErrParity)
 		h.Errs++
-		h.respond(&hubResp{kind: hrErr, seq: r.seq}, tx)
+		h.fail(r)
 		return
 	}
 	h.Reqs++
@@ -205,56 +214,71 @@ func (h *MemHub) process(t *sim.Thread, r *hubReq, tx *sim.TX) {
 			}
 			if !h.enabled {
 				h.Errs++
-				h.respond(&hubResp{kind: hrErr, seq: r.seq}, tx)
+				h.fail(r)
 				return
 			}
 		}
 	}
 	if r.kind == hkAmo && !h.atomics {
 		h.Errs++
-		h.respond(&hubResp{kind: hrErr, seq: r.seq}, tx)
+		h.fail(r)
 		return
 	}
 	for h.outstanding >= h.maxOutstanding {
 		h.slotCond.Wait(t)
 	}
 	h.outstanding++
-	h.issue(r, pa, vpnTag, tx)
+	h.issue(r, pa, vpnTag)
 }
 
-func (h *MemHub) issue(r *hubReq, pa, vpnTag uint64, tx *sim.TX) {
-	release := func() {
-		h.outstanding--
-		h.slotCond.Broadcast()
-	}
+func (h *MemHub) issue(r *hubReq, pa, vpnTag uint64) {
+	tx := r.tx
 	switch r.kind {
 	case hkLoad:
 		h.Loads++
-		h.proxy.LoadAsync(pa, r.size, vpnTag, tx, func(data []byte) {
-			release()
-			h.respond(&hubResp{kind: hrData, seq: r.seq, data: data}, tx)
-		})
+		h.proxy.LoadAsync(pa, r.size, vpnTag, tx, h.doneFn, r)
 	case hkStore:
 		h.Stores++
-		h.proxy.StoreAsync(pa, r.data, vpnTag, tx, func() {
-			release()
-			h.respond(&hubResp{kind: hrStoreAck, seq: r.seq}, tx)
-		})
+		h.proxy.StoreAsync(pa, r.data, vpnTag, tx, h.doneFn, r)
 	case hkAmo:
 		h.Amos++
-		h.proxy.AmoAsync(coherence.AmoOp(r.amoOp), pa, r.size, r.operand, r.operand2, tx, func(old uint64) {
-			release()
-			h.respond(&hubResp{kind: hrAmo, seq: r.seq, old: old}, tx)
-		})
+		h.proxy.AmoAsync(coherence.AmoOp(r.amoOp), pa, r.size, r.operand, r.operand2, tx, h.doneFn, r)
 	}
 }
 
-func (h *MemHub) respond(r *hubResp, tx *sim.TX) {
+// accessDone completes an issued request: it frees the request's slot in
+// the outstanding window and responds with the proxy's result.
+func (h *MemHub) accessDone(arg any, data []byte, old uint64) {
+	r := arg.(*hubReq)
+	h.outstanding--
+	h.slotCond.Broadcast()
+	resp := hubResp{seq: r.seq}
+	switch r.kind {
+	case hkLoad:
+		resp.kind, resp.data = hrData, data
+	case hkStore:
+		resp.kind = hrStoreAck
+	case hkAmo:
+		resp.kind, resp.old = hrAmo, old
+	}
+	h.respond(r, resp)
+}
+
+// fail answers r with an error.
+func (h *MemHub) fail(r *hubReq) {
+	h.respond(r, hubResp{kind: hrErr, seq: r.seq})
+}
+
+// respond sends resp toward the fabric and recycles its request, whose
+// last reader this is.
+func (h *MemHub) respond(r *hubReq, resp hubResp) {
+	tx := r.tx
+	h.port.reqs.Put(r)
 	if h.a.fpsoc {
-		h.port.deliver(r)
+		h.port.deliver(resp)
 		return
 	}
-	h.outPush.Push(r, tx)
+	h.outPush.Push(resp, tx)
 }
 
 // ResolveFault is called (via MMIO or directly by a kernel handler) after
@@ -303,7 +327,8 @@ func (h *MemHub) deactivate() {
 type Port struct {
 	hub     *MemHub
 	seq     uint64
-	results map[uint64]*hubResp
+	reqs    sim.FreeList[hubReq]
+	results map[uint64]hubResp
 	cond    *sim.Cond
 	invSink func(pa, vpn uint64)
 
@@ -322,12 +347,12 @@ var _ efpga.MemIntf = (*Port)(nil)
 // (Duet mode only; FPSoC delivers directly).
 func (p *Port) pump(t *sim.Thread) {
 	for {
-		v, _ := p.hub.out.PopBlocking(t)
-		p.deliver(v.(*hubResp))
+		r, _ := p.hub.out.PopBlocking(t)
+		p.deliver(r)
 	}
 }
 
-func (p *Port) deliver(r *hubResp) {
+func (p *Port) deliver(r hubResp) {
 	if r.kind == hrInv {
 		if p.invSink != nil {
 			p.invSink(r.pa, r.vpn)
@@ -343,7 +368,8 @@ func (p *Port) SetInvSink(fn func(pa, vpn uint64)) { p.invSink = fn }
 
 func (p *Port) nextReq(kind int, va uint64, size int) *hubReq {
 	p.seq++
-	r := &hubReq{seq: p.seq, kind: kind, va: va, size: size, tx: p.pendingTX}
+	r := p.reqs.Get()
+	r.seq, r.kind, r.va, r.size, r.tx = p.seq, kind, va, size, p.pendingTX
 	p.pendingTX = nil
 	if p.hub.parityFaults > 0 {
 		p.hub.parityFaults--
@@ -352,23 +378,25 @@ func (p *Port) nextReq(kind int, va uint64, size int) *hubReq {
 	return r
 }
 
-// send issues a request toward the hub; one slow cycle of issue cost.
-func (p *Port) send(t *sim.Thread, r *hubReq) {
+// send issues a request toward the hub; one slow cycle of issue cost. It
+// returns the request's handle; r may be recycled by the time send
+// returns.
+func (p *Port) send(t *sim.Thread, r *hubReq) uint64 {
+	seq := r.seq
 	t.SleepCycles(p.hub.a.fabric.Clock(), 1)
 	if p.hub.a.fpsoc {
 		// Direct slow-domain path: translation and cache access run on
 		// the caller's thread.
-		p.hub.process(t, r, r.tx)
-		return
+		p.hub.process(t, r)
+		return seq
 	}
 	p.hub.inPush.Push(r, r.tx)
+	return seq
 }
 
 // LoadAsync issues a load and returns its handle.
 func (p *Port) LoadAsync(t *sim.Thread, va uint64, size int) uint64 {
-	r := p.nextReq(hkLoad, va, size)
-	p.send(t, r)
-	return r.seq
+	return p.send(t, p.nextReq(hkLoad, va, size))
 }
 
 // StoreAsync issues a store (<= 8 bytes) and returns its handle.
@@ -377,9 +405,8 @@ func (p *Port) StoreAsync(t *sim.Thread, va uint64, data []byte) uint64 {
 		panic(fmt.Sprintf("memhub: store of %d bytes exceeds the %d-byte hub limit", len(data), params.HubStoreBytes))
 	}
 	r := p.nextReq(hkStore, va, len(data))
-	r.data = append([]byte(nil), data...)
-	p.send(t, r)
-	return r.seq
+	r.data = r.buf[:copy(r.buf[:], data)]
+	return p.send(t, r)
 }
 
 // Await blocks until the handle completes, returning data (loads) or nil.
@@ -392,16 +419,18 @@ func (p *Port) Await(t *sim.Thread, handle uint64) ([]byte, error) {
 }
 
 // wait blocks until the handle completes and takes its response.
-func (p *Port) wait(t *sim.Thread, handle uint64) (*hubResp, error) {
-	for p.results[handle] == nil {
+func (p *Port) wait(t *sim.Thread, handle uint64) (hubResp, error) {
+	for {
+		r, ok := p.results[handle]
+		if ok {
+			delete(p.results, handle)
+			if r.kind == hrErr {
+				return hubResp{}, fmt.Errorf("memhub: request failed (hub deactivated or access killed)")
+			}
+			return r, nil
+		}
 		p.cond.Wait(t)
 	}
-	r := p.results[handle]
-	delete(p.results, handle)
-	if r.kind == hrErr {
-		return nil, fmt.Errorf("memhub: request failed (hub deactivated or access killed)")
-	}
-	return r, nil
 }
 
 // Load performs a blocking load of size bytes at va.
@@ -425,8 +454,7 @@ func (p *Port) Amo(t *sim.Thread, op int, va uint64, size int, operand, operand2
 	r := p.nextReq(hkAmo, va, size)
 	r.amoOp = op
 	r.operand, r.operand2 = operand, operand2
-	p.send(t, r)
-	resp, err := p.wait(t, r.seq)
+	resp, err := p.wait(t, p.send(t, r))
 	if err != nil {
 		return 0, err
 	}

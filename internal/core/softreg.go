@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/cdc"
 	"duet/internal/efpga"
@@ -86,8 +87,13 @@ type regFile struct {
 	cpuQ       [][]uint64
 	tokens     []int
 	fpgaCredit []int
-	fpgaWait   [][]*inflight // ops stalled on FPGA-bound FIFO credit
-	readWait   [][]*inflight // CPU reads blocked on empty CPU-bound FIFO
+	// The wait lists (fpgaWait, readWait, slowWait) hold pending ops
+	// only: a timed-out op leaves them (forget).
+	fpgaWait [][]*inflight // ops stalled on FPGA-bound FIFO credit
+	readWait [][]*inflight // CPU reads blocked on empty CPU-bound FIFO
+	// shadowFn completes a shadow register access after its
+	// ShadowRegCycles; cpuAccess schedules it with the op as argument.
+	shadowFn func(any)
 
 	// Slow-domain (fabric) state.
 	slowVals   []uint64
@@ -103,10 +109,10 @@ type regFile struct {
 	slowTokens []int
 	slowWait   [][]*inflight
 
-	down     *cdc.Fifo
-	downPush *cdc.Pusher
-	up       *cdc.Fifo
-	upPush   *cdc.Pusher
+	down     *cdc.Fifo[dmsg]
+	downPush *cdc.Pusher[dmsg]
+	up       *cdc.Fifo[umsg]
+	upPush   *cdc.Pusher[umsg]
 }
 
 func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
@@ -147,10 +153,11 @@ func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
 	}
 	slow := a.fabric.Clock()
 	fast := a.fastClk
-	rf.down = cdc.NewFifo(a.eng, "ctrl.down", fast, slow, params.FifoDepth, a.syncStages)
+	rf.down = cdc.NewFifo[dmsg](a.eng, "ctrl.down", fast, slow, params.FifoDepth, a.syncStages)
 	rf.downPush = cdc.NewPusher(a.eng, rf.down)
-	rf.up = cdc.NewFifo(a.eng, "ctrl.up", slow, fast, params.FifoDepth, a.syncStages)
+	rf.up = cdc.NewFifo[umsg](a.eng, "ctrl.up", slow, fast, params.FifoDepth, a.syncStages)
 	rf.upPush = cdc.NewPusher(a.eng, rf.up)
+	rf.shadowFn = func(x any) { rf.shadow(x.(*inflight)) }
 
 	a.eng.Go("ctrl.fabric-engine", rf.fabricEngine)
 	a.eng.Go("ctrl.up-pump", rf.upPump)
@@ -159,102 +166,108 @@ func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
 
 // --- CPU (fast/MMIO) side -------------------------------------------------
 
-// cpuAccess handles a decoded MMIO soft register access. The inflight op
-// is completed (possibly later) by the register machinery; the adapter's
-// ordering engine releases responses in arrival order.
-func (rf *regFile) cpuAccess(op *inflight, reg int, write bool, val uint64, tx *sim.TX) {
+// cpuAccess handles a decoded MMIO soft register access (op.reg,
+// op.write, op.val). The inflight op is completed (possibly later) by the
+// register machinery; the adapter's ordering engine releases responses in
+// arrival order.
+func (rf *regFile) cpuAccess(op *inflight) {
+	reg := op.reg
 	if reg < 0 || reg >= len(rf.specs) {
 		rf.a.complete(op, 0, true)
 		return
 	}
-	if rf.fpsoc {
-		rf.sendNormal(op, reg, write, val, tx)
-		return
+	kind := rf.specs[reg].Kind
+	switch {
+	case rf.fpsoc || kind == RegNormal:
+		rf.sendNormal(op)
+	case op.write && (kind == RegFIFOToCPU || kind == RegTokenFIFO):
+		rf.a.complete(op, 0, true) // CPU-bound FIFOs are read-only
+	default:
+		rf.a.afterFast(params.ShadowRegCycles, op, rf.shadowFn)
 	}
+}
+
+// shadow performs a shadow register access once its ShadowRegCycles have
+// passed.
+func (rf *regFile) shadow(op *inflight) {
+	reg := op.reg
 	switch rf.specs[reg].Kind {
-	case RegNormal:
-		rf.sendNormal(op, reg, write, val, tx)
 	case RegPlain:
-		rf.a.afterFast(params.ShadowRegCycles, tx, func() {
-			if write {
-				rf.fastVals[reg] = val
-				// The forward into the fabric is off the critical path
-				// (the ack does not wait for it): untagged.
-				rf.downPush.Push(&dmsg{kind: dPlainSync, reg: reg, val: val}, nil)
-				rf.a.complete(op, 0, false)
-			} else {
-				rf.a.complete(op, rf.fastVals[reg], false)
-			}
-		})
+		if op.write {
+			rf.fastVals[reg] = op.val
+			// The forward into the fabric is off the critical path
+			// (the ack does not wait for it): untagged.
+			rf.downPush.Push(dmsg{kind: dPlainSync, reg: reg, val: op.val}, nil)
+			rf.a.complete(op, 0, false)
+		} else {
+			rf.a.complete(op, rf.fastVals[reg], false)
+		}
 	case RegFIFOToFPGA:
-		if !write {
+		switch {
+		case !op.write:
 			// Reads of an FPGA-bound FIFO report the available credit.
-			rf.a.afterFast(params.ShadowRegCycles, tx, func() {
-				rf.a.complete(op, uint64(rf.fpgaCredit[reg]), false)
-			})
-			return
+			rf.a.complete(op, uint64(rf.fpgaCredit[reg]), false)
+		case rf.fpgaCredit[reg] > 0:
+			rf.pushFPGAData(op)
+		default:
+			// Stall until the accelerator pops (credit returns); the
+			// watchdog prevents a hung accelerator from blocking the
+			// processor forever.
+			rf.fpgaWait[reg] = append(rf.fpgaWait[reg], op)
+			rf.a.watchdog(op)
 		}
-		rf.a.afterFast(params.ShadowRegCycles, tx, func() {
-			if rf.fpgaCredit[reg] > 0 {
-				rf.pushFPGAData(op, reg, val, tx)
-			} else {
-				// Stall until the accelerator pops (credit returns); the
-				// watchdog prevents a hung accelerator from blocking the
-				// processor forever.
-				op.stash = val
-				rf.fpgaWait[reg] = append(rf.fpgaWait[reg], op)
-				rf.a.watchdog(op)
-			}
-		})
 	case RegFIFOToCPU:
-		if write {
-			rf.a.complete(op, 0, true)
-			return
+		if q := rf.cpuQ[reg]; len(q) > 0 {
+			rf.cpuQ[reg] = q[1:]
+			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: reg}, nil)
+			rf.a.complete(op, q[0], false)
+		} else {
+			// Blocking read: park with a watchdog. Parked reads stop
+			// gating later same-source operations.
+			rf.readWait[reg] = append(rf.readWait[reg], op)
+			rf.a.park(op)
+			rf.a.watchdog(op)
 		}
-		rf.a.afterFast(params.ShadowRegCycles, tx, func() {
-			if q := rf.cpuQ[reg]; len(q) > 0 {
-				rf.cpuQ[reg] = q[1:]
-				rf.downPush.Push(&dmsg{kind: dCPUCredit, reg: reg}, nil)
-				rf.a.complete(op, q[0], false)
-			} else {
-				// Blocking read: park with a watchdog. Parked reads stop
-				// gating later same-source operations.
-				rf.readWait[reg] = append(rf.readWait[reg], op)
-				rf.a.park(op)
-				rf.a.watchdog(op)
-			}
-		})
 	case RegTokenFIFO:
-		if write {
-			rf.a.complete(op, 0, true)
-			return
+		if rf.tokens[reg] > 0 {
+			rf.tokens[reg]--
+			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: reg}, nil)
+			rf.a.complete(op, 1, false)
+		} else {
+			rf.a.complete(op, 0, false) // empty: non-blocking
 		}
-		rf.a.afterFast(params.ShadowRegCycles, tx, func() {
-			if rf.tokens[reg] > 0 {
-				rf.tokens[reg]--
-				rf.downPush.Push(&dmsg{kind: dCPUCredit, reg: reg}, nil)
-				rf.a.complete(op, 1, false)
-			} else {
-				rf.a.complete(op, 0, false) // empty: non-blocking
-			}
-		})
 	}
 }
 
-func (rf *regFile) pushFPGAData(op *inflight, reg int, val uint64, tx *sim.TX) {
-	rf.fpgaCredit[reg]--
+// pushFPGAData sends an FPGA-bound FIFO write (op.val) into the fabric,
+// spending one credit.
+func (rf *regFile) pushFPGAData(op *inflight) {
+	rf.fpgaCredit[op.reg]--
 	// Data crosses the CDC after the ack: off the critical path.
-	rf.downPush.Push(&dmsg{kind: dFifoData, reg: reg, val: val}, nil)
+	rf.downPush.Push(dmsg{kind: dFifoData, reg: op.reg, val: op.val}, nil)
 	rf.a.complete(op, 0, false)
-	_ = tx
 }
 
-func (rf *regFile) sendNormal(op *inflight, reg int, write bool, val uint64, tx *sim.TX) {
+func (rf *regFile) sendNormal(op *inflight) {
 	seq := rf.a.nextSeq()
 	op.normalSeq = seq
 	rf.a.pendingNormal[seq] = op
-	rf.downPush.Push(&dmsg{kind: dNormalOp, reg: reg, val: val, seq: seq, write: write}, tx)
+	rf.downPush.Push(dmsg{kind: dNormalOp, reg: op.reg, val: op.val, seq: seq, write: op.write}, op.tx)
 	rf.a.watchdog(op)
+}
+
+// forget removes a timed-out op from the wait lists, so the lists only
+// ever hold pending ops and a recycled record is never found there.
+func (rf *regFile) forget(op *inflight) {
+	del := func(w []*inflight) []*inflight {
+		if i := slices.Index(w, op); i >= 0 {
+			return slices.Delete(w, i, i+1)
+		}
+		return w
+	}
+	rf.fpgaWait[op.reg] = del(rf.fpgaWait[op.reg])
+	rf.readWait[op.reg] = del(rf.readWait[op.reg])
+	rf.slowWait[op.reg] = del(rf.slowWait[op.reg])
 }
 
 // --- fabric (slow) side ---------------------------------------------------
@@ -263,11 +276,10 @@ func (rf *regFile) sendNormal(op *inflight, reg int, write bool, val uint64, tx 
 // Interface.
 func (rf *regFile) fabricEngine(t *sim.Thread) {
 	for {
-		v, tx := rf.down.PopBlocking(t)
+		m, tx := rf.down.PopBlocking(t)
 		// The engine retires at most one fabric-bound message per slow
 		// cycle (single-ported soft register interface).
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		m := v.(*dmsg)
 		switch m.kind {
 		case dPlainSync:
 			rf.slowVals[m.reg] = m.val
@@ -283,7 +295,7 @@ func (rf *regFile) fabricEngine(t *sim.Thread) {
 	}
 }
 
-func (rf *regFile) handleNormal(t *sim.Thread, m *dmsg, tx *sim.TX) {
+func (rf *regFile) handleNormal(t *sim.Thread, m dmsg, tx *sim.TX) {
 	before := rf.a.eng.Now()
 	t.SleepCycles(rf.a.fabric.Clock(), params.SoftRegCycles)
 	tx.Add(sim.CatSlow, rf.a.eng.Now()-before)
@@ -302,16 +314,16 @@ func (rf *regFile) handleNormal(t *sim.Thread, m *dmsg, tx *sim.TX) {
 			if m.write {
 				rf.fabricQ[m.reg] = append(rf.fabricQ[m.reg], m.val)
 				rf.fabricCond[m.reg].Broadcast()
-				rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq}, tx)
+				rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
 				return
 			}
-			rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq, val: uint64(len(rf.fabricQ[m.reg]))}, tx)
+			rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: uint64(len(rf.fabricQ[m.reg]))}, tx)
 			return
 		case RegFIFOToCPU:
 			if !m.write {
 				if q := rf.slowCPUQ[m.reg]; len(q) > 0 {
 					rf.slowCPUQ[m.reg] = q[1:]
-					rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq, val: q[0]}, tx)
+					rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: q[0]}, tx)
 					return
 				}
 				op := rf.a.pendingNormal[m.seq]
@@ -321,7 +333,7 @@ func (rf *regFile) handleNormal(t *sim.Thread, m *dmsg, tx *sim.TX) {
 				}
 				return // completed on a later push (or times out)
 			}
-			rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq}, tx)
+			rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
 			return
 		case RegTokenFIFO:
 			if !m.write {
@@ -330,7 +342,7 @@ func (rf *regFile) handleNormal(t *sim.Thread, m *dmsg, tx *sim.TX) {
 					rf.slowTokens[m.reg]--
 					val = 1
 				}
-				rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq, val: val}, tx)
+				rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: val}, tx)
 				return
 			}
 		}
@@ -338,17 +350,16 @@ func (rf *regFile) handleNormal(t *sim.Thread, m *dmsg, tx *sim.TX) {
 	// Default normal register semantics: a plain value in the fabric.
 	if m.write {
 		rf.slowVals[m.reg] = m.val
-		rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq}, tx)
+		rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
 	} else {
-		rf.upPush.Push(&umsg{kind: uNormalResp, seq: m.seq, val: rf.slowVals[m.reg]}, tx)
+		rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: rf.slowVals[m.reg]}, tx)
 	}
 }
 
 // upPump drains fabric→hub traffic in the fast domain.
 func (rf *regFile) upPump(t *sim.Thread) {
 	for {
-		v, tx := rf.up.PopBlocking(t)
-		m := v.(*umsg)
+		m, _ := rf.up.PopBlocking(t)
 		switch m.kind {
 		case uPlainSync:
 			rf.fastVals[m.reg] = m.val
@@ -360,13 +371,9 @@ func (rf *regFile) upPump(t *sim.Thread) {
 			delete(rf.a.pendingNormal, m.seq)
 			rf.a.complete(op, m.val, false)
 		case uCPUPush:
-			// Skip waiters already completed by the timeout watchdog.
-			for len(rf.readWait[m.reg]) > 0 && rf.readWait[m.reg][0].done {
-				rf.readWait[m.reg] = rf.readWait[m.reg][1:]
-			}
 			if w := rf.readWait[m.reg]; len(w) > 0 {
 				rf.readWait[m.reg] = w[1:]
-				rf.downPush.Push(&dmsg{kind: dCPUCredit, reg: m.reg}, nil)
+				rf.downPush.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
 				rf.a.complete(w[0], m.val, false)
 			} else {
 				rf.cpuQ[m.reg] = append(rf.cpuQ[m.reg], m.val)
@@ -375,12 +382,9 @@ func (rf *regFile) upPump(t *sim.Thread) {
 			rf.tokens[m.reg]++
 		case uFPGACredit:
 			rf.fpgaCredit[m.reg]++
-			for len(rf.fpgaWait[m.reg]) > 0 && rf.fpgaWait[m.reg][0].done {
-				rf.fpgaWait[m.reg] = rf.fpgaWait[m.reg][1:]
-			}
 			if w := rf.fpgaWait[m.reg]; len(w) > 0 && rf.fpgaCredit[m.reg] > 0 {
 				rf.fpgaWait[m.reg] = w[1:]
-				rf.pushFPGAData(w[0], m.reg, w[0].stash, tx)
+				rf.pushFPGAData(w[0])
 			}
 		}
 	}
@@ -397,7 +401,7 @@ func (rf *regFile) ReadPlain(i int) uint64 { return rf.slowVals[i] }
 func (rf *regFile) WritePlain(t *sim.Thread, i int, v uint64) {
 	rf.slowVals[i] = v
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(&umsg{kind: uPlainSync, reg: i, val: v}, nil)
+	rf.upPush.Push(umsg{kind: uPlainSync, reg: i, val: v}, nil)
 }
 
 // PopFPGA pops FPGA-bound FIFO i, blocking until data arrives.
@@ -409,7 +413,7 @@ func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
 	rf.fabricQ[i] = rf.fabricQ[i][1:]
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	if !rf.fpsoc {
-		rf.upPush.Push(&umsg{kind: uFPGACredit, reg: i}, nil)
+		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
 	return v
 }
@@ -422,7 +426,7 @@ func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
 	v := rf.fabricQ[i][0]
 	rf.fabricQ[i] = rf.fabricQ[i][1:]
 	if !rf.fpsoc {
-		rf.upPush.Push(&umsg{kind: uFPGACredit, reg: i}, nil)
+		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
 	return v, true
 }
@@ -431,14 +435,10 @@ func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
 func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
 	if rf.fpsoc {
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		// Skip waiters that already timed out.
-		for len(rf.slowWait[i]) > 0 && rf.slowWait[i][0].done {
-			rf.slowWait[i] = rf.slowWait[i][1:]
-		}
 		if w := rf.slowWait[i]; len(w) > 0 {
 			rf.slowWait[i] = w[1:]
 			// The up pump resolves and clears the pending entry.
-			rf.upPush.Push(&umsg{kind: uNormalResp, seq: w[0].normalSeq, val: v}, nil)
+			rf.upPush.Push(umsg{kind: uNormalResp, seq: w[0].normalSeq, val: v}, nil)
 			return
 		}
 		rf.slowCPUQ[i] = append(rf.slowCPUQ[i], v)
@@ -449,7 +449,7 @@ func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
 	}
 	rf.cpuCredit[i]--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(&umsg{kind: uCPUPush, reg: i, val: v}, nil)
+	rf.upPush.Push(umsg{kind: uCPUPush, reg: i, val: v}, nil)
 }
 
 // PushToken pushes a token into token FIFO i.
@@ -464,7 +464,7 @@ func (rf *regFile) PushToken(t *sim.Thread, i int) {
 	}
 	rf.cpuCredit[i]--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(&umsg{kind: uTokenPush, reg: i}, nil)
+	rf.upPush.Push(umsg{kind: uTokenPush, reg: i}, nil)
 }
 
 // Claim routes normal-register traffic on register i to the accelerator.
@@ -482,7 +482,7 @@ func (rf *regFile) WaitOp(t *sim.Thread, i int) *efpga.NormalOp {
 
 // Complete answers a claimed normal-register op.
 func (rf *regFile) Complete(op *efpga.NormalOp, val uint64) {
-	rf.upPush.Push(&umsg{kind: uNormalResp, seq: op.Seq, val: val}, nil)
+	rf.upPush.Push(umsg{kind: uNormalResp, seq: op.Seq, val: val}, nil)
 }
 
 func (rf *regFile) String() string {

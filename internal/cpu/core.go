@@ -75,9 +75,11 @@ type Core struct {
 
 	route mmio.Router
 
-	seq      uint64
 	mmioCond *sim.Cond
-	mmioResp map[uint64]*mmio.Resp
+	// mmios recycles the core's MMIO round-trip records. A core normally
+	// has one outstanding; an interrupt handler that issues MMIO while
+	// the core is stalled on its own adds one per nesting level.
+	mmios sim.FreeList[mmio.Msg]
 
 	irqPending []IRQ
 	irqHandler func(p Proc, irq IRQ)
@@ -104,7 +106,6 @@ func New(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, id, tile int, r
 		mesh:     mesh,
 		route:    route,
 		mmioCond: sim.NewCond(eng),
-		mmioResp: make(map[uint64]*mmio.Resp),
 	}
 	c.l1 = newL1D(params.L1DBytes, params.L1DWays)
 	c.l2 = dom.NewCache(coherence.PCacheConfig{
@@ -151,8 +152,7 @@ func (c *Core) Run(name string, prog func(Proc)) *sim.Thread {
 }
 
 func (c *Core) onMMIOResp(m *noc.Msg) {
-	r := m.Payload.(*mmio.Resp)
-	c.mmioResp[r.SeqID] = r
+	m.Payload.(*mmio.Msg).Done = true
 	c.mmioCond.Broadcast()
 }
 
@@ -285,19 +285,20 @@ func (p *proc) mmio(addr uint64, write bool, v uint64) uint64 {
 	if !ok {
 		panic(fmt.Sprintf("core%d: MMIO to unmapped address %#x", c.id, addr))
 	}
-	c.seq++
-	req := &mmio.Req{Addr: addr, Write: write, Size: 8, Data: v, SrcTile: c.tile, SeqID: c.seq}
+	m := c.mmios.Get()
+	m.Req = mmio.Req{Addr: addr, Write: write, Size: 8, Data: v, SrcTile: c.tile}
 	tx := c.mmioTX
 	c.mmioTX = nil
 	p.t.SleepCycles(c.clk, 1) // issue
-	c.mesh.Send(&noc.Msg{Src: c.tile, Dst: tile, VN: noc.VNMMIOReq, Bytes: mmio.ReqBytes, Payload: req, TX: tx})
+	c.mesh.Send(m.Request(tile, tx))
 	// Strict I/O ordering: block until the response arrives. Interrupts
 	// are taken while stalled (the kernel handler may need to unblock the
 	// device this very access is waiting on).
 	for {
-		if r, done := c.mmioResp[req.SeqID]; done {
-			delete(c.mmioResp, req.SeqID)
-			return r.Data
+		if m.Done {
+			data := m.Resp.Data
+			c.mmios.Put(m)
+			return data
 		}
 		if len(c.irqPending) > 0 && c.irqHandler != nil {
 			p.checkIRQ()

@@ -258,16 +258,16 @@ func newTestDevice(eng *sim.Engine, mesh *noc.Mesh, tile int) *testDevice {
 }
 
 func (d *testDevice) onReq(m *noc.Msg) {
-	req := m.Payload.(*mmio.Req)
-	resp := &mmio.Resp{SeqID: req.SeqID}
-	if req.Write {
-		d.regs[req.Addr] = req.Data
+	msg := m.Payload.(*mmio.Msg)
+	var data uint64
+	if msg.Req.Write {
+		d.regs[msg.Req.Addr] = msg.Req.Data
 	} else {
-		resp.Data = d.regs[req.Addr]
+		data = d.regs[msg.Req.Addr]
 	}
 	// Respond after a cycle of device latency.
 	d.eng.After(sim.Time(params.CPUClockPS), func() {
-		d.mesh.Send(&noc.Msg{Src: d.tile, Dst: req.SrcTile, VN: noc.VNMMIOResp, Bytes: mmio.RespBytes, Payload: resp})
+		d.mesh.Send(msg.Reply(d.tile, data, false))
 	})
 }
 

@@ -104,35 +104,45 @@ type MemIntf interface {
 	SetInvSink(func(pa, vpn uint64))
 }
 
-// Bitstream is a synthesized accelerator configuration.
+// Bitstream is a synthesized accelerator configuration. Its image is
+// sealed: NewBitstream takes the image's CRC once, and only Corrupt can
+// change the image afterwards, so Configure's integrity check needs no
+// pass over the image.
 type Bitstream struct {
 	Name    string
 	Res     Resources
 	FmaxMHz float64
-	Image   []byte
-	CRC     uint32
 	Factory func() Accelerator
 
 	// Report carries the synthesis cost model's output (Table II).
 	Report Report
+
+	image []byte
+	crc   uint32 // the image's CRC as synthesized
+	sum   uint32 // the CRC of the image as it is now
 }
 
-// Checksum computes the CRC of the image; a Bitstream is intact when
-// Checksum() == CRC.
-func (b *Bitstream) Checksum() uint32 { return crc32.ChecksumIEEE(b.Image) }
+// NewBitstream seals image into a bitstream and takes its CRC. The caller
+// must not modify image afterwards.
+func NewBitstream(name string, res Resources, fmaxMHz float64, image []byte, factory func() Accelerator) *Bitstream {
+	crc := crc32.ChecksumIEEE(image)
+	return &Bitstream{Name: name, Res: res, FmaxMHz: fmaxMHz, Factory: factory, image: image, crc: crc, sum: crc}
+}
 
 // StreamCycles is the length of the configuration stream: the fast-clock
-// cycles the programming engine takes to load Image, one configuration
+// cycles the programming engine takes to load the image, one configuration
 // word (a 16-byte NoC flit) per cycle. The engine and the schedulers'
 // analytic reprogram charge both use it, so the two cannot drift apart.
 func (b *Bitstream) StreamCycles() int64 {
-	return int64(len(b.Image)+params.LineBytes-1) / params.LineBytes
+	return int64(len(b.image)+params.LineBytes-1) / params.LineBytes
 }
 
-// Corrupt flips a byte of the image (fault-injection helper).
+// Corrupt flips a byte of the image (fault-injection helper), so the next
+// Configure of b fails its integrity check.
 func (b *Bitstream) Corrupt() {
-	if len(b.Image) > 0 {
-		b.Image[len(b.Image)/2] ^= 0xff
+	if len(b.image) > 0 {
+		b.image[len(b.image)/2] ^= 0xff
+		b.sum = crc32.ChecksumIEEE(b.image)
 	}
 }
 
@@ -241,7 +251,7 @@ func (f *Fabric) BitstreamByID(id int) (*Bitstream, error) {
 // resource capacity check. On success the accelerator instance is created
 // (but not started; the adapter starts it with the adapter's reused Env).
 func (f *Fabric) Configure(b *Bitstream) error {
-	if b.Checksum() != b.CRC {
+	if b.sum != b.crc {
 		return fmt.Errorf("efpga: bitstream %q integrity check failed", b.Name)
 	}
 	if !b.Res.Fits(f.Cap) {

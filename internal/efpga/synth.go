@@ -141,15 +141,8 @@ func Synthesize(d Design, factory func() Accelerator) *Bitstream {
 	for i := range img {
 		img[i] = byte(i*131 + len(d.Name))
 	}
-	bs := &Bitstream{
-		Name:    d.Name,
-		Res:     res,
-		FmaxMHz: rep.FmaxMHz,
-		Image:   img,
-		Factory: factory,
-		Report:  rep,
-	}
-	bs.CRC = bs.Checksum()
+	bs := NewBitstream(d.Name, res, rep.FmaxMHz, img, factory)
+	bs.Report = rep
 	return bs
 }
 

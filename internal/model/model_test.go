@@ -17,13 +17,8 @@ type stubAccel struct{}
 func (stubAccel) Start(*efpga.Env) {}
 
 func mkBitstream(name string, res efpga.Resources, fmax float64, imageLen int) *efpga.Bitstream {
-	bs := &efpga.Bitstream{
-		Name: name, Res: res, FmaxMHz: fmax,
-		Image:   make([]byte, imageLen),
-		Factory: func() efpga.Accelerator { return stubAccel{} },
-	}
-	bs.CRC = bs.Checksum()
-	return bs
+	return efpga.NewBitstream(name, res, fmax, make([]byte, imageLen),
+		func() efpga.Accelerator { return stubAccel{} })
 }
 
 // TestReprogramCostMatchesCycleChain pins the shared analytic formula to

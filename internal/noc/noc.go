@@ -61,10 +61,14 @@ type Msg struct {
 // the delivery time.
 type Handler func(*Msg)
 
-type linkKey struct {
-	from, to int
-	vn       VN
-}
+// Output directions of a router, indexing the link table.
+const (
+	dirEast = iota
+	dirWest
+	dirSouth
+	dirNorth
+	numDirs
+)
 
 // Mesh is the 2D-mesh network fabric.
 type Mesh struct {
@@ -72,8 +76,12 @@ type Mesh struct {
 	clk  *sim.Clock
 	W, H int
 
-	handlers map[int][NumVNs]Handler
-	linkFree map[linkKey]sim.Time
+	// handlers[tile][vn] consumes vn traffic delivered to tile.
+	handlers [][NumVNs]Handler
+	// linkFree[link(tile, dir, vn)] is when the output link of tile toward
+	// dir next accepts a vn flit; 0 until first used. It is built at the
+	// first Send: a serving replica's mesh may never carry a message.
+	linkFree []sim.Time
 
 	// deliverFn is the one delivery callback for the whole mesh; Send
 	// schedules it with the message as the event argument, so injecting a
@@ -96,8 +104,7 @@ func NewMesh(eng *sim.Engine, clk *sim.Clock, w, h int) *Mesh {
 		clk:      clk,
 		W:        w,
 		H:        h,
-		handlers: make(map[int][NumVNs]Handler),
-		linkFree: make(map[linkKey]sim.Time),
+		handlers: make([][NumVNs]Handler, w*h),
 	}
 	m.deliverFn = func(a any) { m.deliver(a.(*Msg)) }
 	return m
@@ -121,10 +128,11 @@ func (m *Mesh) Register(tile int, vn VN, h Handler) {
 	if tile < 0 || tile >= m.Tiles() {
 		panic(fmt.Sprintf("noc: register on bad tile %d", tile))
 	}
-	hs := m.handlers[tile]
-	hs[vn] = h
-	m.handlers[tile] = hs
+	m.handlers[tile][vn] = h
 }
+
+// link indexes the link table: tile's output link toward dir, on vn.
+func link(tile, dir int, vn VN) int { return (tile*numDirs+dir)*int(NumVNs) + int(vn) }
 
 // flits reports the number of link flits for a payload of n bytes
 // (one header flit plus payload flits).
@@ -141,6 +149,9 @@ func (m *Mesh) Send(msg *Msg) {
 	if msg.Src < 0 || msg.Src >= m.Tiles() || msg.Dst < 0 || msg.Dst >= m.Tiles() {
 		panic(fmt.Sprintf("noc: send %d->%d outside %dx%d mesh", msg.Src, msg.Dst, m.W, m.H))
 	}
+	if m.linkFree == nil {
+		m.linkFree = make([]sim.Time, m.Tiles()*numDirs*int(NumVNs))
+	}
 	m.Messages++
 	m.BytesSent += uint64(msg.Bytes)
 	m.perVN[msg.VN]++
@@ -151,15 +162,12 @@ func (m *Mesh) Send(msg *Msg) {
 	cur := msg.Src
 	// Walk the XY route hop by hop without materializing the path: Send
 	// is the per-message hot path.
-	hop := func(next int) {
+	hop := func(dir, next int) {
 		// Router pipeline at the current node.
 		t += m.clk.Cycles(params.RouterCycles)
 		// Acquire the outgoing link; serialize behind earlier traffic.
-		lk := linkKey{from: cur, to: next, vn: msg.VN}
-		dep := t
-		if free, ok := m.linkFree[lk]; ok && free > dep {
-			dep = free
-		}
+		lk := link(cur, dir, msg.VN)
+		dep := max(t, m.linkFree[lk])
 		m.linkFree[lk] = dep + m.clk.Cycles(nf*params.LinkCycles)
 		// Head flit reaches the next node after one link traversal.
 		t = dep + m.clk.Cycles(params.LinkCycles)
@@ -170,18 +178,20 @@ func (m *Mesh) Send(msg *Msg) {
 	for x != dx {
 		if x < dx {
 			x++
+			hop(dirEast, m.TileAt(x, y))
 		} else {
 			x--
+			hop(dirWest, m.TileAt(x, y))
 		}
-		hop(m.TileAt(x, y))
 	}
 	for y != dy {
 		if y < dy {
 			y++
+			hop(dirSouth, m.TileAt(x, y))
 		} else {
 			y--
+			hop(dirNorth, m.TileAt(x, y))
 		}
-		hop(m.TileAt(x, y))
 	}
 	if msg.Src == msg.Dst {
 		// Local delivery still pays router + ejection.
@@ -197,9 +207,9 @@ func (m *Mesh) Send(msg *Msg) {
 }
 
 func (m *Mesh) deliver(msg *Msg) {
-	hs, ok := m.handlers[msg.Dst]
-	if !ok || hs[msg.VN] == nil {
+	h := m.handlers[msg.Dst][msg.VN]
+	if h == nil {
 		panic(fmt.Sprintf("noc: no handler for %v at tile %d (msg from %d)", msg.VN, msg.Dst, msg.Src))
 	}
-	hs[msg.VN](msg)
+	h(msg)
 }

@@ -20,13 +20,8 @@ func (stubAccel) Start(*efpga.Env) {}
 // mkBitstream handcrafts a valid bitstream with the given name, resource
 // demand and Fmax (image CRC is kept consistent).
 func mkBitstream(name string, res efpga.Resources, fmax float64) *efpga.Bitstream {
-	bs := &efpga.Bitstream{
-		Name: name, Res: res, FmaxMHz: fmax,
-		Image:   make([]byte, 64),
-		Factory: func() efpga.Accelerator { return stubAccel{} },
-	}
-	bs.CRC = bs.Checksum()
-	return bs
+	return efpga.NewBitstream(name, res, fmax, make([]byte, 64),
+		func() efpga.Accelerator { return stubAccel{} })
 }
 
 // phantom is an AppID outside every test catalog: Submit fails it as an
@@ -321,7 +316,7 @@ func TestProgrammingFailureRestoresHubs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bad.Image[0] ^= 0xff // stale CRC: Configure must reject it
+	bad.Corrupt() // stale CRC: Configure must reject it
 
 	sch.Submit(&sched.Job{Request: sched.Request{App: lookup(t, sch, "good")}}) // serves; scheduler grants the hub
 	failing := &sched.Job{Request: sched.Request{App: lookup(t, sch, "bad")}}

@@ -106,6 +106,9 @@ func TestMultipleEFPGAs(t *testing.T) {
 
 // TestMultiEFPGATLBIsolation verifies per-adapter fault dispatch: a TLB
 // fault on adapter 1 is resolved by the kernel without touching adapter 0.
+// Afterwards adapter 0 loads the same virtual address and must take its
+// own fault: had the kernel also installed adapter 1's translation in
+// adapter 0's TLB, that load would hit.
 func TestMultiEFPGATLBIsolation(t *testing.T) {
 	sys := New(Config{
 		Cores: 1, MemHubs: 1, EFPGAs: 2, Style: StyleDuet,
@@ -138,27 +141,43 @@ func TestMultiEFPGATLBIsolation(t *testing.T) {
 				})
 			})
 		})
-	if err := installOn(sys, 1, bs); err != nil {
-		t.Fatal(err)
+	for idx := range sys.Adapters {
+		if err := installOn(sys, idx, bs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var got uint64
+	hub0, hub1 := sys.Adapters[0].Hub(0), sys.Adapters[1].Hub(0)
+	var got1, got0 uint64
+	var hub0Before int
 	sys.Cores[0].Run("host", func(p cpu.Proc) {
-		p.MMIOWrite64(core.HubSwitchAddr(1, 0, core.SwVirtMode), 1)
-		p.MMIOWrite64(core.HubSwitchAddr(1, 0, core.SwEnable), 1)
-		p.MMIOWrite64(core.SoftRegAddr(1, 0), 1)
-		got = p.MMIORead64(core.SoftRegAddr(1, 1))
+		load := func(a int) uint64 {
+			p.MMIOWrite64(core.HubSwitchAddr(a, 0, core.SwVirtMode), 1)
+			p.MMIOWrite64(core.HubSwitchAddr(a, 0, core.SwEnable), 1)
+			p.MMIOWrite64(core.SoftRegAddr(a, 0), 1)
+			return p.MMIORead64(core.SoftRegAddr(a, 1))
+		}
+		got1 = load(1)
+		hub0Before = faults[hub0]
+		got0 = load(0)
 	})
 	if _, err := sys.RunChecked(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 777 {
-		t.Fatalf("virtual load through adapter 1 = %d", got)
+	if got1 != 777 {
+		t.Fatalf("virtual load through adapter 1 = %d", got1)
 	}
-	if faults[sys.Adapters[1].Hub(0)] == 0 {
-		t.Fatal("no fault exercised")
+	if faults[hub1] != 1 {
+		t.Fatalf("adapter 1's hub took %d faults, want 1", faults[hub1])
 	}
-	if faults[sys.Adapters[0].Hub(0)] != 0 {
+	if hub0Before != 0 {
 		t.Fatal("adapter 0's hub raised a fault for adapter 1's access")
+	}
+	if faults[hub0] != 1 {
+		t.Fatalf("adapter 0's hub took %d faults for its own access, want 1: "+
+			"resolving adapter 1's fault must not fill adapter 0's TLB", faults[hub0])
+	}
+	if got0 != 777 {
+		t.Fatalf("virtual load through adapter 0 = %d", got0)
 	}
 }
 

@@ -5,14 +5,15 @@
 #   scripts/bench.sh check   # fail past +30% ns/op or +16 allocs/op
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
-# ticks, same-instant bursts, thread wakeups), five per-layer benches at
+# ticks, same-instant bursts, thread wakeups), six per-layer benches at
 # -count 5, of which the gate keeps the fastest — the stateful front
 # ends' producer hand-off on its own (1M arrivals onto two counting
 # shards), sched dispatch (1M pre-built requests through Submit on one
 # 2-fabric affinity model replica, at a mostly-empty queue and at a
 # saturated one), one round of coherence transactions (load miss,
-# S→M upgrade, AMO) on a two-cache domain and 200 MCS lock handoffs
-# among four cycle-level cores — and the serve studies in
+# S→M upgrade, AMO) on a two-cache domain, 200 MCS lock handoffs
+# among four cycle-level cores and one MMIO write+read round trip to a
+# shadow register — and the serve studies in
 # internal/workload on both execution backends — the 1M runs, which
 # replay a stream drawn outside the timed region, plus the 100M-job
 # streaming-pipeline capacity run. -benchtime 1x on the serve
@@ -28,6 +29,7 @@ run_benches() {
     go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkCoherenceMiss$' -count 5 -benchmem ./internal/coherence
     go test -run '^$' -bench 'BenchmarkMCSContention$' -count 5 -benchmem ./internal/cpu
+    go test -run '^$' -bench 'BenchmarkMMIORoundTrip$' -count 5 -benchmem .
     go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m ./internal/workload
 }
 

@@ -711,12 +711,8 @@ func TestProgramPollBound(t *testing.T) {
 	// A huge configuration image streams for ~1M fast cycles — far past
 	// the poll bound — so the engine reports neither ready nor error
 	// while the host is polling.
-	slow := &efpga.Bitstream{
-		Name:    "glacial",
-		Image:   make([]byte, 16<<20),
-		Factory: func() efpga.Accelerator { return accelFunc(func(*efpga.Env) {}) },
-	}
-	slow.CRC = slow.Checksum()
+	slow := efpga.NewBitstream("glacial", efpga.Resources{}, 0, make([]byte, 16<<20),
+		func() efpga.Accelerator { return accelFunc(func(*efpga.Env) {}) })
 	id := sys.Fabric.MustRegister(slow)
 	var st ProgStatus
 	sys.Cores[0].Run("host", func(p cpu.Proc) {
