@@ -43,29 +43,6 @@ const (
 	dijHeapCycles = 1 // systolic BRAM priority queue (II=1)
 )
 
-type dijMem interface {
-	load32(t *sim.Thread, va uint64) (uint32, error)
-	store32(t *sim.Thread, va uint64, v uint32) error
-}
-
-type dijCached struct{ c *softcache.Cache }
-
-func (d dijCached) load32(t *sim.Thread, va uint64) (uint32, error)  { return d.c.Load32(t, va) }
-func (d dijCached) store32(t *sim.Thread, va uint64, v uint32) error { return d.c.Store32(t, va, v) }
-
-type dijHeap []uint64
-
-func (h dijHeap) Len() int            { return len(h) }
-func (h dijHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h dijHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dijHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *dijHeap) Pop() interface{} {
-	old := *h
-	v := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return v
-}
-
 // Start spawns the SSSP engine.
 func (a Dijkstra) Start(env *efpga.Env) {
 	env.Eng.Go("dijkstra", func(t *sim.Thread) {
@@ -75,9 +52,9 @@ func (a Dijkstra) Start(env *efpga.Env) {
 		// fabric resources, hence the smaller FPSoC bitstream). Hits are
 		// hidden inside the pipelined datapath (HitCycles -1); misses pay
 		// the full hub path.
-		m := dijCached{softcache.New(env, env.Mem[0], softcache.Config{
+		m := softcache.New(env, env.Mem[0], softcache.Config{
 			SizeBytes: 8192, Ways: 2, RAWForwarding: true, HitCycles: -1,
-		})}
+		})
 		for {
 			q := env.Regs.PopFPGA(t, DijQueryReg)
 			src := uint32(q)
@@ -89,7 +66,7 @@ func (a Dijkstra) Start(env *efpga.Env) {
 
 			// The visited bitmap and priority queue live in fabric BRAM.
 			visited := make([]bool, n)
-			pq := dijHeap{uint64(src)} // (dist=0)<<32 | src
+			pq := eventHeap{uint64(src)} // (dist=0)<<32 | src
 			settled := uint64(0)
 			failed := false
 			for len(pq) > 0 && !failed {
@@ -101,28 +78,28 @@ func (a Dijkstra) Start(env *efpga.Env) {
 				}
 				visited[u] = true
 				settled++
-				s, err1 := m.load32(t, rowptr+uint64(u)*4)
-				e, err2 := m.load32(t, rowptr+uint64(u)*4+4)
+				s, err1 := m.Load32(t, rowptr+uint64(u)*4)
+				e, err2 := m.Load32(t, rowptr+uint64(u)*4+4)
 				if err1 != nil || err2 != nil {
 					failed = true
 					break
 				}
 				for i := s; i < e; i++ {
-					v, errV := m.load32(t, cols+uint64(i)*4)
-					w, errW := m.load32(t, weights+uint64(i)*4)
+					v, errV := m.Load32(t, cols+uint64(i)*4)
+					w, errW := m.Load32(t, weights+uint64(i)*4)
 					if errV != nil || errW != nil {
 						failed = true
 						break
 					}
 					t.SleepCycles(env.Clk, dijEdgeII)
 					nd := d + w
-					dv, errD := m.load32(t, dist+uint64(v)*4)
+					dv, errD := m.Load32(t, dist+uint64(v)*4)
 					if errD != nil {
 						failed = true
 						break
 					}
 					if nd < dv {
-						if err := m.store32(t, dist+uint64(v)*4, nd); err != nil {
+						if err := m.Store32(t, dist+uint64(v)*4, nd); err != nil {
 							failed = true
 							break
 						}

@@ -60,10 +60,13 @@ func PDESEvent(ts uint64, payload uint32) uint64 { return ts<<32 | uint64(payloa
 // PDESEventTS extracts the timestamp.
 func PDESEventTS(ev uint64) uint64 { return ev >> 32 }
 
+// eventHeap is a min-heap of packed keys ordered by their high 32 bits
+// first: PDES events (timestamp-major) and Dijkstra's frontier
+// (distance<<32 | node).
 type eventHeap []uint64
 
 func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i] < h[j] } // ts-major ordering
+func (h eventHeap) Less(i, j int) bool  { return h[i] < h[j] }
 func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
 func (h *eventHeap) Pop() interface{} {

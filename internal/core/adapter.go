@@ -110,32 +110,27 @@ type IRQSink interface {
 //
 // Records come from the adapter's free list and go back once the response
 // is sent. A watchdog stays queued for the whole timeout even after its op
-// completes, so it remembers the op's id: a recycled record carries
+// completes, so its armed record keeps the op's id: a recycled op carries
 // another id (or none) and is left alone.
 type inflight struct {
-	id        uint64    // unique per operation on this adapter
-	m         *mmio.Msg // the round trip being served
-	tx        *sim.TX
-	src       int    // requesting tile
-	reg       int    // soft register index (soft register accesses)
-	write     bool   // decoded access
-	val       uint64 // write data; a stalled FPGA-bound FIFO write's payload
-	done      bool
-	sent      bool
-	queued    bool // participates in the per-source ordering queue
-	dequeued  bool // removed from the queue while parked; respond directly
-	data      uint64
-	err       bool
-	normalSeq uint64
-	parked    bool // blocked on accelerator data (CPU-bound FIFO read)
+	id       uint64    // unique per operation on this adapter; a normal register access's tag
+	m        *mmio.Msg // the round trip: requester, latency record, reply
+	reg      int       // soft register index (soft register accesses)
+	write    bool      // decoded access
+	val      uint64    // write data; a stalled FPGA-bound FIFO write's payload
+	done     bool
+	queued   bool // participates in the per-source ordering queue
+	dequeued bool // removed from the queue while parked; respond directly
+	data     uint64
+	err      bool
+	parked   bool // blocked on accelerator data (CPU-bound FIFO read)
 }
 
-// armed is one queued watchdog: the op it guards, that op's id, and the
-// instant it expires.
+// armed is one queued watchdog, the argument of its own expiry event: the
+// op it guards and that op's id.
 type armed struct {
 	op *inflight
 	id uint64
-	at sim.Time
 }
 
 // Adapter is one Duet Adapter instance.
@@ -165,15 +160,10 @@ type Adapter struct {
 	// accesses only).
 	queues        [][]*inflight // indexed by source tile; built at the first access
 	intakeFree    sim.Time
-	seqCtr        uint64
-	pendingNormal map[uint64]*inflight
+	pendingNormal map[uint64]*inflight // normal register accesses by op id
 	ops           sim.FreeList[inflight]
-	opIDs         uint64 // the last op id handed out
-
-	// watches is a ring of the queued watchdogs in arming order: nWatch of
-	// them from watchHead.
-	watches           []armed
-	watchHead, nWatch int
+	opIDs         uint64              // the last op id handed out
+	watches       sim.FreeList[armed] // one record per queued watchdog
 
 	// The adapter's per-operation callbacks, built once: each is scheduled
 	// with the in-flight op as the event argument, so no MMIO operation
@@ -230,7 +220,7 @@ func NewAdapter(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, fabric *
 		op := x.(*inflight)
 		a.complete(op, op.data, false)
 	}
-	a.watchdogFn = func(any) { a.expire() }
+	a.watchdogFn = func(x any) { a.expire(x.(*armed)) }
 	for i, tile := range cfg.HubTiles {
 		a.hubs = append(a.hubs, newMemHub(a, i, tile, cfg.CacheIDBase+i))
 	}
@@ -276,17 +266,12 @@ func (a *Adapter) ErrCode() uint64 { return a.errCode }
 // CtrlTile reports the control hub's NoC tile.
 func (a *Adapter) CtrlTile() int { return a.ctrlTile }
 
-func (a *Adapter) nextSeq() uint64 {
-	a.seqCtr++
-	return a.seqCtr
-}
-
 // afterFast runs fn(op) after n fast cycles, attributing latency to the
 // op's TX.
 func (a *Adapter) afterFast(n int64, op *inflight, fn func(any)) {
 	now := a.eng.Now()
 	at := a.fastClk.EdgesAfter(now, n)
-	op.tx.Add(sim.CatFast, at-now)
+	op.m.Env.TX.Add(sim.CatFast, at-now)
 	a.eng.AtArg(at, fn, op)
 }
 
@@ -303,7 +288,7 @@ func (a *Adapter) onMMIO(m *noc.Msg) {
 	a.MMIOOps++
 	op := a.ops.Get()
 	a.opIDs++
-	op.id, op.m, op.tx, op.src = a.opIDs, msg, m.TX, msg.Req.SrcTile
+	op.id, op.m = a.opIDs, msg
 	// Serialized intake: the control hub decodes one operation per cycle.
 	start := a.fastClk.NextEdge(a.eng.Now())
 	if start < a.intakeFree {
@@ -336,7 +321,7 @@ func (a *Adapter) decode(op *inflight) {
 	default:
 		// Soft register accesses enter the per-source ordering queue.
 		// cpuAccess may answer op at once, so src is read first.
-		src := op.src
+		src := op.m.Req.SrcTile
 		if a.queues == nil {
 			a.queues = make([][]*inflight, a.mesh.Tiles())
 		}
@@ -352,7 +337,7 @@ func (a *Adapter) decode(op *inflight) {
 // same-source operations.
 func (a *Adapter) park(op *inflight) {
 	op.parked = true
-	a.drain(op.src)
+	a.drain(op.m.Req.SrcTile)
 }
 
 func (a *Adapter) switchAccess(op *inflight, hub int, sw uint64, write bool, val uint64) {
@@ -460,7 +445,7 @@ func (a *Adapter) complete(op *inflight, data uint64, err bool) {
 		a.send(op)
 		return
 	}
-	a.drain(op.src)
+	a.drain(op.m.Req.SrcTile)
 }
 
 // drain sends the finished head of src's ordering queue and dequeues
@@ -494,10 +479,6 @@ func (a *Adapter) drain(src int) {
 // send answers op's requester over the NoC, in the requester's own
 // round-trip record, and recycles op: this is its last reader.
 func (a *Adapter) send(op *inflight) {
-	if op.sent {
-		return
-	}
-	op.sent = true
 	a.mesh.Send(op.m.Reply(a.ctrlTile, op.data, op.err))
 	a.ops.Put(op)
 }
@@ -506,56 +487,23 @@ func (a *Adapter) send(op *inflight) {
 // On expiry the exception is raised and the stalled operation completes
 // with bogus data so the processor is not halted (paper §II-E).
 func (a *Adapter) watchdog(op *inflight) {
-	d := a.fastClk.Cycles(a.timeoutCycles)
-	if a.nWatch == len(a.watches) {
-		grown := make([]armed, max(8, 2*len(a.watches)))
-		for i := range a.nWatch {
-			grown[i] = a.watches[(a.watchHead+i)%len(a.watches)]
-		}
-		a.watches, a.watchHead = grown, 0
-	}
-	a.watches[(a.watchHead+a.nWatch)%len(a.watches)] = armed{op: op, id: op.id, at: a.eng.Now() + d}
-	a.nWatch++
-	a.eng.AfterArg(d, a.watchdogFn, nil)
+	w := a.watches.Get()
+	w.op, w.id = op, op.id
+	a.eng.AfterArg(a.fastClk.Cycles(a.timeoutCycles), a.watchdogFn, w)
 }
 
-// expired removes and returns the watchdog expiring now. The engine runs
-// one instant's watchdogs in arming order, so it is the oldest armed one
-// due now: the ring's head, unless RegTimeout shortened the limit since
-// older ones were armed.
-func (a *Adapter) expired() armed {
-	n, now := len(a.watches), a.eng.Now()
-	for i := range a.nWatch {
-		w := a.watches[(a.watchHead+i)%n]
-		if w.at != now {
-			continue
-		}
-		// Close the gap: the i older entries move up one slot.
-		for k := i; k > 0; k-- {
-			a.watches[(a.watchHead+k)%n] = a.watches[(a.watchHead+k-1)%n]
-		}
-		a.watches[a.watchHead] = armed{}
-		a.watchHead = (a.watchHead + 1) % n
-		a.nWatch--
-		return w
-	}
-	panic("core: watchdog expired with none armed")
-}
-
-// expire is a watchdog's expiry. An op answered in time (and perhaps
+// expire is watchdog w's expiry. An op answered in time (and perhaps
 // recycled since) is left alone; a stalled op times out and leaves every
 // wait list, so no later event finds it there once it is recycled.
-func (a *Adapter) expire() {
-	w := a.expired()
-	op := w.op
-	if op.id != w.id || op.done {
+func (a *Adapter) expire(w *armed) {
+	op, id := w.op, w.id
+	a.watches.Put(w)
+	if op.id != id || op.done {
 		return
 	}
 	a.Timeouts++
 	a.RaiseException(ErrTimeout)
-	if op.normalSeq != 0 {
-		delete(a.pendingNormal, op.normalSeq)
-	}
+	delete(a.pendingNormal, id)
 	a.regs.forget(op)
 	a.complete(op, 0xdead, true)
 }

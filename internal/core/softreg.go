@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"duet/internal/cdc"
@@ -44,11 +43,12 @@ const (
 	dCPUCredit
 )
 
+// A normal register access and its response carry the op's id.
 type dmsg struct {
 	kind  dkind
 	reg   int
 	val   uint64
-	seq   uint64
+	id    uint64
 	write bool
 }
 
@@ -67,7 +67,36 @@ type umsg struct {
 	kind ukind
 	reg  int
 	val  uint64
-	seq  uint64
+	id   uint64
+}
+
+// softReg is one soft register: its fast-domain half in the Control Hub
+// and its slow-domain half in the fabric.
+type softReg struct {
+	kind RegKind
+
+	// Fast-domain state.
+	fastVal    uint64 // plain shadow copy
+	cpuQ       []uint64
+	tokens     int
+	fpgaCredit int
+	// The wait lists (fpgaWait, readWait, slowWait) hold pending ops
+	// only: a timed-out op leaves them (forget).
+	fpgaWait []*inflight // ops stalled on FPGA-bound FIFO credit
+	readWait []*inflight // CPU reads blocked on empty CPU-bound FIFO
+
+	// Slow-domain (fabric) state.
+	slowVal    uint64
+	fabricQ    []uint64
+	fabricCond *sim.Cond
+	cpuCredit  int
+	claimed    bool
+	normalQ    []*efpga.NormalOp
+	normalCond *sim.Cond
+	// FPSoC mode: CPU-bound queues live slow-side; blocked reads park here.
+	slowCPUQ   []uint64
+	slowTokens int
+	slowWait   []*inflight
 }
 
 // regFile is the Soft Register Interface: the fast-domain half lives in
@@ -79,35 +108,13 @@ type umsg struct {
 // the CDC FIFOs — the baseline of §V-D.
 type regFile struct {
 	a     *Adapter
-	specs []SoftRegSpec
+	regs  []softReg
 	fpsoc bool
 
-	// Fast-domain state.
-	fastVals   []uint64 // plain shadow copies
-	cpuQ       [][]uint64
-	tokens     []int
-	fpgaCredit []int
-	// The wait lists (fpgaWait, readWait, slowWait) hold pending ops
-	// only: a timed-out op leaves them (forget).
-	fpgaWait [][]*inflight // ops stalled on FPGA-bound FIFO credit
-	readWait [][]*inflight // CPU reads blocked on empty CPU-bound FIFO
 	// shadowFn completes a shadow register access after its
 	// ShadowRegCycles; cpuAccess schedules it with the op as argument.
-	shadowFn func(any)
-
-	// Slow-domain (fabric) state.
-	slowVals   []uint64
-	fabricQ    [][]uint64
-	fabricCond []*sim.Cond
-	cpuCredit  []int
-	creditCond *sim.Cond
-	claimed    []bool
-	normalQ    [][]*efpga.NormalOp
-	normalCond []*sim.Cond
-	// FPSoC mode: CPU-bound queues live slow-side; blocked reads park here.
-	slowCPUQ   [][]uint64
-	slowTokens []int
-	slowWait   [][]*inflight
+	shadowFn   func(any)
+	creditCond *sim.Cond // signals CPU-bound FIFO credit on any register
 
 	down     *cdc.Fifo[dmsg]
 	downPush *cdc.Pusher[dmsg]
@@ -115,41 +122,21 @@ type regFile struct {
 	upPush   *cdc.Pusher[umsg]
 }
 
+// newRegFile builds the registers specs describes; it reads specs and
+// keeps none of it.
 func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
-	n := len(specs)
-	rf := &regFile{
-		a:     a,
-		specs: specs,
-		fpsoc: fpsoc,
-
-		fastVals:   make([]uint64, n),
-		cpuQ:       make([][]uint64, n),
-		tokens:     make([]int, n),
-		fpgaCredit: make([]int, n),
-		fpgaWait:   make([][]*inflight, n),
-		readWait:   make([][]*inflight, n),
-
-		slowVals:   make([]uint64, n),
-		fabricQ:    make([][]uint64, n),
-		fabricCond: make([]*sim.Cond, n),
-		cpuCredit:  make([]int, n),
-		creditCond: sim.NewCond(a.eng),
-		claimed:    make([]bool, n),
-		normalQ:    make([][]*efpga.NormalOp, n),
-		normalCond: make([]*sim.Cond, n),
-		slowCPUQ:   make([][]uint64, n),
-		slowTokens: make([]int, n),
-		slowWait:   make([][]*inflight, n),
-	}
-	for i := range specs {
-		if specs[i].Depth <= 0 {
-			specs[i].Depth = params.FifoDepth
+	rf := &regFile{a: a, regs: make([]softReg, len(specs)), fpsoc: fpsoc, creditCond: sim.NewCond(a.eng)}
+	for i, spec := range specs {
+		if spec.Depth <= 0 {
+			spec.Depth = params.FifoDepth
 		}
-		rf.specs[i] = specs[i]
-		rf.fpgaCredit[i] = specs[i].Depth
-		rf.cpuCredit[i] = specs[i].Depth
-		rf.fabricCond[i] = sim.NewCond(a.eng)
-		rf.normalCond[i] = sim.NewCond(a.eng)
+		rf.regs[i] = softReg{
+			kind:       spec.Kind,
+			fpgaCredit: spec.Depth,
+			cpuCredit:  spec.Depth,
+			fabricCond: sim.NewCond(a.eng),
+			normalCond: sim.NewCond(a.eng),
+		}
 	}
 	slow := a.fabric.Clock()
 	fast := a.fastClk
@@ -171,12 +158,11 @@ func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
 // register machinery; the adapter's ordering engine releases responses in
 // arrival order.
 func (rf *regFile) cpuAccess(op *inflight) {
-	reg := op.reg
-	if reg < 0 || reg >= len(rf.specs) {
+	if op.reg < 0 || op.reg >= len(rf.regs) {
 		rf.a.complete(op, 0, true)
 		return
 	}
-	kind := rf.specs[reg].Kind
+	kind := rf.regs[op.reg].kind
 	switch {
 	case rf.fpsoc || kind == RegNormal:
 		rf.sendNormal(op)
@@ -190,48 +176,48 @@ func (rf *regFile) cpuAccess(op *inflight) {
 // shadow performs a shadow register access once its ShadowRegCycles have
 // passed.
 func (rf *regFile) shadow(op *inflight) {
-	reg := op.reg
-	switch rf.specs[reg].Kind {
+	r := &rf.regs[op.reg]
+	switch r.kind {
 	case RegPlain:
 		if op.write {
-			rf.fastVals[reg] = op.val
+			r.fastVal = op.val
 			// The forward into the fabric is off the critical path
 			// (the ack does not wait for it): untagged.
-			rf.downPush.Push(dmsg{kind: dPlainSync, reg: reg, val: op.val}, nil)
+			rf.downPush.Push(dmsg{kind: dPlainSync, reg: op.reg, val: op.val}, nil)
 			rf.a.complete(op, 0, false)
 		} else {
-			rf.a.complete(op, rf.fastVals[reg], false)
+			rf.a.complete(op, r.fastVal, false)
 		}
 	case RegFIFOToFPGA:
 		switch {
 		case !op.write:
 			// Reads of an FPGA-bound FIFO report the available credit.
-			rf.a.complete(op, uint64(rf.fpgaCredit[reg]), false)
-		case rf.fpgaCredit[reg] > 0:
+			rf.a.complete(op, uint64(r.fpgaCredit), false)
+		case r.fpgaCredit > 0:
 			rf.pushFPGAData(op)
 		default:
 			// Stall until the accelerator pops (credit returns); the
 			// watchdog prevents a hung accelerator from blocking the
 			// processor forever.
-			rf.fpgaWait[reg] = append(rf.fpgaWait[reg], op)
+			r.fpgaWait = append(r.fpgaWait, op)
 			rf.a.watchdog(op)
 		}
 	case RegFIFOToCPU:
-		if q := rf.cpuQ[reg]; len(q) > 0 {
-			rf.cpuQ[reg] = q[1:]
-			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: reg}, nil)
+		if q := r.cpuQ; len(q) > 0 {
+			r.cpuQ = q[1:]
+			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
 			rf.a.complete(op, q[0], false)
 		} else {
 			// Blocking read: park with a watchdog. Parked reads stop
 			// gating later same-source operations.
-			rf.readWait[reg] = append(rf.readWait[reg], op)
+			r.readWait = append(r.readWait, op)
 			rf.a.park(op)
 			rf.a.watchdog(op)
 		}
 	case RegTokenFIFO:
-		if rf.tokens[reg] > 0 {
-			rf.tokens[reg]--
-			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: reg}, nil)
+		if r.tokens > 0 {
+			r.tokens--
+			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
 			rf.a.complete(op, 1, false)
 		} else {
 			rf.a.complete(op, 0, false) // empty: non-blocking
@@ -242,17 +228,15 @@ func (rf *regFile) shadow(op *inflight) {
 // pushFPGAData sends an FPGA-bound FIFO write (op.val) into the fabric,
 // spending one credit.
 func (rf *regFile) pushFPGAData(op *inflight) {
-	rf.fpgaCredit[op.reg]--
+	rf.regs[op.reg].fpgaCredit--
 	// Data crosses the CDC after the ack: off the critical path.
 	rf.downPush.Push(dmsg{kind: dFifoData, reg: op.reg, val: op.val}, nil)
 	rf.a.complete(op, 0, false)
 }
 
 func (rf *regFile) sendNormal(op *inflight) {
-	seq := rf.a.nextSeq()
-	op.normalSeq = seq
-	rf.a.pendingNormal[seq] = op
-	rf.downPush.Push(dmsg{kind: dNormalOp, reg: op.reg, val: op.val, seq: seq, write: op.write}, op.tx)
+	rf.a.pendingNormal[op.id] = op
+	rf.downPush.Push(dmsg{kind: dNormalOp, reg: op.reg, val: op.val, id: op.id, write: op.write}, op.m.Env.TX)
 	rf.a.watchdog(op)
 }
 
@@ -265,9 +249,10 @@ func (rf *regFile) forget(op *inflight) {
 		}
 		return w
 	}
-	rf.fpgaWait[op.reg] = del(rf.fpgaWait[op.reg])
-	rf.readWait[op.reg] = del(rf.readWait[op.reg])
-	rf.slowWait[op.reg] = del(rf.slowWait[op.reg])
+	r := &rf.regs[op.reg]
+	r.fpgaWait = del(r.fpgaWait)
+	r.readWait = del(r.readWait)
+	r.slowWait = del(r.slowWait)
 }
 
 // --- fabric (slow) side ---------------------------------------------------
@@ -280,14 +265,15 @@ func (rf *regFile) fabricEngine(t *sim.Thread) {
 		// The engine retires at most one fabric-bound message per slow
 		// cycle (single-ported soft register interface).
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
+		r := &rf.regs[m.reg]
 		switch m.kind {
 		case dPlainSync:
-			rf.slowVals[m.reg] = m.val
+			r.slowVal = m.val
 		case dFifoData:
-			rf.fabricQ[m.reg] = append(rf.fabricQ[m.reg], m.val)
-			rf.fabricCond[m.reg].Broadcast()
+			r.fabricQ = append(r.fabricQ, m.val)
+			r.fabricCond.Broadcast()
 		case dCPUCredit:
-			rf.cpuCredit[m.reg]++
+			r.cpuCredit++
 			rf.creditCond.Broadcast()
 		case dNormalOp:
 			rf.handleNormal(t, m, tx)
@@ -300,59 +286,59 @@ func (rf *regFile) handleNormal(t *sim.Thread, m dmsg, tx *sim.TX) {
 	t.SleepCycles(rf.a.fabric.Clock(), params.SoftRegCycles)
 	tx.Add(sim.CatSlow, rf.a.eng.Now()-before)
 
-	if rf.claimed[m.reg] {
-		rf.normalQ[m.reg] = append(rf.normalQ[m.reg], &efpga.NormalOp{
-			Reg: m.reg, Write: m.write, Value: m.val, Seq: m.seq,
+	r := &rf.regs[m.reg]
+	if r.claimed {
+		r.normalQ = append(r.normalQ, &efpga.NormalOp{
+			Reg: m.reg, Write: m.write, Value: m.val, Seq: m.id,
 		})
-		rf.normalCond[m.reg].Broadcast()
+		r.normalCond.Broadcast()
 		return
 	}
 	if rf.fpsoc {
 		// FPSoC downgrade: emulate the FIFO semantics in the slow domain.
-		switch rf.specs[m.reg].Kind {
+		switch r.kind {
 		case RegFIFOToFPGA:
 			if m.write {
-				rf.fabricQ[m.reg] = append(rf.fabricQ[m.reg], m.val)
-				rf.fabricCond[m.reg].Broadcast()
-				rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
+				r.fabricQ = append(r.fabricQ, m.val)
+				r.fabricCond.Broadcast()
+				rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 				return
 			}
-			rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: uint64(len(rf.fabricQ[m.reg]))}, tx)
+			rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: uint64(len(r.fabricQ))}, tx)
 			return
 		case RegFIFOToCPU:
 			if !m.write {
-				if q := rf.slowCPUQ[m.reg]; len(q) > 0 {
-					rf.slowCPUQ[m.reg] = q[1:]
-					rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: q[0]}, tx)
+				if q := r.slowCPUQ; len(q) > 0 {
+					r.slowCPUQ = q[1:]
+					rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: q[0]}, tx)
 					return
 				}
-				op := rf.a.pendingNormal[m.seq]
-				if op != nil {
-					rf.slowWait[m.reg] = append(rf.slowWait[m.reg], op)
+				if op := rf.a.pendingNormal[m.id]; op != nil {
+					r.slowWait = append(r.slowWait, op)
 					rf.a.park(op)
 				}
 				return // completed on a later push (or times out)
 			}
-			rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
+			rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 			return
 		case RegTokenFIFO:
 			if !m.write {
 				val := uint64(0)
-				if rf.slowTokens[m.reg] > 0 {
-					rf.slowTokens[m.reg]--
+				if r.slowTokens > 0 {
+					r.slowTokens--
 					val = 1
 				}
-				rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: val}, tx)
+				rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: val}, tx)
 				return
 			}
 		}
 	}
 	// Default normal register semantics: a plain value in the fabric.
 	if m.write {
-		rf.slowVals[m.reg] = m.val
-		rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq}, tx)
+		r.slowVal = m.val
+		rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 	} else {
-		rf.upPush.Push(umsg{kind: uNormalResp, seq: m.seq, val: rf.slowVals[m.reg]}, tx)
+		rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: r.slowVal}, tx)
 	}
 }
 
@@ -360,30 +346,31 @@ func (rf *regFile) handleNormal(t *sim.Thread, m dmsg, tx *sim.TX) {
 func (rf *regFile) upPump(t *sim.Thread) {
 	for {
 		m, _ := rf.up.PopBlocking(t)
+		r := &rf.regs[m.reg]
 		switch m.kind {
 		case uPlainSync:
-			rf.fastVals[m.reg] = m.val
+			r.fastVal = m.val
 		case uNormalResp:
-			op := rf.a.pendingNormal[m.seq]
+			op := rf.a.pendingNormal[m.id]
 			if op == nil || op.done {
 				continue // timed out earlier; drop
 			}
-			delete(rf.a.pendingNormal, m.seq)
+			delete(rf.a.pendingNormal, m.id)
 			rf.a.complete(op, m.val, false)
 		case uCPUPush:
-			if w := rf.readWait[m.reg]; len(w) > 0 {
-				rf.readWait[m.reg] = w[1:]
+			if w := r.readWait; len(w) > 0 {
+				r.readWait = w[1:]
 				rf.downPush.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
 				rf.a.complete(w[0], m.val, false)
 			} else {
-				rf.cpuQ[m.reg] = append(rf.cpuQ[m.reg], m.val)
+				r.cpuQ = append(r.cpuQ, m.val)
 			}
 		case uTokenPush:
-			rf.tokens[m.reg]++
+			r.tokens++
 		case uFPGACredit:
-			rf.fpgaCredit[m.reg]++
-			if w := rf.fpgaWait[m.reg]; len(w) > 0 && rf.fpgaCredit[m.reg] > 0 {
-				rf.fpgaWait[m.reg] = w[1:]
+			r.fpgaCredit++
+			if w := r.fpgaWait; len(w) > 0 && r.fpgaCredit > 0 {
+				r.fpgaWait = w[1:]
 				rf.pushFPGAData(w[0])
 			}
 		}
@@ -395,22 +382,23 @@ func (rf *regFile) upPump(t *sim.Thread) {
 var _ efpga.RegIntf = (*regFile)(nil)
 
 // ReadPlain returns the fabric copy of plain shadow register i.
-func (rf *regFile) ReadPlain(i int) uint64 { return rf.slowVals[i] }
+func (rf *regFile) ReadPlain(i int) uint64 { return rf.regs[i].slowVal }
 
 // WritePlain updates the fabric copy and synchronizes the fast shadow.
 func (rf *regFile) WritePlain(t *sim.Thread, i int, v uint64) {
-	rf.slowVals[i] = v
+	rf.regs[i].slowVal = v
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	rf.upPush.Push(umsg{kind: uPlainSync, reg: i, val: v}, nil)
 }
 
 // PopFPGA pops FPGA-bound FIFO i, blocking until data arrives.
 func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
-	for len(rf.fabricQ[i]) == 0 {
-		rf.fabricCond[i].Wait(t)
+	r := &rf.regs[i]
+	for len(r.fabricQ) == 0 {
+		r.fabricCond.Wait(t)
 	}
-	v := rf.fabricQ[i][0]
-	rf.fabricQ[i] = rf.fabricQ[i][1:]
+	v := r.fabricQ[0]
+	r.fabricQ = r.fabricQ[1:]
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	if !rf.fpsoc {
 		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
@@ -420,11 +408,12 @@ func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
 
 // TryPopFPGA pops without blocking.
 func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
-	if len(rf.fabricQ[i]) == 0 {
+	r := &rf.regs[i]
+	if len(r.fabricQ) == 0 {
 		return 0, false
 	}
-	v := rf.fabricQ[i][0]
-	rf.fabricQ[i] = rf.fabricQ[i][1:]
+	v := r.fabricQ[0]
+	r.fabricQ = r.fabricQ[1:]
 	if !rf.fpsoc {
 		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
@@ -433,58 +422,57 @@ func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
 
 // PushCPU pushes into CPU-bound FIFO i, blocking on credits.
 func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
+	r := &rf.regs[i]
 	if rf.fpsoc {
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		if w := rf.slowWait[i]; len(w) > 0 {
-			rf.slowWait[i] = w[1:]
+		if w := r.slowWait; len(w) > 0 {
+			r.slowWait = w[1:]
 			// The up pump resolves and clears the pending entry.
-			rf.upPush.Push(umsg{kind: uNormalResp, seq: w[0].normalSeq, val: v}, nil)
+			rf.upPush.Push(umsg{kind: uNormalResp, id: w[0].id, val: v}, nil)
 			return
 		}
-		rf.slowCPUQ[i] = append(rf.slowCPUQ[i], v)
+		r.slowCPUQ = append(r.slowCPUQ, v)
 		return
 	}
-	for rf.cpuCredit[i] <= 0 {
+	for r.cpuCredit <= 0 {
 		rf.creditCond.Wait(t)
 	}
-	rf.cpuCredit[i]--
+	r.cpuCredit--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	rf.upPush.Push(umsg{kind: uCPUPush, reg: i, val: v}, nil)
 }
 
 // PushToken pushes a token into token FIFO i.
 func (rf *regFile) PushToken(t *sim.Thread, i int) {
+	r := &rf.regs[i]
 	if rf.fpsoc {
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		rf.slowTokens[i]++
+		r.slowTokens++
 		return
 	}
-	for rf.cpuCredit[i] <= 0 {
+	for r.cpuCredit <= 0 {
 		rf.creditCond.Wait(t)
 	}
-	rf.cpuCredit[i]--
+	r.cpuCredit--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	rf.upPush.Push(umsg{kind: uTokenPush, reg: i}, nil)
 }
 
 // Claim routes normal-register traffic on register i to the accelerator.
-func (rf *regFile) Claim(i int) { rf.claimed[i] = true }
+func (rf *regFile) Claim(i int) { rf.regs[i].claimed = true }
 
 // WaitOp blocks until a normal-register op arrives on claimed register i.
 func (rf *regFile) WaitOp(t *sim.Thread, i int) *efpga.NormalOp {
-	for len(rf.normalQ[i]) == 0 {
-		rf.normalCond[i].Wait(t)
+	r := &rf.regs[i]
+	for len(r.normalQ) == 0 {
+		r.normalCond.Wait(t)
 	}
-	op := rf.normalQ[i][0]
-	rf.normalQ[i] = rf.normalQ[i][1:]
+	op := r.normalQ[0]
+	r.normalQ = r.normalQ[1:]
 	return op
 }
 
 // Complete answers a claimed normal-register op.
 func (rf *regFile) Complete(op *efpga.NormalOp, val uint64) {
-	rf.upPush.Push(umsg{kind: uNormalResp, seq: op.Seq, val: val}, nil)
-}
-
-func (rf *regFile) String() string {
-	return fmt.Sprintf("regfile(%d regs, fpsoc=%v)", len(rf.specs), rf.fpsoc)
+	rf.upPush.Push(umsg{kind: uNormalResp, id: op.Seq, val: val}, nil)
 }

@@ -52,8 +52,9 @@ type Config struct {
 	// independent embedded FPGAs"). Defaults to 1.
 	EFPGAs int
 
-	// RegSpecs configures each adapter's soft registers. Defaults to 8
-	// normal registers when empty.
+	// RegSpecs configures each adapter's soft registers. Defaults to one
+	// normal register when empty. Each adapter builds its registers from
+	// the specs and keeps no reference to the slice.
 	RegSpecs []core.SoftRegSpec
 
 	// FPGAFreqMHz sets the initial eFPGA clock (later adjustable through
