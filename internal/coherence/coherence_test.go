@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"duet/internal/noc"
@@ -286,6 +287,34 @@ func TestWriteNoAllocateMode(t *testing.T) {
 	r.settle(t)
 	if got != 31337 {
 		t.Fatalf("WT value lost: %d", got)
+	}
+
+	// A write-through to a line another cache owns dirty invalidates the
+	// owner, merges its data at the home, and writes its bytes over it.
+	var wtAt sim.Time
+	r.eng.Go("own", func(th *sim.Thread) {
+		r.caches[0].Store(th, 0xb000, le64(7), nil)
+		r.caches[0].Store(th, 0xb008, le64(8), nil)
+	})
+	r.settle(t)
+	r.eng.Go("wt", func(th *sim.Thread) {
+		wna.Store(th, 0xb008, le64(9), nil)
+		wtAt = th.Now()
+	})
+	r.settle(t)
+	if s := r.caches[0].State(0xb000); s != StateI {
+		t.Fatalf("owner kept %s through a write-through", StateName(s))
+	}
+	var lo, hi uint64
+	var readAt sim.Time
+	r.eng.Go("read", func(th *sim.Thread) {
+		lo = Uint64At(r.caches[0].Load(th, 0xb000, 8, nil))
+		hi = Uint64At(r.caches[0].Load(th, 0xb008, 8, nil))
+		readAt = th.Now()
+	})
+	r.settle(t)
+	if got := fmt.Sprintf("%d %d %d %d", lo, hi, wtAt, readAt); got != "7 9 273000 297000" {
+		t.Fatalf("lo, hi, write-through done, read done = %s", got)
 	}
 }
 

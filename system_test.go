@@ -1,6 +1,7 @@
 package duet
 
 import (
+	"fmt"
 	"testing"
 
 	"duet/internal/coherence"
@@ -178,6 +179,52 @@ func TestTokenFIFO(t *testing.T) {
 	sys.Run()
 	if early != 0 || later1 != 1 || later2 != 1 || later3 != 0 {
 		t.Fatalf("token reads = %d,%d,%d,%d want 0,1,1,0", early, later1, later2, later3)
+	}
+}
+
+// TestFPSoCNormalFIFOOps: in FPSoC mode every soft register is a normal
+// register, and the fabric emulates the FIFO kinds' semantics: a read of
+// an FPGA-bound FIFO reports its fill, a write to a CPU-bound FIFO is
+// acknowledged and dropped, and a token read takes a token when there is
+// one.
+func TestFPSoCNormalFIFOOps(t *testing.T) {
+	sys := New(Config{Cores: 1, MemHubs: 0, Style: StyleFPSoC, RegSpecs: echoSpecs(), FPGAFreqMHz: 100})
+	bs := efpga.Synthesize(efpga.Design{Name: "tok", LUTLogic: 10, PipelineDepth: 2}, func() efpga.Accelerator {
+		return accelFunc(func(env *efpga.Env) {
+			env.Eng.Go("tok", func(th *sim.Thread) {
+				th.SleepCycles(env.Clk, 50)
+				env.Regs.PushToken(th, 4)
+			})
+		})
+	})
+	sys.Fabric.MustRegister(bs)
+	if err := sys.Fabric.Configure(bs); err != nil {
+		t.Fatal(err)
+	}
+	sys.Adapter.StartAccelerator()
+	var vals []uint64
+	var ats []sim.Time
+	sys.Cores[0].Run("host", func(p cpu.Proc) {
+		rd := func(reg int) {
+			vals = append(vals, p.MMIORead64(SoftRegAddr(reg)))
+			ats = append(ats, p.Now())
+		}
+		rd(4) // no token yet
+		p.MMIOWrite64(SoftRegAddr(0), 5)
+		p.MMIOWrite64(SoftRegAddr(0), 6)
+		rd(0) // two entries queued, nothing pops them
+		p.MMIOWrite64(SoftRegAddr(1), 7)
+		ats = append(ats, p.Now())
+		p.Exec(2000)
+		rd(4) // the token has landed
+		rd(4) // and is gone
+	})
+	if _, err := sys.RunChecked(); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprint(vals, ats)
+	if want := "[0 2 1 0] [77.000ns 317.000ns 397.000ns 2.477us 2.557us]"; got != want {
+		t.Fatalf("values, times = %s, want %s", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package duet
 
 import (
+	"fmt"
 	"testing"
 
 	"duet/internal/core"
@@ -113,5 +114,44 @@ func TestNewCopiesRegSpecs(t *testing.T) {
 	sys.Run()
 	if got != 42 {
 		t.Fatalf("plain register read back %#x after the spec slice was edited, want 42", got)
+	}
+}
+
+// A normal-register reply that arrives after its op's watchdog fired is
+// dropped by the Control Hub: the read already returned 0xdead, and the
+// register answers the next read normally.
+func TestWatchdogDropsLateNormalReply(t *testing.T) {
+	sys := New(Config{Cores: 1, MemHubs: 0, Style: StyleDuet, RegSpecs: echoSpecs()})
+	const normalReg = 3
+	bs := efpga.Synthesize(efpga.Design{Name: "late", LUTLogic: 10, PipelineDepth: 2}, func() efpga.Accelerator {
+		return accelFunc(func(env *efpga.Env) {
+			env.Regs.Claim(normalReg)
+			env.Eng.Go("late", func(th *sim.Thread) {
+				op := env.Regs.WaitOp(th, normalReg)
+				th.Sleep(10 * sim.US) // past the 5us watchdog
+				env.Regs.Complete(op, 1)
+				env.Regs.Complete(env.Regs.WaitOp(th, normalReg), 2)
+			})
+		})
+	})
+	sys.Fabric.MustRegister(bs)
+	if err := sys.Fabric.Configure(bs); err != nil {
+		t.Fatal(err)
+	}
+	sys.Adapter.StartAccelerator()
+	var first, second uint64
+	var firstAt, secondAt sim.Time
+	sys.Cores[0].Run("host", func(p cpu.Proc) {
+		p.MMIOWrite64(MgrRegAddr(core.RegTimeout), 5000)
+		first = p.MMIORead64(SoftRegAddr(normalReg))
+		firstAt = p.Now()
+		p.Exec(20000) // the late reply lands meanwhile
+		second = p.MMIORead64(SoftRegAddr(normalReg))
+		secondAt = p.Now()
+	})
+	end := sys.Run()
+	got := fmt.Sprintf("%#x %d %d %d %d %d", first, firstAt, second, secondAt, end, sys.Adapter.Timeouts)
+	if want := "0xdead 5025000 2 25107000 30032000 1"; got != want {
+		t.Fatalf("first, at, second, at, end, timeouts = %s, want %s", got, want)
 	}
 }
