@@ -13,7 +13,10 @@
 //
 // Fifo and Pusher are generic over the element type, so a small message
 // crosses by value: pushing it boxes nothing and allocates nothing once the
-// ring is built.
+// ring is built. The reading side is hardware too: a pure pump consumes
+// through Drain, and a consumer that spends time per entry is a callback
+// state machine built on TryPop and AwaitNotEmpty. Neither needs a
+// simulation thread.
 package cdc
 
 import (
@@ -48,6 +51,10 @@ type Fifo[T any] struct {
 
 	notEmpty *sim.Cond // signalled when an entry may have become poppable
 	notFull  *sim.Cond // signalled when space may have become available
+
+	// The Drain consumer and its pre-built wake record.
+	drainFn func(T, *sim.TX)
+	drainEv sim.Event
 
 	// Pushed counts total entries ever pushed; Popped total ever popped.
 	Pushed, Popped uint64
@@ -158,12 +165,33 @@ func (f *Fifo[T]) gcPendingFree(now sim.Time) {
 	f.pendingFree = keep
 }
 
-// PopBlocking pops the head entry, parking thread t until one is visible.
-func (f *Fifo[T]) PopBlocking(t *sim.Thread) (T, *sim.TX) {
+// AwaitNotEmpty registers ev to run when an entry may have become
+// poppable: the wait of a consumer state machine whose TryPop found
+// nothing. Like sim.Cond.Await it is one-shot, and the woken consumer
+// re-tests with TryPop.
+func (f *Fifo[T]) AwaitNotEmpty(ev *sim.Event) { f.notEmpty.Await(ev) }
+
+// Drain makes fn the FIFO's consumer, from an event at the current
+// instant on: fn gets every entry, in order, at the first reader edge it
+// is poppable, and spends no simulated time of its own — a pure pump.
+// This is the callback form of a thread that loops on a blocking pop: it
+// pops at the same instants and in the same event order, without a
+// coroutine. A FIFO has one consumer: Drain it once and pop it nowhere
+// else.
+func (f *Fifo[T]) Drain(fn func(T, *sim.TX)) {
+	f.drainFn = fn
+	f.drainEv = sim.Event{Fn: callDrain, Arg: f}
+	f.eng.AtEvent(f.eng.Now(), &f.drainEv)
+}
+
+// drain hands fn every poppable entry, then waits for the next.
+func (f *Fifo[T]) drain() {
 	for {
-		if v, tx, ok := f.TryPop(); ok {
-			return v, tx
+		v, tx, ok := f.TryPop()
+		if !ok {
+			break
 		}
-		f.notEmpty.Wait(t)
+		f.drainFn(v, tx)
 	}
+	f.notEmpty.Await(&f.drainEv)
 }

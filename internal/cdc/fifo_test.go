@@ -1,6 +1,7 @@
 package cdc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +207,44 @@ func TestFifoProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFifoDrainMatchesBlockingPop: a Drain consumer pops every entry at
+// the instant, and in the order, a thread looping on a blocking pop
+// would, under backpressure and across both crossing directions.
+func TestFifoDrainMatchesBlockingPop(t *testing.T) {
+	type pop struct {
+		v  int
+		at sim.Time
+	}
+	run := func(drain bool, wclk, rclk *sim.Clock) []pop {
+		eng := sim.NewEngine()
+		f := NewFifo[int](eng, "drain", wclk, rclk, 2, 2)
+		p := NewPusher(eng, f)
+		var got []pop
+		if drain {
+			f.Drain(func(v int, _ *sim.TX) { got = append(got, pop{v, eng.Now()}) })
+		} else {
+			eng.Go("reader", func(th *sim.Thread) {
+				for {
+					v, _ := f.PopBlocking(th)
+					got = append(got, pop{v, th.Now()})
+				}
+			})
+		}
+		for i := 0; i < 12; i++ {
+			eng.At(sim.Time(i/3)*7000, func() { p.Push(i, nil) })
+		}
+		eng.Run(0)
+		eng.Close()
+		return got
+	}
+	fast, slow := clocks()
+	for _, dir := range [][2]*sim.Clock{{fast, slow}, {slow, fast}} {
+		want, got := run(false, dir[0], dir[1]), run(true, dir[0], dir[1])
+		if len(want) != 12 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s->%s: Drain popped %v, a blocking reader %v", dir[0].Name, dir[1].Name, got, want)
+		}
 	}
 }

@@ -20,14 +20,15 @@ type queued[T any] struct {
 	tx      *sim.TX
 }
 
-// drainPusher is the trampoline behind every pusher's retry events. It is
-// not generic, so no pusher builds a closure for it.
-func drainPusher(a any) { a.(interface{ drain() }).drain() }
+// callDrain is the trampoline behind every pusher's retry events and
+// every Drain consumer's wakeups. It is not generic, so no pusher or FIFO
+// builds a closure for it.
+func callDrain(a any) { a.(interface{ drain() }).drain() }
 
 // NewPusher returns an ordered pusher for f.
 func NewPusher[T any](eng *sim.Engine, f *Fifo[T]) *Pusher[T] {
 	p := &Pusher[T]{eng: eng, f: f}
-	p.drainEv = sim.Event{Fn: drainPusher, Arg: p}
+	p.drainEv = sim.Event{Fn: callDrain, Arg: p}
 	return p
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"duet/internal/cache"
-	"duet/internal/mem"
 )
 
 // CheckCoherence validates the single-writer/multiple-reader invariants
@@ -19,67 +18,22 @@ import (
 //     (it is the authoritative value).
 //
 // It must only be called when Domain.Quiet() is true.
+//
+// It checks each cache's valid ways against the other caches and the
+// line's home directly, so a check allocates nothing per line.
 func CheckCoherence(d *Domain) error {
 	if !d.Quiet() {
 		return fmt.Errorf("coherence: checker invoked while transactions are in flight")
 	}
-	type copyInfo struct {
-		owners  []int
-		sharers []int
-	}
-	seen := make(map[uint64]*copyInfo)
-	lineData := make(map[uint64]map[int]mem.Line)
-
+	var err error
 	for _, c := range d.caches {
-		c := c
 		c.arr.ForEach(func(w *cache.Way) {
-			ci := seen[w.Tag]
-			if ci == nil {
-				ci = &copyInfo{}
-				seen[w.Tag] = ci
-				lineData[w.Tag] = make(map[int]mem.Line)
+			if err == nil {
+				err = d.checkCopy(c, w)
 			}
-			switch w.State {
-			case StateM, StateE:
-				ci.owners = append(ci.owners, c.ID())
-			case StateS:
-				ci.sharers = append(ci.sharers, c.ID())
-			default:
-				// StateI lines are invalid and never stored valid.
-			}
-			lineData[w.Tag][c.ID()] = w.Data
 		})
-	}
-
-	for line, ci := range seen {
-		if len(ci.owners) > 1 {
-			return fmt.Errorf("line %#x: multiple owners %v", line, ci.owners)
-		}
-		if len(ci.owners) == 1 && len(ci.sharers) > 0 {
-			return fmt.Errorf("line %#x: owner %d coexists with sharers %v", line, ci.owners[0], ci.sharers)
-		}
-		h := d.HomeFor(line)
-		_, owner, sharers := h.SnapshotLine(line)
-		dirSharers := make(map[int]bool)
-		for _, s := range sharers {
-			dirSharers[s] = true
-		}
-		if len(ci.owners) == 1 {
-			if owner != ci.owners[0] {
-				return fmt.Errorf("line %#x: cache %d holds M/E but directory owner is %d", line, ci.owners[0], owner)
-			}
-		}
-		for _, s := range ci.sharers {
-			if !dirSharers[s] {
-				return fmt.Errorf("line %#x: cache %d holds S but directory sharers are %v", line, s, sharers)
-			}
-		}
-		// S copies must match the home's data.
-		homeData, _, _ := h.SnapshotLine(line)
-		for _, s := range ci.sharers {
-			if lineData[line][s] != homeData {
-				return fmt.Errorf("line %#x: sharer %d data diverges from home", line, s)
-			}
+		if err != nil {
+			return err
 		}
 	}
 
@@ -104,6 +58,48 @@ func CheckCoherence(d *Domain) error {
 					return fmt.Errorf("line %#x: directory sharer %d holds %s", line, id, StateName(s))
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkCopy checks c's valid copy w against the other caches (invariant
+// 1), the directory (invariant 2) and, for an S copy, the home's data
+// (invariant 4).
+func (d *Domain) checkCopy(c *PCache, w *cache.Way) error {
+	line := w.Tag
+	h := d.HomeFor(line)
+	de := h.dir[line]
+	switch w.State {
+	case StateM, StateE:
+		for _, o := range d.caches {
+			if o == c {
+				continue
+			}
+			switch o.State(line) {
+			case StateM, StateE:
+				return fmt.Errorf("line %#x: multiple owners %v", line, []int{c.ID(), o.ID()})
+			case StateS:
+				return fmt.Errorf("line %#x: owner %d coexists with sharers %v", line, c.ID(), []int{o.ID()})
+			}
+		}
+		if de == nil || de.owner != c.ID() {
+			owner := -1
+			if de != nil {
+				owner = de.owner
+			}
+			return fmt.Errorf("line %#x: cache %d holds M/E but directory owner is %d", line, c.ID(), owner)
+		}
+	case StateS:
+		if de == nil || !de.isSharer(c.ID()) {
+			var sharers []int
+			if de != nil {
+				sharers = de.sharers
+			}
+			return fmt.Errorf("line %#x: cache %d holds S but directory sharers are %v", line, c.ID(), sharers)
+		}
+		if w.Data != h.lineData(line) {
+			return fmt.Errorf("line %#x: sharer %d data diverges from home", line, c.ID())
 		}
 	}
 	return nil

@@ -55,3 +55,24 @@ func TestCheckCoherenceCatchesViolations(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckCoherenceAllocatesNothing: the checker reads each copy against
+// the directory in place, with no per-line bookkeeping.
+func TestCheckCoherenceAllocatesNothing(t *testing.T) {
+	r := newRig(t, 4)
+	r.eng.Go("fill", func(th *sim.Thread) {
+		for i := uint64(0); i < 64; i++ {
+			r.caches[i%4].Store(th, 0x10000+i*16, le64(i), nil)
+			r.caches[(i+1)%4].Load(th, 0x20000+i*16, 8, nil)
+			r.caches[(i+2)%4].Load(th, 0x20000+i*16, 8, nil)
+		}
+	})
+	r.settle(t)
+	if n := testing.AllocsPerRun(5, func() {
+		if err := CheckCoherence(r.dom); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("CheckCoherence allocates %v objects per call, want 0", n)
+	}
+}

@@ -140,8 +140,7 @@ func (d *Domain) DebugReadLine(line uint64) mem.Line {
 			return data
 		}
 	}
-	data, _, _ := d.HomeFor(line).SnapshotLine(line)
-	return data
+	return d.HomeFor(line).lineData(line)
 }
 
 // Quiet reports whether no coherence activity is in flight anywhere.
@@ -182,20 +181,18 @@ func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.
 	}
 	b.inPush = cdc.NewPusher(eng, b.in)
 	b.outPush = cdc.NewPusher(eng, b.out)
-	eng.Go(fmt.Sprintf("bridge%d.inpump", tile), func(t *sim.Thread) {
-		for {
-			v, tx := b.in.PopBlocking(t)
-			deliver(b.cache, v, tx)
-		}
-	})
-	eng.Go(fmt.Sprintf("bridge%d.outpump", tile), func(t *sim.Thread) {
-		for {
-			m, tx := b.out.PopBlocking(t)
-			m.TX = tx
-			b.mesh.Send(m)
-		}
-	})
+	b.in.Drain(b.toCache)
+	b.out.Drain(b.toMesh)
 	return b
+}
+
+// toCache hands an inbound message to the cache once it has crossed.
+func (b *cdcBridge) toCache(v any, tx *sim.TX) { deliver(b.cache, v, tx) }
+
+// toMesh injects an outbound message once it has crossed.
+func (b *cdcBridge) toMesh(m *noc.Msg, tx *sim.TX) {
+	m.TX = tx
+	b.mesh.Send(m)
 }
 
 // receiveFromNoC enqueues an inbound VN2 message toward the slow domain,

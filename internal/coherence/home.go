@@ -64,28 +64,76 @@ func (d *dirEntry) appendSharers(dst []int, skip int) []int {
 // lineCtx serializes home-side work per line. A line has one only while
 // it has work in flight: an idle context goes back to the home's free list
 // (Home.idle), so contexts are per busy line, not per line ever touched.
+//
+// The line's transactions run as a callback state machine, one phase per
+// wait point of the home's RTL flow (see phase); the context holds the
+// transaction in flight and the state its phases hand on.
 type lineCtx struct {
+	home *Home
 	line uint64
 	busy bool
 	jobs []homeJob // queued requests; jobs[head:] are still to run
 	head int
 
-	// The context's serial worker: one thread record and one function,
-	// restarted for every busy period (sim.Engine.Respawn).
-	worker *sim.Thread
-	work   func(*sim.Thread)
+	// The transaction in flight: its request, the phase its wake resumes,
+	// and the line's one pre-built wake record.
+	req  *ReqMsg
+	tx   *sim.TX
+	next phase
+	wake sim.Event
 
-	// Ack collection for the flow currently holding the line's thread.
+	way   *cache.Way // the line's resident L3 way
+	dir   *dirEntry  // and its directory entry
+	owner int        // a forwarded load's previous owner
+	resp  *RespMsg   // an AMO's response, built before its last charge
+
+	// ensureResident's L3 fill: the way to fill, the context of the
+	// victim line being evicted from it, whether the line's data has
+	// been fetched, and the phase to go on with.
+	victim   *cache.Way
+	evictee  *lineCtx
+	fetched  bool
+	resident phase
+
+	// An ack wait: the context collecting the acks (this line's, or an
+	// evictee's), how many, and the phase to go on with.
+	ackCtx    *lineCtx
+	needAcks  int
+	afterAcks phase
+
+	// Ack collection for the flow currently holding the line.
 	acks    []*AckMsg
 	ackCond *sim.Cond
 }
 
 func (c *lineCtx) queued() bool { return c.head < len(c.jobs) }
 
-// homeJob is one queued request for a line's serial worker. Jobs are value
+// A phase is one step of a line's transaction between two waits. It runs
+// when the previous wait ends and returns the phase to run next at once,
+// or nil once it has queued its own continuation: a timed wake (until) or
+// an ack wait (awaitAcks). A continuation is queued exactly where the
+// flow waits — a timed wake at its instant, an ack wait re-registered
+// after every wake — so the phases keep the event order of the
+// straight-line flow.
+type phase func(h *Home, c *lineCtx) phase
+
+// resumeLine is the trampoline behind every line's wake events.
+func resumeLine(a any) {
+	c := a.(*lineCtx)
+	c.home.run(c, c.next)
+}
+
+// run runs c's phases from p until one waits.
+func (h *Home) run(c *lineCtx, p phase) {
+	for p != nil {
+		p = p(h, c)
+	}
+}
+
+// homeJob is one queued request for a line's transactions. Jobs are value
 // records rather than closures. The request is on loan from the domain's
-// message pool: the worker returns it there as soon as process has run
-// its transaction, so no job may keep req past that point (see msgPool).
+// message pool: the line returns it there as soon as its transaction has
+// run, so no job may keep req past that point (see msgPool).
 type homeJob struct {
 	req *ReqMsg
 	tx  *sim.TX
@@ -100,7 +148,6 @@ type Home struct {
 	clk  *sim.Clock
 	mesh *noc.Mesh
 	tile int
-	name string // worker-thread name, built once (not per transaction)
 
 	dram *mem.Memory
 	arr  *cache.Array
@@ -113,8 +160,8 @@ type Home struct {
 	freeDir []*dirEntry // entries of lines evicted from the shard
 
 	// targets lists the caches an invalidation round goes to. Every
-	// line's worker shares it: it is filled and consumed (invalidate)
-	// before the worker can block.
+	// line shares it: it is filled and consumed (invalidate) within one
+	// phase.
 	targets []int
 
 	// cacheTile maps cache IDs to their NoC tiles for forwards.
@@ -132,7 +179,6 @@ func newHome(eng *sim.Engine, clk *sim.Clock, mesh *noc.Mesh, tile int, dram *me
 		clk:       clk,
 		mesh:      mesh,
 		tile:      tile,
-		name:      fmt.Sprintf("home%d", tile),
 		dram:      dram,
 		arr:       cache.NewArray(params.L3ShardBytes, params.L3Ways),
 		dir:       make(map[uint64]*dirEntry),
@@ -155,8 +201,8 @@ func (h *Home) ctx(line uint64) *lineCtx {
 			c = h.freeCtx[n-1]
 			h.freeCtx = h.freeCtx[:n-1]
 		} else {
-			c = &lineCtx{ackCond: sim.NewCond(h.eng)}
-			c.work = func(t *sim.Thread) { h.work(t, c) }
+			c = &lineCtx{home: h, ackCond: sim.NewCond(h.eng)}
+			c.wake = sim.Event{Fn: resumeLine, Arg: c}
 		}
 		c.line = line
 		h.ctxs[line] = c
@@ -164,49 +210,55 @@ func (h *Home) ctx(line uint64) *lineCtx {
 	return c
 }
 
-// idle releases an idle line's context: no job queued or running and no
-// ack outstanding. Its worker thread must be finished or about to finish
-// without running anything else first.
+// idle releases an idle line's context: no job queued or running, no ack
+// outstanding and no wake pending.
 func (h *Home) idle(c *lineCtx) {
 	c.busy = false
 	delete(h.ctxs, c.line)
 	h.freeCtx = append(h.freeCtx, c)
 }
 
-// enqueue adds a request to the line's serial queue, starting a worker
-// thread if none is active.
+// enqueue adds a request to the line's serial queue, starting the line's
+// transactions if none is active.
 func (h *Home) enqueue(line uint64, job homeJob) {
 	c := h.ctx(line)
 	c.jobs = append(c.jobs, job)
 	if !c.busy {
 		c.busy = true
-		h.startWorker(c)
+		h.start(c)
 	}
 }
 
-func (h *Home) startWorker(c *lineCtx) {
-	if c.worker == nil {
-		c.worker = h.eng.Go(h.name, c.work)
-	} else {
-		h.eng.Respawn(c.worker, c.work)
-	}
+// start runs c's queued requests from an event at the current instant.
+func (h *Home) start(c *lineCtx) {
+	c.next = (*Home).nextJob
+	h.eng.AtEvent(h.eng.Now(), &c.wake)
 }
 
-// work runs the line's queued requests to completion, returning each
-// request to the pool once processed.
-func (h *Home) work(t *sim.Thread, c *lineCtx) {
-	for c.queued() {
-		j := c.jobs[c.head]
-		c.jobs[c.head] = homeJob{}
-		c.head++
-		h.process(t, j.req, j.tx)
-		h.pool.reqs.Put(j.req)
+// nextJob starts the line's next queued request, or releases the line
+// once none is left.
+func (h *Home) nextJob(c *lineCtx) phase {
+	if !c.queued() {
+		c.jobs, c.head = c.jobs[:0], 0
+		if len(c.acks) > 0 {
+			panic("home: unconsumed acks at line quiesce")
+		}
+		h.idle(c)
+		return nil
 	}
-	c.jobs, c.head = c.jobs[:0], 0
-	if len(c.acks) > 0 {
-		panic("home: unconsumed acks at line quiesce")
-	}
-	h.idle(c) // last: the thread ends right after
+	j := c.jobs[c.head]
+	c.jobs[c.head] = homeJob{}
+	c.head++
+	c.req, c.tx = j.req, j.tx
+	return h.charge(c, params.DirLookupCycles, (*Home).dispatch)
+}
+
+// done ends the transaction, returning its request to the pool, and goes
+// on with the line's next one.
+func (h *Home) done(c *lineCtx) phase {
+	h.pool.reqs.Put(c.req)
+	c.req, c.tx, c.way, c.dir = nil, nil, nil, nil
+	return (*Home).nextJob
 }
 
 func (h *Home) onReq(m *noc.Msg) {
@@ -222,31 +274,53 @@ func (h *Home) onAck(m *noc.Msg) {
 	c.ackCond.Broadcast()
 }
 
-// charge advances the worker thread n fast cycles and attributes them.
-func (h *Home) charge(t *sim.Thread, tx *sim.TX, n int64) {
-	before := h.eng.Now()
-	t.SleepCycles(h.clk, n)
-	tx.Add(sim.CatFast, h.eng.Now()-before)
+// until continues c's transaction at tm with next: in place when the
+// engine runs on to tm, else from c's wake event.
+func (h *Home) until(c *lineCtx, tm sim.Time, next phase) phase {
+	if h.eng.RunOn(tm) {
+		return next
+	}
+	c.next = next
+	h.eng.AtEvent(tm, &c.wake)
+	return nil
 }
 
-// collectAcks waits until n acks for line have arrived and returns them.
-// The acks stay the line's until the caller, having read them, hands them
+// charge spends n fast cycles of home logic on c's transaction,
+// attributes them, and continues with next.
+func (h *Home) charge(c *lineCtx, n int64, next phase) phase {
+	now := h.eng.Now()
+	tm := h.clk.EdgesAfter(now, n)
+	c.tx.Add(sim.CatFast, tm-now)
+	return h.until(c, tm, next)
+}
+
+// awaitAcks continues c's transaction with next once n acks (n may be
+// 0) have arrived at ac (c itself, or the context of a line c evicts).
+// The acks stay ac's until the transaction, having read them, hands them
 // back with releaseAcks; the slice is reused for the line's next round.
-func (h *Home) collectAcks(t *sim.Thread, line uint64, n int) []*AckMsg {
-	c := h.ctx(line)
-	for len(c.acks) < n {
-		c.ackCond.Wait(t)
-	}
-	if len(c.acks) != n {
-		panic(fmt.Sprintf("home: expected %d acks, got %d", n, len(c.acks)))
-	}
-	return c.acks
+func (h *Home) awaitAcks(c, ac *lineCtx, n int, next phase) phase {
+	c.ackCtx, c.needAcks, c.afterAcks = ac, n, next
+	return (*Home).acksIn
 }
 
-// releaseAcks returns line's collected acks to the domain's pool. It is
-// the ownership point for acks: call it only once nothing reads them.
-func (h *Home) releaseAcks(line uint64) {
-	c := h.ctx(line)
+// acksIn is an ack wait's test, re-run at every wake.
+func (h *Home) acksIn(c *lineCtx) phase {
+	ac := c.ackCtx
+	if len(ac.acks) < c.needAcks {
+		c.next = (*Home).acksIn
+		ac.ackCond.Await(&c.wake)
+		return nil
+	}
+	if len(ac.acks) != c.needAcks {
+		panic(fmt.Sprintf("home: expected %d acks, got %d", c.needAcks, len(ac.acks)))
+	}
+	c.ackCtx = nil
+	return c.afterAcks
+}
+
+// releaseAcks returns c's collected acks to the domain's pool. It is the
+// ownership point for acks: call it only once nothing reads them.
+func (h *Home) releaseAcks(c *lineCtx) {
 	for i, a := range c.acks {
 		h.pool.acks.Put(a)
 		c.acks[i] = nil
@@ -285,48 +359,99 @@ func (h *Home) invalidate(line uint64, tx *sim.TX) int {
 	return len(h.targets)
 }
 
-// ensureResident makes the line present in the L3 array, fetching from
+// ensureResident makes c's line present in the L3 array, fetching from
 // DRAM (and evicting an L3 victim, including back-invalidation of its
-// private copies) as needed. It returns the resident way.
-func (h *Home) ensureResident(t *sim.Thread, line uint64, tx *sim.TX) *cache.Way {
-	if w := h.arr.Lookup(line); w != nil {
-		return w
+// private copies) as needed, then continues with next with c.way and
+// c.dir set.
+func (h *Home) ensureResident(c *lineCtx, next phase) phase {
+	if w := h.arr.Lookup(c.line); w != nil {
+		c.way, c.dir = w, h.dir[c.line]
+		return next
 	}
-	// Choose a victim way whose line is not mid-transaction.
-	var victim *cache.Way
-	for {
-		victim = h.arr.Victim(line)
-		if !victim.Valid {
-			break
-		}
-		if c, ok := h.ctxs[victim.Tag]; ok && c.busy {
-			// Rare: the LRU victim is busy; wait a cycle and retry.
-			t.SleepCycles(h.clk, 1)
-			continue
-		}
-		break
+	c.resident = next
+	return (*Home).pickVictim
+}
+
+// pickVictim chooses a victim way whose line is not mid-transaction and
+// evicts its line, if any.
+func (h *Home) pickVictim(c *lineCtx) phase {
+	v := h.arr.Victim(c.line)
+	c.victim = v
+	if !v.Valid {
+		return (*Home).fetch
 	}
-	if victim.Valid {
-		// Hold the victim line busy for the duration of the eviction so a
-		// concurrent request for it cannot start a second worker.
-		vc := h.ctx(victim.Tag)
-		vc.busy = true
-		h.evictL3(t, victim, tx)
-		if vc.queued() {
-			h.startWorker(vc)
-		} else {
-			h.idle(vc)
+	if vc, ok := h.ctxs[v.Tag]; ok && vc.busy {
+		// Rare: the LRU victim is busy; wait a cycle and retry.
+		return h.until(c, h.clk.EdgesAfter(h.eng.Now(), 1), (*Home).pickVictim)
+	}
+	// Hold the victim line busy for the duration of the eviction so a
+	// concurrent request for it queues instead of starting.
+	vc := h.ctx(v.Tag)
+	vc.busy = true
+	c.evictee = vc
+	if d := h.dir[v.Tag]; d != nil && d.hasPrivateCopies() {
+		h.targets = d.appendCopies(h.targets[:0])
+		return h.awaitAcks(c, vc, h.invalidate(v.Tag, c.tx), (*Home).evicted)
+	}
+	return (*Home).evicted
+}
+
+// evicted folds the back-invalidated copies' dirty data into the victim
+// way, writes the victim line back to DRAM, drops it from the shard,
+// restarts any request that queued for it meanwhile, and fetches c's
+// line.
+func (h *Home) evicted(c *lineCtx) phase {
+	v, vc := c.victim, c.evictee
+	for _, a := range vc.acks {
+		if a.Present && a.Dirty {
+			v.Data = a.Data
+			v.Dirty = true
 		}
 	}
-	// Fetch from DRAM.
-	before := h.eng.Now()
-	t.Sleep(params.DRAMLatency)
-	tx.Add(sim.CatFast, h.eng.Now()-before)
+	h.releaseAcks(vc)
+	line := v.Tag
+	h.dram.WriteLine(line, v.Data)
+	if d := h.dir[line]; d != nil {
+		delete(h.dir, line)
+		d.owner, d.sharers = -1, d.sharers[:0]
+		h.freeDir = append(h.freeDir, d)
+	}
+	h.arr.Invalidate(v)
+	c.evictee = nil
+	if vc.queued() {
+		h.start(vc)
+	} else {
+		h.idle(vc)
+	}
+	return (*Home).fetch
+}
+
+// fetch reads c's line from DRAM.
+func (h *Home) fetch(c *lineCtx) phase {
+	if c.fetched {
+		return (*Home).install
+	}
+	c.tx.Add(sim.CatFast, params.DRAMLatency)
+	return h.until(c, h.eng.Now()+params.DRAMLatency, (*Home).install)
+}
+
+// install fills the victim way with the fetched line. A concurrent fill
+// of another line of the set may have taken the way during the fetch
+// (both picked the same invalid way): the fetched line then picks a
+// victim again.
+func (h *Home) install(c *lineCtx) phase {
+	if c.victim.Valid {
+		c.fetched = true
+		return (*Home).pickVictim
+	}
+	c.fetched = false
 	h.DRAMFills++
-	data := h.dram.ReadLine(line)
-	w := h.arr.Install(victim, line, data, 0)
-	h.dir[line] = h.newDirEntry()
-	return w
+	data := h.dram.ReadLine(c.line)
+	c.way = h.arr.Install(c.victim, c.line, data, 0)
+	c.dir = h.newDirEntry()
+	h.dir[c.line] = c.dir
+	c.victim = nil
+	return c.resident
 }
 
 // newDirEntry returns an empty directory entry, reusing one freed by an
@@ -340,128 +465,128 @@ func (h *Home) newDirEntry() *dirEntry {
 	return &dirEntry{owner: -1}
 }
 
-// evictL3 removes a victim line from the shard: invalidates all private
-// copies (collecting dirty data) and writes the final data back to DRAM.
-// Runs inline on the caller's thread; the victim line's own job queue is
-// used to serialize against concurrent transactions (caller verified the
-// line is idle).
-func (h *Home) evictL3(t *sim.Thread, victim *cache.Way, tx *sim.TX) {
-	line := victim.Tag
-	d := h.dir[line]
-	if d != nil && d.hasPrivateCopies() {
-		h.targets = d.appendCopies(h.targets[:0])
-		n := h.invalidate(line, tx)
-		for _, a := range h.collectAcks(t, line, n) {
-			if a.Present && a.Dirty {
-				victim.Data = a.Data
-				victim.Dirty = true
-			}
-		}
-		h.releaseAcks(line)
-	}
-	h.dram.WriteLine(line, victim.Data)
-	if d != nil {
-		delete(h.dir, line)
-		d.owner, d.sharers = -1, d.sharers[:0]
-		h.freeDir = append(h.freeDir, d)
-	}
-	h.arr.Invalidate(victim)
-}
-
-// process runs one request transaction to completion on the line's worker
-// thread.
-func (h *Home) process(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
-	h.charge(t, tx, params.DirLookupCycles)
-	switch req.Type {
+// dispatch runs c's request once the directory lookup is charged.
+func (h *Home) dispatch(c *lineCtx) phase {
+	switch c.req.Type {
 	case ReqLoad:
-		h.processLoad(t, req, tx)
+		return h.ensureResident(c, (*Home).load)
 	case ReqStore:
-		h.processStore(t, req, tx)
+		return h.ensureResident(c, (*Home).store)
 	case ReqWB:
-		h.processWB(t, req, tx)
+		return h.writeBack(c)
 	case ReqAmo:
-		h.processAmo(t, req, tx)
+		return h.ensureResident(c, (*Home).amo)
 	case ReqWT:
-		h.processWT(t, req, tx)
+		return h.ensureResident(c, (*Home).writeThrough)
 	default:
 		panic("home: unknown request type")
 	}
 }
 
-func (h *Home) processLoad(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
-	w := h.ensureResident(t, req.Line, tx)
-	d := h.dir[req.Line]
+// absorbDirty copies the dirty data of c's collected acks, if any, into
+// its L3 way, counting write-backs if count is set, and releases the
+// acks.
+func (h *Home) absorbDirty(c *lineCtx, count bool) {
+	for _, a := range c.acks {
+		if a.Present && a.Dirty {
+			c.way.Data = a.Data
+			if count {
+				h.Writebacks++
+			}
+		}
+	}
+	h.releaseAcks(c)
+}
+
+// load serves a load miss.
+func (h *Home) load(c *lineCtx) phase {
+	req, d := c.req, c.dir
 	if d.owner == req.CacheID || d.isSharer(req.CacheID) {
 		panic(fmt.Sprintf("home: load from cache %d already holding %#x", req.CacheID, req.Line))
 	}
 	if d.owner >= 0 {
 		// Fetch from the owner; this is the "secondary write-back" path
 		// measured in Fig. 9.
-		owner := d.owner
-		h.forward(owner, FwdDowngrade, req.Line, tx)
-		a := h.collectAcks(t, req.Line, 1)[0]
-		h.charge(t, tx, params.L3DataCycles)
-		if a.Present && a.Dirty {
-			w.Data = a.Data
-			h.Writebacks++
-		}
-		d.owner = -1
-		if a.Present && !a.FromWB {
-			d.addSharer(owner)
-		}
-		h.releaseAcks(req.Line)
-		d.addSharer(req.CacheID)
-		h.charge(t, tx, params.HomeRespCycles)
-		h.respond(req.CacheID, h.newResp(RespData, req.Line, StateS, w.Data), tx)
-		return
+		c.owner = d.owner
+		h.forward(c.owner, FwdDowngrade, req.Line, c.tx)
+		return h.awaitAcks(c, c, 1, (*Home).loadDowngraded)
 	}
-	h.charge(t, tx, params.L3DataCycles+params.HomeRespCycles)
+	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).loadGrant)
+}
+
+func (h *Home) loadDowngraded(c *lineCtx) phase {
+	return h.charge(c, params.L3DataCycles, (*Home).loadFromOwner)
+}
+
+func (h *Home) loadFromOwner(c *lineCtx) phase {
+	req, d := c.req, c.dir
+	a := c.acks[0]
+	if a.Present && a.Dirty {
+		c.way.Data = a.Data
+		h.Writebacks++
+	}
+	d.owner = -1
+	if a.Present && !a.FromWB {
+		d.addSharer(c.owner)
+	}
+	h.releaseAcks(c)
+	d.addSharer(req.CacheID)
+	return h.charge(c, params.HomeRespCycles, (*Home).loadShared)
+}
+
+func (h *Home) loadShared(c *lineCtx) phase {
+	h.respond(c.req.CacheID, h.newResp(RespData, c.line, StateS, c.way.Data), c.tx)
+	return (*Home).done
+}
+
+func (h *Home) loadGrant(c *lineCtx) phase {
+	req, d := c.req, c.dir
 	if len(d.sharers) == 0 {
 		// Sole copy: grant Exclusive.
 		d.owner = req.CacheID
-		h.respond(req.CacheID, h.newResp(RespData, req.Line, StateE, w.Data), tx)
-		return
+		h.respond(req.CacheID, h.newResp(RespData, req.Line, StateE, c.way.Data), c.tx)
+		return (*Home).done
 	}
 	d.addSharer(req.CacheID)
-	h.respond(req.CacheID, h.newResp(RespData, req.Line, StateS, w.Data), tx)
+	h.respond(req.CacheID, h.newResp(RespData, req.Line, StateS, c.way.Data), c.tx)
+	return (*Home).done
 }
 
-func (h *Home) processStore(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
-	w := h.ensureResident(t, req.Line, tx)
-	d := h.dir[req.Line]
+// store serves a store miss or upgrade: every other copy is invalidated.
+func (h *Home) store(c *lineCtx) phase {
+	req, d := c.req, c.dir
 	if d.owner == req.CacheID {
 		panic(fmt.Sprintf("home: store from owner %d for %#x", req.CacheID, req.Line))
 	}
-	// Invalidate every other copy.
 	if d.owner >= 0 {
 		h.targets = append(h.targets[:0], d.owner)
 	} else {
 		h.targets = d.appendSharers(h.targets[:0], req.CacheID)
 	}
-	if n := h.invalidate(req.Line, tx); n > 0 {
-		for _, a := range h.collectAcks(t, req.Line, n) {
-			if a.Present && a.Dirty {
-				w.Data = a.Data
-				h.Writebacks++
-			}
-		}
-		h.releaseAcks(req.Line)
-	}
-	d.owner = req.CacheID
-	d.sharers = d.sharers[:0]
-	h.charge(t, tx, params.L3DataCycles+params.HomeRespCycles)
-	h.respond(req.CacheID, h.newResp(RespData, req.Line, StateM, w.Data), tx)
+	return h.awaitAcks(c, c, h.invalidate(req.Line, c.tx), (*Home).storeGrant)
 }
 
-func (h *Home) processWB(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
+func (h *Home) storeGrant(c *lineCtx) phase {
+	h.absorbDirty(c, true)
+	c.dir.owner = c.req.CacheID
+	c.dir.sharers = c.dir.sharers[:0]
+	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).storeRespond)
+}
+
+func (h *Home) storeRespond(c *lineCtx) phase {
+	h.respond(c.req.CacheID, h.newResp(RespData, c.line, StateM, c.way.Data), c.tx)
+	return (*Home).done
+}
+
+// writeBack serves a private cache's write-back.
+func (h *Home) writeBack(c *lineCtx) phase {
+	req := c.req
 	d := h.dir[req.Line]
 	inDir := d != nil && (d.owner == req.CacheID || d.isSharer(req.CacheID))
 	if !inDir {
 		// The line was surrendered to a forward while the WB was in
 		// flight: the data already reached the home via the ack path.
-		h.charge(t, tx, params.HomeRespCycles)
-		h.respond(req.CacheID, h.newResp(RespWBStale, req.Line, 0, mem.Line{}), tx)
-		return
+		return h.charge(c, params.HomeRespCycles, (*Home).writeBackStale)
 	}
 	w := h.arr.Lookup(req.Line)
 	if w == nil {
@@ -477,64 +602,82 @@ func (h *Home) processWB(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 	} else {
 		d.removeSharer(req.CacheID)
 	}
-	h.charge(t, tx, params.L3DataCycles+params.HomeRespCycles)
-	h.respond(req.CacheID, h.newResp(RespWBAck, req.Line, 0, mem.Line{}), tx)
+	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).writeBackAck)
 }
 
-func (h *Home) processAmo(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
-	w := h.ensureResident(t, req.Line, tx)
-	d := h.dir[req.Line]
-	// Invalidate ALL private copies, including the requester's.
-	h.targets = d.appendCopies(h.targets[:0])
-	if n := h.invalidate(req.Line, tx); n > 0 {
-		for _, a := range h.collectAcks(t, req.Line, n) {
-			if a.Present && a.Dirty {
-				w.Data = a.Data
-			}
-		}
-		h.releaseAcks(req.Line)
-	}
-	d.owner = -1
-	d.sharers = d.sharers[:0]
-	// Execute the operation on the L3 copy.
-	h.charge(t, tx, params.L3DataCycles)
+func (h *Home) writeBackStale(c *lineCtx) phase {
+	h.respond(c.req.CacheID, h.newResp(RespWBStale, c.line, 0, mem.Line{}), c.tx)
+	return (*Home).done
+}
+
+func (h *Home) writeBackAck(c *lineCtx) phase {
+	h.respond(c.req.CacheID, h.newResp(RespWBAck, c.line, 0, mem.Line{}), c.tx)
+	return (*Home).done
+}
+
+// amo runs an atomic at the home: every private copy, the requester's
+// included, is invalidated first.
+func (h *Home) amo(c *lineCtx) phase {
+	h.targets = c.dir.appendCopies(h.targets[:0])
+	return h.awaitAcks(c, c, h.invalidate(c.line, c.tx), (*Home).amoExec)
+}
+
+func (h *Home) amoExec(c *lineCtx) phase {
+	h.absorbDirty(c, false)
+	c.dir.owner = -1
+	c.dir.sharers = c.dir.sharers[:0]
+	return h.charge(c, params.L3DataCycles, (*Home).amoApply)
+}
+
+// amoApply executes the operation on the L3 copy.
+func (h *Home) amoApply(c *lineCtx) phase {
+	req, w := c.req, c.way
 	off := mem.Offset(req.Addr)
 	old, updated := applyAmo(w.Data, off, req.Size, req.Op, req.Operand, req.Operand2)
 	w.Data = updated
 	w.Dirty = true
-	resp := h.newResp(RespAmo, req.Line, 0, mem.Line{})
-	binary.LittleEndian.PutUint64(resp.Old[:], old)
-	h.charge(t, tx, params.HomeRespCycles)
-	h.respond(req.CacheID, resp, tx)
+	c.resp = h.newResp(RespAmo, req.Line, 0, mem.Line{})
+	binary.LittleEndian.PutUint64(c.resp.Old[:], old)
+	return h.charge(c, params.HomeRespCycles, (*Home).amoRespond)
 }
 
-func (h *Home) processWT(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
-	w := h.ensureResident(t, req.Line, tx)
-	d := h.dir[req.Line]
-	// Invalidate every copy except the requester's S copy (which is
-	// refreshed by the WTAck payload).
+func (h *Home) amoRespond(c *lineCtx) phase {
+	h.respond(c.req.CacheID, c.resp, c.tx)
+	c.resp = nil
+	return (*Home).done
+}
+
+// writeThrough serves a write-no-allocate store: every copy except the
+// requester's S copy (refreshed by the WTAck payload) is invalidated.
+func (h *Home) writeThrough(c *lineCtx) phase {
+	req, d := c.req, c.dir
 	if d.owner >= 0 && d.owner != req.CacheID {
 		h.targets = append(h.targets[:0], d.owner)
 	} else {
 		h.targets = d.appendSharers(h.targets[:0], req.CacheID)
 	}
-	if n := h.invalidate(req.Line, tx); n > 0 {
-		for _, a := range h.collectAcks(t, req.Line, n) {
-			if a.Present && a.Dirty {
-				w.Data = a.Data
-			}
-		}
-		h.releaseAcks(req.Line)
-	}
-	if d.owner >= 0 && d.owner != req.CacheID {
+	return h.awaitAcks(c, c, h.invalidate(req.Line, c.tx), (*Home).writeThroughExec)
+}
+
+func (h *Home) writeThroughExec(c *lineCtx) phase {
+	h.absorbDirty(c, false)
+	if d := c.dir; d.owner >= 0 && d.owner != c.req.CacheID {
 		d.owner = -1
 	}
-	h.charge(t, tx, params.L3DataCycles)
+	return h.charge(c, params.L3DataCycles, (*Home).writeThroughApply)
+}
+
+func (h *Home) writeThroughApply(c *lineCtx) phase {
+	req, w := c.req, c.way
 	off := mem.Offset(req.Addr)
 	copy(w.Data[off:off+len(req.Bytes)], req.Bytes)
 	w.Dirty = true
-	h.charge(t, tx, params.HomeRespCycles)
-	h.respond(req.CacheID, h.newResp(RespWTAck, req.Line, 0, w.Data), tx)
+	return h.charge(c, params.HomeRespCycles, (*Home).writeThroughRespond)
+}
+
+func (h *Home) writeThroughRespond(c *lineCtx) phase {
+	h.respond(c.req.CacheID, h.newResp(RespWTAck, c.line, 0, c.way.Data), c.tx)
+	return (*Home).done
 }
 
 // applyAmo runs op on the size-byte little-endian value at off and
@@ -571,17 +714,21 @@ func applyAmo(line mem.Line, off, size int, op AmoOp, operand, operand2 uint64) 
 // SnapshotLine returns the home's current view of a line (L3 if resident,
 // else DRAM) plus directory state; used by tests and the checker.
 func (h *Home) SnapshotLine(line uint64) (data mem.Line, owner int, sharers []int) {
-	owner = -1
-	if w := h.arr.Peek(line); w != nil {
-		data = w.Data
-	} else {
-		data = h.dram.ReadLine(line)
-	}
+	data, owner = h.lineData(line), -1
 	if d, ok := h.dir[line]; ok {
 		owner = d.owner
 		sharers = d.appendSharers(nil, -1)
 	}
 	return data, owner, sharers
+}
+
+// lineData returns the home's copy of a line: its L3 copy if resident,
+// else DRAM's.
+func (h *Home) lineData(line uint64) mem.Line {
+	if w := h.arr.Peek(line); w != nil {
+		return w.Data
+	}
+	return h.dram.ReadLine(line)
 }
 
 // Busy reports whether any line transaction is in flight at this home.

@@ -74,3 +74,27 @@ func TestL3VictimRestartsQueuedWork(t *testing.T) {
 		t.Fatalf("evictor done, y, done, x, evictions, x's state = %s, want %s", got, want)
 	}
 }
+
+// TestL3ConcurrentFillsOfOneSet: misses to two lines of one L3 set that
+// are in flight together both pick the set's first invalid way. The
+// second fill finds it taken when its DRAM data arrives and picks a
+// victim again, evicting the first line if the set has no other way.
+func TestL3ConcurrentFillsOfOneSet(t *testing.T) {
+	// Lines 64 KB apart share a home (4 homes) and an L3 set (1024 sets).
+	const a, b = 0x100000, 0x100000 + 64*1024
+	for _, ways := range []int{params.L3Ways, 1} {
+		r := newRig(t, 2)
+		if ways == 1 {
+			r.dom.shrinkL3(1024*params.LineBytes, 1)
+		}
+		r.dom.DRAM.Write64(a, 1)
+		r.dom.DRAM.Write64(b, 2)
+		var av, bv uint64
+		r.eng.Go("a", func(th *sim.Thread) { av = Uint64At(r.caches[0].Load(th, a, 8, nil)) })
+		r.eng.Go("b", func(th *sim.Thread) { bv = Uint64At(r.caches[1].Load(th, b, 8, nil)) })
+		r.settle(t)
+		if av != 1 || bv != 2 {
+			t.Fatalf("%d-way L3: loaded %d and %d, want 1 and 2", ways, av, bv)
+		}
+	}
+}

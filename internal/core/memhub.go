@@ -43,7 +43,23 @@ type hubReq struct {
 	operand2  uint64
 	parityBad bool
 	tx        *sim.TX
+
+	// Front-end progress (MemHub.advance): the stage reached and the
+	// translation so far.
+	stage      hubStage
+	pa, vpnTag uint64
 }
+
+// hubStage is how far a request has gone through the hub's front end.
+type hubStage int
+
+const (
+	hubAdmit     hubStage = iota // not yet validated
+	hubTranslate                 // to look up in the TLB
+	hubFault                     // waiting for the kernel to resolve a TLB fault
+	hubCheck                     // translated; the feature switches are next
+	hubSlot                      // waiting for a slot in the outstanding window
+)
 
 // hubResp crosses the FPGA-bound FIFO by value.
 type hubResp struct {
@@ -90,6 +106,11 @@ type MemHub struct {
 	parityFaults int // fault injection: next n requests arrive corrupted
 
 	port *Port
+
+	// The Duet-mode front end, a callback state machine: the request in
+	// it (nil while it waits for one) and its pre-built wake record.
+	cur       *hubReq
+	serveWake sim.Event
 
 	// doneFn is the hub's one completion callback for issued accesses,
 	// called with the request as its argument.
@@ -138,11 +159,12 @@ func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
 		h.inPush = cdc.NewPusher(a.eng, h.in)
 		h.out = cdc.NewFifo[hubResp](a.eng, cfg.Name+".out", a.fastClk, a.fabric.Clock(), params.FifoDepth, a.syncStages)
 		h.outPush = cdc.NewPusher(a.eng, h.out)
-		a.eng.Go(cfg.Name+".serve", h.serve)
+		h.serveWake = sim.Event{Fn: runServe, Arg: h}
+		a.eng.AtEvent(a.eng.Now(), &h.serveWake)
 	}
 	h.port = &Port{hub: h, results: make(map[uint64]hubResp), cond: sim.NewCond(a.eng)}
 	if !a.fpsoc {
-		a.eng.Go(cfg.Name+".pump", h.port.pump)
+		h.out.Drain(h.port.pump)
 	}
 	return h
 }
@@ -168,81 +190,112 @@ func (h *MemHub) onLineLost(line, vpnTag uint64) {
 	h.outPush.Push(hubResp{kind: hrInv, pa: line, vpn: vpnTag}, nil)
 }
 
-// serve is the Duet-mode fast-domain service loop.
-func (h *MemHub) serve(t *sim.Thread) {
+// runServe is the trampoline behind the front end's wakes.
+func runServe(a any) { a.(*MemHub).serve() }
+
+// serve is the Duet-mode fast-domain service loop, run from its wake
+// record: it takes requests from the fabric in order, charges each its
+// ingress cycles and takes it through the front end (advance).
+func (h *MemHub) serve() {
+	eng := h.a.eng
 	for {
-		r, tx := h.in.PopBlocking(t)
-		before := h.a.eng.Now()
-		t.SleepCycles(h.a.fastClk, params.HubIngressCycles)
-		tx.Add(sim.CatFast, h.a.eng.Now()-before)
-		h.process(t, r)
+		if h.cur == nil {
+			r, tx, ok := h.in.TryPop()
+			if !ok {
+				h.in.AwaitNotEmpty(&h.serveWake)
+				return
+			}
+			h.cur = r
+			now := eng.Now()
+			tm := h.a.fastClk.EdgesAfter(now, params.HubIngressCycles)
+			tx.Add(sim.CatFast, tm-now)
+			if !eng.RunOn(tm) {
+				eng.AtEvent(tm, &h.serveWake)
+				return
+			}
+		}
+		if c := h.advance(h.cur); c != nil {
+			c.Await(&h.serveWake)
+			return
+		}
+		h.cur = nil
 	}
 }
 
-// process validates, translates and issues one request. It may block on a
-// TLB fault or on the outstanding-request limit; requests behind it wait
+// advance validates, translates and issues r, from the stage it reached.
+// It returns nil once r is issued or failed, and r is no longer the
+// caller's; otherwise the condition to wait on before calling it again:
+// a TLB fault or the outstanding-request limit. Requests behind r wait
 // (in-order hub front end).
-func (h *MemHub) process(t *sim.Thread, r *hubReq) {
-	if !h.enabled {
-		h.Errs++
-		h.fail(r)
-		return
-	}
-	if r.parityBad {
-		h.a.RaiseException(ErrParity)
-		h.Errs++
-		h.fail(r)
-		return
-	}
-	h.Reqs++
-	pa := r.va
-	vpnTag := uint64(0)
-	if h.virtMode {
-		vpnTag = mmu.VPN(r.va) + 1
-		for {
-			p, hit := h.tlb.Lookup(r.va)
-			if hit {
-				pa = p
-				break
+func (h *MemHub) advance(r *hubReq) *sim.Cond {
+	for {
+		switch r.stage {
+		case hubAdmit:
+			if !h.enabled {
+				return h.reject(r)
+			}
+			if r.parityBad {
+				h.a.RaiseException(ErrParity)
+				return h.reject(r)
+			}
+			h.Reqs++
+			r.pa, r.stage = r.va, hubCheck
+			if h.virtMode {
+				r.vpnTag, r.stage = mmu.VPN(r.va)+1, hubTranslate
+			}
+		case hubTranslate:
+			if p, hit := h.tlb.Lookup(r.va); hit {
+				r.pa, r.stage = p, hubCheck
+				continue
 			}
 			// Page fault: interrupt the kernel and wait (paper §II-D).
 			h.faultVA = r.va
 			h.faulting = true
 			h.a.irq.RaiseIRQ(cpu.IRQ{Cause: IRQTLBFault, Info: r.va, Source: h})
-			for h.faulting && h.enabled {
-				h.tlbCond.Wait(t)
+			r.stage = hubFault
+		case hubFault:
+			if h.faulting && h.enabled {
+				return h.tlbCond
 			}
 			if !h.enabled {
-				h.Errs++
-				h.fail(r)
-				return
+				return h.reject(r)
 			}
+			r.stage = hubTranslate
+		case hubCheck:
+			if r.kind == hkAmo && !h.atomics {
+				return h.reject(r)
+			}
+			r.stage = hubSlot
+		case hubSlot:
+			if h.outstanding >= h.maxOutstanding {
+				return h.slotCond
+			}
+			h.outstanding++
+			h.issue(r)
+			return nil
 		}
 	}
-	if r.kind == hkAmo && !h.atomics {
-		h.Errs++
-		h.fail(r)
-		return
-	}
-	for h.outstanding >= h.maxOutstanding {
-		h.slotCond.Wait(t)
-	}
-	h.outstanding++
-	h.issue(r, pa, vpnTag)
 }
 
-func (h *MemHub) issue(r *hubReq, pa, vpnTag uint64) {
-	tx := r.tx
+// reject fails r as an error of the hub's.
+func (h *MemHub) reject(r *hubReq) *sim.Cond {
+	h.Errs++
+	h.fail(r)
+	return nil
+}
+
+// issue sends r, translated, to the Proxy Cache.
+func (h *MemHub) issue(r *hubReq) {
 	switch r.kind {
 	case hkLoad:
 		h.Loads++
-		h.proxy.LoadAsync(pa, r.size, vpnTag, tx, h.doneFn, r)
+		h.proxy.LoadAsync(r.pa, r.size, r.vpnTag, r.tx, h.doneFn, r)
 	case hkStore:
 		h.Stores++
-		h.proxy.StoreAsync(pa, r.data, vpnTag, tx, h.doneFn, r)
+		h.proxy.StoreAsync(r.pa, r.data, r.vpnTag, r.tx, h.doneFn, r)
 	case hkAmo:
 		h.Amos++
-		h.proxy.AmoAsync(coherence.AmoOp(r.amoOp), pa, r.size, r.operand, r.operand2, tx, h.doneFn, r)
+		h.proxy.AmoAsync(coherence.AmoOp(r.amoOp), r.pa, r.size, r.operand, r.operand2, r.tx, h.doneFn, r)
 	}
 }
 
@@ -343,14 +396,10 @@ func (p *Port) TagNext(tx *sim.TX) { p.pendingTX = tx }
 
 var _ efpga.MemIntf = (*Port)(nil)
 
-// pump drains hub responses into the fabric domain in stream order
-// (Duet mode only; FPSoC delivers directly).
-func (p *Port) pump(t *sim.Thread) {
-	for {
-		r, _ := p.hub.out.PopBlocking(t)
-		p.deliver(r)
-	}
-}
+// pump delivers hub responses into the fabric domain in stream order:
+// the out FIFO's Drain consumer (Duet mode only; FPSoC delivers
+// directly).
+func (p *Port) pump(r hubResp, _ *sim.TX) { p.deliver(r) }
 
 func (p *Port) deliver(r hubResp) {
 	if r.kind == hrInv {
@@ -387,7 +436,9 @@ func (p *Port) send(t *sim.Thread, r *hubReq) uint64 {
 	if p.hub.a.fpsoc {
 		// Direct slow-domain path: translation and cache access run on
 		// the caller's thread.
-		p.hub.process(t, r)
+		for c := p.hub.advance(r); c != nil; c = p.hub.advance(r) {
+			c.Wait(t)
+		}
 		return seq
 	}
 	p.hub.inPush.Push(r, r.tx)

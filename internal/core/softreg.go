@@ -120,7 +120,23 @@ type regFile struct {
 	downPush *cdc.Pusher[dmsg]
 	up       *cdc.Fifo[umsg]
 	upPush   *cdc.Pusher[umsg]
+
+	// The fabric engine, a callback state machine: the step it is at,
+	// the message it is retiring and its pre-built wake record.
+	engStep engStep
+	engMsg  dmsg
+	engTX   *sim.TX
+	engWake sim.Event
 }
+
+// engStep is a fabric engine state: what its next wake does.
+type engStep int
+
+const (
+	engPop    engStep = iota // take the next fabric-bound message
+	engRetire                // the message's slow cycle has passed
+	engNormal                // a normal-register op's access has passed
+)
 
 // newRegFile builds the registers specs describes; it reads specs and
 // keeps none of it.
@@ -146,8 +162,9 @@ func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
 	rf.upPush = cdc.NewPusher(a.eng, rf.up)
 	rf.shadowFn = func(x any) { rf.shadow(x.(*inflight)) }
 
-	a.eng.Go("ctrl.fabric-engine", rf.fabricEngine)
-	a.eng.Go("ctrl.up-pump", rf.upPump)
+	rf.engWake = sim.Event{Fn: runFabricEngine, Arg: rf}
+	a.eng.AtEvent(a.eng.Now(), &rf.engWake)
+	rf.up.Drain(rf.upMsg)
 	return rf
 }
 
@@ -258,34 +275,69 @@ func (rf *regFile) forget(op *inflight) {
 // --- fabric (slow) side ---------------------------------------------------
 
 // fabricEngine is the slow-domain service loop of the Soft Register
-// Interface.
-func (rf *regFile) fabricEngine(t *sim.Thread) {
+// Interface, run from its wake record: it retires at most one
+// fabric-bound message per slow cycle (single-ported soft register
+// interface), and a normal-register op takes SoftRegCycles more.
+func (rf *regFile) fabricEngine() {
+	slow := rf.a.fabric.Clock()
 	for {
-		m, tx := rf.down.PopBlocking(t)
-		// The engine retires at most one fabric-bound message per slow
-		// cycle (single-ported soft register interface).
-		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		r := &rf.regs[m.reg]
-		switch m.kind {
-		case dPlainSync:
-			r.slowVal = m.val
-		case dFifoData:
-			r.fabricQ = append(r.fabricQ, m.val)
-			r.fabricCond.Broadcast()
-		case dCPUCredit:
-			r.cpuCredit++
-			rf.creditCond.Broadcast()
-		case dNormalOp:
-			rf.handleNormal(t, m, tx)
+		switch rf.engStep {
+		case engPop:
+			m, tx, ok := rf.down.TryPop()
+			if !ok {
+				rf.down.AwaitNotEmpty(&rf.engWake)
+				return
+			}
+			rf.engMsg, rf.engTX = m, tx
+			rf.engStep = engRetire
+			if !rf.engUntil(slow.EdgesAfter(rf.a.eng.Now(), 1)) {
+				return
+			}
+		case engRetire:
+			m := rf.engMsg
+			r := &rf.regs[m.reg]
+			rf.engStep = engPop
+			switch m.kind {
+			case dPlainSync:
+				r.slowVal = m.val
+			case dFifoData:
+				r.fabricQ = append(r.fabricQ, m.val)
+				r.fabricCond.Broadcast()
+			case dCPUCredit:
+				r.cpuCredit++
+				rf.creditCond.Broadcast()
+			case dNormalOp:
+				now := rf.a.eng.Now()
+				tm := slow.EdgesAfter(now, params.SoftRegCycles)
+				rf.engTX.Add(sim.CatSlow, tm-now)
+				rf.engStep = engNormal
+				if !rf.engUntil(tm) {
+					return
+				}
+			}
+		case engNormal:
+			rf.handleNormal(rf.engMsg, rf.engTX)
+			rf.engStep = engPop
 		}
 	}
 }
 
-func (rf *regFile) handleNormal(t *sim.Thread, m dmsg, tx *sim.TX) {
-	before := rf.a.eng.Now()
-	t.SleepCycles(rf.a.fabric.Clock(), params.SoftRegCycles)
-	tx.Add(sim.CatSlow, rf.a.eng.Now()-before)
+// runFabricEngine is the trampoline behind the fabric engine's wakes.
+func runFabricEngine(a any) { a.(*regFile).fabricEngine() }
 
+// engUntil reports whether the fabric engine may go on in place at tm
+// (sim.Engine.RunOn); if not, it queues the engine's wake at tm.
+func (rf *regFile) engUntil(tm sim.Time) bool {
+	if rf.a.eng.RunOn(tm) {
+		return true
+	}
+	rf.a.eng.AtEvent(tm, &rf.engWake)
+	return false
+}
+
+// handleNormal answers a normal-register op once its access time has
+// passed.
+func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 	r := &rf.regs[m.reg]
 	if r.claimed {
 		r.normalQ = append(r.normalQ, &efpga.NormalOp{
@@ -342,37 +394,35 @@ func (rf *regFile) handleNormal(t *sim.Thread, m dmsg, tx *sim.TX) {
 	}
 }
 
-// upPump drains fabric→hub traffic in the fast domain.
-func (rf *regFile) upPump(t *sim.Thread) {
-	for {
-		m, _ := rf.up.PopBlocking(t)
-		r := &rf.regs[m.reg]
-		switch m.kind {
-		case uPlainSync:
-			r.fastVal = m.val
-		case uNormalResp:
-			op := rf.a.pendingNormal[m.id]
-			if op == nil || op.done {
-				continue // timed out earlier; drop
-			}
-			delete(rf.a.pendingNormal, m.id)
-			rf.a.complete(op, m.val, false)
-		case uCPUPush:
-			if w := r.readWait; len(w) > 0 {
-				r.readWait = w[1:]
-				rf.downPush.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
-				rf.a.complete(w[0], m.val, false)
-			} else {
-				r.cpuQ = append(r.cpuQ, m.val)
-			}
-		case uTokenPush:
-			r.tokens++
-		case uFPGACredit:
-			r.fpgaCredit++
-			if w := r.fpgaWait; len(w) > 0 && r.fpgaCredit > 0 {
-				r.fpgaWait = w[1:]
-				rf.pushFPGAData(w[0])
-			}
+// upMsg handles one fabric→hub message in the fast domain: the up FIFO's
+// Drain consumer.
+func (rf *regFile) upMsg(m umsg, _ *sim.TX) {
+	r := &rf.regs[m.reg]
+	switch m.kind {
+	case uPlainSync:
+		r.fastVal = m.val
+	case uNormalResp:
+		op := rf.a.pendingNormal[m.id]
+		if op == nil || op.done {
+			return // timed out earlier; drop
+		}
+		delete(rf.a.pendingNormal, m.id)
+		rf.a.complete(op, m.val, false)
+	case uCPUPush:
+		if w := r.readWait; len(w) > 0 {
+			r.readWait = w[1:]
+			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
+			rf.a.complete(w[0], m.val, false)
+		} else {
+			r.cpuQ = append(r.cpuQ, m.val)
+		}
+	case uTokenPush:
+		r.tokens++
+	case uFPGACredit:
+		r.fpgaCredit++
+		if w := r.fpgaWait; len(w) > 0 && r.fpgaCredit > 0 {
+			r.fpgaWait = w[1:]
+			rf.pushFPGAData(w[0])
 		}
 	}
 }

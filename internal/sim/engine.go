@@ -3,13 +3,18 @@
 //
 // Time is measured in integer picoseconds (Time). Components schedule
 // callbacks on an Engine; clocked components derive edge times from Clock.
-// Sequential "programs" (processor software, behavioural accelerator models)
-// run as Threads: runtime coroutines (iter.Pull) that the engine resumes one
-// at a time, which keeps the simulation fully deterministic while letting
-// benchmark code be written as ordinary straight-line Go. A resume or park
-// is a direct coroutine switch that bypasses the Go scheduler, and a panic
-// in a thread surfaces from the Run call that resumed it. Engine.Close
-// stops the threads still parked when a simulation is discarded.
+// Hardware blocks (coherence homes, the Duet Adapter's hubs, CDC pumps)
+// are callback state machines: each phase runs as an event, waits on a
+// Cond through Cond.Await, and continues at a later instant through
+// RunOn or a scheduled Event. Sequential "programs" (processor software,
+// behavioural accelerator models) run as Threads: runtime coroutines
+// (iter.Pull) that the engine resumes one at a time, which keeps the
+// simulation fully deterministic while letting benchmark code be written
+// as ordinary straight-line Go. A resume or park is a direct coroutine
+// switch that bypasses the Go scheduler, and a panic in a thread surfaces
+// from the Run call that resumed it. Engine.Close stops the threads still
+// parked when a simulation is discarded. A callback continuation costs a
+// queue event; a thread wakeup also costs two coroutine switches.
 //
 // The event queue is a calendar of per-timestamp buckets ordered by a
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule
@@ -107,7 +112,7 @@ type Engine struct {
 	now     Time
 	stopped bool
 	pending int
-	// horizon bounds Thread.WaitUntil's run-on path: a thread keeps
+	// horizon bounds the run-on path (RunOn): a thread or callback keeps
 	// running to a wakeup strictly before it. Run(0) sets Forever and
 	// RunBefore its deadline; an event budget, and the time between
 	// runs, leave it 0, which turns the path off.
@@ -246,17 +251,34 @@ func (e *Engine) step() {
 	ev.fn(ev.arg)
 }
 
-// runsOn reports whether a wakeup at tm, scheduled now, would be the next
-// event the current run pops: the run continues past tm, and no queued
-// event runs at or before tm.
-func (e *Engine) runsOn(tm Time) bool {
-	return !e.stopped && tm < e.horizon && (len(e.heap) == 0 || e.buckets[e.heap[0]].at > tm)
+// RunOn is the run-on rule, for a thread's timed wait (Thread.WaitUntil)
+// and for an event callback that must continue at tm. It reports true
+// when the caller may go on in place: tm is now, or a wakeup at tm
+// scheduled now would be the next event the current run pops (the engine
+// is not stopped, tm is before the run's bound, and nothing is queued at
+// or before tm), in which case the clock advances to tm. Otherwise the
+// caller schedules its continuation at tm itself. Either way it runs at
+// the same point of the event order; the run-on path only skips the
+// queue. A callback may take it only where its return hands control back
+// to the run loop, so nothing else runs at the advanced clock.
+func (e *Engine) RunOn(tm Time) bool {
+	if tm < e.now {
+		panic(fmt.Sprintf("sim: running on to past time %v (now %v)", tm, e.now))
+	}
+	if tm == e.now {
+		return true
+	}
+	if e.stopped || tm >= e.horizon || len(e.heap) > 0 && e.buckets[e.heap[0]].at <= tm {
+		return false
+	}
+	e.now = tm
+	return true
 }
 
 // Run executes events until the queue drains, Stop is called, or the event
 // budget maxEvents is exhausted (0 means no budget). It returns the number
-// of events executed: queue pops, so a thread wakeup taken by the run-on
-// path (see Thread.WaitUntil) does not count. Under a budget the run-on
+// of events executed: queue pops, so a continuation taken by the run-on
+// path (see RunOn) does not count. Under a budget the run-on
 // path is off, so every wakeup is a counted event.
 func (e *Engine) Run(maxEvents int) int {
 	e.stopped = false

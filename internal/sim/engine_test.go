@@ -292,43 +292,34 @@ func TestWakeOfFinishedThreadDropped(t *testing.T) {
 	}
 }
 
-// TestRespawn: a finished thread's record runs a new function exactly as
-// a fresh Go would — started at the current instant, in scheduling order
-// with the instant's other events — and respawning a live thread panics.
-func TestRespawn(t *testing.T) {
+// TestRunOnFromCallback: a callback that must continue at tm goes on in
+// place when nothing is queued at or before tm, and otherwise schedules
+// its continuation; Run counts only queue pops.
+func TestRunOnFromCallback(t *testing.T) {
 	e := NewEngine()
 	var trace []string
-	note := func(s string, th *Thread) { trace = append(trace, fmt.Sprintf("%s@%v", s, th.Now())) }
-	th := e.Go("worker", func(th *Thread) {
-		th.Sleep(10 * NS)
-		note("first", th)
-	})
-	e.At(40*NS, func() {
-		e.Respawn(th, func(th *Thread) {
-			note("second", th)
-			th.Sleep(5 * NS)
-			note("second", th)
-		})
-		e.Go("other", func(o *Thread) { note("other", o) })
-	})
-	e.Run(0)
-	want := []string{"first@10.000ns", "second@40.000ns", "other@40.000ns", "second@45.000ns"}
-	if fmt.Sprint(trace) != fmt.Sprint(want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-	if !th.Done() || e.LiveThreads() != 0 {
-		t.Fatalf("done = %v, live threads = %d", th.Done(), e.LiveThreads())
-	}
-
-	live := e.Go("live", func(th *Thread) { th.Park() })
-	e.Run(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("respawning a parked thread did not panic")
+	var ev Event
+	step := 0
+	ev.Fn = func(any) {
+		for ; step < 3; step++ {
+			trace = append(trace, fmt.Sprintf("step%d@%v", step, e.Now()))
+			if tm := e.Now() + 10*NS; !e.RunOn(tm) {
+				step++
+				e.AtEvent(tm, &ev)
+				return
+			}
 		}
-		e.Close()
-	}()
-	e.Respawn(live, func(*Thread) {})
+	}
+	e.AtEvent(0, &ev)
+	e.At(15*NS, func() { trace = append(trace, fmt.Sprintf("other@%v", e.Now())) })
+	n := e.Run(0)
+	want := []string{"step0@0ps", "step1@10.000ns", "other@15.000ns", "step2@20.000ns"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) || n != 3 {
+		t.Fatalf("trace = %v after %d pops, want %v after 3", trace, n, want)
+	}
+	if e.Now() != 30*NS {
+		t.Fatalf("clock ran on to %v, want 30ns", e.Now())
+	}
 }
 
 func TestCondBroadcastAt(t *testing.T) {

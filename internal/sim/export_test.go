@@ -8,16 +8,16 @@ func (c *Clock) EdgeAt(n int64) Time {
 // Done reports whether the thread function has returned.
 func (t *Thread) Done() bool { return t.done }
 
-// Signal wakes the oldest waiter, if any. Removal shifts the FIFO in
-// place (rather than re-slicing) so the queue's capacity is kept and the
-// wait/signal steady state allocates nothing.
+// Signal wakes the oldest waiter, thread or callback, if any. Removal
+// shifts the FIFO in place (rather than re-slicing) so the queue's
+// capacity is kept and the wait/signal steady state allocates nothing.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	t := c.waiters[0]
+	ev := c.waiters[0]
 	n := copy(c.waiters, c.waiters[1:])
 	c.waiters[n] = nil
 	c.waiters = c.waiters[:n]
-	c.eng.AtEvent(c.eng.now, &t.wake)
+	c.eng.AtEvent(c.eng.now, ev)
 }

@@ -148,19 +148,24 @@ func FuzzEventOrder(f *testing.F) {
 	})
 }
 
-// threadStep is one step of a fuzzed thread: a wait of dt, then a trace
-// record. The wait is a Sleep, or with resume a Park ended by a callback
-// that calls Resume dt from now. After the record the thread may schedule
-// a child callback child after now (child < 0: none) and may call Stop.
+// threadStep is one step of a fuzzed actor: a wait, then a trace record.
+// The wait is a sleep of dt; with resume (threads only) a Park ended by a
+// callback that calls Resume dt from now; with need > 0 a wait on the
+// program's shared Cond until need more broadcasts have happened, which
+// re-registers after each earlier (spurious) wake. After the record the
+// actor may schedule a child callback child after now (child < 0: none)
+// and may call Stop.
 type threadStep struct {
 	dt, child    Time
+	need         int
 	resume, stop bool
 }
 
-// rootCall is a callback scheduled before the first run.
+// rootCall is a callback scheduled before the first run; with bcast it
+// broadcasts the shared Cond.
 type rootCall struct {
-	at, child Time
-	stop      bool
+	at, child   Time
+	stop, bcast bool
 }
 
 // runSeg is one run call of a fuzzed program: RunBefore(deadline) when budget
@@ -170,8 +175,16 @@ type runSeg struct {
 	budget   int
 }
 
+// A program has fuzzActors actors: actors 0-2 are Threads, actors 3-5
+// callback state machines that wait through Engine.RunOn, AtEvent and
+// Cond.Await.
+const (
+	fuzzActors  = 6
+	fuzzThreads = 3
+)
+
 type threadProg struct {
-	threads [][]threadStep
+	threads [][]threadStep // per actor
 	roots   []rootCall
 	segs    []runSeg
 }
@@ -191,17 +204,22 @@ const (
 	idStepChild   = 300_000
 	idInjected    = 400_000
 	idRunReturned = 500_000
+	idWake        = 600_000 // a Cond wake of an actor, spurious or not
+	idFinalBcast  = 700_000 // a broadcast that releases waiters at the end
 )
 
 func stepID(base, ti, si int) int { return base + (ti+1)*1000 + si }
 
 // decodeThreadProg reads byte pairs: the low two bits of the first byte
-// pick a root callback, a thread step, a RunBefore or a budgeted Run;
-// its other bits and the second byte give the details. Threads start at
-// time 0 and every time lands on a 50 ps grid, so thread wakeups,
+// pick a root callback, an actor step, a RunBefore or a budgeted Run;
+// its other bits and the second byte give the details. A root without a
+// child whose high nibble is set broadcasts; a step's bits 2-4 pick the
+// actor (6 and 7 fold onto threads 0 and 1), and its resume and stop bits
+// set together make it a Cond wait for one or two broadcasts. Actors
+// start at time 0 and every time lands on a 50 ps grid, so wakeups,
 // callbacks and deadlines share instants.
 func decodeThreadProg(data []byte) threadProg {
-	p := threadProg{threads: make([][]threadStep, 3)}
+	p := threadProg{threads: make([][]threadStep, fuzzActors)}
 	for i := 0; i+1 < len(data) && i < 512; i += 2 {
 		a, b := data[i], data[i+1]
 		switch a & 3 {
@@ -209,6 +227,8 @@ func decodeThreadProg(data []byte) threadProg {
 			rc := rootCall{at: Time(b) * 50, child: -1, stop: a&4 != 0}
 			if a&8 != 0 {
 				rc.child = Time(a>>4) * 50
+			} else {
+				rc.bcast = a>>4 != 0
 			}
 			p.roots = append(p.roots, rc)
 		case 1:
@@ -216,8 +236,13 @@ func decodeThreadProg(data []byte) threadProg {
 			if a&32 != 0 {
 				st.child = Time(b%4) * 50
 			}
-			ti := int(a>>2) & 7 % 3
-			p.threads[ti] = append(p.threads[ti], st)
+			ai := int(a>>2) & 7 % fuzzActors
+			if st.resume && st.stop {
+				st = threadStep{child: st.child, need: 1 + int(b%2)}
+			} else if ai >= fuzzThreads {
+				st.resume = false // only a thread can be resumed
+			}
+			p.threads[ai] = append(p.threads[ai], st)
 		case 2:
 			p.segs = append(p.segs, runSeg{deadline: Time(b) * 50})
 		case 3:
@@ -227,47 +252,97 @@ func decodeThreadProg(data []byte) threadProg {
 	return p
 }
 
-// runKernelThreads plays p on the real engine: threads with steps start
-// at time 0,
-// roots are scheduled up front, then the segments run in order, each
-// followed by a trace record of Now() (and, after a RunBefore, one
-// callback injected at Now(), the streaming submission pattern). Final
-// Run(0) calls drain the queue. It returns the trace and the return
-// values of the budgeted runs.
+// runKernelThreads plays p on the real engine: actors with steps start at
+// time 0 (threads through Go, machines through an event at 0), roots are
+// scheduled up front, then the segments run in order, each followed by a
+// trace record of Now() (and, after a RunBefore, one callback injected at
+// Now(), the streaming submission pattern). Final Run(0) calls drain the
+// queue, broadcasting the Cond whenever the queue is empty while actors
+// still wait on it. It returns the trace and the return values of the
+// budgeted runs.
 func runKernelThreads(p threadProg) ([]traceRec, []int) {
 	e := NewEngine()
+	cond := NewCond(e)
+	gen := 0 // broadcasts so far
 	var got []traceRec
 	rec := func(id int) { got = append(got, traceRec{id, e.Now()}) }
-	for ti, steps := range p.threads {
+	// body is the part of step si after its wait.
+	body := func(ai, si int, st threadStep) {
+		rec(stepID(idStep, ai, si))
+		if st.child >= 0 {
+			e.At(e.Now()+st.child, func() { rec(stepID(idStepChild, ai, si)) })
+		}
+		if st.stop {
+			e.Stop()
+		}
+	}
+	for ai, steps := range p.threads {
 		if len(steps) == 0 {
 			continue
 		}
-		e.Go("fuzz", func(t *Thread) {
-			for si, st := range steps {
-				if st.resume {
-					e.At(e.Now()+st.dt, func() {
-						rec(stepID(idResumer, ti, si))
-						t.Resume()
-					})
-					t.Park()
-				} else {
-					t.Sleep(st.dt)
+		if ai < fuzzThreads {
+			e.Go("fuzz", func(t *Thread) {
+				for si, st := range steps {
+					switch {
+					case st.need > 0:
+						for target := gen + st.need; gen < target; {
+							cond.Wait(t)
+							rec(stepID(idWake, ai, si))
+						}
+					case st.resume:
+						e.At(e.Now()+st.dt, func() {
+							rec(stepID(idResumer, ai, si))
+							t.Resume()
+						})
+						t.Park()
+					default:
+						t.Sleep(st.dt)
+					}
+					body(ai, si, st)
 				}
-				rec(stepID(idStep, ti, si))
-				if st.child >= 0 {
-					e.At(e.Now()+st.child, func() { rec(stepID(idStepChild, ti, si)) })
+			})
+			continue
+		}
+		// A callback state machine: si is the step it is at, waiting
+		// whether that step's wait has begun, target its Cond goal.
+		var ev Event
+		si, waiting, target := 0, false, 0
+		ev.Fn = func(any) {
+			for ; si < len(steps); si++ {
+				st := steps[si]
+				switch {
+				case !waiting && st.need > 0:
+					waiting, target = true, gen+st.need
+					cond.Await(&ev)
+					return
+				case !waiting:
+					if tm := e.Now() + st.dt; !e.RunOn(tm) {
+						waiting = true
+						e.AtEvent(tm, &ev)
+						return
+					}
+				case st.need > 0:
+					rec(stepID(idWake, ai, si))
+					if gen < target {
+						cond.Await(&ev)
+						return
+					}
 				}
-				if st.stop {
-					e.Stop()
-				}
+				waiting = false
+				body(ai, si, st)
 			}
-		})
+		}
+		e.AtEvent(0, &ev)
 	}
 	for i, rc := range p.roots {
 		e.At(rc.at, func() {
 			rec(i)
 			if rc.child >= 0 {
 				e.At(e.Now()+rc.child, func() { rec(idRootChild + i) })
+			}
+			if rc.bcast {
+				gen++
+				cond.Broadcast()
 			}
 			if rc.stop {
 				e.Stop()
@@ -290,7 +365,12 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 		mark()
 		e.At(e.Now(), func() { rec(idInjected + k) })
 	}
-	for e.Pending() > 0 {
+	for e.Pending() > 0 || len(cond.waiters) > 0 {
+		if e.Pending() == 0 {
+			rec(idFinalBcast + gen)
+			gen++
+			cond.Broadcast()
+		}
 		e.Run(0)
 		mark()
 	}
@@ -302,9 +382,9 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 }
 
 // runReferenceThreads plays p on the container/heap oracle, where every
-// thread wakeup, start and Resume callback is an event of its own, and
-// each run loop mirrors the kernel's documented stop, deadline and
-// budget rules.
+// wakeup, start, Resume callback and Cond wake is an event of its own, so
+// threads and machines are the same thing, and each run loop mirrors the
+// kernel's documented stop, deadline and budget rules.
 func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 	var (
 		h       refHeap
@@ -312,48 +392,71 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 		now     Time
 		stopped bool
 		got     []traceRec
+		gen     int
+		waiters []func() // the Cond's FIFO
 	)
 	rec := func(id int) { got = append(got, traceRec{id, now}) }
 	at := func(tm Time, fn func()) {
 		seq++
 		heap.Push(&h, &refEvent{at: tm, seq: seq, fn: fn})
 	}
-	// cont runs thread ti from the wait before step si up to its next
-	// queued wakeup: a zero Sleep does not wait.
-	var cont func(ti, si int)
-	cont = func(ti, si int) {
-		for steps := p.threads[ti]; si < len(steps); si++ {
+	broadcast := func() {
+		gen++
+		for _, w := range waiters {
+			at(now, w)
+		}
+		waiters = nil
+	}
+	// cont runs actor ai from the wait before step si up to its next
+	// queued wakeup: a zero sleep does not wait.
+	var cont func(ai, si int)
+	cont = func(ai, si int) {
+		for steps := p.threads[ai]; si < len(steps); si++ {
 			si, st := si, steps[si]
 			body := func() {
-				rec(stepID(idStep, ti, si))
+				rec(stepID(idStep, ai, si))
 				if st.child >= 0 {
-					at(now+st.child, func() { rec(stepID(idStepChild, ti, si)) })
+					at(now+st.child, func() { rec(stepID(idStepChild, ai, si)) })
 				}
 				if st.stop {
 					stopped = true
 				}
 			}
 			switch {
+			case st.need > 0:
+				target := gen + st.need
+				var wake func()
+				wake = func() {
+					rec(stepID(idWake, ai, si))
+					if gen < target {
+						waiters = append(waiters, wake)
+						return
+					}
+					body()
+					cont(ai, si+1)
+				}
+				waiters = append(waiters, wake)
+				return
 			case st.resume:
 				at(now+st.dt, func() {
-					rec(stepID(idResumer, ti, si))
+					rec(stepID(idResumer, ai, si))
 					body()
-					cont(ti, si+1)
+					cont(ai, si+1)
 				})
 				return
 			case st.dt > 0:
 				at(now+st.dt, func() {
 					body()
-					cont(ti, si+1)
+					cont(ai, si+1)
 				})
 				return
 			}
 			body()
 		}
 	}
-	for ti, steps := range p.threads {
+	for ai, steps := range p.threads {
 		if len(steps) > 0 {
-			at(0, func() { cont(ti, 0) })
+			at(0, func() { cont(ai, 0) })
 		}
 	}
 	for i, rc := range p.roots {
@@ -361,6 +464,9 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 			rec(i)
 			if rc.child >= 0 {
 				at(now+rc.child, func() { rec(idRootChild + i) })
+			}
+			if rc.bcast {
+				broadcast()
 			}
 			if rc.stop {
 				stopped = true
@@ -399,7 +505,11 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 		mark()
 		at(now, func() { rec(idInjected + k) })
 	}
-	for h.Len() > 0 {
+	for h.Len() > 0 || len(waiters) > 0 {
+		if h.Len() == 0 {
+			rec(idFinalBcast + gen)
+			broadcast()
+		}
 		stopped = false
 		for h.Len() > 0 && !stopped {
 			pop()
@@ -409,13 +519,16 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 	return got, counts
 }
 
-// FuzzThreadOrder mixes sleeping threads, Resume-driven threads and
-// callbacks under RunBefore deadlines, event budgets and mid-run Stop
-// calls, and requires the kernel to produce the reference's (id, Now())
-// trace, in which every thread wakeup is a queued event. It guards the
-// run-on rule of Thread.WaitUntil: a thread that keeps running past a
+// FuzzThreadOrder mixes sleeping threads, Resume-driven threads, callback
+// state machines and plain callbacks, with threads and machines waiting
+// on one Cond, under RunBefore deadlines, event budgets and mid-run Stop
+// calls. It requires the kernel to produce the reference's (id, Now())
+// trace, in which every wakeup is a queued event. It guards the run-on
+// rule (Engine.RunOn): a thread or callback that keeps running past a
 // wait must be indistinguishable from one that took the queued wakeup.
-// Budgeted runs must also pop exactly as many events as the reference.
+// It also guards the Cond's one FIFO of thread and callback waiters, with
+// a waiter re-registering after a wake that did not satisfy it. Budgeted
+// runs must also pop exactly as many events as the reference.
 func FuzzThreadOrder(f *testing.F) {
 	f.Add([]byte{1, 4, 5, 4, 9, 4, 2, 200})                 // three threads, one deadline
 	f.Add([]byte{1, 2, 0, 2, 1, 0, 1, 2, 3, 5, 1, 2})       // a sleep of 0, a tie with a root, a budget
@@ -424,6 +537,11 @@ func FuzzThreadOrder(f *testing.F) {
 	f.Add([]byte{4, 6, 1, 6, 33, 2, 1, 6, 0, 200, 3, 1})    // a stopping root at a thread's instant
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 2, 0, 2, 1, 2, 2, 2, 3}) // deadlines on the thread's wake times
 	f.Add([]byte{1, 1, 2, 1})                               // a wakeup at the deadline stays queued
+	f.Add([]byte{13, 3, 17, 0, 13, 2, 21, 4, 2, 2, 2, 6})   // machines running on past sleeps and deadlines
+	// Two threads and two machines wait on the Cond in turn, one of each
+	// for two broadcasts; broadcasting roots at 100 and 150 ps wake them
+	// in FIFO order, and the final drain releases what still waits.
+	f.Add([]byte{193, 1, 205, 0, 197, 0, 209, 1, 16, 2, 32, 3, 13, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeThreadProg(data)
 		got, gotN := runKernelThreads(p)

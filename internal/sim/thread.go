@@ -33,10 +33,10 @@ type Thread struct {
 func dispatchThread(a any) { a.(*Thread).dispatch() }
 
 // worker is a pooled coroutine, reused across finished threads so models
-// that spawn threads per transaction (e.g. the coherence homes) pay the
-// coroutine setup once. next resumes the coroutine and returns when it
-// yields; yield, called from inside it, switches back to whoever called
-// next. A switch is a direct goroutine hand-off that never passes through
+// that start threads over and over (the cores' programs, accelerator
+// kernels started per job) pay the coroutine setup once. next resumes the
+// coroutine and returns when it yields; yield, called from inside it,
+// switches back to whoever called next. A switch is a direct goroutine hand-off that never passes through
 // the Go scheduler. All pool accesses happen in simulation context — at
 // most one thread or callback runs at a time — so the pool needs no
 // locking.
@@ -83,32 +83,11 @@ func (w *worker) retire() {
 }
 
 // Go spawns fn as a new simulation thread named name. The thread begins
-// running at the current simulation time (via a scheduled event).
+// running at the current simulation time (via a scheduled event), on a
+// pooled (or new) worker.
 func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 	t := &Thread{eng: e, name: name}
 	t.wake = Event{Fn: dispatchThread, Arg: t}
-	e.start(t, fn)
-	return t
-}
-
-// Respawn runs fn on t, a finished thread of this engine, exactly as Go
-// would run it on a new one: the same worker pool and the same start
-// event at the current time. A model that restarts one serial worker per
-// resource (a coherence home's per-line worker) keeps that worker's record
-// instead of allocating one per busy period. t must have no wakeup
-// pending, which holds for a thread that only ever blocked in Sleep,
-// WaitUntil or Cond.Wait: each of those consumes its own wakeup.
-func (e *Engine) Respawn(t *Thread, fn func(*Thread)) {
-	if !t.done || t.eng != e {
-		panic(fmt.Sprintf("sim: respawn of live or foreign thread %s", t.name))
-	}
-	t.done = false
-	e.start(t, fn)
-}
-
-// start binds t to a pooled (or new) worker running fn and schedules its
-// first dispatch at the current time.
-func (e *Engine) start(t *Thread, fn func(*Thread)) {
 	var w *worker
 	if n := len(e.pool); n > 0 {
 		w = e.pool[n-1]
@@ -123,6 +102,7 @@ func (e *Engine) start(t *Thread, fn func(*Thread)) {
 	w.t, w.fn = t, fn
 	e.liveThreads++
 	e.AtEvent(e.now, &t.wake)
+	return t
 }
 
 // reapWorkers stops the idle pooled coroutines. Run calls it
@@ -218,20 +198,15 @@ func (t *Thread) Wake() {
 func (t *Thread) Now() Time { return t.eng.Now() }
 
 // WaitUntil suspends the thread until absolute time tm. When the wakeup
-// would be the next event the current run pops (the engine is not stopped,
-// tm is before the run's bound, and nothing is queued at or before tm),
-// the thread keeps running and the clock advances to tm: the run-on rule.
-// It skips two coroutine switches and changes no event's order.
+// would be the next event the current run pops, the thread keeps running
+// and the clock advances to tm: the run-on rule (Engine.RunOn). It skips
+// two coroutine switches and changes no event's order.
 func (t *Thread) WaitUntil(tm Time) {
 	e := t.eng
 	if tm < e.now {
 		panic(fmt.Sprintf("sim: thread %s waiting for past time %v (now %v)", t.name, tm, e.now))
 	}
-	if tm == e.now {
-		return
-	}
-	if e.runsOn(tm) {
-		e.now = tm
+	if e.RunOn(tm) {
 		return
 	}
 	e.AtEvent(tm, &t.wake)
@@ -256,11 +231,14 @@ func (t *Thread) AlignTo(clk *Clock) { t.WaitUntil(clk.NextEdge(t.eng.now)) }
 // A nonzero value after Run returns usually means the model deadlocked.
 func (e *Engine) LiveThreads() int { return e.liveThreads }
 
-// Cond is a wait queue for threads. Waiters are woken in FIFO order, always
-// via the event queue (never inline), at the simulation time of the signal.
+// Cond is a wait queue. Its waiters are wake records — a parked thread's
+// own, or a callback's pre-built Event — so threads and callbacks share
+// one FIFO. Waiters are woken in FIFO order, always via the event queue
+// (never inline), at the simulation time of the signal; a wake removes
+// the waiter, which must register again to wait again.
 type Cond struct {
 	eng     *Engine
-	waiters []*Thread
+	waiters []*Event
 	bcast   Event // pre-built deferred-broadcast record for BroadcastAt
 }
 
@@ -277,14 +255,22 @@ func NewCond(e *Engine) *Cond {
 // Wait suspends t until a Broadcast wakes it. As with sync.Cond,
 // callers should re-check their predicate in a loop.
 func (c *Cond) Wait(t *Thread) {
-	c.waiters = append(c.waiters, t)
+	c.waiters = append(c.waiters, &t.wake)
 	t.park()
+}
+
+// Await registers ev to run at the next Broadcast: the callback form of
+// Wait, from a state machine that returns instead of parking. The wake is
+// one-shot; a callback re-tests its predicate when it runs and calls
+// Await again if it must keep waiting.
+func (c *Cond) Await(ev *Event) {
+	c.waiters = append(c.waiters, ev)
 }
 
 // Broadcast wakes all current waiters.
 func (c *Cond) Broadcast() {
-	for _, t := range c.waiters {
-		c.eng.AtEvent(c.eng.now, &t.wake)
+	for _, ev := range c.waiters {
+		c.eng.AtEvent(c.eng.now, ev)
 	}
 	clear(c.waiters)
 	c.waiters = c.waiters[:0]

@@ -5,8 +5,9 @@
 #   scripts/bench.sh check   # fail past +30% ns/op or +16 allocs/op
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
-# ticks, same-instant bursts, thread wakeups), six per-layer benches at
-# -count 5, of which the gate keeps the fastest — the stateful front
+# ticks, same-instant bursts, thread wakeups), seven per-layer benches at
+# -count 5, of which the gate keeps the fastest — one entry's CDC
+# crossing (fast to slow, through a Drain consumer), the stateful front
 # ends' producer hand-off on its own (1M arrivals onto two counting
 # shards), sched dispatch (1M pre-built requests through Submit on one
 # 2-fabric affinity model replica, at a mostly-empty queue and at a
@@ -25,6 +26,7 @@ cd "$(dirname "$0")/.."
 
 run_benches() {
     go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkThreadPingPong$' -benchtime 200000x -benchmem ./internal/sim
+    go test -run '^$' -bench 'BenchmarkCDCCrossing$' -count 5 -benchmem ./internal/cdc
     go test -run '^$' -bench 'BenchmarkRunSourceHandoff$' -count 5 -benchmem ./internal/cluster
     go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkCoherenceMiss$' -count 5 -benchmem ./internal/coherence

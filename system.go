@@ -275,8 +275,9 @@ func (s *System) Run() sim.Time {
 }
 
 // Close releases the system's simulation threads (see sim.Engine.Close).
-// Call it once the system's results have been read; until then its
-// parked server threads keep the whole system reachable.
+// Call it once the system's results have been read; until then a core
+// program or accelerator thread left parked keeps the whole system
+// reachable. The hardware blocks are engine callbacks and hold no thread.
 func (s *System) Close() { s.Eng.Close() }
 
 // RunChecked runs to completion and validates coherence invariants.

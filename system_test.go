@@ -821,3 +821,18 @@ func TestProgramAsyncBusyRejected(t *testing.T) {
 		t.Fatal("first flow did not configure the fabric")
 	}
 }
+
+// Duet's hardware blocks — the coherence homes, the Control Hub's
+// soft-register engine, the Memory Hubs and the CDC bridges — run as
+// engine callbacks, not as simulation threads: a built system holds no
+// thread before or after it runs.
+func TestNewStartsNoThreads(t *testing.T) {
+	for _, cfg := range []Config{{Cores: 1, MemHubs: 1, Style: StyleDuet}, {Cores: 1, MemHubs: 1, Style: StyleFPSoC, RegSpecs: echoSpecs()}} {
+		sys := New(cfg)
+		before := sys.Eng.LiveThreads()
+		sys.Run()
+		if after := sys.Eng.LiveThreads(); before != 0 || after != 0 {
+			t.Fatalf("%s: %d live threads after New, %d after Run; want 0", cfg.Style, before, after)
+		}
+	}
+}
