@@ -5,20 +5,26 @@ import "duet/internal/sim"
 // PopBlocking pops the head entry, parking thread t until one is visible:
 // the tests' thread-side reader.
 func (f *Fifo[T]) PopBlocking(t *sim.Thread) (T, *sim.TX) {
+	e := f.popEntry(t)
+	return e.payload, e.tx
+}
+
+// popEntry is PopBlocking returning the whole entry, with the writer edge
+// it was committed at and the reader edge it became visible at.
+func (f *Fifo[T]) popEntry(t *sim.Thread) entry[T] {
 	for {
-		if v, tx, ok := f.TryPop(); ok {
-			return v, tx
+		e := f.peek()
+		if _, _, ok := f.TryPop(); ok {
+			return e
 		}
 		f.notEmpty.Wait(t)
 	}
 }
 
-// PushBlocking pushes payload, parking thread t while the FIFO is full.
-func (f *Fifo[T]) PushBlocking(t *sim.Thread, payload T, tx *sim.TX) {
-	for !f.TryPush(payload, tx) {
-		f.notFull.Wait(t)
+// peek returns the head entry, or a zero entry when nothing is committed.
+func (f *Fifo[T]) peek() entry[T] {
+	if f.n == 0 {
+		return entry[T]{}
 	}
+	return f.ring[f.head]
 }
-
-// Backlog reports entries accepted but not yet in the FIFO.
-func (p *Pusher[T]) Backlog() int { return p.n }

@@ -11,12 +11,13 @@
 // domain therefore costs ~2 slow cycles while crossing into a fast domain
 // costs ~2 fast cycles — the asymmetry behind Figs. 5, 6 and 9.
 //
-// Fifo and Pusher are generic over the element type, so a small message
-// crosses by value: pushing it boxes nothing and allocates nothing once the
-// ring is built. The reading side is hardware too: a pure pump consumes
-// through Drain, and a consumer that spends time per entry is a callback
-// state machine built on TryPop and AwaitNotEmpty. Neither needs a
-// simulation thread.
+// Fifo is generic over the element type, so a small message crosses by
+// value: pushing it boxes nothing and allocates nothing once the ring is
+// built. Both sides are hardware. The writer pushes in order and, while
+// the FIFO looks full, samples the synchronized full flag at every writer
+// edge. A pure pump reads through Drain, and a consumer that spends time
+// per entry is a callback state machine built on TryPop and
+// AwaitNotEmpty. Neither side needs a simulation thread.
 package cdc
 
 import (
@@ -40,31 +41,42 @@ type Fifo[T any] struct {
 	depth      int
 	syncStages int
 
-	// ring holds the stored entries: n of them from head, wrapping. The
-	// writer never sees more than depth slots in use, so depth slots
-	// always suffice; they are allocated on the first push.
-	ring    []entry[T]
-	head, n int
-	// freeAt[i] holds times at which previously-consumed slots become
+	// ring holds the entries from head, wrapping: n committed to the
+	// FIFO, then waiting ones that Push accepted while the writer saw the
+	// FIFO full, in Push order. The writer never sees more than depth
+	// entries committed, so the ring outgrows depth slots only under
+	// backpressure. It is allocated on the first push.
+	ring             []entry[T]
+	head, n, waiting int
+	// pendingFree holds times at which previously-consumed slots become
 	// visible to the writer again.
 	pendingFree []sim.Time
 
 	notEmpty *sim.Cond // signalled when an entry may have become poppable
-	notFull  *sim.Cond // signalled when space may have become available
+
+	// The writer's pre-built retry record, rescheduled at each writer
+	// edge while entries wait.
+	retryEv sim.Event
 
 	// The Drain consumer and its pre-built wake record.
 	drainFn func(T, *sim.TX)
 	drainEv sim.Event
 
-	// Pushed counts total entries ever pushed; Popped total ever popped.
-	Pushed, Popped uint64
+	// Popped counts total entries ever popped.
+	Popped uint64
 }
+
+// callCommit and callDrain are the trampolines behind every FIFO's retry
+// and Drain wakes. They are not generic, so no FIFO builds a closure for
+// them.
+func callCommit(a any) { a.(interface{ commit() }).commit() }
+func callDrain(a any)  { a.(interface{ drain() }).drain() }
 
 // NewFifo creates an async FIFO with the given positive capacity
 // (entries) and synchronizer depth; Dolly's are params.FifoDepth and
 // params.SyncStages.
 func NewFifo[T any](eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, stages int) *Fifo[T] {
-	return &Fifo[T]{
+	f := &Fifo[T]{
 		Name:       name,
 		eng:        eng,
 		wclk:       wclk,
@@ -72,12 +84,10 @@ func NewFifo[T any](eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, 
 		depth:      depth,
 		syncStages: stages,
 		notEmpty:   sim.NewCond(eng),
-		notFull:    sim.NewCond(eng),
 	}
+	f.retryEv = sim.Event{Fn: callCommit, Arg: f}
+	return f
 }
-
-// WriterClock reports the writer-side clock.
-func (f *Fifo[T]) WriterClock() *sim.Clock { return f.wclk }
 
 // occupancySeenByWriter counts slots the writer believes are in use at time
 // now: everything in the queue plus consumed slots whose release has not yet
@@ -92,40 +102,60 @@ func (f *Fifo[T]) occupancySeenByWriter(now sim.Time) int {
 	return n
 }
 
-// CanPush reports whether a push would be accepted at time now.
-func (f *Fifo[T]) CanPush(now sim.Time) bool {
-	return f.occupancySeenByWriter(now) < f.depth
+// Push hands payload to the writer side. Entries are committed in
+// Push-call order: this one at the writer edge at or after now if the
+// writer sees a free slot and nothing waits ahead of it, otherwise at the
+// first later writer edge at which its credit has returned. A bare retry
+// of a refused push could fall behind a later push that found space;
+// Push never reorders.
+func (f *Fifo[T]) Push(payload T, tx *sim.TX) {
+	if f.n+f.waiting == len(f.ring) {
+		f.grow()
+	}
+	f.ring[(f.head+f.n+f.waiting)%len(f.ring)] = entry[T]{payload: payload, tx: tx}
+	f.waiting++
+	if f.waiting == 1 {
+		// Nothing waited ahead of this entry, so no retry is pending.
+		f.commit()
+	}
 }
 
-// TryPush attempts to push payload at the next writer-clock edge at or
-// after now. It returns false if the FIFO appears full to the writer.
-// On success the entry is committed at the writer edge and its visibility
-// time in the reader domain is computed per the synchronizer model.
-func (f *Fifo[T]) TryPush(payload T, tx *sim.TX) bool {
+// grow enlarges the ring to depth slots, then doubles it, unwrapping it so
+// the head entry is first.
+func (f *Fifo[T]) grow() {
+	ring := make([]entry[T], max(f.depth, 2*len(f.ring)))
+	for i := 0; i < f.n+f.waiting; i++ {
+		ring[i] = f.ring[(f.head+i)%len(f.ring)]
+	}
+	f.ring, f.head = ring, 0
+}
+
+// commit moves waiting entries into the FIFO, oldest first, while the
+// writer sees a free slot. Each is committed at the writer edge at or
+// after now, and its visibility time in the reader domain follows the
+// synchronizer model. If entries still wait, commit runs again at the
+// next writer edge.
+func (f *Fifo[T]) commit() {
 	now := f.eng.Now()
-	if !f.CanPush(now) {
-		return false
+	for f.waiting > 0 {
+		if f.occupancySeenByWriter(now) >= f.depth {
+			f.eng.AtEvent(f.wclk.EdgeAfter(now), &f.retryEv)
+			return
+		}
+		e := &f.ring[(f.head+f.n)%len(f.ring)]
+		e.writtenAt = f.wclk.NextEdge(now)
+		e.visibleAt = f.rclk.EdgesAfter(e.writtenAt, int64(f.syncStages))
+		f.n++
+		f.waiting--
+		// Wake potential readers when the entry becomes visible.
+		f.notEmpty.BroadcastAt(e.visibleAt)
 	}
-	wedge := f.wclk.NextEdge(now)
-	visible := f.rclk.EdgesAfter(wedge, int64(f.syncStages))
-	if f.ring == nil {
-		f.ring = make([]entry[T], f.depth)
-	}
-	f.ring[(f.head+f.n)%f.depth] = entry[T]{payload: payload, writtenAt: wedge, visibleAt: visible, tx: tx}
-	f.n++
-	f.Pushed++
-	// Wake potential readers when the entry becomes visible.
-	f.notEmpty.BroadcastAt(visible)
-	return true
 }
 
 // headVisible reports whether the head entry is poppable at now.
 func (f *Fifo[T]) headVisible(now sim.Time) bool {
 	return f.n > 0 && f.ring[f.head].visibleAt <= now
 }
-
-// Len reports the number of entries currently stored (visible or not).
-func (f *Fifo[T]) Len() int { return f.n }
 
 // TryPop pops the head entry if it is visible at the current time. The
 // pop is committed at the next reader-clock edge at or after now (now is
@@ -139,16 +169,16 @@ func (f *Fifo[T]) TryPop() (T, *sim.TX, bool) {
 	}
 	e := f.ring[f.head]
 	f.ring[f.head] = entry[T]{}
-	f.head = (f.head + 1) % f.depth
+	f.head = (f.head + 1) % len(f.ring)
 	f.n--
 	f.Popped++
 	redge := f.rclk.NextEdge(now)
 	// The slot is returned to the writer once the read pointer crosses the
-	// synchronizer into the writer domain.
+	// synchronizer into the writer domain; a waiting push sees it at its
+	// next retry.
 	freeAt := f.wclk.EdgesAfter(redge, int64(f.syncStages))
 	f.pendingFree = append(f.pendingFree, freeAt)
 	f.gcPendingFree(now)
-	f.notFull.BroadcastAt(freeAt)
 	// Attribute the CDC crossing cost to the transaction: time from write
 	// commit to visibility.
 	e.tx.Add(sim.CatCDC, e.visibleAt-e.writtenAt)

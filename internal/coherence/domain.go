@@ -166,10 +166,8 @@ type cdcBridge struct {
 	mesh  *noc.Mesh
 	cache *PCache
 
-	in      *cdc.Fifo[any]      // fast -> slow (toward cache): VN2 payloads
-	out     *cdc.Fifo[*noc.Msg] // slow -> fast (toward mesh)
-	inPush  *cdc.Pusher[any]
-	outPush *cdc.Pusher[*noc.Msg]
+	in  *cdc.Fifo[any]      // fast -> slow (toward cache): VN2 payloads
+	out *cdc.Fifo[*noc.Msg] // slow -> fast (toward mesh)
 }
 
 func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.Clock) *cdcBridge {
@@ -179,8 +177,6 @@ func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.
 		in:   cdc.NewFifo[any](eng, fmt.Sprintf("bridge%d.in", tile), fastClk, slowClk, params.FifoDepth, params.SyncStages),
 		out:  cdc.NewFifo[*noc.Msg](eng, fmt.Sprintf("bridge%d.out", tile), slowClk, fastClk, params.FifoDepth, params.SyncStages),
 	}
-	b.inPush = cdc.NewPusher(eng, b.in)
-	b.outPush = cdc.NewPusher(eng, b.out)
 	b.in.Drain(b.toCache)
 	b.out.Drain(b.toMesh)
 	return b
@@ -198,11 +194,11 @@ func (b *cdcBridge) toMesh(m *noc.Msg, tx *sim.TX) {
 // receiveFromNoC enqueues an inbound VN2 message toward the slow domain,
 // in order even under FIFO backpressure.
 func (b *cdcBridge) receiveFromNoC(m *noc.Msg) {
-	b.inPush.Push(m.Payload, m.TX)
+	b.in.Push(m.Payload, m.TX)
 }
 
 // Send implements OutPort for the slow cache: outbound messages cross into
 // the fast domain first, in order even under FIFO backpressure.
 func (b *cdcBridge) Send(m *noc.Msg) {
-	b.outPush.Push(m, m.TX)
+	b.out.Push(m, m.TX)
 }

@@ -90,10 +90,8 @@ type MemHub struct {
 	virtMode    bool
 	killOnFault bool
 
-	in      *cdc.Fifo[*hubReq]
-	inPush  *cdc.Pusher[*hubReq]
-	out     *cdc.Fifo[hubResp]
-	outPush *cdc.Pusher[hubResp]
+	in  *cdc.Fifo[*hubReq]
+	out *cdc.Fifo[hubResp]
 
 	outstanding    int
 	maxOutstanding int
@@ -156,9 +154,7 @@ func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
 		cfg.FwdCycles = params.ProxyFwdCycles
 		h.proxy = a.dom.NewCache(cfg)
 		h.in = cdc.NewFifo[*hubReq](a.eng, cfg.Name+".in", a.fabric.Clock(), a.fastClk, params.FifoDepth, a.syncStages)
-		h.inPush = cdc.NewPusher(a.eng, h.in)
 		h.out = cdc.NewFifo[hubResp](a.eng, cfg.Name+".out", a.fastClk, a.fabric.Clock(), params.FifoDepth, a.syncStages)
-		h.outPush = cdc.NewPusher(a.eng, h.out)
 		h.serveWake = sim.Event{Fn: runServe, Arg: h}
 		a.eng.AtEvent(a.eng.Now(), &h.serveWake)
 	}
@@ -187,7 +183,7 @@ func (h *MemHub) onLineLost(line, vpnTag uint64) {
 		}
 		return
 	}
-	h.outPush.Push(hubResp{kind: hrInv, pa: line, vpn: vpnTag}, nil)
+	h.out.Push(hubResp{kind: hrInv, pa: line, vpn: vpnTag}, nil)
 }
 
 // runServe is the trampoline behind the front end's wakes.
@@ -331,7 +327,7 @@ func (h *MemHub) respond(r *hubReq, resp hubResp) {
 		h.port.deliver(resp)
 		return
 	}
-	h.outPush.Push(resp, tx)
+	h.out.Push(resp, tx)
 }
 
 // ResolveFault is called (via MMIO or directly by a kernel handler) after
@@ -441,7 +437,7 @@ func (p *Port) send(t *sim.Thread, r *hubReq) uint64 {
 		}
 		return seq
 	}
-	p.hub.inPush.Push(r, r.tx)
+	p.hub.in.Push(r, r.tx)
 	return seq
 }
 

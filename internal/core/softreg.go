@@ -116,10 +116,8 @@ type regFile struct {
 	shadowFn   func(any)
 	creditCond *sim.Cond // signals CPU-bound FIFO credit on any register
 
-	down     *cdc.Fifo[dmsg]
-	downPush *cdc.Pusher[dmsg]
-	up       *cdc.Fifo[umsg]
-	upPush   *cdc.Pusher[umsg]
+	down *cdc.Fifo[dmsg]
+	up   *cdc.Fifo[umsg]
 
 	// The fabric engine, a callback state machine: the step it is at,
 	// the message it is retiring and its pre-built wake record.
@@ -157,9 +155,7 @@ func newRegFile(a *Adapter, specs []SoftRegSpec, fpsoc bool) *regFile {
 	slow := a.fabric.Clock()
 	fast := a.fastClk
 	rf.down = cdc.NewFifo[dmsg](a.eng, "ctrl.down", fast, slow, params.FifoDepth, a.syncStages)
-	rf.downPush = cdc.NewPusher(a.eng, rf.down)
 	rf.up = cdc.NewFifo[umsg](a.eng, "ctrl.up", slow, fast, params.FifoDepth, a.syncStages)
-	rf.upPush = cdc.NewPusher(a.eng, rf.up)
 	rf.shadowFn = func(x any) { rf.shadow(x.(*inflight)) }
 
 	rf.engWake = sim.Event{Fn: runFabricEngine, Arg: rf}
@@ -200,7 +196,7 @@ func (rf *regFile) shadow(op *inflight) {
 			r.fastVal = op.val
 			// The forward into the fabric is off the critical path
 			// (the ack does not wait for it): untagged.
-			rf.downPush.Push(dmsg{kind: dPlainSync, reg: op.reg, val: op.val}, nil)
+			rf.down.Push(dmsg{kind: dPlainSync, reg: op.reg, val: op.val}, nil)
 			rf.a.complete(op, 0, false)
 		} else {
 			rf.a.complete(op, r.fastVal, false)
@@ -222,7 +218,7 @@ func (rf *regFile) shadow(op *inflight) {
 	case RegFIFOToCPU:
 		if q := r.cpuQ; len(q) > 0 {
 			r.cpuQ = q[1:]
-			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
+			rf.down.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
 			rf.a.complete(op, q[0], false)
 		} else {
 			// Blocking read: park with a watchdog. Parked reads stop
@@ -234,7 +230,7 @@ func (rf *regFile) shadow(op *inflight) {
 	case RegTokenFIFO:
 		if r.tokens > 0 {
 			r.tokens--
-			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
+			rf.down.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
 			rf.a.complete(op, 1, false)
 		} else {
 			rf.a.complete(op, 0, false) // empty: non-blocking
@@ -247,13 +243,13 @@ func (rf *regFile) shadow(op *inflight) {
 func (rf *regFile) pushFPGAData(op *inflight) {
 	rf.regs[op.reg].fpgaCredit--
 	// Data crosses the CDC after the ack: off the critical path.
-	rf.downPush.Push(dmsg{kind: dFifoData, reg: op.reg, val: op.val}, nil)
+	rf.down.Push(dmsg{kind: dFifoData, reg: op.reg, val: op.val}, nil)
 	rf.a.complete(op, 0, false)
 }
 
 func (rf *regFile) sendNormal(op *inflight) {
 	rf.a.pendingNormal[op.id] = op
-	rf.downPush.Push(dmsg{kind: dNormalOp, reg: op.reg, val: op.val, id: op.id, write: op.write}, op.m.Env.TX)
+	rf.down.Push(dmsg{kind: dNormalOp, reg: op.reg, val: op.val, id: op.id, write: op.write}, op.m.Env.TX)
 	rf.a.watchdog(op)
 }
 
@@ -353,16 +349,16 @@ func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 			if m.write {
 				r.fabricQ = append(r.fabricQ, m.val)
 				r.fabricCond.Broadcast()
-				rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
+				rf.up.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 				return
 			}
-			rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: uint64(len(r.fabricQ))}, tx)
+			rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: uint64(len(r.fabricQ))}, tx)
 			return
 		case RegFIFOToCPU:
 			if !m.write {
 				if q := r.slowCPUQ; len(q) > 0 {
 					r.slowCPUQ = q[1:]
-					rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: q[0]}, tx)
+					rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: q[0]}, tx)
 					return
 				}
 				if op := rf.a.pendingNormal[m.id]; op != nil {
@@ -371,7 +367,7 @@ func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 				}
 				return // completed on a later push (or times out)
 			}
-			rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
+			rf.up.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 			return
 		case RegTokenFIFO:
 			if !m.write {
@@ -380,7 +376,7 @@ func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 					r.slowTokens--
 					val = 1
 				}
-				rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: val}, tx)
+				rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: val}, tx)
 				return
 			}
 		}
@@ -388,9 +384,9 @@ func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 	// Default normal register semantics: a plain value in the fabric.
 	if m.write {
 		r.slowVal = m.val
-		rf.upPush.Push(umsg{kind: uNormalResp, id: m.id}, tx)
+		rf.up.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 	} else {
-		rf.upPush.Push(umsg{kind: uNormalResp, id: m.id, val: r.slowVal}, tx)
+		rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: r.slowVal}, tx)
 	}
 }
 
@@ -411,7 +407,7 @@ func (rf *regFile) upMsg(m umsg, _ *sim.TX) {
 	case uCPUPush:
 		if w := r.readWait; len(w) > 0 {
 			r.readWait = w[1:]
-			rf.downPush.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
+			rf.down.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
 			rf.a.complete(w[0], m.val, false)
 		} else {
 			r.cpuQ = append(r.cpuQ, m.val)
@@ -438,7 +434,7 @@ func (rf *regFile) ReadPlain(i int) uint64 { return rf.regs[i].slowVal }
 func (rf *regFile) WritePlain(t *sim.Thread, i int, v uint64) {
 	rf.regs[i].slowVal = v
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(umsg{kind: uPlainSync, reg: i, val: v}, nil)
+	rf.up.Push(umsg{kind: uPlainSync, reg: i, val: v}, nil)
 }
 
 // PopFPGA pops FPGA-bound FIFO i, blocking until data arrives.
@@ -451,7 +447,7 @@ func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
 	r.fabricQ = r.fabricQ[1:]
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	if !rf.fpsoc {
-		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
+		rf.up.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
 	return v
 }
@@ -465,7 +461,7 @@ func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
 	v := r.fabricQ[0]
 	r.fabricQ = r.fabricQ[1:]
 	if !rf.fpsoc {
-		rf.upPush.Push(umsg{kind: uFPGACredit, reg: i}, nil)
+		rf.up.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
 	return v, true
 }
@@ -478,7 +474,7 @@ func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
 		if w := r.slowWait; len(w) > 0 {
 			r.slowWait = w[1:]
 			// The up pump resolves and clears the pending entry.
-			rf.upPush.Push(umsg{kind: uNormalResp, id: w[0].id, val: v}, nil)
+			rf.up.Push(umsg{kind: uNormalResp, id: w[0].id, val: v}, nil)
 			return
 		}
 		r.slowCPUQ = append(r.slowCPUQ, v)
@@ -489,7 +485,7 @@ func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
 	}
 	r.cpuCredit--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(umsg{kind: uCPUPush, reg: i, val: v}, nil)
+	rf.up.Push(umsg{kind: uCPUPush, reg: i, val: v}, nil)
 }
 
 // PushToken pushes a token into token FIFO i.
@@ -505,7 +501,7 @@ func (rf *regFile) PushToken(t *sim.Thread, i int) {
 	}
 	r.cpuCredit--
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
-	rf.upPush.Push(umsg{kind: uTokenPush, reg: i}, nil)
+	rf.up.Push(umsg{kind: uTokenPush, reg: i}, nil)
 }
 
 // Claim routes normal-register traffic on register i to the accelerator.
@@ -524,5 +520,5 @@ func (rf *regFile) WaitOp(t *sim.Thread, i int) *efpga.NormalOp {
 
 // Complete answers a claimed normal-register op.
 func (rf *regFile) Complete(op *efpga.NormalOp, val uint64) {
-	rf.upPush.Push(umsg{kind: uNormalResp, id: op.Seq, val: val}, nil)
+	rf.up.Push(umsg{kind: uNormalResp, id: op.Seq, val: val}, nil)
 }

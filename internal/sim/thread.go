@@ -277,8 +277,8 @@ func (c *Cond) Broadcast() {
 }
 
 // BroadcastAt schedules a Broadcast at absolute time tm by rescheduling the
-// condition's pre-built record: the deferred-wakeup idiom (CDC visibility,
-// credit return) without a per-call closure. Waiters are collected when the
+// condition's pre-built record: the deferred-wakeup idiom (a CDC entry's
+// visibility) without a per-call closure. Waiters are collected when the
 // broadcast fires, not when it is scheduled.
 func (c *Cond) BroadcastAt(tm Time) {
 	c.eng.AtEvent(tm, &c.bcast)
