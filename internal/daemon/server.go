@@ -85,21 +85,31 @@ type Server struct {
 	rec         *telemetry.Recorder
 	byJob       map[*sched.Job]*entry
 	byID        map[uint64]*entry
-	order       []uint64 // finished ids, oldest first (resultCap eviction)
+	order       []*entry // ring of retired entries, order[head] the oldest
+	head        int
+	free        *entry // recycled entries, linked through next
 	nextID      uint64
 	outstanding int
 	draining    bool
 	admitted    uint64
 }
 
-// entry tracks one accepted job from admission to retirement.
+// entry tracks one accepted job from admission to retirement, and its
+// result until resultCap later retirements evict it. A record is
+// recycled, through the free list, when that eviction removes it from
+// byID or when a QueueFull bounce unwinds its registration; the
+// scheduler keeps no reference to a retired or bounced job, so nothing
+// reads the record after that. Callers handed its done channel may still
+// hold it: reuse resets the whole record with a fresh channel, so the
+// old one stays closed (or, after a bounce, was never handed out).
 type entry struct {
 	id     uint64
 	app    string
 	tenant string
-	job    *sched.Job
+	job    sched.Job
 	done   chan struct{} // closed at retirement, after res is final
 	res    Result
+	next   *entry // free-list link
 }
 
 // JobRequest is the POST /v1/jobs body. Wait selects the response mode:
@@ -252,13 +262,35 @@ func (s *Server) onResult(j *sched.Job) {
 		e.res.Reprogrammed = j.Reprogrammed
 	}
 	close(e.done)
-	s.order = append(s.order, e.id)
-	if n := len(s.order) - resultCap; n > 0 {
-		for _, id := range s.order[:n] {
-			delete(s.byID, id)
-		}
-		s.order = s.order[n:]
+	if len(s.order) < resultCap {
+		s.order = append(s.order, e)
+		return
 	}
+	old := s.order[s.head]
+	delete(s.byID, old.id)
+	s.recycle(old)
+	s.order[s.head] = e
+	s.head = (s.head + 1) % resultCap
+}
+
+// recycle puts an entry no longer reachable through byID or byJob on the
+// free list.
+func (s *Server) recycle(e *entry) {
+	e.next = s.free
+	s.free = e
+}
+
+// newEntry takes a recycled entry, or allocates one, and resets it for a
+// new job with a fresh done channel.
+func (s *Server) newEntry(id uint64, req JobRequest, r sched.Request) *entry {
+	e := s.free
+	if e == nil {
+		e = new(entry)
+	} else {
+		s.free = e.next
+	}
+	*e = entry{id: id, app: req.App, tenant: req.Tenant, job: sched.Job{Request: r}, done: make(chan struct{})}
+	return e
 }
 
 // Submit offers a job at the clock's current instant. The admission
@@ -281,9 +313,9 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 		return SubmitOutcome{Code: Unavailable, Retry: time.Second}
 	}
 	r, bad := s.resolve(req, s.pool.Now())
-	j := &sched.Job{Request: r}
 	s.nextID++
-	e := &entry{id: s.nextID, app: req.App, tenant: req.Tenant, job: j, done: make(chan struct{})}
+	e := s.newEntry(s.nextID, req, r)
+	j := &e.job
 	s.byJob[j] = e
 	s.byID[e.id] = e
 	s.outstanding++
@@ -303,6 +335,7 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 		delete(s.byJob, j)
 		delete(s.byID, e.id)
 		s.outstanding--
+		s.recycle(e)
 		return SubmitOutcome{Code: QueueFull, Retry: s.retryLocked()}
 	}
 	s.admitted++
@@ -343,7 +376,7 @@ func (s *Server) resolve(req JobRequest, now sim.Time) (sched.Request, error) {
 // observed service time across the pool, converted through the
 // timescale. Before any completion it assumes a generic 100µs service.
 func (s *Server) retryLocked() time.Duration {
-	mean := s.sch.Stats().MeanService
+	mean := s.sch.MeanService()
 	if mean <= 0 {
 		mean = 100 * sim.US
 	}
@@ -473,8 +506,9 @@ func (s *Server) Apps() []string {
 	return s.sch.Apps()
 }
 
-// Stats snapshots the scheduler's aggregate statistics (streaming mode:
-// O(1) to read).
+// Stats snapshots the scheduler's aggregate statistics: it summarizes the
+// sojourn digest and builds one row per worker, so it costs more than a
+// counter read.
 func (s *Server) Stats() sched.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

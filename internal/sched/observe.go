@@ -12,7 +12,9 @@ import "duet/internal/sim"
 // Observe fires synchronously at the scheduler's current simulated
 // instant; an unset observer costs one nil check per event. Observers
 // are scoped to one scheduler and are never called concurrently (a
-// scheduler runs on one timeline).
+// scheduler runs on one timeline). An observer reads Event.Job during
+// the call and keeps no reference to it: front ends recycle a retired
+// job once OnResult returns (see Scheduler.OnResult).
 type Observer interface {
 	Observe(Event)
 }

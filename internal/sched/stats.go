@@ -169,6 +169,15 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
+// MeanService is Stats().MeanService read from the running sums, without
+// building the summary: zero before the first completion.
+func (s *Scheduler) MeanService() sim.Time {
+	if n := s.ctr.Completed; n > 0 {
+		return s.agg.serviceSum / sim.Time(n)
+	}
+	return 0
+}
+
 // Summarize fills st's derived fields — MeanWait, MeanService,
 // ThroughputPerMS, P50 and P99 — from st.Completed, st.Makespan, and the
 // completed jobs' exact wait/service sums and sojourns. The sojourns

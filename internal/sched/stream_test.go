@@ -173,3 +173,57 @@ func TestHarvest(t *testing.T) {
 		})
 	}
 }
+
+// TestMeanServiceMatchesStats: the running mean a front end reads on
+// every queue bounce equals Stats().MeanService at every retirement of
+// a run with timeouts and a submit failure mixed in, in both stats
+// modes, and is zero before the first completion.
+func TestMeanServiceMatchesStats(t *testing.T) {
+	for _, mode := range []sched.StatsMode{sched.StatsExact, sched.StatsStreaming} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys, sch := newServeSystem(t, 2, sched.Config{
+				Policy: sched.Affinity, Stats: mode, QueueCap: 8,
+				Faults: sched.FaultConfig{EnforceDeadlines: true},
+			})
+			for _, bs := range []*efpga.Bitstream{
+				mkBitstream("A", efpga.Resources{LUTs: 100}, 100),
+				mkBitstream("B", efpga.Resources{LUTs: 100}, 170),
+			} {
+				if err := sch.RegisterApp(sched.App{BS: bs, FixedCycles: 700, CyclesPerItem: 3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string) {
+				if got, want := sch.MeanService(), sch.Stats().MeanService; got != want {
+					t.Fatalf("%s: MeanService %v, Stats().MeanService %v", when, got, want)
+				}
+			}
+			retired := 0
+			sch.OnResult = func(j *sched.Job) {
+				retired++
+				check(fmt.Sprintf("retirement %d", retired))
+			}
+			if m := sch.MeanService(); m != 0 {
+				t.Fatalf("before any job: MeanService %v, want 0", m)
+			}
+			a, b := lookup(t, sch, "A"), lookup(t, sch, "B")
+			for i := 0; i < 60; i++ {
+				j := &sched.Job{Request: sched.Request{App: a, InputSize: 5 + 13*i%97}}
+				if i%3 == 0 {
+					j.App = b
+				}
+				if i%7 == 6 {
+					j.Deadline = 1 // 1ps: times out in the queue
+				}
+				sch.Submit(j)
+				check(fmt.Sprintf("submission %d", i))
+			}
+			sch.Submit(&sched.Job{Request: sched.Request{App: phantom}})
+			sys.Run()
+			check("end of run")
+			if st := sch.Stats(); st.Completed == 0 || st.Failed == 0 || retired != st.Completed+st.Failed {
+				t.Fatalf("want completions and failures, each retired once: %d retired, %+v", retired, st.Counters)
+			}
+		})
+	}
+}
