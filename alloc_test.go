@@ -7,6 +7,7 @@ import (
 	"duet/internal/cpu"
 	"duet/internal/efpga"
 	"duet/internal/sim"
+	"duet/internal/softcache"
 )
 
 // Allocation gates for the processor↔eFPGA request paths. Each runs a
@@ -140,6 +141,79 @@ func runHub(t testing.TB, n int, load bool) {
 	}
 }
 
+// softCacheBatch is how many stores runSoftCacheStores asks for at once:
+// well under the watchdog's limit, and above the allocation gate's runs,
+// so the gate measures stores rather than batch round trips.
+const softCacheBatch = 1000
+
+// programThreads are the threads runSoftCacheStores runs: the host's
+// program and the accelerator kernel. Hardware blocks add none.
+const programThreads = 2
+
+// runSoftCacheStores has an accelerator write n words through a soft
+// cache over Memory Hub 0, cycling through eight words; the host then
+// reads the words back. The host hands the stores out in batches, each
+// ended by a drain of the write buffer, so no MMIO read waits long
+// enough to trip the adapter's watchdog. beforeRun runs once the system
+// is built, just before it runs. It returns the most threads live at
+// any store.
+func runSoftCacheStores(tb testing.TB, n int, beforeRun func()) (peakThreads int) {
+	sys := New(Config{Cores: 1, MemHubs: 1, Style: StyleDuet, RegSpecs: hubSpecs()})
+	defer sys.Close()
+	base := sys.Alloc(64)
+	bs := efpga.Synthesize(efpga.Design{Name: "scstream", LUTLogic: 10, PipelineDepth: 2},
+		func() efpga.Accelerator {
+			return accelFunc(func(env *efpga.Env) {
+				env.Eng.Go("scstream", func(th *sim.Thread) {
+					sc := softcache.New(env, env.Mem[0], softcache.Config{})
+					var i uint64
+					for {
+						count := env.Regs.PopFPGA(th, regToFPGA)
+						var stored uint64
+						for ; stored < count; stored++ {
+							if sc.Store64(th, base+i%8*8, i) != nil {
+								break
+							}
+							i++
+							peakThreads = max(peakThreads, env.Eng.LiveThreads())
+						}
+						sc.Drain(th)
+						env.Regs.PushCPU(th, regToCPU, stored)
+					}
+				})
+			})
+		})
+	if err := sys.InstallAccelerator(bs); err != nil {
+		tb.Fatal(err)
+	}
+	var got uint64
+	var words [8]uint64
+	sys.Cores[0].Run("host", func(p cpu.Proc) {
+		p.MMIOWrite64(HubSwitchAddr(0, core.SwEnable), 1)
+		for left := n; left > 0; left -= softCacheBatch {
+			p.MMIOWrite64(SoftRegAddr(regToFPGA), uint64(min(left, softCacheBatch)))
+			got += p.MMIORead64(SoftRegAddr(regToCPU))
+		}
+		for k := range words {
+			words[k] = p.Load64(base + uint64(k)*8)
+		}
+	})
+	beforeRun()
+	if _, err := sys.RunChecked(); err != nil {
+		tb.Fatal(err)
+	}
+	if got != uint64(n) {
+		tb.Fatalf("accelerator finished %d of %d stores", got, n)
+	}
+	for k, w := range words {
+		// The last of the n stores to word k wrote the largest i < n with i%8 == k.
+		if want := uint64((n-1-k)/8*8 + k); n > k && w != want {
+			tb.Fatalf("word %d = %d after %d stores, want %d", k, w, n, want)
+		}
+	}
+	return peakThreads
+}
+
 func TestMMIORoundTripAllocs(t *testing.T) {
 	const n = 200
 	g := allocGrowth(n, func(n int) { runMMIO(t, n) })
@@ -155,6 +229,22 @@ func TestHubStoreAllocs(t *testing.T) {
 	t.Logf("%d more stores: %+.0f allocations", 3*n, g)
 	if g > allocSlack {
 		t.Fatalf("%d more hub stores allocated %.0f more objects, want at most %d", 3*n, g, allocSlack)
+	}
+}
+
+// TestSoftCacheStoreAllocs streams soft-cache stores through a real
+// Memory Hub: the write buffer's entries are recycled and retire by
+// callback, so more stores add no allocations and no threads.
+func TestSoftCacheStoreAllocs(t *testing.T) {
+	const n = 200
+	peak := 0
+	g := allocGrowth(n, func(n int) { peak = max(peak, runSoftCacheStores(t, n, func() {})) })
+	t.Logf("%d more soft-cache stores: %+.0f allocations; at most %d threads live", 3*n, g, peak)
+	if g > allocSlack {
+		t.Fatalf("%d more soft-cache stores allocated %.0f more objects, want at most %d", 3*n, g, allocSlack)
+	}
+	if peak > programThreads {
+		t.Fatalf("%d threads live during the store stream, want at most %d (the host and the accelerator kernel)", peak, programThreads)
 	}
 }
 
@@ -187,4 +277,15 @@ func BenchmarkMMIORoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Run()
+}
+
+// BenchmarkSoftCacheStore times one uint64 store through a soft cache
+// over a Memory Hub (paper §II-C): the write buffer's entry, the hub's
+// write-through to the Proxy Cache and the entry's retirement. The
+// system is built once, so allocs/op reads the per-store records.
+func BenchmarkSoftCacheStore(b *testing.B) {
+	runSoftCacheStores(b, b.N, func() {
+		b.ReportAllocs()
+		b.ResetTimer()
+	})
 }

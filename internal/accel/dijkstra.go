@@ -12,18 +12,18 @@ import (
 // fine-grained; HLS-generated in the paper): a full single-source
 // shortest-path engine whose priority queue lives in fabric BRAM and
 // whose graph/distance traffic goes through a soft cache that exploits
-// locality between consecutive invocations. In the FPSoC variant the
-// FPGA-side cache is already hardened in the slow domain, so the soft
-// cache is omitted and its fabric resources are saved — which is why
-// FPSoC wins on ADP for this one benchmark (paper §V-D).
+// locality between consecutive invocations. Both variants run the same
+// engine, soft cache included; only the bitstream differs. The FPSoC
+// bitstream leaves out the soft cache's fabric resources, because there
+// the FPGA-side cache is hardened in the slow domain — which is why
+// FPSoC wins on ADP for this one benchmark (paper §V-D). The simulated
+// FPSoC engine still puts its soft cache on top of the hard slow cache
+// (a known fidelity gap, see ROADMAP).
 //
 // Register layout: 0-3 = plain shadow (rowptr, cols, weights, dist
 // bases), 4 = query FIFO (FPGA-bound: source | nodeCount<<32), 5 = done
 // FIFO (CPU-bound: settled-node count).
-type Dijkstra struct {
-	// UseSoftCache enables the soft cache over the hub port.
-	UseSoftCache bool
-}
+type Dijkstra struct{}
 
 // Dijkstra register indices.
 const (
@@ -46,12 +46,9 @@ const (
 // Start spawns the SSSP engine.
 func (a Dijkstra) Start(env *efpga.Env) {
 	env.Eng.Go("dijkstra", func(t *sim.Thread) {
-		// Both variants front the memory path with an in-fabric cache:
-		// Duet builds a soft cache from fabric resources; in the FPSoC
-		// the re-clocked hard cache plays the same role (so it costs no
-		// fabric resources, hence the smaller FPSoC bitstream). Hits are
-		// hidden inside the pipelined datapath (HitCycles -1); misses pay
-		// the full hub path.
+		// Both variants front the memory path with this soft cache (see
+		// the type doc). Hits are hidden inside the pipelined datapath
+		// (HitCycles -1); misses pay the full hub path.
 		m := softcache.New(env, env.Mem[0], softcache.Config{
 			SizeBytes: 8192, Ways: 2, RAWForwarding: true, HitCycles: -1,
 		})
@@ -117,8 +114,9 @@ func (a Dijkstra) Start(env *efpga.Env) {
 	})
 }
 
-// NewDijkstraBitstream synthesizes the SSSP engine. The FPSoC variant
-// (no soft cache) shrinks the design by the cache's resources.
+// NewDijkstraBitstream synthesizes the SSSP engine. Without
+// useSoftCache (the FPSoC variant) the design shrinks by the soft
+// cache's resources; the engine it configures is the same.
 func NewDijkstraBitstream(useSoftCache bool) *efpga.Bitstream {
 	d := Designs["Dijkstra"]
 	if !useSoftCache {
@@ -127,5 +125,5 @@ func NewDijkstraBitstream(useSoftCache bool) *efpga.Bitstream {
 		d.RAMKb -= 200
 		d.RegBits -= 800
 	}
-	return efpga.Synthesize(d, func() efpga.Accelerator { return Dijkstra{UseSoftCache: useSoftCache} })
+	return efpga.Synthesize(d, func() efpga.Accelerator { return Dijkstra{} })
 }

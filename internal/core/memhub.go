@@ -465,19 +465,36 @@ func (p *Port) Await(t *sim.Thread, handle uint64) ([]byte, error) {
 	return r.data, nil
 }
 
+// Done takes the handle's response if it has completed; otherwise it
+// registers ev on the completion condition and reports false.
+func (p *Port) Done(handle uint64, ev *sim.Event) bool {
+	if _, ok := p.take(handle); ok {
+		return true
+	}
+	p.cond.Await(ev)
+	return false
+}
+
 // wait blocks until the handle completes and takes its response.
 func (p *Port) wait(t *sim.Thread, handle uint64) (hubResp, error) {
-	for {
-		r, ok := p.results[handle]
-		if ok {
-			delete(p.results, handle)
-			if r.kind == hrErr {
-				return hubResp{}, fmt.Errorf("memhub: request failed (hub deactivated or access killed)")
-			}
-			return r, nil
-		}
+	r, ok := p.take(handle)
+	for !ok {
 		p.cond.Wait(t)
+		r, ok = p.take(handle)
 	}
+	if r.kind == hrErr {
+		return hubResp{}, fmt.Errorf("memhub: request failed (hub deactivated or access killed)")
+	}
+	return r, nil
+}
+
+// take removes and returns the handle's response if it has arrived.
+func (p *Port) take(handle uint64) (hubResp, bool) {
+	r, ok := p.results[handle]
+	if ok {
+		delete(p.results, handle)
+	}
+	return r, ok
 }
 
 // Load performs a blocking load of size bytes at va.

@@ -99,6 +99,12 @@ type MemIntf interface {
 	LoadAsync(t *sim.Thread, va uint64, size int) uint64
 	StoreAsync(t *sim.Thread, va uint64, data []byte) uint64
 	Await(t *sim.Thread, handle uint64) ([]byte, error)
+	// Done is the callback form of Await for a caller that wants no
+	// result (a write-through store). If handle has completed it takes
+	// and discards the response, failures included, and reports true;
+	// otherwise it registers ev to run at the next completion, in one
+	// FIFO with the threads blocked in Await, and reports false.
+	Done(handle uint64, ev *sim.Event) bool
 	// SetInvSink registers the soft cache's invalidation listener; the
 	// hub delivers proxy-pushed invalidations in stream order.
 	SetInvSink(func(pa, vpn uint64))

@@ -3,8 +3,8 @@
 //
 // Time is measured in integer picoseconds (Time). Components schedule
 // callbacks on an Engine; clocked components derive edge times from Clock.
-// Hardware blocks (coherence homes, the Duet Adapter's hubs, CDC pumps)
-// are callback state machines: each phase runs as an event, waits on a
+// Hardware blocks (coherence homes, the Duet Adapter's hubs, CDC pumps,
+// the soft cache's write buffer) are callback state machines: each phase runs as an event, waits on a
 // Cond through Cond.Await, and continues at a later instant through
 // RunOn or a scheduled Event. Sequential "programs" (processor software,
 // behavioural accelerator models) run as Threads: runtime coroutines

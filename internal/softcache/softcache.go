@@ -9,6 +9,7 @@ package softcache
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/cache"
 	"duet/internal/efpga"
@@ -32,16 +33,24 @@ type Config struct {
 	// virtual mode; invalidations are reverse-mapped through the VPN the
 	// Proxy Cache stores per line).
 	VIVT bool
-	// HitCycles overrides the per-hit cost (default
-	// params.SoftCacheHitCycles). Fully pipelined accelerator datapaths
-	// set 0 and account for the access in their own initiation interval.
+	// HitCycles is the per-hit cost in fabric cycles; 0 selects
+	// params.SoftCacheHitCycles. A negative value makes hits free, for
+	// fully pipelined datapaths that account for the access in their own
+	// initiation interval; it also drops the one-cycle issue cost of
+	// stores and atomics.
 	HitCycles int64
 }
 
+// wbufEntry is one buffered write-through store. Its retire event waits
+// on the port, through MemIntf.Done, until the hub completes the store;
+// then the entry leaves the buffer and is recycled.
 type wbufEntry struct {
-	va   uint64
-	data []byte
-	done bool
+	c      *Cache
+	va     uint64
+	handle uint64
+	n      int // store width in bytes
+	data   [params.HubStoreBytes]byte
+	retire sim.Event
 }
 
 // Cache is one soft cache bound to a Memory Hub port.
@@ -52,8 +61,10 @@ type Cache struct {
 	under efpga.MemIntf
 	arr   *cache.Array
 
+	// wbuf holds the pending write-throughs, oldest first.
 	wbuf     []*wbufEntry
 	wbufCond *sim.Cond
+	entries  sim.FreeList[wbufEntry]
 
 	// Stats.
 	Hits, Misses, Invalidations, RAWHits uint64
@@ -109,11 +120,13 @@ func (c *Cache) Load(t *sim.Thread, va uint64, size int) ([]byte, error) {
 	if c.cfg.RAWForwarding {
 		for i := len(c.wbuf) - 1; i >= 0; i-- {
 			e := c.wbuf[i]
-			if !e.done && e.va == va && len(e.data) == size {
+			if e.va == va && e.n == size {
 				c.RAWHits++
-				t.SleepCycles(c.clk, 1)
+				// Copy before the forwarding cycle: the entry may retire
+				// and be recycled during it.
 				out := make([]byte, size)
-				copy(out, e.data)
+				copy(out, e.data[:size])
+				t.SleepCycles(c.clk, 1)
 				return out, nil
 			}
 		}
@@ -176,7 +189,7 @@ func (c *Cache) Store(t *sim.Thread, va uint64, data []byte) error {
 	if len(data) > params.HubStoreBytes {
 		return fmt.Errorf("softcache: store wider than %d bytes", params.HubStoreBytes)
 	}
-	for c.pendingWrites() >= c.cfg.WriteBufferDepth {
+	for len(c.wbuf) >= c.cfg.WriteBufferDepth {
 		c.wbufCond.Wait(t)
 	}
 	if c.cfg.HitCycles > 0 {
@@ -186,17 +199,27 @@ func (c *Cache) Store(t *sim.Thread, va uint64, data []byte) error {
 		off := mem.Offset(va)
 		copy(w.Data[off:off+len(data)], data)
 	}
-	e := &wbufEntry{va: va, data: append([]byte(nil), data...)}
+	e := c.entries.Get()
+	e.c, e.va, e.n = c, va, copy(e.data[:], data)
+	e.retire = sim.Event{Fn: retire, Arg: e}
 	c.wbuf = append(c.wbuf, e)
-	h := c.under.StoreAsync(t, va, data)
-	// Retire the buffer entry when the write-through completes.
-	c.eng.Go("softcache.retire", func(rt *sim.Thread) {
-		c.under.Await(rt, h)
-		e.done = true
-		c.gcWbuf()
-		c.wbufCond.Broadcast()
-	})
+	e.handle = c.under.StoreAsync(t, va, e.data[:e.n])
+	c.eng.AtEvent(c.eng.Now(), &e.retire) // first check at this instant
 	return nil
+}
+
+// retire waits, through the port's completion condition, until the
+// entry's write-through completes, then frees its buffer slot.
+func retire(a any) {
+	e := a.(*wbufEntry)
+	c := e.c
+	if !c.under.Done(e.handle, &e.retire) {
+		return
+	}
+	i := slices.Index(c.wbuf, e)
+	c.wbuf = slices.Delete(c.wbuf, i, i+1)
+	c.entries.Put(e)
+	c.wbufCond.Broadcast()
 }
 
 // Store64 writes a uint64 through the soft cache.
@@ -223,10 +246,7 @@ func (c *Cache) Store32(t *sim.Thread, va uint64, v uint32) error {
 // home, so a cached copy would go stale, and the write buffer must not
 // hold writes to the same line across the atomic.
 func (c *Cache) Amo(t *sim.Thread, op int, va uint64, size int, operand, operand2 uint64) (uint64, error) {
-	for c.pendingWrites() > 0 {
-		// Order the atomic behind buffered write-throughs.
-		c.wbufCond.Wait(t)
-	}
+	c.Drain(t) // order the atomic behind buffered write-throughs
 	if w := c.arr.Peek(mem.LineAddr(va)); w != nil {
 		c.arr.Invalidate(w)
 	}
@@ -238,29 +258,9 @@ func (c *Cache) Amo(t *sim.Thread, op int, va uint64, size int, operand, operand
 
 // Drain blocks until all buffered writes have committed.
 func (c *Cache) Drain(t *sim.Thread) {
-	for c.pendingWrites() > 0 {
+	for len(c.wbuf) > 0 {
 		c.wbufCond.Wait(t)
 	}
-}
-
-func (c *Cache) pendingWrites() int {
-	n := 0
-	for _, e := range c.wbuf {
-		if !e.done {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *Cache) gcWbuf() {
-	keep := c.wbuf[:0]
-	for _, e := range c.wbuf {
-		if !e.done {
-			keep = append(keep, e)
-		}
-	}
-	c.wbuf = keep
 }
 
 func le64(b []byte) uint64 {

@@ -8,17 +8,22 @@ import (
 )
 
 // fakePort is a deterministic in-test Memory Hub port: line loads and
-// stores against a backing map with a fixed latency.
+// stores against a backing map with a fixed latency. storeLat, when set,
+// gives the i-th store its own latency, so write-throughs can complete
+// out of order.
 type fakePort struct {
-	eng     *sim.Engine
-	clk     *sim.Clock
-	backing map[uint64][]byte
-	invSink func(pa, vpn uint64)
-	seq     uint64
-	done    map[uint64][]byte
-	cond    *sim.Cond
+	eng      *sim.Engine
+	clk      *sim.Clock
+	backing  map[uint64][]byte
+	invSink  func(pa, vpn uint64)
+	seq      uint64
+	done     map[uint64][]byte
+	cond     *sim.Cond
+	storeLat []sim.Time
 
 	loads, stores, amos int
+	lastStoreDone       sim.Time // when the latest write-through completed
+	amoAt               []sim.Time
 }
 
 func newFakePort(eng *sim.Engine, clk *sim.Clock) *fakePort {
@@ -55,13 +60,18 @@ func (p *fakePort) LoadAsync(t *sim.Thread, va uint64, size int) uint64 {
 }
 
 func (p *fakePort) StoreAsync(t *sim.Thread, va uint64, data []byte) uint64 {
+	lat := fakeLatency
+	if p.stores < len(p.storeLat) {
+		lat = p.storeLat[p.stores]
+	}
 	p.stores++
 	p.seq++
 	h := p.seq
 	cp := append([]byte(nil), data...)
-	p.eng.After(fakeLatency, func() {
+	p.eng.After(lat, func() {
 		copy(p.line(va)[va&15:], cp)
 		p.done[h] = []byte{}
+		p.lastStoreDone = p.eng.Now()
 		p.cond.Broadcast()
 	})
 	return h
@@ -74,6 +84,15 @@ func (p *fakePort) Await(t *sim.Thread, h uint64) ([]byte, error) {
 	out := p.done[h]
 	delete(p.done, h)
 	return out, nil
+}
+
+func (p *fakePort) Done(h uint64, ev *sim.Event) bool {
+	if p.done[h] == nil {
+		p.cond.Await(ev)
+		return false
+	}
+	delete(p.done, h)
+	return true
 }
 
 func (p *fakePort) Load(t *sim.Thread, va uint64, size int) ([]byte, error) {
@@ -91,6 +110,7 @@ func (p *fakePort) Store(t *sim.Thread, va uint64, data []byte) error {
 
 func (p *fakePort) Amo(t *sim.Thread, op int, va uint64, size int, a, b uint64) (uint64, error) {
 	p.amos++
+	p.amoAt = append(p.amoAt, p.eng.Now())
 	t.Sleep(fakeLatency)
 	line := p.line(va)
 	off := va & 15
@@ -162,16 +182,20 @@ func TestSoftCacheWriteThrough(t *testing.T) {
 	}
 }
 
+// A RAW-forwarded load takes one fabric cycle. Here the write-through it
+// forwards from completes, and its entry is recycled, inside that cycle:
+// the load must still return the stored value.
 func TestSoftCacheRAWForwarding(t *testing.T) {
-	eng, env, _ := rig()
-	cFwd := New(env, newFakePort(eng, env.Clk), Config{SizeBytes: 512, Ways: 2, RAWForwarding: true})
+	eng, env, port := rig()
+	port.storeLat = []sim.Time{3 * sim.NS}
+	cFwd := New(env, port, Config{SizeBytes: 512, Ways: 2, RAWForwarding: true})
 	var got uint64
-	var at sim.Time
+	var start, end sim.Time
 	eng.Go("acc", func(th *sim.Thread) {
 		cFwd.Store64(th, 0x300, 11)
-		start := th.Now()
+		start = th.Now()
 		got, _ = cFwd.Load64(th, 0x300) // must forward from the write buffer
-		at = th.Now() - start
+		end = th.Now()
 	})
 	eng.Run(0)
 	if got != 11 {
@@ -180,27 +204,40 @@ func TestSoftCacheRAWForwarding(t *testing.T) {
 	if cFwd.RAWHits != 1 {
 		t.Fatalf("RAWHits = %d", cFwd.RAWHits)
 	}
-	if at > 20*sim.NS {
+	if at := end - start; at > 20*sim.NS {
 		t.Fatalf("RAW forward took %v (went to the port?)", at)
+	}
+	if done := port.lastStoreDone; done <= start || done >= end {
+		t.Fatalf("write-through completed at %v, want inside the forwarding cycle (%v, %v)", done, start, end)
 	}
 }
 
+// The write buffer never holds more than WriteBufferDepth stores, and a
+// stalled store resumes when any entry retires, not only the oldest.
 func TestSoftCacheWriteBufferBackpressure(t *testing.T) {
 	eng, env, port := rig()
+	port.storeLat = []sim.Time{500 * sim.NS, 30 * sim.NS, 500 * sim.NS, 500 * sim.NS}
 	c := New(env, port, Config{SizeBytes: 512, Ways: 2, WriteBufferDepth: 2})
 	var issued []sim.Time
+	peak := 0
 	eng.Go("acc", func(th *sim.Thread) {
 		for i := 0; i < 4; i++ {
 			c.Store64(th, uint64(0x400+i*16), uint64(i))
 			issued = append(issued, th.Now())
+			peak = max(peak, len(c.wbuf))
 		}
 		c.Drain(th)
 	})
 	eng.Run(0)
-	// The third store must stall until a buffer slot frees (~50ns port
-	// latency), unlike the first two.
-	if d := issued[2] - issued[1]; d < 30*sim.NS {
-		t.Fatalf("no backpressure: third store issued %v after second", d)
+	if peak > 2 {
+		t.Fatalf("write buffer reached %d entries, depth is 2", peak)
+	}
+	// The third store stalls until the 30ns second store retires.
+	if d := issued[2] - issued[1]; d < 30*sim.NS || d > 100*sim.NS {
+		t.Fatalf("third store issued %v after the second, want once the 30ns store retires", d)
+	}
+	if d := issued[3] - issued[2]; d < 300*sim.NS {
+		t.Fatalf("fourth store issued %v after the third, want a stall until the first retires", d)
 	}
 	if port.stores != 4 {
 		t.Fatalf("stores = %d", port.stores)
@@ -250,5 +287,87 @@ func TestSoftCacheAmoPassthrough(t *testing.T) {
 	}
 	if old != 10 || reread != 15 {
 		t.Fatalf("amo old=%d reread=%d, want 10, 15", old, reread)
+	}
+}
+
+// With two pending stores to one address, a load forwards from the newer.
+// The line is not cached, so only the write buffer holds either value.
+func TestSoftCacheRAWForwardsNewest(t *testing.T) {
+	eng, env, port := rig()
+	port.storeLat = []sim.Time{500 * sim.NS, 400 * sim.NS}
+	c := New(env, port, Config{SizeBytes: 512, Ways: 2, RAWForwarding: true})
+	var got uint64
+	eng.Go("acc", func(th *sim.Thread) {
+		c.Store64(th, 0x300, 1)
+		c.Store64(th, 0x300, 2)
+		got, _ = c.Load64(th, 0x300)
+		c.Drain(th)
+	})
+	eng.Run(0)
+	if got != 2 || c.RAWHits != 1 || port.loads != 0 {
+		t.Fatalf("load = %d (RAW hits %d, port loads %d), want 2 forwarded from the newer store", got, c.RAWHits, port.loads)
+	}
+}
+
+// Write-throughs that complete out of order free their own buffer slots:
+// a retired younger store no longer forwards, a pending older one still
+// does.
+func TestSoftCacheOutOfOrderRetire(t *testing.T) {
+	eng, env, port := rig()
+	port.storeLat = []sim.Time{300 * sim.NS, 20 * sim.NS}
+	c := New(env, port, Config{SizeBytes: 512, Ways: 2, RAWForwarding: true})
+	var a, b uint64
+	var hitsAfter uint64
+	eng.Go("acc", func(th *sim.Thread) {
+		c.Store64(th, 0x100, 11) // slow
+		c.Store64(th, 0x200, 22) // fast
+		th.Sleep(100 * sim.NS)   // the younger store has retired
+		if n := len(c.wbuf); n != 1 || c.wbuf[0].va != 0x100 {
+			t.Errorf("write buffer holds %d entries after the younger retired, want only 0x100", n)
+		}
+		a, _ = c.Load64(th, 0x100) // forwarded
+		b, _ = c.Load64(th, 0x200) // from the port
+		hitsAfter = c.RAWHits
+		c.Drain(th)
+	})
+	eng.Run(0)
+	if a != 11 || b != 22 || hitsAfter != 1 || port.loads != 1 {
+		t.Fatalf("loads = %d, %d with %d RAW hits and %d port loads; want 11, 22, 1, 1", a, b, hitsAfter, port.loads)
+	}
+}
+
+// Drain and Amo return only once every pending write-through has
+// completed, however the completions are ordered.
+func TestSoftCacheDrainAndAmoWaitForAll(t *testing.T) {
+	eng, env, port := rig()
+	port.storeLat = []sim.Time{400 * sim.NS, 50 * sim.NS, 200 * sim.NS, 600 * sim.NS, 100 * sim.NS}
+	c := New(env, port, Config{SizeBytes: 512, Ways: 2, WriteBufferDepth: 4})
+	var drained sim.Time
+	var pendingAtDrain, pendingAtAmo int
+	eng.Go("acc", func(th *sim.Thread) {
+		c.Store64(th, 0x100, 1)
+		c.Store64(th, 0x110, 2)
+		c.Drain(th)
+		drained, pendingAtDrain = th.Now(), len(c.wbuf)
+		c.Store64(th, 0x120, 3)
+		c.Store64(th, 0x130, 4)
+		c.Store64(th, 0x140, 5)
+		c.Amo(th, 0, 0x150, 8, 1, 0)
+		pendingAtAmo = len(c.wbuf)
+	})
+	eng.Run(0)
+	if pendingAtDrain != 0 || pendingAtAmo != 0 {
+		t.Fatalf("pending writes after Drain %d, after Amo %d; want 0", pendingAtDrain, pendingAtAmo)
+	}
+	if drained < 400*sim.NS {
+		t.Fatalf("Drain returned at %v, before the 400ns store completed", drained)
+	}
+	if len(port.amoAt) != 1 || port.amoAt[0] < port.lastStoreDone || port.lastStoreDone < drained+600*sim.NS {
+		t.Fatalf("atomic issued at %v, last write-through completed at %v; want the atomic after every store", port.amoAt, port.lastStoreDone)
+	}
+	for i := uint64(0); i < 5; i++ {
+		if got := port.line(0x100 + 16*i)[0]; got != byte(i+1) {
+			t.Fatalf("backing at %#x = %d, want %d", 0x100+16*i, got, i+1)
+		}
 	}
 }

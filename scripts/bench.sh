@@ -5,7 +5,7 @@
 #   scripts/bench.sh check   # fail past +30% ns/op or +16 allocs/op
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
-# ticks, same-instant bursts, thread wakeups), ten per-layer benches at
+# ticks, same-instant bursts, thread wakeups), eleven per-layer benches at
 # -count 5, of which the gate keeps the fastest — one entry's CDC
 # crossing (fast to slow, through a Drain consumer), a 32-entry burst
 # backed up behind a full depth-8 CDC FIFO, one message across a 4x4
@@ -15,9 +15,9 @@
 # replica, at a mostly-empty queue and at a saturated one), one round
 # of coherence transactions (load miss, S→M upgrade, AMO) on a
 # two-cache domain, 200 MCS lock handoffs among four cycle-level cores,
-# one MMIO write+read round trip to a shadow register and one daemon
-# submission through admission and the model scheduler — and the serve
-# studies in
+# one MMIO write+read round trip to a shadow register, one soft-cache
+# store written through a Memory Hub and one daemon submission through
+# admission and the model scheduler — and the serve studies in
 # internal/workload on both execution backends — the 1M runs, which
 # replay a stream drawn outside the timed region, plus the 100M-job
 # streaming-pipeline capacity run. -benchtime 1x on the serve
@@ -35,7 +35,7 @@ run_benches() {
     go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkCoherenceMiss$' -count 5 -benchmem ./internal/coherence
     go test -run '^$' -bench 'BenchmarkMCSContention$' -count 5 -benchmem ./internal/cpu
-    go test -run '^$' -bench 'BenchmarkMMIORoundTrip$' -count 5 -benchmem .
+    go test -run '^$' -bench 'BenchmarkMMIORoundTrip$|BenchmarkSoftCacheStore$' -count 5 -benchmem .
     go test -run '^$' -bench 'BenchmarkDaemonSubmit$' -count 5 -benchmem ./internal/daemon
     go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m ./internal/workload
 }
