@@ -214,6 +214,61 @@ func runSoftCacheStores(tb testing.TB, n int, beforeRun func()) (peakThreads int
 	return peakThreads
 }
 
+// runSoftRegFIFO streams n commands through the soft-register FIFOs: the
+// host writes each into the FPGA-bound FIFO, which the accelerator pops,
+// and then blocks on the CPU-bound FIFO until the accelerator pushes the
+// answer, which it does only once the host's read is parked.
+func runSoftRegFIFO(t testing.TB, n int) {
+	sys := New(Config{Cores: 1, MemHubs: 0, Style: StyleDuet, RegSpecs: hubSpecs()})
+	defer sys.Close()
+	bs := efpga.Synthesize(efpga.Design{Name: "echo", LUTLogic: 10, PipelineDepth: 2},
+		func() efpga.Accelerator {
+			return accelFunc(func(env *efpga.Env) {
+				env.Eng.Go("echo", func(th *sim.Thread) {
+					for {
+						v := env.Regs.PopFPGA(th, regToFPGA)
+						th.SleepCycles(env.Clk, 20) // the host is stalled on its read by now
+						env.Regs.PushCPU(th, regToCPU, v+1)
+					}
+				})
+			})
+		})
+	if err := sys.InstallAccelerator(bs); err != nil {
+		t.Fatal(err)
+	}
+	var bad int
+	sys.Cores[0].Run("host", func(p cpu.Proc) {
+		// Each blocking read's watchdog stays queued for the whole limit
+		// after the read completes. A limit of a few round trips bounds
+		// how many are queued at once, so they do not scale with n.
+		p.MMIOWrite64(MgrRegAddr(core.RegTimeout), 5000)
+		for i := 0; i < n; i++ {
+			p.MMIOWrite64(SoftRegAddr(regToFPGA), uint64(i))
+			if p.MMIORead64(SoftRegAddr(regToCPU)) != uint64(i)+1 {
+				bad++
+			}
+		}
+	})
+	if _, err := sys.RunChecked(); err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d blocking reads returned the wrong answer", bad, n)
+	}
+}
+
+// TestSoftRegFIFOAllocs: the soft registers' queues keep their storage
+// as they pop, so a blocking CPU-bound FIFO read and an FPGA-bound FIFO
+// write allocate nothing once the queues have grown.
+func TestSoftRegFIFOAllocs(t *testing.T) {
+	const n = 200
+	g := allocGrowth(n, func(n int) { runSoftRegFIFO(t, n) })
+	t.Logf("%d more FIFO round trips: %+.0f allocations", 3*n, g)
+	if g > allocSlack {
+		t.Fatalf("%d more soft-register FIFO round trips allocated %.0f more objects, want at most %d", 3*n, g, allocSlack)
+	}
+}
+
 func TestMMIORoundTripAllocs(t *testing.T) {
 	const n = 200
 	g := allocGrowth(n, func(n int) { runMMIO(t, n) })

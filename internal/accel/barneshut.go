@@ -104,10 +104,9 @@ func (a BarnesHut) Start(env *efpga.Env) {
 	unit := func(unitIdx int, workReg int) {
 		env.Eng.Go(fmt.Sprintf("bh.unit%d", unitIdx), func(t *sim.Thread) {
 			port := env.Mem[0]
-			var pipe []staged
+			var pipe sim.Queue[staged]
 			retire := func() bool {
-				s := pipe[0]
-				pipe = pipe[1:]
+				s := pipe.Pop()
 				var x, y, z, m float64
 				if s.h1 != 0 {
 					b1, err1 := port.Await(t, s.h1)
@@ -143,7 +142,7 @@ func (a BarnesHut) Start(env *efpga.Env) {
 				// but a flush or set must wait for older same-core items,
 				// so the pipeline drains when one is at the head.
 				var item uint64
-				if len(pipe) > 0 {
+				if pipe.Len() > 0 {
 					var got bool
 					item, got = env.Regs.TryPopFPGA(workReg)
 					if !got {
@@ -169,8 +168,8 @@ func (a BarnesHut) Start(env *efpga.Env) {
 					s.h1 = port.LoadAsync(t, addr, 16)
 					s.h2 = port.LoadAsync(t, addr+16, 16)
 				}
-				pipe = append(pipe, s)
-				for len(pipe) >= 2 {
+				pipe.Push(s)
+				for pipe.Len() >= 2 {
 					if !retire() {
 						return
 					}

@@ -54,42 +54,37 @@ const queueOpCycles = 1
 func (a BFS) Start(env *efpga.Env) {
 	cores := a.Cores
 	env.Eng.Go("bfs.queues", func(t *sim.Thread) {
-		var current, next []uint32
+		var current, next sim.Queue[uint32]
 		level := uint64(0)
 		inFlight := 0
-		var waiting []int
+		var waiting sim.Queue[int]
 
 		serve := func() {
-			for len(waiting) > 0 {
-				if len(current) > 0 {
-					n := current[0]
-					current = current[1:]
+			for waiting.Len() > 0 {
+				if current.Len() > 0 {
+					n := current.Pop()
 					t.SleepCycles(env.Clk, queueOpCycles)
-					c := waiting[0]
-					waiting = waiting[1:]
 					inFlight++
-					env.Regs.PushCPU(t, BFSWorkReg0+c, uint64(n))
+					env.Regs.PushCPU(t, BFSWorkReg0+waiting.Pop(), uint64(n))
 					continue
 				}
 				// Current frontier drained: the level ends only when no
 				// node is still being processed and every core waits.
-				if inFlight > 0 || len(waiting) < cores {
+				if inFlight > 0 || waiting.Len() < cores {
 					return
 				}
-				current, next = next, nil
+				current, next = next, current // current is empty: next reuses it
 				level++
-				if len(current) == 0 {
-					for _, c := range waiting {
-						env.Regs.PushCPU(t, BFSWorkReg0+c, BFSDone)
+				if current.Len() == 0 {
+					for waiting.Len() > 0 {
+						env.Regs.PushCPU(t, BFSWorkReg0+waiting.Pop(), BFSDone)
 					}
-					waiting = nil
 					return
 				}
-				for _, c := range waiting {
-					env.Regs.PushCPU(t, BFSWorkReg0+c, BFSLevelMark|level<<32)
+				// Cores re-request after the marker.
+				for waiting.Len() > 0 {
+					env.Regs.PushCPU(t, BFSWorkReg0+waiting.Pop(), BFSLevelMark|level<<32)
 				}
-				// Cores re-request after the marker; keep them waiting.
-				waiting = nil
 			}
 		}
 
@@ -101,9 +96,9 @@ func (a BFS) Start(env *efpga.Env) {
 			t.SleepCycles(env.Clk, queueOpCycles)
 			switch op {
 			case BFSOpEnq:
-				next = append(next, node)
+				next.Push(node)
 			case BFSOpReq:
-				waiting = append(waiting, c)
+				waiting.Push(c)
 			case BFSOpDone:
 				inFlight--
 			}

@@ -90,7 +90,7 @@ func (a PDES) Start(env *efpga.Env) {
 	env.Eng.Go("pdes.sched", func(t *sim.Thread) {
 		var pq eventHeap
 		outstanding := make(map[int]uint64) // core -> released event ts
-		var waiting []int                   // cores with pending requests
+		var waiting sim.Queue[int]          // cores with pending requests
 
 		minOutstanding := func() (uint64, bool) {
 			min, any := uint64(0), false
@@ -104,13 +104,12 @@ func (a PDES) Start(env *efpga.Env) {
 		// serve releases safe events to waiting cores; when the
 		// simulation drains it releases the idle sentinel.
 		serve := func() {
-			for len(waiting) > 0 {
+			for waiting.Len() > 0 {
 				if len(pq) == 0 {
 					if len(outstanding) == 0 {
-						for _, c := range waiting {
-							env.Regs.PushCPU(t, PDESEventReg0+c, PDESIdle)
+						for waiting.Len() > 0 {
+							env.Regs.PushCPU(t, PDESEventReg0+waiting.Pop(), PDESIdle)
 						}
-						waiting = nil
 					}
 					return
 				}
@@ -121,8 +120,7 @@ func (a PDES) Start(env *efpga.Env) {
 				}
 				heap.Pop(&pq)
 				t.SleepCycles(env.Clk, heapOpCycles)
-				c := waiting[0]
-				waiting = waiting[1:]
+				c := waiting.Pop()
 				outstanding[c] = ts
 				env.Regs.PushCPU(t, PDESEventReg0+c, ev)
 			}
@@ -147,7 +145,7 @@ func (a PDES) Start(env *efpga.Env) {
 			case PDESOpDone:
 				delete(outstanding, c)
 			case PDESOpReq:
-				waiting = append(waiting, c)
+				waiting.Push(c)
 			}
 			serve()
 		}

@@ -63,7 +63,7 @@ func (a *PDESSpec) Start(env *efpga.Env) {
 		outstanding := make(map[int]uint64)  // core -> released event
 		specByCore := make(map[int]*specRec) // core -> in-flight speculative record
 		var pending []*specRec               // processed speculatively, awaiting commit
-		var waiting []int
+		var waiting sim.Queue[int]
 
 		entityAddr := func(e uint32) uint64 {
 			return env.Regs.ReadPlain(PDESDataBaseReg(cores)) + uint64(e)*16
@@ -192,14 +192,13 @@ func (a *PDESSpec) Start(env *efpga.Env) {
 		}
 
 		serve := func() {
-			for len(waiting) > 0 {
+			for waiting.Len() > 0 {
 				evaluate()
 				if len(pq) == 0 {
 					if len(outstanding) == 0 && len(pending) == 0 {
-						for _, c := range waiting {
-							env.Regs.PushCPU(t, PDESEventReg0+c, PDESIdle)
+						for waiting.Len() > 0 {
+							env.Regs.PushCPU(t, PDESEventReg0+waiting.Pop(), PDESIdle)
 						}
-						waiting = nil
 					}
 					return
 				}
@@ -214,8 +213,7 @@ func (a *PDESSpec) Start(env *efpga.Env) {
 				}
 				heap.Pop(&pq)
 				t.SleepCycles(env.Clk, heapOpCycles)
-				c := waiting[0]
-				waiting = waiting[1:]
+				c := waiting.Pop()
 				outstanding[c] = ev
 				if safe {
 					a.Released++
@@ -260,7 +258,7 @@ func (a *PDESSpec) Start(env *efpga.Env) {
 				}
 				delete(outstanding, c)
 			case PDESOpReq:
-				waiting = append(waiting, c)
+				waiting.Push(c)
 			}
 			serve()
 		}

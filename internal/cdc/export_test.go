@@ -26,5 +26,8 @@ func (f *Fifo[T]) peek() entry[T] {
 	if f.n == 0 {
 		return entry[T]{}
 	}
-	return f.ring[f.head]
+	return *f.q.At(0)
 }
+
+// waiting counts the entries Push accepted that are not yet committed.
+func (f *Fifo[T]) waiting() int { return f.q.Len() - f.n }

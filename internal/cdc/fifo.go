@@ -12,7 +12,7 @@
 // costs ~2 fast cycles — the asymmetry behind Figs. 5, 6 and 9.
 //
 // Fifo is generic over the element type, so a small message crosses by
-// value: pushing it boxes nothing and allocates nothing once the ring is
+// value: pushing it boxes nothing and allocates nothing once the queue is
 // built. Both sides are hardware. The writer pushes in order and, while
 // the FIFO looks full, samples the synchronized full flag at every writer
 // edge. A pure pump reads through Drain, and a consumer that spends time
@@ -41,16 +41,16 @@ type Fifo[T any] struct {
 	depth      int
 	syncStages int
 
-	// ring holds the entries from head, wrapping: n committed to the
-	// FIFO, then waiting ones that Push accepted while the writer saw the
-	// FIFO full, in Push order. The writer never sees more than depth
-	// entries committed, so the ring outgrows depth slots only under
-	// backpressure. It is allocated on the first push.
-	ring             []entry[T]
-	head, n, waiting int
-	// pendingFree holds times at which previously-consumed slots become
-	// visible to the writer again.
-	pendingFree []sim.Time
+	// q holds n entries committed to the FIFO, then the ones Push
+	// accepted while the writer saw the FIFO full, waiting in Push order.
+	// The writer never sees more than depth entries committed, so q
+	// outgrows depth only under backpressure.
+	q sim.Queue[entry[T]]
+	n int
+	// pendingFree holds the times at which consumed slots become visible
+	// to the writer again, non-decreasing: pops run in time order, and
+	// each slot frees SyncStages writer edges after its pop's reader edge.
+	pendingFree sim.Queue[sim.Time]
 
 	notEmpty *sim.Cond // signalled when an entry may have become poppable
 
@@ -90,16 +90,13 @@ func NewFifo[T any](eng *sim.Engine, name string, wclk, rclk *sim.Clock, depth, 
 }
 
 // occupancySeenByWriter counts slots the writer believes are in use at time
-// now: everything in the queue plus consumed slots whose release has not yet
-// crossed the synchronizer back.
+// now: the committed entries plus consumed slots whose release has not yet
+// crossed the synchronizer back. Releases that have crossed are dropped.
 func (f *Fifo[T]) occupancySeenByWriter(now sim.Time) int {
-	n := f.n
-	for _, t := range f.pendingFree {
-		if t > now {
-			n++
-		}
+	for f.pendingFree.Len() > 0 && *f.pendingFree.At(0) <= now {
+		f.pendingFree.Pop()
 	}
-	return n
+	return f.n + f.pendingFree.Len()
 }
 
 // Push hands payload to the writer side. Entries are committed in
@@ -109,25 +106,11 @@ func (f *Fifo[T]) occupancySeenByWriter(now sim.Time) int {
 // of a refused push could fall behind a later push that found space;
 // Push never reorders.
 func (f *Fifo[T]) Push(payload T, tx *sim.TX) {
-	if f.n+f.waiting == len(f.ring) {
-		f.grow()
-	}
-	f.ring[(f.head+f.n+f.waiting)%len(f.ring)] = entry[T]{payload: payload, tx: tx}
-	f.waiting++
-	if f.waiting == 1 {
+	f.q.Push(entry[T]{payload: payload, tx: tx})
+	if f.q.Len() == f.n+1 {
 		// Nothing waited ahead of this entry, so no retry is pending.
 		f.commit()
 	}
-}
-
-// grow enlarges the ring to depth slots, then doubles it, unwrapping it so
-// the head entry is first.
-func (f *Fifo[T]) grow() {
-	ring := make([]entry[T], max(f.depth, 2*len(f.ring)))
-	for i := 0; i < f.n+f.waiting; i++ {
-		ring[i] = f.ring[(f.head+i)%len(f.ring)]
-	}
-	f.ring, f.head = ring, 0
 }
 
 // commit moves waiting entries into the FIFO, oldest first, while the
@@ -137,16 +120,15 @@ func (f *Fifo[T]) grow() {
 // next writer edge.
 func (f *Fifo[T]) commit() {
 	now := f.eng.Now()
-	for f.waiting > 0 {
+	for f.q.Len() > f.n {
 		if f.occupancySeenByWriter(now) >= f.depth {
 			f.eng.AtEvent(f.wclk.EdgeAfter(now), &f.retryEv)
 			return
 		}
-		e := &f.ring[(f.head+f.n)%len(f.ring)]
+		e := f.q.At(f.n)
 		e.writtenAt = f.wclk.NextEdge(now)
 		e.visibleAt = f.rclk.EdgesAfter(e.writtenAt, int64(f.syncStages))
 		f.n++
-		f.waiting--
 		// Wake potential readers when the entry becomes visible.
 		f.notEmpty.BroadcastAt(e.visibleAt)
 	}
@@ -154,7 +136,7 @@ func (f *Fifo[T]) commit() {
 
 // headVisible reports whether the head entry is poppable at now.
 func (f *Fifo[T]) headVisible(now sim.Time) bool {
-	return f.n > 0 && f.ring[f.head].visibleAt <= now
+	return f.n > 0 && f.q.At(0).visibleAt <= now
 }
 
 // TryPop pops the head entry if it is visible at the current time. The
@@ -167,32 +149,18 @@ func (f *Fifo[T]) TryPop() (T, *sim.TX, bool) {
 		var zero T
 		return zero, nil, false
 	}
-	e := f.ring[f.head]
-	f.ring[f.head] = entry[T]{}
-	f.head = (f.head + 1) % len(f.ring)
+	e := f.q.Pop()
 	f.n--
 	f.Popped++
 	redge := f.rclk.NextEdge(now)
 	// The slot is returned to the writer once the read pointer crosses the
 	// synchronizer into the writer domain; a waiting push sees it at its
 	// next retry.
-	freeAt := f.wclk.EdgesAfter(redge, int64(f.syncStages))
-	f.pendingFree = append(f.pendingFree, freeAt)
-	f.gcPendingFree(now)
+	f.pendingFree.Push(f.wclk.EdgesAfter(redge, int64(f.syncStages)))
 	// Attribute the CDC crossing cost to the transaction: time from write
 	// commit to visibility.
 	e.tx.Add(sim.CatCDC, e.visibleAt-e.writtenAt)
 	return e.payload, e.tx, true
-}
-
-func (f *Fifo[T]) gcPendingFree(now sim.Time) {
-	keep := f.pendingFree[:0]
-	for _, t := range f.pendingFree {
-		if t > now {
-			keep = append(keep, t)
-		}
-	}
-	f.pendingFree = keep
 }
 
 // AwaitNotEmpty registers ev to run when an entry may have become

@@ -103,8 +103,8 @@ func TestFifoCapacityBackpressure(t *testing.T) {
 	// With no reader no credit returns, so the writer retries forever:
 	// run a while and look.
 	eng.RunBefore(sim.US)
-	if f.n != 2 || f.waiting != 9 {
-		t.Fatalf("committed %d (waiting %d) of 11 pushes into depth-2 fifo with no reader", f.n, f.waiting)
+	if f.n != 2 || f.waiting() != 9 {
+		t.Fatalf("committed %d (waiting %d) of 11 pushes into depth-2 fifo with no reader", f.n, f.waiting())
 	}
 }
 
@@ -307,8 +307,8 @@ func TestFifoPushInterleavedProducers(t *testing.T) {
 			t.Fatalf("got %v", got)
 		}
 	}
-	if f.waiting != 0 {
-		t.Fatalf("%d entries still waiting", f.waiting)
+	if f.waiting() != 0 {
+		t.Fatalf("%d entries still waiting", f.waiting())
 	}
 }
 

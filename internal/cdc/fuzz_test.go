@@ -103,8 +103,8 @@ func runPushScenario(t *testing.T, sc pushScenario) (pushAt []sim.Time, got []pu
 	wake = sim.Event{Fn: func(any) { consume() }}
 	eng.AtEvent(0, &wake)
 	eng.Run(0)
-	if f.n != 0 || f.waiting != 0 {
-		t.Fatalf("%d entries committed and %d waiting after the run", f.n, f.waiting)
+	if f.n != 0 || f.waiting() != 0 {
+		t.Fatalf("%d entries committed and %d waiting after the run", f.n, f.waiting())
 	}
 	return pushAt, got
 }

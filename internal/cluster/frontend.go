@@ -160,29 +160,20 @@ type loadModel struct {
 const loadCap = 1 << 16
 
 type loadShard struct {
-	free []sim.Time   // per-virtual-fabric earliest-free estimate
-	fins [][]sim.Time // per-fabric FIFO (strictly increasing) of predicted finishes
-	head []int        // per-fabric consumed prefix of fins
-	n    int          // live finishes across fabrics: the outstanding count
+	free []sim.Time            // per-virtual-fabric earliest-free estimate
+	fins []sim.Queue[sim.Time] // per-fabric FIFO (strictly increasing) of predicted finishes
+	n    int                   // live finishes across fabrics: the outstanding count
 }
 
 // expire drops every predicted finish at or before t — the same set the
 // old filter pass kept out of the outstanding count.
 func (sh *loadShard) expire(t sim.Time) {
 	for f := range sh.fins {
-		q, h := sh.fins[f], sh.head[f]
-		for h < len(q) && q[h] <= t {
-			h++
+		q := &sh.fins[f]
+		for q.Len() > 0 && *q.At(0) <= t {
+			q.Pop()
 			sh.n--
 		}
-		// Reclaim the consumed prefix once it dominates the queue, so the
-		// backing array tracks the live backlog, not the all-time total.
-		if h > 64 && 2*h >= len(q) {
-			copy(q, q[h:])
-			sh.fins[f] = q[:len(q)-h]
-			h = 0
-		}
-		sh.head[f] = h
 	}
 }
 
@@ -191,8 +182,7 @@ func newLoadModel(reps []Replica) *loadModel {
 	for i := range lm.shards {
 		w := reps[i].Workers()
 		lm.shards[i].free = make([]sim.Time, w)
-		lm.shards[i].fins = make([][]sim.Time, w)
-		lm.shards[i].head = make([]int, w)
+		lm.shards[i].fins = make([]sim.Queue[sim.Time], w)
 	}
 	return lm
 }
@@ -231,7 +221,7 @@ func (lm *loadModel) route(a *Arrival, faults *FaultSpec) int {
 	fin := start + svc
 	sh.free[fab] = fin
 	if sh.n < loadCap {
-		sh.fins[fab] = append(sh.fins[fab], fin)
+		sh.fins[fab].Push(fin)
 		sh.n++
 	}
 	return best

@@ -72,8 +72,7 @@ type lineCtx struct {
 	home *Home
 	line uint64
 	busy bool
-	jobs []homeJob // queued requests; jobs[head:] are still to run
-	head int
+	jobs sim.Queue[homeJob] // queued requests still to run
 
 	// The transaction in flight: its request, the phase its wake resumes,
 	// and the line's one pre-built wake record.
@@ -105,8 +104,6 @@ type lineCtx struct {
 	acks    []*AckMsg
 	ackCond *sim.Cond
 }
-
-func (c *lineCtx) queued() bool { return c.head < len(c.jobs) }
 
 // A phase is one step of a line's transaction between two waits. It runs
 // when the previous wait ends and returns the phase to run next at once,
@@ -222,7 +219,7 @@ func (h *Home) idle(c *lineCtx) {
 // transactions if none is active.
 func (h *Home) enqueue(line uint64, job homeJob) {
 	c := h.ctx(line)
-	c.jobs = append(c.jobs, job)
+	c.jobs.Push(job)
 	if !c.busy {
 		c.busy = true
 		h.start(c)
@@ -238,17 +235,14 @@ func (h *Home) start(c *lineCtx) {
 // nextJob starts the line's next queued request, or releases the line
 // once none is left.
 func (h *Home) nextJob(c *lineCtx) phase {
-	if !c.queued() {
-		c.jobs, c.head = c.jobs[:0], 0
+	if c.jobs.Len() == 0 {
 		if len(c.acks) > 0 {
 			panic("home: unconsumed acks at line quiesce")
 		}
 		h.idle(c)
 		return nil
 	}
-	j := c.jobs[c.head]
-	c.jobs[c.head] = homeJob{}
-	c.head++
+	j := c.jobs.Pop()
 	c.req, c.tx = j.req, j.tx
 	return h.charge(c, params.DirLookupCycles, (*Home).dispatch)
 }
@@ -418,7 +412,7 @@ func (h *Home) evicted(c *lineCtx) phase {
 	}
 	h.arr.Invalidate(v)
 	c.evictee = nil
-	if vc.queued() {
+	if vc.jobs.Len() > 0 {
 		h.start(vc)
 	} else {
 		h.idle(vc)
@@ -734,7 +728,7 @@ func (h *Home) lineData(line uint64) mem.Line {
 // Busy reports whether any line transaction is in flight at this home.
 func (h *Home) Busy() bool {
 	for _, c := range h.ctxs {
-		if c.busy || c.queued() {
+		if c.busy || c.jobs.Len() > 0 {
 			return true
 		}
 	}

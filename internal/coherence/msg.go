@@ -174,9 +174,9 @@ type AckMsg struct {
 // reader is done with it, and nothing may keep its pointer past that
 // point (Put zeroes the record, so a late reader sees line 0 and no data):
 //
-//   - a ReqMsg once Home.process has run its transaction;
-//   - an AckMsg once the caller of Home.collectAcks has read it
-//     (Home.releaseAcks);
+//   - a ReqMsg in Home.done, once its transaction ends;
+//   - an AckMsg in Home.releaseAcks, once the phase its awaitAcks wait
+//     goes on with has read it;
 //   - a RespMsg or FwdMsg once its PCache handler is finished with it.
 type msgPool struct {
 	reqs  sim.FreeList[ReqMsg]

@@ -158,7 +158,7 @@ type Adapter struct {
 
 	// Ordering engine state (per requesting source tile, soft register
 	// accesses only).
-	queues        [][]*inflight // indexed by source tile; built at the first access
+	queues        []sim.Queue[*inflight] // indexed by source tile; built at the first access
 	intakeFree    sim.Time
 	pendingNormal map[uint64]*inflight // normal register accesses by op id
 	ops           sim.FreeList[inflight]
@@ -323,10 +323,10 @@ func (a *Adapter) decode(op *inflight) {
 		// cpuAccess may answer op at once, so src is read first.
 		src := op.m.Req.SrcTile
 		if a.queues == nil {
-			a.queues = make([][]*inflight, a.mesh.Tiles())
+			a.queues = make([]sim.Queue[*inflight], a.mesh.Tiles())
 		}
 		op.queued = true
-		a.queues[src] = append(a.queues[src], op)
+		a.queues[src].Push(op)
 		op.reg, op.write, op.val = int((off-softRegBase)/8), write, val
 		a.regs.cpuAccess(op)
 		a.drain(src)
@@ -449,30 +449,22 @@ func (a *Adapter) complete(op *inflight, data uint64, err bool) {
 }
 
 // drain sends the finished head of src's ordering queue and dequeues
-// parked reads, stopping at the first pending op. The queue keeps its
-// backing array: the survivors move to the front.
+// parked reads, stopping at the first pending op.
 func (a *Adapter) drain(src int) {
-	q := a.queues[src]
-	n := 0
-	for n < len(q) {
-		op := q[n]
-		if op.done {
-			n++
+	q := &a.queues[src]
+	for q.Len() > 0 {
+		op := *q.At(0)
+		switch {
+		case op.done:
+			q.Pop()
 			a.send(op)
-			continue
-		}
-		if op.parked {
+		case op.parked:
 			// Data-blocked read: respond later, directly.
 			op.dequeued = true
-			n++
-			continue
+			q.Pop()
+		default:
+			return
 		}
-		break
-	}
-	if n > 0 {
-		k := copy(q, q[n:])
-		clear(q[k:])
-		a.queues[src] = q[:k]
 	}
 }
 

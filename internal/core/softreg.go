@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"duet/internal/cdc"
 	"duet/internal/efpga"
 	"duet/internal/params"
@@ -77,26 +75,26 @@ type softReg struct {
 
 	// Fast-domain state.
 	fastVal    uint64 // plain shadow copy
-	cpuQ       []uint64
+	cpuQ       sim.Queue[uint64]
 	tokens     int
 	fpgaCredit int
 	// The wait lists (fpgaWait, readWait, slowWait) hold pending ops
 	// only: a timed-out op leaves them (forget).
-	fpgaWait []*inflight // ops stalled on FPGA-bound FIFO credit
-	readWait []*inflight // CPU reads blocked on empty CPU-bound FIFO
+	fpgaWait sim.Queue[*inflight] // ops stalled on FPGA-bound FIFO credit
+	readWait sim.Queue[*inflight] // CPU reads blocked on empty CPU-bound FIFO
 
 	// Slow-domain (fabric) state.
 	slowVal    uint64
-	fabricQ    []uint64
+	fabricQ    sim.Queue[uint64]
 	fabricCond *sim.Cond
 	cpuCredit  int
 	claimed    bool
-	normalQ    []*efpga.NormalOp
+	normalQ    sim.Queue[*efpga.NormalOp]
 	normalCond *sim.Cond
 	// FPSoC mode: CPU-bound queues live slow-side; blocked reads park here.
-	slowCPUQ   []uint64
+	slowCPUQ   sim.Queue[uint64]
 	slowTokens int
-	slowWait   []*inflight
+	slowWait   sim.Queue[*inflight]
 }
 
 // regFile is the Soft Register Interface: the fast-domain half lives in
@@ -212,18 +210,17 @@ func (rf *regFile) shadow(op *inflight) {
 			// Stall until the accelerator pops (credit returns); the
 			// watchdog prevents a hung accelerator from blocking the
 			// processor forever.
-			r.fpgaWait = append(r.fpgaWait, op)
+			r.fpgaWait.Push(op)
 			rf.a.watchdog(op)
 		}
 	case RegFIFOToCPU:
-		if q := r.cpuQ; len(q) > 0 {
-			r.cpuQ = q[1:]
+		if r.cpuQ.Len() > 0 {
 			rf.down.Push(dmsg{kind: dCPUCredit, reg: op.reg}, nil)
-			rf.a.complete(op, q[0], false)
+			rf.a.complete(op, r.cpuQ.Pop(), false)
 		} else {
 			// Blocking read: park with a watchdog. Parked reads stop
 			// gating later same-source operations.
-			r.readWait = append(r.readWait, op)
+			r.readWait.Push(op)
 			rf.a.park(op)
 			rf.a.watchdog(op)
 		}
@@ -256,16 +253,11 @@ func (rf *regFile) sendNormal(op *inflight) {
 // forget removes a timed-out op from the wait lists, so the lists only
 // ever hold pending ops and a recycled record is never found there.
 func (rf *regFile) forget(op *inflight) {
-	del := func(w []*inflight) []*inflight {
-		if i := slices.Index(w, op); i >= 0 {
-			return slices.Delete(w, i, i+1)
-		}
-		return w
-	}
+	is := func(w *inflight) bool { return w == op }
 	r := &rf.regs[op.reg]
-	r.fpgaWait = del(r.fpgaWait)
-	r.readWait = del(r.readWait)
-	r.slowWait = del(r.slowWait)
+	r.fpgaWait.DeleteFunc(is)
+	r.readWait.DeleteFunc(is)
+	r.slowWait.DeleteFunc(is)
 }
 
 // --- fabric (slow) side ---------------------------------------------------
@@ -297,7 +289,7 @@ func (rf *regFile) fabricEngine() {
 			case dPlainSync:
 				r.slowVal = m.val
 			case dFifoData:
-				r.fabricQ = append(r.fabricQ, m.val)
+				r.fabricQ.Push(m.val)
 				r.fabricCond.Broadcast()
 			case dCPUCredit:
 				r.cpuCredit++
@@ -336,7 +328,7 @@ func (rf *regFile) engUntil(tm sim.Time) bool {
 func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 	r := &rf.regs[m.reg]
 	if r.claimed {
-		r.normalQ = append(r.normalQ, &efpga.NormalOp{
+		r.normalQ.Push(&efpga.NormalOp{
 			Reg: m.reg, Write: m.write, Value: m.val, Seq: m.id,
 		})
 		r.normalCond.Broadcast()
@@ -347,22 +339,21 @@ func (rf *regFile) handleNormal(m dmsg, tx *sim.TX) {
 		switch r.kind {
 		case RegFIFOToFPGA:
 			if m.write {
-				r.fabricQ = append(r.fabricQ, m.val)
+				r.fabricQ.Push(m.val)
 				r.fabricCond.Broadcast()
 				rf.up.Push(umsg{kind: uNormalResp, id: m.id}, tx)
 				return
 			}
-			rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: uint64(len(r.fabricQ))}, tx)
+			rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: uint64(r.fabricQ.Len())}, tx)
 			return
 		case RegFIFOToCPU:
 			if !m.write {
-				if q := r.slowCPUQ; len(q) > 0 {
-					r.slowCPUQ = q[1:]
-					rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: q[0]}, tx)
+				if r.slowCPUQ.Len() > 0 {
+					rf.up.Push(umsg{kind: uNormalResp, id: m.id, val: r.slowCPUQ.Pop()}, tx)
 					return
 				}
 				if op := rf.a.pendingNormal[m.id]; op != nil {
-					r.slowWait = append(r.slowWait, op)
+					r.slowWait.Push(op)
 					rf.a.park(op)
 				}
 				return // completed on a later push (or times out)
@@ -405,20 +396,18 @@ func (rf *regFile) upMsg(m umsg, _ *sim.TX) {
 		delete(rf.a.pendingNormal, m.id)
 		rf.a.complete(op, m.val, false)
 	case uCPUPush:
-		if w := r.readWait; len(w) > 0 {
-			r.readWait = w[1:]
+		if r.readWait.Len() > 0 {
 			rf.down.Push(dmsg{kind: dCPUCredit, reg: m.reg}, nil)
-			rf.a.complete(w[0], m.val, false)
+			rf.a.complete(r.readWait.Pop(), m.val, false)
 		} else {
-			r.cpuQ = append(r.cpuQ, m.val)
+			r.cpuQ.Push(m.val)
 		}
 	case uTokenPush:
 		r.tokens++
 	case uFPGACredit:
 		r.fpgaCredit++
-		if w := r.fpgaWait; len(w) > 0 && r.fpgaCredit > 0 {
-			r.fpgaWait = w[1:]
-			rf.pushFPGAData(w[0])
+		if r.fpgaWait.Len() > 0 && r.fpgaCredit > 0 {
+			rf.pushFPGAData(r.fpgaWait.Pop())
 		}
 	}
 }
@@ -440,11 +429,10 @@ func (rf *regFile) WritePlain(t *sim.Thread, i int, v uint64) {
 // PopFPGA pops FPGA-bound FIFO i, blocking until data arrives.
 func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
 	r := &rf.regs[i]
-	for len(r.fabricQ) == 0 {
+	for r.fabricQ.Len() == 0 {
 		r.fabricCond.Wait(t)
 	}
-	v := r.fabricQ[0]
-	r.fabricQ = r.fabricQ[1:]
+	v := r.fabricQ.Pop()
 	t.SleepCycles(rf.a.fabric.Clock(), 1)
 	if !rf.fpsoc {
 		rf.up.Push(umsg{kind: uFPGACredit, reg: i}, nil)
@@ -455,11 +443,10 @@ func (rf *regFile) PopFPGA(t *sim.Thread, i int) uint64 {
 // TryPopFPGA pops without blocking.
 func (rf *regFile) TryPopFPGA(i int) (uint64, bool) {
 	r := &rf.regs[i]
-	if len(r.fabricQ) == 0 {
+	if r.fabricQ.Len() == 0 {
 		return 0, false
 	}
-	v := r.fabricQ[0]
-	r.fabricQ = r.fabricQ[1:]
+	v := r.fabricQ.Pop()
 	if !rf.fpsoc {
 		rf.up.Push(umsg{kind: uFPGACredit, reg: i}, nil)
 	}
@@ -471,13 +458,12 @@ func (rf *regFile) PushCPU(t *sim.Thread, i int, v uint64) {
 	r := &rf.regs[i]
 	if rf.fpsoc {
 		t.SleepCycles(rf.a.fabric.Clock(), 1)
-		if w := r.slowWait; len(w) > 0 {
-			r.slowWait = w[1:]
+		if r.slowWait.Len() > 0 {
 			// The up pump resolves and clears the pending entry.
-			rf.up.Push(umsg{kind: uNormalResp, id: w[0].id, val: v}, nil)
+			rf.up.Push(umsg{kind: uNormalResp, id: r.slowWait.Pop().id, val: v}, nil)
 			return
 		}
-		r.slowCPUQ = append(r.slowCPUQ, v)
+		r.slowCPUQ.Push(v)
 		return
 	}
 	for r.cpuCredit <= 0 {
@@ -510,12 +496,10 @@ func (rf *regFile) Claim(i int) { rf.regs[i].claimed = true }
 // WaitOp blocks until a normal-register op arrives on claimed register i.
 func (rf *regFile) WaitOp(t *sim.Thread, i int) *efpga.NormalOp {
 	r := &rf.regs[i]
-	for len(r.normalQ) == 0 {
+	for r.normalQ.Len() == 0 {
 		r.normalCond.Wait(t)
 	}
-	op := r.normalQ[0]
-	r.normalQ = r.normalQ[1:]
-	return op
+	return r.normalQ.Pop()
 }
 
 // Complete answers a claimed normal-register op.

@@ -81,7 +81,7 @@ type Core struct {
 	// the core is stalled on its own adds one per nesting level.
 	mmios sim.FreeList[mmio.Msg]
 
-	irqPending []IRQ
+	irqPending sim.Queue[IRQ]
 	irqHandler func(p Proc, irq IRQ)
 
 	// memTX/mmioTX tag the next memory/MMIO operation for latency
@@ -137,7 +137,7 @@ func (c *Core) TagNextMMIO(tx *sim.TX) { c.mmioTX = tx }
 // taken mid-stall (a page-faulting Memory Hub may be blocking the very
 // MMIO read the core is waiting on).
 func (c *Core) RaiseIRQ(irq IRQ) {
-	c.irqPending = append(c.irqPending, irq)
+	c.irqPending.Push(irq)
 	c.mmioCond.Broadcast()
 }
 
@@ -178,14 +178,13 @@ func (p *proc) Now() sim.Time { return p.t.Now() }
 
 // irqDue reports whether an interrupt would be taken at the next
 // instruction boundary.
-func (c *Core) irqDue() bool { return len(c.irqPending) > 0 && c.irqHandler != nil }
+func (c *Core) irqDue() bool { return c.irqPending.Len() > 0 && c.irqHandler != nil }
 
 // checkIRQ delivers pending interrupts at an instruction boundary.
 func (p *proc) checkIRQ() {
 	c := p.core
 	for c.irqDue() {
-		irq := c.irqPending[0]
-		c.irqPending = c.irqPending[1:]
+		irq := c.irqPending.Pop()
 		p.t.SleepCycles(c.clk, trapEntryCycles)
 		c.irqHandler(p, irq)
 		p.t.SleepCycles(c.clk, trapExitCycles)
@@ -300,7 +299,7 @@ func (p *proc) mmio(addr uint64, write bool, v uint64) uint64 {
 			c.mmios.Put(m)
 			return data
 		}
-		if len(c.irqPending) > 0 && c.irqHandler != nil {
+		if c.irqDue() {
 			p.checkIRQ()
 			continue
 		}

@@ -26,6 +26,10 @@
 // callbacks are passed as (func(any), arg) pairs, so the schedule-and-run
 // path performs no per-event allocation. See PERF.md for the layout and
 // the determinism invariants.
+//
+// Component state uses two containers: a FreeList recycles per-request
+// records, and a Queue holds every FIFO (CDC entries, soft-register
+// queues, ordering and per-line request queues).
 package sim
 
 import (

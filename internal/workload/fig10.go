@@ -79,19 +79,17 @@ func (a *bwAccel) Start(env *efpga.Env) {
 		// per request, pipelined up to the hub's MSHR window.
 		start := t.Now()
 		const window = 8
-		var handles []uint64
+		var handles sim.Queue[uint64]
 		await := func(n int) {
-			for len(handles) > n {
-				b, err := port.Await(t, handles[0])
-				if err != nil {
+			for handles.Len() > n {
+				if _, err := port.Await(t, *handles.At(0)); err != nil {
 					return
 				}
-				_ = b
-				handles = handles[1:]
+				handles.Pop()
 			}
 		}
 		for off := 0; off < xferBytes; off += 16 {
-			handles = append(handles, port.LoadAsync(t, baseA+uint64(off), 16))
+			handles.Push(port.LoadAsync(t, baseA+uint64(off), 16))
 			await(window)
 		}
 		await(0)
@@ -102,7 +100,7 @@ func (a *bwAccel) Start(env *efpga.Env) {
 		start = t.Now()
 		var buf [8]byte
 		for off := 0; off < xferBytes; off += 8 {
-			handles = append(handles, port.StoreAsync(t, baseB+uint64(off), buf[:]))
+			handles.Push(port.StoreAsync(t, baseB+uint64(off), buf[:]))
 			await(window)
 		}
 		await(0)
