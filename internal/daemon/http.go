@@ -82,14 +82,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-out.Done:
-			res, ok := s.Lookup(out.ID)
-			if !ok { // evicted between retire and lookup
-				httpError(w, http.StatusInternalServerError, "result evicted before delivery")
-				return
-			}
-			writeJSON(w, http.StatusOK, res)
+			writeJSON(w, http.StatusOK, s.collect(out.held))
 		case <-r.Context().Done():
 			// Client gone; the job still runs to retirement.
+			s.collect(out.held)
 		}
 	default:
 		httpError(w, http.StatusInternalServerError, fmt.Sprintf("unhandled admit code %d", out.Code))

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,5 +345,53 @@ func TestRetryEstimateUnchanged(t *testing.T) {
 	}
 	if bounced == 0 || sampled == 0 {
 		t.Fatalf("%d bounces, %d samples: the run exercised nothing", bounced, sampled)
+	}
+}
+
+// TestSyncWaiterOutlivesEviction retires resultCap more jobs between a
+// sync job's retirement and its delivery. The handler's job is admitted
+// first on a one-fabric pool, the bulk jobs queue behind it, and Drain
+// retires them all in one timeline advance under the server's lock, so
+// the waiter wakes only after its job has left the lookup table; it must
+// still receive its own result, not a 500 or another job's.
+func TestSyncWaiterOutlivesEviction(t *testing.T) {
+	const bulk = resultCap + 64
+	s, _ := newTestServer(t, func(c *Config) { c.QueueCap = bulk })
+	body, _ := json.Marshal(JobRequest{App: "Popcount", InputSize: 16, Tenant: "waiter", Wait: true})
+	rr := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	}()
+	for { // until the handler's job (id 1) is admitted
+		if _, ok := s.Lookup(1); ok {
+			break
+		}
+		select {
+		case <-served:
+			t.Fatalf("handler returned before admitting its job: status %d: %s", rr.Code, rr.Body)
+		default:
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < bulk; i++ {
+		if out := s.Submit(JobRequest{App: "Tangent", InputSize: 8, Tenant: "bulk"}); out.Code != Admitted {
+			t.Fatalf("bulk job %d: admit code %d", i, out.Code)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup(1); ok {
+		t.Fatal("the sync job is still retained: the drain evicted nothing")
+	}
+	<-served
+	res, err := decodeResult(rr.Result())
+	if rr.Code != http.StatusOK || err != nil {
+		t.Fatalf("sync waiter: status %d (%v): %s", rr.Code, err, rr.Body)
+	}
+	if res.ID != 1 || res.Tenant != "waiter" || res.App != "Popcount" || res.Status != "ok" {
+		t.Fatalf("sync waiter got another job's result: %+v", res)
 	}
 }

@@ -99,17 +99,19 @@ type Server struct {
 // recycled, through the free list, when that eviction removes it from
 // byID or when a QueueFull bounce unwinds its registration; the
 // scheduler keeps no reference to a retired or bounced job, so nothing
-// reads the record after that. Callers handed its done channel may still
-// hold it: reuse resets the whole record with a fresh channel, so the
-// old one stays closed (or, after a bounce, was never handed out).
+// reads the record after that. The one exception is a sync waiter's
+// record, which Submit holds: an eviction leaves it to collect, which
+// recycles it once the waiter has read its result. Callers handed its
+// done channel may still hold it: reuse resets the whole record with a
+// fresh channel, so the old one stays closed (or, after a bounce, was
+// never handed out).
 type entry struct {
-	id     uint64
-	app    string
-	tenant string
-	job    sched.Job
-	done   chan struct{} // closed at retirement, after res is final
-	res    Result
-	next   *entry // free-list link
+	id   uint64
+	job  sched.Job
+	done chan struct{} // closed at retirement, after res is final
+	res  Result        // ID, App and Tenant from admission; the rest at retirement
+	held bool          // a sync waiter has yet to collect res
+	next *entry        // free-list link
 }
 
 // JobRequest is the POST /v1/jobs body. Wait selects the response mode:
@@ -170,6 +172,10 @@ type SubmitOutcome struct {
 	Done  <-chan struct{}
 	Err   error
 	Retry time.Duration
+
+	// held is the record of an admitted Wait job, kept from recycling
+	// until the waiter collects it.
+	held *entry
 }
 
 // NewServer builds a server over a fresh serve pool — workload's
@@ -244,14 +250,9 @@ func (s *Server) onResult(j *sched.Job) {
 	}
 	delete(s.byJob, j)
 	s.outstanding--
-	e.res = Result{
-		ID:       e.id,
-		App:      e.app,
-		Tenant:   e.tenant,
-		Status:   "ok",
-		SubmitUS: float64(j.Submit) / float64(sim.US),
-		Worker:   j.Fabric,
-	}
+	e.res.Status = "ok"
+	e.res.SubmitUS = float64(j.Submit) / float64(sim.US)
+	e.res.Worker = j.Fabric
 	if j.Err != nil {
 		e.res.Status = "failed"
 		e.res.Error = j.Err.Error()
@@ -268,7 +269,9 @@ func (s *Server) onResult(j *sched.Job) {
 	}
 	old := s.order[s.head]
 	delete(s.byID, old.id)
-	s.recycle(old)
+	if !old.held { // else collect recycles it
+		s.recycle(old)
+	}
 	s.order[s.head] = e
 	s.head = (s.head + 1) % resultCap
 }
@@ -280,6 +283,22 @@ func (s *Server) recycle(e *entry) {
 	s.free = e
 }
 
+// collect releases the record Submit held for an admitted Wait job and
+// returns its result, final once Done has closed. The waiter calls it
+// once: after Done closes, or when it gives up waiting. The hold kept the
+// record from recycling, so the result is the waiter's own even after
+// resultCap later retirements evicted it from byID.
+func (s *Server) collect(e *entry) Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := e.res
+	e.held = false
+	if s.byID[e.id] != e { // evicted while held
+		s.recycle(e)
+	}
+	return res
+}
+
 // newEntry takes a recycled entry, or allocates one, and resets it for a
 // new job with a fresh done channel.
 func (s *Server) newEntry(id uint64, req JobRequest, r sched.Request) *entry {
@@ -289,7 +308,10 @@ func (s *Server) newEntry(id uint64, req JobRequest, r sched.Request) *entry {
 	} else {
 		s.free = e.next
 	}
-	*e = entry{id: id, app: req.App, tenant: req.Tenant, job: sched.Job{Request: r}, done: make(chan struct{})}
+	*e = entry{
+		id: id, job: sched.Job{Request: r}, done: make(chan struct{}),
+		res: Result{ID: id, App: req.App, Tenant: req.Tenant},
+	}
 	return e
 }
 
@@ -298,7 +320,10 @@ func (s *Server) newEntry(id uint64, req JobRequest, r sched.Request) *entry {
 // scheduler ever sees the job; then a request naming an unknown app or
 // carrying an unservable field fails (BadRequest, still counted in
 // Stats.Failed and queryable); then the scheduler itself fails it
-// (BadRequest) or bounces it off the bounded queue (QueueFull).
+// (BadRequest) or bounces it off the bounded queue (QueueFull). An
+// admitted req.Wait job's record is held for the HTTP handler's sync
+// waiter (collect); a caller that never collects only costs the record
+// its recycling.
 func (s *Server) Submit(req JobRequest) SubmitOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -339,7 +364,11 @@ func (s *Server) Submit(req JobRequest) SubmitOutcome {
 		return SubmitOutcome{Code: QueueFull, Retry: s.retryLocked()}
 	}
 	s.admitted++
-	return SubmitOutcome{Code: Admitted, ID: e.id, Done: e.done}
+	out := SubmitOutcome{Code: Admitted, ID: e.id, Done: e.done}
+	if req.Wait {
+		e.held, out.held = true, e
+	}
+	return out
 }
 
 // maxInputSize bounds a job's input_size: far past any real request, yet
@@ -492,10 +521,10 @@ func (s *Server) Lookup(id uint64) (Result, bool) {
 	case <-e.done:
 		return e.res, true
 	default:
-		return Result{
-			ID: e.id, App: e.app, Tenant: e.tenant, Status: "pending",
-			SubmitUS: float64(e.job.Submit) / float64(sim.US),
-		}, true
+		res := e.res
+		res.Status = "pending"
+		res.SubmitUS = float64(e.job.Submit) / float64(sim.US)
+		return res, true
 	}
 }
 

@@ -127,3 +127,53 @@ func BenchmarkEngineSameInstantBurst(b *testing.B) {
 	}
 	b.ReportMetric(256, "events/op")
 }
+
+// BenchmarkEngineFarTimers models the Duet Adapter's watchdogs beside the
+// clocked churn they sit in: 3,200 timers pending 200 µs out (the count
+// queued at once at Fig. 11's 16-processor point), each re-armed when it
+// fires, while 32 components tick edge to edge on two clock domains, each
+// at its own phase (as NoC hop latencies skew a tile's events), so every
+// edge is an instant of its own. Each op advances the clock 16 ns: about
+// 290 clock-edge events, and a timer expiry every fourth op. The timers
+// go to the far-future heap, so the calendar's heap holds only the clock
+// edges; it must not allocate.
+func BenchmarkEngineFarTimers(b *testing.B) {
+	const (
+		components = 32
+		timers     = 3200
+		timeout    = 200 * US
+		span       = 16 * NS
+	)
+	e := NewEngineCap(components)
+	ticks, fired := 0, 0
+	for i := 0; i < components; i++ {
+		c := NewClock("fast", 1400) // ~714 MHz processor domain
+		if i%4 == 0 {
+			c = NewClock("slow", 10000) // 100 MHz eFPGA domain
+		}
+		c.Phase = Time(i) * 41
+		var self func()
+		self = func() {
+			ticks++
+			e.At(c.EdgeAfter(e.Now()), self)
+		}
+		e.At(0, self)
+	}
+	var expire func(any)
+	expire = func(any) {
+		fired++
+		e.AfterArg(timeout, expire, nil)
+	}
+	for i := 0; i < timers; i++ {
+		e.AfterArg(timeout+Time(i)*(timeout/timers), expire, nil)
+	}
+	e.RunBefore(3 * timeout) // every timer has fired and re-armed
+	ticks, fired = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunBefore(e.Now() + span)
+	}
+	b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")
+	b.ReportMetric(float64(fired)/float64(b.N), "expiries/op")
+}

@@ -21,11 +21,15 @@
 // almost everything on clock-edge-aligned timestamps shared by many
 // components, the common enqueue/dequeue is an O(1) append/advance on an
 // existing bucket, found through a fixed direct-mapped slot table; the heap
-// holds about one bucket per distinct timestamp. Events run in (time,
-// scheduling order) and carry no priority. Events are stored by value and
-// callbacks are passed as (func(any), arg) pairs, so the schedule-and-run
-// path performs no per-event allocation. See PERF.md for the layout and
-// the determinism invariants.
+// holds about one bucket per distinct timestamp. An event scheduled at
+// least farFuture (about 134 µs) ahead, such as an adapter watchdog,
+// skips the calendar for a small binary heap ordered the same way, so
+// thousands of pending timers do not deepen the calendar's heap; at an
+// instant both hold, the far events run first, since they were scheduled
+// earlier. Events run in (time, scheduling order) and carry no priority.
+// Events are stored by value and callbacks are passed as (func(any), arg)
+// pairs, so the schedule-and-run path performs no per-event allocation.
+// See PERF.md for the layout and the determinism invariants.
 //
 // Component state uses two containers: a FreeList recycles per-request
 // records, and a Queue holds every FIFO (CDC entries, soft-register
@@ -70,9 +74,10 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(NS) }
 func (t Time) Seconds() float64 { return float64(t) / 1e12 }
 
 // event is one scheduled callback, stored by value inside its timestamp's
-// bucket. The kernel allocates nothing per event: fn is a long-lived
-// function value and arg a caller-owned pointer (or the plain func() for
-// events scheduled through At/After, which boxes allocation-free).
+// bucket or its farEvent. The kernel allocates nothing per event: fn is a
+// long-lived function value and arg a caller-owned pointer (or the plain
+// func() for events scheduled through At/After, which boxes
+// allocation-free).
 type event struct {
 	fn  func(any)
 	arg any
@@ -91,6 +96,22 @@ type bucket struct {
 	seq  uint64 // creation order: the heap's tie-break at equal at
 	head int    // next event to pop
 	evs  []event
+}
+
+// farFuture is the lead at or past which an event goes to the far-future
+// heap instead of the calendar. At 2^27 ps (about 134 µs) mostly timers
+// take it, such as the Duet Adapter's watchdogs 200,000 fast cycles out,
+// while job completions and memory chains, microseconds out, keep the
+// calendar's O(1) bucket path. Exactness needs no particular value: now
+// never goes backwards, so an event at instant t enters the calendar only
+// if it was scheduled after every far event at t.
+const farFuture Time = 1 << 27
+
+// farEvent is one event in the far-future heap.
+type farEvent struct {
+	at  Time
+	seq uint64 // scheduling order among far events: the tie-break at equal at
+	ev  event
 }
 
 // calSlots is the size of the calendar's direct-mapped slot table.
@@ -127,6 +148,9 @@ type Engine struct {
 	heap    []int32         // 4-ary min-heap of live bucket indices, keyed by (at, seq)
 	slots   [calSlots]int32 // newest bucket opened per calSlot; a hit needs at == t
 	seq     uint64          // buckets opened so far
+
+	far    []farEvent // binary min-heap of far-future events, keyed by (at, seq)
+	farSeq uint64     // far events scheduled so far
 
 	// threads tracks live Threads so Run can detect a deadlock in which
 	// every thread is parked but no events remain.
@@ -190,15 +214,21 @@ func (e *Engine) AtEvent(t Time, ev *Event) {
 	e.at(t, ev.Fn, ev.Arg)
 }
 
-// at enqueues one event. The fast path — the instant's newest bucket is
-// still in its slot — is a slot load, a timestamp compare and an append.
-// On a miss (no open bucket, or a colliding instant took the slot) a new
-// bucket opens and takes the slot.
+// at enqueues one event. An event at least farFuture ahead goes to the
+// far-future heap. Otherwise the fast path — the instant's newest bucket
+// is still in its slot — is a slot load, a timestamp compare and an
+// append. On a miss (no open bucket, or a colliding instant took the
+// slot) a new bucket opens and takes the slot.
 func (e *Engine) at(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.pending++
+	if t-e.now >= farFuture {
+		e.farPush(farEvent{at: t, seq: e.farSeq, ev: event{fn: fn, arg: arg}})
+		e.farSeq++
+		return
+	}
 	s := calSlot(t)
 	// Unwritten slots hold 0, which may name no bucket yet.
 	if bi := e.slots[s]; int(bi) < len(e.buckets) && e.buckets[bi].at == t {
@@ -227,11 +257,15 @@ func (e *Engine) at(t Time, fn func(any), arg any) {
 // Stop makes the current Run call return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step pops and executes the earliest queued event. Callers guarantee the
-// queue is non-empty. The "time went backwards" guard holds for every
-// execution path (Run and RunBefore alike): it is the kernel's core
-// determinism invariant.
+// step pops and executes the earliest queued event, the far heap's head
+// first at equal times. Callers guarantee the queue is non-empty. The
+// "time went backwards" guard holds for every execution path (Run and
+// RunBefore alike): it is the kernel's core determinism invariant.
 func (e *Engine) step() {
+	if len(e.far) > 0 && (len(e.heap) == 0 || e.far[0].at <= e.buckets[e.heap[0]].at) {
+		e.stepFar()
+		return
+	}
 	bi := e.heap[0]
 	b := &e.buckets[bi]
 	if b.at < e.now {
@@ -255,6 +289,31 @@ func (e *Engine) step() {
 	ev.fn(ev.arg)
 }
 
+// stepFar pops and executes the far heap's head.
+func (e *Engine) stepFar() {
+	f := e.far[0]
+	if f.at < e.now {
+		panic("sim: event time went backwards")
+	}
+	e.now = f.at
+	e.farPopTop()
+	e.pending--
+	f.ev.fn(f.ev.arg)
+}
+
+// next reports the time of the earliest queued event, Forever when the
+// queue is empty.
+func (e *Engine) next() Time {
+	t := Forever
+	if len(e.heap) > 0 {
+		t = e.buckets[e.heap[0]].at
+	}
+	if len(e.far) > 0 && e.far[0].at < t {
+		t = e.far[0].at
+	}
+	return t
+}
+
 // RunOn is the run-on rule, for a thread's timed wait (Thread.WaitUntil)
 // and for an event callback that must continue at tm. It reports true
 // when the caller may go on in place: tm is now, or a wakeup at tm
@@ -272,7 +331,7 @@ func (e *Engine) RunOn(tm Time) bool {
 	if tm == e.now {
 		return true
 	}
-	if e.stopped || tm >= e.horizon || len(e.heap) > 0 && e.buckets[e.heap[0]].at <= tm {
+	if e.stopped || tm >= e.horizon || e.next() <= tm {
 		return false
 	}
 	e.now = tm
@@ -291,7 +350,7 @@ func (e *Engine) Run(maxEvents int) int {
 		e.horizon = 0
 	}
 	n := 0
-	for len(e.heap) > 0 && !e.stopped {
+	for e.pending > 0 && !e.stopped {
 		if maxEvents > 0 && n >= maxEvents {
 			break
 		}
@@ -316,8 +375,8 @@ func (e *Engine) RunBefore(deadline Time) int {
 	e.stopped = false
 	e.horizon = deadline
 	n := 0
-	for len(e.heap) > 0 && !e.stopped {
-		if e.buckets[e.heap[0]].at >= deadline {
+	for e.pending > 0 && !e.stopped {
+		if e.next() >= deadline {
 			break
 		}
 		e.step()
@@ -387,4 +446,54 @@ func (e *Engine) heapPopTop() {
 		i = m
 	}
 	e.heap[i] = moved
+}
+
+// --- binary heap of far-future events, keyed by (at, seq) -----------------
+//
+// A pushed event is always the newest far event, so sift-up compares
+// timestamps alone, as in the bucket heap.
+
+func (e *Engine) farPush(f farEvent) {
+	e.far = append(e.far, f)
+	i := len(e.far) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if e.far[p].at <= f.at {
+			break
+		}
+		e.far[i] = e.far[p]
+		i = p
+	}
+	e.far[i] = f
+}
+
+// farPopTop removes the minimum, releasing the freed tail slot's callback
+// and payload.
+func (e *Engine) farPopTop() {
+	n := len(e.far) - 1
+	moved := e.far[n]
+	e.far[n] = farEvent{}
+	e.far = e.far[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && farLess(&e.far[c+1], &e.far[c]) {
+			c++
+		}
+		if !farLess(&e.far[c], &moved) {
+			break
+		}
+		e.far[i] = e.far[c]
+		i = c
+	}
+	if n > 0 {
+		e.far[i] = moved
+	}
+}
+
+func farLess(a, b *farEvent) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }

@@ -206,6 +206,78 @@ func TestSlotCollisionKeepsSchedulingOrder(t *testing.T) {
 	}
 }
 
+// TestFarFutureTier pins the far-future heap: an event scheduled at least
+// farFuture ahead skips the calendar, Pending and event budgets count it,
+// a RunBefore deadline at its instant leaves it queued, and at its instant
+// it runs before a calendar event scheduled there later, while far events
+// among themselves keep scheduling order.
+func TestFarFutureTier(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(s string) func() { return func() { got = append(got, s) } }
+	tf := farFuture + 5*NS
+	e.At(tf, rec("far1"))
+	e.At(6*NS, func() {
+		got = append(got, "near")
+		e.At(tf, rec("calendar"))                 // lead under farFuture
+		e.At(e.Now()+farFuture, rec("far-child")) // lead exactly farFuture
+	})
+	e.At(tf, rec("far2"))
+	if e.Pending() != 3 || len(e.far) != 2 || len(e.heap) != 1 {
+		t.Fatalf("pending %d, far %d, buckets %d; want 3, 2, 1", e.Pending(), len(e.far), len(e.heap))
+	}
+	if n := e.Run(1); n != 1 || e.Pending() != 4 || len(e.far) != 3 {
+		t.Fatalf("Run(1) popped %d, pending %d, far %d; want 1, 4, 3", n, e.Pending(), len(e.far))
+	}
+	if n := e.RunBefore(tf); n != 0 || e.Now() != tf || e.Pending() != 4 {
+		t.Fatalf("RunBefore(%v) popped %d, now %v, pending %d; want 0, %v, 4", tf, n, e.Now(), e.Pending(), tf)
+	}
+	if n := e.Run(2); n != 2 || e.Pending() != 2 {
+		t.Fatalf("Run(2) popped %d, pending %d; want 2, 2", n, e.Pending())
+	}
+	if n := e.Run(0); n != 2 || e.Pending() != 0 || len(e.far) != 0 {
+		t.Fatalf("Run(0) popped %d, pending %d, far %d; want 2, 0, 0", n, e.Pending(), len(e.far))
+	}
+	want := []string{"near", "far1", "far2", "calendar", "far-child"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if e.Now() != 6*NS+farFuture {
+		t.Fatalf("Now = %v, want %v", e.Now(), 6*NS+farFuture)
+	}
+}
+
+// TestRunOnWithFarEventQueued pins the run-on rule against the far-future
+// heap: a callback may run on up to a queued far event's instant but not
+// to it, and the continuation it queues there runs after the far event.
+func TestRunOnWithFarEventQueued(t *testing.T) {
+	e := NewEngine()
+	tf := farFuture + 10*NS
+	var trace []string
+	e.At(tf, func() { trace = append(trace, fmt.Sprintf("far@%d", e.Now())) })
+	var ev Event
+	ev.Fn = func(any) {
+		if e.Now() == tf {
+			trace = append(trace, fmt.Sprintf("continued@%d", e.Now()))
+			return
+		}
+		if !e.RunOn(tf - 1) {
+			t.Fatal("RunOn before the far event's instant refused")
+		}
+		if e.RunOn(tf) || e.RunOn(tf+1) {
+			t.Fatal("RunOn ran on to or past a queued far event")
+		}
+		trace = append(trace, fmt.Sprintf("ran-on@%d", e.Now()))
+		e.AtEvent(tf, &ev)
+	}
+	e.AtEvent(0, &ev)
+	n := e.Run(0)
+	want := []string{fmt.Sprintf("ran-on@%d", tf-1), fmt.Sprintf("far@%d", tf), fmt.Sprintf("continued@%d", tf)}
+	if fmt.Sprint(trace) != fmt.Sprint(want) || n != 3 {
+		t.Fatalf("trace = %v after %d pops, want %v after 3", trace, n, want)
+	}
+}
+
 func TestNewEngineCap(t *testing.T) {
 	e := NewEngineCap(1024)
 	var got []int

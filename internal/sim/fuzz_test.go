@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"testing"
 )
 
@@ -36,71 +37,150 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// fuzzOp is one decoded fuzz instruction: a root event at fuzzBase+dt
-// which, when it runs, schedules a child childDt after its own execution
-// time (childDt < 0 means no child). Children exercise nested scheduling,
-// including the schedule-at-now-while-draining path.
+// fuzzOp is one decoded root: an event at instant at, scheduled before
+// the first run, which, when it runs, schedules a child childDt after its
+// own execution time (childDt < 0 means no child). Children exercise
+// nested scheduling, including the schedule-at-now-while-draining path.
 type fuzzOp struct {
-	dt      Time
+	at      Time
 	childDt Time // -1: no child
 }
 
 const fuzzBase = 10 * NS
 
-func decodeFuzzOps(data []byte) []fuzzOp {
-	var ops []fuzzOp
-	for i := 0; i+1 < len(data) && len(ops) < 512; i += 2 {
-		op := fuzzOp{dt: Time(data[i]) * 100, childDt: -1}
-		if data[i+1]%2 == 0 {
-			op.childDt = Time(data[i+1]) * 50
-		}
-		ops = append(ops, op)
+// fuzzTime maps a byte to a root instant or a RunBefore deadline. Bytes
+// below 128 are near instants on a 100 ps grid from fuzzBase; from 128 up
+// they straddle farFuture on the same grid, so a root scheduled at time 0
+// goes to the far-future heap from byte 160 up.
+func fuzzTime(b byte) Time {
+	if b < 128 {
+		return fuzzBase + Time(b)*100
 	}
-	return ops
+	return farFuture + Time(int(b)-160)*100
 }
 
-// runKernelOrder plays ops through the real engine and records execution
-// order by event id (roots get their op index; the i-th op's child gets
-// len(ops)+i).
-func runKernelOrder(ops []fuzzOp) []int {
+// fuzzDelay maps an even byte to a child's delay. Bytes below 128 are near
+// delays on a 50 ps grid; from 128 up they straddle farFuture on the same
+// grid, far from byte 192 up. A near root's child just short of farFuture
+// lands in the calendar at a far root's instant.
+func fuzzDelay(b byte) Time {
+	if b < 128 {
+		return Time(b) * 50
+	}
+	return farFuture + Time(int(b)-192)*50
+}
+
+// decodeFuzzOps reads byte pairs (a, b). With b even, a is a root at
+// fuzzTime(a) with a child fuzzDelay(b) later; with b%4 == 1 it is a root
+// without a child; with b%4 == 3 the pair is a run segment, Run(a%16+1)
+// if b&4 is set, else RunBefore(fuzzTime(a)).
+func decodeFuzzOps(data []byte) ([]fuzzOp, []runSeg) {
+	var ops []fuzzOp
+	var segs []runSeg
+	for i := 0; i+1 < len(data) && i < 1024; i += 2 {
+		a, b := data[i], data[i+1]
+		switch {
+		case b%4 == 3 && b&4 != 0:
+			segs = append(segs, runSeg{budget: int(a%16) + 1})
+		case b%4 == 3:
+			segs = append(segs, runSeg{deadline: fuzzTime(a)})
+		case b%2 == 0:
+			ops = append(ops, fuzzOp{at: fuzzTime(a), childDt: fuzzDelay(b)})
+		default:
+			ops = append(ops, fuzzOp{at: fuzzTime(a), childDt: -1})
+		}
+	}
+	return ops, segs
+}
+
+// runKernelOrder plays ops through the real engine: the roots are
+// scheduled up front, then the segments run in order, each followed by a
+// mark of Now() (and, after a RunBefore, an event injected at Now()), and
+// a final Run(0) drains the queue. It returns the trace of (event id,
+// Now()) — roots get their op index, the i-th op's child len(ops)+i — and
+// the budgeted runs' return values.
+func runKernelOrder(ops []fuzzOp, segs []runSeg) ([]traceRec, []int) {
 	e := NewEngine()
-	var got []int
+	var got []traceRec
+	rec := func(id int) { got = append(got, traceRec{id, e.Now()}) }
 	for i, op := range ops {
-		i, op := i, op
-		childID := len(ops) + i
-		e.At(fuzzBase+op.dt, func() {
-			got = append(got, i)
+		e.At(op.at, func() {
+			rec(i)
 			if op.childDt >= 0 {
-				e.At(e.Now()+op.childDt, func() { got = append(got, childID) })
+				e.At(e.Now()+op.childDt, func() { rec(len(ops) + i) })
 			}
 		})
 	}
+	var counts []int
+	for k, s := range segs {
+		if s.budget > 0 {
+			counts = append(counts, e.Run(s.budget))
+			rec(idRunReturned + k)
+			continue
+		}
+		e.RunBefore(s.deadline)
+		rec(idRunReturned + k)
+		e.At(e.Now(), func() { rec(idInjected + k) })
+	}
 	e.Run(0)
-	return got
+	if e.Pending() != 0 {
+		panic("events left queued after Run(0)")
+	}
+	return got, counts
 }
 
 // runReferenceOrder plays the same ops through the container/heap oracle,
 // mirroring the engine's semantics (seq assigned in scheduling order,
-// children scheduled at pop time).
-func runReferenceOrder(ops []fuzzOp) []int {
-	var h refHeap
-	var seq uint64
-	var want []int
-	for i, op := range ops {
+// children scheduled at pop time, RunBefore leaving events at the
+// deadline queued and advancing the clock to it).
+func runReferenceOrder(ops []fuzzOp, segs []runSeg) ([]traceRec, []int) {
+	var (
+		h   refHeap
+		seq uint64
+		now Time
+		got []traceRec
+	)
+	rec := func(id int) { got = append(got, traceRec{id, now}) }
+	at := func(tm Time, id int) {
 		seq++
-		heap.Push(&h, &refEvent{at: fuzzBase + op.dt, seq: seq, id: i})
+		heap.Push(&h, &refEvent{at: tm, seq: seq, id: id})
 	}
-	for h.Len() > 0 {
+	for i, op := range ops {
+		at(op.at, i)
+	}
+	pop := func() {
 		ev := heap.Pop(&h).(*refEvent)
-		want = append(want, ev.id)
+		now = ev.at
+		rec(ev.id)
 		if ev.id < len(ops) {
 			if op := ops[ev.id]; op.childDt >= 0 {
-				seq++
-				heap.Push(&h, &refEvent{at: ev.at + op.childDt, seq: seq, id: len(ops) + ev.id})
+				at(now+op.childDt, len(ops)+ev.id)
 			}
 		}
 	}
-	return want
+	var counts []int
+	for k, s := range segs {
+		n := 0
+		for h.Len() > 0 {
+			if s.budget > 0 && n >= s.budget || s.budget == 0 && h[0].at >= s.deadline {
+				break
+			}
+			pop()
+			n++
+		}
+		if s.budget > 0 {
+			counts = append(counts, n)
+			rec(idRunReturned + k)
+			continue
+		}
+		now = max(now, s.deadline)
+		rec(idRunReturned + k)
+		at(now, idInjected+k)
+	}
+	for h.Len() > 0 {
+		pop()
+	}
+	return got, counts
 }
 
 // collidingInstants returns the first two of the instants base+k*step,
@@ -118,32 +198,40 @@ func collidingInstants(base, step Time) (Time, Time) {
 	panic("unreachable: more instants than slots")
 }
 
-// FuzzEventOrder drives the calendar-bucket queue and the reference
-// container/heap with the same event stream — including same-instant
-// ties, slot collisions and nested scheduling — and requires identical
-// pop order. This is the determinism contract every golden-seed result in
-// this repository rests on.
+// FuzzEventOrder drives the kernel's queue — the calendar buckets and the
+// far-future heap — and the reference container/heap with the same event
+// stream, including same-instant ties, slot collisions, nested
+// scheduling, delays on both sides of farFuture (so far and calendar
+// events share instants), and RunBefore deadlines and Run budgets that
+// land on either kind. It requires the same (id, Now()) trace and budgeted
+// pop counts. This is the determinism contract every golden-seed result
+// in this repository rests on.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 1})            // same-instant FIFO ties
-	f.Add([]byte{5, 3, 5, 1, 5, 0, 5, 2})      // children at and just after a busy instant
+	f.Add([]byte{5, 1, 5, 1, 5, 0, 5, 2})      // children at and just after a busy instant
 	f.Add([]byte{9, 0, 9, 0, 9, 0})            // children landing mid-drain
-	f.Add([]byte{200, 1, 100, 1, 0, 1, 50, 1}) // out-of-order instants
+	f.Add([]byte{120, 1, 100, 1, 0, 1, 50, 1}) // out-of-order instants
 	// Slot collisions: a and b take turns in one slot, so each instant
 	// gets a second live bucket, with children landing at now.
 	t1, t2 := collidingInstants(fuzzBase, 100)
 	a, b := byte((t1-fuzzBase)/100), byte((t2-fuzzBase)/100)
 	f.Add([]byte{a, 0, a, 1, b, 1, a, 1, a, 0, b, 1, b, 0})
+	// A far root at farFuture+9.5ns (byte 255), a near root whose child
+	// lands in the calendar at that instant, the far root's own child at
+	// its instant, and a far child of a near root.
+	f.Add([]byte{255, 0, 0, 182, 254, 1, 3, 200})
+	f.Add([]byte{255, 1, 0, 182, 255, 3, 0, 1}) // a deadline at the shared instant, then an injected event
+	f.Add([]byte{0, 1, 255, 1, 0, 7, 255, 0})   // a budget of one stops before the far roots
+	f.Add([]byte{159, 1, 160, 1, 161, 1, 2, 7}) // roots just short of, at and past farFuture
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeFuzzOps(data)
-		got := runKernelOrder(ops)
-		want := runReferenceOrder(ops)
-		if len(got) != len(want) {
-			t.Fatalf("executed %d events, reference executed %d", len(got), len(want))
+		ops, segs := decodeFuzzOps(data)
+		got, gotN := runKernelOrder(ops, segs)
+		want, wantN := runReferenceOrder(ops, segs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trace diverges:\nkernel    %v\nreference %v", got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pop order diverges at %d: kernel %v, reference %v", i, got, want)
-			}
+		if !slices.Equal(gotN, wantN) {
+			t.Fatalf("budgeted runs popped %v events, reference %v", gotN, wantN)
 		}
 	})
 }

@@ -5,7 +5,8 @@
 #   scripts/bench.sh check   # fail past +30% ns/op or +16 allocs/op
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
-# ticks, same-instant bursts, thread wakeups), eleven per-layer benches at
+# ticks, same-instant bursts, far-future timers beside clock churn,
+# thread wakeups), eleven per-layer benches at
 # -count 5, of which the gate keeps the fastest — one entry's CDC
 # crossing (fast to slow, through a Drain consumer), a 32-entry burst
 # backed up behind a full depth-8 CDC FIFO, one message across a 4x4
@@ -28,7 +29,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 run_benches() {
-    go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkThreadPingPong$' -benchtime 200000x -benchmem ./internal/sim
+    go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkEngineFarTimers$|BenchmarkThreadPingPong$' -benchtime 200000x -benchmem ./internal/sim
     go test -run '^$' -bench 'BenchmarkCDCCrossing$|BenchmarkCDCBackpressure$' -count 5 -benchmem ./internal/cdc
     go test -run '^$' -bench 'BenchmarkNoCDelivery$' -count 5 -benchmem ./internal/noc
     go test -run '^$' -bench 'BenchmarkRunSourceHandoff$' -count 5 -benchmem ./internal/cluster
