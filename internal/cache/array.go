@@ -12,13 +12,14 @@ import (
 
 // Way holds one cache line and its metadata. The State field is owned by
 // the protocol layer (coherence package); the array only distinguishes
-// valid from invalid. The flags sit last so a way packs into 56 bytes.
+// valid from invalid. The state byte and the flags share the last word,
+// so a way packs into 48 bytes.
 type Way struct {
 	Tag   uint64 // full line address (tag+index combined, for simplicity)
 	Data  mem.Line
-	State int    // protocol-defined
 	VPN   uint64 // virtual page number (Proxy Cache reverse mapping); 0 if unused
 	lru   uint64 // last-touch stamp
+	State uint8  // protocol-defined
 	Valid bool
 	Dirty bool
 }
@@ -43,8 +44,6 @@ type Array struct {
 	chunks    [][]Way // each chunkSets*ways long
 	used      int32   // sets materialized so far
 	stamp     uint64
-	// Hits/Misses count Lookup outcomes for statistics.
-	Hits, Misses uint64
 }
 
 // NewArray builds an array with the given total capacity in bytes and
@@ -112,15 +111,13 @@ func (a *Array) Lookup(lineAddr uint64) *Way {
 		if set[i].Valid && set[i].Tag == lineAddr {
 			a.stamp++
 			set[i].lru = a.stamp
-			a.Hits++
 			return &set[i]
 		}
 	}
-	a.Misses++
 	return nil
 }
 
-// Peek finds the way holding lineAddr without touching LRU or counters.
+// Peek finds the way holding lineAddr without touching LRU state.
 func (a *Array) Peek(lineAddr uint64) *Way {
 	set := a.peekSet(lineAddr)
 	for i := range set {
@@ -167,7 +164,7 @@ func (a *Array) Install(w *Way, lineAddr uint64, data mem.Line, state int) *Way 
 		panic("cache: installing over a live line; evict first")
 	}
 	a.stamp++
-	*w = Way{Valid: true, Tag: lineAddr, Data: data, State: state, lru: a.stamp}
+	*w = Way{Valid: true, Tag: lineAddr, Data: data, State: uint8(state), lru: a.stamp}
 	return w
 }
 

@@ -15,8 +15,8 @@ func BenchmarkCDCCrossing(b *testing.B) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
 	f := NewFifo[uint64](eng, "bench", fast, slow, 8, 2)
-	var sum uint64
-	f.Drain(func(v uint64, _ *sim.TX) { sum += v })
+	var popped uint64
+	f.Drain(func(uint64, *sim.TX) { popped++ })
 	cross := func(i int) {
 		f.Push(uint64(i), nil)
 		eng.Run(0)
@@ -28,8 +28,8 @@ func BenchmarkCDCCrossing(b *testing.B) {
 		cross(i)
 	}
 	b.StopTimer()
-	if f.Popped != uint64(b.N)+1 {
-		b.Fatalf("popped %d of %d entries", f.Popped, b.N+1)
+	if popped != uint64(b.N)+1 {
+		b.Fatalf("popped %d of %d entries", popped, b.N+1)
 	}
 }
 
@@ -43,8 +43,8 @@ func BenchmarkCDCBackpressure(b *testing.B) {
 	eng := sim.NewEngine()
 	fast, slow := clocks()
 	f := NewFifo[uint64](eng, "bench", fast, slow, depth, 2)
-	var sum uint64
-	f.Drain(func(v uint64, _ *sim.TX) { sum += v })
+	var popped uint64
+	f.Drain(func(uint64, *sim.TX) { popped++ })
 	flood := func() {
 		for i := 0; i < burst; i++ {
 			f.Push(uint64(i), nil)
@@ -58,7 +58,7 @@ func BenchmarkCDCBackpressure(b *testing.B) {
 		flood()
 	}
 	b.StopTimer()
-	if f.Popped != uint64(b.N+1)*burst {
-		b.Fatalf("popped %d of %d entries", f.Popped, (b.N+1)*burst)
+	if popped != uint64(b.N+1)*burst {
+		b.Fatalf("popped %d of %d entries", popped, (b.N+1)*burst)
 	}
 }

@@ -61,9 +61,6 @@ type Fifo[T any] struct {
 	// The Drain consumer and its pre-built wake record.
 	drainFn func(T, *sim.TX)
 	drainEv sim.Event
-
-	// Popped counts total entries ever popped.
-	Popped uint64
 }
 
 // callCommit and callDrain are the trampolines behind every FIFO's retry
@@ -151,7 +148,6 @@ func (f *Fifo[T]) TryPop() (T, *sim.TX, bool) {
 	}
 	e := f.q.Pop()
 	f.n--
-	f.Popped++
 	redge := f.rclk.NextEdge(now)
 	// The slot is returned to the writer once the read pointer crosses the
 	// synchronizer into the writer domain; a waiting push sees it at its

@@ -78,18 +78,19 @@ func TestLoadMissGrantsExclusive(t *testing.T) {
 func TestSilentUpgradeEtoM(t *testing.T) {
 	r := newRig(t, 1)
 	c := r.caches[0]
-	reqsBefore := uint64(0)
+	var took sim.Time
 	r.eng.Go("prog", func(th *sim.Thread) {
 		c.Load(th, 0x2000, 8, nil)
-		reqsBefore = r.dom.HomeFor(0x2000).Reqs
+		start := th.Now()
 		c.Store(th, 0x2000, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
+		took = th.Now() - start
 	})
 	r.settle(t)
 	if s := c.State(0x2000); s != StateM {
 		t.Fatalf("state = %s, want M", StateName(s))
 	}
-	if r.dom.HomeFor(0x2000).Reqs != reqsBefore {
-		t.Fatal("E->M upgrade generated home traffic (should be silent)")
+	if hit := params.L2HitCycles * params.CPUClockPS; took != hit {
+		t.Fatalf("E->M upgrade took %v, want the %v hit latency (no home round trip)", took, hit)
 	}
 }
 
@@ -169,8 +170,8 @@ func TestWriteBackOnEviction(t *testing.T) {
 		}
 	})
 	r.settle(t)
-	if c.Evictions == 0 {
-		t.Fatal("no eviction happened")
+	if s := c.State(base); s != StateI {
+		t.Fatalf("LRU line of the full set is %s, want I (no eviction happened)", StateName(s))
 	}
 	// The evicted line's data must be recoverable through the home.
 	var got uint64

@@ -163,9 +163,6 @@ type Home struct {
 
 	// cacheTile maps cache IDs to their NoC tiles for forwards.
 	cacheTile map[int]int
-
-	// Stats.
-	Reqs, Fwds, DRAMFills, Writebacks uint64
 }
 
 // newHome creates an L3 shard at the given tile, drawing its messages from
@@ -257,7 +254,6 @@ func (h *Home) done(c *lineCtx) phase {
 
 func (h *Home) onReq(m *noc.Msg) {
 	req := m.Payload.(*ReqMsg)
-	h.Reqs++
 	h.enqueue(req.Line, homeJob{req: req, tx: m.TX})
 }
 
@@ -340,7 +336,6 @@ func (h *Home) forward(cacheID int, typ FwdType, line uint64, tx *sim.TX) {
 	f := h.pool.fwds.Get()
 	f.Type, f.Line, f.To = typ, line, cacheID
 	f.msg = noc.Msg{Src: h.tile, Dst: h.cacheTile[cacheID], VN: noc.VNFwd, Bytes: FwdBytes, Payload: f, TX: tx}
-	h.Fwds++
 	h.mesh.Send(&f.msg)
 }
 
@@ -439,7 +434,6 @@ func (h *Home) install(c *lineCtx) phase {
 		return (*Home).pickVictim
 	}
 	c.fetched = false
-	h.DRAMFills++
 	data := h.dram.ReadLine(c.line)
 	c.way = h.arr.Install(c.victim, c.line, data, 0)
 	c.dir = h.newDirEntry()
@@ -478,15 +472,11 @@ func (h *Home) dispatch(c *lineCtx) phase {
 }
 
 // absorbDirty copies the dirty data of c's collected acks, if any, into
-// its L3 way, counting write-backs if count is set, and releases the
-// acks.
-func (h *Home) absorbDirty(c *lineCtx, count bool) {
+// its L3 way and releases the acks.
+func (h *Home) absorbDirty(c *lineCtx) {
 	for _, a := range c.acks {
 		if a.Present && a.Dirty {
 			c.way.Data = a.Data
-			if count {
-				h.Writebacks++
-			}
 		}
 	}
 	h.releaseAcks(c)
@@ -517,7 +507,6 @@ func (h *Home) loadFromOwner(c *lineCtx) phase {
 	a := c.acks[0]
 	if a.Present && a.Dirty {
 		c.way.Data = a.Data
-		h.Writebacks++
 	}
 	d.owner = -1
 	if a.Present && !a.FromWB {
@@ -561,7 +550,7 @@ func (h *Home) store(c *lineCtx) phase {
 }
 
 func (h *Home) storeGrant(c *lineCtx) phase {
-	h.absorbDirty(c, true)
+	h.absorbDirty(c)
 	c.dir.owner = c.req.CacheID
 	c.dir.sharers = c.dir.sharers[:0]
 	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).storeRespond)
@@ -591,7 +580,6 @@ func (h *Home) writeBack(c *lineCtx) phase {
 		if req.Dirty {
 			w.Data = req.Data
 			w.Dirty = true
-			h.Writebacks++
 		}
 	} else {
 		d.removeSharer(req.CacheID)
@@ -617,7 +605,7 @@ func (h *Home) amo(c *lineCtx) phase {
 }
 
 func (h *Home) amoExec(c *lineCtx) phase {
-	h.absorbDirty(c, false)
+	h.absorbDirty(c)
 	c.dir.owner = -1
 	c.dir.sharers = c.dir.sharers[:0]
 	return h.charge(c, params.L3DataCycles, (*Home).amoApply)
@@ -654,7 +642,7 @@ func (h *Home) writeThrough(c *lineCtx) phase {
 }
 
 func (h *Home) writeThroughExec(c *lineCtx) phase {
-	h.absorbDirty(c, false)
+	h.absorbDirty(c)
 	if d := c.dir; d.owner >= 0 && d.owner != c.req.CacheID {
 		d.owner = -1
 	}

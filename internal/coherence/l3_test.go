@@ -69,9 +69,12 @@ func TestL3VictimRestartsQueuedWork(t *testing.T) {
 	var xv uint64
 	r.eng.Go("x", func(th *sim.Thread) { xv = Uint64At(r.caches[1].Load(th, x, 8, nil)) })
 	r.settle(t)
-	got := fmt.Sprintf("%d %d %d %d %d %s", evAt, yv, yAt, xv, r.caches[0].Evictions, StateName(r.caches[0].State(x)))
-	if want := "605000 0 724000 21 1 I"; got != want {
-		t.Fatalf("evictor done, y, done, x, evictions, x's state = %s, want %s", got, want)
+	got := fmt.Sprintf("%d %d %d %d", evAt, yv, yAt, xv)
+	for k := uint64(0); k <= 4; k++ {
+		got += " " + StateName(r.caches[0].State(x+k*params.L2Bytes/params.L2Ways))
+	}
+	if want := "605000 0 724000 21 I M M M M"; got != want {
+		t.Fatalf("evictor done, y, done, x, the L2 set's states = %s, want %s", got, want)
 	}
 }
 

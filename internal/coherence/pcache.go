@@ -123,13 +123,6 @@ type PCache struct {
 	// every delayed step is scheduled with its record as the event
 	// argument, so no access or message allocates a closure.
 	eventFn func(any)
-
-	// Stats.
-	Loads, Stores, Amos     uint64
-	LoadMisses, StoreMisses uint64
-	FwdsSeen, Surrenders    uint64
-	Evictions               uint64
-	AbsentFwds              uint64
 }
 
 // newPCache creates a private cache drawing its messages from pool. homeOf
@@ -255,7 +248,6 @@ type DoneFunc func(arg any, res []byte, old uint64)
 // LoadAsync reads size bytes at addr and calls done(arg, data, 0) when the
 // access completes. vpn tags the line for reverse mapping (0 if unused).
 func (c *PCache) LoadAsync(addr uint64, size int, vpn uint64, tx *sim.TX, done DoneFunc, arg any) {
-	c.Loads++
 	op := c.newOp(opLoad, addr, size, vpn, tx)
 	op.onDone, op.arg = done, arg
 	c.submit(op)
@@ -264,7 +256,6 @@ func (c *PCache) LoadAsync(addr uint64, size int, vpn uint64, tx *sim.TX, done D
 // StoreAsync writes data at addr and calls done(arg, nil, 0) when the
 // store commits. data is copied before StoreAsync returns.
 func (c *PCache) StoreAsync(addr uint64, data []byte, vpn uint64, tx *sim.TX, done DoneFunc, arg any) {
-	c.Stores++
 	op := c.newOp(opStore, addr, len(data), vpn, tx)
 	op.setData(data)
 	op.onDone, op.arg = done, arg
@@ -273,7 +264,6 @@ func (c *PCache) StoreAsync(addr uint64, data []byte, vpn uint64, tx *sim.TX, do
 
 // AmoAsync performs a home-side atomic and calls done(arg, nil, old).
 func (c *PCache) AmoAsync(op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX, done DoneFunc, arg any) {
-	c.Amos++
 	o := c.newAmo(op, addr, size, operand, operand2, tx)
 	o.onDone, o.arg = done, arg
 	c.submit(o)
@@ -289,7 +279,6 @@ func (c *PCache) newAmo(op AmoOp, addr uint64, size int, operand, operand2 uint6
 // The calling thread is the only possible waiter, so completion wakes it
 // directly (Thread.Wake) instead of through a per-call condition.
 func (c *PCache) Load(t *sim.Thread, addr uint64, size int, tx *sim.TX) []byte {
-	c.Loads++
 	op := c.newOp(opLoad, addr, size, 0, tx)
 	op.waiter = t
 	c.submit(op)
@@ -299,7 +288,6 @@ func (c *PCache) Load(t *sim.Thread, addr uint64, size int, tx *sim.TX) []byte {
 
 // Store is the blocking counterpart of StoreAsync.
 func (c *PCache) Store(t *sim.Thread, addr uint64, data []byte, tx *sim.TX) {
-	c.Stores++
 	op := c.newOp(opStore, addr, len(data), 0, tx)
 	op.setData(data)
 	op.waiter = t
@@ -309,7 +297,6 @@ func (c *PCache) Store(t *sim.Thread, addr uint64, data []byte, tx *sim.TX) {
 
 // Amo is the blocking counterpart of AmoAsync.
 func (c *PCache) Amo(t *sim.Thread, op AmoOp, addr uint64, size int, operand, operand2 uint64, tx *sim.TX) uint64 {
-	c.Amos++
 	o := c.newAmo(op, addr, size, operand, operand2, tx)
 	o.waiter = t
 	c.submit(o)
@@ -364,7 +351,6 @@ func (c *PCache) lookup(op *frontOp) {
 			c.complete(op, out)
 			return
 		}
-		c.LoadMisses++
 		c.miss(op, ReqLoad)
 	case opStore:
 		if w != nil && (w.State == StateM || w.State == StateE) {
@@ -383,7 +369,6 @@ func (c *PCache) lookup(op *frontOp) {
 			c.miss(op, ReqWT)
 			return
 		}
-		c.StoreMisses++
 		c.miss(op, ReqStore) // miss or S->M upgrade
 	case opAmo:
 		c.miss(op, ReqAmo)
@@ -521,7 +506,7 @@ func (c *PCache) fill(r *RespMsg) {
 		// Upgrade (S->M): refresh data with the grant payload.
 		w = existing
 		w.Data = r.Data
-		w.State = r.Grant
+		w.State = uint8(r.Grant)
 	} else {
 		w = c.pickVictim(r.Line)
 		if w == nil {
@@ -603,7 +588,6 @@ func (c *PCache) pickVictim(line uint64) *cache.Way {
 // evict pushes a valid line into the WB buffer and sends the write-back
 // transaction.
 func (c *PCache) evict(w *cache.Way) {
-	c.Evictions++
 	line := w.Tag
 	e := c.freeWB.Get()
 	e.data, e.dirty, e.vpn = w.Data, w.Dirty && w.State == StateM, w.VPN
@@ -621,7 +605,6 @@ func (c *PCache) evict(w *cache.Way) {
 // cache owns f from here on and returns it to the domain's pool once
 // handled.
 func (c *PCache) DeliverFwd(f *FwdMsg, tx *sim.TX) {
-	c.FwdsSeen++
 	f.msg.TX = tx // handleFwd reads tx from the envelope
 	c.after(c.cfg.FwdCycles, tx, f)
 }
@@ -648,13 +631,11 @@ func (c *PCache) handleFwd(f *FwdMsg) {
 	if e := c.wb[line]; e != nil && !e.surrendered {
 		// Forward racing our write-back: serve it from the WB buffer and
 		// let the home reject the WB as stale.
-		c.Surrenders++
 		e.surrendered = true
 		c.sendAck(line, true, e.dirty, true, e.data, tx)
 		return
 	}
 	// Not present (already surrendered or protocol race window).
-	c.AbsentFwds++
 	c.sendAck(line, false, false, false, mem.Line{}, tx)
 }
 
@@ -662,7 +643,7 @@ func (c *PCache) handleFwd(f *FwdMsg) {
 // the coherence checker.
 func (c *PCache) State(line uint64) int {
 	if w := c.arr.Peek(line); w != nil {
-		return w.State
+		return int(w.State)
 	}
 	return StateI
 }
@@ -678,7 +659,7 @@ func (c *PCache) PeekLine(line uint64) (mem.Line, bool) {
 // peekState returns data and MESI state for a line, if present.
 func (c *PCache) peekState(line uint64) (mem.Line, int, bool) {
 	if w := c.arr.Peek(line); w != nil {
-		return w.Data, w.State, true
+		return w.Data, int(w.State), true
 	}
 	return mem.Line{}, StateI, false
 }

@@ -189,9 +189,6 @@ type Adapter struct {
 	// adapter-wide start notification; ProgramAsync's done callback fires
 	// right after the same instant for that one flow.
 	OnAccelStart func(bs *efpga.Bitstream)
-
-	// Stats.
-	MMIOOps, Timeouts, Exceptions uint64
 }
 
 // NewAdapter builds and wires a Duet Adapter.
@@ -285,7 +282,6 @@ func (a *Adapter) reply(n int64, op *inflight, data uint64) {
 
 func (a *Adapter) onMMIO(m *noc.Msg) {
 	msg := m.Payload.(*mmio.Msg)
-	a.MMIOOps++
 	op := a.ops.Get()
 	a.opIDs++
 	op.id, op.m = a.opIDs, msg
@@ -493,7 +489,6 @@ func (a *Adapter) expire(w *armed) {
 	if op.id != id || op.done {
 		return
 	}
-	a.Timeouts++
 	a.RaiseException(ErrTimeout)
 	delete(a.pendingNormal, id)
 	a.regs.forget(op)
@@ -510,7 +505,6 @@ func (a *Adapter) RaiseException(code uint64) {
 // RaiseExceptionCode optionally skips hub deactivation (used by
 // KillAccelerator, which deactivates only the faulting hub).
 func (a *Adapter) RaiseExceptionCode(code uint64, deactivateHubs bool) {
-	a.Exceptions++
 	if a.errCode == ErrNone {
 		a.errCode = code
 	}

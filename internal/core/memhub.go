@@ -113,9 +113,6 @@ type MemHub struct {
 	// doneFn is the hub's one completion callback for issued accesses,
 	// called with the request as its argument.
 	doneFn coherence.DoneFunc
-
-	// Stats.
-	Reqs, Loads, Stores, Amos, Errs, Invs uint64
 }
 
 func newMemHub(a *Adapter, idx, tile int, cacheID int) *MemHub {
@@ -174,7 +171,6 @@ func (h *MemHub) onLineLost(line, vpnTag uint64) {
 	if !h.fwdInv {
 		return
 	}
-	h.Invs++
 	if h.a.fpsoc {
 		// Same-domain delivery: the slow cache and soft cache share the
 		// fabric clock.
@@ -234,7 +230,6 @@ func (h *MemHub) advance(r *hubReq) *sim.Cond {
 				h.a.RaiseException(ErrParity)
 				return h.reject(r)
 			}
-			h.Reqs++
 			r.pa, r.stage = r.va, hubCheck
 			if h.virtMode {
 				r.vpnTag, r.stage = mmu.VPN(r.va)+1, hubTranslate
@@ -275,7 +270,6 @@ func (h *MemHub) advance(r *hubReq) *sim.Cond {
 
 // reject fails r as an error of the hub's.
 func (h *MemHub) reject(r *hubReq) *sim.Cond {
-	h.Errs++
 	h.fail(r)
 	return nil
 }
@@ -284,13 +278,10 @@ func (h *MemHub) reject(r *hubReq) *sim.Cond {
 func (h *MemHub) issue(r *hubReq) {
 	switch r.kind {
 	case hkLoad:
-		h.Loads++
 		h.proxy.LoadAsync(r.pa, r.size, r.vpnTag, r.tx, h.doneFn, r)
 	case hkStore:
-		h.Stores++
 		h.proxy.StoreAsync(r.pa, r.data, r.vpnTag, r.tx, h.doneFn, r)
 	case hkAmo:
-		h.Amos++
 		h.proxy.AmoAsync(coherence.AmoOp(r.amoOp), r.pa, r.size, r.operand, r.operand2, r.tx, h.doneFn, r)
 	}
 }

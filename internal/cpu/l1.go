@@ -31,8 +31,8 @@ func (l *l1d) load(addr uint64, size int) (uint64, bool) {
 	return v, true
 }
 
-// holds reports whether addr's line is present, touching neither LRU
-// state nor counters.
+// holds reports whether addr's line is present without touching LRU
+// state.
 func (l *l1d) holds(addr uint64) bool { return l.arr.Peek(mem.LineAddr(addr)) != nil }
 
 // fill installs a line fetched from the L2, silently dropping any victim

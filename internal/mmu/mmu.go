@@ -47,8 +47,6 @@ type TLB struct {
 	capacity int
 	entries  []tlbEntry
 	stamp    uint64
-
-	Hits, Misses uint64
 }
 
 // NewTLB returns a TLB holding up to capacity translations.
@@ -66,11 +64,9 @@ func (t *TLB) Lookup(va uint64) (pa uint64, ok bool) {
 		if t.entries[i].vpn == vpn {
 			t.stamp++
 			t.entries[i].stamp = t.stamp
-			t.Hits++
 			return t.entries[i].ppn*PageSize + PageOff(va), true
 		}
 	}
-	t.Misses++
 	return 0, false
 }
 

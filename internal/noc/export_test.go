@@ -38,6 +38,3 @@ func abs(v int) int {
 	}
 	return v
 }
-
-// VNCount reports how many messages were sent on vn.
-func (m *Mesh) VNCount(vn VN) uint64 { return m.perVN[vn] }

@@ -87,11 +87,6 @@ type Mesh struct {
 	// schedules it with the message as the event argument, so injecting a
 	// message allocates no per-message closure.
 	deliverFn func(any)
-
-	// Stats
-	Messages  uint64
-	BytesSent uint64
-	perVN     [NumVNs]uint64
 }
 
 // NewMesh builds a W x H mesh clocked by clk (the fast clock).
@@ -152,9 +147,6 @@ func (m *Mesh) Send(msg *Msg) {
 	if m.linkFree == nil {
 		m.linkFree = make([]sim.Time, m.Tiles()*numDirs*int(NumVNs))
 	}
-	m.Messages++
-	m.BytesSent += uint64(msg.Bytes)
-	m.perVN[msg.VN]++
 
 	start := m.clk.NextEdge(m.eng.Now())
 	t := start

@@ -134,18 +134,6 @@ func TestTXAttribution(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	eng, m := mesh(2, 2)
-	m.Register(3, VNReq, func(msg *Msg) {})
-	eng.At(0, func() {
-		m.Send(&Msg{Src: 0, Dst: 3, VN: VNReq, Bytes: 40})
-	})
-	eng.Run(0)
-	if m.Messages != 1 || m.BytesSent != 40 || m.VNCount(VNReq) != 1 {
-		t.Fatalf("stats: msgs=%d bytes=%d", m.Messages, m.BytesSent)
-	}
-}
-
 // Property: XY routing visits Hops(src,dst) tiles and delivery latency is
 // monotone in hop count for equal payloads; ordering holds per (src,dst,vn)
 // for random message streams.

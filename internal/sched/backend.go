@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"encoding/json"
-
 	"duet/internal/efpga"
 	"duet/internal/sim"
 )
@@ -50,10 +48,6 @@ func (k BackendKind) String() string {
 	}
 	return names[k]
 }
-
-// MarshalJSON encodes the kind as its String name for machine-readable
-// study output.
-func (k BackendKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
 // Backend is one execution engine behind a scheduler worker. The
 // scheduler owns admission, policy and accounting; a backend owns how a

@@ -65,9 +65,6 @@ type Cache struct {
 	wbuf     []*wbufEntry
 	wbufCond *sim.Cond
 	entries  sim.FreeList[wbufEntry]
-
-	// Stats.
-	Hits, Misses, Invalidations, RAWHits uint64
 }
 
 // New builds a soft cache over a hub port and registers it as the hub's
@@ -101,7 +98,6 @@ func New(env *efpga.Env, under efpga.MemIntf, cfg Config) *Cache {
 // onInvalidate consumes the Proxy Cache's ordered invalidation stream.
 // No acknowledgement is ever sent (the Proxy Cache novelty).
 func (c *Cache) onInvalidate(pa, vpnTag uint64) {
-	c.Invalidations++
 	addr := pa
 	if c.cfg.VIVT {
 		if vpnTag == 0 {
@@ -121,7 +117,6 @@ func (c *Cache) Load(t *sim.Thread, va uint64, size int) ([]byte, error) {
 		for i := len(c.wbuf) - 1; i >= 0; i-- {
 			e := c.wbuf[i]
 			if e.va == va && e.n == size {
-				c.RAWHits++
 				// Copy before the forwarding cycle: the entry may retire
 				// and be recycled during it.
 				out := make([]byte, size)
@@ -136,13 +131,11 @@ func (c *Cache) Load(t *sim.Thread, va uint64, size int) ([]byte, error) {
 		t.SleepCycles(c.clk, c.cfg.HitCycles)
 	}
 	if w := c.arr.Lookup(line); w != nil {
-		c.Hits++
 		off := mem.Offset(va)
 		out := make([]byte, size)
 		copy(out, w.Data[off:off+size])
 		return out, nil
 	}
-	c.Misses++
 	b, err := c.under.LoadLine(t, line)
 	if err != nil {
 		return nil, err

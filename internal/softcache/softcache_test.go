@@ -153,9 +153,6 @@ func TestSoftCacheHitAvoidsPort(t *testing.T) {
 	if port.loads != 1 {
 		t.Fatalf("port loads = %d, want 1 (second access must hit)", port.loads)
 	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
-	}
 }
 
 func TestSoftCacheWriteThrough(t *testing.T) {
@@ -201,8 +198,8 @@ func TestSoftCacheRAWForwarding(t *testing.T) {
 	if got != 11 {
 		t.Fatalf("RAW value = %d", got)
 	}
-	if cFwd.RAWHits != 1 {
-		t.Fatalf("RAWHits = %d", cFwd.RAWHits)
+	if port.loads != 0 {
+		t.Fatalf("port loads = %d, want 0 (load must forward from the write buffer)", port.loads)
 	}
 	if at := end - start; at > 20*sim.NS {
 		t.Fatalf("RAW forward took %v (went to the port?)", at)
@@ -262,9 +259,6 @@ func TestSoftCacheInvalidationStream(t *testing.T) {
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("loads = %d, %d; invalidation not applied", v1, v2)
 	}
-	if c.Invalidations != 1 {
-		t.Fatalf("invalidations = %d", c.Invalidations)
-	}
 	if port.loads != 2 {
 		t.Fatalf("port loads = %d (stale hit after inv?)", port.loads)
 	}
@@ -304,8 +298,8 @@ func TestSoftCacheRAWForwardsNewest(t *testing.T) {
 		c.Drain(th)
 	})
 	eng.Run(0)
-	if got != 2 || c.RAWHits != 1 || port.loads != 0 {
-		t.Fatalf("load = %d (RAW hits %d, port loads %d), want 2 forwarded from the newer store", got, c.RAWHits, port.loads)
+	if got != 2 || port.loads != 0 {
+		t.Fatalf("load = %d (port loads %d), want 2 forwarded from the newer store", got, port.loads)
 	}
 }
 
@@ -317,7 +311,7 @@ func TestSoftCacheOutOfOrderRetire(t *testing.T) {
 	port.storeLat = []sim.Time{300 * sim.NS, 20 * sim.NS}
 	c := New(env, port, Config{SizeBytes: 512, Ways: 2, RAWForwarding: true})
 	var a, b uint64
-	var hitsAfter uint64
+	var forwardLoads int
 	eng.Go("acc", func(th *sim.Thread) {
 		c.Store64(th, 0x100, 11) // slow
 		c.Store64(th, 0x200, 22) // fast
@@ -326,13 +320,13 @@ func TestSoftCacheOutOfOrderRetire(t *testing.T) {
 			t.Errorf("write buffer holds %d entries after the younger retired, want only 0x100", n)
 		}
 		a, _ = c.Load64(th, 0x100) // forwarded
+		forwardLoads = port.loads
 		b, _ = c.Load64(th, 0x200) // from the port
-		hitsAfter = c.RAWHits
 		c.Drain(th)
 	})
 	eng.Run(0)
-	if a != 11 || b != 22 || hitsAfter != 1 || port.loads != 1 {
-		t.Fatalf("loads = %d, %d with %d RAW hits and %d port loads; want 11, 22, 1, 1", a, b, hitsAfter, port.loads)
+	if a != 11 || b != 22 || forwardLoads != 0 || port.loads != 1 {
+		t.Fatalf("loads = %d, %d with %d port loads after the forward and %d in all; want 11, 22, 0, 1", a, b, forwardLoads, port.loads)
 	}
 }
 

@@ -164,10 +164,6 @@ func (r *Recorder) note(at sim.Time) {
 // scheduler's worker count; after Merge, the sum over shards).
 func (r *Recorder) Workers() int { return len(r.kinds) }
 
-// Windows reports the number of windows touched so far — the recorder's
-// memory scale.
-func (r *Recorder) Windows() int { return len(r.wins) }
-
 // win returns the window covering instant at, growing the dense table
 // as the simulated horizon extends.
 func (r *Recorder) win(at sim.Time) *window {

@@ -213,18 +213,6 @@ func MeasureLatency(mech Mechanism, freqMHz float64) Fig9Row {
 	for c := sim.Category(0); c < sim.NumCategories; c++ {
 		row.Breakdown[c] = wtx.Parts[c] + rtx.Parts[c]
 	}
-	// Clamp attribution to the measured total (issue overlap can
-	// double-count the odd cycle).
-	var attr sim.Time
-	for _, v := range row.Breakdown {
-		attr += v
-	}
-	if attr > row.Total && attr > 0 {
-		scale := float64(row.Total) / float64(attr)
-		for c := range row.Breakdown {
-			row.Breakdown[c] = sim.Time(float64(row.Breakdown[c]) * scale)
-		}
-	}
 	return row
 }
 

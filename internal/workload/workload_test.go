@@ -13,21 +13,33 @@ import (
 //   - the Proxy Cache cuts CPU-pull latency by 42-82% and eFPGA-pull
 //     latency by 13-43%;
 //   - Shadow Registers cut register latency by 50-80%.
+//
+// It also checks that no row's breakdown adds up to more than its total:
+// MeasureLatency reports the attribution as measured, so a double count
+// fails here instead of being scaled away.
 func TestFig9Shapes(t *testing.T) {
 	freqs := []float64{100, 200, 500}
-	get := func(m Mechanism) map[float64]Fig9Row {
-		out := map[float64]Fig9Row{}
+	rows := make([]map[float64]Fig9Row, NumMechanisms)
+	for m := range rows {
+		rows[m] = map[float64]Fig9Row{}
 		for _, f := range freqs {
-			out[f] = MeasureLatency(m, f)
+			row := MeasureLatency(Mechanism(m), f)
+			var attr sim.Time
+			for _, v := range row.Breakdown {
+				attr += v
+			}
+			if attr > row.Total {
+				t.Errorf("%v at %vMHz: breakdown sums to %v, over the %v total", row.Mechanism, f, attr, row.Total)
+			}
+			rows[m][f] = row
 		}
-		return out
 	}
-	shadow := get(ShadowReg)
-	normal := get(NormalReg)
-	cpuProxy := get(CPUPullProxy)
-	cpuSlow := get(CPUPullSlow)
-	fpgaProxy := get(FPGAPullProxy)
-	fpgaSlow := get(FPGAPullSlow)
+	shadow := rows[ShadowReg]
+	normal := rows[NormalReg]
+	cpuProxy := rows[CPUPullProxy]
+	cpuSlow := rows[CPUPullSlow]
+	fpgaProxy := rows[FPGAPullProxy]
+	fpgaSlow := rows[FPGAPullSlow]
 
 	// Frequency-independence of the fast-domain mechanisms.
 	if d := relSpread(shadow[100].Total, shadow[500].Total); d > 0.10 {

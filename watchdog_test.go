@@ -13,7 +13,8 @@ import (
 
 // A watchdog armed under the default limit is still queued when RegTimeout
 // shortens the limit: the later, shorter watchdog must fire on time, and
-// the older one's expiry must time out nothing.
+// the older one's expiry must time out nothing, so the error code cleared
+// after the first timeout stays clear.
 func TestWatchdogShortenedLimit(t *testing.T) {
 	sys := New(Config{Cores: 1, MemHubs: 0, Style: StyleDuet, RegSpecs: echoSpecs()})
 	const normalReg, cpuFifo = 3, 1
@@ -25,6 +26,7 @@ func TestWatchdogShortenedLimit(t *testing.T) {
 		issued = p.Now()
 		got = p.MMIORead64(SoftRegAddr(cpuFifo)) // nothing ever pushes
 		returned = p.Now()
+		sys.Adapter.ClearError()
 	})
 	end := sys.Run()
 
@@ -37,8 +39,8 @@ func TestWatchdogShortenedLimit(t *testing.T) {
 	if end < sim.Time(params.DefaultTimeoutCycles)*params.CPUClockPS {
 		t.Fatalf("run ended at %v, before the default-limit watchdog expired", end)
 	}
-	if n := sys.Adapter.Timeouts; n != 1 {
-		t.Fatalf("Timeouts = %d, want 1", n)
+	if code := sys.Adapter.ErrCode(); code != core.ErrNone {
+		t.Fatalf("error code %d after the cleared timeout, want none (a second timeout)", code)
 	}
 }
 
@@ -89,8 +91,8 @@ func TestWatchdogSparesRecycledOp(t *testing.T) {
 	if got != 77 {
 		t.Fatalf("second read returned %#x, want the accelerator's 77", got)
 	}
-	if n := sys.Adapter.Timeouts; n != 0 {
-		t.Fatalf("Timeouts = %d, want 0", n)
+	if code := sys.Adapter.ErrCode(); code != core.ErrNone {
+		t.Fatalf("error code %d, want none (an op timed out)", code)
 	}
 }
 
@@ -119,7 +121,7 @@ func TestNewCopiesRegSpecs(t *testing.T) {
 
 // A normal-register reply that arrives after its op's watchdog fired is
 // dropped by the Control Hub: the read already returned 0xdead, and the
-// register answers the next read normally.
+// register answers the next read normally without a further timeout.
 func TestWatchdogDropsLateNormalReply(t *testing.T) {
 	sys := New(Config{Cores: 1, MemHubs: 0, Style: StyleDuet, RegSpecs: echoSpecs()})
 	const normalReg = 3
@@ -145,13 +147,14 @@ func TestWatchdogDropsLateNormalReply(t *testing.T) {
 		p.MMIOWrite64(MgrRegAddr(core.RegTimeout), 5000)
 		first = p.MMIORead64(SoftRegAddr(normalReg))
 		firstAt = p.Now()
+		sys.Adapter.ClearError()
 		p.Exec(20000) // the late reply lands meanwhile
 		second = p.MMIORead64(SoftRegAddr(normalReg))
 		secondAt = p.Now()
 	})
 	end := sys.Run()
-	got := fmt.Sprintf("%#x %d %d %d %d %d", first, firstAt, second, secondAt, end, sys.Adapter.Timeouts)
-	if want := "0xdead 5025000 2 25107000 30032000 1"; got != want {
-		t.Fatalf("first, at, second, at, end, timeouts = %s, want %s", got, want)
+	got := fmt.Sprintf("%#x %d %d %d %d %d", first, firstAt, second, secondAt, end, sys.Adapter.ErrCode())
+	if want := "0xdead 5025000 2 25107000 30032000 0"; got != want {
+		t.Fatalf("first, at, second, at, end, error code after the first = %s, want %s", got, want)
 	}
 }
