@@ -84,6 +84,14 @@ type Core struct {
 	irqPending sim.Queue[IRQ]
 	irqHandler func(p Proc, irq IRQ)
 
+	// spin is the spin wait parked on this core, if any, and spinLine the
+	// line it polls (see sync.go).
+	spin     spinWait
+	spinLine uint64
+
+	// running counts the programs started with Run that have not returned.
+	running int
+
 	// memTX/mmioTX tag the next memory/MMIO operation for latency
 	// attribution (synthetic benchmarks only).
 	memTX  *sim.TX
@@ -115,7 +123,12 @@ func New(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, id, tile int, r
 		HitCycles: params.L2HitCycles, MissIssueCycles: params.L2MissIssue,
 		FillCycles: params.L2FillCycles, FwdCycles: params.ProxyFwdCycles,
 		// Keep the write-through L1 coherent: inclusion via back-invalidation.
-		OnLineLost: func(line, vpn uint64) { c.l1.invalidate(line) },
+		OnLineLost: func(line, vpn uint64) {
+			if c.spin != nil && line == c.spinLine {
+				c.wakeSpin()
+			}
+			c.l1.invalidate(line)
+		},
 	})
 	mesh.Register(tile, noc.VNMMIOResp, c.onMMIOResp)
 	return c
@@ -123,7 +136,10 @@ func New(eng *sim.Engine, mesh *noc.Mesh, dom *coherence.Domain, id, tile int, r
 
 // SetIRQHandler installs the kernel trap handler invoked at instruction
 // boundaries when an interrupt is pending.
-func (c *Core) SetIRQHandler(h func(p Proc, irq IRQ)) { c.irqHandler = h }
+func (c *Core) SetIRQHandler(h func(p Proc, irq IRQ)) {
+	c.irqHandler = h
+	c.wakeSpinOnIRQ()
+}
 
 // TagNextLoad attributes the next load's latency to tx (one-shot).
 func (c *Core) TagNextLoad(tx *sim.TX) { c.memTX = tx }
@@ -138,18 +154,46 @@ func (c *Core) TagNextMMIO(tx *sim.TX) { c.mmioTX = tx }
 // MMIO read the core is waiting on).
 func (c *Core) RaiseIRQ(irq IRQ) {
 	c.irqPending.Push(irq)
+	c.wakeSpinOnIRQ()
 	c.mmioCond.Broadcast()
+}
+
+// parkSpin registers s as the spin parked on the core, polling addr.
+func (c *Core) parkSpin(s spinWait, addr uint64) {
+	c.spin, c.spinLine = s, addr&^(params.LineBytes-1)
+}
+
+// wakeSpinOnIRQ wakes the parked spin if an interrupt became deliverable.
+func (c *Core) wakeSpinOnIRQ() {
+	if c.spin != nil && c.irqDue() {
+		c.wakeSpin()
+	}
+}
+
+// wakeSpin wakes the parked spin at one of its causes.
+func (c *Core) wakeSpin() {
+	s := c.spin
+	c.spin = nil
+	s.wake()
 }
 
 // Run spawns prog on the core as a simulation thread and returns the
 // thread (finished when prog returns).
 func (c *Core) Run(name string, prog func(Proc)) *sim.Thread {
+	c.running++
 	return c.eng.Go(fmt.Sprintf("core%d:%s", c.id, name), func(t *sim.Thread) {
 		p := &proc{core: c, t: t}
 		t.AlignTo(c.clk)
 		prog(p)
+		c.running--
 	})
 }
+
+// Running reports how many programs started with Run have not returned.
+// Once the event queue has drained, a nonzero count means a program waits
+// on something that will never happen, such as a spin on a word nobody
+// writes.
+func (c *Core) Running() int { return c.running }
 
 func (c *Core) onMMIOResp(m *noc.Msg) {
 	m.Payload.(*mmio.Msg).Done = true
@@ -171,7 +215,7 @@ type proc struct {
 	// store without a per-store allocation.
 	stbuf [8]byte
 
-	spin *spinner // spinUntil's engine-driven half, built at the first spin
+	spin *spinner // spinUntil's parked state, built at the first spin
 }
 
 func (p *proc) Now() sim.Time { return p.t.Now() }

@@ -31,10 +31,6 @@ func (l *l1d) load(addr uint64, size int) (uint64, bool) {
 	return v, true
 }
 
-// holds reports whether addr's line is present without touching LRU
-// state.
-func (l *l1d) holds(addr uint64) bool { return l.arr.Peek(mem.LineAddr(addr)) != nil }
-
 // fill installs a line fetched from the L2, silently dropping any victim
 // (L1 lines are never dirty).
 func (l *l1d) fill(lineAddr uint64, data mem.Line) {

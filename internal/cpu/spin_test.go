@@ -7,6 +7,7 @@ import (
 
 	"duet/internal/coherence"
 	"duet/internal/mem"
+	"duet/internal/params"
 	"duet/internal/sim"
 )
 
@@ -58,15 +59,141 @@ func oracleBarrierWait(p Proc, addr uint64, n int, localSense uint64) {
 	}
 }
 
-// syncImpl is one implementation of the spinning primitives.
+// The second oracle: the polled chain that spinUntil's parking replaced.
+// After a poll hits the L1, an engine callback replays the loop at the
+// thread's would-be wakeups, one queued event per hit end and per poll,
+// and resumes the thread where the loop leaves the hit-and-backoff path.
+// Where spinUntil parks, the chain registers as the core's spin wait, and
+// at the first cause it re-queues its pending event under the
+// fast-forward's rule: a poll due at the cause's instant has already run,
+// a hit end due then has not. So it differs from the verbatim loops only
+// in the same-instant order that spinUntil also moves, and spinUntil must
+// match it byte for byte.
+
+// chainProc runs the sync primitives' spins on the polled chain.
+type chainProc struct {
+	*proc
+	s *chainSpinner
+}
+
+func newChainProc(p *proc) Proc {
+	s := &chainSpinner{p: p}
+	s.ev = sim.Event{Fn: chainStep, Arg: s}
+	return chainProc{proc: p, s: s}
+}
+
+type chainSpinner struct {
+	p          *proc
+	ev         sim.Event
+	addr, want uint64
+	eq         bool
+	v          uint64   // the value the last poll read
+	hitEnd     bool     // the pending event ends a poll's hit latency, not a backoff
+	reload     bool     // on resume: the thread issues the next poll itself
+	due        sim.Time // the pending event's instant
+	stale      int      // re-queued events still queued at their old place
+}
+
+func chainStep(a any) { a.(*chainSpinner).step() }
+
+func (s *chainSpinner) queue(at sim.Time) {
+	s.due = at
+	s.p.core.eng.AtEvent(at, &s.ev)
+}
+
+func (cp chainProc) spinUntil(addr, want uint64, eq bool) uint64 {
+	p, s := cp.proc, cp.s
+	c := p.core
+	for {
+		v, hit := p.issueLoad(addr, 8)
+		if hit {
+			s.addr, s.want, s.eq, s.v, s.hitEnd = addr, want, eq, v, true
+			if (v == want) != eq {
+				c.parkSpin(s, addr)
+			}
+			s.queue(c.clk.EdgesAfter(c.eng.Now(), params.L1HitCycles))
+			p.t.Park()
+			if c.spin == s {
+				c.spin = nil
+			}
+			if s.reload {
+				continue
+			}
+			v = s.v
+		}
+		if (v == want) == eq {
+			return v
+		}
+		p.Exec(spinBackoff)
+	}
+}
+
+// poll issues one poll from the callback.
+func (s *chainSpinner) poll() {
+	c := s.p.core
+	c.Loads++
+	c.Instrs++
+	s.v, _ = c.l1.load(s.addr, 8)
+	c.L1Hits++
+	s.hitEnd = true
+	s.queue(c.clk.EdgesAfter(c.eng.Now(), params.L1HitCycles))
+}
+
+// step does at one of the spinning thread's wakeups what the thread
+// would have done there, up to its next wait, and schedules itself for
+// that wait's end. It resumes the thread instead wherever the thread's
+// path would leave the hit-and-backoff loop.
+func (s *chainSpinner) step() {
+	if s.stale > 0 {
+		s.stale--
+		return
+	}
+	p := s.p
+	c := p.core
+	if s.hitEnd {
+		// The poll returns: test the value, then Exec(spinBackoff).
+		if (s.v == s.want) == s.eq || c.irqDue() {
+			s.reload = false
+			p.t.Resume()
+			return
+		}
+		c.Instrs += spinBackoff
+		s.hitEnd = false
+		s.queue(c.clk.EdgesAfter(c.eng.Now(), spinBackoff))
+		return
+	}
+	// The backoff ends: issue the next poll. A miss is the thread's to
+	// take (and count), so test for the line before touching the L1.
+	if c.irqDue() || c.l1.arr.Peek(mem.LineAddr(s.addr)) == nil {
+		s.reload = true
+		p.t.Resume()
+		return
+	}
+	s.poll()
+}
+
+// wake re-queues the pending event at the cause.
+func (s *chainSpinner) wake() {
+	s.stale++
+	if !s.hitEnd && s.due == s.p.core.eng.Now() {
+		s.poll() // due now: it ran before the cause
+		return
+	}
+	s.queue(s.due)
+}
+
+// syncImpl is one implementation of the spinning primitives. wrap, if
+// set, replaces each core program's Proc.
 type syncImpl struct {
 	acquire, release func(p Proc, tailAddr, nodeAddr uint64)
 	barrier          func(p Proc, addr uint64, n int, localSense uint64)
+	wrap             func(p *proc) Proc
 }
 
 var (
-	spinImpl   = syncImpl{MCSAcquire, MCSRelease, BarrierWait}
-	oracleImpl = syncImpl{oracleMCSAcquire, oracleMCSRelease, oracleBarrierWait}
+	spinImpl   = syncImpl{acquire: MCSAcquire, release: MCSRelease, barrier: BarrierWait}
+	chainImpl  = syncImpl{acquire: MCSAcquire, release: MCSRelease, barrier: BarrierWait, wrap: newChainProc}
+	oracleImpl = syncImpl{acquire: oracleMCSAcquire, release: oracleMCSRelease, barrier: oracleBarrierWait}
 )
 
 // casCountingProc counts failed Cas64 calls. In MCSRelease the only
@@ -99,9 +226,16 @@ type scheduledIRQ struct {
 	at   sim.Time
 }
 
-func newSpinScenario(seed int64) spinScenario {
+// newSpinScenario draws a contention schedule from seed. A nonzero cores
+// replaces the drawn core count (2–8), and a non-nil irqAt the drawn IRQ
+// instants (two per core, 0.5–8.5 µs); each IRQ's core is drawn either
+// way.
+func newSpinScenario(seed int64, cores int, irqAt []sim.Time) spinScenario {
 	rng := rand.New(rand.NewSource(seed))
 	s := spinScenario{cores: 2 + rng.Intn(7), iters: 4 + rng.Intn(8), barrierEvery: 1 + rng.Intn(3)}
+	if cores > 0 {
+		s.cores = cores
+	}
 	for c := 0; c < s.cores; c++ {
 		var think, hold []int64
 		for k := 0; k < s.iters; k++ {
@@ -111,8 +245,13 @@ func newSpinScenario(seed int64) spinScenario {
 		s.think = append(s.think, think)
 		s.hold = append(s.hold, hold)
 	}
-	for i := 0; i < 2*s.cores; i++ {
-		s.irqs = append(s.irqs, scheduledIRQ{core: rng.Intn(s.cores), at: sim.Time(500+rng.Intn(8000)) * sim.NS})
+	if irqAt == nil {
+		for i := 0; i < 2*s.cores; i++ {
+			s.irqs = append(s.irqs, scheduledIRQ{core: rng.Intn(s.cores), at: sim.Time(500+rng.Intn(8000)) * sim.NS})
+		}
+	}
+	for _, at := range irqAt {
+		s.irqs = append(s.irqs, scheduledIRQ{core: rng.Intn(s.cores), at: at})
 	}
 	return s
 }
@@ -153,6 +292,9 @@ func (s spinScenario) run(t *testing.T, impl syncImpl, countCas bool) (out spinO
 			p.AmoAdd64(spinIRQs+uint64(i)*8, irq.Info)
 		})
 		c.Run("spin", func(p Proc) {
+			if impl.wrap != nil {
+				p = impl.wrap(p.(*proc))
+			}
 			if countCas {
 				p = casCountingProc{Proc: p, fails: &casFails}
 			}
@@ -197,24 +339,36 @@ func (s spinScenario) run(t *testing.T, impl syncImpl, countCas bool) (out spinO
 	return out, midSync, casFails
 }
 
-// TestSpinMatchesPolledLoop holds spinUntil's callback-driven polls to
-// the thread-driven loops they replaced: on random MCS and barrier
-// contention schedules over 2–8 cores, with IRQs raised mid-spin, every
-// core must end at the same instant with the same counters, every IRQ
-// must be taken at the same instant, and memory must end the same.
+// TestSpinMatchesPolledLoop holds spinUntil's parked spins to the polled
+// loops on random MCS and barrier contention schedules over 2–8 cores.
+// Against the polled chain, with IRQs raised mid-spin, every core must
+// end at the same instant with the same counters, every IRQ must be taken
+// at the same instant, and memory must end the same. Against the verbatim
+// loops the same schedules without IRQs must end with the same memory.
+// Their counters and end times may differ (6 of these 24 schedules):
+// where two cores' spins end at one instant, the verbatim loops poll in
+// the order the polls were queued, a poll period earlier, and spinUntil
+// in the order of the causes, and the two polls' misses then race for
+// the line.
 func TestSpinMatchesPolledLoop(t *testing.T) {
 	var midSync, casFails int
 	for seed := int64(1); seed <= 24; seed++ {
-		s := newSpinScenario(seed)
-		want, m, f := s.run(t, oracleImpl, true)
+		s := newSpinScenario(seed, 0, nil)
+		chain, m, _ := s.run(t, chainImpl, false)
 		got, _, _ := s.run(t, spinImpl, false)
 		midSync += m
-		casFails += f
-		if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
-			t.Fatalf("seed %d (%d cores): spin diverges from the polled loop\nspin   %+v\npolled %+v", seed, s.cores, got, want)
+		if g, w := fmt.Sprint(got), fmt.Sprint(chain); g != w {
+			t.Fatalf("seed %d (%d cores): spin diverges from the polled chain\nspin  %+v\nchain %+v", seed, s.cores, got, chain)
 		}
 		if got.counters[0][0] == 0 {
 			t.Fatalf("seed %d: core 0 ran no instructions", seed)
+		}
+		s.irqs = nil
+		verbatim, _, f := s.run(t, oracleImpl, true)
+		got, _, _ = s.run(t, spinImpl, false)
+		casFails += f
+		if g, w := fmt.Sprint(got.memory), fmt.Sprint(verbatim.memory); g != w {
+			t.Fatalf("seed %d (%d cores): spin's memory diverges from the polled loop\nspin   %v\npolled %v", seed, s.cores, g, w)
 		}
 	}
 	// The schedules must exercise what they claim to.
@@ -225,6 +379,85 @@ func TestSpinMatchesPolledLoop(t *testing.T) {
 		t.Fatal("no MCS release waited for a successor's link")
 	}
 	t.Logf("%d IRQs mid-sync, %d release link waits", midSync, casFails)
+}
+
+// FuzzSpinMatchesOracle compares spinUntil with the polled chain on
+// schedules built from a fuzzed seed, core count and IRQ instants (two
+// bytes each, up to 16).
+func FuzzSpinMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(6), []byte{0x10, 0x00, 0x80, 0x40})
+	f.Add(int64(7), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, cores uint8, irqs []byte) {
+		irqAt := []sim.Time{}
+		for i := 0; i+1 < len(irqs) && len(irqAt) < 16; i += 2 {
+			irqAt = append(irqAt, sim.Time(500+(int(irqs[i])<<8|int(irqs[i+1]))%8000)*sim.NS)
+		}
+		s := newSpinScenario(seed, 2+int(cores%7), irqAt)
+		chain, _, _ := s.run(t, chainImpl, false)
+		got, _, _ := s.run(t, spinImpl, false)
+		if g, w := fmt.Sprint(got), fmt.Sprint(chain); g != w {
+			t.Fatalf("spin diverges from the polled chain\nspin  %+v\nchain %+v", got, chain)
+		}
+	})
+}
+
+// barrierEpisode runs one 16-core BarrierWait whose last arriver comes
+// late by delay, and reports the events Engine.Run popped.
+func barrierEpisode(t *testing.T, delay sim.Time) int {
+	const cores = 16
+	r := newRig(t, cores, nil)
+	done := 0
+	for i, c := range r.cores {
+		c.Run("barrier", func(p Proc) {
+			if i == cores-1 {
+				p.Exec(int64(delay / params.CPUClockPS))
+			}
+			BarrierWait(p, spinBarrier, cores, 1)
+			done++
+		})
+	}
+	n := r.eng.Run(0)
+	if done != cores {
+		t.Fatalf("%d of %d cores left the barrier", done, cores)
+	}
+	if r.eng.Now() < delay {
+		t.Fatalf("barrier ended at %v, before the last arriver's %v", r.eng.Now(), delay)
+	}
+	return n
+}
+
+// TestSpinParkedQueuesNothing: a core spinning on an L1-resident word
+// queues no events until the word's line is lost, so the events a barrier
+// costs do not grow with how long its waiters wait.
+func TestSpinParkedQueuesNothing(t *testing.T) {
+	n1 := barrierEpisode(t, sim.MS)
+	n2 := barrierEpisode(t, 2*sim.MS)
+	if n2 > n1 {
+		t.Fatalf("a 2 ms wait popped %d events, a 1 ms wait %d: the waiters queue events while they spin", n2, n1)
+	}
+	t.Logf("%d events at 1 ms, %d at 2 ms", n1, n2)
+}
+
+// TestSpinWakesOnLateIRQHandler: an interrupt raised while no handler is
+// installed is not deliverable, so it leaves a parked spin parked; the
+// spin must wake when a handler is installed, as the polled loop would
+// take the interrupt at its next poll.
+func TestSpinWakesOnLateIRQHandler(t *testing.T) {
+	r := newRig(t, 2, nil)
+	var handled sim.Time
+	r.cores[0].Run("wait", func(p Proc) { BarrierWait(p, spinBarrier, 2, 1) })
+	r.cores[1].Run("arrive", func(p Proc) {
+		p.Exec(5000)
+		BarrierWait(p, spinBarrier, 2, 1)
+	})
+	r.eng.At(1*sim.US, func() { r.cores[0].RaiseIRQ(IRQ{Cause: "test"}) })
+	r.eng.At(2*sim.US, func() {
+		r.cores[0].SetIRQHandler(func(p Proc, irq IRQ) { handled = p.Now() })
+	})
+	r.run(t)
+	if handled < 2*sim.US || handled > 3*sim.US {
+		t.Fatalf("IRQ handled at %v, want within a poll period of the handler's install at 2us", handled)
+	}
 }
 
 // BenchmarkMCSContention runs a fixed number of MCS lock handoffs among
@@ -251,6 +484,34 @@ func BenchmarkMCSContention(b *testing.B) {
 		r.eng.Run(0)
 		if got := r.dom.DebugReadLine(spinCounter); coherence.Uint64At(got[:8]) != cores*iters {
 			b.Fatalf("counter = %d, want %d", coherence.Uint64At(got[:8]), cores*iters)
+		}
+		r.eng.Close()
+	}
+}
+
+// BenchmarkBarrierWait runs 16 cycle-level cores through 20 barrier
+// episodes, each core thinking a different time before it arrives, so
+// most waiters spin while the last ones come in.
+func BenchmarkBarrierWait(b *testing.B) {
+	const cores, episodes = 16, 20
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		r := newRig(b, cores, nil)
+		for i, c := range r.cores {
+			c.Run("barrier", func(p Proc) {
+				sense := uint64(0)
+				for k := 0; k < episodes; k++ {
+					p.Exec(int64((i*37 + k*11) % 200))
+					sense ^= 1
+					BarrierWait(p, spinBarrier, cores, sense)
+				}
+			})
+		}
+		r.eng.Run(0)
+		for _, c := range r.cores {
+			if c.Running() != 0 {
+				b.Fatal("a core never left the barrier")
+			}
 		}
 		r.eng.Close()
 	}

@@ -10,16 +10,25 @@ package cpu
 // contention behaviour emerge from cache-to-cache transfers rather than
 // being modelled analytically.
 //
-// The MCS and barrier waits poll an L1-resident word through spinUntil.
-// Its polls are exact: each costs what a load plus Exec(spinBackoff)
-// costs, at the same instants and with the same counters. Once a poll
-// hits the L1, though, the thread parks and a prebuilt engine callback
-// replays the loop at the thread's would-be wakeups, so a long spin costs
-// event-queue work instead of two coroutine round trips per poll. The
-// callback hands control back (sim.Thread.Resume) only where the thread
-// must decide: the exit value was seen, an interrupt is due, or the line
-// left the L1 and the next poll misses to the L2. TASAcquire polls with
-// home-side atomics and stays thread-driven.
+// The MCS and barrier waits poll an 8-byte word through spinUntil: a
+// load, then Exec(spinBackoff), until the value ends the spin. A poll
+// that misses the L1 runs on the thread. Once a poll hits the L1 and reads
+// a value that does not end the spin, that value cannot change while the
+// line stays in the L1: the L1 is write-through, and every remote store
+// reaches it as a back-invalidation from the L2. So the thread parks with
+// nothing queued until one of the two causes that can end the wait: the
+// line's back-invalidation (Core's OnLineLost hook) or a deliverable
+// interrupt (RaiseIRQ). At the cause, spinner.wake charges the polls the
+// loop would have run to Instrs, Loads and L1Hits by clock arithmetic,
+// touches the line's LRU stamp once, and queues the thread's wakeup where
+// the polled loop would next act: a hit end or a poll. A poll due at the
+// cause's instant counts as already run and a hit end due then does not,
+// which is the polled loop's own order (a line loss is queued
+// ProxyFwdCycles ahead, fewer cycles than spinBackoff, so the poll was
+// queued first). The one departure from the polled loop is same-instant
+// order: the thread's next event is queued at the cause instead of one
+// poll period earlier. TASAcquire polls with home-side atomics and stays
+// thread-driven.
 
 import (
 	"duet/internal/params"
@@ -108,80 +117,82 @@ func BarrierWait(p Proc, addr uint64, n int, localSense uint64) {
 	p.spinUntil(addr+8, localSense, true)
 }
 
-// spinner is the engine-driven half of one core thread's spinUntil. While
-// it runs, the thread is parked and ev (spinStep on the spinner, built
-// once per thread) is queued at the end of the current hit or backoff.
+// A spinWait is a spin parked on its core. The core calls wake once, at
+// the first cause that can end the spin, before the L1 drops the line.
+type spinWait interface{ wake() }
+
+// spinner is a core thread's parked spin, built at the thread's first
+// spin. from is the parking poll's hit end: the polled loop's hit ends
+// fall at from + k·period and its polls one backoff after each, where a
+// period is L1HitCycles + spinBackoff cycles.
 type spinner struct {
-	p          *proc
-	ev         sim.Event
-	addr, want uint64
-	eq         bool
-	v          uint64 // the value the last poll read
-	hitEnd     bool   // ev ends a poll's hit latency, not a backoff
-	reload     bool   // on resume: the thread issues the next poll itself
+	c      *Core
+	ev     sim.Event // resumes the thread
+	addr   uint64
+	from   sim.Time
+	atPoll bool // woken at a poll, not at a hit end
 }
 
-func spinStep(a any) { a.(*spinner).step() }
+func spinResume(a any) { a.(*sim.Thread).Resume() }
 
 // spinUntil polls the 8-byte word at addr, with Exec(spinBackoff) between
 // polls, until (value == want) == eq, and returns the value that ended
-// the spin. A poll that hits the L1 hands the loop to the spinner.
+// the spin. A poll that hits the L1 without ending the spin parks the
+// thread on its causes (parkSpin).
 func (p *proc) spinUntil(addr, want uint64, eq bool) uint64 {
-	c, s := p.core, p.spin
-	if s == nil {
-		s = &spinner{p: p}
-		s.ev = sim.Event{Fn: spinStep, Arg: s}
-		p.spin = s
-	}
 	for {
 		v, hit := p.issueLoad(addr, 8)
-		if hit {
-			s.addr, s.want, s.eq, s.v, s.hitEnd = addr, want, eq, v, true
-			c.eng.AtEvent(c.clk.EdgesAfter(c.eng.Now(), params.L1HitCycles), &s.ev)
-			p.t.Park()
-			if s.reload {
-				continue
-			}
-			v = s.v
-		}
 		if (v == want) == eq {
+			if hit {
+				p.t.SleepCycles(p.core.clk, params.L1HitCycles)
+			}
 			return v
+		}
+		if hit && p.parkSpin(addr) {
+			continue // woken at a poll: issue it
 		}
 		p.Exec(spinBackoff)
 	}
 }
 
-// step does at one of the spinning thread's wakeups what the thread
-// would have done there, up to its next wait, and schedules itself for
-// that wait's end. It resumes the thread instead wherever the thread's
-// path would leave the hit-and-backoff loop.
-func (s *spinner) step() {
-	p := s.p
-	c := p.core
+// parkSpin parks the thread right after a poll of addr hit the L1, until
+// the core wakes its spinner. It reports whether the thread woke at a
+// poll; otherwise it woke at a hit end, with the polled value unchanged.
+func (p *proc) parkSpin(addr uint64) bool {
+	c, s := p.core, p.spin
+	if s == nil {
+		s = &spinner{c: c, ev: sim.Event{Fn: spinResume, Arg: p.t}}
+		p.spin = s
+	}
+	s.addr, s.from = addr, c.clk.EdgesAfter(c.eng.Now(), params.L1HitCycles)
+	c.parkSpin(s, addr)
+	p.t.Park()
+	return s.atPoll
+}
+
+// wake fast-forwards the polled loop to now: it charges the hit ends
+// before now and the polls up to and including now, and queues the
+// thread's wakeup at the loop's next event.
+func (s *spinner) wake() {
+	c := s.c
 	now := c.eng.Now()
-	if s.hitEnd {
-		// The poll returns: test the value, then Exec(spinBackoff).
-		if (s.v == s.want) == s.eq || c.irqDue() {
-			s.reload = false
-			p.t.Resume()
-			return
-		}
-		c.Instrs += spinBackoff
-		s.hitEnd = false
-		c.eng.AtEvent(c.clk.EdgesAfter(now, spinBackoff), &s.ev)
-		return
+	period := c.clk.Cycles(params.L1HitCycles + spinBackoff)
+	backoff := c.clk.Cycles(spinBackoff)
+	var hitEnds, polls sim.Time
+	if now > s.from {
+		hitEnds = (now-s.from-1)/period + 1
 	}
-	// The backoff ends: issue the next poll. A miss is the thread's to
-	// take (and count), so test for the line before touching the L1.
-	if c.irqDue() || !c.l1.holds(s.addr) {
-		s.reload = true
-		p.t.Resume()
-		return
+	if now >= s.from+backoff {
+		polls = (now-s.from-backoff)/period + 1
+		c.l1.load(s.addr, 8) // the last poll's LRU touch
 	}
-	c.Loads++
-	c.Instrs++
-	s.v, _ = c.l1.load(s.addr, 8)
-	c.L1Hits++
-	s.hitEnd = true
-	c.eng.AtEvent(c.clk.EdgesAfter(now, params.L1HitCycles), &s.ev)
+	c.Instrs += uint64(spinBackoff*hitEnds + polls)
+	c.Loads += uint64(polls)
+	c.L1Hits += uint64(polls)
+	s.atPoll = hitEnds > polls
+	next := s.from + polls*period
+	if s.atPoll {
+		next += backoff
+	}
+	c.eng.AtEvent(next, &s.ev)
 }

@@ -156,9 +156,9 @@ func (t *Thread) dispatch() {
 
 // Resume runs the parked thread t in place, from the event callback that
 // calls it, and returns once t parks again or finishes. A callback that
-// replays what a parked thread would have done at its wakeups (the cpu
-// package's L1-hit spin polls) resumes it this way when the thread must
-// decide, instead of scheduling a wakeup at the current instant. Call it
+// did a parked thread's waiting for it resumes it this way, instead of
+// scheduling a wakeup at the current instant; the cpu package's parked
+// spins resume their thread through a pre-built event that calls it. Call it
 // only from engine context (an event callback, never a thread); Resume
 // panics if t is running or finished.
 func (t *Thread) Resume() {

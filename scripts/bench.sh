@@ -16,6 +16,7 @@
 # replica, at a mostly-empty queue and at a saturated one), one round
 # of coherence transactions (load miss, S→M upgrade, AMO) on a
 # two-cache domain, 200 MCS lock handoffs among four cycle-level cores,
+# 20 barrier episodes among sixteen,
 # one MMIO write+read round trip to a shadow register, one soft-cache
 # store written through a Memory Hub and one daemon submission through
 # admission and the model scheduler — and the serve studies in
@@ -35,7 +36,7 @@ run_benches() {
     go test -run '^$' -bench 'BenchmarkRunSourceHandoff$' -count 5 -benchmem ./internal/cluster
     go test -run '^$' -bench 'BenchmarkSchedSubmit$|BenchmarkSchedBacklog$' -count 5 -benchmem ./internal/model
     go test -run '^$' -bench 'BenchmarkCoherenceMiss$' -count 5 -benchmem ./internal/coherence
-    go test -run '^$' -bench 'BenchmarkMCSContention$' -count 5 -benchmem ./internal/cpu
+    go test -run '^$' -bench 'BenchmarkMCSContention$|BenchmarkBarrierWait$' -count 5 -benchmem ./internal/cpu
     go test -run '^$' -bench 'BenchmarkMMIORoundTrip$|BenchmarkSoftCacheStore$' -count 5 -benchmem .
     go test -run '^$' -bench 'BenchmarkDaemonSubmit$' -count 5 -benchmem ./internal/daemon
     go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -benchmem -timeout 30m ./internal/workload

@@ -280,9 +280,15 @@ func (s *System) Run() sim.Time {
 // reachable. The hardware blocks are engine callbacks and hold no thread.
 func (s *System) Close() { s.Eng.Close() }
 
-// RunChecked runs to completion and validates coherence invariants.
+// RunChecked runs to completion and validates that every core program
+// returned and the coherence invariants hold.
 func (s *System) RunChecked() (sim.Time, error) {
 	t := s.Run()
+	for i, c := range s.Cores {
+		if c.Running() > 0 {
+			return t, fmt.Errorf("duet: core %d's program did not return: it waits on something nothing will do", i)
+		}
+	}
 	if !s.Dom.Quiet() {
 		return t, fmt.Errorf("duet: coherence domain not quiescent at end of run")
 	}

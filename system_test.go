@@ -2,6 +2,7 @@ package duet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"duet/internal/coherence"
@@ -834,5 +835,21 @@ func TestNewStartsNoThreads(t *testing.T) {
 		if after := sys.Eng.LiveThreads(); before != 0 || after != 0 {
 			t.Fatalf("%s: %d live threads after New, %d after Run; want 0", cfg.Style, before, after)
 		}
+	}
+}
+
+// TestRunCheckedReportsStuckProgram: a spin parked on a word nobody
+// writes queues no events, so the run drains with the program still
+// waiting. RunChecked must fail and name the core instead of reporting
+// the drain's end as the program's runtime.
+func TestRunCheckedReportsStuckProgram(t *testing.T) {
+	sys := New(Config{Cores: 2, Style: StyleCPUOnly})
+	defer sys.Close()
+	barrier := sys.Alloc(cpu.BarrierBytes)
+	sys.Cores[0].Run("arrive", func(p cpu.Proc) { p.Exec(10) })
+	sys.Cores[1].Run("wait", func(p cpu.Proc) { cpu.BarrierWait(p, barrier, 2, 1) })
+	_, err := sys.RunChecked()
+	if err == nil || !strings.Contains(err.Error(), "core 1") {
+		t.Fatalf("RunChecked = %v, want an error naming core 1", err)
 	}
 }
