@@ -158,8 +158,13 @@ func (c *Core) RaiseIRQ(irq IRQ) {
 	c.mmioCond.Broadcast()
 }
 
-// parkSpin registers s as the spin parked on the core, polling addr.
+// parkSpin registers s as the spin parked on the core, polling addr. A
+// core has one spin slot: a second program spinning at once would lose
+// the first one's wake, so it panics.
 func (c *Core) parkSpin(s spinWait, addr uint64) {
+	if c.spin != nil {
+		panic(fmt.Sprintf("core%d: a second spin parked while one is parked", c.id))
+	}
 	c.spin, c.spinLine = s, addr&^(params.LineBytes-1)
 }
 
@@ -178,7 +183,10 @@ func (c *Core) wakeSpin() {
 }
 
 // Run spawns prog on the core as a simulation thread and returns the
-// thread (finished when prog returns).
+// thread (finished when prog returns). Several programs may share a core,
+// but at most one may be inside an MCS or barrier spin at a time: the
+// parked spin assumes its line leaves the L1 only by back-invalidation,
+// which another program's L1 fills would break (see sync.go).
 func (c *Core) Run(name string, prog func(Proc)) *sim.Thread {
 	c.running++
 	return c.eng.Go(fmt.Sprintf("core%d:%s", c.id, name), func(t *sim.Thread) {
