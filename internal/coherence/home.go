@@ -267,11 +267,10 @@ func (h *Home) onAck(m *noc.Msg) {
 // until continues c's transaction at tm with next: in place when the
 // engine runs on to tm, else from c's wake event.
 func (h *Home) until(c *lineCtx, tm sim.Time, next phase) phase {
-	if h.eng.RunOn(tm) {
+	if h.eng.RunOn(tm, &c.wake) {
 		return next
 	}
 	c.next = next
-	h.eng.AtEvent(tm, &c.wake)
 	return nil
 }
 

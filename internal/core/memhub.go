@@ -201,8 +201,7 @@ func (h *MemHub) serve() {
 			now := eng.Now()
 			tm := h.a.fastClk.EdgesAfter(now, params.HubIngressCycles)
 			tx.Add(sim.CatFast, tm-now)
-			if !eng.RunOn(tm) {
-				eng.AtEvent(tm, &h.serveWake)
+			if !eng.RunOn(tm, &h.serveWake) {
 				return
 			}
 		}

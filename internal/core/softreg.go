@@ -278,7 +278,7 @@ func (rf *regFile) fabricEngine() {
 			}
 			rf.engMsg, rf.engTX = m, tx
 			rf.engStep = engRetire
-			if !rf.engUntil(slow.EdgesAfter(rf.a.eng.Now(), 1)) {
+			if !rf.a.eng.RunOn(slow.EdgesAfter(rf.a.eng.Now(), 1), &rf.engWake) {
 				return
 			}
 		case engRetire:
@@ -299,7 +299,7 @@ func (rf *regFile) fabricEngine() {
 				tm := slow.EdgesAfter(now, params.SoftRegCycles)
 				rf.engTX.Add(sim.CatSlow, tm-now)
 				rf.engStep = engNormal
-				if !rf.engUntil(tm) {
+				if !rf.a.eng.RunOn(tm, &rf.engWake) {
 					return
 				}
 			}
@@ -312,16 +312,6 @@ func (rf *regFile) fabricEngine() {
 
 // runFabricEngine is the trampoline behind the fabric engine's wakes.
 func runFabricEngine(a any) { a.(*regFile).fabricEngine() }
-
-// engUntil reports whether the fabric engine may go on in place at tm
-// (sim.Engine.RunOn); if not, it queues the engine's wake at tm.
-func (rf *regFile) engUntil(tm sim.Time) bool {
-	if rf.a.eng.RunOn(tm) {
-		return true
-	}
-	rf.a.eng.AtEvent(tm, &rf.engWake)
-	return false
-}
 
 // handleNormal answers a normal-register op once its access time has
 // passed.

@@ -50,10 +50,6 @@ type Fabric struct {
 
 	period   sim.Time // current fabric clock period
 	resident string
-	// images backs Register's duplicate-name guard. Dispatch never reads
-	// it: the scheduler registers every catalog app on every worker
-	// before a job can name one.
-	images map[string]*efpga.Bitstream
 
 	done func(*sched.Job, error)
 
@@ -70,7 +66,6 @@ func NewFabric(tl Timeline, p FabricParams) *Fabric {
 		tl:     tl,
 		p:      p,
 		period: sim.Time(1e6 / efpga.DefaultFreqMHz),
-		images: make(map[string]*efpga.Bitstream),
 	}
 	b.serveFn = func(a any) { b.serve(a.(*sched.Job)) }
 	b.finishFn = func(a any) { b.done(a.(*sched.Job), nil) }
@@ -86,18 +81,10 @@ func (b *Fabric) Name() string { return b.p.Name }
 // Capacity is the modeled reconfigurable budget.
 func (b *Fabric) Capacity() efpga.Resources { return efpga.DefaultFabricCap }
 
-// Register adds a bitstream to the modeled image library, with the same
-// duplicate-name guard as efpga.Fabric.Register.
-func (b *Fabric) Register(bs *efpga.Bitstream) error {
-	if ex, ok := b.images[bs.Name]; ok {
-		if ex == bs {
-			return nil
-		}
-		return fmt.Errorf("model: bitstream name %q already registered with a different image", bs.Name)
-	}
-	b.images[bs.Name] = bs
-	return nil
-}
+// Register accepts every bitstream: the modeled fabric keeps no image
+// library, since sched.RegisterApp rejects a duplicate name before it
+// registers an app with any backend.
+func (b *Fabric) Register(*efpga.Bitstream) error { return nil }
 
 // Resident reports the modeled installed bitstream name.
 func (b *Fabric) Resident() string { return b.resident }

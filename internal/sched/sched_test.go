@@ -54,8 +54,8 @@ func TestEmptyQueueDrain(t *testing.T) {
 	if sch.QueueLen() != 0 {
 		t.Fatalf("queue length = %d, want 0", sch.QueueLen())
 	}
-	if sys.Eng.Pending() != 0 {
-		t.Fatalf("engine left %d pending events", sys.Eng.Pending())
+	if n := sys.Eng.Run(0); n != 0 {
+		t.Fatalf("engine left %d pending events", n)
 	}
 }
 

@@ -7,14 +7,16 @@
 // the soft cache's write buffer) are callback state machines: each phase runs as an event, waits on a
 // Cond through Cond.Await, and continues at a later instant through
 // RunOn or a scheduled Event. Sequential "programs" (processor software,
-// behavioural accelerator models) run as Threads: runtime coroutines
-// (iter.Pull) that the engine resumes one at a time, which keeps the
-// simulation fully deterministic while letting benchmark code be written
-// as ordinary straight-line Go. A resume or park is a direct coroutine
-// switch that bypasses the Go scheduler, and a panic in a thread surfaces
-// from the Run call that resumed it. Engine.Close stops the threads still
-// parked when a simulation is discarded. A callback continuation costs a
-// queue event; a thread wakeup also costs two coroutine switches.
+// behavioural accelerator models) run as Threads, each on a runtime
+// coroutine (iter.Pull) of its own that the engine resumes one at a time,
+// which keeps the simulation fully deterministic while letting benchmark
+// code be written as ordinary straight-line Go. A resume or park is a
+// direct coroutine switch that bypasses the Go scheduler, and a panic in
+// a thread surfaces from the Run call that resumed it. A finished
+// thread's coroutine is stopped when Run returns; Engine.Close stops the
+// threads still parked when a simulation is discarded. A callback
+// continuation costs a queue event; a thread wakeup also costs two
+// coroutine switches.
 //
 // The event queue is a calendar of per-timestamp buckets ordered by a
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule
@@ -134,9 +136,7 @@ type Event struct {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with NewEngine or NewEngineCap.
 type Engine struct {
-	now     Time
-	stopped bool
-	pending int
+	now Time
 	// horizon bounds the run-on path (RunOn): a thread or callback keeps
 	// running to a wakeup strictly before it. Run(0) sets Forever and
 	// RunBefore its deadline; an event budget, and the time between
@@ -152,14 +152,9 @@ type Engine struct {
 	far    []farEvent // binary min-heap of far-future events, keyed by (at, seq)
 	farSeq uint64     // far events scheduled so far
 
-	// threads tracks live Threads so Run can detect a deadlock in which
-	// every thread is parked but no events remain.
-	liveThreads int
-
-	// pool holds idle coroutine workers for reuse by Go; workers holds
-	// every worker not yet stopped, pooled or running a thread (Close).
-	pool    []*worker
-	workers []*worker
+	// threads holds every Thread whose coroutine is not yet stopped:
+	// finished ones until Run returns, the rest until Close.
+	threads []*Thread
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -177,6 +172,9 @@ func NewEngineCap(capHint int) *Engine {
 		e.buckets = make([]bucket, 0, nb)
 		e.free = make([]int32, 0, nb)
 		e.heap = make([]int32, 0, nb)
+		// A system's core programs and accelerator kernels fit without
+		// regrowing the thread list.
+		e.threads = make([]*Thread, 0, 64)
 	}
 	return e
 }
@@ -223,7 +221,6 @@ func (e *Engine) at(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	e.pending++
 	if t-e.now >= farFuture {
 		e.farPush(farEvent{at: t, seq: e.farSeq, ev: event{fn: fn, arg: arg}})
 		e.farSeq++
@@ -254,9 +251,6 @@ func (e *Engine) at(t Time, fn func(any), arg any) {
 	e.heapPush(bi)
 }
 
-// Stop makes the current Run call return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // step pops and executes the earliest queued event, the far heap's head
 // first at equal times. Callers guarantee the queue is non-empty. The
 // "time went backwards" guard holds for every execution path (Run and
@@ -285,7 +279,6 @@ func (e *Engine) step() {
 		e.heapPopTop()
 		e.free = append(e.free, bi)
 	}
-	e.pending--
 	ev.fn(ev.arg)
 }
 
@@ -297,7 +290,6 @@ func (e *Engine) stepFar() {
 	}
 	e.now = f.at
 	e.farPopTop()
-	e.pending--
 	f.ev.fn(f.ev.arg)
 }
 
@@ -317,40 +309,42 @@ func (e *Engine) next() Time {
 // RunOn is the run-on rule, for a thread's timed wait (Thread.WaitUntil)
 // and for an event callback that must continue at tm. It reports true
 // when the caller may go on in place: tm is now, or a wakeup at tm
-// scheduled now would be the next event the current run pops (the engine
-// is not stopped, tm is before the run's bound, and nothing is queued at
-// or before tm), in which case the clock advances to tm. Otherwise the
-// caller schedules its continuation at tm itself. Either way it runs at
-// the same point of the event order; the run-on path only skips the
-// queue. A callback may take it only where its return hands control back
-// to the run loop, so nothing else runs at the advanced clock.
-func (e *Engine) RunOn(tm Time) bool {
+// scheduled now would be the next event the current run pops (tm is
+// before the run's bound, and nothing is queued at or before tm), in
+// which case the clock advances to tm. Otherwise it queues ev, the
+// caller's continuation, at tm and reports false. Either way the
+// continuation runs at the same point of the event order; the run-on
+// path only skips the queue. A callback may take it only where its
+// return hands control back to the run loop, so nothing else runs at the
+// advanced clock.
+func (e *Engine) RunOn(tm Time, ev *Event) bool {
 	if tm < e.now {
 		panic(fmt.Sprintf("sim: running on to past time %v (now %v)", tm, e.now))
 	}
 	if tm == e.now {
 		return true
 	}
-	if e.stopped || tm >= e.horizon || e.next() <= tm {
+	if tm >= e.horizon || e.next() <= tm {
+		e.AtEvent(tm, ev)
 		return false
 	}
 	e.now = tm
 	return true
 }
 
-// Run executes events until the queue drains, Stop is called, or the event
-// budget maxEvents is exhausted (0 means no budget). It returns the number
-// of events executed: queue pops, so a continuation taken by the run-on
-// path (see RunOn) does not count. Under a budget the run-on
-// path is off, so every wakeup is a counted event.
+// Run executes events until the queue drains or the event budget
+// maxEvents is exhausted (0 means no budget). It returns the number of
+// events executed: queue pops, so a continuation taken by the run-on
+// path (see RunOn) does not count. Under a budget the run-on path is
+// off, so every wakeup is a counted event. On return it stops the
+// coroutines of the threads that have finished.
 func (e *Engine) Run(maxEvents int) int {
-	e.stopped = false
 	e.horizon = Forever
 	if maxEvents > 0 {
 		e.horizon = 0
 	}
 	n := 0
-	for e.pending > 0 && !e.stopped {
+	for len(e.heap) > 0 || len(e.far) > 0 {
 		if maxEvents > 0 && n >= maxEvents {
 			break
 		}
@@ -358,7 +352,7 @@ func (e *Engine) Run(maxEvents int) int {
 		n++
 	}
 	e.horizon = 0
-	e.reapWorkers()
+	e.reapFinished()
 	return n
 }
 
@@ -367,30 +361,24 @@ func (e *Engine) Run(maxEvents int) int {
 // queued — the streaming submission contract: work injected at deadline
 // (outside any event) precedes every already-queued callback at that
 // same instant, exactly as a pre-scheduled arrival event would by bucket
-// insertion order. Unlike Run it does not reap pooled
-// worker coroutines, so a caller fusing a long submission stream into
-// the run keeps the coroutine pool warm between arrivals; the final
-// drain (Run) reaps as usual.
+// insertion order. Unlike Run it leaves finished threads' coroutines to
+// the next Run or Close, so a caller fusing a long submission stream into
+// the run pays no per-arrival scan of the engine's threads.
 func (e *Engine) RunBefore(deadline Time) int {
-	e.stopped = false
 	e.horizon = deadline
 	n := 0
-	for e.pending > 0 && !e.stopped {
-		if e.next() >= deadline {
-			break
-		}
+	// An empty queue's next is Forever, which a deadline past Forever
+	// would otherwise step.
+	for (len(e.heap) > 0 || len(e.far) > 0) && e.next() < deadline {
 		e.step()
 		n++
 	}
 	e.horizon = 0
-	if e.now < deadline && !e.stopped {
+	if e.now < deadline {
 		e.now = deadline
 	}
 	return n
 }
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.pending }
 
 // --- 4-ary heap of bucket handles, keyed by (at, seq) ----------------------
 //

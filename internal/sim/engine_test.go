@@ -249,32 +249,34 @@ func TestFarFutureTier(t *testing.T) {
 
 // TestRunOnWithFarEventQueued pins the run-on rule against the far-future
 // heap: a callback may run on up to a queued far event's instant but not
-// to it, and the continuation it queues there runs after the far event.
+// to it or past it, and the continuations RunOn queues there run after
+// the far event.
 func TestRunOnWithFarEventQueued(t *testing.T) {
 	e := NewEngine()
 	tf := farFuture + 10*NS
 	var trace []string
 	e.At(tf, func() { trace = append(trace, fmt.Sprintf("far@%d", e.Now())) })
+	probe := Event{Fn: func(any) { trace = append(trace, fmt.Sprintf("probe@%d", e.Now())) }}
 	var ev Event
 	ev.Fn = func(any) {
 		if e.Now() == tf {
 			trace = append(trace, fmt.Sprintf("continued@%d", e.Now()))
 			return
 		}
-		if !e.RunOn(tf - 1) {
+		if !e.RunOn(tf-1, &ev) {
 			t.Fatal("RunOn before the far event's instant refused")
 		}
-		if e.RunOn(tf) || e.RunOn(tf+1) {
+		trace = append(trace, fmt.Sprintf("ran-on@%d", e.Now()))
+		if e.RunOn(tf, &ev) || e.RunOn(tf+1, &probe) {
 			t.Fatal("RunOn ran on to or past a queued far event")
 		}
-		trace = append(trace, fmt.Sprintf("ran-on@%d", e.Now()))
-		e.AtEvent(tf, &ev)
 	}
 	e.AtEvent(0, &ev)
 	n := e.Run(0)
-	want := []string{fmt.Sprintf("ran-on@%d", tf-1), fmt.Sprintf("far@%d", tf), fmt.Sprintf("continued@%d", tf)}
-	if fmt.Sprint(trace) != fmt.Sprint(want) || n != 3 {
-		t.Fatalf("trace = %v after %d pops, want %v after 3", trace, n, want)
+	want := []string{fmt.Sprintf("ran-on@%d", tf-1), fmt.Sprintf("far@%d", tf),
+		fmt.Sprintf("continued@%d", tf), fmt.Sprintf("probe@%d", tf+1)}
+	if fmt.Sprint(trace) != fmt.Sprint(want) || n != 4 {
+		t.Fatalf("trace = %v after %d pops, want %v after 4", trace, n, want)
 	}
 }
 
@@ -375,9 +377,8 @@ func TestRunOnFromCallback(t *testing.T) {
 	ev.Fn = func(any) {
 		for ; step < 3; step++ {
 			trace = append(trace, fmt.Sprintf("step%d@%v", step, e.Now()))
-			if tm := e.Now() + 10*NS; !e.RunOn(tm) {
+			if !e.RunOn(e.Now()+10*NS, &ev) {
 				step++
-				e.AtEvent(tm, &ev)
 				return
 			}
 		}
@@ -416,17 +417,6 @@ func TestCondBroadcastAt(t *testing.T) {
 	}
 	if e.LiveThreads() != 0 {
 		t.Fatal("threads leaked")
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1*NS, func() { ran++; e.Stop() })
-	e.At(2*NS, func() { ran++ })
-	e.Run(0)
-	if ran != 1 {
-		t.Fatalf("Stop did not halt the engine: ran=%d", ran)
 	}
 }
 
@@ -626,6 +616,10 @@ func TestDeadlockedThreadDetectable(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesParkedThreads pins each thread coroutine's lifetime:
+// a finished thread's coroutine is stopped when Run returns but still
+// held after RunBefore, and Close stops the rest, parked or never
+// dispatched.
 func TestCloseReleasesParkedThreads(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
@@ -642,15 +636,20 @@ func TestCloseReleasesParkedThreads(t *testing.T) {
 		e.Go("brief", brief)
 	}
 	e.Run(0)
-	// RunBefore keeps the finished threads' workers pooled and idle.
+	if n := runtime.NumGoroutine() - before; n != 1 {
+		t.Fatalf("after Run: %d coroutines held, want 1 (the parked thread)", n)
+	}
 	for i := 0; i < 3; i++ {
 		e.Go("brief", brief)
 	}
 	e.RunBefore(e.Now() + 10*NS)
+	if n := runtime.NumGoroutine() - before; n != 4 {
+		t.Fatalf("after RunBefore: %d coroutines held, want 4 (3 finished, 1 parked)", n)
+	}
 	ran := false
-	late := e.Go("late", func(*Thread) { ran = true }) // takes a pooled worker
-	if e.LiveThreads() != 2 || len(e.pool) != 2 {
-		t.Fatalf("before Close: live threads %d, idle workers %d; want 2 and 2", e.LiveThreads(), len(e.pool))
+	late := e.Go("late", func(*Thread) { ran = true })
+	if n := runtime.NumGoroutine() - before; n != 5 || e.LiveThreads() != 2 {
+		t.Fatalf("before Close: %d coroutines held, %d live threads; want 5 and 2", n, e.LiveThreads())
 	}
 
 	e.Close()
@@ -673,7 +672,6 @@ func TestCloseReleasesParkedThreads(t *testing.T) {
 func TestThreadPanicReachesRun(t *testing.T) {
 	boom := errors.New("boom")
 	e := NewEngine()
-	defer e.Close()
 	e.Go("fine", func(th *Thread) { th.Sleep(5 * NS) })
 	e.Go("bad", func(th *Thread) {
 		th.Sleep(NS)
@@ -682,6 +680,13 @@ func TestThreadPanicReachesRun(t *testing.T) {
 	defer func() {
 		if r := recover(); r != boom {
 			t.Fatalf("Run panicked with %v, want %v", r, boom)
+		}
+		if n := e.LiveThreads(); n != 2 {
+			t.Fatalf("live threads after the panic = %d, want 2", n)
+		}
+		e.Close()
+		if n := e.LiveThreads(); n != 0 {
+			t.Fatalf("live threads after Close = %d, want 0", n)
 		}
 	}()
 	e.Run(0)

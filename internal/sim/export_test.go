@@ -21,3 +21,14 @@ func (c *Cond) Signal() {
 	c.waiters = c.waiters[:n]
 	c.eng.AtEvent(c.eng.now, ev)
 }
+
+// Pending reports the number of queued events: the unrun events of the
+// calendar's live buckets plus the far heap.
+func (e *Engine) Pending() int {
+	n := len(e.far)
+	for _, bi := range e.heap {
+		b := &e.buckets[bi]
+		n += len(b.evs) - b.head
+	}
+	return n
+}

@@ -241,19 +241,18 @@ func FuzzEventOrder(f *testing.F) {
 // callback that calls Resume dt from now; with need > 0 a wait on the
 // program's shared Cond until need more broadcasts have happened, which
 // re-registers after each earlier (spurious) wake. After the record the
-// actor may schedule a child callback child after now (child < 0: none)
-// and may call Stop.
+// actor may schedule a child callback child after now (child < 0: none).
 type threadStep struct {
-	dt, child    Time
-	need         int
-	resume, stop bool
+	dt, child Time
+	need      int
+	resume    bool
 }
 
 // rootCall is a callback scheduled before the first run; with bcast it
 // broadcasts the shared Cond.
 type rootCall struct {
-	at, child   Time
-	stop, bcast bool
+	at, child Time
+	bcast     bool
 }
 
 // runSeg is one run call of a fuzzed program: RunBefore(deadline) when budget
@@ -302,8 +301,8 @@ func stepID(base, ti, si int) int { return base + (ti+1)*1000 + si }
 // pick a root callback, an actor step, a RunBefore or a budgeted Run;
 // its other bits and the second byte give the details. A root without a
 // child whose high nibble is set broadcasts; a step's bits 2-4 pick the
-// actor (6 and 7 fold onto threads 0 and 1), and its resume and stop bits
-// set together make it a Cond wait for one or two broadcasts. Actors
+// actor (6 and 7 fold onto threads 0 and 1), bit 6 makes it a resume,
+// and bits 6 and 7 together a Cond wait for one or two broadcasts. Actors
 // start at time 0 and every time lands on a 50 ps grid, so wakeups,
 // callbacks and deadlines share instants.
 func decodeThreadProg(data []byte) threadProg {
@@ -312,7 +311,7 @@ func decodeThreadProg(data []byte) threadProg {
 		a, b := data[i], data[i+1]
 		switch a & 3 {
 		case 0:
-			rc := rootCall{at: Time(b) * 50, child: -1, stop: a&4 != 0}
+			rc := rootCall{at: Time(b) * 50, child: -1}
 			if a&8 != 0 {
 				rc.child = Time(a>>4) * 50
 			} else {
@@ -320,12 +319,12 @@ func decodeThreadProg(data []byte) threadProg {
 			}
 			p.roots = append(p.roots, rc)
 		case 1:
-			st := threadStep{dt: Time(b) * 50, child: -1, resume: a&64 != 0, stop: a&128 != 0}
+			st := threadStep{dt: Time(b) * 50, child: -1, resume: a&64 != 0}
 			if a&32 != 0 {
 				st.child = Time(b%4) * 50
 			}
 			ai := int(a>>2) & 7 % fuzzActors
-			if st.resume && st.stop {
+			if st.resume && a&128 != 0 {
 				st = threadStep{child: st.child, need: 1 + int(b%2)}
 			} else if ai >= fuzzThreads {
 				st.resume = false // only a thread can be resumed
@@ -359,9 +358,6 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 		rec(stepID(idStep, ai, si))
 		if st.child >= 0 {
 			e.At(e.Now()+st.child, func() { rec(stepID(idStepChild, ai, si)) })
-		}
-		if st.stop {
-			e.Stop()
 		}
 	}
 	for ai, steps := range p.threads {
@@ -404,9 +400,8 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 					cond.Await(&ev)
 					return
 				case !waiting:
-					if tm := e.Now() + st.dt; !e.RunOn(tm) {
+					if !e.RunOn(e.Now()+st.dt, &ev) {
 						waiting = true
-						e.AtEvent(tm, &ev)
 						return
 					}
 				case st.need > 0:
@@ -431,9 +426,6 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 			if rc.bcast {
 				gen++
 				cond.Broadcast()
-			}
-			if rc.stop {
-				e.Stop()
 			}
 		})
 	}
@@ -465,20 +457,19 @@ func runKernelThreads(p threadProg) ([]traceRec, []int) {
 	if e.LiveThreads() != 0 {
 		panic("fuzz thread left parked")
 	}
-	e.Close() // RunBefore keeps finished threads' workers pooled
+	e.Close()
 	return got, counts
 }
 
 // runReferenceThreads plays p on the container/heap oracle, where every
 // wakeup, start, Resume callback and Cond wake is an event of its own, so
 // threads and machines are the same thing, and each run loop mirrors the
-// kernel's documented stop, deadline and budget rules.
+// kernel's documented deadline and budget rules.
 func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 	var (
 		h       refHeap
 		seq     uint64
 		now     Time
-		stopped bool
 		got     []traceRec
 		gen     int
 		waiters []func() // the Cond's FIFO
@@ -505,9 +496,6 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 				rec(stepID(idStep, ai, si))
 				if st.child >= 0 {
 					at(now+st.child, func() { rec(stepID(idStepChild, ai, si)) })
-				}
-				if st.stop {
-					stopped = true
 				}
 			}
 			switch {
@@ -556,9 +544,6 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 			if rc.bcast {
 				broadcast()
 			}
-			if rc.stop {
-				stopped = true
-			}
 		})
 	}
 	pop := func() {
@@ -573,9 +558,8 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 		marks++
 	}
 	for k, s := range p.segs {
-		stopped = false
 		n := 0
-		for h.Len() > 0 && !stopped {
+		for h.Len() > 0 {
 			if s.budget > 0 && n >= s.budget || s.budget == 0 && h[0].at >= s.deadline {
 				break
 			}
@@ -587,9 +571,7 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 			mark()
 			continue
 		}
-		if now < s.deadline && !stopped {
-			now = s.deadline
-		}
+		now = max(now, s.deadline)
 		mark()
 		at(now, func() { rec(idInjected + k) })
 	}
@@ -598,8 +580,7 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 			rec(idFinalBcast + gen)
 			broadcast()
 		}
-		stopped = false
-		for h.Len() > 0 && !stopped {
+		for h.Len() > 0 {
 			pop()
 		}
 		mark()
@@ -609,9 +590,9 @@ func runReferenceThreads(p threadProg) ([]traceRec, []int) {
 
 // FuzzThreadOrder mixes sleeping threads, Resume-driven threads, callback
 // state machines and plain callbacks, with threads and machines waiting
-// on one Cond, under RunBefore deadlines, event budgets and mid-run Stop
-// calls. It requires the kernel to produce the reference's (id, Now())
-// trace, in which every wakeup is a queued event. It guards the run-on
+// on one Cond, under RunBefore deadlines and event budgets. It requires
+// the kernel to produce the reference's (id, Now()) trace, in which
+// every wakeup is a queued event. It guards the run-on
 // rule (Engine.RunOn): a thread or callback that keeps running past a
 // wait must be indistinguishable from one that took the queued wakeup.
 // It also guards the Cond's one FIFO of thread and callback waiters, with
@@ -621,8 +602,8 @@ func FuzzThreadOrder(f *testing.F) {
 	f.Add([]byte{1, 4, 5, 4, 9, 4, 2, 200})                 // three threads, one deadline
 	f.Add([]byte{1, 2, 0, 2, 1, 0, 1, 2, 3, 5, 1, 2})       // a sleep of 0, a tie with a root, a budget
 	f.Add([]byte{65, 3, 1, 3, 0, 3, 2, 4, 2, 8})            // a Resume-driven step among sleeps
-	f.Add([]byte{129, 3, 1, 3, 1, 9, 2, 255})               // a thread that stops the run mid-way
-	f.Add([]byte{4, 6, 1, 6, 33, 2, 1, 6, 0, 200, 3, 1})    // a stopping root at a thread's instant
+	f.Add([]byte{129, 3, 1, 3, 1, 9, 2, 255})               // sleeps across a deadline
+	f.Add([]byte{4, 6, 1, 6, 33, 2, 1, 6, 0, 200, 3, 1})    // a root at a thread's instant
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 2, 0, 2, 1, 2, 2, 2, 3}) // deadlines on the thread's wake times
 	f.Add([]byte{1, 1, 2, 1})                               // a wakeup at the deadline stays queued
 	f.Add([]byte{13, 3, 17, 0, 13, 2, 21, 4, 2, 2, 2, 6})   // machines running on past sleeps and deadlines

@@ -23,123 +23,83 @@ import (
 type Thread struct {
 	eng    *Engine
 	name   string
-	w      *worker // the coroutine running this thread
+	fn     func(*Thread) // nil once it has returned
 	parked bool
 	done   bool
 	wake   Event // pre-built dispatch record; see Engine.AtEvent
+
+	// The thread's own coroutine: next resumes it and returns when it
+	// yields; yield, called from inside it, switches back to whoever
+	// called next. A switch is a direct goroutine hand-off that never
+	// passes through the Go scheduler.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // dispatchThread is the shared trampoline behind every thread wakeup event.
 func dispatchThread(a any) { a.(*Thread).dispatch() }
 
-// worker is a pooled coroutine, reused across finished threads so models
-// that start threads over and over (the cores' programs, accelerator
-// kernels started per job) pay the coroutine setup once. next resumes the
-// coroutine and returns when it yields; yield, called from inside it,
-// switches back to whoever called next. A switch is a direct goroutine hand-off that never passes through
-// the Go scheduler. All pool accesses happen in simulation context — at
-// most one thread or callback runs at a time — so the pool needs no
-// locking.
-type worker struct {
-	eng   *Engine
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-	t     *Thread // thread assigned to this worker; nil while pooled
-	fn    func(*Thread)
-}
-
 // threadClosed is the private panic value that unwinds a parked thread
-// when its engine is closed: park raises it, the worker's loop recovers it.
+// when its engine is closed: park raises it, body recovers it.
 type threadClosed struct{}
 
-// loop is the worker's pulled sequence: it runs one assigned thread after
-// another, yielding between them while pooled, and returns once stopped.
-func (w *worker) loop(yield func(struct{}) bool) {
-	w.yield = yield
+// body is the thread's pulled sequence: it runs fn, then parks for good
+// until Run or Close stops the coroutine.
+func (t *Thread) body(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(threadClosed); !ok {
 				panic(r) // a model panic: re-raise it to the caller of next
 			}
-			w.retire()
 		}
 	}()
-	for {
-		w.fn(w.t)
-		w.retire()
-		w.eng.pool = append(w.eng.pool, w)
-		if !yield(struct{}{}) {
-			return // reaped or closed while pooled
-		}
-	}
+	t.fn(t)
+	t.done, t.fn = true, nil
+	yield(struct{}{})
 }
 
-// retire marks the worker's thread finished.
-func (w *worker) retire() {
-	w.t.done = true
-	w.eng.liveThreads--
-	w.t, w.fn = nil, nil
-}
-
-// Go spawns fn as a new simulation thread named name. The thread begins
-// running at the current simulation time (via a scheduled event), on a
-// pooled (or new) worker.
+// Go spawns fn as a new simulation thread named name, on a coroutine of
+// its own. The thread begins running at the current simulation time (via
+// a scheduled event).
 func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
-	t := &Thread{eng: e, name: name}
+	t := &Thread{eng: e, name: name, fn: fn, parked: true}
 	t.wake = Event{Fn: dispatchThread, Arg: t}
-	var w *worker
-	if n := len(e.pool); n > 0 {
-		w = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-	} else {
-		w = &worker{eng: e}
-		w.next, w.stop = iter.Pull(w.loop)
-		e.workers = append(e.workers, w)
-	}
-	t.w, t.parked = w, true
-	w.t, w.fn = t, fn
-	e.liveThreads++
+	t.next, t.stop = iter.Pull(t.body)
+	e.threads = append(e.threads, t)
 	e.AtEvent(e.now, &t.wake)
 	return t
 }
 
-// reapWorkers stops the idle pooled coroutines. Run calls it
-// on every return — however the run ended — so pooling never outlives the
-// run that benefited from it. Workers of parked threads are mid-function
-// and stay until Close. Spawns after the reap simply start fresh workers.
-func (e *Engine) reapWorkers() {
-	if len(e.pool) == 0 {
-		return
-	}
-	for i, w := range e.pool {
-		w.stop()
-		e.pool[i] = nil
-	}
-	e.pool = e.pool[:0]
-	e.workers = slices.DeleteFunc(e.workers, func(w *worker) bool { return w.t == nil })
+// reapFinished stops the coroutines of the threads whose function has
+// returned. Run calls it on every return, so a finished coroutine never
+// outlives the run it finished in; parked threads stay until Close.
+func (e *Engine) reapFinished() {
+	e.threads = slices.DeleteFunc(e.threads, func(t *Thread) bool {
+		if t.done {
+			t.stop()
+		}
+		return t.done
+	})
 }
 
-// Close stops every coroutine the engine still holds: idle pooled workers
-// and parked threads. A parked thread unwinds from its blocking call, so
-// its deferred calls run; a thread spawned but never dispatched is dropped
-// without running. Afterwards LiveThreads is 0 and nothing outside the
-// caller's references keeps the engine reachable. Call it once a
-// simulation's results have been read: its threads must not be resumed
-// again. A panic raised while a thread unwinds reaches the caller.
+// Close stops every coroutine the engine still holds: finished threads
+// not yet reaped and parked threads. A parked thread unwinds from its
+// blocking call, so its deferred calls run; a thread spawned but never
+// dispatched is dropped without running. Afterwards LiveThreads is 0 and
+// nothing outside the caller's references keeps the engine reachable.
+// Call it once a simulation's results have been read: its threads must
+// not be resumed again. A panic raised while a thread unwinds reaches
+// the caller.
 func (e *Engine) Close() {
-	for n := len(e.workers); n > 0; n = len(e.workers) {
-		w := e.workers[n-1]
-		e.workers[n-1] = nil
-		e.workers = e.workers[:n-1]
-		w.stop()
-		if w.t != nil {
-			w.retire() // never started, or ended by a model panic
-		}
+	for n := len(e.threads); n > 0; n = len(e.threads) {
+		t := e.threads[n-1]
+		e.threads[n-1] = nil
+		e.threads = e.threads[:n-1]
+		t.stop()
+		t.done, t.fn = true, nil // never started, or ended by a model panic
 	}
-	clear(e.pool)
-	e.pool = e.pool[:0]
 }
 
 // dispatch resumes the thread from engine context and returns once it
@@ -151,7 +111,7 @@ func (t *Thread) dispatch() {
 		return
 	}
 	t.parked = false
-	t.w.next()
+	t.next()
 }
 
 // Resume runs the parked thread t in place, from the event callback that
@@ -172,7 +132,7 @@ func (t *Thread) Resume() {
 // thread itself. If the engine is closed meanwhile, park unwinds the thread.
 func (t *Thread) park() {
 	t.parked = true
-	if !t.w.yield(struct{}{}) {
+	if !t.yield(struct{}{}) {
 		panic(threadClosed{})
 	}
 }
@@ -206,11 +166,9 @@ func (t *Thread) WaitUntil(tm Time) {
 	if tm < e.now {
 		panic(fmt.Sprintf("sim: thread %s waiting for past time %v (now %v)", t.name, tm, e.now))
 	}
-	if e.RunOn(tm) {
-		return
+	if !e.RunOn(tm, &t.wake) {
+		t.park()
 	}
-	e.AtEvent(tm, &t.wake)
-	t.park()
 }
 
 // Sleep suspends the thread for duration d.
@@ -229,7 +187,15 @@ func (t *Thread) AlignTo(clk *Clock) { t.WaitUntil(clk.NextEdge(t.eng.now)) }
 
 // LiveThreads reports the number of spawned threads that have not finished.
 // A nonzero value after Run returns usually means the model deadlocked.
-func (e *Engine) LiveThreads() int { return e.liveThreads }
+func (e *Engine) LiveThreads() int {
+	n := 0
+	for _, t := range e.threads {
+		if !t.done {
+			n++
+		}
+	}
+	return n
+}
 
 // Cond is a wait queue. Its waiters are wake records — a parked thread's
 // own, or a callback's pre-built Event — so threads and callbacks share
