@@ -6,19 +6,19 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"duet/internal/mem"
 )
 
 // Way holds one cache line and its metadata. The State field is owned by
 // the protocol layer (coherence package); the array only distinguishes
-// valid from invalid. The state byte and the flags share the last word,
-// so a way packs into 48 bytes.
+// valid from invalid. The LRU stamp, the state byte and the flags share
+// the last word, so a way packs into 32 bytes.
 type Way struct {
 	Tag   uint64 // full line address (tag+index combined, for simplicity)
 	Data  mem.Line
-	VPN   uint64 // virtual page number (Proxy Cache reverse mapping); 0 if unused
-	lru   uint64 // last-touch stamp
+	lru   uint32 // last-touch stamp; see Array.touch
 	State uint8  // protocol-defined
 	Valid bool
 	Dirty bool
@@ -43,7 +43,7 @@ type Array struct {
 	slot      []int32 // per set: 1 + its position in chunk storage, 0 if untouched (nil until a set is)
 	chunks    [][]Way // each chunkSets*ways long
 	used      int32   // sets materialized so far
-	stamp     uint64
+	stamp     uint32  // the last LRU stamp handed out
 }
 
 // NewArray builds an array with the given total capacity in bytes and
@@ -109,8 +109,7 @@ func (a *Array) Lookup(lineAddr uint64) *Way {
 	set := a.peekSet(lineAddr)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == lineAddr {
-			a.stamp++
-			set[i].lru = a.stamp
+			set[i].lru = a.touch()
 			return &set[i]
 		}
 	}
@@ -163,9 +162,43 @@ func (a *Array) Install(w *Way, lineAddr uint64, data mem.Line, state int) *Way 
 	if w.Valid && w.Tag != lineAddr {
 		panic("cache: installing over a live line; evict first")
 	}
-	a.stamp++
-	*w = Way{Valid: true, Tag: lineAddr, Data: data, State: uint8(state), lru: a.stamp}
+	*w = Way{Valid: true, Tag: lineAddr, Data: data, State: uint8(state), lru: a.touch()}
 	return w
+}
+
+// touch returns a fresh LRU stamp, later than every stamp in the array.
+// Only the order of stamps within a set matters, so before the counter
+// would wrap it renumbers the sets and continues from ways.
+func (a *Array) touch() uint32 {
+	if a.stamp == math.MaxUint32 {
+		a.renumber()
+	}
+	a.stamp++
+	return a.stamp
+}
+
+// renumber rewrites each set's stamps as 1..ways in their current order,
+// so no victim choice changes. Valid ways never share a stamp; the
+// invalid ones that do are never compared.
+func (a *Array) renumber() {
+	rank := make([]uint32, a.ways)
+	for _, c := range a.chunks {
+		for o := 0; o < len(c); o += a.ways {
+			set := c[o : o+a.ways]
+			for i := range set {
+				rank[i] = 1
+				for j := range set {
+					if set[j].lru < set[i].lru {
+						rank[i]++
+					}
+				}
+			}
+			for i := range set {
+				set[i].lru = rank[i]
+			}
+		}
+	}
+	a.stamp = uint32(a.ways)
 }
 
 // Invalidate clears the way.

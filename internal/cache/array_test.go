@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,12 +26,12 @@ func TestLookupInstall(t *testing.T) {
 	}
 }
 
-// A way packs into 48 bytes: the arrays' ways are most of a cycle-level
+// A way packs into 32 bytes: the arrays' ways are most of a cycle-level
 // run's live heap, so a field that breaks the packing grows it by at
-// least a sixth.
+// least a quarter.
 func TestWayPacks(t *testing.T) {
-	if got := unsafe.Sizeof(Way{}); got != 48 {
-		t.Fatalf("Way is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(Way{}); got != 32 {
+		t.Fatalf("Way is %d bytes, want 32", got)
 	}
 }
 
@@ -53,6 +55,37 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}()
 	a.Install(v, addr(9), mem.Line{}, 1)
+}
+
+// TestLRUStampWrap replays one random access stream on two arrays. One
+// counts LRU stamps from 0; the other is set just short of 2^32 every
+// 20 accesses, so its counter wraps about a hundred times: each
+// renumbering must leave every victim choice, and so every line, where
+// the first array has it.
+func TestLRUStampWrap(t *testing.T) {
+	ref, wrap := NewArray(8*mem.LineBytes, 4), NewArray(8*mem.LineBytes, 4) // 2 sets, 4 ways
+	rng := rand.New(rand.NewPCG(1, 2))
+	wraps := 0
+	for k := 0; k < 2000; k++ {
+		if k%20 == 0 {
+			wrap.SetStamp(math.MaxUint32 - uint32(rng.IntN(4)))
+			wraps++
+		}
+		line := uint64(rng.IntN(12)) * mem.LineBytes
+		for _, a := range []*Array{ref, wrap} {
+			if a.Lookup(line) == nil {
+				w := a.Victim(line)
+				a.Invalidate(w)
+				a.Install(w, line, mem.Line{}, 1)
+			}
+		}
+		var got, want []uint64
+		ref.ForEach(func(w *Way) { want = append(want, w.Tag) })
+		wrap.ForEach(func(w *Way) { got = append(got, w.Tag) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("access %d, after %d wraps: lines %#x, want %#x", k, wraps, got, want)
+		}
+	}
 }
 
 func TestInvalidate(t *testing.T) {

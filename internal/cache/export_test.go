@@ -9,3 +9,7 @@ func (a *Array) CountValid() int {
 	a.ForEach(func(*Way) { n++ })
 	return n
 }
+
+// SetStamp sets the last LRU stamp handed out, so a test can reach the
+// counter's wrap.
+func (a *Array) SetStamp(s uint32) { a.stamp = s }

@@ -94,7 +94,6 @@ type mshr struct {
 type wbEntry struct {
 	data        mem.Line
 	dirty       bool
-	vpn         uint64
 	surrendered bool
 	pending     []*frontOp
 }
@@ -113,6 +112,12 @@ type PCache struct {
 	mshrs   map[uint64]*mshr
 	wb      map[uint64]*wbEntry
 	stalled []*frontOp
+
+	// vpns maps a line to the virtual page number it was last accessed
+	// through: the Proxy Cache's reverse mapping (paper §II-D). An entry
+	// lives while its line is in the array. It is nil until the first
+	// VPN-tagged access, so a CPU L2 never builds it.
+	vpns map[uint64]uint64
 
 	// Free lists of the cache's own transaction records.
 	freeOps  sim.FreeList[frontOp]
@@ -338,13 +343,11 @@ func (c *PCache) lookup(op *frontOp) {
 			// virtual page number beside each physical tag; a load through
 			// a different virtual address first invalidates the old VA in
 			// the soft cache, so synonym aliases never coexist there.
-			if op.vpn != 0 && w.VPN != 0 && w.VPN != op.vpn {
-				if c.cfg.OnLineLost != nil {
-					c.cfg.OnLineLost(line, w.VPN)
+			if op.vpn != 0 {
+				if old := c.vpns[line]; old != 0 && old != op.vpn && c.cfg.OnLineLost != nil {
+					c.cfg.OnLineLost(line, old)
 				}
-				w.VPN = op.vpn
-			} else if op.vpn != 0 {
-				w.VPN = op.vpn
+				c.tagVPN(line, op.vpn)
 			}
 			out := make([]byte, op.size)
 			copy(out, w.Data[off:off+op.size])
@@ -357,9 +360,7 @@ func (c *PCache) lookup(op *frontOp) {
 			copy(w.Data[off:off+op.size], op.data)
 			w.State = StateM
 			w.Dirty = true
-			if op.vpn != 0 {
-				w.VPN = op.vpn
-			}
+			c.tagVPN(line, op.vpn)
 			c.complete(op, nil)
 			return
 		}
@@ -525,9 +526,7 @@ func (c *PCache) fill(r *RespMsg) {
 	off := mem.Offset(op.addr)
 	switch op.kind {
 	case opLoad:
-		if op.vpn != 0 {
-			w.VPN = op.vpn
-		}
+		c.tagVPN(m.line, op.vpn) // r is back in the pool
 		out := make([]byte, op.size)
 		copy(out, w.Data[off:off+op.size])
 		c.complete(op, out)
@@ -535,9 +534,7 @@ func (c *PCache) fill(r *RespMsg) {
 		copy(w.Data[off:off+op.size], op.data)
 		w.State = StateM
 		w.Dirty = true
-		if op.vpn != 0 {
-			w.VPN = op.vpn
-		}
+		c.tagVPN(m.line, op.vpn)
 		c.complete(op, nil)
 	default:
 		panic("pcache: fill for non-load/store")
@@ -585,16 +582,36 @@ func (c *PCache) pickVictim(line uint64) *cache.Way {
 	return best
 }
 
+// tagVPN records vpn as line's reverse mapping; a zero vpn (an untagged
+// access) leaves it as it is.
+func (c *PCache) tagVPN(line, vpn uint64) {
+	if vpn == 0 {
+		return
+	}
+	if c.vpns == nil {
+		c.vpns = make(map[uint64]uint64)
+	}
+	c.vpns[line] = vpn
+}
+
+// lose drops line's reverse mapping and reports the loss, with the VPN
+// the line was tagged with (0 if none), to OnLineLost.
+func (c *PCache) lose(line uint64) {
+	vpn := c.vpns[line]
+	delete(c.vpns, line)
+	if c.cfg.OnLineLost != nil {
+		c.cfg.OnLineLost(line, vpn)
+	}
+}
+
 // evict pushes a valid line into the WB buffer and sends the write-back
 // transaction.
 func (c *PCache) evict(w *cache.Way) {
 	line := w.Tag
 	e := c.freeWB.Get()
-	e.data, e.dirty, e.vpn = w.Data, w.Dirty && w.State == StateM, w.VPN
+	e.data, e.dirty = w.Data, w.Dirty && w.State == StateM
 	c.wb[line] = e
-	if c.cfg.OnLineLost != nil {
-		c.cfg.OnLineLost(line, w.VPN)
-	}
+	c.lose(line)
 	c.arr.Invalidate(w)
 	req := c.pool.reqs.Get()
 	req.Type, req.Line, req.CacheID, req.Data, req.Dirty = ReqWB, line, c.cfg.ID, e.data, e.dirty
@@ -617,9 +634,7 @@ func (c *PCache) handleFwd(f *FwdMsg) {
 		dirty, data := w.Dirty && w.State == StateM, w.Data
 		switch typ {
 		case FwdInv:
-			if c.cfg.OnLineLost != nil {
-				c.cfg.OnLineLost(line, w.VPN)
-			}
+			c.lose(line)
 			c.arr.Invalidate(w)
 		case FwdDowngrade:
 			w.State = StateS

@@ -106,6 +106,62 @@ func BenchmarkThreadPingPong(b *testing.B) {
 	b.ReportMetric(rounds, "roundtrips/op")
 }
 
+// BenchmarkThreadCallbackWait measures a thread waiting on callbacks,
+// the shape of an L2 miss: each round the thread starts a chain of four
+// callbacks a nanosecond apart (request issue, NoC hops, the home, the
+// fill), parks, and the last callback wakes it. The parked thread runs
+// the chain itself and reaches its own wakeup, so a round costs no
+// coroutine switch. Each op kicks the thread from outside and runs 64
+// rounds; it must not allocate.
+func BenchmarkThreadCallbackWait(b *testing.B) {
+	const (
+		rounds = 64
+		links  = 4
+	)
+	e := NewEngine()
+	var th *Thread
+	kicked, done, n := false, false, 0
+	var link func(any)
+	link = func(any) {
+		if n++; n < links {
+			e.AfterArg(NS, link, nil)
+			return
+		}
+		done = true
+		th.Wake()
+	}
+	th = e.Go("waiter", func(t *Thread) {
+		for {
+			for !kicked {
+				t.Park()
+			}
+			kicked = false
+			for k := 0; k < rounds; k++ {
+				done, n = false, 0
+				e.AfterArg(NS, link, nil)
+				for !done {
+					t.Park()
+				}
+			}
+		}
+	})
+	kick := func() {
+		kicked = true
+		th.Wake()
+	}
+	e.At(0, kick)
+	e.Run(0) // steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At(e.Now(), kick)
+		e.Run(0)
+	}
+	b.StopTimer()
+	e.Close()
+	b.ReportMetric(rounds, "rounds/op")
+}
+
 // BenchmarkEngineSameInstantBurst measures the O(1) same-instant path:
 // bursts of events all landing on one timestamp (the shape Cond.Broadcast
 // and back-to-back NoC ejections produce).

@@ -12,11 +12,13 @@
 // which keeps the simulation fully deterministic while letting benchmark
 // code be written as ordinary straight-line Go. A resume or park is a
 // direct coroutine switch that bypasses the Go scheduler, and a panic in
-// a thread surfaces from the Run call that resumed it. A finished
-// thread's coroutine is stopped when Run returns; Engine.Close stops the
-// threads still parked when a simulation is discarded. A callback
-// continuation costs a queue event; a thread wakeup also costs two
-// coroutine switches.
+// a thread surfaces from the Run call that resumed it. A thread that
+// parks runs the queued callbacks itself until an event resumes a thread,
+// so a wakeup costs two coroutine switches only when another thread ran
+// in between; a thread whose next wakeup is its own switches none. A
+// finished thread's coroutine is stopped when Run returns; Engine.Close
+// stops the threads still parked when a simulation is discarded. A
+// callback continuation costs a queue event.
 //
 // The event queue is a calendar of per-timestamp buckets ordered by a
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule
@@ -137,10 +139,10 @@ type Event struct {
 // engines with NewEngine or NewEngineCap.
 type Engine struct {
 	now Time
-	// horizon bounds the run-on path (RunOn): a thread or callback keeps
-	// running to a wakeup strictly before it. Run(0) sets Forever and
-	// RunBefore its deadline; an event budget, and the time between
-	// runs, leave it 0, which turns the path off.
+	// horizon bounds the run-on path (RunOn), where a thread or callback
+	// keeps running to a wakeup strictly before it, and a parked thread's
+	// runQueue. Run(0) sets Forever and RunBefore its deadline; an event
+	// budget, and the time between runs, leave it 0, which turns both off.
 	horizon Time
 
 	buckets []bucket        // bucket arena; heap and slots hold indices into it
@@ -155,6 +157,11 @@ type Engine struct {
 	// threads holds every Thread whose coroutine is not yet stopped:
 	// finished ones until Run returns, the rest until Close.
 	threads []*Thread
+	// resume is the thread the running callback resumed (dispatchThread,
+	// Thread.Resume): whoever popped the event runs it as soon as the
+	// callback returns.
+	resume *Thread
+	pops   int // events popped so far: what Run and RunBefore count
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -251,14 +258,21 @@ func (e *Engine) at(t Time, fn func(any), arg any) {
 	e.heapPush(bi)
 }
 
-// step pops and executes the earliest queued event, the far heap's head
-// first at equal times. Callers guarantee the queue is non-empty. The
-// "time went backwards" guard holds for every execution path (Run and
-// RunBefore alike): it is the kernel's core determinism invariant.
-func (e *Engine) step() {
+// pop removes the earliest queued event, the far heap's head first at
+// equal times, advances the clock to it and counts it. Callers guarantee
+// the queue is non-empty. The "time went backwards" guard holds for every
+// execution path (the run loops and a parked thread's runQueue alike): it
+// is the kernel's core determinism invariant.
+func (e *Engine) pop() event {
+	e.pops++
 	if len(e.far) > 0 && (len(e.heap) == 0 || e.far[0].at <= e.buckets[e.heap[0]].at) {
-		e.stepFar()
-		return
+		f := e.far[0]
+		if f.at < e.now {
+			panic("sim: event time went backwards")
+		}
+		e.now = f.at
+		e.farPopTop()
+		return f.ev
 	}
 	bi := e.heap[0]
 	b := &e.buckets[bi]
@@ -279,18 +293,50 @@ func (e *Engine) step() {
 		e.heapPopTop()
 		e.free = append(e.free, bi)
 	}
-	ev.fn(ev.arg)
+	return ev
 }
 
-// stepFar pops and executes the far heap's head.
-func (e *Engine) stepFar() {
-	f := e.far[0]
-	if f.at < e.now {
-		panic("sim: event time went backwards")
+// step pops and runs the earliest queued event, then the thread it
+// resumed, if any, and each thread that thread yields to in turn. This
+// loop is the only caller of Thread.dispatch, so no coroutine is ever
+// resumed from inside another.
+func (e *Engine) step() {
+	ev := e.pop()
+	ev.fn(ev.arg)
+	for e.resume != nil {
+		t := e.resume
+		e.resume = nil
+		t.dispatch()
 	}
-	e.now = f.at
-	e.farPopTop()
-	f.ev.fn(f.ev.arg)
+}
+
+// due reports whether an event is queued before the run's horizon. An
+// empty queue's next is Forever, which a horizon past Forever would
+// otherwise pop.
+func (e *Engine) due() bool {
+	return (len(e.heap) > 0 || len(e.far) > 0) && e.next() < e.horizon
+}
+
+// runQueue runs queued events on the stack of t, a thread that is
+// parking, exactly as the run loop would: in (time, scheduling order) and
+// only before the run's horizon, so a budgeted Run, whose horizon is 0,
+// never gets here. It stops at the first event that resumes a thread and
+// reports whether that thread is t, which then continues with no
+// coroutine switch; any other thread is left in resume for step's loop
+// once t has yielded.
+func (e *Engine) runQueue(t *Thread) bool {
+	for e.due() {
+		ev := e.pop()
+		ev.fn(ev.arg)
+		if r := e.resume; r != nil {
+			if r != t {
+				return false
+			}
+			e.resume = nil
+			return true
+		}
+	}
+	return false
 }
 
 // next reports the time of the earliest queued event, Forever when the
@@ -334,26 +380,26 @@ func (e *Engine) RunOn(tm Time, ev *Event) bool {
 
 // Run executes events until the queue drains or the event budget
 // maxEvents is exhausted (0 means no budget). It returns the number of
-// events executed: queue pops, so a continuation taken by the run-on
-// path (see RunOn) does not count. Under a budget the run-on path is
-// off, so every wakeup is a counted event. On return it stops the
-// coroutines of the threads that have finished.
+// events executed: queue pops, including those a parked thread ran
+// itself (Thread), while a continuation taken by the run-on path (see
+// RunOn) does not count. Under a budget the run-on path and the parked
+// threads' queue runs are off, so the run loop pops every event itself.
+// On return it stops the coroutines of the threads that have finished.
 func (e *Engine) Run(maxEvents int) int {
 	e.horizon = Forever
 	if maxEvents > 0 {
 		e.horizon = 0
 	}
-	n := 0
+	start := e.pops
 	for len(e.heap) > 0 || len(e.far) > 0 {
-		if maxEvents > 0 && n >= maxEvents {
+		if maxEvents > 0 && e.pops-start >= maxEvents {
 			break
 		}
 		e.step()
-		n++
 	}
 	e.horizon = 0
 	e.reapFinished()
-	return n
+	return e.pops - start
 }
 
 // RunBefore executes events with timestamps strictly before deadline,
@@ -361,23 +407,21 @@ func (e *Engine) Run(maxEvents int) int {
 // queued — the streaming submission contract: work injected at deadline
 // (outside any event) precedes every already-queued callback at that
 // same instant, exactly as a pre-scheduled arrival event would by bucket
-// insertion order. Unlike Run it leaves finished threads' coroutines to
-// the next Run or Close, so a caller fusing a long submission stream into
-// the run pays no per-arrival scan of the engine's threads.
+// insertion order. Like Run it returns the events popped. Unlike Run it
+// leaves finished threads' coroutines to the next Run or Close, so a
+// caller fusing a long submission stream into the run pays no
+// per-arrival scan of the engine's threads.
 func (e *Engine) RunBefore(deadline Time) int {
 	e.horizon = deadline
-	n := 0
-	// An empty queue's next is Forever, which a deadline past Forever
-	// would otherwise step.
-	for (len(e.heap) > 0 || len(e.far) > 0) && e.next() < deadline {
+	start := e.pops
+	for e.due() {
 		e.step()
-		n++
 	}
 	e.horizon = 0
 	if e.now < deadline {
 		e.now = deadline
 	}
-	return n
+	return e.pops - start
 }
 
 // --- 4-ary heap of bucket handles, keyed by (at, seq) ----------------------

@@ -611,6 +611,12 @@ func FuzzThreadOrder(f *testing.F) {
 	// for two broadcasts; broadcasting roots at 100 and 150 ps wake them
 	// in FIFO order, and the final drain releases what still waits.
 	f.Add([]byte{193, 1, 205, 0, 197, 0, 209, 1, 16, 2, 32, 3, 13, 1, 2, 4})
+	// Thread 0 sleeps to 10 ns across a chain of roots, each with a
+	// child, which it runs itself while parked, past a deadline.
+	f.Add([]byte{1, 200, 56, 10, 56, 20, 24, 30, 40, 40, 8, 50, 56, 60, 2, 100})
+	// Thread 0 parks for a Resume callback at 200 ps, which thread 1,
+	// parked in a longer sleep, pops and hands on to thread 0.
+	f.Add([]byte{65, 4, 5, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeThreadProg(data)
 		got, gotN := runKernelThreads(p)

@@ -12,14 +12,22 @@ import (
 // are reproducible.
 //
 // Thread code interacts with simulated time only through the blocking
-// methods (Sleep, WaitUntil, park via Cond/queues). Wakeups are routed
-// through the event queue and never delivered from another thread, which
-// preserves the single-runner invariant. Every wakeup reschedules the
+// methods (Sleep, WaitUntil, park via Cond/queues). Every wakeup is an
+// event, routed through the queue, and every resumption a tail resume:
+// the wakeup's callback (dispatchThread, or one that calls Resume) only
+// names the thread, and whoever popped the event runs it as soon as the
+// callback returns, so no thread is ever resumed from inside another and
+// the single-runner invariant holds. Every wakeup reschedules the
 // thread's pre-built wake record, so parking and waking allocate nothing.
-// Two exact shortcuts skip the queue's coroutine round trip. A timed wait
-// whose wakeup would be the next event popped keeps running (the run-on
-// rule in WaitUntil). An event callback that did a parked thread's waiting
-// for it hands control back in place with Resume.
+// Three exact shortcuts skip the queue's coroutine round trip. A timed
+// wait whose wakeup would be the next event popped keeps running (the
+// run-on rule in WaitUntil). A thread that parks inside Run or RunBefore
+// pops and runs the queued events itself, in the run loop's order and
+// before the run's horizon, until one resumes a thread: its own wakeup
+// continues it with no coroutine switch, and another thread's makes it
+// yield so the run loop dispatches that thread next. An event callback
+// that did a parked thread's waiting for it hands control back with
+// Resume instead of queueing a wakeup.
 type Thread struct {
 	eng    *Engine
 	name   string
@@ -37,8 +45,15 @@ type Thread struct {
 	yield func(struct{}) bool
 }
 
-// dispatchThread is the shared trampoline behind every thread wakeup event.
-func dispatchThread(a any) { a.(*Thread).dispatch() }
+// dispatchThread is the shared trampoline behind every thread wakeup
+// event: it names a parked thread to run once it returns (see
+// Engine.step). Spurious wakeups of a running or finished thread are
+// ignored.
+func dispatchThread(a any) {
+	if t := a.(*Thread); t.parked && !t.done {
+		t.eng.resume = t
+	}
+}
 
 // threadClosed is the private panic value that unwinds a parked thread
 // when its engine is closed: park raises it, body recovers it.
@@ -102,36 +117,45 @@ func (e *Engine) Close() {
 	}
 }
 
-// dispatch resumes the thread from engine context and returns once it
-// parks again or finishes. Spurious dispatches of a running or finished
-// thread are ignored. A panic in the thread function surfaces here, on
-// the engine's goroutine.
+// dispatch switches to the thread's coroutine and returns once it
+// yields: parked with its wakeup out of its own reach, or finished. A
+// panic in the thread, or in a callback it ran, surfaces here. Only
+// Engine.step's resume loop calls it.
 func (t *Thread) dispatch() {
-	if !t.parked || t.done {
-		return
-	}
 	t.parked = false
 	t.next()
 }
 
-// Resume runs the parked thread t in place, from the event callback that
-// calls it, and returns once t parks again or finishes. A callback that
+// Resume makes the parked thread t run as soon as the event callback
+// that calls it returns, before any other queued event: a callback that
 // did a parked thread's waiting for it resumes it this way, instead of
 // scheduling a wakeup at the current instant; the cpu package's parked
-// spins resume their thread through a pre-built event that calls it. Call it
-// only from engine context (an event callback, never a thread); Resume
-// panics if t is running or finished.
+// spins resume their thread through a pre-built event that calls it.
+// It is a tail call: callers call it last, since t runs only after the
+// callback returns. Call it only from engine context (an event callback,
+// never a thread's own code), at most once per callback; Resume panics
+// if t is running or finished, or if the callback already resumed a
+// thread.
 func (t *Thread) Resume() {
 	if !t.parked || t.done {
 		panic(fmt.Sprintf("sim: resume of running or finished thread %s", t.name))
 	}
-	t.dispatch()
+	if t.eng.resume != nil {
+		panic(fmt.Sprintf("sim: second resume from one callback (%s, then %s)", t.eng.resume.name, t.name))
+	}
+	t.eng.resume = t
 }
 
-// park suspends the thread until the next dispatch. Must be called from the
-// thread itself. If the engine is closed meanwhile, park unwinds the thread.
+// park suspends the thread until its next dispatch. Must be called from
+// the thread itself. Inside a run it first runs the queue itself
+// (Engine.runQueue) and returns in place if that reaches its own wakeup.
+// If the engine is closed meanwhile, park unwinds the thread.
 func (t *Thread) park() {
 	t.parked = true
+	if t.eng.runQueue(t) {
+		t.parked = false
+		return
+	}
 	if !t.yield(struct{}{}) {
 		panic(threadClosed{})
 	}

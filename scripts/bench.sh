@@ -6,7 +6,8 @@
 #
 # The set covers the sim-kernel hot path (engine scheduling, clock
 # ticks, same-instant bursts, far-future timers beside clock churn,
-# thread wakeups), eleven per-layer benches at
+# thread wakeups across threads and a thread waiting on a callback
+# chain), eleven per-layer benches at
 # -count 5, of which the gate keeps the fastest — one entry's CDC
 # crossing (fast to slow, through a Drain consumer), a 32-entry burst
 # backed up behind a full depth-8 CDC FIFO, one message across a 4x4
@@ -30,7 +31,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 run_benches() {
-    go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkEngineFarTimers$|BenchmarkThreadPingPong$' -benchtime 200000x -benchmem ./internal/sim
+    go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkEngineFarTimers$|BenchmarkThreadPingPong$|BenchmarkThreadCallbackWait$' -benchtime 200000x -benchmem ./internal/sim
     go test -run '^$' -bench 'BenchmarkCDCCrossing$|BenchmarkCDCBackpressure$' -count 5 -benchmem ./internal/cdc
     go test -run '^$' -bench 'BenchmarkNoCDelivery$' -count 5 -benchmem ./internal/noc
     go test -run '^$' -bench 'BenchmarkRunSourceHandoff$' -count 5 -benchmem ./internal/cluster
