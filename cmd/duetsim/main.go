@@ -55,6 +55,7 @@ import (
 	"duet/internal/apps"
 	"duet/internal/area"
 	"duet/internal/cluster"
+	"duet/internal/coherence"
 	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
@@ -252,7 +253,7 @@ func run(args []string) int {
 // execute checks the flag combination, then runs the command words in
 // order through the command table, stopping at the first failure.
 func (o *options) execute(words []string) (err error) {
-	if err := checkPoolFlags(o.serve.EFPGAs, o.shards, o.serve.SoftCPUs); err != nil {
+	if err := checkPoolFlags(o.serve.EFPGAs, o.shards, o.serve.SoftCPUs, o.serve.Backend); err != nil {
 		return usageError{err}
 	}
 	// -json promises one parseable document on stdout, so it pairs with
@@ -423,11 +424,14 @@ func printProgress(p *cluster.Progress, total int) {
 
 // checkPoolFlags rejects worker-pool sizes the commands would otherwise
 // replace with a default behind the user's back: -efpgas and -shards
-// must be positive, -softcpus non-negative.
-func checkPoolFlags(efpgas, shards, softCPUs int) error {
+// must be positive, -softcpus non-negative. A cycle or hybrid backend
+// also caps -efpgas at the caches one coherence domain holds.
+func checkPoolFlags(efpgas, shards, softCPUs int, backend workload.BackendMode) error {
 	switch {
 	case efpgas <= 0:
 		return fmt.Errorf("-efpgas must be positive, got %d", efpgas)
+	case efpgas >= coherence.MaxCaches && backend != workload.BackendModel:
+		return fmt.Errorf("-efpgas %d: a %s replica's core and %d hub caches exceed one coherence domain's %d caches", efpgas, backend, efpgas, coherence.MaxCaches)
 	case shards <= 0:
 		return fmt.Errorf("-shards must be positive, got %d", shards)
 	case softCPUs < 0:

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"duet/internal/apps"
+	"duet/internal/coherence"
 	"duet/internal/sim"
 	"duet/internal/workload"
 )
@@ -58,15 +59,19 @@ func TestSamePath(t *testing.T) {
 // TestCheckPoolFlags covers the pool-size guard: values the commands
 // used to replace silently with a default are refused up front.
 func TestCheckPoolFlags(t *testing.T) {
-	for _, ok := range [][3]int{{2, 4, 0}, {1, 1, 0}, {1, 1, 3}} {
-		if err := checkPoolFlags(ok[0], ok[1], ok[2]); err != nil {
+	for _, ok := range [][3]int{{2, 4, 0}, {1, 1, 0}, {1, 1, 3}, {coherence.MaxCaches - 1, 1, 0}} {
+		if err := checkPoolFlags(ok[0], ok[1], ok[2], workload.BackendCycle); err != nil {
 			t.Fatalf("efpgas/shards/softcpus %v rejected: %v", ok, err)
 		}
 	}
-	for _, bad := range [][3]int{{0, 4, 0}, {-1, 4, 0}, {2, 0, 0}, {2, -3, 0}, {2, 4, -1}} {
-		if err := checkPoolFlags(bad[0], bad[1], bad[2]); err == nil {
+	for _, bad := range [][3]int{{0, 4, 0}, {-1, 4, 0}, {2, 0, 0}, {2, -3, 0}, {2, 4, -1}, {coherence.MaxCaches, 1, 0}} {
+		if err := checkPoolFlags(bad[0], bad[1], bad[2], workload.BackendCycle); err == nil {
 			t.Fatalf("efpgas/shards/softcpus %v accepted", bad)
 		}
+	}
+	// The analytic model builds no coherence domain.
+	if err := checkPoolFlags(1000, 1, 0, workload.BackendModel); err != nil {
+		t.Fatalf("-efpgas 1000 on the model backend rejected: %v", err)
 	}
 }
 
@@ -171,6 +176,8 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-json", "fig9", "fig10"}, 2},
 		{[]string{"-out", series, "report", "-in", series}, 2},
 		{[]string{"-efpgas", "0", "serve"}, 2},
+		{[]string{"-efpgas", "64", "serve"}, 2},
+		{[]string{"-efpgas", "64", "-backend", "hybrid", "serve"}, 2},
 		{[]string{"-jobs", "1.5", "serve"}, 2},
 		{[]string{"-backend", "quantum", "serve"}, 2},
 		{[]string{"-policy", "nope", "daemon"}, 2},

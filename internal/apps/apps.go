@@ -58,8 +58,9 @@ type Benchmark struct {
 	Run      func(v Variant) Result
 }
 
-// All returns the paper's benchmark set in Fig. 12 order. The sizes are
-// scaled for simulation speed; Sizes in the bench harness can override.
+// All returns the paper's benchmark set in Fig. 12 order, each at a
+// fixed size scaled for simulation speed. For another size, call the
+// app's own runner (RunSort, RunBFS, ...) with a config.
 func All() []Benchmark {
 	return []Benchmark{
 		{Name: "tangent", Paradigm: "FG", Instance: "P1M0", Run: func(v Variant) Result { return RunTangent(v, DefaultTangentConfig()) }},

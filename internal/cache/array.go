@@ -151,6 +151,20 @@ func (a *Array) Victim(lineAddr uint64) *Way {
 	return lru
 }
 
+// Index returns the position of w, a way of lineAddr's set, among the
+// ways of the sets touched so far, in first-touch order: dense, so a
+// protocol layer can keep per-way state beside the array as lazily.
+func (a *Array) Index(lineAddr uint64, w *Way) int {
+	p := a.slot[a.setIndex(lineAddr)] - 1
+	set := a.waysAt(p)
+	for i := range set {
+		if &set[i] == w {
+			return int(p)*a.ways + i
+		}
+	}
+	panic("cache: way not in its line's set")
+}
+
 // Less reports whether w was touched less recently than o (i.e. is the
 // better LRU victim).
 func (w *Way) Less(o *Way) bool { return w.lru < o.lru }

@@ -236,3 +236,28 @@ func TestLookupUntouchedAllocatesNothing(t *testing.T) {
 		t.Fatalf("misses materialized lines: %d valid", a.CountValid())
 	}
 }
+
+// TestIndexDenseInFirstTouchOrder: way positions number the sets in the
+// order they are first touched, ways in order within a set, so positions
+// stay dense however sparse the touched sets are.
+func TestIndexDenseInFirstTouchOrder(t *testing.T) {
+	a := NewArray(64*mem.LineBytes, 4) // 16 sets
+	line := func(set, tag int) uint64 { return uint64(tag*a.Sets()+set) * mem.LineBytes }
+	want := 0
+	for _, set := range []int{9, 2, 15} {
+		for tag := 0; tag < 4; tag++ {
+			l := line(set, tag)
+			w := a.Install(a.Victim(l), l, mem.Line{}, 0)
+			if got := a.Index(l, w); got != want {
+				t.Fatalf("set %d way %d at position %d, want %d", set, tag, got, want)
+			}
+			want++
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Index of a way outside its line's set did not panic")
+		}
+	}()
+	a.Index(line(2, 0), a.Peek(line(9, 0)))
+}

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"duet/internal/cache"
 )
@@ -20,7 +21,10 @@ import (
 // It must only be called when Domain.Quiet() is true.
 //
 // It checks each cache's valid ways against the other caches and the
-// line's home directly, so a check allocates nothing per line.
+// line's home directly, then each home's resident lines against their
+// holders, so a check allocates nothing per line. Caches are visited in
+// slot order and lines in array order, so the first violation it reports
+// is the same on every run.
 func CheckCoherence(d *Domain) error {
 	if !d.Quiet() {
 		return fmt.Errorf("coherence: checker invoked while transactions are in flight")
@@ -36,28 +40,14 @@ func CheckCoherence(d *Domain) error {
 			return err
 		}
 	}
-
-	// Directory entries must point at real copies.
 	for _, h := range d.Homes {
-		for line, de := range h.dir {
-			if de.owner >= 0 {
-				c := d.caches[de.owner]
-				if c == nil {
-					return fmt.Errorf("line %#x: directory owner %d unknown", line, de.owner)
-				}
-				if s := c.State(line); s != StateM && s != StateE {
-					return fmt.Errorf("line %#x: directory owner %d holds %s", line, de.owner, StateName(s))
-				}
+		h.arr.ForEach(func(w *cache.Way) {
+			if err == nil {
+				err = d.checkHolders(h.dirOf(w.Tag, w))
 			}
-			for _, id := range de.sharers {
-				c := d.caches[id]
-				if c == nil {
-					return fmt.Errorf("line %#x: directory sharer %d unknown", line, id)
-				}
-				if s := c.State(line); s != StateS {
-					return fmt.Errorf("line %#x: directory sharer %d holds %s", line, id, StateName(s))
-				}
-			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -69,7 +59,7 @@ func CheckCoherence(d *Domain) error {
 func (d *Domain) checkCopy(c *PCache, w *cache.Way) error {
 	line := w.Tag
 	h := d.HomeFor(line)
-	de := h.dir[line]
+	de, resident := h.peekDir(line)
 	switch w.State {
 	case StateM, StateE:
 		for _, o := range d.caches {
@@ -83,23 +73,40 @@ func (d *Domain) checkCopy(c *PCache, w *cache.Way) error {
 				return fmt.Errorf("line %#x: owner %d coexists with sharers %v", line, c.ID(), []int{o.ID()})
 			}
 		}
-		if de == nil || de.owner != c.ID() {
-			owner := -1
-			if de != nil {
-				owner = de.owner
-			}
+		if !resident || de.owner() != c.slot {
+			_, owner, _ := h.SnapshotLine(line)
 			return fmt.Errorf("line %#x: cache %d holds M/E but directory owner is %d", line, c.ID(), owner)
 		}
 	case StateS:
-		if de == nil || !de.isSharer(c.ID()) {
-			var sharers []int
-			if de != nil {
-				sharers = de.sharers
-			}
+		if !resident || de.owned() || !de.holds(c.slot) {
+			_, _, sharers := h.SnapshotLine(line)
 			return fmt.Errorf("line %#x: cache %d holds S but directory sharers are %v", line, c.ID(), sharers)
 		}
 		if w.Data != h.lineData(line) {
 			return fmt.Errorf("line %#x: sharer %d data diverges from home", line, c.ID())
+		}
+	}
+	return nil
+}
+
+// checkHolders checks that de's holders hold its line in their recorded
+// role (invariant 3).
+func (d *Domain) checkHolders(de dirEntry) error {
+	line := de.way.Tag
+	if de.owned() && bits.OnesCount64(*de.holders) != 1 {
+		return fmt.Errorf("line %#x: directory owns the line for holder mask %#x", line, *de.holders)
+	}
+	for m := *de.holders; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		if slot >= len(d.caches) {
+			return fmt.Errorf("line %#x: directory holder slot %d unknown", line, slot)
+		}
+		c := d.caches[slot]
+		switch s := c.State(line); {
+		case de.owned() && s != StateM && s != StateE:
+			return fmt.Errorf("line %#x: directory owner %d holds %s", line, c.ID(), StateName(s))
+		case !de.owned() && s != StateS:
+			return fmt.Errorf("line %#x: directory sharer %d holds %s", line, c.ID(), StateName(s))
 		}
 	}
 	return nil

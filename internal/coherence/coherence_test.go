@@ -20,10 +20,21 @@ type testRig struct {
 
 func newRig(t testing.TB, nCaches int) *testRig {
 	t.Helper()
+	ids := make([]int, nCaches)
+	for i := range ids {
+		ids[i] = i
+	}
+	return newRigLayout(t, ids, ids)
+}
+
+// newRigLayout is newRig with cache i given ID ids[i] and placed on tile
+// tiles[i] (modulo the mesh's tiles).
+func newRigLayout(t testing.TB, ids, tiles []int) *testRig {
+	t.Helper()
 	eng := sim.NewEngine()
 	clk := sim.NewClock("fast", params.CPUClockPS)
 	w, h := 2, 2
-	if nCaches > 4 {
+	if len(ids) > 4 {
 		w, h = 4, 4
 	}
 	mesh := noc.NewMesh(eng, clk, w, h)
@@ -33,9 +44,9 @@ func newRig(t testing.TB, nCaches int) *testRig {
 	}
 	dom := NewDomain(eng, mesh, homeTiles)
 	rig := &testRig{eng: eng, mesh: mesh, dom: dom}
-	for i := 0; i < nCaches; i++ {
+	for i, id := range ids {
 		c := dom.NewCache(PCacheConfig{
-			Name: "L2", ID: i, Tile: i % mesh.Tiles(),
+			Name: "L2", ID: id, Tile: tiles[i] % mesh.Tiles(),
 			Clk: clk, Cat: sim.CatFast,
 			SizeBytes: params.L2Bytes, Ways: params.L2Ways, MSHRs: params.L2MSHRs,
 			HitCycles: params.L2HitCycles, MissIssueCycles: params.L2MissIssue,

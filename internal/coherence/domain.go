@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/cdc"
 	"duet/internal/mem"
@@ -14,18 +15,25 @@ import (
 // one coherent system: address-interleaved home mapping, per-tile VN2
 // dispatch (a tile can host more than one cache), and optional CDC bridges
 // for caches whose logic runs in a slow clock domain.
+//
+// Each cache has a slot, its position in attach order. Cache IDs must
+// ascend in that order, so slot order is ID order, and a domain holds at
+// most MaxCaches caches, so a line's holders fit one directory mask.
+// Protocol messages and the directory name caches by slot; cache IDs
+// appear only in names, error text and Home.SnapshotLine.
 type Domain struct {
 	Eng   *sim.Engine
 	Mesh  *noc.Mesh
 	DRAM  *mem.Memory
 	Homes []*Home
 
-	homeTiles []int
-	pool      msgPool                // every protocol message of the domain
-	caches    map[int]*PCache        // cache ID -> cache
-	tileRx    map[int]func(*noc.Msg) // VN2 receivers per tile (after dispatch)
-	byTile    map[int]map[int]bool   // tile -> cache IDs
+	pool   msgPool   // every protocol message of the domain
+	caches []*PCache // by slot; every home routes through it
 }
+
+// MaxCaches is the most caches one domain holds: one bit each in a
+// directory entry's holder mask.
+const MaxCaches = 64
 
 // NewDomain creates homes at homeTiles (one L3 shard + directory slice
 // each) over a fresh DRAM.
@@ -33,37 +41,25 @@ func NewDomain(eng *sim.Engine, mesh *noc.Mesh, homeTiles []int) *Domain {
 	if len(homeTiles) == 0 {
 		panic("coherence: domain needs at least one home tile")
 	}
-	d := &Domain{
-		Eng:       eng,
-		Mesh:      mesh,
-		DRAM:      mem.New(),
-		homeTiles: homeTiles,
-		caches:    make(map[int]*PCache),
-		tileRx:    make(map[int]func(*noc.Msg)),
-		byTile:    make(map[int]map[int]bool),
-	}
+	d := &Domain{Eng: eng, Mesh: mesh, DRAM: mem.New()}
 	for _, t := range homeTiles {
-		d.Homes = append(d.Homes, newHome(eng, mesh.Clock(), mesh, t, d.DRAM, &d.pool))
+		d.Homes = append(d.Homes, newHome(d, t))
 	}
 	return d
 }
 
 // HomeOf maps a line address to its home tile (address interleaving).
-func (d *Domain) HomeOf(line uint64) int {
-	idx := (line / params.LineBytes) % uint64(len(d.homeTiles))
-	return d.homeTiles[idx]
-}
+func (d *Domain) HomeOf(line uint64) int { return d.HomeFor(line).tile }
 
 // HomeFor returns the Home shard owning line.
 func (d *Domain) HomeFor(line uint64) *Home {
-	idx := (line / params.LineBytes) % uint64(len(d.homeTiles))
-	return d.Homes[idx]
+	return d.Homes[(line/params.LineBytes)%uint64(len(d.Homes))]
 }
 
 // NewCache creates and attaches a fast-domain private cache.
 func (d *Domain) NewCache(cfg PCacheConfig) *PCache {
 	c := newPCache(d.Eng, d.Mesh, cfg, d.HomeOf, nil, &d.pool)
-	d.attach(c, nil)
+	d.attach(c)
 	return c
 }
 
@@ -76,33 +72,26 @@ func (d *Domain) NewSlowCache(cfg PCacheConfig, slowClk *sim.Clock) *PCache {
 	cfg.Cat = sim.CatSlow
 	c := newPCache(d.Eng, d.Mesh, cfg, d.HomeOf, br, &d.pool)
 	br.cache = c
-	d.attach(c, br)
+	d.attach(c)
 	return c
 }
 
-func (d *Domain) attach(c *PCache, br *cdcBridge) {
-	if _, dup := d.caches[c.ID()]; dup {
-		panic(fmt.Sprintf("coherence: duplicate cache ID %d", c.ID()))
+// attach gives c the next slot. It panics unless c's ID ascends past
+// every attached cache's and the domain has room for it.
+func (d *Domain) attach(c *PCache) {
+	n := len(d.caches)
+	if n == MaxCaches {
+		panic(fmt.Sprintf("coherence: cache %d would be cache %d of a domain that holds %d", c.ID(), n+1, MaxCaches))
 	}
-	d.caches[c.ID()] = c
-	for _, h := range d.Homes {
-		h.AddCache(c.ID(), c.Tile())
+	if n > 0 && c.ID() <= d.caches[n-1].ID() {
+		panic(fmt.Sprintf("coherence: cache ID %d attached after cache ID %d; IDs must ascend", c.ID(), d.caches[n-1].ID()))
 	}
 	tile := c.Tile()
-	if d.byTile[tile] == nil {
-		d.byTile[tile] = make(map[int]bool)
+	if !slices.ContainsFunc(d.caches, func(o *PCache) bool { return o.Tile() == tile }) {
 		d.Mesh.Register(tile, noc.VNFwd, func(m *noc.Msg) { d.dispatchVN2(tile, m) })
 	}
-	d.byTile[tile][c.ID()] = true
-	if br != nil {
-		d.tileRxSet(c.ID(), br.receiveFromNoC)
-	} else {
-		d.tileRxSet(c.ID(), func(m *noc.Msg) { deliver(c, m.Payload, m.TX) })
-	}
-}
-
-func (d *Domain) tileRxSet(cacheID int, fn func(*noc.Msg)) {
-	d.tileRx[cacheID] = fn
+	c.slot = n
+	d.caches = append(d.caches, c)
 }
 
 func (d *Domain) dispatchVN2(tile int, m *noc.Msg) {
@@ -115,11 +104,15 @@ func (d *Domain) dispatchVN2(tile int, m *noc.Msg) {
 	default:
 		panic("coherence: unknown VN2 payload")
 	}
-	rx := d.tileRx[to]
-	if rx == nil || !d.byTile[tile][to] {
-		panic(fmt.Sprintf("coherence: VN2 message for unknown cache %d at tile %d", to, tile))
+	if to < 0 || to >= len(d.caches) || d.caches[to].Tile() != tile {
+		panic(fmt.Sprintf("coherence: VN2 message for cache slot %d, not hosted at tile %d", to, tile))
 	}
-	rx(m)
+	c := d.caches[to]
+	if br, ok := c.port.(*cdcBridge); ok {
+		br.in.Push(m.Payload, m.TX) // toward the slow domain, in order
+		return
+	}
+	deliver(c, m.Payload, m.TX)
 }
 
 func deliver(c *PCache, payload any, tx *sim.TX) {
@@ -136,8 +129,8 @@ func deliver(c *PCache, payload any, tx *sim.TX) {
 // Only meaningful at quiescence.
 func (d *Domain) DebugReadLine(line uint64) mem.Line {
 	for _, c := range d.caches {
-		if data, state, ok := c.peekState(line); ok && state == StateM {
-			return data
+		if w := c.arr.Peek(line); w != nil && w.State == StateM {
+			return w.Data
 		}
 	}
 	return d.HomeFor(line).lineData(line)
@@ -162,7 +155,6 @@ func (d *Domain) Quiet() bool {
 // domains: inbound mesh messages cross fast→slow before the cache sees
 // them; outbound messages cross slow→fast before entering the mesh.
 type cdcBridge struct {
-	eng   *sim.Engine
 	mesh  *noc.Mesh
 	cache *PCache
 
@@ -172,7 +164,6 @@ type cdcBridge struct {
 
 func newBridge(eng *sim.Engine, mesh *noc.Mesh, tile int, fastClk, slowClk *sim.Clock) *cdcBridge {
 	b := &cdcBridge{
-		eng:  eng,
 		mesh: mesh,
 		in:   cdc.NewFifo[any](eng, fmt.Sprintf("bridge%d.in", tile), fastClk, slowClk, params.FifoDepth, params.SyncStages),
 		out:  cdc.NewFifo[*noc.Msg](eng, fmt.Sprintf("bridge%d.out", tile), slowClk, fastClk, params.FifoDepth, params.SyncStages),
@@ -189,12 +180,6 @@ func (b *cdcBridge) toCache(v any, tx *sim.TX) { deliver(b.cache, v, tx) }
 func (b *cdcBridge) toMesh(m *noc.Msg, tx *sim.TX) {
 	m.TX = tx
 	b.mesh.Send(m)
-}
-
-// receiveFromNoC enqueues an inbound VN2 message toward the slow domain,
-// in order even under FIFO backpressure.
-func (b *cdcBridge) receiveFromNoC(m *noc.Msg) {
-	b.in.Push(m.Payload, m.TX)
 }
 
 // Send implements OutPort for the slow cache: outbound messages cross into

@@ -7,7 +7,7 @@ import "duet/internal/cache"
 // WBs drain.
 func (c *PCache) FlushAll() {
 	c.arr.ForEach(func(w *cache.Way) {
-		if c.mshrs[w.Tag] == nil && c.wb[w.Tag] == nil {
+		if m, e := c.inFlight(w.Tag); m == nil && e == nil {
 			c.evict(w)
 		}
 	})
@@ -17,7 +17,7 @@ func (c *PCache) FlushAll() {
 // geometry, so a few lines overflow a set. Call it before any traffic.
 func (d *Domain) shrinkL3(bytes, ways int) {
 	for _, h := range d.Homes {
-		h.arr = cache.NewArray(bytes, ways)
+		h.arr, h.holders = cache.NewArray(bytes, ways), nil
 	}
 }
 
@@ -25,5 +25,9 @@ func (d *Domain) shrinkL3(bytes, ways int) {
 // corrupt a cache's copy on purpose.
 func (c *PCache) way(line uint64) *cache.Way { return c.arr.Peek(line) }
 
-// dirEntry returns line's directory entry at its home, or nil.
-func (d *Domain) dirEntry(line uint64) *dirEntry { return d.HomeFor(line).dir[line] }
+// dirEntry returns the directory entry of line, which must be resident
+// at its home.
+func (d *Domain) dirEntry(line uint64) dirEntry {
+	de, _ := d.HomeFor(line).peekDir(line)
+	return de
+}

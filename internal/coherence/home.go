@@ -3,7 +3,7 @@ package coherence
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"duet/internal/cache"
 	"duet/internal/mem"
@@ -12,54 +12,47 @@ import (
 	"duet/internal/sim"
 )
 
-// dirEntry is the directory state for one line resident in the L3 shard.
-// owner >= 0 means a private cache holds the line in E or M (and sharers
-// is empty); otherwise sharers lists the caches holding it in S, in
-// ascending cache-ID order.
+// dirEntry is the directory state of one line resident in the L3 shard.
+// It lives beside the line's L3 way from install to the L3 eviction:
+// holders points at the way's mask in the home's side storage, one bit
+// per cache slot, and the way's State byte is dirOwned while the one
+// holder has the line in E or M; otherwise the holders have it in S.
+// Slots ascend with cache IDs (Domain.attach), so walking the mask
+// upward visits holders in cache-ID order, the order invalidations go
+// out in.
 type dirEntry struct {
-	owner   int
-	sharers []int
+	way     *cache.Way
+	holders *uint64
 }
 
-func (d *dirEntry) isSharer(id int) bool {
-	_, ok := slices.BinarySearch(d.sharers, id)
-	return ok
+// dirOwned marks an L3 way whose line is held in E or M.
+const dirOwned = 1
+
+func (d dirEntry) owned() bool { return d.way.State == dirOwned }
+
+// owner returns the slot holding the line in E or M, or -1.
+func (d dirEntry) owner() int {
+	if !d.owned() {
+		return -1
+	}
+	return bits.TrailingZeros64(*d.holders)
 }
 
-func (d *dirEntry) addSharer(id int) {
-	if i, ok := slices.BinarySearch(d.sharers, id); !ok {
-		d.sharers = slices.Insert(d.sharers, i, id)
+// holds reports whether slot holds the line in any state.
+func (d dirEntry) holds(slot int) bool { return *d.holders&(1<<slot) != 0 }
+
+func (d dirEntry) setOwner(slot int) { d.way.State, *d.holders = dirOwned, 1<<slot }
+
+func (d dirEntry) addSharer(slot int) { *d.holders |= 1 << slot }
+
+// drop removes slot from the holders.
+func (d dirEntry) drop(slot int) {
+	if *d.holders &^= 1 << slot; *d.holders == 0 {
+		d.way.State = 0
 	}
 }
 
-func (d *dirEntry) removeSharer(id int) {
-	if i, ok := slices.BinarySearch(d.sharers, id); ok {
-		d.sharers = slices.Delete(d.sharers, i, i+1)
-	}
-}
-
-func (d *dirEntry) hasPrivateCopies() bool {
-	return d.owner >= 0 || len(d.sharers) > 0
-}
-
-// appendCopies appends every private holder of the line to dst.
-func (d *dirEntry) appendCopies(dst []int) []int {
-	if d.owner >= 0 {
-		return append(dst, d.owner)
-	}
-	return d.appendSharers(dst, -1)
-}
-
-// appendSharers appends the S-state holders other than skip to dst in
-// cache-ID order, the order invalidations go out in.
-func (d *dirEntry) appendSharers(dst []int, skip int) []int {
-	for _, id := range d.sharers {
-		if id != skip {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
+func (d dirEntry) clear() { d.way.State, *d.holders = 0, 0 }
 
 // lineCtx serializes home-side work per line. A line has one only while
 // it has work in flight: an idle context goes back to the home's free list
@@ -81,10 +74,9 @@ type lineCtx struct {
 	next phase
 	wake sim.Event
 
-	way   *cache.Way // the line's resident L3 way
-	dir   *dirEntry  // and its directory entry
-	owner int        // a forwarded load's previous owner
-	resp  *RespMsg   // an AMO's response, built before its last charge
+	dir   dirEntry // the line's resident L3 way and its directory state
+	owner int      // a forwarded load's previous owner's slot
+	resp  *RespMsg // an AMO's response, built before its last charge
 
 	// ensureResident's L3 fill: the way to fill, the context of the
 	// victim line being evicted from it, whether the line's data has
@@ -139,54 +131,63 @@ type homeJob struct {
 // Home is one L3 shard plus its slice of the distributed directory. Lines
 // map to shards by address interleaving (see Domain). The L3 is inclusive:
 // a line with private copies is always present in the shard, and evicting
-// an L3 victim first invalidates all private copies.
+// an L3 victim first invalidates all private copies. So the directory
+// needs no storage of its own: each resident line's entry (dirEntry) sits
+// beside its L3 way.
 type Home struct {
 	eng  *sim.Engine
 	clk  *sim.Clock
 	mesh *noc.Mesh
+	dom  *Domain // its cache table, message pool and DRAM
 	tile int
 
-	dram *mem.Memory
 	arr  *cache.Array
-	dir  map[uint64]*dirEntry
 	ctxs map[uint64]*lineCtx // lines with work in flight
-	pool *msgPool
 
 	freeCtx []*lineCtx // idle line contexts
 
-	freeDir []*dirEntry // entries of lines evicted from the shard
-
-	// targets lists the caches an invalidation round goes to. Every
-	// line shares it: it is filled and consumed (invalidate) within one
-	// phase.
-	targets []int
-
-	// cacheTile maps cache IDs to their NoC tiles for forwards.
-	cacheTile map[int]int
+	// holders is the directory's side storage: one mask per L3 way, at
+	// the way's position (cache.Array.Index), in chunks allocated when
+	// an install first reaches them.
+	holders []*[holderChunk]uint64
 }
 
-// newHome creates an L3 shard at the given tile, drawing its messages from
-// pool.
-func newHome(eng *sim.Engine, clk *sim.Clock, mesh *noc.Mesh, tile int, dram *mem.Memory, pool *msgPool) *Home {
+// holderChunk is how many ways' masks one chunk of side storage holds.
+const holderChunk = 32
+
+// newHome creates d's L3 shard at the given tile.
+func newHome(d *Domain, tile int) *Home {
 	h := &Home{
-		eng:       eng,
-		clk:       clk,
-		mesh:      mesh,
-		tile:      tile,
-		dram:      dram,
-		arr:       cache.NewArray(params.L3ShardBytes, params.L3Ways),
-		dir:       make(map[uint64]*dirEntry),
-		ctxs:      make(map[uint64]*lineCtx),
-		pool:      pool,
-		cacheTile: make(map[int]int),
+		eng:  d.Eng,
+		clk:  d.Mesh.Clock(),
+		mesh: d.Mesh,
+		dom:  d,
+		tile: tile,
+		arr:  cache.NewArray(params.L3ShardBytes, params.L3Ways),
+		ctxs: make(map[uint64]*lineCtx),
 	}
-	mesh.Register(tile, noc.VNReq, h.onReq)
-	mesh.Register(tile, noc.VNData, h.onAck)
+	d.Mesh.Register(tile, noc.VNReq, h.onReq)
+	d.Mesh.Register(tile, noc.VNData, h.onAck)
 	return h
 }
 
-// AddCache registers a private cache's tile so forwards can be routed.
-func (h *Home) AddCache(cacheID, tile int) { h.cacheTile[cacheID] = tile }
+// dirOf returns the directory entry of line, resident in way w.
+func (h *Home) dirOf(line uint64, w *cache.Way) dirEntry {
+	i := h.arr.Index(line, w)
+	for i/holderChunk >= len(h.holders) {
+		h.holders = append(h.holders, new([holderChunk]uint64))
+	}
+	return dirEntry{w, &h.holders[i/holderChunk][i%holderChunk]}
+}
+
+// peekDir returns line's directory entry, if the line is resident,
+// without touching its LRU stamp.
+func (h *Home) peekDir(line uint64) (dirEntry, bool) {
+	if w := h.arr.Peek(line); w != nil {
+		return h.dirOf(line, w), true
+	}
+	return dirEntry{}, false
+}
 
 func (h *Home) ctx(line uint64) *lineCtx {
 	c := h.ctxs[line]
@@ -247,8 +248,8 @@ func (h *Home) nextJob(c *lineCtx) phase {
 // done ends the transaction, returning its request to the pool, and goes
 // on with the line's next one.
 func (h *Home) done(c *lineCtx) phase {
-	h.pool.reqs.Put(c.req)
-	c.req, c.tx, c.way, c.dir = nil, nil, nil, nil
+	h.dom.pool.reqs.Put(c.req)
+	c.req, c.tx, c.dir = nil, nil, dirEntry{}
 	return (*Home).nextJob
 }
 
@@ -311,7 +312,7 @@ func (h *Home) acksIn(c *lineCtx) phase {
 // ownership point for acks: call it only once nothing reads them.
 func (h *Home) releaseAcks(c *lineCtx) {
 	for i, a := range c.acks {
-		h.pool.acks.Put(a)
+		h.dom.pool.acks.Put(a)
 		c.acks[i] = nil
 	}
 	c.acks = c.acks[:0]
@@ -319,41 +320,40 @@ func (h *Home) releaseAcks(c *lineCtx) {
 
 // newResp returns a pooled response; respond sends it.
 func (h *Home) newResp(kind RespKind, line uint64, grant int, data mem.Line) *RespMsg {
-	r := h.pool.resps.Get()
+	r := h.dom.pool.resps.Get()
 	r.Kind, r.Line, r.Grant, r.Data = kind, line, grant, data
 	return r
 }
 
-func (h *Home) respond(cacheID int, r *RespMsg, tx *sim.TX) {
-	r.To = cacheID
-	r.msg = noc.Msg{Src: h.tile, Dst: h.cacheTile[cacheID], VN: noc.VNFwd, Bytes: RespBytes(r), Payload: r, TX: tx}
+func (h *Home) respond(slot int, r *RespMsg, tx *sim.TX) {
+	r.To = slot
+	r.msg = noc.Msg{Src: h.tile, Dst: h.dom.caches[slot].cfg.Tile, VN: noc.VNFwd, Bytes: RespBytes(r), Payload: r, TX: tx}
 	h.mesh.Send(&r.msg)
 }
 
-// forward sends a pooled forward of type typ for line to cacheID.
-func (h *Home) forward(cacheID int, typ FwdType, line uint64, tx *sim.TX) {
-	f := h.pool.fwds.Get()
-	f.Type, f.Line, f.To = typ, line, cacheID
-	f.msg = noc.Msg{Src: h.tile, Dst: h.cacheTile[cacheID], VN: noc.VNFwd, Bytes: FwdBytes, Payload: f, TX: tx}
+// forward sends a pooled forward of type typ for line to slot.
+func (h *Home) forward(slot int, typ FwdType, line uint64, tx *sim.TX) {
+	f := h.dom.pool.fwds.Get()
+	f.Type, f.Line, f.To = typ, line, slot
+	f.msg = noc.Msg{Src: h.tile, Dst: h.dom.caches[slot].cfg.Tile, VN: noc.VNFwd, Bytes: FwdBytes, Payload: f, TX: tx}
 	h.mesh.Send(&f.msg)
 }
 
-// invalidate sends FwdInv for line to every cache in h.targets and
-// returns how many acks to collect.
-func (h *Home) invalidate(line uint64, tx *sim.TX) int {
-	for _, id := range h.targets {
-		h.forward(id, FwdInv, line, tx)
+// invalidate sends FwdInv for line to every slot in targets, in
+// ascending order, and returns how many acks to collect.
+func (h *Home) invalidate(line, targets uint64, tx *sim.TX) int {
+	for m := targets; m != 0; m &= m - 1 {
+		h.forward(bits.TrailingZeros64(m), FwdInv, line, tx)
 	}
-	return len(h.targets)
+	return bits.OnesCount64(targets)
 }
 
 // ensureResident makes c's line present in the L3 array, fetching from
 // DRAM (and evicting an L3 victim, including back-invalidation of its
-// private copies) as needed, then continues with next with c.way and
-// c.dir set.
+// private copies) as needed, then continues with next with c.dir set.
 func (h *Home) ensureResident(c *lineCtx, next phase) phase {
 	if w := h.arr.Lookup(c.line); w != nil {
-		c.way, c.dir = w, h.dir[c.line]
+		c.dir = h.dirOf(c.line, w)
 		return next
 	}
 	c.resident = next
@@ -377,9 +377,8 @@ func (h *Home) pickVictim(c *lineCtx) phase {
 	vc := h.ctx(v.Tag)
 	vc.busy = true
 	c.evictee = vc
-	if d := h.dir[v.Tag]; d != nil && d.hasPrivateCopies() {
-		h.targets = d.appendCopies(h.targets[:0])
-		return h.awaitAcks(c, vc, h.invalidate(v.Tag, c.tx), (*Home).evicted)
+	if copies := *h.dirOf(v.Tag, v).holders; copies != 0 {
+		return h.awaitAcks(c, vc, h.invalidate(v.Tag, copies, c.tx), (*Home).evicted)
 	}
 	return (*Home).evicted
 }
@@ -398,12 +397,7 @@ func (h *Home) evicted(c *lineCtx) phase {
 	}
 	h.releaseAcks(vc)
 	line := v.Tag
-	h.dram.WriteLine(line, v.Data)
-	if d := h.dir[line]; d != nil {
-		delete(h.dir, line)
-		d.owner, d.sharers = -1, d.sharers[:0]
-		h.freeDir = append(h.freeDir, d)
-	}
+	h.dom.DRAM.WriteLine(line, v.Data)
 	h.arr.Invalidate(v)
 	c.evictee = nil
 	if vc.jobs.Len() > 0 {
@@ -433,23 +427,11 @@ func (h *Home) install(c *lineCtx) phase {
 		return (*Home).pickVictim
 	}
 	c.fetched = false
-	data := h.dram.ReadLine(c.line)
-	c.way = h.arr.Install(c.victim, c.line, data, 0)
-	c.dir = h.newDirEntry()
-	h.dir[c.line] = c.dir
+	data := h.dom.DRAM.ReadLine(c.line)
+	c.dir = h.dirOf(c.line, h.arr.Install(c.victim, c.line, data, 0))
+	c.dir.clear()
 	c.victim = nil
 	return c.resident
-}
-
-// newDirEntry returns an empty directory entry, reusing one freed by an
-// L3 eviction when it can.
-func (h *Home) newDirEntry() *dirEntry {
-	if n := len(h.freeDir); n > 0 {
-		d := h.freeDir[n-1]
-		h.freeDir = h.freeDir[:n-1]
-		return d
-	}
-	return &dirEntry{owner: -1}
 }
 
 // dispatch runs c's request once the directory lookup is charged.
@@ -475,7 +457,7 @@ func (h *Home) dispatch(c *lineCtx) phase {
 func (h *Home) absorbDirty(c *lineCtx) {
 	for _, a := range c.acks {
 		if a.Present && a.Dirty {
-			c.way.Data = a.Data
+			c.dir.way.Data = a.Data
 		}
 	}
 	h.releaseAcks(c)
@@ -484,13 +466,12 @@ func (h *Home) absorbDirty(c *lineCtx) {
 // load serves a load miss.
 func (h *Home) load(c *lineCtx) phase {
 	req, d := c.req, c.dir
-	if d.owner == req.CacheID || d.isSharer(req.CacheID) {
-		panic(fmt.Sprintf("home: load from cache %d already holding %#x", req.CacheID, req.Line))
+	if d.holds(req.Slot) {
+		panic(fmt.Sprintf("home: load from cache %d already holding %#x", h.dom.caches[req.Slot].ID(), req.Line))
 	}
-	if d.owner >= 0 {
+	if c.owner = d.owner(); c.owner >= 0 {
 		// Fetch from the owner; this is the "secondary write-back" path
 		// measured in Fig. 9.
-		c.owner = d.owner
 		h.forward(c.owner, FwdDowngrade, req.Line, c.tx)
 		return h.awaitAcks(c, c, 1, (*Home).loadDowngraded)
 	}
@@ -505,114 +486,98 @@ func (h *Home) loadFromOwner(c *lineCtx) phase {
 	req, d := c.req, c.dir
 	a := c.acks[0]
 	if a.Present && a.Dirty {
-		c.way.Data = a.Data
+		d.way.Data = a.Data
 	}
-	d.owner = -1
+	d.clear()
 	if a.Present && !a.FromWB {
 		d.addSharer(c.owner)
 	}
 	h.releaseAcks(c)
-	d.addSharer(req.CacheID)
+	d.addSharer(req.Slot)
 	return h.charge(c, params.HomeRespCycles, (*Home).loadShared)
 }
 
 func (h *Home) loadShared(c *lineCtx) phase {
-	h.respond(c.req.CacheID, h.newResp(RespData, c.line, StateS, c.way.Data), c.tx)
+	h.respond(c.req.Slot, h.newResp(RespData, c.line, StateS, c.dir.way.Data), c.tx)
 	return (*Home).done
 }
 
 func (h *Home) loadGrant(c *lineCtx) phase {
 	req, d := c.req, c.dir
-	if len(d.sharers) == 0 {
+	if *d.holders == 0 {
 		// Sole copy: grant Exclusive.
-		d.owner = req.CacheID
-		h.respond(req.CacheID, h.newResp(RespData, req.Line, StateE, c.way.Data), c.tx)
+		d.setOwner(req.Slot)
+		h.respond(req.Slot, h.newResp(RespData, req.Line, StateE, d.way.Data), c.tx)
 		return (*Home).done
 	}
-	d.addSharer(req.CacheID)
-	h.respond(req.CacheID, h.newResp(RespData, req.Line, StateS, c.way.Data), c.tx)
+	d.addSharer(req.Slot)
+	h.respond(req.Slot, h.newResp(RespData, req.Line, StateS, d.way.Data), c.tx)
 	return (*Home).done
 }
 
 // store serves a store miss or upgrade: every other copy is invalidated.
 func (h *Home) store(c *lineCtx) phase {
 	req, d := c.req, c.dir
-	if d.owner == req.CacheID {
-		panic(fmt.Sprintf("home: store from owner %d for %#x", req.CacheID, req.Line))
+	if d.owner() == req.Slot {
+		panic(fmt.Sprintf("home: store from owner %d for %#x", h.dom.caches[req.Slot].ID(), req.Line))
 	}
-	if d.owner >= 0 {
-		h.targets = append(h.targets[:0], d.owner)
-	} else {
-		h.targets = d.appendSharers(h.targets[:0], req.CacheID)
-	}
-	return h.awaitAcks(c, c, h.invalidate(req.Line, c.tx), (*Home).storeGrant)
+	return h.awaitAcks(c, c, h.invalidate(req.Line, *d.holders&^(1<<req.Slot), c.tx), (*Home).storeGrant)
 }
 
 func (h *Home) storeGrant(c *lineCtx) phase {
 	h.absorbDirty(c)
-	c.dir.owner = c.req.CacheID
-	c.dir.sharers = c.dir.sharers[:0]
+	c.dir.setOwner(c.req.Slot)
 	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).storeRespond)
 }
 
 func (h *Home) storeRespond(c *lineCtx) phase {
-	h.respond(c.req.CacheID, h.newResp(RespData, c.line, StateM, c.way.Data), c.tx)
+	h.respond(c.req.Slot, h.newResp(RespData, c.line, StateM, c.dir.way.Data), c.tx)
 	return (*Home).done
 }
 
 // writeBack serves a private cache's write-back.
 func (h *Home) writeBack(c *lineCtx) phase {
 	req := c.req
-	d := h.dir[req.Line]
-	inDir := d != nil && (d.owner == req.CacheID || d.isSharer(req.CacheID))
-	if !inDir {
+	d, ok := h.peekDir(req.Line)
+	if !ok || !d.holds(req.Slot) {
 		// The line was surrendered to a forward while the WB was in
 		// flight: the data already reached the home via the ack path.
 		return h.charge(c, params.HomeRespCycles, (*Home).writeBackStale)
 	}
-	w := h.arr.Lookup(req.Line)
-	if w == nil {
-		panic("home: directory entry for a line absent from inclusive L3")
+	h.arr.Lookup(req.Line) // an accepted write-back touches the line's LRU stamp
+	if d.owned() && req.Dirty {
+		d.way.Data = req.Data
+		d.way.Dirty = true
 	}
-	if d.owner == req.CacheID {
-		d.owner = -1
-		if req.Dirty {
-			w.Data = req.Data
-			w.Dirty = true
-		}
-	} else {
-		d.removeSharer(req.CacheID)
-	}
+	d.drop(req.Slot)
 	return h.charge(c, params.L3DataCycles+params.HomeRespCycles, (*Home).writeBackAck)
 }
 
 func (h *Home) writeBackStale(c *lineCtx) phase {
-	h.respond(c.req.CacheID, h.newResp(RespWBStale, c.line, 0, mem.Line{}), c.tx)
+	h.respond(c.req.Slot, h.newResp(RespWBStale, c.line, 0, mem.Line{}), c.tx)
 	return (*Home).done
 }
 
 func (h *Home) writeBackAck(c *lineCtx) phase {
-	h.respond(c.req.CacheID, h.newResp(RespWBAck, c.line, 0, mem.Line{}), c.tx)
+	h.respond(c.req.Slot, h.newResp(RespWBAck, c.line, 0, mem.Line{}), c.tx)
 	return (*Home).done
 }
 
 // amo runs an atomic at the home: every private copy, the requester's
 // included, is invalidated first.
 func (h *Home) amo(c *lineCtx) phase {
-	h.targets = c.dir.appendCopies(h.targets[:0])
-	return h.awaitAcks(c, c, h.invalidate(c.line, c.tx), (*Home).amoExec)
+	return h.awaitAcks(c, c, h.invalidate(c.line, *c.dir.holders, c.tx), (*Home).amoExec)
 }
 
 func (h *Home) amoExec(c *lineCtx) phase {
 	h.absorbDirty(c)
-	c.dir.owner = -1
-	c.dir.sharers = c.dir.sharers[:0]
+	c.dir.clear()
 	return h.charge(c, params.L3DataCycles, (*Home).amoApply)
 }
 
 // amoApply executes the operation on the L3 copy.
 func (h *Home) amoApply(c *lineCtx) phase {
-	req, w := c.req, c.way
+	req, w := c.req, c.dir.way
 	off := mem.Offset(req.Addr)
 	old, updated := applyAmo(w.Data, off, req.Size, req.Op, req.Operand, req.Operand2)
 	w.Data = updated
@@ -623,7 +588,7 @@ func (h *Home) amoApply(c *lineCtx) phase {
 }
 
 func (h *Home) amoRespond(c *lineCtx) phase {
-	h.respond(c.req.CacheID, c.resp, c.tx)
+	h.respond(c.req.Slot, c.resp, c.tx)
 	c.resp = nil
 	return (*Home).done
 }
@@ -631,25 +596,19 @@ func (h *Home) amoRespond(c *lineCtx) phase {
 // writeThrough serves a write-no-allocate store: every copy except the
 // requester's S copy (refreshed by the WTAck payload) is invalidated.
 func (h *Home) writeThrough(c *lineCtx) phase {
-	req, d := c.req, c.dir
-	if d.owner >= 0 && d.owner != req.CacheID {
-		h.targets = append(h.targets[:0], d.owner)
-	} else {
-		h.targets = d.appendSharers(h.targets[:0], req.CacheID)
-	}
-	return h.awaitAcks(c, c, h.invalidate(req.Line, c.tx), (*Home).writeThroughExec)
+	return h.awaitAcks(c, c, h.invalidate(c.line, *c.dir.holders&^(1<<c.req.Slot), c.tx), (*Home).writeThroughExec)
 }
 
 func (h *Home) writeThroughExec(c *lineCtx) phase {
 	h.absorbDirty(c)
-	if d := c.dir; d.owner >= 0 && d.owner != c.req.CacheID {
-		d.owner = -1
+	if o := c.dir.owner(); o >= 0 && o != c.req.Slot {
+		c.dir.clear()
 	}
 	return h.charge(c, params.L3DataCycles, (*Home).writeThroughApply)
 }
 
 func (h *Home) writeThroughApply(c *lineCtx) phase {
-	req, w := c.req, c.way
+	req, w := c.req, c.dir.way
 	off := mem.Offset(req.Addr)
 	copy(w.Data[off:off+len(req.Bytes)], req.Bytes)
 	w.Dirty = true
@@ -657,7 +616,7 @@ func (h *Home) writeThroughApply(c *lineCtx) phase {
 }
 
 func (h *Home) writeThroughRespond(c *lineCtx) phase {
-	h.respond(c.req.CacheID, h.newResp(RespWTAck, c.line, 0, c.way.Data), c.tx)
+	h.respond(c.req.Slot, h.newResp(RespWTAck, c.line, 0, c.dir.way.Data), c.tx)
 	return (*Home).done
 }
 
@@ -693,12 +652,18 @@ func applyAmo(line mem.Line, off, size int, op AmoOp, operand, operand2 uint64) 
 }
 
 // SnapshotLine returns the home's current view of a line (L3 if resident,
-// else DRAM) plus directory state; used by tests and the checker.
+// else DRAM) plus directory state, naming caches by ID: the owner's (-1
+// if none) and the sharers' in ascending order. Used by tests.
 func (h *Home) SnapshotLine(line uint64) (data mem.Line, owner int, sharers []int) {
 	data, owner = h.lineData(line), -1
-	if d, ok := h.dir[line]; ok {
-		owner = d.owner
-		sharers = d.appendSharers(nil, -1)
+	if d, ok := h.peekDir(line); ok {
+		for m := *d.holders; m != 0; m &= m - 1 {
+			if id := h.dom.caches[bits.TrailingZeros64(m)].ID(); d.owned() {
+				owner = id
+			} else {
+				sharers = append(sharers, id)
+			}
+		}
 	}
 	return data, owner, sharers
 }
@@ -709,7 +674,7 @@ func (h *Home) lineData(line uint64) mem.Line {
 	if w := h.arr.Peek(line); w != nil {
 		return w.Data
 	}
-	return h.dram.ReadLine(line)
+	return h.dom.DRAM.ReadLine(line)
 }
 
 // Busy reports whether any line transaction is in flight at this home.

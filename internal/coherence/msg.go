@@ -83,9 +83,9 @@ func (o AmoOp) String() string {
 
 // ReqMsg is a cache→home request (VN1).
 type ReqMsg struct {
-	Type    ReqType
-	Line    uint64 // line-aligned physical address
-	CacheID int
+	Type ReqType
+	Line uint64 // line-aligned physical address
+	Slot int    // the requesting cache's slot in its domain
 
 	// Write-back payload.
 	Data  mem.Line
@@ -118,8 +118,8 @@ func (f FwdType) String() string {
 	return "Downgrade"
 }
 
-// FwdMsg is a home→cache forward (VN2). To identifies the target cache
-// for tiles hosting more than one cache.
+// FwdMsg is a home→cache forward (VN2). To is the target cache's slot,
+// which picks it out on a tile hosting more than one cache.
 type FwdMsg struct {
 	Type FwdType
 	Line uint64
@@ -144,7 +144,7 @@ func (k RespKind) String() string {
 	return [...]string{"Data", "WBAck", "WBStale", "Amo", "WTAck"}[k]
 }
 
-// RespMsg is a home→cache response (VN2). To identifies the target cache.
+// RespMsg is a home→cache response (VN2). To is the target cache's slot.
 type RespMsg struct {
 	Kind  RespKind
 	Line  uint64
@@ -159,7 +159,7 @@ type RespMsg struct {
 // AckMsg is a cache→home forward acknowledgement (VN3).
 type AckMsg struct {
 	Line    uint64
-	CacheID int
+	Slot    int  // the acknowledging cache's slot
 	Present bool // the cache (or its WB buffer) held the line
 	Dirty   bool // Data carries modified content
 	FromWB  bool // served from the write-back buffer: drop sender from directory

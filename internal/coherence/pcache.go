@@ -3,6 +3,7 @@ package coherence
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"duet/internal/cache"
 	"duet/internal/mem"
@@ -92,6 +93,7 @@ type mshr struct {
 }
 
 type wbEntry struct {
+	line        uint64
 	data        mem.Line
 	dirty       bool
 	surrendered bool
@@ -102,6 +104,7 @@ type wbEntry struct {
 // Duet Proxy Cache, and (re-clocked) the FPSoC/soft-only slow cache.
 type PCache struct {
 	cfg  PCacheConfig
+	slot int // the cache's slot in its domain (Domain.attach)
 	eng  *sim.Engine
 	arr  *cache.Array
 	port OutPort
@@ -109,8 +112,11 @@ type PCache struct {
 	homeOf func(line uint64) int // line -> home tile
 	pool   *msgPool              // the domain's protocol messages
 
-	mshrs   map[uint64]*mshr
-	wb      map[uint64]*wbEntry
+	// The lines in flight, few enough to search linearly: mshrs holds
+	// at most cfg.MSHRs misses, and wb the lines written back but not
+	// yet acknowledged.
+	mshrs   []*mshr
+	wb      []*wbEntry
 	stalled []*frontOp
 
 	// vpns maps a line to the virtual page number it was last accessed
@@ -147,8 +153,6 @@ func newPCache(eng *sim.Engine, mesh *noc.Mesh, cfg PCacheConfig, homeOf func(ui
 		port:   port,
 		homeOf: homeOf,
 		pool:   pool,
-		mshrs:  make(map[uint64]*mshr),
-		wb:     make(map[uint64]*wbEntry),
 	}
 	c.eventFn = c.step
 	return c
@@ -310,30 +314,32 @@ func (c *PCache) Amo(t *sim.Thread, op AmoOp, addr uint64, size int, operand, op
 }
 
 func (c *PCache) submit(op *frontOp) {
-	line := mem.LineAddr(op.addr)
-	if m := c.mshrs[line]; m != nil {
+	if !c.waitInFlight(op) {
+		c.after(c.cfg.HitCycles, op.tx, op)
+	}
+}
+
+// waitInFlight queues op behind its line's outstanding miss or
+// write-back, if it has one.
+func (c *PCache) waitInFlight(op *frontOp) bool {
+	switch m, e := c.inFlight(mem.LineAddr(op.addr)); {
+	case m != nil:
 		m.pending = append(m.pending, op)
-		return
+	case e != nil:
+		e.pending = append(e.pending, op)
+	default:
+		return false
 	}
-	if w := c.wb[line]; w != nil {
-		w.pending = append(w.pending, op)
-		return
-	}
-	c.after(c.cfg.HitCycles, op.tx, op)
+	return true
 }
 
 func (c *PCache) lookup(op *frontOp) {
-	line := mem.LineAddr(op.addr)
 	// Re-check transient structures: they may have appeared while the tag
 	// access was in flight.
-	if m := c.mshrs[line]; m != nil {
-		m.pending = append(m.pending, op)
+	if c.waitInFlight(op) {
 		return
 	}
-	if w := c.wb[line]; w != nil {
-		w.pending = append(w.pending, op)
-		return
-	}
+	line := mem.LineAddr(op.addr)
 	w := c.arr.Lookup(line)
 	off := mem.Offset(op.addr)
 	switch op.kind {
@@ -387,7 +393,7 @@ func (c *PCache) miss(op *frontOp, rt ReqType) {
 	}
 	m := c.freeMSHR.Get()
 	m.line, m.rt, m.op = mem.LineAddr(op.addr), rt, op
-	c.mshrs[m.line] = m
+	c.mshrs = append(c.mshrs, m)
 	c.after(c.cfg.MissIssueCycles, op.tx, m)
 }
 
@@ -395,7 +401,7 @@ func (c *PCache) miss(op *frontOp, rt ReqType) {
 func (c *PCache) issue(m *mshr) {
 	op := m.op
 	req := c.pool.reqs.Get()
-	req.Type, req.Line, req.CacheID, req.Addr, req.Size = m.rt, m.line, c.cfg.ID, op.addr, op.size
+	req.Type, req.Line, req.Slot, req.Addr, req.Size = m.rt, m.line, c.slot, op.addr, op.size
 	switch m.rt {
 	case ReqAmo:
 		req.Op = op.amoOp
@@ -424,7 +430,7 @@ func (c *PCache) send(req *ReqMsg, tx *sim.TX) {
 // sendAck sends a pooled forward acknowledgement to line's home.
 func (c *PCache) sendAck(line uint64, present, dirty, fromWB bool, data mem.Line, tx *sim.TX) {
 	ack := c.pool.acks.Get()
-	ack.Line, ack.CacheID = line, c.cfg.ID
+	ack.Line, ack.Slot = line, c.slot
 	ack.Present, ack.Dirty, ack.FromWB, ack.Data = present, dirty, fromWB, data
 	ack.msg = noc.Msg{
 		Src:     c.cfg.Tile,
@@ -447,15 +453,19 @@ func (c *PCache) DeliverResp(r *RespMsg, tx *sim.TX) {
 	case RespData:
 		c.after(c.cfg.FillCycles, tx, r)
 	case RespAmo, RespWTAck:
-		m := c.takeMSHR(r.Line)
+		m, _ := c.inFlight(r.Line)
+		if m == nil {
+			panic(fmt.Sprintf("%s: response without MSHR for %#x", c.cfg.Name, r.Line))
+		}
+		c.mshrs = without(c.mshrs, m)
 		m.resp = r
 		c.after(1, tx, m)
 	case RespWBAck, RespWBStale:
-		e := c.wb[r.Line]
+		_, e := c.inFlight(r.Line)
 		if e == nil {
 			panic(fmt.Sprintf("%s: WB response without WB entry %#x", c.cfg.Name, r.Line))
 		}
-		delete(c.wb, r.Line)
+		c.wb = without(c.wb, e)
 		c.pool.resps.Put(r) // an ack carries nothing more to read
 		for _, op := range e.pending {
 			c.submit(op)
@@ -486,19 +496,32 @@ func (c *PCache) respDone(m *mshr) {
 	c.freeMSHR.Put(m) // the op is complete and its waiters resubmitted
 }
 
-func (c *PCache) takeMSHR(line uint64) *mshr {
-	m := c.mshrs[line]
-	if m == nil {
-		panic(fmt.Sprintf("%s: response without MSHR for %#x", c.cfg.Name, line))
+// inFlight returns line's outstanding miss and its write-back entry, each
+// nil if it has none.
+func (c *PCache) inFlight(line uint64) (m *mshr, e *wbEntry) {
+	for _, x := range c.mshrs {
+		if x.line == line {
+			m = x
+		}
 	}
-	delete(c.mshrs, line)
-	return m
+	for _, x := range c.wb {
+		if x.line == line {
+			e = x
+		}
+	}
+	return m, e
+}
+
+// without removes x from s, keeping the order of the rest.
+func without[T comparable](s []T, x T) []T {
+	i := slices.Index(s, x)
+	return slices.Delete(s, i, i+1)
 }
 
 // fill installs a granted line and completes the MSHR's operations.
 func (c *PCache) fill(r *RespMsg) {
 	tx := r.msg.TX
-	m := c.mshrs[r.Line]
+	m, _ := c.inFlight(r.Line)
 	if m == nil {
 		panic(fmt.Sprintf("%s: fill without MSHR for %#x", c.cfg.Name, r.Line))
 	}
@@ -520,7 +543,7 @@ func (c *PCache) fill(r *RespMsg) {
 		}
 		w = c.arr.Install(w, r.Line, r.Data, r.Grant)
 	}
-	delete(c.mshrs, r.Line)
+	c.mshrs = without(c.mshrs, m)
 	c.pool.resps.Put(r) // the grant is installed in w
 	op := m.op
 	off := mem.Offset(op.addr)
@@ -572,7 +595,7 @@ func (c *PCache) pickVictim(line uint64) *cache.Way {
 		if !w.Valid {
 			return w
 		}
-		if c.mshrs[w.Tag] != nil || c.wb[w.Tag] != nil {
+		if m, e := c.inFlight(w.Tag); m != nil || e != nil {
 			continue
 		}
 		if best == nil || w.Less(best) {
@@ -609,12 +632,12 @@ func (c *PCache) lose(line uint64) {
 func (c *PCache) evict(w *cache.Way) {
 	line := w.Tag
 	e := c.freeWB.Get()
-	e.data, e.dirty = w.Data, w.Dirty && w.State == StateM
-	c.wb[line] = e
+	e.line, e.data, e.dirty = line, w.Data, w.Dirty && w.State == StateM
+	c.wb = append(c.wb, e)
 	c.lose(line)
 	c.arr.Invalidate(w)
 	req := c.pool.reqs.Get()
-	req.Type, req.Line, req.CacheID, req.Data, req.Dirty = ReqWB, line, c.cfg.ID, e.data, e.dirty
+	req.Type, req.Line, req.Slot, req.Data, req.Dirty = ReqWB, line, c.slot, e.data, e.dirty
 	c.send(req, nil)
 }
 
@@ -643,7 +666,7 @@ func (c *PCache) handleFwd(f *FwdMsg) {
 		c.sendAck(line, true, dirty, false, data, tx)
 		return
 	}
-	if e := c.wb[line]; e != nil && !e.surrendered {
+	if _, e := c.inFlight(line); e != nil && !e.surrendered {
 		// Forward racing our write-back: serve it from the WB buffer and
 		// let the home reject the WB as stale.
 		e.surrendered = true
@@ -669,14 +692,6 @@ func (c *PCache) PeekLine(line uint64) (mem.Line, bool) {
 		return w.Data, true
 	}
 	return mem.Line{}, false
-}
-
-// peekState returns data and MESI state for a line, if present.
-func (c *PCache) peekState(line uint64) (mem.Line, int, bool) {
-	if w := c.arr.Peek(line); w != nil {
-		return w.Data, int(w.State), true
-	}
-	return mem.Line{}, StateI, false
 }
 
 // Quiet reports whether the cache has no in-flight transactions.

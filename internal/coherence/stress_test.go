@@ -20,35 +20,72 @@ import (
 //   - final memory state: after flushing all caches, each slot holds its
 //     last completed write;
 //   - protocol invariants (SWMR + directory exactness) at quiescence.
+//
+// It runs each seed on both stress layouts.
 func TestRandomStress(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runStress(t, seed)
+			runStress(t, seed, denseLayout)
+		})
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("sparse/seed=%d", seed), func(t *testing.T) {
+			runStress(t, seed, sparseLayout)
 		})
 	}
 }
 
 // FuzzCoherenceStress runs TestRandomStress's load/store/AMO mix at a
-// fuzzed seed. It ends on CheckCoherence and the stress test's value
-// checks, so a protocol record recycled while still in use (a message,
-// front-end op or MSHR reused before its last reader is done) shows up as
-// a data or directory violation.
+// fuzzed seed, on the layout its input picks. It ends on CheckCoherence
+// and the stress test's value checks, so a protocol record recycled while
+// still in use (a message, front-end op or MSHR reused before its last
+// reader is done) shows up as a data or directory violation.
 func FuzzCoherenceStress(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		f.Add(seed)
+		f.Add(seed, false)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		runStress(t, seed)
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, sparse bool) {
+		l := denseLayout
+		if sparse {
+			l = sparseLayout
+		}
+		runStress(t, seed, l)
 	})
 }
+
+// stressLayout places runStress's four caches: cache i gets ID ids[i] and
+// tile tiles[i], and with slowLast the last cache runs in a slow clock
+// domain behind a CDC bridge.
+type stressLayout struct {
+	ids, tiles []int
+	slowLast   bool
+}
+
+var (
+	// denseLayout gives each cache its own tile and an ID equal to its
+	// slot.
+	denseLayout = stressLayout{ids: []int{0, 1, 2, 3}, tiles: []int{0, 1, 2, 3}}
+	// sparseLayout's IDs ascend with gaps, like a system's cores and
+	// Memory Hub caches, so no ID but the first equals its slot; tile 2
+	// hosts two caches, the second a slow one. Taking an ID for a slot,
+	// or routing by tile alone, breaks it.
+	sparseLayout = stressLayout{ids: []int{0, 7, 1000, 1100}, tiles: []int{0, 1, 2, 2}, slowLast: true}
+)
 
 type slotHistory struct {
 	vals  []uint64   // every committed value, in completion order
 	times []sim.Time // completion time of each value
+	// firsts holds the earliest instant each value can be visible: a
+	// store's completion, since it writes the owner's copy as it
+	// completes, but an atomic's issue, since the home applies it while
+	// its response is still on the way back.
+	firsts []sim.Time
 }
 
-func runStress(t *testing.T, seed uint64) {
+func runStress(t *testing.T, seed uint64, layout stressLayout) {
 	eng := sim.NewEngine()
 	clk := sim.NewClock("fast", params.CPUClockPS)
 	mesh := noc.NewMesh(eng, clk, 2, 2)
@@ -61,14 +98,19 @@ func runStress(t *testing.T, seed uint64) {
 
 	var caches []*PCache
 	for i := 0; i < nCaches; i++ {
-		caches = append(caches, dom.NewCache(PCacheConfig{
-			Name: fmt.Sprintf("c%d", i), ID: i, Tile: i,
+		cfg := PCacheConfig{
+			Name: fmt.Sprintf("c%d", i), ID: layout.ids[i], Tile: layout.tiles[i],
 			Clk: clk, Cat: sim.CatFast,
 			// Tiny: 8 lines, 2-way -> constant evictions.
 			SizeBytes: 8 * params.LineBytes, Ways: 2, MSHRs: 2,
 			HitCycles: params.L2HitCycles, MissIssueCycles: params.L2MissIssue,
 			FillCycles: params.L2FillCycles, FwdCycles: params.ProxyFwdCycles,
-		}))
+		}
+		if layout.slowLast && i == nCaches-1 {
+			caches = append(caches, dom.NewSlowCache(cfg, sim.ClockMHz("efpga", 100)))
+		} else {
+			caches = append(caches, dom.NewCache(cfg))
+		}
 	}
 
 	// Each cache owns one 8-byte slot per line: slot address = line + 8 *
@@ -86,7 +128,7 @@ func runStress(t *testing.T, seed uint64) {
 	hist := make(map[uint64]*slotHistory)
 	for l := 0; l < nLines; l++ {
 		for h := 0; h < 2; h++ {
-			hist[slotAddr(l, h)] = &slotHistory{vals: []uint64{0}, times: []sim.Time{0}}
+			hist[slotAddr(l, h)] = &slotHistory{vals: []uint64{0}, times: []sim.Time{0}, firsts: []sim.Time{0}}
 		}
 	}
 	counterAddr := base + uint64(nLines)*params.LineBytes
@@ -135,6 +177,7 @@ func runStress(t *testing.T, seed uint64) {
 					h := hist[addr]
 					h.vals = append(h.vals, val)
 					h.times = append(h.times, th.Now())
+					h.firsts = append(h.firsts, th.Now())
 				case 8: // atomic increment of the shared counter
 					c.Amo(th, AmoAdd, counterAddr, 8, 1, 0, nil)
 					totalIncs++
@@ -143,10 +186,12 @@ func runStress(t *testing.T, seed uint64) {
 						addr := slotAddr(line, half)
 						wcount++
 						val := uint64(i+1)<<32 | wcount
+						issued := th.Now()
 						c.Amo(th, AmoSwap, addr, 8, val, 0, nil)
 						h := hist[addr]
 						h.vals = append(h.vals, val)
 						h.times = append(h.times, th.Now())
+						h.firsts = append(h.firsts, issued)
 					}
 				}
 				th.Sleep(sim.Time(next(30)) * sim.NS)
@@ -162,8 +207,8 @@ func runStress(t *testing.T, seed uint64) {
 	}
 
 	// Load linearizability-ish check: the observed value must be one that
-	// was current at some instant within [start, finish]: i.e. it was
-	// committed at time <= finish, and no newer committed value existed
+	// was current at some instant within [start, finish]: i.e. it could
+	// be visible at time <= finish, and no newer committed value existed
 	// before start (value's successor committed after start).
 	for _, lc := range loads {
 		h := hist[lc.addr]
@@ -172,8 +217,7 @@ func runStress(t *testing.T, seed uint64) {
 			if v != lc.value {
 				continue
 			}
-			committed := h.times[k]
-			if committed > lc.finished {
+			if h.firsts[k] > lc.finished {
 				continue
 			}
 			succAfterStart := k+1 >= len(h.vals) || h.times[k+1] >= lc.started
